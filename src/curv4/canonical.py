@@ -115,7 +115,7 @@ def _euclid_cross(a, b, c):
                 for l in range(4):
                     perm = (i, j, k, l)
                     if len(set(perm)) == 4:
-                        eps[i, j, k, l] = forms._eps4(*perm)
+                        eps[i, j, k, l] = forms._perm_sign(perm)
     return np.einsum("ijkl,...i,...j,...k->...l", eps, a, b, c, optimize=True)
 
 

@@ -13,6 +13,7 @@ Conventions (the sign dictionary every verifier refers to):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,10 @@ from scipy.stats import qmc
 from . import expr as ex
 from . import jets
 from .jets import Jet3
+
+
+# Coordinate index pairs (i < j) labelling 2-form components, in storage order.
+PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 class ChartError(Exception):
@@ -225,30 +230,6 @@ class Geometry:
 
         return self._get("frame", build)
 
-    def frame_jets(self):
-        """Frame as jets (needed where frame-component fields get differentiated)."""
-        g = self.g
-        basis = [[Jet3.constant(1.0 if i == a else 0.0, self.pts.shape[:-1])
-                  for i in range(4)] for a in range(4)]  # basis[a][i]: coords of d_a
-
-        def inner(u, v):
-            acc = None
-            for i in range(4):
-                for j in range(4):
-                    t = u[i] * g[i][j] * v[j]
-                    acc = t if acc is None else acc + t
-            return acc
-
-        frame = []
-        for a in range(4):
-            v = [Jet3(c.c.copy()) for c in basis[a]]
-            for b in range(a):
-                coef = inner(v, frame[b])
-                v = [v[i] - coef * frame[b][i] for i in range(4)]
-            nrm = jets.sqrt(inner(v, v), self.pts)
-            frame.append([v[i] / nrm for i in range(4)])
-        return frame  # frame[a][i] = component i of e_a
-
 
 def _mat_values(m):
     batch = m[0][0].value.shape
@@ -328,130 +309,103 @@ def sectional(slate: CurvatureSlate, u, v):
 # -- normal charts --------------------------------------------------------------
 
 
-def normal_chart(chart: MetricChart, p, basis):
-    """Chart in coordinates y with x = p + B y - 1/2 B-quadratic correction.
+def normal_chart_map(chart: MetricChart, P, B):
+    """Jets at y = 0 of the normal-chart maps x(y) = p + B y - 1/2 C(y, y).
 
-    In the new chart Gamma'(0) = 0 and g'(0) = I; the coordinate frame at the
-    origin equals `basis` (columns, orthonormal under g at p).
+    One map per point: P has shape (N, 4), B shape (N, 4, 4) (or broadcastable)
+    with columns orthonormal under g at p.  C^i_ab = Gamma^i_jk(p) B_ja B_kb
+    makes Gamma'(0) = 0 in the y chart, whose coordinate frame at the origin
+    is B.  The map is quadratic, so its four jets are exact.
     """
-    p = np.asarray(p, dtype=float).reshape(4)
-    B = np.asarray(basis, dtype=float).reshape(4, 4)
-    geom = Geometry.of_chart(chart, p[None, :])
-    gram = B.T @ geom.g_values[0] @ B
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    B = np.broadcast_to(np.asarray(B, dtype=float), P.shape[:-1] + (4, 4))
+    geom = Geometry.of_chart(chart, P)
+    gram = np.einsum("...ia,...ij,...jb->...ab", B, geom.g_values, B, optimize=True)
     dev = np.max(np.abs(gram - np.eye(4)))
     if dev > 1e-8:
         raise ChartError(f"basis is not orthonormal at p (Gram deviation {dev:.2e})")
-    gamma_p = geom.gamma_values[0]  # Gamma^i_jk at p
-    C = np.einsum("ijk,ja,kb->iab", gamma_p, B, B, optimize=True)  # symmetric in (a, b)
+    C = np.einsum("...ijk,...ja,...kb->...iab", geom.gamma_values, B, B, optimize=True)
+    return [Jet3.quadratic(P[..., i], B[..., i, :], -0.5 * C[..., i, :, :])
+            for i in range(4)]
 
-    ys = [ex.Var(a) for a in range(4)]
-    x_exprs = []
-    jac = [[None] * 4 for _ in range(4)]  # J[i][a] = dx_i/dy_a as expressions
-    for i in range(4):
-        node = ex.num(p[i])
-        for a in range(4):
-            node = ex.add(node, ex.mul(ex.num(B[i, a]), ys[a]))
-        for a in range(4):
-            for b in range(4):
-                if C[i, a, b] != 0.0:
-                    node = ex.sub(node, ex.mul(ex.num(0.5 * C[i, a, b]),
-                                               ex.mul(ys[a], ys[b])))
-        x_exprs.append(node)
-        for a in range(4):
-            jn = ex.num(B[i, a])
-            for b in range(4):
-                if C[i, a, b] != 0.0:
-                    jn = ex.sub(jn, ex.mul(ex.num(C[i, a, b]), ys[b]))
-            jac[i][a] = jn
 
+def normal_chart(chart: MetricChart, P, B):
+    """Geometry at y = 0 of the normal charts of `normal_chart_map`.
+
+    g'_ab = J_ia J_jb g_ij(x(y)) with J_ia = dx_i/dy_a.  Taylor propagation
+    through the composition gives the exact order-3 jets of g' at the origin,
+    where g' = I and Gamma' = 0.
+    """
+    xj = normal_chart_map(chart, P, B)
+    pts = _map_points(xj)
+    g = metric_jets_env(chart, xj, pts)
+    J = _jacobian(xj)
+    gJ = [[_dot([g[i][j] for j in range(4)], [J[j][b] for j in range(4)])
+           for b in range(4)] for i in range(4)]
     gp = [[None] * 4 for _ in range(4)]
     for a in range(4):
         for b in range(a, 4):
-            acc = None
-            for i in range(4):
-                for j in range(4):
-                    gij = ex.substitute(chart.g[i][j], x_exprs)
-                    term = ex.mul(ex.mul(jac[i][a], jac[j][b]), gij)
-                    acc = term if acc is None else ex.add(acc, term)
-            gp[a][b] = acc
-            gp[b][a] = acc
-
-    r = _normal_chart_radius(chart, p, B, C)
-    domain = tuple((-r, r) for _ in range(4))
-    return MetricChart(tuple(tuple(row) for row in gp), domain, chart.orientation,
-                       name=f"normal({chart.name})")
+            gp[a][b] = gp[b][a] = _dot([J[i][a] for i in range(4)],
+                                       [gJ[i][b] for i in range(4)])
+    return Geometry(gp, np.zeros_like(pts))
 
 
-def _normal_chart_radius(chart, p, B, C):
-    lo = np.array([d[0] for d in chart.domain])
-    hi = np.array([d[1] for d in chart.domain])
-    dist = float(np.min(np.minimum(p - lo, hi - p)))
-    lin = float(np.max(np.abs(B).sum(axis=1)))
-    quad = float(np.max(np.abs(C).sum(axis=(1, 2))))
-    r = 0.5 * dist / max(lin, 1e-12)
-    for _ in range(60):
-        if r * lin + 0.5 * r * r * quad <= 0.9 * dist:
-            break
-        r *= 0.5
-    return max(r, 1e-6)
+def pullback_two_form(components, xjets):
+    """Jets at y = 0 of a coordinate 2-form pulled back through x(y).
 
-
-def pullback_two_form(components, x_exprs, jac):
-    """Pull a coordinate 2-form field back through x = x(y).
-
-    components: dict {(i,j) i<j: expr tree}; returns the same structure in y.
+    components: six expressions in PAIRS order; returns six jets in PAIRS
+    order, phi'_ab = sum_{i<j} phi_ij(x(y)) (J_ia J_jb - J_ib J_ja).
     """
-    full = {}
-    for (i, j), node in components.items():
-        full[(i, j)] = node
-    out = {}
-    for a in range(4):
-        for b in range(a + 1, 4):
-            acc = None
-            for (i, j), node in full.items():
-                sub = ex.substitute(node, x_exprs)
-                # phi_ij (J_ia J_jb - J_ib J_ja)
-                t1 = ex.mul(jac[i][a], jac[j][b])
-                t2 = ex.mul(jac[i][b], jac[j][a])
-                term = ex.mul(sub, ex.sub(t1, t2))
-                acc = term if acc is None else ex.add(acc, term)
-            out[(a, b)] = acc if acc is not None else ex.num(0.0)
-    return out
+    pts = _map_points(xjets)
+    phi = [ex.eval_jet_env(node, xjets, pts) for node in components]
+    J = _jacobian(xjets)
+    return [_dot(phi, [J[i][a] * J[j][b] - J[i][b] * J[j][a] for i, j in PAIRS])
+            for a, b in PAIRS]
 
 
-def normal_chart_map(chart: MetricChart, p, basis):
-    """The (x_exprs, jac) pair of normal_chart, for pulling back fields."""
-    p = np.asarray(p, dtype=float).reshape(4)
-    B = np.asarray(basis, dtype=float).reshape(4, 4)
-    geom = Geometry.of_chart(chart, p[None, :])
-    gamma_p = geom.gamma_values[0]
-    C = np.einsum("ijk,ja,kb->iab", gamma_p, B, B, optimize=True)
-    ys = [ex.Var(a) for a in range(4)]
-    x_exprs = []
-    jac = [[None] * 4 for _ in range(4)]
+def _map_points(xjets):
+    return np.stack([x.value for x in xjets], axis=-1)
+
+
+def _jacobian(xjets):
+    """J[i][a] = dx_i/dy_a as jets."""
+    return [[x.partial(a) for a in range(4)] for x in xjets]
+
+
+def _dot(us, vs):
+    acc = us[0] * vs[0]
+    for u, v in zip(us[1:], vs[1:]):
+        acc = acc + u * v
+    return acc
+
+
+# -- value-level checks -----------------------------------------------------------
+
+
+def metric_values(chart: MetricChart, pts):
+    """g at pts (shape (N, 4)) as plain values, shape (N, 4, 4)."""
+    g = np.empty((len(pts), 4, 4))
     for i in range(4):
-        node = ex.num(p[i])
-        for a in range(4):
-            node = ex.add(node, ex.mul(ex.num(B[i, a]), ys[a]))
-        for a in range(4):
-            for b in range(4):
-                if C[i, a, b] != 0.0:
-                    node = ex.sub(node, ex.mul(ex.num(0.5 * C[i, a, b]),
-                                               ex.mul(ys[a], ys[b])))
-        x_exprs.append(node)
-        for a in range(4):
-            jn = ex.num(B[i, a])
-            for b in range(4):
-                if C[i, a, b] != 0.0:
-                    jn = ex.sub(jn, ex.mul(ex.num(C[i, a, b]), ys[b]))
-            jac[i][a] = jn
-    return x_exprs, jac
+        for j in range(i, 4):
+            g[:, i, j] = ex.eval_values(chart.g[i][j], pts)
+            g[:, j, i] = g[:, i, j]
+    return g
+
+
+def chart_is_periodic(chart: MetricChart, tol=1e-12):
+    """True if the chart is (0, 2pi)^4 and g is 2pi-periodic along every axis."""
+    if any(abs(lo) > 1e-15 or abs(hi - 2.0 * np.pi) > 1e-12 for lo, hi in chart.domain):
+        return False
+    base = np.random.default_rng(97).uniform(0.1, 1.0, size=(8, 4))
+    shifted = np.concatenate([base + 2.0 * np.pi * e for e in np.eye(4)])
+    g_base = np.tile(metric_values(chart, base), (4, 1, 1))
+    return bool(np.max(np.abs(metric_values(chart, shifted) - g_base)) <= tol)
 
 
 def validate_chart(chart: MetricChart, count=32, margin=0.05, seed=7):
     """Positive-definiteness spot check (Cholesky at sampled interior points)."""
     pts = sample_box(chart.domain, count, margin, seed)
-    g = Geometry.of_chart(chart, pts).g_values
+    g = metric_values(chart, pts)
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as e:

@@ -23,7 +23,7 @@ from .verify import InputError
 
 CSV_COLUMNS = ["x1", "x2", "x3", "x4", "residual", "residual_eq28", "residual_eq29",
                "residual_eq42", "residual_eq43", "residual_eq46", "residual_eq49",
-               "rho", "grad_sq", "dnorm_sq", "norm", "K", "R1234", "F", "G",
+               "rho", "grad_sq", "dnorm_sq", "norm", "scal", "K", "R1234", "F", "G",
                "lhs49_over_dnorm", "schwarz_combo", "schwarz_floor",
                "premise_rho_ge_2", "degenerate"]
 
@@ -166,7 +166,7 @@ def _cmd_curvature(args):
         "sign_conventions": verify.SIGN_CONVENTIONS,
     }
     samples = [{"x1": float(p[0]), "x2": float(p[1]), "x3": float(p[2]),
-                "x4": float(p[3]), "K": float(slate.scal[n])}
+                "x4": float(p[3]), "scal": float(slate.scal[n])}
                for n, p in enumerate(pts)]
     _write_report(args, report, samples)
     return 0

@@ -440,5 +440,5 @@ def eval_jet_env(node, env, points=None):
         raise TypeError(f"not an expression node: {n!r}")
 
     out = go(node)
-    jets.assert_finite(out, f"expression '{to_string(node)}'", points)
+    jets.assert_finite(out, lambda: f"expression '{to_string(node)}'", points)
     return out

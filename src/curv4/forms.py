@@ -16,10 +16,9 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
-from .charts import Geometry, MetricChart
+from .charts import PAIRS, Geometry, MetricChart
 from .jets import Jet3
 
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_KEYS = ("12", "13", "14", "23", "24", "34")
 PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -167,20 +166,8 @@ def star_coord_jets(geom: Geometry, c6):
     for k, l in PAIRS:
         rest = [m for m in range(4) if m not in (k, l)]
         i, j = rest
-        sign = _eps4(i, j, k, l)
-        out.append(sq * up[i][j] * sign)
+        out.append(sq * up[i][j] * _perm_sign((i, j, k, l)))
     return out
-
-
-def _eps4(i, j, k, l):
-    perm = (i, j, k, l)
-    sign = 1
-    p = list(perm)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
 
 
 def exterior_d2_jets(c6):
@@ -285,6 +272,7 @@ def codiff_three_form_values(geom: Geometry, w_triples):
 
 
 def _perm_sign(perm):
+    """Sign of a permutation of distinct integers (the Levi-Civita symbol)."""
     sign = 1
     p = list(perm)
     for a in range(len(p)):

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import expr as ex
 from . import forms
-from .charts import Geometry, MetricChart
+from .charts import Geometry, MetricChart, chart_is_periodic, metric_values
 from .forms import PAIRS, TRIPLES
 
 AXSETS = (
@@ -101,23 +100,6 @@ def _barycenters(n, h, S):
     return coords + off
 
 
-def chart_is_periodic(chart: MetricChart, tol=1e-12):
-    if any(abs(lo) > 1e-15 or abs(hi - 2.0 * np.pi) > 1e-12 for lo, hi in chart.domain):
-        return False
-    rng = np.random.default_rng(97)
-    base = rng.uniform(0.1, 1.0, size=(8, 4))
-    for axis in range(4):
-        shifted = base.copy()
-        shifted[:, axis] += 2.0 * np.pi
-        for i in range(4):
-            for j in range(i, 4):
-                a = ex.eval_values(chart.g[i][j], base)
-                b = ex.eval_values(chart.g[i][j], shifted)
-                if np.max(np.abs(a - b)) > tol:
-                    return False
-    return True
-
-
 def assemble(chart: MetricChart, n: int) -> GridComplex:
     """Periodic cochain complex for an analytic metric on (0, 2pi)^4."""
     if n < 3:
@@ -131,7 +113,7 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
         weights = []
         for S in AXSETS[k]:
             pts = _barycenters(n, h, S)
-            g = _metric_values(chart, pts)
+            g = metric_values(chart, pts)
             try:
                 np.linalg.cholesky(g)
             except np.linalg.LinAlgError:
@@ -151,15 +133,6 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
         if np.any(M[-1] <= 0.0):
             raise GridError(f"nonpositive mass entry in degree {k}")
     return GridComplex(n=n, h=h, chart=chart, d=d, M=tuple(M))
-
-
-def _metric_values(chart, pts):
-    g = np.empty((len(pts), 4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            g[:, i, j] = ex.eval_values(chart.g[i][j], pts)
-            g[:, j, i] = g[:, i, j]
-    return g
 
 
 def _first_indefinite(g):
@@ -347,7 +320,7 @@ def star_coord_values(g_values, c6):
     out = np.empty_like(np.asarray(c6))
     for q, (k, l) in enumerate(PAIRS):
         i, j = (m for m in range(4) if m not in (k, l))
-        out[q] = sq * up[(i, j)] * forms._eps4(i, j, k, l)
+        out[q] = sq * up[(i, j)] * forms._perm_sign((i, j, k, l))
     return out
 
 
@@ -365,7 +338,7 @@ def lambda2_inner_values(g_values, a6, b6):
 def _star_counts(basis: HarmonicBasis, tol=0.1):
     gc = basis.complex
     pts = _cell_centers(gc)
-    g = _metric_values(gc.chart, pts)
+    g = metric_values(gc.chart, pts)
     vol = np.sqrt(np.linalg.det(g)) * gc.h**4
     k = basis.vectors.shape[1]
     coloc = [_colocate(gc, basis.vectors[:, m]) for m in range(k)]

@@ -75,6 +75,11 @@ def _build_partial_tables():
 
 _PARTIAL_TABLES = _build_partial_tables()
 
+_UNITS = np.eye(NVARS, dtype=int)
+_LINEAR_SLOTS = [INDEX_OF[tuple(_UNITS[a])] for a in range(NVARS)]
+_QUAD_A, _QUAD_B = np.triu_indices(NVARS)
+_QUAD_SLOTS = [INDEX_OF[tuple(_UNITS[a] + _UNITS[b])] for a, b in zip(_QUAD_A, _QUAD_B)]
+
 
 class JetError(Exception):
     """Domain failure (division by zero, log/sqrt of nonpositive, NaN)."""
@@ -124,6 +129,21 @@ class Jet3:
         c[..., INDEX_OF[tuple(unit)]] = 1.0
         return Jet3(c)
 
+    @staticmethod
+    def quadratic(value, linear, quad):
+        """Jet at y = 0 of value + linear_a y_a + quad_ab y_a y_b (exact).
+
+        value: batch shape; linear: batch + (4,); quad: batch + (4, 4), any
+        symmetry (only quad + quad^T enters).
+        """
+        value = np.asarray(value, dtype=float)
+        sym = quad + np.swapaxes(quad, -1, -2)
+        c = np.zeros(value.shape + (NCOEFF,))
+        c[..., 0] = value
+        c[..., _LINEAR_SLOTS] = linear
+        c[..., _QUAD_SLOTS] = np.where(_QUAD_A == _QUAD_B, 0.5, 1.0) * sym[..., _QUAD_A, _QUAD_B]
+        return Jet3(c)
+
     # -- views -------------------------------------------------------------
 
     @property
@@ -132,8 +152,7 @@ class Jet3:
 
     def grad(self):
         """First derivatives, shape batch + (4,)."""
-        slots = [INDEX_OF[tuple(1 if k == i else 0 for k in range(NVARS))] for i in range(NVARS)]
-        return self.c[..., slots]
+        return self.c[..., _LINEAR_SLOTS]
 
     def derivative(self, alpha):
         """d^alpha value (raw coefficient times alpha!)."""
@@ -279,12 +298,17 @@ def powr(u: Jet3, r, points=None) -> Jet3:
     return u._compose(np.stack([p, c1, c2, c3], axis=-1))
 
 
-def assert_finite(u: Jet3, context: str, points=None):
-    """NaN poisoning gate: abort the enclosing computation on any bad coefficient."""
+def assert_finite(u: Jet3, context, points=None):
+    """NaN poisoning gate: abort the enclosing computation on any bad coefficient.
+
+    `context` is a string or a callable returning one; a callable is only
+    called when the gate fires, so callers can defer costly formatting.
+    """
     bad = ~np.isfinite(u.c)
     if np.any(bad):
         mask = np.any(bad, axis=-1)
-        raise JetError(f"non-finite jet coefficients in {context}", _first_bad(mask, points))
+        what = context() if callable(context) else context
+        raise JetError(f"non-finite jet coefficients in {what}", _first_bad(mask, points))
 
 
 # -- small dense jet linear algebra -----------------------------------------

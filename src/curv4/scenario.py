@@ -13,7 +13,8 @@ import numpy as np
 
 from . import expr as ex
 from . import presets
-from .charts import MetricChart, chart_from_strings, conformal_chart, sample_box
+from .charts import (MetricChart, chart_from_strings, conformal_chart, sample_box,
+                     validate_chart)
 from .forms import TwoFormField
 from .verify import DEFAULT_TOLERANCES, InputError
 
@@ -59,6 +60,7 @@ class Scenario:
         chart = _build_manifold(self.manifold)
         if self.conformal_factor is not None:
             chart = conformal_chart(chart, self.conformal_factor)
+        validate_chart(chart)
         return chart
 
     def build_field(self, chart: MetricChart) -> TwoFormField:
@@ -87,11 +89,12 @@ class Scenario:
     def grid_chart(self) -> MetricChart:
         if self.grid is None:
             raise InputError("scenario has no 'grid' section")
-        if "metric" in self.grid:
-            return chart_from_strings(self.grid["metric"],
-                                      [(0.0, 2.0 * np.pi)] * 4, 1,
-                                      f"{self.id}_grid_metric")
-        return self.build_chart()
+        if "metric" not in self.grid:
+            return self.build_chart()
+        chart = chart_from_strings(self.grid["metric"], [(0.0, 2.0 * np.pi)] * 4, 1,
+                                   f"{self.id}_grid_metric")
+        validate_chart(chart)
+        return chart
 
     @property
     def grid_n(self):

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import canonical, forms, jets
-from . import expr as ex
-from .charts import (CurvatureSlate, Geometry, MetricChart, curvature_at,
-                     normal_chart, normal_chart_map, pullback_two_form,
+from .charts import (CurvatureSlate, Geometry, MetricChart, chart_is_periodic,
+                     curvature_at, normal_chart, normal_chart_map, pullback_two_form,
                      sample_box)
 from .forms import PAIRS, TwoFormField
 from .jets import Jet3
@@ -229,44 +228,38 @@ def parallel_frame_jets(geom_nc: Geometry):
     e_k^i(y) = delta_ik - 1/2 dGamma'^i_{ck}/dy_d |_0 y_d y_c + O(y^3); the
     O(y^3) terms cannot influence second derivatives at the origin.
     """
-    dG = geom_nc.dgamma_values[0]
-    y = [Jet3.variable(a, np.zeros(1)) for a in range(4)]
-    frame = []
-    for k in range(4):
-        vec = []
-        for i in range(4):
-            e = Jet3.constant(1.0 if i == k else 0.0, (1,))
-            for d in range(4):
-                for c in range(4):
-                    coef = dG[d, i, c, k]
-                    if coef != 0.0:
-                        e = e - (0.5 * coef) * (y[d] * y[c])
-            vec.append(e)
-        frame.append(vec)
-    return frame
+    dG = geom_nc.dgamma_values  # [..., d, i, c, k]
+    batch = dG.shape[:-4]
+    eye = np.eye(4)
+    return [[Jet3.quadratic(np.full(batch, eye[i, k]), np.zeros(batch + (4,)),
+                            -0.5 * dG[..., :, i, :, k])
+             for i in range(4)] for k in range(4)]
 
 
-def _normal_point_components(chart, comp_dict, p, basis):
-    """Normal chart at p with the given basis; returns (geom, f_kl jets 4x4)."""
-    nc = normal_chart(chart, p, basis)
-    x_exprs, jac = normal_chart_map(chart, p, basis)
-    pulled = pullback_two_form(comp_dict, x_exprs, jac)
-    origin = np.zeros((1, 4))
-    geom_nc = Geometry.of_chart(nc, origin)
-    gmax = float(np.max(np.abs(geom_nc.gamma_values)))
-    c6n = [ex.eval_jet(pulled[pr], origin) for pr in PAIRS]
+def _parallel_frame_fields(chart, fld, pts, basis, gamma_tol):
+    """Normal-chart geometry and parallel-frame components at every point.
+
+    Returns (geom_nc, fj, gmax): fj[k][l] (k < l) are the jets of
+    f_kl = phi(e_k, e_l) along the radially parallel frame e, and gmax the
+    per-point max |Gamma'(0)|, gated by gamma_tol.
+    """
+    geom_nc = normal_chart(chart, pts, basis)
+    gmax = np.max(np.abs(geom_nc.gamma_values), axis=(-1, -2, -3))
+    if np.any(gmax >= gamma_tol):
+        worst = gmax[np.argmax(gmax >= gamma_tol)]
+        raise InputError(f"normal-chart quality gate failed: Gamma'(0) = {worst:.2e}")
+    c6n = pullback_two_form(fld.components, normal_chart_map(chart, pts, basis))
     Ej = parallel_frame_jets(geom_nc)
     full = forms._full_jets(c6n)
     fj = [[None] * 4 for _ in range(4)]
-    for a in range(4):
-        for b2 in range(a + 1, 4):
-            acc = None
-            for i in range(4):
-                for j in range(4):
-                    t = Ej[a][i] * full[i][j] * Ej[b2][j]
-                    acc = t if acc is None else acc + t
-            fj[a][b2] = acc
-    return nc, geom_nc, fj, gmax
+    for a, c in PAIRS:
+        acc = None
+        for i in range(4):
+            for j in range(4):
+                t = Ej[a][i] * full[i][j] * Ej[c][j]
+                acc = t if acc is None else acc + t
+        fj[a][c] = acc
+    return geom_nc, fj, gmax
 
 
 def verify_component_bochner(chart, fld, pts, tol=None, scenario="inline",
@@ -277,40 +270,29 @@ def verify_component_bochner(chart, fld, pts, tol=None, scenario="inline",
     gamma_tol = DEFAULT_TOLERANCES["normal_gamma"] if gamma_tol is None else gamma_tol
     b = PointBundle(chart, fld, pts)
     hmax, hscale = b.require_harmonic(harmonicity_tol)
-    comp_dict = {PAIRS[k]: fld.components[k] for k in range(6)}
-    rels, abss, samples = [], [], []
-    gamma_gate_max = 0.0
-    for n in range(len(b.pts)):
-        p = b.pts[n]
-        basis = b.slate.frame[n]
-        _, geom_nc, fj, gmax = _normal_point_components(chart, comp_dict, p, basis)
-        gamma_gate_max = max(gamma_gate_max, gmax)
-        if gmax >= gamma_tol:
-            raise InputError(f"normal-chart quality gate failed: Gamma'(0) = {gmax:.2e}")
-        fmat = np.zeros((4, 4))
-        lapm = np.zeros((4, 4))
-        for a in range(4):
-            for c in range(a + 1, 4):
-                fmat[a, c] = fj[a][c].value[0]
-                fmat[c, a] = -fmat[a, c]
-                lapm[a, c] = forms.scalar_laplacian_values(geom_nc, fj[a][c])[0]
-                lapm[c, a] = -lapm[a, c]
-        Ric = b.slate.Ric[n]
-        R = b.slate.R[n]
-        rhs = (np.einsum("kp,pl->kl", Ric, fmat, optimize=True) + np.einsum("lp,kp->kl", Ric, fmat, optimize=True)
-               - 2.0 * np.einsum("kplq,pq->kl", R, fmat, optimize=True))
-        scale = max(np.max(np.abs(lapm)), np.max(np.abs(rhs)),
-                    np.max(np.abs(Ric)) * np.max(np.abs(fmat)), RESIDUAL_FLOOR)
-        ares = float(np.max(np.abs(lapm - rhs)))
-        rels.append(ares / scale)
-        abss.append(ares)
-        samples.append(_row(p, {"residual": rels[-1]}))
-    rels = np.array(rels)
-    abss = np.array(abss)
+    geom_nc, fj, gmax = _parallel_frame_fields(chart, fld, b.pts, b.slate.frame, gamma_tol)
+    fmat = np.zeros(b.pts.shape[:-1] + (4, 4))
+    lapm = np.zeros_like(fmat)
+    for a, c in PAIRS:
+        fmat[..., a, c] = fj[a][c].value
+        lapm[..., a, c] = forms.scalar_laplacian_values(geom_nc, fj[a][c])
+    fmat -= np.swapaxes(fmat, -1, -2)
+    lapm -= np.swapaxes(lapm, -1, -2)
+    Ric, R = b.slate.Ric, b.slate.R
+    rhs = (np.einsum("...kp,...pl->...kl", Ric, fmat, optimize=True)
+           + np.einsum("...lp,...kp->...kl", Ric, fmat, optimize=True)
+           - 2.0 * np.einsum("...kplq,...pq->...kl", R, fmat, optimize=True))
+    scale = np.maximum.reduce([
+        np.max(np.abs(lapm), axis=(-1, -2)), np.max(np.abs(rhs), axis=(-1, -2)),
+        np.max(np.abs(Ric), axis=(-1, -2)) * np.max(np.abs(fmat), axis=(-1, -2)),
+        np.full(len(b.pts), RESIDUAL_FLOOR)])
+    abss = np.max(np.abs(lapm - rhs), axis=(-1, -2))
+    rels = abss / scale
+    samples = [_row(b.pts[n], {"residual": rels[n]}) for n in range(len(b.pts))]
     return _report("component_bochner_eq22", scenario, b.pts, [], abss, rels, tol,
                    extra={"delta_used": "function laplacian of parallel-frame components",
                           "harmonicity_measured": hmax, "harmonicity_scale": hscale,
-                          "normal_gamma_max": gamma_gate_max},
+                          "normal_gamma_max": float(np.max(gmax))},
                    samples=samples)
 
 
@@ -345,36 +327,29 @@ def verify_lemma22(chart, fld, pts, tol=None, scenario="inline",
     hmax, hscale = b.require_harmonic(harmonicity_tol)
     adapted = canonical.canonicalize(b.frame_values,
                                      flag_tol=DEFAULT_TOLERANCES["degeneracy_frac"])
-    comp_dict = {PAIRS[k]: fld.components[k] for k in range(6)}
-    rels, abss, samples, excluded = [], [], [], []
-    for n in range(len(b.pts)):
-        p = b.pts[n]
-        basis = b.slate.frame[n] @ adapted.basis[n]
-        _, geom_nc, fj, gmax = _normal_point_components(chart, comp_dict, p, basis)
-        if gmax >= gamma_tol:
-            raise InputError(f"normal-chart quality gate failed: Gamma'(0) = {gmax:.2e}")
-        sl_n = curvature_at(geom_nc, orientation=chart.orientation)
-        K = 0.5 * (sl_n.R[0, 0, 2, 0, 2] + sl_n.R[0, 0, 3, 0, 3]
-                   + sl_n.R[0, 1, 2, 1, 2] + sl_n.R[0, 1, 3, 1, 3])
-        R1234 = sl_n.R[0, 0, 1, 2, 3]
-        f1, f2 = fj[0][1], fj[2][3]
-        lap1 = forms.scalar_laplacian_values(geom_nc, f1)[0]
-        lap2 = forms.scalar_laplacian_values(geom_nc, f2)[0]
-        v1, v2 = f1.value[0], f2.value[0]
-        r1 = lap1 - 2.0 * (K * v1 - R1234 * v2)
-        r2 = lap2 - 2.0 * (K * v2 - R1234 * v1)
-        lap_scale = float(forms.scalar_laplacian_scale(geom_nc, f1)[0]
-                          + forms.scalar_laplacian_scale(geom_nc, f2)[0])
-        rmax = float(np.max(np.abs(sl_n.R)))
-        scale = max(lap_scale, (2 * abs(K) + 2 * abs(R1234) + rmax) * (abs(v1) + abs(v2)),
-                    RESIDUAL_FLOOR)
-        ares = max(abs(r1), abs(r2))
-        rels.append(ares / scale)
-        abss.append(ares)
-        samples.append(_row(p, {"residual": rels[-1], "K": K, "R1234": R1234,
-                                "degenerate": bool(adapted.degenerate[n])}))
-    return _report("lemma22", scenario, b.pts, excluded, np.array(abss),
-                   np.array(rels), tol,
+    basis = b.slate.frame @ adapted.basis
+    geom_nc, fj, _ = _parallel_frame_fields(chart, fld, b.pts, basis, gamma_tol)
+    sl_n = curvature_at(geom_nc, orientation=chart.orientation)
+    Rn = sl_n.R
+    K = 0.5 * (Rn[..., 0, 2, 0, 2] + Rn[..., 0, 3, 0, 3]
+               + Rn[..., 1, 2, 1, 2] + Rn[..., 1, 3, 1, 3])
+    R1234 = Rn[..., 0, 1, 2, 3]
+    f1, f2 = fj[0][1], fj[2][3]
+    v1, v2 = f1.value, f2.value
+    r1 = forms.scalar_laplacian_values(geom_nc, f1) - 2.0 * (K * v1 - R1234 * v2)
+    r2 = forms.scalar_laplacian_values(geom_nc, f2) - 2.0 * (K * v2 - R1234 * v1)
+    lap_scale = (forms.scalar_laplacian_scale(geom_nc, f1)
+                 + forms.scalar_laplacian_scale(geom_nc, f2))
+    rmax = np.max(np.abs(Rn), axis=(-1, -2, -3, -4))
+    scale = np.maximum.reduce([
+        lap_scale, (2 * np.abs(K) + 2 * np.abs(R1234) + rmax) * (np.abs(v1) + np.abs(v2)),
+        np.full(len(b.pts), RESIDUAL_FLOOR)])
+    abss = np.maximum(np.abs(r1), np.abs(r2))
+    rels = abss / scale
+    samples = [_row(b.pts[n], {"residual": rels[n], "K": K[n], "R1234": R1234[n],
+                               "degenerate": bool(adapted.degenerate[n])})
+               for n in range(len(b.pts))]
+    return _report("lemma22", scenario, b.pts, [], abss, rels, tol,
                    extra={"delta_used": "function laplacian in adapted parallel frame",
                           "harmonicity_measured": hmax, "harmonicity_scale": hscale,
                           "degenerate_points": int(adapted.degenerate.sum())},
@@ -692,7 +667,7 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
     """
     harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
         else harmonicity_tol
-    periodic = _chart_is_periodic(chart)
+    periodic = chart_is_periodic(chart)
     axes, weights = [], 1.0
     for (lo, hi) in chart.domain:
         if periodic:
@@ -734,26 +709,6 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
         "negative_remainder_points": int(sum(p["neg"] for p in parts)),
         "sign_conventions": dict(SIGN_CONVENTIONS),
     }
-
-
-def _chart_is_periodic(chart: MetricChart, tol=1e-12):
-    if any(abs(lo - 0.0) > 1e-15 or abs(hi - 2.0 * np.pi) > 1e-12
-           for lo, hi in chart.domain):
-        return False
-    rng = np.random.default_rng(12345)
-    base = rng.uniform(0.1, 1.0, size=(8, 4))
-    for axis in range(4):
-        shifted = base.copy()
-        shifted[:, axis] += 2.0 * np.pi
-        shifted[:, axis] = np.where(shifted[:, axis] >= 2.0 * np.pi,
-                                    shifted[:, axis] - 2.0 * np.pi, shifted[:, axis])
-        for i in range(4):
-            for j in range(4):
-                a = ex.eval_values(chart.g[i][j], base)
-                bb = ex.eval_values(chart.g[i][j], shifted)
-                if np.max(np.abs(a - bb)) > tol:
-                    return False
-    return True
 
 
 # -- shared report plumbing ---------------------------------------------------------

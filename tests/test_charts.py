@@ -4,7 +4,9 @@ import pytest
 from curv4 import charts, presets
 from curv4 import expr as ex
 from curv4.charts import (ChartError, Geometry, conformal_chart, curvature_at,
-                          normal_chart, sample_box, sectional, validate_chart)
+                          normal_chart, normal_chart_map, pullback_two_form, sample_box,
+                          sectional, validate_chart)
+from curv4.forms import TwoFormField
 
 from oracles import complex_space_form_R, constant_curvature_R
 
@@ -224,9 +226,7 @@ def test_normal_chart_properties():
     chart = presets.cp2_fubini_study()
     p = np.array([0.21, -0.33, 0.11, 0.4])
     slate = curvature_at(chart, p[None, :])
-    nc = normal_chart(chart, p, slate.frame[0])
-    origin = np.zeros((1, 4))
-    geom = Geometry.of_chart(nc, origin)
+    geom = normal_chart(chart, p, slate.frame[0])
     assert np.max(np.abs(geom.g_values[0] - np.eye(4))) < 1e-12
     assert np.max(np.abs(geom.gamma_values[0])) < 1e-9
     # curvature reconstruction from second metric derivatives
@@ -247,8 +247,7 @@ def test_normal_chart_properties():
 def test_normal_chart_flat_translation():
     chart = presets.flat_t4()
     p = np.array([1.0, 2.0, 3.0, 1.5])
-    nc = normal_chart(chart, p, np.eye(4))
-    geom = Geometry.of_chart(nc, np.zeros((1, 4)))
+    geom = normal_chart(chart, p, np.eye(4))
     assert np.max(np.abs(geom.gamma_values)) == 0.0
 
 
@@ -263,9 +262,30 @@ def test_round_sphere_normal_gamma():
     pts = sample_box(chart.domain, 3, seed=12)
     for n in range(len(pts)):
         slate = curvature_at(chart, pts[n][None, :])
-        nc = normal_chart(chart, pts[n], slate.frame[0])
-        geom = Geometry.of_chart(nc, np.zeros((1, 4)))
+        geom = normal_chart(chart, pts[n], slate.frame[0])
         assert np.max(np.abs(geom.gamma_values)) < 1e-9
+
+
+def _normal_chart_arrays(chart, fld, P, B):
+    geom = normal_chart(chart, P, B)
+    pulled = pullback_two_form(fld.components, normal_chart_map(chart, P, B))
+    return [np.stack([geom.g[i][j].c for i in range(4) for j in range(4)], axis=-2),
+            np.stack([c.c for c in pulled], axis=-2),
+            geom.dgamma_values]
+
+
+def test_normal_chart_batch_equals_single_points():
+    """N points in one call give what N one-point calls give."""
+    chart = conformal_chart(presets.product_s2s2(1.0, 1.0), "0.1*sin(x1)*cos(x3)")
+    fld = TwoFormField(chart, presets.form_preset("factor_volume_1", chart))
+    pts = sample_box(chart.domain, 5, seed=21)
+    frames = curvature_at(chart, pts).frame
+    batch = _normal_chart_arrays(chart, fld, pts, frames)
+    for n in range(len(pts)):
+        single = _normal_chart_arrays(chart, fld, pts[n], frames[n])
+        for many, one in zip(batch, single):
+            scale = max(float(np.max(np.abs(one))), 1.0)
+            assert np.max(np.abs(many[n] - one[0])) <= 1e-13 * scale
 
 
 def test_validate_chart():

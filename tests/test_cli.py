@@ -102,6 +102,18 @@ def test_bad_expression_forwarded(tmp_path, capsys):
     assert "unknown identifier" in capsys.readouterr().err
 
 
+def test_indefinite_metric_exit2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "id": "x",
+        "manifold": {"metric": [["1", "0", "0", "0"], ["0", "-1", "0", "0"],
+                                ["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+    }))
+    assert run(["verify", "thm21", "--scenario", bad, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "not positive definite" in err and "inline_metric" in err
+
+
 def test_identity_violation_exit1(tmp_path):
     """An impossible tolerance forces exit code 1 without an input error."""
     sc = {
@@ -152,6 +164,11 @@ def test_curvature_command(tmp_path):
     rep = json.loads(read_report(tmp_path))
     assert rep["global_stats"]["k_lower"] == pytest.approx(1.0, abs=1e-5)
     assert rep["scal_range"][0] == pytest.approx(12.0, abs=1e-8)
+    lines = (tmp_path / "samples.csv").read_text().splitlines()
+    assert lines[0] == "x1,x2,x3,x4,scal"
+    assert len(lines) == 9
+    assert all(float(line.split(",")[4]) == pytest.approx(12.0, abs=1e-8)
+               for line in lines[1:])
 
 
 def test_integral_grid_command(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curv4 import expr as ex
+from curv4 import jets
 
 from oracles import random_expression
 
@@ -76,6 +77,18 @@ def test_domain_error_cites_node():
     with pytest.raises(ex.DomainError) as err:
         ex.eval_jet(ex.parse("1/x1"), np.array([[0.0, 1.0, 1.0, 1.0]]))
     assert "1 / x1" in str(err.value) or "division" in str(err.value)
+
+
+def test_finite_gate_formats_context_only_on_failure(monkeypatch):
+    calls = []
+    real = ex.to_string
+    monkeypatch.setattr(ex, "to_string",
+                        lambda node, *args: calls.append(node) or real(node, *args))
+    ex.eval_jet(ex.parse("x1 * x2 + 1"), np.ones((3, 4)))
+    assert calls == []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(jets.JetError, match="in expression 'exp\\(x1\\)'"):
+            ex.eval_jet(ex.parse("exp(x1)"), np.array([[1000.0, 0.0, 0.0, 0.0]]))
 
 
 def test_log_domain_error_located():

@@ -185,6 +185,18 @@ def test_integral_analytic_flat_constant_zero():
     assert abs(rep["integral_remainder"]) < 1e-12
 
 
+def test_integral_analytic_nonperiodic_torus_box_not_closed():
+    """A metric on (0, 2pi)^4 that is not 2pi-periodic is a box, not a manifold."""
+    chart = charts.chart_from_strings(
+        [["1 + 0.1*x1", "0", "0", "0"], ["0", "1", "0", "0"],
+         ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        [(0.0, 2.0 * np.pi)] * 4, 1, "x1_ramp")
+    assert not charts.chart_is_periodic(chart)
+    fld = TwoFormField(chart, {"34": "1"})  # harmonic: g depends on x1 only
+    rep = verify.integral_identity_analytic(chart, fld, n_per_axis=4)
+    assert rep["closed_manifold"] is False
+
+
 def test_report_serialization_roundtrip(conformal_scenario):
     import json
 
