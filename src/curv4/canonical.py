@@ -108,15 +108,7 @@ def _pair(A, e1, lam1):
 
 def _euclid_cross(a, b, c):
     """Vector completing (a, b, c) to a positively oriented basis."""
-    eps = np.zeros((4, 4, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                for l in range(4):
-                    perm = (i, j, k, l)
-                    if len(set(perm)) == 4:
-                        eps[i, j, k, l] = forms._perm_sign(perm)
-    return np.einsum("ijkl,...i,...j,...k->...l", eps, a, b, c, optimize=True)
+    return np.einsum("ijkl,...i,...j,...k->...l", forms.EPS4, a, b, c, optimize=True)
 
 
 def curvature_term_K(slate: CurvatureSlate, adapted: AdaptedFrame,
@@ -177,8 +169,11 @@ def _random_admissible(f6, rng):
     return np.stack([e1, e2, e3, e4], axis=-1)
 
 
-def _k_r(R, Q):
-    Rq = np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", R, Q, Q, Q, Q, optimize=True)
+def _k_r(R, Q=None):
+    """K = (R1313 + R1414 + R2323 + R2424)/2 and R1234 of R read in the basis Q
+    (columns), or of R as given when Q is None."""
+    Rq = R if Q is None else np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd",
+                                       R, Q, Q, Q, Q, optimize=True)
     K = 0.5 * (Rq[..., 0, 2, 0, 2] + Rq[..., 0, 3, 0, 3]
                + Rq[..., 1, 2, 1, 2] + Rq[..., 1, 3, 1, 3])
     return K, Rq[..., 0, 1, 2, 3]

@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import expr as ex
 from . import jets
@@ -75,12 +74,17 @@ def sample_box(domain, count, margin=0.05, seed=0):
     """Low-discrepancy points in the box shrunk by `margin` per side."""
     if count < 1:
         raise ChartError("sample count must be >= 1")
-    sampler = qmc.Halton(d=4, scramble=True, seed=int(seed))
-    u = sampler.random(count)
+    from scipy.stats import qmc  # slow to import; only commands that sample need it
+
+    u = qmc.Halton(d=4, scramble=True, seed=int(seed)).random(count)
+    return _scale_to_box(domain, margin, u)
+
+
+def _scale_to_box(domain, margin, u):
+    """Map unit-cube points u (N, 4) into the box shrunk by `margin` per side."""
     lo = np.array([d[0] for d in domain])
     hi = np.array([d[1] for d in domain])
-    width = hi - lo
-    return lo + width * (margin + (1.0 - 2.0 * margin) * u)
+    return lo + (hi - lo) * (margin + (1.0 - 2.0 * margin) * u)
 
 
 # -- metric evaluation --------------------------------------------------------
@@ -215,20 +219,17 @@ class Geometry:
 
     @property
     def frame(self):
-        """Orthonormal frame values: columns E[..., :, a] are the frame vectors.
+        """Orthonormal frame values (see orthonormal_frame); the orientation
+        flag is handled by curvature_at."""
+        return self._get("frame", lambda: orthonormal_frame(self.g_values))
 
-        Gram-Schmidt on the coordinate basis in fixed order (equals the
-        inverse-transpose Cholesky factor); orientation flag handled by the
-        chart wrapper.
-        """
 
-        def build():
-            L = np.linalg.cholesky(self.g_values)
-            eye = np.broadcast_to(np.eye(4), L.shape)
-            Linv = np.linalg.solve(L, eye)
-            return np.swapaxes(Linv, -1, -2)
-
-        return self._get("frame", build)
+def orthonormal_frame(g_values):
+    """Columns E[..., :, a] orthonormal under g: the inverse transpose of the
+    Cholesky factor, i.e. Gram-Schmidt on the coordinate basis in fixed order."""
+    L = np.linalg.cholesky(g_values)
+    eye = np.broadcast_to(np.eye(4), L.shape)
+    return np.swapaxes(np.linalg.solve(L, eye), -1, -2)
 
 
 def _mat_values(m):
@@ -403,8 +404,8 @@ def chart_is_periodic(chart: MetricChart, tol=1e-12):
 
 
 def validate_chart(chart: MetricChart, count=32, margin=0.05, seed=7):
-    """Positive-definiteness spot check (Cholesky at sampled interior points)."""
-    pts = sample_box(chart.domain, count, margin, seed)
+    """Positive-definiteness spot check (Cholesky at random interior points)."""
+    pts = _scale_to_box(chart.domain, margin, np.random.default_rng(seed).random((count, 4)))
     g = metric_values(chart, pts)
     try:
         np.linalg.cholesky(g)

@@ -20,18 +20,35 @@ from .charts import PAIRS, Geometry, MetricChart
 from .jets import Jet3
 
 PAIR_KEYS = ("12", "13", "14", "23", "24", "34")
-PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
-# Frame Hodge star on ordered-pair components: (12)<->(34), (13)<->-(24),
-# (14)<->(23).  Signs fixed by the volume pairing phi ^ *psi = <phi,psi> vol.
-STAR6 = np.zeros((6, 6))
-STAR6[PAIR_INDEX[(0, 1)], PAIR_INDEX[(2, 3)]] = 1.0
-STAR6[PAIR_INDEX[(2, 3)], PAIR_INDEX[(0, 1)]] = 1.0
-STAR6[PAIR_INDEX[(0, 2)], PAIR_INDEX[(1, 3)]] = -1.0
-STAR6[PAIR_INDEX[(1, 3)], PAIR_INDEX[(0, 2)]] = -1.0
-STAR6[PAIR_INDEX[(0, 3)], PAIR_INDEX[(1, 2)]] = 1.0
-STAR6[PAIR_INDEX[(1, 2)], PAIR_INDEX[(0, 3)]] = 1.0
+
+def _perm_sign(perm):
+    """Sign of a permutation of distinct integers (the Levi-Civita symbol)."""
+    sign = 1
+    p = list(perm)
+    for a in range(len(p)):
+        for b in range(a + 1, len(p)):
+            if p[a] > p[b]:
+                sign = -sign
+    return sign
+
+
+def _levi_civita():
+    """eps_ijkl as a (4, 4, 4, 4) array."""
+    eps = np.zeros((4, 4, 4, 4))
+    for perm in it.permutations(range(4)):
+        eps[perm] = _perm_sign(perm)
+    return eps
+
+
+EPS4 = _levi_civita()
+
+# Hodge star on ordered-pair components, (*phi)_kl = eps_ijkl phi^ij, in an
+# orthonormal frame and (star_coord) in coordinates: (12)<->(34),
+# (13)<->-(24), (14)<->(23), the signs of the volume pairing
+# phi ^ *psi = <phi, psi> vol.  Row q has its one entry in column 5 - q.
+STAR6 = np.array([[EPS4[i, j, k, l] for (i, j) in PAIRS] for (k, l) in PAIRS])
 
 
 class FormError(Exception):
@@ -114,24 +131,25 @@ def sd_split_frame(f6, tol=1e-10):
     return {"plus": fplus, "minus": fminus, "F": F, "G": G}
 
 
-# -- jet-level coordinate operations -------------------------------------------
+# -- pointwise Lambda^2 algebra over the entries of g^-1 ------------------------
+#
+# Each function below is written once over entries indexed [i][j] (component
+# axes first): nested lists of Jet3 where derivatives are needed, or arrays of
+# values such as np.moveaxis(ginv_values, (-2, -1), (0, 1)).
 
 
-def lambda2_metric_jets(geom: Geometry):
-    """Q[(ij),(kl)] = g^ik g^jl - g^il g^jk as jets, 6x6 symmetric."""
-    gi = geom.ginv
+def lambda2_metric(gi):
+    """Q[(ij),(kl)] = g^ik g^jl - g^il g^jk, a 6x6 symmetric nested list."""
     Q = [[None] * 6 for _ in range(6)]
     for a, (i, j) in enumerate(PAIRS):
-        for b, (k, l) in enumerate(PAIRS):
-            if b < a:
-                continue
-            Q[a][b] = gi[i][k] * gi[j][l] - gi[i][l] * gi[j][k]
-            Q[b][a] = Q[a][b]
+        for b in range(a, 6):
+            k, l = PAIRS[b]
+            Q[a][b] = Q[b][a] = gi[i][k] * gi[j][l] - gi[i][l] * gi[j][k]
     return Q
 
 
-def inner_lambda2_jets(geom: Geometry, a6, b6, Q=None):
-    Q = Q if Q is not None else lambda2_metric_jets(geom)
+def inner_lambda2(Q, a6, b6):
+    """<a, b> = a_p Q_pq b_q on coordinate components."""
     acc = None
     for p in range(6):
         for q in range(6):
@@ -140,8 +158,41 @@ def inner_lambda2_jets(geom: Geometry, a6, b6, Q=None):
     return acc
 
 
+def star_coord(gi, sqrt_det, c6, Q=None):
+    """Coordinate components of *phi: (*phi)_kl = sqrt(g) eps_ijkl phi^ij, with
+    phi^ij = (Q c)_(ij) and the signs of STAR6."""
+    Q = Q if Q is not None else lambda2_metric(gi)
+    out = []
+    for q in range(6):
+        p = 5 - q
+        up = None
+        for m in range(6):
+            t = Q[p][m] * c6[m]
+            up = t if up is None else up + t
+        out.append(sqrt_det * up * STAR6[q, p])
+    return out
+
+
+def entry_values(m):
+    """Values of nested jets (or arrays) as one array, component axes first."""
+    if isinstance(m, np.ndarray):
+        return m
+    if isinstance(m, Jet3):
+        return m.value
+    return np.array([entry_values(x) for x in m])
+
+
+def nabla_norm_sq_values(gi, T, Q=None):
+    """|nabla phi|^2 = g^ab Q_pq T_ap T_bq from the values of g^-1 ([a][b]),
+    T = nabla phi ([a][pair]) and Q (from gi when omitted)."""
+    gi = entry_values(gi)
+    Q = entry_values(Q if Q is not None else lambda2_metric(gi))
+    T = entry_values(T)
+    return np.einsum("ab...,ap...,pq...,bq...->...", gi, T, Q, T, optimize=True)
+
+
 def norm_sq_jet(geom: Geometry, c6, Q=None):
-    return inner_lambda2_jets(geom, c6, c6, Q)
+    return inner_lambda2(Q if Q is not None else lambda2_metric(geom.ginv), c6, c6)
 
 
 def wedge_self_jet(geom: Geometry, c6):
@@ -150,24 +201,7 @@ def wedge_self_jet(geom: Geometry, c6):
     return (2.0 * w) / geom.sqrt_det_jet
 
 
-def star_coord_jets(geom: Geometry, c6):
-    """Coordinate components of *phi: (*phi)_kl = sqrt(g) eps_{ijkl} phi^{ij} (i<j)."""
-    gi = geom.ginv
-    up = [[None] * 4 for _ in range(4)]  # phi^{ij} for i<j as jets
-    for i in range(4):
-        for j in range(i + 1, 4):
-            acc = None
-            for m, (a, b) in enumerate(PAIRS):
-                t = (gi[i][a] * gi[j][b] - gi[i][b] * gi[j][a]) * c6[m]
-                acc = t if acc is None else acc + t
-            up[i][j] = acc
-    sq = geom.sqrt_det_jet
-    out = []
-    for k, l in PAIRS:
-        rest = [m for m in range(4) if m not in (k, l)]
-        i, j = rest
-        out.append(sq * up[i][j] * _perm_sign((i, j, k, l)))
-    return out
+# -- jet-level coordinate operations -------------------------------------------
 
 
 def exterior_d2_jets(c6):
@@ -271,17 +305,6 @@ def codiff_three_form_values(geom: Geometry, w_triples):
     return pair_components_values(dd)
 
 
-def _perm_sign(perm):
-    """Sign of a permutation of distinct integers (the Levi-Civita symbol)."""
-    sign = 1
-    p = list(perm)
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
-
-
 def hodge_laplacian_values(geom: Geometry, c6, T=None):
     """(d delta + delta d) phi, coordinate-component values (..., 6)."""
     T = T if T is not None else nabla_two_form_jets(geom, c6)
@@ -338,20 +361,9 @@ def curvature_action_frame(R, f6):
 
 def scalar_laplacian_values(geom: Geometry, u: Jet3):
     """Delta_fun u = g^{ab} (d2_{ab} u - Gamma^c_ab d_c u), trace-Hessian sign."""
-    giv = geom.ginv_values
-    gam = geom.gamma_values
-    batch = geom.pts.shape[:-1]
-    hess = np.empty(batch + (4, 4))
-    for a in range(4):
-        for b in range(a, 4):
-            alpha = [0, 0, 0, 0]
-            alpha[a] += 1
-            alpha[b] += 1
-            hess[..., a, b] = u.derivative(tuple(alpha))
-            hess[..., b, a] = hess[..., a, b]
-    grad = u.grad()
-    cov = hess - np.einsum("...cab,...c->...ab", gam, grad, optimize=True)
-    return np.einsum("...ab,...ab->...", giv, cov, optimize=True)
+    cov = _hessian(u) - np.einsum("...cab,...c->...ab", geom.gamma_values, u.grad(),
+                                  optimize=True)
+    return np.einsum("...ab,...ab->...", geom.ginv_values, cov, optimize=True)
 
 
 def grad_inner_values(geom: Geometry, u: Jet3, v: Jet3):
@@ -365,46 +377,30 @@ def scalar_laplacian_scale(geom: Geometry, u: Jet3):
     Residuals of identities whose exact value vanishes are meaningful relative
     to this, not to the cancelled result.
     """
-    giv = np.abs(geom.ginv_values)
-    gam = np.abs(geom.gamma_values)
-    batch = geom.pts.shape[:-1]
-    hess = np.empty(batch + (4, 4))
+    cov = np.abs(_hessian(u)) + np.einsum("...cab,...c->...ab", np.abs(geom.gamma_values),
+                                          np.abs(u.grad()), optimize=True)
+    return np.einsum("...ab,...ab->...", np.abs(geom.ginv_values), cov, optimize=True)
+
+
+def _hessian(u: Jet3):
+    """d2_ab u values, shape batch + (4, 4)."""
+    hess = np.empty(u.value.shape + (4, 4))
     for a in range(4):
         for b in range(a, 4):
             alpha = [0, 0, 0, 0]
             alpha[a] += 1
             alpha[b] += 1
-            hess[..., a, b] = np.abs(u.derivative(tuple(alpha)))
-            hess[..., b, a] = hess[..., a, b]
-    grad = np.abs(u.grad())
-    cov = hess + np.einsum("...cab,...c->...ab", gam, grad, optimize=True)
-    return np.einsum("...ab,...ab->...", giv, cov, optimize=True)
-
-
-def norm_values(geom: Geometry, c6, Q=None):
-    return np.sqrt(np.maximum(norm_sq_jet(geom, c6, Q).value, 0.0))
-
-
-def nabla_norm_sq_values(geom: Geometry, T, Q=None):
-    """|nabla phi|^2 = g^{ab} <T_a, T_b>_{Lambda^2} values."""
-    Qj = Q if Q is not None else lambda2_metric_jets(geom)
-    giv = geom.ginv_values
-    batch = geom.pts.shape[:-1]
-    inner = np.empty(batch + (4, 4))
-    for a in range(4):
-        for b in range(a, 4):
-            inner[..., a, b] = inner_lambda2_jets(geom, T[a], T[b], Qj).value
-            inner[..., b, a] = inner[..., a, b]
-    return np.einsum("...ab,...ab->...", giv, inner, optimize=True)
+            hess[..., a, b] = hess[..., b, a] = u.derivative(tuple(alpha))
+    return hess
 
 
 def covariant_invariants(geom: Geometry, c6, degeneracy_floor=0.0, Q=None, T=None,
                           nsq=None, grad_sq=None):
     """|nabla phi|^2, |phi|, |d|phi||^2 (masked where |phi| <= floor)."""
-    Q = Q if Q is not None else lambda2_metric_jets(geom)
+    Q = Q if Q is not None else lambda2_metric(geom.ginv)
     T = T if T is not None else nabla_two_form_jets(geom, c6)
     nsq = nsq if nsq is not None else norm_sq_jet(geom, c6, Q)
-    grad_sq = grad_sq if grad_sq is not None else nabla_norm_sq_values(geom, T, Q)
+    grad_sq = grad_sq if grad_sq is not None else nabla_norm_sq_values(geom.ginv, T, Q)
     norm = np.sqrt(np.maximum(nsq.value, 0.0))
     valid = norm > degeneracy_floor
     dnorm_sq = np.full(norm.shape, np.nan)

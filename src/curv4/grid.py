@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import forms
-from .charts import Geometry, MetricChart, chart_is_periodic, metric_values
+from . import canonical, forms
+from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, metric_values,
+                     orthonormal_frame)
 from .forms import PAIRS, TRIPLES
 
 AXSETS = (
@@ -305,50 +306,22 @@ def _cell_centers(complex: GridComplex):
     return _barycenters(n, h, (0, 1, 2, 3))
 
 
-def star_coord_values(g_values, c6):
-    """Pointwise coordinate Hodge star on 2-form components (values)."""
-    ginv = np.linalg.inv(g_values)
-    sq = np.sqrt(np.linalg.det(g_values))
-    up = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            acc = 0.0
-            for m, (a, b) in enumerate(PAIRS):
-                acc = acc + (ginv[..., i, a] * ginv[..., j, b]
-                             - ginv[..., i, b] * ginv[..., j, a]) * c6[m]
-            up[(i, j)] = acc
-    out = np.empty_like(np.asarray(c6))
-    for q, (k, l) in enumerate(PAIRS):
-        i, j = (m for m in range(4) if m not in (k, l))
-        out[q] = sq * up[(i, j)] * forms._perm_sign((i, j, k, l))
-    return out
-
-
-def lambda2_inner_values(g_values, a6, b6):
-    ginv = np.linalg.inv(g_values)
-    Q = (np.einsum("...ik,...jl->...ijkl", ginv, ginv, optimize=True)
-         - np.einsum("...il,...jk->...ijkl", ginv, ginv, optimize=True))
-    acc = 0.0
-    for p, (i, j) in enumerate(PAIRS):
-        for q, (k, l) in enumerate(PAIRS):
-            acc = acc + a6[p] * b6[q] * Q[..., i, j, k, l]
-    return acc
-
-
 def _star_counts(basis: HarmonicBasis, tol=0.1):
     gc = basis.complex
-    pts = _cell_centers(gc)
-    g = metric_values(gc.chart, pts)
-    vol = np.sqrt(np.linalg.det(g)) * gc.h**4
+    g = metric_values(gc.chart, _cell_centers(gc))
+    sqrt_det = np.sqrt(np.linalg.det(g))
+    vol = sqrt_det * gc.h**4
+    gi = np.moveaxis(np.linalg.inv(g), 0, -1)  # component axes first
+    Q = forms.lambda2_metric(gi)
     k = basis.vectors.shape[1]
     coloc = [_colocate(gc, basis.vectors[:, m]) for m in range(k)]
-    stars = [star_coord_values(g, c) for c in coloc]
+    stars = [forms.star_coord(gi, sqrt_det, c, Q) for c in coloc]
     S = np.empty((k, k))
     G = np.empty((k, k))
     for a in range(k):
         for b in range(k):
-            S[a, b] = np.sum(lambda2_inner_values(g, stars[a], coloc[b]) * vol)
-            G[a, b] = np.sum(lambda2_inner_values(g, coloc[a], coloc[b]) * vol)
+            S[a, b] = np.sum(forms.inner_lambda2(Q, stars[a], coloc[b]) * vol)
+            G[a, b] = np.sum(forms.inner_lambda2(Q, coloc[a], coloc[b]) * vol)
     S = 0.5 * (S + S.T)
     from scipy.linalg import eigh as generalized_eigh
 
@@ -461,45 +434,33 @@ def _roll_diff2(u_grid, a, b, h):
 
 
 class _CellGeometry:
-    """Analytic metric/curvature data at all cell centers (jets, chunked)."""
+    """Analytic metric/curvature data at all cell centers (jets, chunked).
+
+    gi and lambda2 are g^-1 and the Lambda^2 metric with the component axes
+    first, as the forms functions take them."""
 
     def __init__(self, complex: GridComplex, chunk=2048):
         self.gc = complex
         pts = _cell_centers(complex)
         self.pts = pts
-        gv, giv, gam, sq, slates, dcoef = [], [], [], [], [], []
-        from .charts import curvature_at
-
+        gv, giv, gam, sq, R = [], [], [], [], []
         for i0 in range(0, len(pts), chunk):
-            sub = pts[i0:i0 + chunk]
-            geom = Geometry.of_chart(complex.chart, sub)
+            geom = Geometry.of_chart(complex.chart, pts[i0:i0 + chunk])
             gv.append(geom.g_values)
             giv.append(geom.ginv_values)
             gam.append(geom.gamma_values)
             sq.append(geom.sqrt_det_jet.value)
-            # b^j = (1/sqrt g) d_i (sqrt g g^{ij}) for the scalar Laplacian
-            sg = geom.sqrt_det_jet
-            bj = np.empty((len(sub), 4))
-            for j in range(4):
-                acc = None
-                for i in range(4):
-                    t = (sg * geom.ginv[i][j]).partial(i)
-                    acc = t if acc is None else acc + t
-                bj[:, j] = acc.value / sg.value
-            dcoef.append(bj)
-            slates.append(curvature_at(geom, orientation=complex.chart.orientation))
+            R.append(curvature_at(geom, orientation=complex.chart.orientation).R)
         self.g = np.concatenate(gv)
         self.ginv = np.concatenate(giv)
         self.gamma = np.concatenate(gam)
         self.sqrt_det = np.concatenate(sq)
-        self.lap_drift = np.concatenate(dcoef)
-        self._slates = slates
-
-    def slate_R(self):
-        return np.concatenate([s.R for s in self._slates])
-
-    def frames(self):
-        return np.concatenate([s.frame for s in self._slates])
+        self.R = np.concatenate(R)
+        # drift of the scalar Laplacian: (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab
+        self.lap_drift = -np.einsum("...ab,...jab->...j", self.ginv, self.gamma,
+                                    optimize=True)
+        self.gi = np.moveaxis(self.ginv, 0, -1)
+        self.lambda2 = forms.entry_values(forms.lambda2_metric(self.gi))
 
 
 def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None):
@@ -511,28 +472,21 @@ def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None)
     c6 = fieldd.coloc6
     g = cg.g
 
-    star6 = star_coord_values(g, c6)
-    E = _frames_from_g(g)
-    f6_frame = forms.frame_components(E, g, np.moveaxis(c6, 0, -1))
+    star6 = np.array(forms.star_coord(cg.gi, cg.sqrt_det, c6, cg.lambda2))
+    f6_frame = forms.frame_components(orthonormal_frame(g), g, np.moveaxis(c6, 0, -1))
     split = forms.sd_split_frame(f6_frame)
     F = split["F"].reshape(n, n, n, n)
     G = split["G"].reshape(n, n, n, n)
 
-    from . import canonical as canon
-
-    adapted = canon.canonicalize(f6_frame)
-    R = cg.slate_R()
-    Rf = np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", R,
-                   adapted.basis, adapted.basis, adapted.basis, adapted.basis, optimize=True)
-    K = 0.5 * (Rf[..., 0, 2, 0, 2] + Rf[..., 0, 3, 0, 3]
-               + Rf[..., 1, 2, 1, 2] + Rf[..., 1, 3, 1, 3]).reshape(n, n, n, n)
+    adapted = canonical.canonicalize(f6_frame)
+    K = canonical._k_r(cg.R, adapted.basis)[0].reshape(n, n, n, n)
 
     # covariant derivative of the discrete field (coordinate components)
     grads = _covariant_nabla_discrete(gc, cg, c6)
     grads_star = _covariant_nabla_discrete(gc, cg, star6)
     ginv = cg.ginv
-    np_sq = _nabla_norm_sq(g, ginv, grads + grads_star).reshape(n, n, n, n)
-    nm_sq = _nabla_norm_sq(g, ginv, grads - grads_star).reshape(n, n, n, n)
+    np_sq = forms.nabla_norm_sq_values(cg.gi, grads + grads_star, cg.lambda2).reshape(n, n, n, n)
+    nm_sq = forms.nabla_norm_sq_values(cg.gi, grads - grads_star, cg.lambda2).reshape(n, n, n, n)
 
     FG = F * G
     lap_FG = _discrete_scalar_laplacian(gc, cg, FG)
@@ -580,42 +534,21 @@ def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None)
     }
 
 
-def _frames_from_g(g):
-    L = np.linalg.cholesky(g)
-    eye = np.broadcast_to(np.eye(4), L.shape)
-    return np.swapaxes(np.linalg.solve(L, eye), -1, -2)
-
-
 def _covariant_nabla_discrete(gc: GridComplex, cg: _CellGeometry, c6):
     """(nabla_a phi)_{pair} by centered differences + analytic Christoffels.
 
-    Returns array (N, 4, 6)."""
+    Returns array (4, 6, N), component axes first."""
     n, h = gc.n, gc.h
     full = forms.full_matrix_values(np.moveaxis(c6, 0, -1))  # (N,4,4)
-    dphi = np.empty((gc.sites, 4, 6))
-    for p in range(6):
-        fgrid = c6[p].reshape(n, n, n, n)
-        for a in range(4):
-            dphi[:, a, p] = _roll_diff(fgrid, a, h).ravel()
     gam = cg.gamma
     corr = (np.einsum("...lai,...lj->...aij", gam, full, optimize=True)
             + np.einsum("...laj,...il->...aij", gam, full, optimize=True))
-    out = np.empty((gc.sites, 4, 6))
+    out = np.empty((4, 6, gc.sites))
     for p, (i, j) in enumerate(PAIRS):
-        out[:, :, p] = dphi[:, :, p] - corr[:, :, i, j]
+        fgrid = c6[p].reshape(n, n, n, n)
+        for a in range(4):
+            out[a, p] = _roll_diff(fgrid, a, h).ravel() - corr[:, a, i, j]
     return out
-
-
-def _nabla_norm_sq(g, ginv, T):
-    """T: (N,4,6) coordinate covariant derivative; metric contractions."""
-    Q = (np.einsum("...ik,...jl->...ijkl", ginv, ginv, optimize=True)
-         - np.einsum("...il,...jk->...ijkl", ginv, ginv, optimize=True))
-    Q6 = np.empty(g.shape[:-2] + (6, 6))
-    for p, (i, j) in enumerate(PAIRS):
-        for q, (k, l) in enumerate(PAIRS):
-            Q6[..., p, q] = Q[..., i, j, k, l]
-    inner = np.einsum("...ap,...pq,...bq->...ab", T, Q6, T, optimize=True)
-    return np.einsum("...ab,...ab->...", ginv, inner, optimize=True)
 
 
 def _discrete_scalar_laplacian(gc: GridComplex, cg: _CellGeometry, u_grid):
@@ -637,10 +570,10 @@ def discrete_kato_scan(fieldd: DiscreteField, cell_geom: _CellGeometry = None):
     n, h = gc.n, gc.h
     cg = cell_geom if cell_geom is not None else _CellGeometry(gc)
     c6 = fieldd.coloc6
-    g, ginv = cg.g, cg.ginv
-    T = _covariant_nabla_discrete(gc, cg, c6)
-    grad_sq = _nabla_norm_sq(g, ginv, T)
-    norm = np.sqrt(np.maximum(lambda2_inner_values(g, c6, c6), 0.0))
+    ginv = cg.ginv
+    grad_sq = forms.nabla_norm_sq_values(cg.gi, _covariant_nabla_discrete(gc, cg, c6),
+                                         cg.lambda2)
+    norm = np.sqrt(np.maximum(forms.inner_lambda2(cg.lambda2, c6, c6), 0.0))
     ngrid = norm.reshape(n, n, n, n)
     dn = np.stack([_roll_diff(ngrid, a, h) for a in range(4)], axis=-1).reshape(-1, 4)
     dn_sq = np.einsum("...ij,...i,...j->...", ginv, dn, dn, optimize=True)

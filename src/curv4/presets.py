@@ -17,6 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .charts import MetricChart, chart_from_strings, conformal_chart
+from .forms import PAIR_KEYS
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,9 +115,6 @@ def chart_preset(spec) -> MetricChart:
 PRESET_NAMES = ("flat_t4", "round_s4", "product_s2s2", "cp2_fubini_study", "conformal")
 FORM_PRESET_NAMES = ("constant", "factor_volumes", "factor_volume_1", "kaehler",
                      "random_analytic")
-
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-PAIR_KEYS = ("12", "13", "14", "23", "24", "34")
 
 
 def form_preset(name, chart: MetricChart, seed=0):

@@ -15,7 +15,7 @@ from . import expr as ex
 from . import presets
 from .charts import (MetricChart, chart_from_strings, conformal_chart, sample_box,
                      validate_chart)
-from .forms import TwoFormField
+from .forms import PAIR_KEYS, TwoFormField
 from .verify import DEFAULT_TOLERANCES, InputError
 
 SCHEMA_VERSION = 1
@@ -69,7 +69,7 @@ class Scenario:
             spec = {"preset": spec}
         if "components" in spec:
             comps = dict(spec["components"])
-            unknown = set(comps) - set(presets.PAIR_KEYS)
+            unknown = set(comps) - set(PAIR_KEYS)
             if unknown:
                 raise InputError(f"unknown form component keys {sorted(unknown)}")
             return TwoFormField(chart, comps)

@@ -141,7 +141,7 @@ class PointBundle:
 
     @property
     def lambda2(self):
-        return self._get("q", lambda: forms.lambda2_metric_jets(self.geom))
+        return self._get("q", lambda: forms.lambda2_metric(self.geom.ginv))
 
     @property
     def coord_values(self):
@@ -168,7 +168,7 @@ class PointBundle:
     @property
     def grad_sq(self):
         return self._get("gradsq", lambda: forms.nabla_norm_sq_values(
-            self.geom, self.nabla, self.lambda2))
+            self.geom.ginv, self.nabla, self.lambda2))
 
     def harmonicity(self):
         """max |Delta_Hodge phi| and the scale |grad phi| + |phi| it is gated on."""
@@ -305,13 +305,13 @@ def fg_jets(b: PointBundle):
 
 
 def sd_nabla_norms(b: PointBundle):
-    star6 = forms.star_coord_jets(b.geom, b.c6)
+    star6 = forms.star_coord(b.geom.ginv, b.geom.sqrt_det_jet, b.c6, b.lambda2)
     cplus = [b.c6[k] + star6[k] for k in range(6)]
     cminus = [b.c6[k] - star6[k] for k in range(6)]
     Tp = forms.nabla_two_form_jets(b.geom, cplus)
     Tm = forms.nabla_two_form_jets(b.geom, cminus)
-    return (forms.nabla_norm_sq_values(b.geom, Tp, b.lambda2),
-            forms.nabla_norm_sq_values(b.geom, Tm, b.lambda2),
+    return (forms.nabla_norm_sq_values(b.geom.ginv, Tp, b.lambda2),
+            forms.nabla_norm_sq_values(b.geom.ginv, Tm, b.lambda2),
             cplus, cminus)
 
 
@@ -329,11 +329,8 @@ def verify_lemma22(chart, fld, pts, tol=None, scenario="inline",
                                      flag_tol=DEFAULT_TOLERANCES["degeneracy_frac"])
     basis = b.slate.frame @ adapted.basis
     geom_nc, fj, _ = _parallel_frame_fields(chart, fld, b.pts, basis, gamma_tol)
-    sl_n = curvature_at(geom_nc, orientation=chart.orientation)
-    Rn = sl_n.R
-    K = 0.5 * (Rn[..., 0, 2, 0, 2] + Rn[..., 0, 3, 0, 3]
-               + Rn[..., 1, 2, 1, 2] + Rn[..., 1, 3, 1, 3])
-    R1234 = Rn[..., 0, 1, 2, 3]
+    Rn = curvature_at(geom_nc, orientation=chart.orientation).R
+    K, R1234 = canonical._k_r(Rn)
     f1, f2 = fj[0][1], fj[2][3]
     v1, v2 = f1.value, f2.value
     r1 = forms.scalar_laplacian_values(geom_nc, f1) - 2.0 * (K * v1 - R1234 * v2)
@@ -464,7 +461,7 @@ def verify_theorem21(chart, fld, pts, tol=None, scenario="inline", harmonicity_t
 def _kato_ratio(b: PointBundle, c6):
     """|nabla psi|^2 / |d|psi||^2 for a derived component list; NaN if degenerate."""
     T = forms.nabla_two_form_jets(b.geom, c6)
-    gsq = forms.nabla_norm_sq_values(b.geom, T, b.lambda2)
+    gsq = forms.nabla_norm_sq_values(b.geom.ginv, T, b.lambda2)
     nsq = forms.norm_sq_jet(b.geom, c6, b.lambda2)
     out = np.full(gsq.shape, np.nan)
     ok = nsq.value > 1e-20
@@ -529,8 +526,7 @@ def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
         result["samples"] = []
         return result
     rv = rho[valid]
-    hist, edges = np.histogram(rv, bins=24,
-                               range=(1.0, max(2.5, float(np.percentile(rv, 99)))))
+    hist, edges = np.histogram(rv, bins=_kato_bin_edges(float(np.percentile(rv, 99))))
     result.update({
         "min_rho": float(np.min(rv)),
         "classical_kato_ok": bool(np.min(rv) >= 1.0 - DEFAULT_TOLERANCES["kato_classical"]),
@@ -545,6 +541,19 @@ def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
         for n in range(len(pts))
     ]
     return result
+
+
+def _kato_bin_edges(p99, bins=24):
+    """Edges of `bins` bins of width 1/(2m) from 1 - 1/(4m), so rho = 1, 3/2 and 2
+    sit at bin centres and round-off never splits them; m is the largest
+    integer (at least 1) for which the bins still reach max(2.5, p99).  Past
+    that reach (p99 > 12.75) the last bin is widened to end at p99."""
+    hi = max(2.5, p99)
+    m = max(1, int((bins - 0.5) * 0.5 // (hi - 1.0)))
+    width = 0.5 / m
+    edges = 1.0 - 0.5 * width + width * np.arange(bins + 1)
+    edges[-1] = max(edges[-1], hi)
+    return edges
 
 
 # -- conformal chain (Eqs. 4.2, 4.3, 4.6, 4.9) -------------------------------------
@@ -588,13 +597,19 @@ def verify_conformal_chain(chart, fld, pts, k, tol=None, scenario="inline",
     res42 = rel_residual(lhs42, t42a + t42b, t42a, t42b)
 
     # Eq 4.3 (Bochner formula defining the curvature term, unprimed)
+    # <phi, Delta_Hodge phi> uses the Hodge sign.  On a parallel form every term
+    # is round-off, so the residual is measured against the pre-cancellation
+    # scale (1 + max|R|)|phi|^2 + scale of Delta|phi|^2, as in Weitzenboeck.
     lap_nsq = forms.scalar_laplacian_values(b.geom, nsq)
-    hodge_inner = _inner_values(b)
+    hodge_inner = forms.inner_lambda2(forms.entry_values(b.lambda2), b.coord_values.T,
+                                      b.hodge_values.T)
     qR = forms.curvature_action_frame(b.slate.R, b.frame_values)
     Fphi = np.sum(qR * b.frame_values, axis=-1)
     lhs43 = 0.5 * lap_nsq + hodge_inner
     rhs43 = grad_sq + Fphi
-    res43 = rel_residual(lhs43, rhs43, grad_sq, Fphi)
+    rmax = np.max(np.abs(b.slate.R), axis=(-1, -2, -3, -4))
+    res43 = rel_residual(lhs43, rhs43, grad_sq, Fphi, (1.0 + rmax) * nsq.value,
+                         forms.scalar_laplacian_scale(b.geom, nsq))
 
     # primed metric g' = |phi|^k g through the full geometry pipeline
     scale_jet = jets.exp(2.0 * fj)
@@ -613,7 +628,7 @@ def verify_conformal_chain(chart, fld, pts, k, tol=None, scenario="inline",
 
     # Eq 4.9 (the end identity)
     Tp = forms.nabla_two_form_jets(geomp, b.c6)
-    grad_sq_p = forms.nabla_norm_sq_values(geomp, Tp)
+    grad_sq_p = forms.nabla_norm_sq_values(geomp.ginv, Tp)
     lhs49_a = grad_sq
     lhs49_b = (1.5 * k * k - 3.0 * k) * dphi_sq
     rhs49 = pw * grad_sq_p
@@ -643,16 +658,6 @@ def verify_conformal_chain(chart, fld, pts, k, tol=None, scenario="inline",
     abs_res = np.abs((lhs49_a + lhs49_b) - rhs49)
     return _report("conformal_chain_eq42_43_46_49", scenario, b.pts, [], abs_res,
                    rel, tol, extra=extra, samples=samples)
-
-
-def _inner_values(b: PointBundle):
-    """<phi, Delta_Hodge phi> via the Lambda^2 metric at the value level."""
-    Qv = np.empty(b.pts.shape[:-1] + (6, 6))
-    Q = b.lambda2
-    for a in range(6):
-        for c in range(6):
-            Qv[..., a, c] = Q[a][c].value
-    return np.einsum("...a,...ac,...c->...", b.coord_values, Qv, b.hodge_values, optimize=True)
 
 
 # -- analytic integral mechanism ---------------------------------------------------

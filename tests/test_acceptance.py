@@ -253,25 +253,17 @@ def test_criterion_7_discrete_hodge():
 
 def test_criterion_8_integral_mechanism(perturbed_reports):
     r8, r16 = perturbed_reports[8], perturbed_reports[16]
-    C = max(abs(r8["integral_delta_FG"]) / r8["h"]**2,
-            abs(r16["integral_delta_FG"]) / r16["h"]**2)
-    C_bal = max(r8["balance_residual"] / r8["h"]**2,
-                r16["balance_residual"] / r16["h"]**2)
-    # the h^2 mechanism: both quantities must decay when h halves
-    decay_int = abs(r8["integral_delta_FG"]) / max(abs(r16["integral_delta_FG"]),
-                                                   1e-300)
-    decay_bal = r8["balance_residual"] / max(r16["balance_residual"], 1e-300)
-    bound8 = abs(r8["integral_delta_FG"]) <= C * r8["h"]**2 + 1e-15
-    bound16 = abs(r16["integral_delta_FG"]) <= C * r16["h"]**2 + 1e-15
-    balance8 = r8["balance_residual"] <= C_bal * r8["h"]**2 + 1e-15
-    balance16 = r16["balance_residual"] <= C_bal * r16["h"]**2 + 1e-15
-    ok = (bound8 and bound16 and balance8 and balance16
-          and decay_int > 2.0 and decay_bal > 2.0)
+    # the h^2 mechanism: the observed order log2(r8 / r16) of both quantities
+    # (measured 1.69 and 1.68; nominal 2) must be at least 1.5
+    order_int = np.log2(abs(r8["integral_delta_FG"])
+                        / max(abs(r16["integral_delta_FG"]), 1e-300))
+    order_bal = np.log2(r8["balance_residual"] / max(r16["balance_residual"], 1e-300))
+    ok = order_int >= 1.5 and order_bal >= 1.5
     _line(8, ok,
           f"|int Delta(FG)| n=8: {abs(r8['integral_delta_FG']):.2e}, n=16: "
-          f"{abs(r16['integral_delta_FG']):.2e} (C measured {C:.3e}); "
-          f"decomposition balance C {C_bal:.3e}; h^2 decay factors "
-          f"{decay_int:.2f}/{decay_bal:.2f} (>2)")
+          f"{abs(r16['integral_delta_FG']):.2e}; balance residual "
+          f"{r8['balance_residual']:.2e} -> {r16['balance_residual']:.2e}; "
+          f"observed orders {order_int:.2f}/{order_bal:.2f} (>=1.5)")
 
 
 def test_criterion_9_convergence_order(perturbed_reports):

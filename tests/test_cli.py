@@ -213,3 +213,18 @@ def test_form_as_string_and_form_components(tmp_path):
     sfile3 = tmp_path / "c.json"
     sfile3.write_text(json.dumps(sc3))
     assert run(["verify", "thm21", "--scenario", sfile3, "--out", tmp_path]) == 2
+
+
+def test_grid_chart_skips_scipy_stats():
+    """Grid commands never sample with qmc, so they never import scipy.stats."""
+    import subprocess
+    import sys
+
+    code = ("import sys; import curv4.cli; from curv4 import scenario; "
+            f"scenario.load({str(SCENARIOS / 'flat_t4_n6.json')!r}).grid_chart(); "
+            "print('scipy.stats' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

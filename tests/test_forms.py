@@ -33,12 +33,12 @@ def test_volume_pairing_oracle(cp2):
     _, _, geom = cp2
     a6 = [Jet3.constant(v, (8,)) for v in RNG.normal(size=6)]
     b6 = [Jet3.constant(v, (8,)) for v in RNG.normal(size=6)]
-    star_b = forms.star_coord_jets(geom, b6)
+    star_b = forms.star_coord(geom.ginv, geom.sqrt_det_jet, b6)
     av = [x.value for x in a6]
     sv = [x.value for x in star_b]
     wedge = (av[0] * sv[5] - av[1] * sv[4] + av[2] * sv[3]
              + av[3] * sv[2] - av[4] * sv[1] + av[5] * sv[0])
-    inner = forms.inner_lambda2_jets(geom, a6, b6).value
+    inner = forms.inner_lambda2(forms.lambda2_metric(geom.ginv), a6, b6).value
     vol = geom.sqrt_det_jet.value
     assert np.max(np.abs(wedge - inner * vol)) < 1e-12
 
@@ -101,7 +101,7 @@ def test_parallel_forms_product_and_kaehler():
     fld = TwoFormField(chart, presets.form_preset("factor_volumes", chart))
     c6 = fld.component_jets(pts)
     T = forms.nabla_two_form_jets(geom, c6)
-    assert forms.nabla_norm_sq_values(geom, T).max() < 1e-18
+    assert forms.nabla_norm_sq_values(geom.ginv, T).max() < 1e-18
     dphi = forms.exterior_d2_jets(c6)
     assert max(np.max(np.abs(v.value)) for v in dphi.values()) < 1e-10
     delta = forms.codiff_two_form_jets(geom, c6)
@@ -113,7 +113,7 @@ def test_parallel_forms_product_and_kaehler():
     kf = TwoFormField(cp2_chart, presets.form_preset("kaehler", cp2_chart))
     c6k = kf.component_jets(pts2)
     Tk = forms.nabla_two_form_jets(geom2, c6k)
-    assert forms.nabla_norm_sq_values(geom2, Tk).max() < 1e-9
+    assert forms.nabla_norm_sq_values(geom2.ginv, Tk).max() < 1e-9
     hodge = forms.hodge_laplacian_values(geom2, c6k)
     assert np.max(np.abs(hodge)) < 1e-8
 
@@ -145,8 +145,8 @@ def test_conformal_star_invariance_and_codiff_scaling():
     g2 = Geometry.of_chart(conf, pts)
     c6 = [ex.eval_jet(ex.parse(s), pts) for s in
           ("sin(x1)*x2 + 1", "x3", "0.5", "cos(x4)", "x1*x3", "2")]
-    s1 = forms.star_coord_jets(g1, c6)
-    s2 = forms.star_coord_jets(g2, c6)
+    s1 = forms.star_coord(g1.ginv, g1.sqrt_det_jet, c6)
+    s2 = forms.star_coord(g2.ginv, g2.sqrt_det_jet, c6)
     # * on 2-forms is conformally invariant (machine precision)
     assert max(np.max(np.abs(a.value - b.value)) for a, b in zip(s1, s2)) < 1e-12
     # delta' phi = e^{-2f} delta phi
@@ -219,3 +219,26 @@ def test_two_form_field_parsing():
     assert isinstance(fld.components[0], ex.Call)
     assert ex.constant_value(fld.components[5]) == 1.0
     assert ex.constant_value(fld.components[1]) == 0.0
+
+
+def test_pointwise_algebra_same_on_values_and_jets(cp2):
+    """star_coord, lambda2_metric and inner_lambda2 run on jets and on arrays of
+    values; the values path equals the values of the jets path."""
+    chart, pts, geom = cp2
+    fld = TwoFormField(chart, presets.form_preset("random_analytic", chart, seed=3))
+    c6 = fld.component_jets(pts)
+    gi = forms.entry_values(geom.ginv)
+    c6v = forms.entry_values(c6)
+    star_j = forms.entry_values(forms.star_coord(geom.ginv, geom.sqrt_det_jet, c6))
+    star_v = np.array(forms.star_coord(gi, geom.sqrt_det_jet.value, c6v))
+    assert np.max(np.abs(star_j - star_v)) <= 1e-14 * np.max(np.abs(star_v))
+    Qj = forms.lambda2_metric(geom.ginv)
+    Qv = forms.lambda2_metric(gi)
+    nsq = forms.inner_lambda2(Qv, c6v, c6v)
+    assert np.allclose(forms.inner_lambda2(Qj, c6, c6).value, nsq, rtol=1e-14, atol=0)
+    # |nabla phi|^2 against the jet contraction g^ab <T_a, T_b>
+    T = forms.nabla_two_form_jets(geom, c6)
+    ref = sum(geom.ginv[a][b].value * forms.inner_lambda2(Qj, T[a], T[b]).value
+              for a in range(4) for b in range(4))
+    got = forms.nabla_norm_sq_values(geom.ginv, T)
+    assert np.allclose(got, ref, rtol=1e-13, atol=0)

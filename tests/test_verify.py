@@ -221,3 +221,38 @@ def test_map_chunks_threaded_deterministic(conformal_scenario, monkeypatch):
     scan2 = verify.kato_scan(chart, fld, pts, chunk=64)
     assert scan1["min_rho"] == scan2["min_rho"]
     assert scan1["histogram"] == scan2["histogram"]
+
+
+def test_eq43_parallel_kaehler_passes():
+    """On a parallel form every Eq 4.3 term is round-off; the pre-cancellation
+    scale keeps that round-off from reading as a violation."""
+    cp2 = presets.cp2_fubini_study()
+    fld = TwoFormField(cp2, presets.form_preset("kaehler", cp2))
+    rep = verify.verify_conformal_chain(cp2, fld, sample_box(cp2.domain, 8, seed=11), k=1.0)
+    assert rep.extra["max_residual_eq43"] < 1e-12
+    assert rep.passed
+
+
+def test_eq43_bound_can_fail(conformal_scenario, monkeypatch):
+    chart, fld = conformal_scenario
+    pts = sample_box(chart.domain, 10, seed=24)
+    assert verify.verify_conformal_chain(chart, fld, pts, k=1.0).passed
+    action = forms.curvature_action_frame
+    monkeypatch.setattr(forms, "curvature_action_frame", lambda R, f6: -action(R, f6))
+    rep = verify.verify_conformal_chain(chart, fld, pts, k=1.0)
+    assert rep.extra["max_residual_eq43"] > 1e-5
+    assert not rep.passed
+
+
+def test_kato_histogram_keeps_three_halves_in_one_bin(conformal_scenario):
+    """Every rho on the conformal product is 3/2 up to round-off; the bins put
+    3/2 (and 1 and 2) at a bin centre, so one bin holds them all."""
+    chart, fld = conformal_scenario
+    scan = verify.kato_scan(chart, fld, sample_box(chart.domain, 256, seed=25))
+    counts = scan["histogram"]["counts"]
+    assert scan["valid_points"] > 200
+    assert max(counts) == sum(counts) == scan["valid_points"]
+    edges = np.array(scan["histogram"]["edges"])
+    width = edges[1] - edges[0]
+    for rho in (1.0, 1.5, 2.0):
+        assert np.min(np.abs(edges - rho)) >= 0.25 * width
