@@ -14,6 +14,7 @@ Conventions (the sign dictionary every verifier refers to):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,10 +75,37 @@ def sample_box(domain, count, margin=0.05, seed=0):
     """Low-discrepancy points in the box shrunk by `margin` per side."""
     if count < 1:
         raise ChartError("sample count must be >= 1")
-    from scipy.stats import qmc  # slow to import; only commands that sample need it
+    return _scale_to_box(domain, margin, scrambled_halton(count, seed))
 
-    u = qmc.Halton(d=4, scramble=True, seed=int(seed)).random(count)
-    return _scale_to_box(domain, margin, u)
+
+def scrambled_halton(count, seed):
+    """First `count` points of the 4-D Halton sequence (bases 2, 3, 5, 7) with
+    Owen's random digit permutations (Owen, "A randomized Halton algorithm in
+    R", arXiv:1706.02808), shape (count, 4) in [0, 1).
+
+    Each base b gets ceil(54 / log2 b) - 1 digit permutations, enough to fill
+    a double, each a shuffle of 0..b-1 drawn in turn from
+    np.random.default_rng(seed); digits are summed from the most significant
+    one down.  This is the draw and the summation order of
+    scipy.stats.qmc.Halton(d=4, scramble=True, seed=seed), so the points are
+    the same bit for bit, without importing scipy.stats.
+    """
+    rng = np.random.default_rng(int(seed))
+    index = np.arange(count)
+    cols = []
+    for base in (2, 3, 5, 7):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        quotient = index.copy()
+        col = np.zeros(count)
+        weight = 1.0 / base
+        for perm in perms:
+            col += perm[quotient % base] * weight
+            quotient //= base
+            weight /= base
+        cols.append(col)
+    return np.stack(cols, axis=-1)
 
 
 def _scale_to_box(domain, margin, u):
@@ -334,8 +362,8 @@ def normal_chart(chart: MetricChart, P, B):
     """Geometry at y = 0 of the normal charts of `normal_chart_map`.
 
     g'_ab = J_ia J_jb g_ij(x(y)) with J_ia = dx_i/dy_a.  Taylor propagation
-    through the composition gives the exact order-3 jets of g' at the origin,
-    where g' = I and Gamma' = 0.
+    through the composition gives the exact jets of g' at the origin, where
+    g' = I and Gamma' = 0.
     """
     xj = normal_chart_map(chart, P, B)
     pts = _map_points(xj)

@@ -228,29 +228,31 @@ def _cmd_kato(args):
         rep = verify.verify_conformal_chain(chart, fld, pts, k, scenario=sc.id,
                                             tol=sc.tolerance("conformal"),
                                             harmonicity_tol=sc.tolerance("harmonicity"))
-        ratio = rep.extra["min_lhs49_over_dnorm"]
-        if ratio is None:
-            raise InputError("empty scan: no points with |d|phi|| above threshold")
-        rows.append({"k": k, "min_lhs49_over_dnorm": ratio,
+        rows.append({"k": k, "min_lhs49_over_dnorm": rep.extra["min_lhs49_over_dnorm"],
                      "residual_eq49": rep.extra["max_residual_eq49"]})
         worst = max(worst, rep.extra["max_residual_eq49"])
+    # the ratio is None where |d|phi|| vanishes at every point (a parallel form),
+    # as in `kato scan`'s empty_scan; the residuals still decide the exit code
+    empty = any(row["min_lhs49_over_dnorm"] is None for row in rows)
     report = {**_scenario_meta(sc), "command": "kato ksweep", "rows": rows,
               "max_residual_eq49": worst,
               "tolerance": sc.tolerance("conformal"),
               "passed": bool(worst <= sc.tolerance("conformal")),
-              "monotone_growth_from_k1": bool(
+              "monotone_growth_from_k1": None if empty else bool(
                   all(rows[i]["min_lhs49_over_dnorm"] <= rows[i + 1]["min_lhs49_over_dnorm"]
                       for i in range(len(rows) - 1)
                       if rows[i]["k"] >= 1.0)),
               "sign_conventions": verify.SIGN_CONVENTIONS}
+    if empty:
+        report["empty_scan"] = verify.EMPTY_SCAN
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "ksweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "min_lhs49_over_dnorm", "residual_eq49"])
         for row in rows:
-            writer.writerow([repr(row["k"]), repr(row["min_lhs49_over_dnorm"]),
-                             repr(row["residual_eq49"])])
+            writer.writerow([_csv_value(row["k"]), _csv_value(row["min_lhs49_over_dnorm"]),
+                             _csv_value(row["residual_eq49"])])
     _write_report(args, report)
     return 0 if report["passed"] else 1
 

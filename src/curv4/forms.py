@@ -81,13 +81,12 @@ def hodge_star_frame(f6):
     return np.asarray(f6) @ STAR6.T
 
 
-def frame_components(E, g_values, coord6):
+def frame_components(E, coord6):
     """Frame components f_ab = phi(e_a, e_b) from coordinate components.
 
     E: (..., 4, 4) frame columns; coord6: (..., 6) coordinate coefficients.
     """
     Phi = full_matrix_values(coord6)
-    _ = g_values  # orthonormality of E under g is the caller's contract
     Ff = np.einsum("...ij,...ia,...jb->...ab", Phi, E, E, optimize=True)
     return pair_components_values(Ff)
 

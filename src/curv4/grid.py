@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import canonical, forms
+from . import canonical, forms, jets
 from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, metric_values,
                      orthonormal_frame)
 from .forms import PAIRS, TRIPLES
@@ -443,19 +443,20 @@ class _CellGeometry:
         self.gc = complex
         pts = _cell_centers(complex)
         self.pts = pts
-        gv, giv, gam, sq, R = [], [], [], [], []
+        gv, giv, gam, R = [], [], [], []
         for i0 in range(0, len(pts), chunk):
             geom = Geometry.of_chart(complex.chart, pts[i0:i0 + chunk])
             gv.append(geom.g_values)
             giv.append(geom.ginv_values)
             gam.append(geom.gamma_values)
-            sq.append(geom.sqrt_det_jet.value)
             R.append(curvature_at(geom, orientation=complex.chart.orientation).R)
         self.g = np.concatenate(gv)
         self.ginv = np.concatenate(giv)
         self.gamma = np.concatenate(gam)
-        self.sqrt_det = np.concatenate(sq)
         self.R = np.concatenate(R)
+        # the jet path's cofactor expansion, run on values (np.linalg.det
+        # differs from it in the last bit)
+        self.sqrt_det = np.sqrt(jets.det4(np.moveaxis(self.g, 0, -1)))
         # drift of the scalar Laplacian: (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab
         self.lap_drift = -np.einsum("...ab,...jab->...j", self.ginv, self.gamma,
                                     optimize=True)
@@ -473,7 +474,7 @@ def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None)
     g = cg.g
 
     star6 = np.array(forms.star_coord(cg.gi, cg.sqrt_det, c6, cg.lambda2))
-    f6_frame = forms.frame_components(orthonormal_frame(g), g, np.moveaxis(c6, 0, -1))
+    f6_frame = forms.frame_components(orthonormal_frame(g), np.moveaxis(c6, 0, -1))
     split = forms.sd_split_frame(f6_frame)
     F = split["F"].reshape(n, n, n, n)
     G = split["G"].reshape(n, n, n, n)

@@ -1,12 +1,14 @@
-"""Truncated Taylor arithmetic in 4 variables up to total order 3.
+"""Truncated Taylor arithmetic in 4 variables up to total order 2.
 
-A jet stores the 35 raw Taylor coefficients c_alpha = (d^alpha f)(p) / alpha!
-of a function at a point, indexed by multi-indices |alpha| <= 3.  Products are
-truncated polynomial convolutions, so they are exact for polynomial inputs of
-total degree <= 3; elementary functions compose through their univariate
-Taylor expansion in the nilpotent part.  All coefficient arrays carry an
-arbitrary leading batch shape, so one evaluation differentiates a whole sample
-of points at once.
+A jet stores the 15 raw Taylor coefficients c_alpha = (d^alpha f)(p) / alpha!
+of a function at a point, indexed by multi-indices |alpha| <= 2.  Every
+identity the lab checks needs at most second derivatives of g and phi
+(curvature is dGamma + Gamma Gamma, every Laplacian the trace of a Hessian),
+so order 2 is the order in use.  Products are truncated polynomial
+convolutions, exact for polynomial inputs of total degree <= 2; elementary
+functions compose through their univariate Taylor expansion in the nilpotent
+part.  All coefficient arrays carry an arbitrary leading batch shape, so one
+evaluation differentiates a whole sample of points at once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 NVARS = 4
-ORDER = 3
+ORDER = 2
 
 MULTI_INDICES: tuple[tuple[int, int, int, int], ...] = tuple(
     sorted(
@@ -29,9 +31,8 @@ MULTI_INDICES: tuple[tuple[int, int, int, int], ...] = tuple(
         key=lambda a: (sum(a), a),
     )
 )
-NCOEFF = len(MULTI_INDICES)  # 35
+NCOEFF = len(MULTI_INDICES)  # 15
 INDEX_OF = {alpha: k for k, alpha in enumerate(MULTI_INDICES)}
-DEGREE = np.array([sum(a) for a in MULTI_INDICES])
 FACTORIAL = np.array(
     [math.factorial(a[0]) * math.factorial(a[1]) * math.factorial(a[2]) * math.factorial(a[3])
      for a in MULTI_INDICES],
@@ -160,7 +161,7 @@ class Jet3:
         return self.c[..., k] * FACTORIAL[k]
 
     def partial(self, axis):
-        """Jet of d/dx_axis; its degree-3 coefficients are unknown (zeroed)."""
+        """Jet of d/dx_axis; its degree-ORDER coefficients are unknown (zeroed)."""
         dst, src, fac = _PARTIAL_TABLES[axis]
         out = np.zeros_like(self.c)
         out[..., dst] = self.c[..., src] * fac
@@ -214,7 +215,7 @@ class Jet3:
         if np.any(bad):
             raise JetError("division by zero", _first_bad(bad, points))
         inv = 1.0 / u0
-        return self._compose(np.stack([inv, -inv**2, inv**3, -inv**4], axis=-1))
+        return self._compose(np.stack([inv, -inv**2, inv**3], axis=-1))
 
     def __pow__(self, exponent):
         if isinstance(exponent, Jet3):
@@ -226,12 +227,7 @@ class Jet3:
         w = Jet3(self.c.copy())
         w.c[..., 0] = 0.0
         w2 = w * w
-        w3 = w2 * w
-        out = (
-            w.c * coeffs[..., 1, None]
-            + w2.c * coeffs[..., 2, None]
-            + w3.c * coeffs[..., 3, None]
-        )
+        out = w.c * coeffs[..., 1, None] + w2.c * coeffs[..., 2, None]
         out[..., 0] += coeffs[..., 0]
         return Jet3(out)
 
@@ -241,7 +237,7 @@ class Jet3:
 
 def exp(u: Jet3) -> Jet3:
     e = np.exp(u.value)
-    return u._compose(np.stack([e, e, e / 2.0, e / 6.0], axis=-1))
+    return u._compose(np.stack([e, e, e / 2.0], axis=-1))
 
 
 def log(u: Jet3, points=None) -> Jet3:
@@ -250,17 +246,17 @@ def log(u: Jet3, points=None) -> Jet3:
     if np.any(bad):
         raise JetError("log of nonpositive value", _first_bad(bad, points))
     inv = 1.0 / u0
-    return u._compose(np.stack([np.log(u0), inv, -inv**2 / 2.0, inv**3 / 3.0], axis=-1))
+    return u._compose(np.stack([np.log(u0), inv, -inv**2 / 2.0], axis=-1))
 
 
 def sin(u: Jet3) -> Jet3:
     s, c = np.sin(u.value), np.cos(u.value)
-    return u._compose(np.stack([s, c, -s / 2.0, -c / 6.0], axis=-1))
+    return u._compose(np.stack([s, c, -s / 2.0], axis=-1))
 
 
 def cos(u: Jet3) -> Jet3:
     s, c = np.sin(u.value), np.cos(u.value)
-    return u._compose(np.stack([c, -s, -c / 2.0, s / 6.0], axis=-1))
+    return u._compose(np.stack([c, -s, -c / 2.0], axis=-1))
 
 
 def sqrt(u: Jet3, points=None) -> Jet3:
@@ -269,9 +265,7 @@ def sqrt(u: Jet3, points=None) -> Jet3:
     if np.any(bad):
         raise JetError("sqrt of nonpositive value", _first_bad(bad, points))
     r = np.sqrt(u0)
-    return u._compose(
-        np.stack([r, 0.5 / r, -1.0 / (8.0 * u0 * r), 1.0 / (16.0 * u0**2 * r)], axis=-1)
-    )
+    return u._compose(np.stack([r, 0.5 / r, -1.0 / (8.0 * u0 * r)], axis=-1))
 
 
 def powr(u: Jet3, r, points=None) -> Jet3:
@@ -294,8 +288,7 @@ def powr(u: Jet3, r, points=None) -> Jet3:
     p = np.power(u0, r)
     c1 = r * p / u0
     c2 = r * (r - 1.0) / 2.0 * p / u0**2
-    c3 = r * (r - 1.0) * (r - 2.0) / 6.0 * p / u0**3
-    return u._compose(np.stack([p, c1, c2, c3], axis=-1))
+    return u._compose(np.stack([p, c1, c2], axis=-1))
 
 
 def assert_finite(u: Jet3, context, points=None):
@@ -344,7 +337,8 @@ def mat_inverse(m, points=None):
 
 
 def det4(m):
-    """Determinant of a 4x4 jet matrix (cofactor expansion)."""
+    """Determinant of a 4x4 matrix m[i][j] of jets or value arrays (cofactor
+    expansion)."""
 
     def det3(r, c):
         rows = [i for i in range(4) if i != r]

@@ -35,6 +35,8 @@ SIGN_CONVENTIONS = {
 
 RESIDUAL_FLOOR = 1e-12
 
+EMPTY_SCAN = "all points parallel-degenerate (|d|phi|| below threshold)"
+
 DEFAULT_TOLERANCES = {
     "weitzenboeck": 1e-7,
     "eq22": 1e-7,
@@ -149,8 +151,8 @@ class PointBundle:
 
     @property
     def frame_values(self):
-        return self._get("fv", lambda: forms.frame_components(
-            self.slate.frame, self.geom.g_values, self.coord_values))
+        return self._get("fv", lambda: forms.frame_components(self.slate.frame,
+                                                              self.coord_values))
 
     @property
     def hodge_values(self):
@@ -172,7 +174,7 @@ class PointBundle:
 
     def harmonicity(self):
         """max |Delta_Hodge phi| and the scale |grad phi| + |phi| it is gated on."""
-        hf = forms.frame_components(self.slate.frame, self.geom.g_values, self.hodge_values)
+        hf = forms.frame_components(self.slate.frame, self.hodge_values)
         hmax = float(np.max(np.sqrt(np.sum(hf**2, axis=-1)))) if hf.size else 0.0
         scale = float(np.max(np.sqrt(np.maximum(self.grad_sq, 0.0))
                              + np.sqrt(np.maximum(self.norm_sq_jet.value, 0.0))))
@@ -200,9 +202,9 @@ def make_bundle(chart, fld, count, margin=0.05, seed=0):
 def verify_weitzenboeck(chart, fld, pts, tol=None, scenario="inline"):
     tol = DEFAULT_TOLERANCES["weitzenboeck"] if tol is None else tol
     b = PointBundle(chart, fld, pts)
-    hv_f = forms.frame_components(b.slate.frame, b.geom.g_values, b.hodge_values)
+    hv_f = forms.frame_components(b.slate.frame, b.hodge_values)
     rough = forms.rough_laplacian_values(b.geom, b.c6)
-    rough_f = forms.frame_components(b.slate.frame, b.geom.g_values, rough)
+    rough_f = forms.frame_components(b.slate.frame, rough)
     qR = forms.curvature_action_frame(b.slate.R, b.frame_values)
     # Delta_Hodge phi = -trace(nabla^2 phi) + q(R) phi
     lhs = hv_f
@@ -521,7 +523,7 @@ def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
         "sign_conventions": dict(SIGN_CONVENTIONS),
     }
     if n_valid == 0:
-        result["empty_scan"] = "all points parallel-degenerate (|d|phi|| below threshold)"
+        result["empty_scan"] = EMPTY_SCAN
         result["min_rho"] = None
         result["samples"] = []
         return result

@@ -119,7 +119,7 @@ def test_criterion_4_canonical_frame():
     pts = sample_box(cp2.domain, 20, seed=11)
     slate = curvature_at(cp2, pts)
     fld = TwoFormField(cp2, presets.form_preset("kaehler", cp2))
-    f6 = forms.frame_components(slate.frame, slate.geometry.g_values,
+    f6 = forms.frame_components(slate.frame,
                                 np.stack([c.value for c in fld.component_jets(pts)], -1))
     kk = canonical.curvature_term_K(slate, canonical.canonicalize(f6),
                                     degenerate_samples=4, seed=1)
@@ -130,7 +130,7 @@ def test_criterion_4_canonical_frame():
     ptsp = sample_box(prod.domain, 20, seed=13)
     slp = curvature_at(prod, ptsp)
     fldp = TwoFormField(prod, presets.form_preset("factor_volumes", prod))
-    f6p = forms.frame_components(slp.frame, slp.geometry.g_values,
+    f6p = forms.frame_components(slp.frame,
                                  np.stack([c.value for c in fldp.component_jets(ptsp)], -1))
     kkp = canonical.curvature_term_K(slp, canonical.canonicalize(f6p),
                                      degenerate_samples=0)

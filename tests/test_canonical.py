@@ -98,8 +98,7 @@ def test_cp2_kaehler_K_values():
     slate = curvature_at(chart, pts)
     fld = TwoFormField(chart, presets.form_preset("kaehler", chart))
     c6 = fld.component_jets(pts)
-    f6 = forms.frame_components(slate.frame, slate.geometry.g_values,
-                                np.stack([c.value for c in c6], -1))
+    f6 = forms.frame_components(slate.frame, np.stack([c.value for c in c6], -1))
     ad = canonical.canonicalize(f6)
     assert ad.degenerate.all()  # the Kaehler form is self-dual
     kk = canonical.curvature_term_K(slate, ad, degenerate_samples=8, seed=3)
@@ -115,8 +114,7 @@ def test_product_volumes_K_zero():
     slate = curvature_at(chart, pts)
     fld = TwoFormField(chart, presets.form_preset("factor_volumes", chart))
     c6 = fld.component_jets(pts)
-    f6 = forms.frame_components(slate.frame, slate.geometry.g_values,
-                                np.stack([c.value for c in c6], -1))
+    f6 = forms.frame_components(slate.frame, np.stack([c.value for c in c6], -1))
     ad = canonical.canonicalize(f6)
     kk = canonical.curvature_term_K(slate, ad, degenerate_samples=6, seed=2)
     assert np.max(np.abs(kk["K"])) < 1e-8

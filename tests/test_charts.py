@@ -318,6 +318,19 @@ def test_sample_box_margins_and_count():
     assert np.allclose(pts, sample_box(dom, 100, margin=0.1, seed=5))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5, 11, 2**31 - 1])
+def test_sample_box_equals_scipy_halton(seed):
+    """The in-house scrambled Halton draws scipy's points bit for bit."""
+    from scipy.stats import qmc
+
+    dom = ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0), (3.0, 4.0))
+    for count in (1, 2, 7, 64, 100, 1024, 5000):
+        want = qmc.Halton(d=4, scramble=True, seed=seed).random(count)
+        assert np.array_equal(charts.scrambled_halton(count, seed), want)
+        assert np.array_equal(sample_box(dom, count, margin=0.1, seed=seed),
+                              charts._scale_to_box(dom, 0.1, want))
+
+
 def test_interior_check():
     chart = presets.flat_t4()
     with pytest.raises(ChartError, match="interior"):

@@ -152,6 +152,23 @@ def test_ksweep_rows(tmp_path):
     assert len(lines) == 4
 
 
+def test_ksweep_parallel_form_empty_scan(tmp_path):
+    """On a parallel form ksweep reports an empty scan, as `kato scan` does,
+    and exits on the residuals."""
+    assert run(["kato", "ksweep", "--k", "0,1,2", "--scenario",
+                SCENARIOS / "cp2_kaehler.json", "--out", tmp_path]) == 0
+    rep = json.loads(read_report(tmp_path))
+    assert "parallel-degenerate" in rep["empty_scan"]
+    assert rep["passed"] is True
+    assert rep["monotone_growth_from_k1"] is None
+    assert [row["min_lhs49_over_dnorm"] for row in rep["rows"]] == [None] * 3
+    lines = (tmp_path / "ksweep.csv").read_text().splitlines()
+    assert lines[0] == "k,min_lhs49_over_dnorm,residual_eq49"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["0.0", ""], ["1.0", ""],
+                                                           ["2.0", ""]]
+    assert all(float(line.split(",")[2]) <= rep["tolerance"] for line in lines[1:])
+
+
 def test_curvature_command(tmp_path):
     sc = {
         "schema_version": 1, "id": "s4",
@@ -216,12 +233,14 @@ def test_form_as_string_and_form_components(tmp_path):
 
 
 def test_grid_chart_skips_scipy_stats():
-    """Grid commands never sample with qmc, so they never import scipy.stats."""
+    """Neither chart building nor point sampling imports scipy.stats."""
     import subprocess
     import sys
 
     code = ("import sys; import curv4.cli; from curv4 import scenario; "
             f"scenario.load({str(SCENARIOS / 'flat_t4_n6.json')!r}).grid_chart(); "
+            f"sc = scenario.load({str(SCENARIOS / 'conformal_product.json')!r}); "
+            "assert len(sc.points(sc.build_chart())) == sc.count; "
             "print('scipy.stats' in sys.modules)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

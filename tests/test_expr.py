@@ -67,10 +67,9 @@ def test_eval_jet_example():
 
 def test_eval_jet_exp_derivatives():
     j = ex.eval_jet(ex.parse("exp(x3)"), np.zeros((1, 4)))
-    for k in range(4):
-        alpha = [0, 0, 0, 0]
-        alpha[2] = k
-        assert abs(j.derivative(tuple(alpha))[0] - 1.0) < 1e-15
+    for alpha in jets.MULTI_INDICES:
+        want = 1.0 if all(a == 0 for i, a in enumerate(alpha) if i != 2) else 0.0
+        assert abs(j.derivative(alpha)[0] - want) < 1e-15, alpha
 
 
 def test_domain_error_cites_node():

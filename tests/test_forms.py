@@ -126,12 +126,9 @@ def test_weitzenboeck_identity_independent_paths(cp2):
     fld = TwoFormField(chart, comps)
     c6 = fld.component_jets(pts)
     slate = curvature_at(chart, pts)
-    f6 = forms.frame_components(slate.frame, geom.g_values,
-                                np.stack([c.value for c in c6], -1))
-    hodge = forms.frame_components(slate.frame, geom.g_values,
-                                   forms.hodge_laplacian_values(geom, c6))
-    rough = forms.frame_components(slate.frame, geom.g_values,
-                                   forms.rough_laplacian_values(geom, c6))
+    f6 = forms.frame_components(slate.frame, np.stack([c.value for c in c6], -1))
+    hodge = forms.frame_components(slate.frame, forms.hodge_laplacian_values(geom, c6))
+    rough = forms.frame_components(slate.frame, forms.rough_laplacian_values(geom, c6))
     qR = forms.curvature_action_frame(slate.R, f6)
     assert np.max(np.abs(hodge + rough - qR)) < 1e-12
 

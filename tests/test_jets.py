@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,26 +20,34 @@ def test_variable_lift():
     assert np.sum(np.abs(j.c)) == 3.0  # value + unit slot only
 
 
+def _pure_power(alpha, axis):
+    """k if alpha = k e_axis, else None (a mixed or off-axis multi-index)."""
+    if any(a for i, a in enumerate(alpha) if i != axis):
+        return None
+    return alpha[axis]
+
+
 def test_sin_of_variable_taylor():
     s = jets.sin(Jet3.variable(1, 0.0))
-    assert abs(s.value) == 0.0
-    assert s.derivative((0, 1, 0, 0)) == 1.0
-    assert s.derivative((0, 2, 0, 0)) == 0.0
-    assert s.derivative((0, 3, 0, 0)) == -1.0
+    for alpha in jets.MULTI_INDICES:
+        k = _pure_power(alpha, 1)
+        want = 0.0 if k is None else (0.0, 1.0, 0.0, -1.0)[k % 4]  # d^k sin(0)
+        assert s.derivative(alpha) == want, alpha
 
 
 def test_cube_of_variable():
     c = jets.powr(Jet3.variable(2, 1.0), 3)
-    assert c.value == 1.0
-    assert c.derivative((0, 0, 1, 0)) == 3.0
-    assert c.derivative((0, 0, 2, 0)) == 6.0
-    assert c.derivative((0, 0, 3, 0)) == 6.0
+    for alpha in jets.MULTI_INDICES:
+        k = _pure_power(alpha, 2)
+        want = 0.0 if k is None else float(math.perm(3, k))  # d^k x^3 at x = 1
+        assert c.derivative(alpha) == want, alpha
 
 
 def test_exp_pure_coefficients():
     e = jets.exp(Jet3.variable(0, 0.0))
-    for k in range(4):
-        assert abs(e.derivative((k, 0, 0, 0)) - 1.0) < 1e-15
+    for alpha in jets.MULTI_INDICES:
+        want = 0.0 if _pure_power(alpha, 0) is None else 1.0
+        assert abs(e.derivative(alpha) - want) < 1e-15, alpha
 
 
 def test_product_mixed_coefficient():
@@ -48,10 +59,12 @@ def test_product_mixed_coefficient():
 def test_geometric_series_normalization():
     """Pins the storage convention: raw Taylor coefficients, derivative = c * a!."""
     r = 1.0 / (1.0 + Jet3.variable(0, 0.0))
-    stored = [r.c[jets.INDEX_OF[(k, 0, 0, 0)]] for k in range(4)]
-    assert np.allclose(stored, [1.0, -1.0, 1.0, -1.0], atol=1e-15)
-    derivs = [r.derivative((k, 0, 0, 0)) for k in range(4)]
-    assert np.allclose(derivs, [1.0, -1.0, 2.0, -6.0], atol=1e-15)
+    pure = [_pure_power(alpha, 0) for alpha in jets.MULTI_INDICES]
+    stored = [0.0 if k is None else (-1.0)**k for k in pure]
+    assert np.allclose(r.c, stored, atol=1e-15)
+    derivs = [0.0 if k is None else (-1.0)**k * math.factorial(k) for k in pure]
+    assert np.allclose([r.derivative(alpha) for alpha in jets.MULTI_INDICES], derivs,
+                       atol=1e-15)
 
 
 def test_polynomial_products_truncation_exact():
@@ -80,8 +93,7 @@ def test_against_symbolic_oracle_batch(seed):
         except ex.ExprError:
             continue
         ok = True
-        for alpha in [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0), (2, 0, 0, 1),
-                      (0, 0, 3, 0), (1, 1, 1, 0)]:
+        for alpha in jets.MULTI_INDICES:
             try:
                 want = taylor_coefficient(tree, alpha, p)
             except ex.ExprError:
@@ -105,10 +117,36 @@ def test_chain_rule_composites():
         p = rng.uniform(0.2, 1.0, size=4)
         composed = ex.parse(f"exp(sin({a}*x1 + x2*x3) - {b}*x4^2)")
         jet = ex.eval_jet(composed, p[None, :])
-        for alpha in [(1, 0, 0, 0), (0, 1, 0, 1), (1, 1, 1, 0), (0, 0, 0, 2)]:
+        for alpha in jets.MULTI_INDICES:
             want = taylor_coefficient(composed, alpha, p)
             got = jet.c[0, jets.INDEX_OF[alpha]]
             assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
+
+
+def _dense(coeffs):
+    """Raw coefficients as a dense (ORDER+1)^4 array indexed by exponents."""
+    out = np.zeros(coeffs.shape[:-1] + (jets.ORDER + 1,) * 4)
+    for k, alpha in enumerate(jets.MULTI_INDICES):
+        out[(...,) + alpha] = coeffs[..., k]
+    return out
+
+
+def test_product_matches_dense_truncated_convolution():
+    """Jet products equal the full polynomial product, truncated to degree ORDER."""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((9, jets.NCOEFF))
+    b = rng.standard_normal((9, jets.NCOEFF))
+    da, db = _dense(a), _dense(b)
+    want = np.zeros((9, jets.NCOEFF))
+    exponents = list(itertools.product(range(jets.ORDER + 1), repeat=4))
+    for x in exponents:
+        for y in exponents:
+            s = tuple(i + j for i, j in zip(x, y))
+            if sum(s) <= jets.ORDER:
+                want[:, jets.INDEX_OF[s]] += da[(...,) + x] * db[(...,) + y]
+    got = (Jet3(a) * Jet3(b)).c
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+    assert np.allclose((Jet3(b) * Jet3(a)).c, want, rtol=1e-14, atol=1e-14)
 
 
 def test_division_by_zero_reports_point():
@@ -165,11 +203,14 @@ def test_exp_log_inverse(v, axis):
 def test_partial_degrades_order():
     u = jets.powr(Jet3.variable(0, 1.0), 3)
     du = u.partial(0)  # 3 x^2
-    assert abs(du.value - 3.0) < 1e-15
-    assert abs(du.derivative((1, 0, 0, 0)) - 6.0) < 1e-15
-    assert abs(du.derivative((2, 0, 0, 0)) - 6.0) < 1e-15
-    # third-order content of a derivative is unknown and stored as zero
-    assert du.c[jets.INDEX_OF[(3, 0, 0, 0)]] == 0.0
+    for alpha in jets.MULTI_INDICES:
+        if sum(alpha) == jets.ORDER:
+            # top-order content of a derivative is unknown and stored as zero
+            assert du.c[jets.INDEX_OF[alpha]] == 0.0, alpha
+            continue
+        k = _pure_power(alpha, 0)
+        want = 0.0 if k is None else 3.0 * math.perm(2, k)  # d^k 3x^2 at x = 1
+        assert abs(du.derivative(alpha) - want) < 1e-15, alpha
 
 
 def test_mat_inverse_and_det():
