@@ -7,6 +7,11 @@ R1234 = <R(e1,e2)e3,e4> are read off after transforming the curvature slate
 into that basis.  When |phi+| or |phi-| falls under the threshold the basis is
 only partially determined; callers get a flag and, on request, a sampled range
 of K over admissible frames.
+
+The extremes of sec and of the biorthogonal curvature sec-perp over all planes
+at a point come in closed form from the curvature operator on Lambda^2 =
+Lambda^+ + Lambda^- (`plane_minimum`): an eigenvalue problem for sec-perp and a
+bisection over t in Thorpe's max_t lambda_min(R + t *) for sec.
 """
 
 from __future__ import annotations
@@ -14,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import forms
-from .charts import CurvatureSlate, sectional
+from .charts import PAIRS, CurvatureSlate, curvature_at, sample_box
 
 
 @dataclass
@@ -209,133 +213,69 @@ def biorthogonal(slate: CurvatureSlate, u, v, index=0):
     return 0.5 * (s1 + s2)
 
 
-def _plane_objective(R, biortho=True):
-    def f(params):
-        u, v = _params_to_plane(params)
-        s1 = np.einsum("ijkl,i,j,k,l->", R, u, v, u, v, optimize=True)
-        den = 1.0
-        if not biortho:
-            return s1 / den
-        w1, w2 = plane_complement(u, v)
-        s2 = np.einsum("ijkl,i,j,k,l->", R, w1, w2, w1, w2, optimize=True)
-        return 0.5 * (s1 + s2)
+def _op6(R):
+    """Curvature operator M[(ij),(kl)] = R_ijkl in PAIRS order, shape (N,6,6).
 
-    return f
-
-
-def _params_to_plane(params):
-    u = np.array([1.0, params[0], params[1], params[2]])
-    v = np.array([0.0, 1.0, params[3], params[4]])
-    # rotate parametrization so no plane is unreachable in practice
-    u, v = orthonormal_plane(u, v)
-    return u, v
-
-
-def _plane_to_params(u, v):
-    # best-effort inverse used only to seed refinement near a coarse sample
-    basis = np.stack([u, v])
-    q, _ = np.linalg.qr(basis.T)
-    u, v = q[:, 0], q[:, 1]
-    if abs(u[0]) < 1e-8:
-        return None
-    u = u / u[0]
-    v = v - v[0] * u
-    if abs(v[1]) < 1e-8:
-        return None
-    v = v / v[1]
-    return np.array([u[1], u[2], u[3], v[2], v[3]])
-
-
-def _coarse_planes(count, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(count, 4))
-    v = rng.normal(size=(count, 4))
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    v -= np.einsum("...i,...i->...", u, v, optimize=True)[..., None] * u
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    return u, v
-
-
-def _coarse_values(R, u, v, biortho):
-    s1 = np.einsum("ijkl,mi,mj,mk,ml->m", R, u, v, u, v, optimize=True)
-    if not biortho:
-        return s1
-    P = (np.eye(4) - np.einsum("mi,mj->mij", u, u) - np.einsum("mi,mj->mij", v, v))
-    _, V = np.linalg.eigh(P)
-    w1, w2 = V[:, :, -2], V[:, :, -1]
-    s2 = np.einsum("ijkl,mi,mj,mk,ml->m", R, w1, w2, w1, w2, optimize=True)
-    return 0.5 * (s1 + s2)
-
-
-def plane_minimum(slate: CurvatureSlate, index=0, biortho=True, starts=64,
-                  coarse=2048, certify=10_000, seed=0, tol=1e-4):
-    """Minimize sec (or sec-perp) over the Grassmannian at one point.
-
-    Coarse seeded sampling, multi-start local refinement, then a dense-sample
-    certificate: the refined minimum must not exceed the best of `certify`
-    fresh samples by more than `tol`.
+    For orthonormal u, v and w = u^v, sec(u, v) = w^T M w; a unit w in Lambda^2
+    is a plane iff w^T STAR6 w = 0.
     """
-    R = slate.R[index]
-    u, v = _coarse_planes(coarse, seed)
-    vals = _coarse_values(R, u, v, biortho)
-    order = np.argsort(vals)
-    obj = _plane_objective(R, biortho)
-    best_val = float(vals[order[0]])
-    best_plane = (u[order[0]], v[order[0]])
-    tried = 0
-    stale = 0
-    for idx in order:
-        if tried >= starts or stale >= 6:
-            break
-        params = _plane_to_params(u[idx], v[idx])
-        if params is None:
-            continue
-        tried += 1
-        res = minimize(obj, params, method="Nelder-Mead",
-                       options={"xatol": 1e-8, "fatol": 1e-13, "maxiter": 250})
-        if res.fun < best_val - 1e-12:
-            best_val = float(res.fun)
-            best_plane = _params_to_plane(res.x)
-            stale = 0
-        else:
-            stale += 1
-    uc, vc = _coarse_planes(certify, seed + 104729)
-    cert = float(np.min(_coarse_values(R, uc, vc, biortho)))
-    if best_val > cert + tol:
-        best_val = cert  # dense sampling found a lower region; keep the bound
-    return {"min": best_val, "plane": best_plane, "certificate": cert}
+    i, j = np.array(PAIRS).T
+    return R[:, i[:, None], j[:, None], i[None, :], j[None, :]]
 
 
-def global_curvature_stats(chart, samples=32, seed=0, starts=16):
-    """Estimated minimal sectional curvature, sec range, and min sec-perp."""
-    from .charts import curvature_at, sample_box
+# orthonormal bases of Lambda^- and Lambda^+ (STAR6 = -1 and +1)
+_SD_BASES = np.split(np.linalg.eigh(forms.STAR6)[1], 2, axis=1)
+_BISECTIONS = 64
 
-    pts = sample_box(chart.domain, samples, seed=seed)
-    slate = curvature_at(chart, pts)
-    u, v = _coarse_planes(512, seed + 1)
-    s1 = np.einsum("nijkl,mi,mj,mk,ml->nm", slate.R, u, v, u, v, optimize=True)
-    sec_min_pt = s1.min(axis=1)
-    sec_max = float(s1.max())
-    worst = np.argsort(sec_min_pt)[:3]
-    k_lower = float(sec_min_pt.min())
-    secperp_best = np.inf
-    for n in worst:
-        ref = plane_minimum(slate, index=int(n), biortho=False, starts=starts,
-                            seed=seed + 7)
-        k_lower = min(k_lower, ref["min"])
-        refp = plane_minimum(slate, index=int(n), biortho=True, starts=starts,
-                             seed=seed + 11)
-        secperp_best = min(secperp_best, refp["min"])
+
+def plane_minimum(R, biortho=False):
+    """Minimum over planes of sec (or of sec-perp when biortho) at each point
+    of R (N,4,4,4,4), in closed form; returns an (N,) array.
+
+    sec-perp(w) = (sec(w) + sec(*w))/2 = <M a, a> + <M b, b> for the halves
+    a, b of w in Lambda^+ and Lambda^-, each of norm 1/sqrt(2), so its minimum
+    is half the sum of the smallest eigenvalues of M on Lambda^+ and Lambda^-.
+
+    min sec = max_t lambda_min(M + t STAR6) (Thorpe, "Some remarks on the
+    Gauss-Bonnet integral", 1969).  lambda_min(M + t STAR6) is concave in t
+    with slope v^T STAR6 v at its bottom eigenvector v, negative for
+    t >= 2|M| and positive for t <= -2|M|; _BISECTIONS steps on the sign of
+    that slope locate the maximum to 4|M| 2^-64.  Every t gives a lower bound.
+    """
+    M = _op6(np.asarray(R, dtype=float))
+    if biortho:
+        return 0.5 * sum(np.linalg.eigvalsh(B.T @ M @ B)[:, 0] for B in _SD_BASES)
+    hi = 2.0 * np.linalg.norm(M, axis=(-2, -1))
+    lo = -hi
+    for _ in range(_BISECTIONS):
+        t = 0.5 * (lo + hi)
+        v = np.linalg.eigh(M + t[:, None, None] * forms.STAR6)[1][:, :, 0]
+        rising = np.einsum("ni,ij,nj->n", v, forms.STAR6, v) > 0.0
+        lo = np.where(rising, t, lo)
+        hi = np.where(rising, hi, t)
+    t = 0.5 * (lo + hi)
+    return np.linalg.eigvalsh(M + t[:, None, None] * forms.STAR6)[:, 0]
+
+
+def global_curvature_stats(chart, samples=32, seed=0):
+    """Minimal sectional curvature, sec range and min sec-perp over the planes
+    at `samples` points of the chart, exact at each point."""
+    R = curvature_at(chart, sample_box(chart.domain, samples, seed=seed)).R
+    k_lower = float(np.min(plane_minimum(R)))
     return {
         "k_lower": k_lower,
-        "sec_range": (k_lower, sec_max),
-        "secperp_min": float(secperp_best),
+        # 0.0 - x rather than -x, so that a flat chart reports 0.0, not -0.0
+        "sec_range": (k_lower, 0.0 - float(np.min(plane_minimum(-R)))),
+        "secperp_min": float(np.min(plane_minimum(R, biortho=True))),
         "samples": int(samples),
     }
 
 
-def sectional_of_plane(slate, u, v, index=0):
-    return float(sectional(
-        CurvatureSlate(slate.points[index:index + 1], slate.frame[index:index + 1],
-                       slate.R[index:index + 1], slate.Ric[index:index + 1],
-                       slate.scal[index:index + 1]), u, v)[0])
+def __getattr__(name):
+    # perfbench/child.py still wraps `canonical.minimize` by name; see the
+    # FOUND: line on it in CHANGES.md.  scipy.optimize is imported only here.
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

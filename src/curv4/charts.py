@@ -38,6 +38,7 @@ class MetricChart:
     domain: tuple  # 4 pairs (lo, hi)
     orientation: int = 1
     name: str = "chart"
+    product_radii: tuple | None = None  # (r1, r2) of a product_s2s2 chart
 
     def __post_init__(self):
         if len(self.g) != 4 or any(len(row) != 4 for row in self.g):
@@ -65,7 +66,7 @@ def conformal_chart(base: MetricChart, factor, name=None):
     scale = ex.Call("exp", ex.Bin("*", ex.num(2.0), f))
     g = tuple(tuple(ex.mul(scale, base.g[i][j]) for j in range(4)) for i in range(4))
     return MetricChart(g, base.domain, base.orientation,
-                       name or f"conformal({base.name})")
+                       name or f"conformal({base.name})", base.product_radii)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -419,6 +420,13 @@ def metric_values(chart: MetricChart, pts):
             g[:, i, j] = ex.eval_values(chart.g[i][j], pts)
             g[:, j, i] = g[:, i, j]
     return g
+
+
+def sqrt_det_values(g_values):
+    """sqrt(det g) of metric values (N, 4, 4) by the cofactor expansion of
+    jets.det4, so it equals Geometry.sqrt_det_jet.value bit for bit
+    (np.linalg.det differs from it in the last bit)."""
+    return np.sqrt(jets.det4(np.moveaxis(g_values, 0, -1)))
 
 
 def chart_is_periodic(chart: MetricChart, tol=1e-12):

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import canonical, forms, jets
+from . import canonical, forms
 from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, metric_values,
-                     orthonormal_frame)
+                     orthonormal_frame, sqrt_det_values)
 from .forms import PAIRS, TRIPLES
 
 AXSETS = (
@@ -309,7 +309,7 @@ def _cell_centers(complex: GridComplex):
 def _star_counts(basis: HarmonicBasis, tol=0.1):
     gc = basis.complex
     g = metric_values(gc.chart, _cell_centers(gc))
-    sqrt_det = np.sqrt(np.linalg.det(g))
+    sqrt_det = sqrt_det_values(g)
     vol = sqrt_det * gc.h**4
     gi = np.moveaxis(np.linalg.inv(g), 0, -1)  # component axes first
     Q = forms.lambda2_metric(gi)
@@ -454,9 +454,7 @@ class _CellGeometry:
         self.ginv = np.concatenate(giv)
         self.gamma = np.concatenate(gam)
         self.R = np.concatenate(R)
-        # the jet path's cofactor expansion, run on values (np.linalg.det
-        # differs from it in the last bit)
-        self.sqrt_det = np.sqrt(jets.det4(np.moveaxis(self.g, 0, -1)))
+        self.sqrt_det = sqrt_det_values(self.g)
         # drift of the scalar Laplacian: (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab
         self.lap_drift = -np.einsum("...ab,...jab->...j", self.ginv, self.gamma,
                                     optimize=True)

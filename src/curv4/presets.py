@@ -12,6 +12,7 @@ Coordinate ranges:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,7 +55,8 @@ def product_s2s2(r1=1.0, r2=1.0):
         f"{r2}^2 * sin(x3)^2",
     ]
     domain = [(0.0, math.pi), (0.0, TWO_PI), (0.0, math.pi), (0.0, TWO_PI)]
-    return _diag(entries, domain, f"product_s2s2({r1},{r2})")
+    chart = _diag(entries, domain, f"product_s2s2({r1},{r2})")
+    return replace(chart, product_radii=(float(r1), float(r2)))
 
 
 # Fubini-Study metric in the affine chart, from the potential log(1+|z|^2):
@@ -125,12 +127,13 @@ def form_preset(name, chart: MetricChart, seed=0):
         comps["12"] = ex.num(1.0)
         return comps
     if name in ("factor_volumes", "factor_volume_1"):
-        if "product_s2s2" not in chart.name:
+        if chart.product_radii is None:
             raise PresetError(f"form preset {name!r} needs a product_s2s2 chart")
+        r1, r2 = chart.product_radii
         comps = dict(zeros)
-        comps["12"] = ex.parse(f"{_extract_radius_sq(chart, 0)} * sin(x1)")
+        comps["12"] = ex.parse(f"{r1 * r1} * sin(x1)")
         if name == "factor_volumes":
-            comps["34"] = ex.parse(f"{_extract_radius_sq(chart, 2)} * sin(x3)")
+            comps["34"] = ex.parse(f"{r2 * r2} * sin(x3)")
         return comps
     if name == "kaehler":
         if "cp2" not in chart.name:
@@ -154,14 +157,3 @@ def form_preset(name, chart: MetricChart, seed=0):
             comps[key] = ex.parse(f"{a} + {b}*sin(x{i}) * cos(x{j}) + {c}*x{rng.integers(1, 5)}")
         return comps
     raise PresetError(f"unknown form preset {name!r}")
-
-
-def _extract_radius_sq(chart: MetricChart, axis):
-    """r^2 of a product factor, parsed from a (possibly wrapped) chart name."""
-    import re
-
-    m = re.search(r"product_s2s2\(([^,]+),([^)]+)\)", chart.name)
-    if not m:
-        raise PresetError(f"cannot read factor radii from chart {chart.name!r}")
-    r = float(m.group(1)) if axis == 0 else float(m.group(2))
-    return r * r

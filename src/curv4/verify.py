@@ -17,7 +17,7 @@ import numpy as np
 from . import canonical, forms, jets
 from .charts import (CurvatureSlate, Geometry, MetricChart, chart_is_periodic,
                      curvature_at, normal_chart, normal_chart_map, pullback_two_form,
-                     sample_box)
+                     sample_box, sqrt_det_values)
 from .forms import PAIRS, TwoFormField
 from .jets import Jet3
 
@@ -695,7 +695,7 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
         np_sq, nm_sq, _, _ = sd_nabla_norms(b)
         adapted = canonical.canonicalize(b.frame_values)
         kk = canonical.curvature_term_K(b.slate, adapted, degenerate_samples=0)
-        vol = b.geom.sqrt_det_jet.value
+        vol = sqrt_det_values(b.geom.g_values)
         Fv, Gv = Fj.value, Gj.value
         rem = Gv * np_sq + Fv * nm_sq + 2.0 * cross
         return {"dFG": np.sum(dFG * vol), "kfg": np.sum(8.0 * kk["K"] * Fv * Gv * vol),

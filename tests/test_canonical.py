@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
-from curv4 import canonical, charts, forms, presets
+from curv4 import canonical, charts, forms, presets, scenario
 from curv4.charts import curvature_at, sample_box
 from curv4.forms import TwoFormField
 
@@ -149,15 +151,65 @@ def test_biorthogonal_symmetry_and_values():
 def test_plane_minimum_product_and_sphere():
     chart = presets.product_s2s2(1.0, 1.0)
     slate = curvature_at(chart, sample_box(chart.domain, 2, seed=18))
-    res = canonical.plane_minimum(slate, 0, biortho=True, starts=16,
-                                  coarse=1024, certify=5000, seed=4)
-    assert abs(res["min"]) < 1e-6  # mixed planes and their complements are flat
+    res = canonical.plane_minimum(slate.R, biortho=True)
+    assert res.shape == (2,)
+    assert abs(res[0]) < 1e-6  # mixed planes and their complements are flat
 
     sphere = presets.round_s4(2.0)
     slate_s = curvature_at(sphere, sample_box(sphere.domain, 1, seed=19))
-    res_s = canonical.plane_minimum(slate_s, 0, biortho=True, starts=8,
-                                    coarse=512, certify=2000, seed=5)
-    assert res_s["min"] == pytest.approx(0.25, abs=1e-6)
+    res_s = canonical.plane_minimum(slate_s.R, biortho=True)
+    assert res_s[0] == pytest.approx(0.25, abs=1e-6)
+
+
+def _random_frames(count, seed):
+    """Random orthonormal frames (u, v, w1, w2), each (count, 4)."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(count, 4, 4)))
+    return [q[:, :, k] for k in range(4)]
+
+
+def _conformal_product():
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "conformal_product.json"
+    return scenario.load(path).build_chart()
+
+
+@pytest.mark.parametrize("make_chart", [presets.cp2_fubini_study, presets.product_s2s2,
+                                        _conformal_product],
+                         ids=["cp2", "s2s2", "conformal_s2s2"])
+def test_closed_form_extremes_bound_dense_planes(make_chart):
+    chart = make_chart()
+    slate = curvature_at(chart, sample_box(chart.domain, 20, seed=31))
+    u, v, w1, w2 = _random_frames(40_000, seed=32)
+    sec = np.einsum("nijkl,mi,mj,mk,ml->nm", slate.R, u, v, u, v, optimize=True)
+    sec_c = np.einsum("nijkl,mi,mj,mk,ml->nm", slate.R, w1, w2, w1, w2, optimize=True)
+    secperp = 0.5 * (sec + sec_c)
+    for m in range(3):
+        assert secperp[0, m] == pytest.approx(
+            canonical.biorthogonal(slate, u[m], v[m]), abs=1e-12)
+
+    lo = canonical.plane_minimum(slate.R)
+    hi = -canonical.plane_minimum(-slate.R)
+    lo_perp = canonical.plane_minimum(slate.R, biortho=True)
+    assert np.all(lo[:, None] <= sec + 1e-12)
+    assert np.all(hi[:, None] >= sec - 1e-12)
+    assert np.all(lo_perp[:, None] <= secperp + 1e-12)
+    assert np.all(sec.min(axis=1) - lo < 1e-2)
+    assert np.all(secperp.min(axis=1) - lo_perp < 1e-2)
+
+
+def test_closed_form_extremes_exact_values():
+    for r in (0.5, 1.0, 2.0):
+        sphere = presets.round_s4(r)
+        R = curvature_at(sphere, sample_box(sphere.domain, 5, seed=33)).R
+        for val in (canonical.plane_minimum(R), -canonical.plane_minimum(-R),
+                    canonical.plane_minimum(R, biortho=True)):
+            assert np.allclose(val, 1.0 / r**2, atol=1e-9)
+
+    for chart, sec_range, secperp_min in ((presets.product_s2s2(1.0, 1.0), (0.0, 1.0), 0.0),
+                                          (presets.cp2_fubini_study(), (1.0, 4.0), 1.0)):
+        R = curvature_at(chart, sample_box(chart.domain, 8, seed=34)).R
+        assert np.allclose(canonical.plane_minimum(R), sec_range[0], atol=1e-9)
+        assert np.allclose(-canonical.plane_minimum(-R), sec_range[1], atol=1e-9)
+        assert np.allclose(canonical.plane_minimum(R, biortho=True), secperp_min, atol=1e-9)
 
 
 def test_global_curvature_stats():

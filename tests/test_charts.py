@@ -307,6 +307,20 @@ def test_preset_conformal_zero_is_identity():
     assert np.max(np.abs(g1 - g2)) < 1e-15
 
 
+def test_factor_volumes_read_radii_of_wrapped_product():
+    chart = conformal_chart(presets.product_s2s2(2, 3), "0.1*sin(x1)*cos(x3)")
+    assert chart.name == "conformal(product_s2s2(2,3))"
+    comps = presets.form_preset("factor_volumes", chart)
+    pts = sample_box(chart.domain, 7, seed=14)
+    assert np.allclose(ex.eval_values(comps["12"], pts), 4.0 * np.sin(pts[:, 0]), rtol=1e-15)
+    assert np.allclose(ex.eval_values(comps["34"], pts), 9.0 * np.sin(pts[:, 2]), rtol=1e-15)
+    renamed = conformal_chart(presets.product_s2s2(2, 3), "0", name="s2_x_s2")
+    comps = presets.form_preset("factor_volume_1", renamed)
+    assert np.allclose(ex.eval_values(comps["12"], pts), 4.0 * np.sin(pts[:, 0]), rtol=1e-15)
+    with pytest.raises(presets.PresetError):
+        presets.form_preset("factor_volumes", conformal_chart(presets.flat_t4(), "0"))
+
+
 def test_sample_box_margins_and_count():
     dom = ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0), (3.0, 4.0))
     pts = sample_box(dom, 100, margin=0.1, seed=5)

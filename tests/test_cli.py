@@ -247,3 +247,20 @@ def test_grid_chart_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", [["curvature"], ["verify", "eq22"]])
+def test_commands_skip_scipy_optimize(tmp_path, command):
+    """The curvature extremes and the verifiers run without scipy.optimize."""
+    import subprocess
+    import sys
+
+    argv = command + ["--scenario", str(SCENARIOS / "cp2_kaehler.json"), "--out", str(tmp_path)]
+    code = ("import sys; from curv4 import cli; "
+            f"assert cli.main({argv!r}) == 0; "
+            "print('scipy.optimize' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
