@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 all residuals within tolerance, 1 identity violation, 2 input
-error.  Each run writes report.json (full result) and samples.csv (per-point
-table) into --out; reports are byte-deterministic for a fixed scenario + seed.
+Exit codes: 0 all residuals within tolerance, 1 identity violation or a
+solver that stopped above its tolerance, 2 input error.  Each run writes
+report.json (full result) and samples.csv (per-point table) into --out;
+reports are byte-deterministic for a fixed scenario + seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import canonical, forms, grid, presets, scenario, verify
 from .charts import ChartError
 from .expr import ExprError
-from .grid import GridError
+from .grid import GridError, SolverError
 from .verify import InputError
 
 CSV_COLUMNS = ["x1", "x2", "x3", "x4", "residual", "residual_eq28", "residual_eq29",
@@ -36,10 +37,10 @@ def main(argv=None):
         return 2
     try:
         return args.run(args)
-    except (InputError, ExprError, ChartError, GridError,
+    except (InputError, ExprError, ChartError, GridError, SolverError,
             presets.PresetError, forms.FormError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, SolverError) else 2
 
 
 def _build_parser():
@@ -261,7 +262,7 @@ def _cmd_grid(args):
     sc = _load(args)
     chart = sc.grid_chart()
     gc = grid.assemble(chart, sc.grid_n)
-    basis = grid.harmonic_kernel(gc, expected_dim_hint=6, seed=sc.seed)
+    basis = grid.harmonic_kernel(gc)
     rep = grid.definiteness_report(basis)
     report = {**_scenario_meta(sc), "command": f"grid {args.mode}", "n": sc.grid_n,
               "h": gc.h, **rep, "sign_conventions": verify.SIGN_CONVENTIONS}
@@ -279,10 +280,11 @@ def _cmd_integral(args):
     if sc.grid is not None:
         chart = sc.grid_chart()
         gc = grid.assemble(chart, sc.grid_n)
-        phi, delta_res = grid.harmonic_representative(gc, (0, 1))
+        phi, delta_res, cg = grid.harmonic_representative(gc, (0, 1))
         fieldd = grid.discrete_field_export(gc, phi)
         rep = grid.discrete_eq23_report(fieldd)
         rep["representative_delta_residual"] = delta_res
+        rep.update(cg)
         report = {**_scenario_meta(sc), "command": "integral (grid)", **rep,
                   "sign_conventions": verify.SIGN_CONVENTIONS}
     else:

@@ -7,6 +7,10 @@ cell barycenter.  delta_k = M_{k-1}^{-1} d_{k-1}^T M_k makes <d a, b> = <a, d b>
 hold to roundoff by construction; Delta_2 = delta d + d delta on 2-cochains is
 extracted matrix-free.  Cochain values are point samples of coordinate
 components; face ordering is axis-pair lexicographic, then lattice row-major.
+
+By the discrete Hodge theorem the class of each constant dx^i ^ dx^j holds one
+harmonic cochain phi0 + d alpha, delta d alpha = -delta phi0: one block CG solve
+gives all six, M2-orthonormalised by Cholesky in PAIRS order as ker Delta_2.
 """
 
 from __future__ import annotations
@@ -122,14 +126,13 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
                 raise GridError(
                     f"metric not positive definite at cell barycenter {tuple(pts[bad])}"
                 ) from None
-            det = np.linalg.det(g)
             if len(S) == 0:
                 minor = np.ones(len(pts))
             else:
                 ginv = np.linalg.inv(g)
                 sub = ginv[:, list(S)][:, :, list(S)]
                 minor = np.linalg.det(sub) if len(S) > 1 else sub[:, 0, 0]
-            weights.append(np.sqrt(det) * minor * h**4)
+            weights.append(sqrt_det_values(g) * minor * h**4)
         M.append(np.concatenate(weights))
         if np.any(M[-1] <= 0.0):
             raise GridError(f"nonpositive mass entry in degree {k}")
@@ -146,6 +149,10 @@ def _first_indefinite(g):
 
 
 # -- matrix-free symmetric operator and solvers ----------------------------------
+
+
+class SolverError(Exception):
+    """A solve stopped above its tolerance (exit 1, unlike GridError's bad input)."""
 
 
 class _Sym2:
@@ -191,38 +198,69 @@ def _power_estimate(apply_A, dim, seed, iters=30):
 
 
 def block_cg(apply_A, B, X0, tol, maxit, precond=None):
-    """Solve A X = B column-wise (A SPD), vectorized over columns."""
+    """Solve A X = B column-wise (A SPD), vectorized over columns.
+
+    Returns X, the iterations taken and each column's relative (recurrence)
+    residual |R| / |B|; a column above tol after maxit iterations stalled."""
     X = X0.copy()
     R = B - apply_A(X)
     Z = R * precond[:, None] if precond is not None else R
     P = Z.copy()
-    rz = np.einsum("ij,ij->j", R, Z, optimize=True)
+    rz = np.einsum("ij,ij->j", R, Z)
     bnorm = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
-    for _ in range(maxit):
-        done = np.linalg.norm(R, axis=0) <= tol * bnorm
-        if np.all(done):
-            break
+    rel = np.linalg.norm(R, axis=0) / bnorm
+    its = 0
+    while its < maxit and np.any(rel > tol):
         AP = apply_A(P)
-        pap = np.einsum("ij,ij->j", P, AP, optimize=True)
+        pap = np.einsum("ij,ij->j", P, AP)
         alpha = np.where(pap > 0, rz / np.maximum(pap, 1e-300), 0.0)
-        alpha = np.where(done, 0.0, alpha)
+        alpha = np.where(rel <= tol, 0.0, alpha)
         X += alpha * P
         R -= alpha * AP
         Z = R * precond[:, None] if precond is not None else R
-        rz_new = np.einsum("ij,ij->j", R, Z, optimize=True)
+        rz_new = np.einsum("ij,ij->j", R, Z)
         beta = np.where(rz > 0, rz_new / np.maximum(rz, 1e-300), 0.0)
         P = Z + beta * P
         rz = rz_new
-    return X
+        its += 1
+        rel = np.linalg.norm(R, axis=0) / bnorm
+    return X, its, rel
+
+
+def _class_representatives(complex: GridComplex, pairs, tol=1e-12, maxit=None):
+    """Harmonic representatives phi0 + d alpha (one row per axis pair) of the
+    constant 2-cochains phi0, by one block CG solve of delta d alpha = -delta phi0
+    on 1-cochains, and the solve's CG fields."""
+    N = complex.sites
+    phi0 = np.zeros((complex.dim(2), len(pairs)))
+    for c, pair in enumerate(pairs):
+        p = PAIRS.index(tuple(pair))
+        phi0[p * N:(p + 1) * N, c] = 1.0
+    if np.max(np.abs(complex.d[2] @ phi0)) != 0:
+        raise GridError("reference cochain is not closed")
+    d1, M2 = complex.d[1], complex.M[2][:, None]
+    rt1 = np.sqrt(complex.M[1])[:, None]
+
+    def B1(Y):
+        return (d1.T @ (M2 * (d1 @ (Y / rt1)))) / rt1
+
+    maxit = 20 * complex.n**2 + 2000 if maxit is None else maxit
+    rhs = -(d1.T @ (M2 * phi0)) / rt1
+    Y, its, rel = block_cg(B1, rhs, np.zeros_like(rhs), tol, maxit)
+    for c in np.flatnonzero(rel > tol):
+        i, j = pairs[c]
+        raise SolverError(f"CG for the class of dx{i + 1}^dx{j + 1} stopped at its cap of "
+                          f"{its} iterations with relative residual {rel[c]:.3e} above {tol:g}")
+    cg = {"cg_iterations": its, "cg_relative_residual": float(np.max(rel))}
+    return (phi0 + d1 @ (Y / rt1)).T, cg
 
 
 @dataclass
 class HarmonicBasis:
     complex: GridComplex
     vectors: np.ndarray  # (dim, k) cochains, M2-orthonormal
-    eigenvalues: np.ndarray  # the zero cluster
-    first_positive: float
-    gap: float
+    kernel_residual: float = None  # max |Delta_2 z|_M / (lambda_max |z|_M)
+    cg: dict = field(default_factory=dict)  # cg_iterations, cg_relative_residual
     b2_plus: int = 0
     b2_minus: int = 0
     signature: int = 0
@@ -230,13 +268,13 @@ class HarmonicBasis:
 
 
 def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60):
-    """Block inverse iteration with CG inner solves on the symmetrized Delta_2."""
+    """Block inverse iteration with CG inner solves on the symmetrized Delta_2; no
+    command calls it, tests cross-check harmonic_kernel with it, perfbench wraps it."""
     A = _Sym2(complex)
     dim = complex.dim(2)
     lam_max = _power_estimate(A, dim, seed + 1)
     sigma = 1e-3 * lam_max
-    diag = A.diag() + sigma
-    precond = 1.0 / np.maximum(diag, 1e-300)
+    precond = 1.0 / np.maximum(A.diag() + sigma, 1e-300)
 
     def shifted(Y):
         return A(Y) + sigma * Y
@@ -245,12 +283,11 @@ def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60
     X = rng.standard_normal((dim, m))
     X, _ = np.linalg.qr(X)
     theta = np.full(m, sigma)
-    resid = np.full(m, np.inf)
     wanted = max(m - 2, 1)  # kernel candidates plus the first positive eigenvalue
     inner_tol = 1e-2
-    for outer in range(max_outer):
+    for _ in range(max_outer):
         X0 = X / (theta + sigma)[None, :]
-        Y = block_cg(shifted, X, X0, tol=inner_tol, maxit=2000, precond=precond)
+        Y, _, _ = block_cg(shifted, X, X0, tol=inner_tol, maxit=2000, precond=precond)
         X, _ = np.linalg.qr(Y)
         AX = A(X)
         T = X.T @ AX
@@ -266,24 +303,24 @@ def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60
     return theta, X, lam_max, resid
 
 
-def harmonic_kernel(complex: GridComplex, expected_dim_hint=None, seed=0,
-                    gap_threshold=1e3) -> HarmonicBasis:
-    m = (expected_dim_hint or 6) + 4
-    theta, X, lam_max, resid = smallest_eigenpairs(complex, m, seed=seed)
-    rel = theta / max(lam_max, 1e-300)
-    cluster = np.where(rel < 1e-8)[0]
-    if len(cluster) == 0 or len(cluster) == m:
-        raise GridError(
-            f"unresolved kernel: eigenvalue cluster not separated, spectrum head {theta[:m]}")
-    k = cluster[-1] + 1
-    gap = theta[k] / max(theta[k - 1], 1e-300 * lam_max)
-    if gap < gap_threshold:
-        raise GridError(
-            f"unresolved kernel: relative gap {gap:.2e} < {gap_threshold:g} "
-            f"between {theta[k - 1]:.3e} and {theta[k]:.3e}")
-    Z = X[:, :k] / np.sqrt(complex.M[2])[:, None]
-    basis = HarmonicBasis(complex=complex, vectors=Z, eigenvalues=theta[:k],
-                          first_positive=float(theta[k]), gap=float(gap))
+def harmonic_kernel(complex: GridComplex, tol=1e-10, maxit=None) -> HarmonicBasis:
+    """M2-orthonormal basis of ker Delta_2, vector p in the class of PAIRS[p]; raises
+    SolverError if the Gram rank is below 6 or |Delta_2 z|_M > tol lambda_max |z|_M."""
+    phi, cg = _class_representatives(complex, PAIRS, maxit=maxit)
+    gram = phi @ (complex.M[2] * phi).T
+    rank = np.linalg.matrix_rank(gram, hermitian=True)
+    if rank < len(PAIRS):
+        raise SolverError(f"the six class representatives span only {rank} dimensions")
+    Z = np.linalg.solve(np.linalg.cholesky(gram), phi).T  # (L^-1 phi)^T, M2-orthonormal
+    A = _Sym2(complex)
+    lam_max = _power_estimate(A, complex.dim(2), seed=1)
+    Y = A.rt[:, None] * Z
+    resid = float(np.max(np.linalg.norm(A(Y), axis=0)
+                         / (lam_max * np.linalg.norm(Y, axis=0))))
+    if resid > tol:
+        raise SolverError(f"harmonic basis residual |Delta_2 z|_M / (lambda_max |z|_M) "
+                          f"= {resid:.3e} above {tol:g}")
+    basis = HarmonicBasis(complex=complex, vectors=Z, kernel_residual=resid, cg=cg)
     _star_counts(basis)
     return basis
 
@@ -349,53 +386,22 @@ def definiteness_report(basis: HarmonicBasis):
         "definite": bool(basis.b2_plus == 0 or basis.b2_minus == 0),
         "b2_equals_abs_signature": bool(b2 == abs(basis.signature)),
         "star_eigenvalues": [float(x) for x in np.sort(basis.star_eigenvalues)],
-        "zero_cluster": [float(x) for x in basis.eigenvalues],
-        "first_positive_eigenvalue": basis.first_positive,
-        "spectral_gap": basis.gap,
+        "kernel_residual": basis.kernel_residual,
+        **basis.cg,
     }
 
 
-def harmonic_representative(complex: GridComplex, class_pair=(0, 1), seed=0,
-                            tol=1e-12):
-    """M2-harmonic representative of the class of the constant 2-cochain on one
-    axis pair, via a CG solve of delta d alpha = -delta phi0 on 1-cochains."""
-    dim2 = complex.dim(2)
-    phi0 = np.zeros(dim2)
-    p = PAIRS.index(tuple(class_pair))
-    phi0[p * complex.sites:(p + 1) * complex.sites] = 1.0
-    if np.max(np.abs(complex.d[2] @ phi0)) != 0:
-        raise GridError("reference cochain is not closed")
-    rt1 = np.sqrt(complex.M[1])
-
-    def B1(y):
-        z = y / rt1
-        return (complex.d[1].T @ (complex.M[2] * (complex.d[1] @ z))) / rt1
-
-    rhs = -rt1 * complex.delta(2, phi0)
-    y = _cg_single(B1, rhs, tol=tol, maxit=20 * complex.n**2 + 2000)
-    alpha = y / rt1
-    phi = phi0 + complex.d[1] @ alpha
-    res = complex.delta(2, phi)
-    return phi, float(np.max(np.abs(res)))
+def harmonic_representative(complex: GridComplex, class_pair=(0, 1), tol=1e-12, maxit=None):
+    """The harmonic_kernel solve for one class: phi, max |delta phi|, CG fields."""
+    (phi,), cg = _class_representatives(complex, [class_pair], tol=tol, maxit=maxit)
+    return phi, float(np.max(np.abs(complex.delta(2, phi)))), cg
 
 
 def _cg_single(apply_A, b, tol, maxit):
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    bn = max(np.sqrt(rs), 1e-300)
-    for _ in range(maxit):
-        if np.sqrt(rs) <= tol * bn:
-            break
-        Ap = apply_A(p)
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x
+    """block_cg on one vector; no command calls it, perfbench/child.py wraps it by name."""
+    X, _, _ = block_cg(lambda Y: apply_A(Y[:, 0])[:, None], b[:, None],
+                       np.zeros((len(b), 1)), tol, maxit)
+    return X[:, 0]
 
 
 # -- discrete field export and verification ----------------------------------------
@@ -409,14 +415,8 @@ class DiscreteField:
     accuracy_order: int = 2
 
 
-def discrete_field_export(basis_or_complex, index_or_vector=0) -> DiscreteField:
-    if isinstance(basis_or_complex, HarmonicBasis):
-        gc = basis_or_complex.complex
-        z = basis_or_complex.vectors[:, index_or_vector]
-    else:
-        gc = basis_or_complex
-        z = index_or_vector
-    return DiscreteField(complex=gc, coloc6=_colocate(gc, z), h=gc.h)
+def discrete_field_export(complex: GridComplex, z) -> DiscreteField:
+    return DiscreteField(complex=complex, coloc6=_colocate(complex, z), h=complex.h)
 
 
 def _roll_diff(u_grid, axis, h):

@@ -47,7 +47,7 @@ def perturbed_reports():
     out = {}
     for n in (8, 16):
         gc = grid.assemble(chart, n)
-        phi, delta_res = grid.harmonic_representative(gc, (0, 1))
+        phi, delta_res, _ = grid.harmonic_representative(gc, (0, 1))
         rep = grid.discrete_eq23_report(grid.discrete_field_export(gc, phi))
         rep["representative_delta_residual"] = delta_res
         out[n] = rep
@@ -215,7 +215,7 @@ def test_criterion_7_discrete_hodge():
     oks, details = [], []
     for n in (4, 6):
         gc = grid.assemble(flat, n)
-        rep = grid.definiteness_report(grid.harmonic_kernel(gc, 6, seed=1))
+        rep = grid.definiteness_report(grid.harmonic_kernel(gc))
         oks.append(rep["kernel_dim"] == 6 and rep["b2_plus"] == 3
                    and rep["b2_minus"] == 3 and rep["signature"] == 0
                    and rep["definite"] is False)
@@ -224,7 +224,7 @@ def test_criterion_7_discrete_hodge():
     pert = charts.chart_from_strings(PERTURBED, [(0.0, 2 * np.pi)] * 4, 1,
                                      "perturbed_t4")
     gc8 = grid.assemble(pert, 8)
-    rep8 = grid.definiteness_report(grid.harmonic_kernel(gc8, 6, seed=1))
+    rep8 = grid.definiteness_report(grid.harmonic_kernel(gc8))
     oks.append(rep8["kernel_dim"] == 6 and rep8["b2_plus"] == 3
                and rep8["b2_minus"] == 3)
     details.append(f"perturbed n=8 dim={rep8['kernel_dim']} "

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curv4 import cli
+from curv4 import cli, grid, scenario
+from curv4.forms import PAIRS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+PERTURBED = json.loads((SCENARIOS / "perturbed_t4_n8.json").read_text())["grid"]["metric"]
 
 
 def run(args):
@@ -53,6 +55,8 @@ def test_grid_definiteness(tmp_path):
     rep = json.loads(read_report(tmp_path))
     assert rep["b2_plus"] == 3 and rep["b2_minus"] == 3
     assert rep["signature"] == 0 and rep["definite"] is False
+    assert rep["kernel_residual"] <= 1e-10
+    assert rep["cg_iterations"] >= 0 and rep["cg_relative_residual"] <= 1e-12
 
 
 def test_grid_harmonic_exports_basis(tmp_path):
@@ -68,6 +72,42 @@ def test_grid_harmonic_exports_basis(tmp_path):
     assert len(rep["basis"]) == 6
     assert len(rep["basis"][0]) == 6 * 4**4
     assert "axis-pair lexicographic" in rep["face_ordering"]
+
+
+def test_grid_harmonic_basis_is_class_labelled(tmp_path):
+    """The basis depends on no seed, and basis[p] lies in the class of PAIRS[p]:
+    nonzero M2-projection onto the constant p-cochain, zero onto earlier ones."""
+    reports = []
+    for seed in (3, 11):
+        sfile = tmp_path / f"s{seed}.json"
+        sfile.write_text(json.dumps({
+            "schema_version": 1, "id": "perturbed_small",
+            "manifold": {"preset": "flat_t4"},
+            "sampling": {"count": 4, "seed": seed},
+            "grid": {"n": 4, "metric": PERTURBED},
+        }))
+        assert run(["grid", "harmonic", "--scenario", sfile, "--out", tmp_path / str(seed)]) == 0
+        reports.append(json.loads(read_report(tmp_path / str(seed))))
+    a, b = reports
+    assert a["basis"] == b["basis"] and a["star_eigenvalues"] == b["star_eigenvalues"]
+    gc = grid.assemble(scenario.load(sfile).grid_chart(), 4)
+    Z = np.array(a["basis"]).T
+    proj = (gc.M[2][:, None] * Z).reshape(len(PAIRS), gc.sites, len(PAIRS)).sum(axis=1)
+    diag = np.abs(np.diag(proj))
+    assert np.all(diag > 1.0)
+    assert np.max(np.abs(np.triu(proj, 1)) / diag[None, :]) <= 1e-10
+
+
+def test_stalled_cg_exit1(tmp_path, capsys, monkeypatch):
+    """A solve that stops at its iteration cap exits 1, naming the class."""
+    capped = grid.block_cg
+    monkeypatch.setattr(grid, "block_cg",
+                        lambda A, B, X0, tol, maxit: capped(A, B, X0, tol, 2))
+    for words in (["grid", "definiteness"], ["integral"]):
+        assert run([*words, "--scenario", SCENARIOS / "perturbed_t4_n8.json",
+                    "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert "dx1^dx2 stopped at its cap of 2 iterations with relative residual" in err
 
 
 def test_nonharmonic_rejected_exit2(tmp_path, capsys):
@@ -193,6 +233,7 @@ def test_integral_grid_command(tmp_path):
                 "--out", tmp_path]) == 0
     rep = json.loads(read_report(tmp_path))
     assert abs(rep["green_stokes_conservative"]) < 1e-12
+    assert rep["cg_iterations"] > 0 and rep["cg_relative_residual"] <= 1e-12
     assert rep["integral_delta_FG"] == pytest.approx(
         rep["integral_8KFG"] + rep["integral_remainder"],
         abs=2.0 * rep["h"]**2)

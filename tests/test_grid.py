@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curv4 import charts, grid, presets
-from curv4.grid import GridError
+from curv4.grid import GridError, SolverError
 
 PERTURBED = [
     ["1 + 0.1*sin(x1)*cos(x2)", "0.03*sin(x3)*sin(x4)", "0", "0"],
@@ -20,6 +20,11 @@ def perturbed_chart():
 @pytest.fixture(scope="module")
 def flat4():
     return grid.assemble(presets.flat_t4(), 4)
+
+
+@pytest.fixture(scope="module")
+def pert4():
+    return grid.assemble(perturbed_chart(), 4)
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +86,9 @@ def test_indefinite_metric_rejected():
 
 def test_flat_kernel_is_constants(flat4):
     """Oracle: the 6 constant 2-cochains span the kernel on the flat torus."""
-    basis = grid.harmonic_kernel(flat4, expected_dim_hint=6, seed=1)
+    basis = grid.harmonic_kernel(flat4)
     assert basis.vectors.shape[1] == 6
-    assert max(basis.eigenvalues) < 1e-10
-    assert basis.gap > 1e3
+    assert basis.kernel_residual <= 1e-10
     N = flat4.sites
     consts = np.zeros((flat4.dim(2), 6))
     for p in range(6):
@@ -98,13 +102,13 @@ def test_flat_kernel_is_constants(flat4):
 
 
 def test_kernel_orthonormal_in_M(flat4):
-    basis = grid.harmonic_kernel(flat4, 6, seed=2)
+    basis = grid.harmonic_kernel(flat4)
     gram = basis.vectors.T @ (flat4.M[2][:, None] * basis.vectors)
     assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
 
 def test_flat_definiteness(flat4):
-    rep = grid.definiteness_report(grid.harmonic_kernel(flat4, 6, seed=1))
+    rep = grid.definiteness_report(grid.harmonic_kernel(flat4))
     assert rep["kernel_dim"] == 6
     assert rep["b2_plus"] == 3 and rep["b2_minus"] == 3
     assert rep["signature"] == 0 and rep["definite"] is False
@@ -114,7 +118,7 @@ def test_flat_definiteness(flat4):
 
 
 def test_perturbed_counts_invariant(pert8):
-    rep = grid.definiteness_report(grid.harmonic_kernel(pert8, 6, seed=1))
+    rep = grid.definiteness_report(grid.harmonic_kernel(pert8))
     assert rep["kernel_dim"] == 6
     assert (rep["b2_plus"], rep["b2_minus"], rep["signature"]) == (3, 3, 0)
     assert rep["definite"] is False
@@ -124,7 +128,7 @@ def test_kernel_dim_independent_of_n():
     dims = []
     for n in (4, 6):
         gc = grid.assemble(perturbed_chart(), n)
-        dims.append(grid.harmonic_kernel(gc, 6, seed=3).vectors.shape[1])
+        dims.append(grid.harmonic_kernel(gc).vectors.shape[1])
     assert dims == [6, 6]
 
 
@@ -138,9 +142,7 @@ def test_synthetic_self_dual_basis_definite(flat4):
         vecs[b * N:(b + 1) * N, m] = sign
     norms = np.sqrt(np.einsum("im,i,im->m", vecs, flat4.M[2], vecs))
     vecs /= norms
-    basis = grid.HarmonicBasis(complex=flat4, vectors=vecs,
-                               eigenvalues=np.zeros(3), first_positive=1.0,
-                               gap=np.inf)
+    basis = grid.HarmonicBasis(complex=flat4, vectors=vecs)
     rep = grid.definiteness_report(basis)
     assert rep["definite"] is True
     assert rep["b2_plus"] == 3 and rep["b2_minus"] == 0
@@ -159,14 +161,32 @@ def test_green_stokes(flat4, pert8):
     assert val2 <= 1e-10 * np.linalg.norm(x)
 
 
-def test_unresolved_kernel_error(flat4):
-    with pytest.raises(GridError, match="unresolved kernel"):
-        # a block too small to contain the whole zero cluster cannot resolve it
-        grid.harmonic_kernel(flat4, expected_dim_hint=1, seed=1)
+def test_solver_gates_fail(pert4):
+    """A CG solve capped above its tolerance and a kernel residual above the
+    gate both raise SolverError, naming the class or the residual."""
+    with pytest.raises(SolverError, match=r"dx1\^dx2 stopped at its cap of 2 iterations"):
+        grid.harmonic_kernel(pert4, maxit=2)
+    with pytest.raises(SolverError, match=r"dx3\^dx4 stopped at its cap of 2 iterations"):
+        grid.harmonic_representative(pert4, (2, 3), maxit=2)
+    with pytest.raises(SolverError, match="harmonic basis residual"):
+        grid.harmonic_kernel(pert4, tol=1e-20)
+
+
+def test_kernel_matches_eigensolver(pert4):
+    """Independent path: the eigensolver's six smallest Ritz vectors span the
+    kernel built from the cohomology classes."""
+    basis = grid.harmonic_kernel(pert4)
+    theta, X, lam_max, _ = grid.smallest_eigenpairs(pert4, 10, seed=1)
+    assert np.max(theta[:6]) / lam_max < 1e-12 < theta[6] / lam_max
+    Q = np.sqrt(pert4.M[2])[:, None] * basis.vectors  # orthonormal, like X
+    U = X[:, :6]
+    sines = np.linalg.svd(U - Q @ (Q.T @ U), compute_uv=False)
+    assert np.max(sines) <= 1e-6
 
 
 def test_harmonic_representative(pert8):
-    phi, resid = grid.harmonic_representative(pert8, (0, 1))
+    phi, resid, cg = grid.harmonic_representative(pert8, (0, 1))
+    assert cg["cg_iterations"] > 0 and cg["cg_relative_residual"] <= 1e-12
     assert resid < 1e-10
     assert np.max(np.abs(pert8.d[2] @ phi)) < 1e-10  # still closed
     # nontrivial class: not the zero cochain, non-constant representative
@@ -215,7 +235,7 @@ def test_discrete_eq23_convergence_small():
     reports = {}
     for n in (4, 8):
         gc = grid.assemble(chart, n)
-        phi, _ = grid.harmonic_representative(gc, (0, 1))
+        phi, _, _ = grid.harmonic_representative(gc, (0, 1))
         reports[n] = grid.discrete_eq23_report(grid.discrete_field_export(gc, phi))
     ratio = reports[4]["rms_relative_residual"] / reports[8]["rms_relative_residual"]
     assert 2.0 < ratio < 8.0  # second-order trend on a coarse pair
@@ -223,7 +243,7 @@ def test_discrete_eq23_convergence_small():
 
 
 def test_discrete_kato_scan_reports(pert8):
-    phi, _ = grid.harmonic_representative(pert8, (0, 1))
+    phi, _, _ = grid.harmonic_representative(pert8, (0, 1))
     scan = grid.discrete_kato_scan(grid.discrete_field_export(pert8, phi))
     assert scan["h"] == pert8.h and scan["accuracy_order"] == 2
     assert scan["valid_points"] > 0
