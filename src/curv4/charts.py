@@ -139,18 +139,22 @@ def metric_jets_env(chart: MetricChart, env, pts=None):
 class Geometry:
     """Per-point metric pipeline shared by curvature and form operators.
 
-    Accepts metric jets directly so conformal metrics built from field data
-    (not expressible in the DSL) run through the same code paths.
+    Accepts the metric's stacked jets (shape batch + (4, 4, NCOEFF)) directly
+    so conformal metrics built from field data (not expressible in the DSL)
+    run through the same code paths.  g^-1, Gamma, d Gamma and R come in
+    closed form from V = g(p)^-1, dg and d2g (d_a g^-1 = -V d_a g V, and the
+    lowered symbols Gamma_ljk and their derivatives); no Christoffel jets are
+    built.
     """
 
-    def __init__(self, gjets, pts):
+    def __init__(self, gc, pts):
         self.pts = np.asarray(pts, dtype=float)
-        self.g = gjets
+        self.gc = gc
         self._cache = {}
 
     @staticmethod
     def of_chart(chart: MetricChart, pts):
-        return Geometry(metric_jets(chart, pts), pts)
+        return Geometry(jets.stack(metric_jets(chart, pts)), pts)
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -158,16 +162,34 @@ class Geometry:
         return self._cache[key]
 
     @property
+    def g(self):
+        """g as a 4x4 nested list of jets."""
+        return self._get("g", lambda: jets.entries(self.gc))
+
+    @property
     def ginv(self):
+        """g^-1 as a 4x4 nested list of jets, exact at order 2."""
         return self._get("ginv", lambda: jets.mat_inverse(self.g, self.pts))
 
     @property
     def g_values(self):
-        return self._get("gv", lambda: _mat_values(self.g))
+        return self._get("gv", lambda: np.ascontiguousarray(self.gc[..., 0]))
 
     @property
     def ginv_values(self):
-        return self._get("giv", lambda: _mat_values(self.ginv))
+        return self._get("giv", lambda: jets.inverse_values(self.g_values, self.pts))
+
+    @property
+    def dg_values(self):
+        """d_a g_ij, shape batch + (4, 4, 4) indexed [a, i, j]."""
+        return self._get("dg", lambda: np.moveaxis(Jet3(self.gc).grad(), -1, -3))
+
+    @property
+    def dginv_values(self):
+        """d_a g^ij = -(V d_a g V)^ij, shape batch + (4, 4, 4) indexed [a, i, j]."""
+        return self._get("dginv", lambda: -np.einsum(
+            "...ik,...akl,...lj->...aij", self.ginv_values, self.dg_values, self.ginv_values,
+            optimize=True))
 
     @property
     def det_jet(self):
@@ -178,71 +200,52 @@ class Geometry:
         return self._get("sqdet", lambda: jets.sqrt(self.det_jet, self.pts))
 
     @property
-    def gamma(self):
-        """Christoffel jets: gamma[i][j][k] = Gamma^i_jk (symmetric in j,k)."""
+    def d2g_values(self):
+        """d_a d_b g_ij, shape batch + (4, 4, 4, 4) indexed [a, b, i, j]."""
+        return self._get("d2g", lambda: np.moveaxis(Jet3(self.gc).hessian(), (-2, -1), (-4, -3)))
 
-        def build():
-            g, ginv = self.g, self.ginv
-            dg = [[[g[l][k].partial(a) for k in range(4)] for l in range(4)]
-                  for a in range(4)]
-            gam = [[[None] * 4 for _ in range(4)] for _ in range(4)]
-            for i in range(4):
-                for j in range(4):
-                    for k in range(j, 4):
-                        acc = None
-                        for l in range(4):
-                            term = ginv[i][l] * (dg[j][l][k] + dg[k][j][l] - dg[l][j][k])
-                            acc = term if acc is None else acc + term
-                        gam[i][j][k] = 0.5 * acc
-                        gam[i][k][j] = gam[i][j][k]
-            return gam
-
-        return self._get("gamma", build)
+    @property
+    def gamma_low_values(self):
+        """Gamma_ljk = (d_j g_lk + d_k g_jl - d_l g_jk) / 2, shape batch + (4, 4, 4)."""
+        dg = self.dg_values
+        return self._get("gamma_low", lambda: 0.5 * (
+            np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg) - dg))
 
     @property
     def gamma_values(self):
-        def build():
-            gam = self.gamma
-            batch = self.pts.shape[:-1]
-            out = np.empty(batch + (4, 4, 4))
-            for i in range(4):
-                for j in range(4):
-                    for k in range(4):
-                        out[..., i, j, k] = gam[i][j][k].value
-            return out
-
-        return self._get("gamma_values", build)
+        """Gamma^i_jk = V^il Gamma_ljk, shape batch + (4, 4, 4) indexed [i, j, k]."""
+        return self._get("gamma", lambda: np.einsum(
+            "...il,...ljk->...ijk", self.ginv_values, self.gamma_low_values, optimize=True))
 
     @property
     def dgamma_values(self):
-        """d_a Gamma^i_jk as values, shape batch + (4,4,4,4) indexed [a,i,j,k]."""
+        """d_a Gamma^i_jk = d_a g^il Gamma_ljk + V^il d_a Gamma_ljk, shape
+        batch + (4,4,4,4) indexed [a,i,j,k]."""
 
         def build():
-            gam = self.gamma
-            batch = self.pts.shape[:-1]
-            out = np.empty(batch + (4, 4, 4, 4))
-            for i in range(4):
-                for j in range(4):
-                    for k in range(4):
-                        out[..., :, i, j, k] = gam[i][j][k].grad()
-            return out
+            d2g = self.d2g_values
+            dlow = 0.5 * (np.einsum("...ajlk->...aljk", d2g)
+                          + np.einsum("...akjl->...aljk", d2g) - d2g)
+            return (np.einsum("...ail,...ljk->...aijk", self.dginv_values,
+                              self.gamma_low_values, optimize=True)
+                    + np.einsum("...il,...aljk->...aijk", self.ginv_values, dlow, optimize=True))
 
-        return self._get("dgamma_values", build)
+        return self._get("dgamma", build)
 
     @property
     def riemann_coord(self):
-        """R_ijkl in coordinates (all indices down), shape batch + (4,4,4,4)."""
+        """R_ijkl in coordinates (all indices down), shape batch + (4,4,4,4):
+        (d_i d_l g_jk + d_j d_k g_il - d_i d_k g_jl - d_j d_l g_ik) / 2
+        + Gamma_mil Gamma^m_jk - Gamma_mjl Gamma^m_ik."""
 
         def build():
-            G = self.gamma_values
-            dG = self.dgamma_values
-            rup = (
-                -np.einsum("...iljk->...lijk", dG)
-                + np.einsum("...jlik->...lijk", dG)
-                - np.einsum("...lim,...mjk->...lijk", G, G, optimize=True)
-                + np.einsum("...ljm,...mik->...lijk", G, G, optimize=True)
-            )
-            return np.einsum("...lm,...mijk->...ijkl", self.g_values, rup, optimize=True)
+            d2g = self.d2g_values
+            GG = np.einsum("...mil,...mjk->...ijkl", self.gamma_low_values, self.gamma_values,
+                           optimize=True)
+            return (0.5 * (np.einsum("...iljk->...ijkl", d2g) + np.einsum("...jkil->...ijkl", d2g)
+                           - np.einsum("...ikjl->...ijkl", d2g)
+                           - np.einsum("...jlik->...ijkl", d2g))
+                    + GG - np.swapaxes(GG, -4, -3))
 
         return self._get("riemann_coord", build)
 
@@ -259,15 +262,6 @@ def orthonormal_frame(g_values):
     L = np.linalg.cholesky(g_values)
     eye = np.broadcast_to(np.eye(4), L.shape)
     return np.swapaxes(np.linalg.solve(L, eye), -1, -2)
-
-
-def _mat_values(m):
-    batch = m[0][0].value.shape
-    out = np.empty(batch + (4, 4))
-    for i in range(4):
-        for j in range(4):
-            out[..., i, j] = m[i][j].value
-    return out
 
 
 # -- curvature slate ------------------------------------------------------------
@@ -307,8 +301,10 @@ def curvature_at(chart_or_geom, pts=None, frame=None, orientation=1):
         dev = np.max(np.abs(gram - np.eye(4)))
         if dev > 1e-8:
             raise ChartError(f"supplied basis is not orthonormal (Gram deviation {dev:.2e})")
-    Rc = geom.riemann_coord
-    R = np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", Rc, E, E, E, E, optimize=True)
+    R = geom.riemann_coord
+    batch = R.shape[:-4]
+    for _ in range(4):  # contract the leading index with E; its frame index goes last
+        R = (np.moveaxis(R, -4, -1).reshape(batch + (64, 4)) @ E).reshape(batch + (4,) * 4)
     Ric = np.einsum("...kikj->...ij", R)
     scal = np.einsum("...ii->...", Ric)
     return CurvatureSlate(points=pts, frame=E, R=R, Ric=Ric, scal=scal, geometry=geom)
@@ -339,17 +335,17 @@ def sectional(slate: CurvatureSlate, u, v):
 # -- normal charts --------------------------------------------------------------
 
 
-def normal_chart_map(chart: MetricChart, P, B):
+def normal_chart_map(geom: Geometry, B):
     """Jets at y = 0 of the normal-chart maps x(y) = p + B y - 1/2 C(y, y).
 
-    One map per point: P has shape (N, 4), B shape (N, 4, 4) (or broadcastable)
-    with columns orthonormal under g at p.  C^i_ab = Gamma^i_jk(p) B_ja B_kb
-    makes Gamma'(0) = 0 in the y chart, whose coordinate frame at the origin
-    is B.  The map is quadratic, so its four jets are exact.
+    One map per point p of geom.pts (shape (N, 4)), from the geometry there;
+    B has shape (N, 4, 4) (or broadcastable) with columns orthonormal under g
+    at p.  C^i_ab = Gamma^i_jk(p) B_ja B_kb makes Gamma'(0) = 0 in the y
+    chart, whose coordinate frame at the origin is B.  The map is quadratic,
+    so its four jets are exact.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+    P = geom.pts
     B = np.broadcast_to(np.asarray(B, dtype=float), P.shape[:-1] + (4, 4))
-    geom = Geometry.of_chart(chart, P)
     gram = np.einsum("...ia,...ij,...jb->...ab", B, geom.g_values, B, optimize=True)
     dev = np.max(np.abs(gram - np.eye(4)))
     if dev > 1e-8:
@@ -359,24 +355,17 @@ def normal_chart_map(chart: MetricChart, P, B):
             for i in range(4)]
 
 
-def normal_chart(chart: MetricChart, P, B):
-    """Geometry at y = 0 of the normal charts of `normal_chart_map`.
+def normal_chart(chart: MetricChart, xj):
+    """Geometry at y = 0 of the normal charts with maps xj (`normal_chart_map`).
 
     g'_ab = J_ia J_jb g_ij(x(y)) with J_ia = dx_i/dy_a.  Taylor propagation
     through the composition gives the exact jets of g' at the origin, where
     g' = I and Gamma' = 0.
     """
-    xj = normal_chart_map(chart, P, B)
     pts = _map_points(xj)
-    g = metric_jets_env(chart, xj, pts)
-    J = _jacobian(xj)
-    gJ = [[_dot([g[i][j] for j in range(4)], [J[j][b] for j in range(4)])
-           for b in range(4)] for i in range(4)]
-    gp = [[None] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(a, 4):
-            gp[a][b] = gp[b][a] = _dot([J[i][a] for i in range(4)],
-                                       [gJ[i][b] for i in range(4)])
+    gp = jets.congruence(_jacobian(xj), jets.stack(metric_jets_env(chart, xj, pts)))
+    upper, lower = np.triu_indices(4, 1)
+    gp[..., lower, upper, :] = gp[..., upper, lower, :]
     return Geometry(gp, np.zeros_like(pts))
 
 
@@ -384,13 +373,12 @@ def pullback_two_form(components, xjets):
     """Jets at y = 0 of a coordinate 2-form pulled back through x(y).
 
     components: six expressions in PAIRS order; returns six jets in PAIRS
-    order, phi'_ab = sum_{i<j} phi_ij(x(y)) (J_ia J_jb - J_ib J_ja).
+    order, phi'_ab = sum_ij J_ia phi_ij(x(y)) J_jb.
     """
     pts = _map_points(xjets)
     phi = [ex.eval_jet_env(node, xjets, pts) for node in components]
-    J = _jacobian(xjets)
-    return [_dot(phi, [J[i][a] * J[j][b] - J[i][b] * J[j][a] for i, j in PAIRS])
-            for a, b in PAIRS]
+    pulled = jets.congruence(_jacobian(xjets), jets.antisymmetric([u.c for u in phi], PAIRS))
+    return [Jet3(pulled[..., a, b, :]) for a, b in PAIRS]
 
 
 def _map_points(xjets):
@@ -398,15 +386,9 @@ def _map_points(xjets):
 
 
 def _jacobian(xjets):
-    """J[i][a] = dx_i/dy_a as jets."""
-    return [[x.partial(a) for a in range(4)] for x in xjets]
-
-
-def _dot(us, vs):
-    acc = us[0] * vs[0]
-    for u, v in zip(us[1:], vs[1:]):
-        acc = acc + u * v
-    return acc
+    """J[..., i, a, :] = dx_i/dy_a as stacked jets."""
+    return np.stack([np.stack([x.partial(a).c for a in range(4)], axis=-2) for x in xjets],
+                    axis=-3)
 
 
 # -- value-level checks -----------------------------------------------------------

@@ -183,10 +183,11 @@ def entry_values(m):
 
 def nabla_norm_sq_values(gi, T, Q=None):
     """|nabla phi|^2 = g^ab Q_pq T_ap T_bq from the values of g^-1 ([a][b]),
-    T = nabla phi ([a][pair]) and Q (from gi when omitted)."""
+    T = nabla phi (batch + (4, 4, 4) indexed [a, i, j]) and Q (from gi when
+    omitted)."""
     gi = entry_values(gi)
     Q = entry_values(Q if Q is not None else lambda2_metric(gi))
-    T = entry_values(T)
+    T = np.moveaxis(pair_components_values(T), (-2, -1), (0, 1))
     return np.einsum("ab...,ap...,pq...,bq...->...", gi, T, Q, T, optimize=True)
 
 
@@ -229,89 +230,49 @@ def exterior_d1_jets(a4):
 
 
 def nabla_two_form_jets(geom: Geometry, c6):
-    """(nabla_a phi)_{ij} jets: T[a][k] with k indexing PAIRS."""
-    gam = geom.gamma
-    full = _full_jets(c6)
-    T = []
-    for a in range(4):
-        row = []
-        for (i, j) in PAIRS:
-            t = full[i][j].partial(a)
-            for l in range(4):
-                t = t - gam[l][a][i] * full[l][j] - gam[l][a][j] * full[i][l]
-            row.append(t)
-        T.append(row)
-    return T
+    """nabla phi to first order: (T, dT) with T[a, i, j] = (nabla_a phi)_ij,
+    antisymmetric in i, j, and dT[b, a, i, j] = d_b T[a, i, j].
 
-
-def _full_jets(c6):
-    batch = c6[0].value.shape
-    zero = Jet3.constant(0.0, batch)
-    full = [[zero for _ in range(4)] for _ in range(4)]
-    for k, (i, j) in enumerate(PAIRS):
-        full[i][j] = c6[k]
-        full[j][i] = -c6[k]
-    return full
+    T = d phi - A + A^T (in i, j) with A[a, i, j] = Gamma^l_ai phi_lj, one
+    contraction for the value and the gradient together.
+    """
+    full = Jet3(jets.antisymmetric([u.c for u in c6], PAIRS))
+    phi = full.value
+    dphi = np.moveaxis(full.grad(), -1, -3)
+    hphi = np.moveaxis(full.hessian(), (-2, -1), (-4, -3))
+    A, dA = jets.leibniz("...lai,...lj->...aij", (geom.gamma_values, geom.dgamma_values),
+                         (phi, dphi))
+    return dphi - A + np.swapaxes(A, -1, -2), hphi - dA + np.swapaxes(dA, -1, -2)
 
 
 def codiff_two_form_jets(geom: Geometry, c6, T=None):
-    """1-form (delta phi)_j = -g^{ab} (nabla_a phi)_{bj} as jets."""
+    """delta phi to first order: (delta phi)_j = -g^ab (nabla_a phi)_bj as the
+    pair (values [j], gradients [b, j]), one contraction with T."""
     T = T if T is not None else nabla_two_form_jets(geom, c6)
-    gi = geom.ginv
-    Tfull = [_full_jets(row) for row in T]  # Tfull[a][b][j]
-    out = []
-    for j in range(4):
-        acc = None
-        for a in range(4):
-            for b in range(4):
-                t = gi[a][b] * Tfull[a][b][j]
-                acc = t if acc is None else acc + t
-        out.append(-acc)
-    return out
+    delta, ddelta = jets.leibniz("...ab,...abj->...j", (geom.ginv_values, geom.dginv_values), T)
+    return -delta, -ddelta
 
 
 def codiff_three_form_values(geom: Geometry, w_triples):
     """(delta w)_{jk} values for a 3-form of jets keyed by TRIPLES."""
     gam = geom.gamma_values
-    giv = geom.ginv_values
-
-    idx = {}
-    for t, trip in enumerate(TRIPLES):
-        idx[trip] = (t, 1.0)
-
-    def comp_values_and_grads():
-        batch = geom.pts.shape[:-1]
-        vals = np.zeros(batch + (4, 4, 4))
-        grads = np.zeros(batch + (4, 4, 4, 4))  # [a, i, j, k]
-        for trip in TRIPLES:
-            jet = w_triples[trip]
-            v = jet.value
-            g = jet.grad()
-            for perm in it.permutations(range(3)):
-                sign = _perm_sign(perm)
-                tgt = (trip[perm[0]], trip[perm[1]], trip[perm[2]])
-                vals[..., tgt[0], tgt[1], tgt[2]] = sign * v
-                grads[..., :, tgt[0], tgt[1], tgt[2]] = sign * g
-        return vals, grads
-
-    W, dW = comp_values_and_grads()
+    ws = [w_triples[t] for t in TRIPLES]
+    W = jets.antisymmetric([w.value[..., None] for w in ws], TRIPLES)[..., 0]  # [i, j, k]
+    dW = np.moveaxis(jets.antisymmetric([w.grad() for w in ws], TRIPLES), -1, -4)  # [a, i, j, k]
     # (nabla_a w)_{ijk} = d_a w_ijk - G^l_ai w_ljk - G^l_aj w_ilk - G^l_ak w_ijl
     nab = dW \
         - np.einsum("...lai,...ljk->...aijk", gam, W, optimize=True) \
         - np.einsum("...laj,...ilk->...aijk", gam, W, optimize=True) \
         - np.einsum("...lak,...ijl->...aijk", gam, W, optimize=True)
-    dd = -np.einsum("...ab,...abjk->...jk", giv, nab, optimize=True)
+    dd = -np.einsum("...ab,...abjk->...jk", geom.ginv_values, nab, optimize=True)
     return pair_components_values(dd)
 
 
 def hodge_laplacian_values(geom: Geometry, c6, T=None):
     """(d delta + delta d) phi, coordinate-component values (..., 6)."""
-    T = T if T is not None else nabla_two_form_jets(geom, c6)
-    dphi = exterior_d2_jets(c6)
-    delta_phi = codiff_two_form_jets(geom, c6, T)
-    d_delta = np.stack([(delta_phi[j].partial(i) - delta_phi[i].partial(j)).value
-                        for (i, j) in PAIRS], axis=-1)
-    delta_d = codiff_three_form_values(geom, dphi)
+    _, ddelta = codiff_two_form_jets(geom, c6, T)
+    d_delta = pair_components_values(ddelta - np.swapaxes(ddelta, -1, -2))
+    delta_d = codiff_three_form_values(geom, exterior_d2_jets(c6))
     return d_delta + delta_d
 
 
@@ -319,24 +280,12 @@ def rough_laplacian_values(geom: Geometry, c6):
     """g^{ab} (nabla^2_{ab} phi)_{ij} values (..., 6); note Delta_rough = -this
     in the positive-spectrum convention."""
     gam_v = geom.gamma_values
-    giv = geom.ginv_values
-    T = nabla_two_form_jets(geom, c6)  # T[b][pair]
-    batch = geom.pts.shape[:-1]
-    Tfull_vals = np.zeros(batch + (4, 4, 4))
-    Tfull_grads = np.zeros(batch + (4, 4, 4, 4))  # [a; b, i, j]
-    for b in range(4):
-        for k, (i, j) in enumerate(PAIRS):
-            v = T[b][k].value
-            g = T[b][k].grad()
-            Tfull_vals[..., b, i, j] = v
-            Tfull_vals[..., b, j, i] = -v
-            Tfull_grads[..., :, b, i, j] = g
-            Tfull_grads[..., :, b, j, i] = -g
-    nab2 = (Tfull_grads
-            - np.einsum("...cab,...cij->...abij", gam_v, Tfull_vals, optimize=True)
-            - np.einsum("...lai,...blj->...abij", gam_v, Tfull_vals, optimize=True)
-            - np.einsum("...laj,...bil->...abij", gam_v, Tfull_vals, optimize=True))
-    tr = np.einsum("...ab,...abij->...ij", giv, nab2, optimize=True)
+    T, dT = nabla_two_form_jets(geom, c6)  # T[b, i, j], dT[a, b, i, j]
+    nab2 = (dT
+            - np.einsum("...cab,...cij->...abij", gam_v, T, optimize=True)
+            - np.einsum("...lai,...blj->...abij", gam_v, T, optimize=True)
+            - np.einsum("...laj,...bil->...abij", gam_v, T, optimize=True))
+    tr = np.einsum("...ab,...abij->...ij", geom.ginv_values, nab2, optimize=True)
     return pair_components_values(tr)
 
 
@@ -360,7 +309,7 @@ def curvature_action_frame(R, f6):
 
 def scalar_laplacian_values(geom: Geometry, u: Jet3):
     """Delta_fun u = g^{ab} (d2_{ab} u - Gamma^c_ab d_c u), trace-Hessian sign."""
-    cov = _hessian(u) - np.einsum("...cab,...c->...ab", geom.gamma_values, u.grad(),
+    cov = u.hessian() - np.einsum("...cab,...c->...ab", geom.gamma_values, u.grad(),
                                   optimize=True)
     return np.einsum("...ab,...ab->...", geom.ginv_values, cov, optimize=True)
 
@@ -376,21 +325,9 @@ def scalar_laplacian_scale(geom: Geometry, u: Jet3):
     Residuals of identities whose exact value vanishes are meaningful relative
     to this, not to the cancelled result.
     """
-    cov = np.abs(_hessian(u)) + np.einsum("...cab,...c->...ab", np.abs(geom.gamma_values),
+    cov = np.abs(u.hessian()) + np.einsum("...cab,...c->...ab", np.abs(geom.gamma_values),
                                           np.abs(u.grad()), optimize=True)
     return np.einsum("...ab,...ab->...", np.abs(geom.ginv_values), cov, optimize=True)
-
-
-def _hessian(u: Jet3):
-    """d2_ab u values, shape batch + (4, 4)."""
-    hess = np.empty(u.value.shape + (4, 4))
-    for a in range(4):
-        for b in range(a, 4):
-            alpha = [0, 0, 0, 0]
-            alpha[a] += 1
-            alpha[b] += 1
-            hess[..., a, b] = hess[..., b, a] = u.derivative(tuple(alpha))
-    return hess
 
 
 def covariant_invariants(geom: Geometry, c6, degeneracy_floor=0.0, Q=None, T=None,
@@ -399,7 +336,7 @@ def covariant_invariants(geom: Geometry, c6, degeneracy_floor=0.0, Q=None, T=Non
     Q = Q if Q is not None else lambda2_metric(geom.ginv)
     T = T if T is not None else nabla_two_form_jets(geom, c6)
     nsq = nsq if nsq is not None else norm_sq_jet(geom, c6, Q)
-    grad_sq = grad_sq if grad_sq is not None else nabla_norm_sq_values(geom.ginv, T, Q)
+    grad_sq = grad_sq if grad_sq is not None else nabla_norm_sq_values(geom.ginv, T[0], Q)
     norm = np.sqrt(np.maximum(nsq.value, 0.0))
     valid = norm > degeneracy_floor
     dnorm_sq = np.full(norm.shape, np.nan)
@@ -408,13 +345,9 @@ def covariant_invariants(geom: Geometry, c6, degeneracy_floor=0.0, Q=None, T=Non
         dnorm_sq = grad_inner_values(geom, nj, nj)
     elif np.any(valid):
         sub_pts = geom.pts[valid]
-        sub_geom = Geometry(_subset_matrix(geom.g, valid), sub_pts)
+        sub_geom = Geometry(geom.gc[valid], sub_pts)
         sub_c6 = [Jet3(c.c[valid]) for c in c6]
         sub_nsq = norm_sq_jet(sub_geom, sub_c6)
         nj = jets.sqrt(sub_nsq, sub_pts)
         dnorm_sq[valid] = grad_inner_values(sub_geom, nj, nj)
     return {"grad_sq": grad_sq, "norm": norm, "dnorm_sq": dnorm_sq, "valid": valid}
-
-
-def _subset_matrix(m, mask):
-    return [[Jet3(m[i][j].c[mask]) for j in range(4)] for i in range(4)]

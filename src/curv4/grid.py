@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import canonical, forms
 from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, metric_values,
@@ -78,6 +77,8 @@ def _shift_perm(n, axis):
 
 def _build_d(n, k):
     """Incidence map C^k -> C^{k+1} as signed integer sparse matrix."""
+    import scipy.sparse as sp
+
     N = n**4
     eye = sp.identity(N, dtype=np.int64, format="csr")
     shifts = [sp.csr_matrix((np.ones(N, dtype=np.int64),
@@ -534,20 +535,16 @@ def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None)
 
 
 def _covariant_nabla_discrete(gc: GridComplex, cg: _CellGeometry, c6):
-    """(nabla_a phi)_{pair} by centered differences + analytic Christoffels.
-
-    Returns array (4, 6, N), component axes first."""
+    """(nabla_a phi)_ij by centered differences + analytic Christoffels,
+    shape (N, 4, 4, 4) indexed [a, i, j]."""
     n, h = gc.n, gc.h
     full = forms.full_matrix_values(np.moveaxis(c6, 0, -1))  # (N,4,4)
     gam = cg.gamma
     corr = (np.einsum("...lai,...lj->...aij", gam, full, optimize=True)
             + np.einsum("...laj,...il->...aij", gam, full, optimize=True))
-    out = np.empty((4, 6, gc.sites))
-    for p, (i, j) in enumerate(PAIRS):
-        fgrid = c6[p].reshape(n, n, n, n)
-        for a in range(4):
-            out[a, p] = _roll_diff(fgrid, a, h).ravel() - corr[:, a, i, j]
-    return out
+    d = np.stack([[_roll_diff(c6[p].reshape(n, n, n, n), a, h).ravel() for p in range(6)]
+                  for a in range(4)], axis=-1)  # (6, N, 4)
+    return forms.full_matrix_values(np.moveaxis(d, 0, -1)) - corr
 
 
 def _discrete_scalar_laplacian(gc: GridComplex, cg: _CellGeometry, u_grid):

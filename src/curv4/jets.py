@@ -9,6 +9,9 @@ convolutions, exact for polynomial inputs of total degree <= 2; elementary
 functions compose through their univariate Taylor expansion in the nilpotent
 part.  All coefficient arrays carry an arbitrary leading batch shape, so one
 evaluation differentiates a whole sample of points at once.
+
+Tensors of jets are stacked (see below), so the metric's derived tensors are
+closed forms of a few contractions each, not loops of scalar jet products.
 """
 
 from __future__ import annotations
@@ -80,6 +83,9 @@ _UNITS = np.eye(NVARS, dtype=int)
 _LINEAR_SLOTS = [INDEX_OF[tuple(_UNITS[a])] for a in range(NVARS)]
 _QUAD_A, _QUAD_B = np.triu_indices(NVARS)
 _QUAD_SLOTS = [INDEX_OF[tuple(_UNITS[a] + _UNITS[b])] for a, b in zip(_QUAD_A, _QUAD_B)]
+_HESS_SLOTS = np.array([[INDEX_OF[tuple(_UNITS[a] + _UNITS[b])] for b in range(NVARS)]
+                        for a in range(NVARS)])
+_HESS_FAC = 1.0 + np.eye(NVARS)
 
 
 class JetError(Exception):
@@ -154,6 +160,10 @@ class Jet3:
     def grad(self):
         """First derivatives, shape batch + (4,)."""
         return self.c[..., _LINEAR_SLOTS]
+
+    def hessian(self):
+        """Second derivatives, shape batch + (4, 4)."""
+        return self.c[..., _HESS_SLOTS] * _HESS_FAC
 
     def derivative(self, alpha):
         """d^alpha value (raw coefficient times alpha!)."""
@@ -304,36 +314,93 @@ def assert_finite(u: Jet3, context, points=None):
         raise JetError(f"non-finite jet coefficients in {what}", _first_bad(mask, points))
 
 
-# -- small dense jet linear algebra -----------------------------------------
+# -- stacked jets: a tensor of jets is one array batch + components + (NCOEFF,);
+# a first-order jet of a tensor is the pair (value, grad), grad of shape
+# batch + (4,) + components (derivative axis first).
 
 
-def mat_vec(m, v):
-    """m: nested list [i][j] of Jet3 (4x4), v: list of Jet3 (4)."""
-    return [sum((m[i][j] * v[j] for j in range(1, NVARS)), m[i][0] * v[0]) for i in range(NVARS)]
+def stack(m):
+    """Coefficients batch + (4, 4, NCOEFF) of a 4x4 nested list of jets."""
+    return np.stack([np.stack([e.c for e in row], axis=-2) for row in m], axis=-3)
+
+
+def entries(c):
+    """4x4 nested list of jets viewing the stacked coefficients c."""
+    return [[Jet3(c[..., i, j, :]) for j in range(NVARS)] for i in range(NVARS)]
+
+
+def antisymmetric(comps, index_sets):
+    """The antisymmetric tensor, shape batch + (4,) * rank + (K,), whose
+    components on the increasing index tuples index_sets are the arrays comps
+    (each batch + (K,): jet coefficients, or values and gradients)."""
+    c = np.stack(comps, axis=-2)
+    idx = np.array(index_sets)
+    full = np.zeros(c.shape[:-2] + (NVARS,) * idx.shape[1] + c.shape[-1:])
+    for perm in itertools.permutations(range(idx.shape[1])):
+        sign = (-1) ** sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+        full[(Ellipsis,) + tuple(idx[:, perm].T) + (slice(None),)] = sign * c
+    return full
+
+
+def congruence(a, m):
+    """Stacked jets of (a^T m a)_cd = sum_ij a_ic m_ij a_jd, for stacked 4x4
+    jet matrices a and m."""
+    ma = (Jet3(m[..., :, :, None, :]) * Jet3(a[..., None, :, :, :])).c.sum(axis=-3)
+    return (Jet3(a[..., :, :, None, :]) * Jet3(ma[..., :, None, :, :])).c.sum(axis=-4)
+
+
+def leibniz(spec, *ops):
+    """np.einsum of first-order jets (value, grad) by the product rule.
+
+    spec is an einsum over the values, each term starting with '...'; the
+    gradient carries a derivative axis z after the batch axes.
+    """
+    terms, out = spec.split("->")
+    terms = terms.split(",")
+    value = np.einsum(spec, *(v for v, _ in ops), optimize=True)
+    grad = 0.0
+    for m in range(len(ops)):
+        spec_m = ",".join(t.replace("...", "...z") if k == m else t
+                          for k, t in enumerate(terms)) + "->" + out.replace("...", "...z")
+        grad = grad + np.einsum(spec_m, *(d if k == m else v for k, (v, d) in enumerate(ops)),
+                                optimize=True)
+    return value, grad
+
+
+def inverse_values(m0, points=None):
+    """np.linalg.inv of matrices m0 (batch + (4, 4)); a singular one raises
+    JetError at its point."""
+    try:
+        return np.linalg.inv(m0)
+    except np.linalg.LinAlgError:
+        bad = np.linalg.matrix_rank(m0.reshape(-1, NVARS, NVARS)) < NVARS
+        raise JetError("singular metric matrix", _first_bad(bad, points)) from None
+
+
+def inverse_coeffs(c, points=None):
+    """Stacked jets of the inverse of the stacked jet matrix c (batch + (4, 4, NCOEFF)).
+
+    With V = m(p)^-1 and N = m - m(p), which has no constant term,
+    m^-1 = V - V N V + V N V N V, exact at order 2.  Per coefficient, with
+    W_a = V N_a: the linear part is -W_a V and the quadratic part of y_a y_b is
+    (-V N_ab + W_a W_b + W_b W_a) V for a < b and (-V N_aa + W_a W_a) V on the
+    diagonal.
+    """
+    V = inverse_values(c[..., 0], points)
+    W = np.einsum("...ik,...kja->...aij", V, c[..., _LINEAR_SLOTS], optimize=True)
+    W2 = np.einsum("...ik,...kjq->...qij", V, c[..., _QUAD_SLOTS], optimize=True)
+    Wa, Wb = W[..., _QUAD_A, :, :], W[..., _QUAD_B, :, :]
+    cross = (Wa @ Wb + Wb @ Wa) * np.where(_QUAD_A == _QUAD_B, 0.5, 1.0)[:, None, None]
+    out = np.empty_like(c)
+    out[..., 0] = V
+    out[..., _LINEAR_SLOTS] = np.moveaxis(-W @ V[..., None, :, :], -3, -1)
+    out[..., _QUAD_SLOTS] = np.moveaxis((cross - W2) @ V[..., None, :, :], -3, -1)
+    return out
 
 
 def mat_inverse(m, points=None):
-    """Inverse of a 4x4 jet matrix by Gauss-Jordan (no pivoting; SPD-ish inputs)."""
-    n = NVARS
-    a = [[Jet3(m[i][j].c.copy()) for j in range(n)] for i in range(n)]
-    shape = m[0][0].value.shape
-    inv = [[Jet3.constant(1.0 if i == j else 0.0, shape) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = a[col][col]
-        if np.any(piv.value == 0.0):
-            raise JetError("singular metric matrix", _first_bad(piv.value == 0.0, points))
-        piv_inv = piv._reciprocal(points)
-        for j in range(n):
-            a[col][j] = a[col][j] * piv_inv
-            inv[col][j] = inv[col][j] * piv_inv
-        for row in range(n):
-            if row == col:
-                continue
-            f = a[row][col]
-            for j in range(n):
-                a[row][j] = a[row][j] - f * a[col][j]
-                inv[row][j] = inv[row][j] - f * inv[col][j]
-    return inv
+    """Inverse of a 4x4 nested list of jets (see inverse_coeffs)."""
+    return entries(inverse_coeffs(stack(m), points))
 
 
 def det4(m):

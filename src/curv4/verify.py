@@ -170,7 +170,7 @@ class PointBundle:
     @property
     def grad_sq(self):
         return self._get("gradsq", lambda: forms.nabla_norm_sq_values(
-            self.geom.ginv, self.nabla, self.lambda2))
+            self.geom.ginv, self.nabla[0], self.lambda2))
 
     def harmonicity(self):
         """max |Delta_Hodge phi| and the scale |grad phi| + |phi| it is gated on."""
@@ -225,42 +225,35 @@ def verify_weitzenboeck(chart, fld, pts, tol=None, scenario="inline"):
 
 
 def parallel_frame_jets(geom_nc: Geometry):
-    """Radially parallel orthonormal frame jets at a normal chart's origin.
+    """Radially parallel orthonormal frame at a normal chart's origin, as
+    stacked jets [..., i, k, :] of e_k^i.
 
     e_k^i(y) = delta_ik - 1/2 dGamma'^i_{ck}/dy_d |_0 y_d y_c + O(y^3); the
     O(y^3) terms cannot influence second derivatives at the origin.
     """
     dG = geom_nc.dgamma_values  # [..., d, i, c, k]
     batch = dG.shape[:-4]
-    eye = np.eye(4)
-    return [[Jet3.quadratic(np.full(batch, eye[i, k]), np.zeros(batch + (4,)),
-                            -0.5 * dG[..., :, i, :, k])
-             for i in range(4)] for k in range(4)]
+    return Jet3.quadratic(np.broadcast_to(np.eye(4), batch + (4, 4)),
+                          np.zeros(batch + (4, 4, 4)),
+                          -0.5 * np.einsum("...dick->...ikdc", dG)).c
 
 
-def _parallel_frame_fields(chart, fld, pts, basis, gamma_tol):
+def _parallel_frame_fields(b: PointBundle, basis, gamma_tol):
     """Normal-chart geometry and parallel-frame components at every point.
 
-    Returns (geom_nc, fj, gmax): fj[k][l] (k < l) are the jets of
+    Returns (geom_nc, fj, gmax): fj[..., k, l, :] are the stacked jets of
     f_kl = phi(e_k, e_l) along the radially parallel frame e, and gmax the
     per-point max |Gamma'(0)|, gated by gamma_tol.
     """
-    geom_nc = normal_chart(chart, pts, basis)
+    xj = normal_chart_map(b.geom, basis)
+    geom_nc = normal_chart(b.chart, xj)
     gmax = np.max(np.abs(geom_nc.gamma_values), axis=(-1, -2, -3))
     if np.any(gmax >= gamma_tol):
         worst = gmax[np.argmax(gmax >= gamma_tol)]
         raise InputError(f"normal-chart quality gate failed: Gamma'(0) = {worst:.2e}")
-    c6n = pullback_two_form(fld.components, normal_chart_map(chart, pts, basis))
-    Ej = parallel_frame_jets(geom_nc)
-    full = forms._full_jets(c6n)
-    fj = [[None] * 4 for _ in range(4)]
-    for a, c in PAIRS:
-        acc = None
-        for i in range(4):
-            for j in range(4):
-                t = Ej[a][i] * full[i][j] * Ej[c][j]
-                acc = t if acc is None else acc + t
-        fj[a][c] = acc
+    c6n = pullback_two_form(b.field.components, xj)
+    fj = jets.congruence(parallel_frame_jets(geom_nc),
+                         jets.antisymmetric([u.c for u in c6n], PAIRS))
     return geom_nc, fj, gmax
 
 
@@ -272,12 +265,12 @@ def verify_component_bochner(chart, fld, pts, tol=None, scenario="inline",
     gamma_tol = DEFAULT_TOLERANCES["normal_gamma"] if gamma_tol is None else gamma_tol
     b = PointBundle(chart, fld, pts)
     hmax, hscale = b.require_harmonic(harmonicity_tol)
-    geom_nc, fj, gmax = _parallel_frame_fields(chart, fld, b.pts, b.slate.frame, gamma_tol)
+    geom_nc, fj, gmax = _parallel_frame_fields(b, b.slate.frame, gamma_tol)
     fmat = np.zeros(b.pts.shape[:-1] + (4, 4))
     lapm = np.zeros_like(fmat)
     for a, c in PAIRS:
-        fmat[..., a, c] = fj[a][c].value
-        lapm[..., a, c] = forms.scalar_laplacian_values(geom_nc, fj[a][c])
+        fmat[..., a, c] = fj[..., a, c, 0]
+        lapm[..., a, c] = forms.scalar_laplacian_values(geom_nc, Jet3(fj[..., a, c, :]))
     fmat -= np.swapaxes(fmat, -1, -2)
     lapm -= np.swapaxes(lapm, -1, -2)
     Ric, R = b.slate.Ric, b.slate.R
@@ -312,8 +305,8 @@ def sd_nabla_norms(b: PointBundle):
     cminus = [b.c6[k] - star6[k] for k in range(6)]
     Tp = forms.nabla_two_form_jets(b.geom, cplus)
     Tm = forms.nabla_two_form_jets(b.geom, cminus)
-    return (forms.nabla_norm_sq_values(b.geom.ginv, Tp, b.lambda2),
-            forms.nabla_norm_sq_values(b.geom.ginv, Tm, b.lambda2),
+    return (forms.nabla_norm_sq_values(b.geom.ginv, Tp[0], b.lambda2),
+            forms.nabla_norm_sq_values(b.geom.ginv, Tm[0], b.lambda2),
             cplus, cminus)
 
 
@@ -330,10 +323,10 @@ def verify_lemma22(chart, fld, pts, tol=None, scenario="inline",
     adapted = canonical.canonicalize(b.frame_values,
                                      flag_tol=DEFAULT_TOLERANCES["degeneracy_frac"])
     basis = b.slate.frame @ adapted.basis
-    geom_nc, fj, _ = _parallel_frame_fields(chart, fld, b.pts, basis, gamma_tol)
+    geom_nc, fj, _ = _parallel_frame_fields(b, basis, gamma_tol)
     Rn = curvature_at(geom_nc, orientation=chart.orientation).R
     K, R1234 = canonical._k_r(Rn)
-    f1, f2 = fj[0][1], fj[2][3]
+    f1, f2 = Jet3(fj[..., 0, 1, :]), Jet3(fj[..., 2, 3, :])
     v1, v2 = f1.value, f2.value
     r1 = forms.scalar_laplacian_values(geom_nc, f1) - 2.0 * (K * v1 - R1234 * v2)
     r2 = forms.scalar_laplacian_values(geom_nc, f2) - 2.0 * (K * v2 - R1234 * v1)
@@ -463,7 +456,7 @@ def verify_theorem21(chart, fld, pts, tol=None, scenario="inline", harmonicity_t
 def _kato_ratio(b: PointBundle, c6):
     """|nabla psi|^2 / |d|psi||^2 for a derived component list; NaN if degenerate."""
     T = forms.nabla_two_form_jets(b.geom, c6)
-    gsq = forms.nabla_norm_sq_values(b.geom.ginv, T, b.lambda2)
+    gsq = forms.nabla_norm_sq_values(b.geom.ginv, T[0], b.lambda2)
     nsq = forms.norm_sq_jet(b.geom, c6, b.lambda2)
     out = np.full(gsq.shape, np.nan)
     ok = nsq.value > 1e-20
@@ -615,9 +608,9 @@ def verify_conformal_chain(chart, fld, pts, k, tol=None, scenario="inline",
 
     # primed metric g' = |phi|^k g through the full geometry pipeline
     scale_jet = jets.exp(2.0 * fj)
-    gp = [[scale_jet * b.geom.g[i][j] for j in range(4)] for i in range(4)]
-    geomp = Geometry(gp, b.pts)
-    hodge_p = forms.hodge_laplacian_values(geomp, b.c6)
+    geomp = Geometry((Jet3(scale_jet.c[..., None, None, :]) * Jet3(b.geom.gc)).c, b.pts)
+    Tp = forms.nabla_two_form_jets(geomp, b.c6)
+    hodge_p = forms.hodge_laplacian_values(geomp, b.c6, T=Tp)
     hp = float(np.max(np.abs(hodge_p)))
     conf_harm = hp < 1e-8 * max(hscale, 1.0)
 
@@ -629,8 +622,8 @@ def verify_conformal_chain(chart, fld, pts, k, tol=None, scenario="inline",
     res46 = rel_residual(lhs46, t46a + t46b, t46a, t46b)
 
     # Eq 4.9 (the end identity)
-    Tp = forms.nabla_two_form_jets(geomp, b.c6)
-    grad_sq_p = forms.nabla_norm_sq_values(geomp.ginv, Tp)
+    grad_sq_p = forms.nabla_norm_sq_values(np.moveaxis(geomp.ginv_values, (-2, -1), (0, 1)),
+                                           Tp[0])
     lhs49_a = grad_sq
     lhs49_b = (1.5 * k * k - 3.0 * k) * dphi_sq
     rhs49 = pw * grad_sq_p

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,23 @@ def test_conformal_christoffel_identity():
     assert np.max(np.abs(G - want)) < 1e-12
 
 
+def test_dgamma_matches_central_differences():
+    """d_a Gamma from the closed form against central differences of Gamma on
+    the perturbed torus metric, which has an off-diagonal entry."""
+    path = Path(__file__).resolve().parents[1] / "scenarios" / "perturbed_t4_n8.json"
+    metric = json.loads(path.read_text())["grid"]["metric"]
+    chart = charts.chart_from_strings(metric, [(0.0, 2.0 * np.pi)] * 4)
+    pts = sample_box(chart.domain, 8, seed=9)
+    dG = Geometry.of_chart(chart, pts).dgamma_values
+    assert np.max(np.abs(dG)) > 1e-2
+    h = 1e-4
+    for a in range(4):
+        step = h * np.eye(4)[a]
+        fd = (Geometry.of_chart(chart, pts + step).gamma_values
+              - Geometry.of_chart(chart, pts - step).gamma_values) / (2.0 * h)
+        assert np.max(np.abs(dG[:, a] - fd)) < 1e-9, a
+
+
 def test_metric_compatibility():
     """Jet derivative of <V,W> equals <DV,W> + <V,DW> along coordinates."""
     chart = presets.cp2_fubini_study()
@@ -222,11 +242,15 @@ def test_chart_independence_sphere():
         assert abs(float(sectional(s2, u, v)[0]) - 1.0) < 1e-8
 
 
+def _normal_chart(chart, P, B):
+    return normal_chart(chart, normal_chart_map(Geometry.of_chart(chart, np.atleast_2d(P)), B))
+
+
 def test_normal_chart_properties():
     chart = presets.cp2_fubini_study()
     p = np.array([0.21, -0.33, 0.11, 0.4])
     slate = curvature_at(chart, p[None, :])
-    geom = normal_chart(chart, p, slate.frame[0])
+    geom = _normal_chart(chart, p, slate.frame[0])
     assert np.max(np.abs(geom.g_values[0] - np.eye(4))) < 1e-12
     assert np.max(np.abs(geom.gamma_values[0])) < 1e-9
     # curvature reconstruction from second metric derivatives
@@ -247,14 +271,14 @@ def test_normal_chart_properties():
 def test_normal_chart_flat_translation():
     chart = presets.flat_t4()
     p = np.array([1.0, 2.0, 3.0, 1.5])
-    geom = normal_chart(chart, p, np.eye(4))
+    geom = _normal_chart(chart, p, np.eye(4))
     assert np.max(np.abs(geom.gamma_values)) == 0.0
 
 
 def test_normal_chart_rejects_bad_basis():
     chart = presets.round_s4(1.0)
     with pytest.raises(ChartError, match="orthonormal"):
-        normal_chart(chart, np.zeros(4), np.eye(4) * 1.5)
+        _normal_chart(chart, np.zeros(4), np.eye(4) * 1.5)
 
 
 def test_round_sphere_normal_gamma():
@@ -262,13 +286,14 @@ def test_round_sphere_normal_gamma():
     pts = sample_box(chart.domain, 3, seed=12)
     for n in range(len(pts)):
         slate = curvature_at(chart, pts[n][None, :])
-        geom = normal_chart(chart, pts[n], slate.frame[0])
+        geom = _normal_chart(chart, pts[n], slate.frame[0])
         assert np.max(np.abs(geom.gamma_values)) < 1e-9
 
 
 def _normal_chart_arrays(chart, fld, P, B):
-    geom = normal_chart(chart, P, B)
-    pulled = pullback_two_form(fld.components, normal_chart_map(chart, P, B))
+    xj = normal_chart_map(Geometry.of_chart(chart, np.atleast_2d(P)), B)
+    geom = normal_chart(chart, xj)
+    pulled = pullback_two_form(fld.components, xj)
     return [np.stack([geom.g[i][j].c for i in range(4) for j in range(4)], axis=-2),
             np.stack([c.c for c in pulled], axis=-2),
             geom.dgamma_values]

@@ -290,18 +290,19 @@ def test_grid_chart_skips_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command", [["curvature"], ["verify", "eq22"]])
+@pytest.mark.parametrize("command", [["curvature"], ["verify", "eq22"], ["kato", "scan"]])
 def test_commands_skip_scipy_optimize(tmp_path, command):
-    """The curvature extremes and the verifiers run without scipy.optimize."""
+    """The curvature extremes, the verifiers and the Kato scan run without
+    scipy.optimize, and without scipy.sparse, which only the grid needs."""
     import subprocess
     import sys
 
     argv = command + ["--scenario", str(SCENARIOS / "cp2_kaehler.json"), "--out", str(tmp_path)]
     code = ("import sys; from curv4 import cli; "
             f"assert cli.main({argv!r}) == 0; "
-            "print('scipy.optimize' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

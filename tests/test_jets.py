@@ -228,11 +228,25 @@ def test_mat_inverse_and_det():
             for j in range(4)] for i in range(4)]
     for i in range(4):
         for j in range(4):
-            target = 1.0 if i == j else 0.0
-            assert np.allclose(eye[i][j].value, target, atol=1e-12)
+            # m m^-1 = I to order 2: value 1 or 0, every derivative coefficient 0
+            target = np.zeros(jets.NCOEFF)
+            target[0] = 1.0 if i == j else 0.0
+            assert np.allclose(eye[i][j].c, target, atol=1e-12), (i, j)
     det = jets.det4(m)
     vals = np.empty((5, 4, 4))
     for i in range(4):
         for j in range(4):
             vals[:, i, j] = m[i][j].value
     assert np.allclose(det.value, np.linalg.det(vals), atol=1e-10)
+
+
+def test_mat_inverse_singular_names_point():
+    pts = np.arange(12.0).reshape(3, 4) / 10.0
+    env = [Jet3.variable(i, pts[:, i]) for i in range(4)]
+    m = [[Jet3.constant(1.0 if i == j else 0.0, (3,)) for j in range(4)] for i in range(4)]
+    # rows 0 and 1 of the value matrix agree at the third point only
+    m[0][0] = m[1][1] = 1.0 + env[0]
+    m[0][1] = m[1][0] = Jet3.constant(np.array([0.0, 0.0, 1.0]), (3,)) + env[0]
+    with pytest.raises(jets.JetError, match="singular metric matrix") as err:
+        jets.mat_inverse(m, pts)
+    assert err.value.where == tuple(pts[2])
