@@ -1,7 +1,8 @@
 """Discrete Hodge theory on a periodic 4-D cubical lattice.
 
 Cochains live on k-cells (site, axis subset); incidence maps d0..d3 are signed
-integer matrices, mass matrices are diagonal (lumped) with the pointwise
+forward differences along the lattice axes, applied by periodic shifts
+(`Coboundary`); mass matrices are diagonal (lumped) with the pointwise
 Lambda^k inner-product weight sqrt(det g) det([g^{ab}]_{a,b in S}) h^4 at the
 cell barycenter.  delta_k = M_{k-1}^{-1} d_{k-1}^T M_k makes <d a, b> = <a, d b>
 hold to roundoff by construction; Delta_2 = delta d + d delta on 2-cochains is
@@ -16,6 +17,7 @@ gives all six, M2-orthonormalised by Cholesky in PAIRS order as ker Delta_2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +44,7 @@ class GridComplex:
     n: int
     h: float
     chart: MetricChart
-    d: tuple  # d[k]: C^k -> C^{k+1}, scipy sparse, integer entries
+    d: tuple  # d[k]: C^k -> C^{k+1}, a Coboundary stencil (entries +-1)
     M: tuple  # M[k]: 1-D positive arrays (diagonal mass matrices)
     sites: int = field(init=False)
 
@@ -52,50 +54,84 @@ class GridComplex:
     def dim(self, k):
         return len(AXSETS[k]) * self.sites
 
+    def _mass(self, k, x):
+        """M_k, as a column when x is a (dim, m) block of cochains."""
+        return self.M[k] if x.ndim == 1 else self.M[k][:, None]
+
     def delta(self, k, x):
-        """delta_k x for x in C^k: M_{k-1}^{-1} d_{k-1}^T (M_k x)."""
-        return (self.d[k - 1].T @ (self.M[k] * x)) / self.M[k - 1]
+        """delta_k x for x in C^k (or a column block): M_{k-1}^{-1} d_{k-1}^T (M_k x)."""
+        return (self.d[k - 1].T @ (self._mass(k, x) * x)) / self._mass(k - 1, x)
 
     def laplacian2(self, x):
-        """Delta_2 = delta_3 d_2 + d_1 delta_2 on 2-cochains."""
-        up = (self.d[2].T @ (self.M[3] * (self.d[2] @ x))) / self.M[2]
-        down = self.d[1] @ self.delta(2, x)
-        return up + down
+        """Delta_2 = delta_3 d_2 + d_1 delta_2 on 2-cochains (or a column block)."""
+        return self.delta(3, self.d[2] @ x) + self.d[1] @ self.delta(2, x)
 
     def inner(self, k, a, b):
         return float(np.dot(a, self.M[k] * b))
 
 
-def _site_index_grid(n):
-    return np.arange(n**4).reshape(n, n, n, n)
+class Coboundary:
+    """The incidence map d_k: C^k -> C^{k+1} of the periodic lattice, or its
+    transpose, applied as a stencil of lattice shifts.
 
+    Each (k+1)-cell set AXSETS[k+1][r] has k+1 faces; face f is the k-cell set
+    c = indices[r, f, 0] shifted along axis a = indices[r, f, 1], with sign
+    s = data[r, f]: (d x)_r(i) = sum_f s (x_c(i + e_a) - x_c(i)).  d^T applies the
+    same table with backward shifts.  Every matrix entry is +-1 and no two faces
+    share one, so nnz counts two entries per face and site.  `@` takes cochains
+    (dim,) and column blocks (dim, m)."""
 
-def _shift_perm(n, axis):
-    idx = _site_index_grid(n)
-    return np.roll(idx, -1, axis=axis).ravel()
+    def __init__(self, n, k, transposed=False):
+        self.n, self.k, self.transposed = n, k, transposed
+        in_pos = {S: c for c, S in enumerate(AXSETS[k])}
+        self.indices = np.array([[(in_pos[tuple(x for x in S if x != a)], a) for a in S]
+                                 for S in AXSETS[k + 1]], dtype=np.intp)
+        self.data = np.tile(np.array([1, -1, 1, -1], dtype=np.int8)[:k + 1],
+                            (len(self.indices), 1))
+        # Per face, s (x(i +- e_a) - x(i)) (+ for d, - for d^T) is `out[to] = x[hi] -
+        # x[lo]`: one flat shift by the axis' stride over the (site, column) rows; then
+        # the sites whose neighbour wraps round get `out[edge] = x[edge_hi] - x[edge_lo]`.
+        self._plan = []
+        N = n**4
+        for r, (faces, signs) in enumerate(zip(self.indices.tolist(), self.data.tolist())):
+            for (c, a), s in zip(faces, signs):
+                stride = n ** (3 - a)
+                to, frm = slice(0, N - stride), slice(stride, N)
+                lead = (slice(None),) * a
+                edge, far = lead + (n - 1,), lead + (0,)
+                if transposed:
+                    to, frm, edge, far = frm, to, far, edge
+                hi, lo, edge_hi, edge_lo = (frm, to, far, edge) if s > 0 else (to, frm, edge, far)
+                dst, src = (c, r) if transposed else (r, c)
+                self._plan.append((dst, src, to, hi, lo, edge, edge_hi, edge_lo))
 
+    @cached_property
+    def T(self):
+        return Coboundary(self.n, self.k, not self.transposed)
 
-def _build_d(n, k):
-    """Incidence map C^k -> C^{k+1} as signed integer sparse matrix."""
-    import scipy.sparse as sp
+    @property
+    def nnz(self):
+        return 2 * self.data.size * self.n**4
 
-    N = n**4
-    eye = sp.identity(N, dtype=np.int64, format="csr")
-    shifts = [sp.csr_matrix((np.ones(N, dtype=np.int64),
-                             (np.arange(N), _shift_perm(n, ax))), shape=(N, N))
-              for ax in range(4)]
-    in_sets = AXSETS[k]
-    out_sets = AXSETS[k + 1]
-    in_pos = {s: i for i, s in enumerate(in_sets)}
-    blocks = [[None] * len(in_sets) for _ in range(len(out_sets))]
-    for r, S in enumerate(out_sets):
-        for pos, a in enumerate(S):
-            sub = tuple(x for x in S if x != a)
-            sign = -1 if pos % 2 else 1
-            blk = (shifts[a] - eye) * sign
-            c = in_pos[sub]
-            blocks[r][c] = blk if blocks[r][c] is None else blocks[r][c] + blk
-    return sp.bmat(blocks, format="csr")
+    def __matmul__(self, x):
+        n, cols = self.n, x.shape[1:]
+        sets_in, sets_out = len(AXSETS[self.k]), len(AXSETS[self.k + 1])
+        if self.transposed:
+            sets_in, sets_out = sets_out, sets_in
+        X = np.ascontiguousarray(x).reshape((sets_in, n**4, -1))
+        out = np.empty((sets_out,) + X.shape[1:], dtype=np.result_type(x, self.data))
+        diff = np.empty_like(out[0])
+        lattice = (n, n, n, n, -1)
+        filled = [False] * sets_out
+        for dst, src, to, hi, lo, edge, edge_hi, edge_lo in self._plan:
+            u, o = X[src], diff if filled[dst] else out[dst]
+            np.subtract(u[hi], u[lo], out=o[to])
+            u, o_lattice = u.reshape(lattice), o.reshape(lattice)
+            np.subtract(u[edge_hi], u[edge_lo], out=o_lattice[edge])
+            if filled[dst]:
+                np.add(out[dst], diff, out=out[dst])
+            filled[dst] = True
+        return out.reshape((-1,) + cols)
 
 
 def _barycenters(n, h, S):
@@ -113,7 +149,7 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
     if not chart_is_periodic(chart):
         raise GridError(f"metric on chart {chart.name!r} is not 2pi-periodic")
     h = 2.0 * np.pi / n
-    d = tuple(_build_d(n, k) for k in range(4))
+    d = tuple(Coboundary(n, k) for k in range(4))
     M = []
     for k in range(5):
         weights = []
@@ -162,36 +198,34 @@ class _Sym2:
     def __init__(self, complex: GridComplex):
         self.gc = complex
         self.rt = np.sqrt(complex.M[2])
-        self.d1 = complex.d[1]
-        self.d2 = complex.d[2]
-        self.M1 = complex.M[1]
-        self.M3 = complex.M[3]
 
     def __call__(self, y):
-        squeeze = y.ndim == 1
-        Y = y[:, None] if squeeze else y
-        Z = Y / self.rt[:, None]
-        up = self.d2.T @ (self.M3[:, None] * (self.d2 @ Z))
-        down = self.d1 @ ((self.d1.T @ (self.gc.M[2][:, None] * Z)) / self.M1[:, None])
-        total = up / self.rt[:, None] + self.rt[:, None] * down
-        return total[:, 0] if squeeze else total
+        rt = self.rt if y.ndim == 1 else self.rt[:, None]
+        return rt * self.gc.laplacian2(y / rt)
 
     def diag(self):
-        d2sq = self.d2.power(2)
-        up = np.asarray(d2sq.T @ self.M3).ravel() / self.gc.M[2]
-        d1sq = self.d1.power(2)
-        down = np.asarray(d1sq @ (1.0 / self.M1)).ravel() * self.gc.M[2]
-        return up + down
+        """diag(d2^T M3 d2) / M2 + M2 diag(d1 M1^-1 d1^T): every entry of d is +-1,
+        so each diagonal entry sums a mass over the two cells of every face."""
+        gc, n = self.gc, self.gc.n
+        M3, iM1 = (m.reshape(-1, n, n, n, n) for m in (gc.M[3], 1.0 / gc.M[1]))
+        up, down = np.zeros((2, len(PAIRS), n, n, n, n))
+        for r, faces in enumerate(gc.d[2].indices):  # 2-cell c is a face of 3-cell r
+            for c, a in faces:
+                up[c] += np.roll(M3[r], 1, axis=a) + M3[r]
+        for r, faces in enumerate(gc.d[1].indices):  # 1-cell c is a face of 2-cell r
+            for c, a in faces:
+                down[r] += np.roll(iM1[c], -1, axis=a) + iM1[c]
+        return up.ravel() / gc.M[2] + down.ravel() * gc.M[2]
 
 
 def _power_estimate(apply_A, dim, seed, iters=30):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v /= np.sqrt(np.sum(v * v))  # not norm(): its BLAS dot rounds by thread count
     lam = 1.0
     for _ in range(iters):
         w = apply_A(v)
-        lam = float(np.linalg.norm(w))
+        lam = float(np.sqrt(np.sum(w * w)))
         if lam == 0.0:
             return 1.0
         v = w / lam
@@ -361,9 +395,9 @@ def _star_counts(basis: HarmonicBasis, tol=0.1):
             S[a, b] = np.sum(forms.inner_lambda2(Q, stars[a], coloc[b]) * vol)
             G[a, b] = np.sum(forms.inner_lambda2(Q, coloc[a], coloc[b]) * vol)
     S = 0.5 * (S + S.T)
-    from scipy.linalg import eigh as generalized_eigh
-
-    mu = generalized_eigh(S, G, eigvals_only=True)
+    L = np.linalg.cholesky(G)
+    C = np.linalg.solve(L, np.linalg.solve(L, S).T)  # L^-1 S L^-T: S mu = mu G
+    mu = np.linalg.eigvalsh(C)
     near_plus = np.abs(mu - 1.0) <= tol
     near_minus = np.abs(mu + 1.0) <= tol
     if not np.all(near_plus | near_minus):

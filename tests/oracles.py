@@ -106,3 +106,27 @@ def complex_space_form_R(J_frame, c=4.0):
              - np.einsum("...ad,...bc->...abcd", J_frame, J_frame)
              + 2.0 * np.einsum("...ab,...cd->...abcd", J_frame, J_frame))
     return (c / 4.0) * base
+
+
+def sparse_coboundary(n, k):
+    """Reference incidence map C^k -> C^{k+1} of the periodic lattice as a signed
+    integer CSR matrix, assembled from shift permutation matrices."""
+    import scipy.sparse as sp
+
+    from curv4.grid import AXSETS
+
+    N = n**4
+    idx = np.arange(N).reshape(n, n, n, n)
+    eye = sp.identity(N, dtype=np.int64, format="csr")
+    shifts = [sp.csr_matrix((np.ones(N, dtype=np.int64),
+                             (np.arange(N), np.roll(idx, -1, axis=ax).ravel())), shape=(N, N))
+              for ax in range(4)]
+    in_pos = {s: i for i, s in enumerate(AXSETS[k])}
+    blocks = [[None] * len(AXSETS[k]) for _ in AXSETS[k + 1]]
+    for r, S in enumerate(AXSETS[k + 1]):
+        for pos, a in enumerate(S):
+            sub = tuple(x for x in S if x != a)
+            blk = (shifts[a] - eye) * (-1 if pos % 2 else 1)
+            c = in_pos[sub]
+            blocks[r][c] = blk if blocks[r][c] is None else blocks[r][c] + blk
+    return sp.bmat(blocks, format="csr")

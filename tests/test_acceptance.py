@@ -238,11 +238,14 @@ def test_criterion_7_discrete_hodge():
         lhs = gc8.inner(k, gc8.d[k - 1] @ a, b)
         rhs = gc8.inner(k - 1, a, gc8.delta(k, b))
         adj_worst = max(adj_worst, abs(lhs - rhs) / max(abs(lhs), 1.0))
-    d2 = max(np.max(np.abs((gc8.d[k + 1] @ gc8.d[k]).data))
-             if (gc8.d[k + 1] @ gc8.d[k]).nnz else 0 for k in range(3))
     u = rng.standard_normal(gc8.dim(0))
     gs0 = abs(np.sum(gc8.M[0] * gc8.delta(1, gc8.d[0] @ u))) / np.linalg.norm(u)
     gc4 = grid.assemble(flat, 4)
+    # d2 = 0 exactly: on every identity column at n=4, on integer cochains at n=8
+    ints = np.random.default_rng(3)
+    d2 = max(max(np.max(np.abs(gc4.d[k + 1] @ (gc4.d[k] @ np.eye(gc4.dim(k), dtype=np.int64)))),
+                  np.max(np.abs(gc8.d[k + 1] @ (gc8.d[k] @ ints.integers(-50, 51, (gc8.dim(k), 6))))))
+             for k in range(3))
     x = rng.standard_normal(gc4.dim(2))
     gs2 = abs(np.sum(gc4.M[2] * gc4.laplacian2(x))) / np.linalg.norm(x)
     oks.append(adj_worst < 1e-13 and d2 == 0 and gs0 < 1e-10 and gs2 < 1e-10)

@@ -290,19 +290,26 @@ def test_grid_chart_skips_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command", [["curvature"], ["verify", "eq22"], ["kato", "scan"]])
+@pytest.mark.parametrize("command", [["curvature"], ["verify", "eq22"], ["kato", "scan"],
+                                     ["grid", "definiteness"], ["integral"]])
 def test_commands_skip_scipy_optimize(tmp_path, command):
-    """The curvature extremes, the verifiers and the Kato scan run without
-    scipy.optimize, and without scipy.sparse, which only the grid needs."""
+    """The curvature extremes, the verifiers, the Kato scan and the grid (whose
+    coboundaries are lattice-shift stencils) run without importing any scipy module."""
     import subprocess
     import sys
 
-    argv = command + ["--scenario", str(SCENARIOS / "cp2_kaehler.json"), "--out", str(tmp_path)]
+    sfile = SCENARIOS / "cp2_kaehler.json"
+    if command in (["grid", "definiteness"], ["integral"]):
+        raw = json.loads((SCENARIOS / "perturbed_t4_n8.json").read_text())
+        raw["grid"]["n"] = 4
+        sfile = tmp_path / "perturbed_t4_n4.json"
+        sfile.write_text(json.dumps(raw))
+    argv = command + ["--scenario", str(sfile), "--out", str(tmp_path)]
     code = ("import sys; from curv4 import cli; "
             f"assert cli.main({argv!r}) == 0; "
-            "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,8 @@ import pytest
 from curv4 import charts, grid, presets
 from curv4.grid import GridError, SolverError
 
+from oracles import sparse_coboundary
+
 PERTURBED = [
     ["1 + 0.1*sin(x1)*cos(x2)", "0.03*sin(x3)*sin(x4)", "0", "0"],
     ["0.03*sin(x3)*sin(x4)", "1 + 0.1*sin(x2)*cos(x3)", "0", "0"],
@@ -32,12 +34,39 @@ def pert8():
     return grid.assemble(perturbed_chart(), 8)
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
 def test_d_squared_zero_exact(n):
+    """d_{k+1} d_k = 0 and d_k^T d_{k+1}^T = 0 exactly: on every identity column for
+    n <= 4 (the whole matrix product), on integer-valued random cochains above."""
     gc = grid.assemble(presets.flat_t4(), n)
+    rng = np.random.default_rng(n)
     for k in range(3):
-        prod = gc.d[k + 1] @ gc.d[k]
-        assert prod.nnz == 0 or np.max(np.abs(prod.data)) == 0
+        if n <= 4:
+            X, Y = np.eye(gc.dim(k), dtype=np.int64), np.eye(gc.dim(k + 2), dtype=np.int64)
+        else:
+            X, Y = (rng.integers(-50, 51, (gc.dim(j), 6)) for j in (k, k + 2))
+        assert not np.any(gc.d[k + 1] @ (gc.d[k] @ X))
+        assert not np.any(gc.d[k].T @ (gc.d[k + 1].T @ Y))
+        assert not np.any(gc.d[k + 1] @ (gc.d[k] @ X[:, 0]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_stencil_matches_sparse_oracle(n):
+    """d_k and d_k^T equal the CSR incidence matrices exactly on integer-valued
+    cochains, 1-D and in 6-column blocks, and _Sym2.diag equals diag(B) from them."""
+    gc = grid.assemble(perturbed_chart(), n)
+    rng = np.random.default_rng(n)
+    ref = [sparse_coboundary(n, k) for k in range(4)]
+    for k in range(4):
+        assert gc.d[k].nnz == ref[k].nnz
+        for cols in ((), (6,)):
+            x = rng.integers(-9, 10, (gc.dim(k),) + cols)
+            y = rng.integers(-9, 10, (gc.dim(k + 1),) + cols)
+            assert np.array_equal(gc.d[k] @ x, ref[k] @ x)
+            assert np.array_equal(gc.d[k].T @ y, ref[k].T @ y)
+    M1, M2, M3 = gc.M[1:4]
+    diag = (ref[2].power(2).T @ M3) / M2 + (ref[1].power(2) @ (1.0 / M1)) * M2
+    assert np.allclose(grid._Sym2(gc).diag(), diag, rtol=1e-14, atol=0.0)
 
 
 def test_flat_mass_matrices(flat4):
