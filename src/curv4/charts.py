@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import Curv4Error, jets
 from . import expr as ex
-from . import jets
 from .jets import Jet3
 
 
@@ -28,7 +28,7 @@ from .jets import Jet3
 PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
-class ChartError(Exception):
+class ChartError(Curv4Error):
     pass
 
 

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import canonical, forms, grid, presets, scenario, verify
-from .charts import ChartError
-from .expr import ExprError
-from .grid import GridError, SolverError
+from . import Curv4Error, canonical, presets, scenario, verify
 from .verify import InputError
 
 CSV_COLUMNS = ["x1", "x2", "x3", "x4", "residual", "residual_eq28", "residual_eq29",
@@ -30,6 +28,7 @@ CSV_COLUMNS = ["x1", "x2", "x3", "x4", "residual", "residual_eq28", "residual_eq
 
 
 def main(argv=None):
+    gc.freeze()  # import-time objects live to exit: no collection or teardown scans them
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -37,10 +36,9 @@ def main(argv=None):
         return 2
     try:
         return args.run(args)
-    except (InputError, ExprError, ChartError, GridError, SolverError,
-            presets.PresetError, forms.FormError) as e:
+    except Curv4Error as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1 if isinstance(e, SolverError) else 2
+        return e.exit_code
 
 
 def _build_parser():
@@ -119,12 +117,12 @@ def _write_report(args, report, samples=None):
 
 
 def _write_csv(path, samples):
-    cols = [c for c in CSV_COLUMNS if any(c in row for row in samples)]
+    present = set().union(*samples)
+    cols = [c for c in CSV_COLUMNS if c in present]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for row in samples:
-            writer.writerow([_csv_value(row.get(c)) for c in cols])
+        writer.writerows([_csv_value(row.get(c)) for c in cols] for row in samples)
 
 
 def _csv_value(v):
@@ -132,7 +130,7 @@ def _csv_value(v):
         return ""
     if isinstance(v, bool):
         return int(v)
-    if isinstance(v, float) and np.isnan(v):
+    if isinstance(v, float) and v != v:  # NaN
         return ""
     return repr(v) if isinstance(v, float) else v
 
@@ -259,13 +257,14 @@ def _cmd_kato(args):
 
 
 def _cmd_grid(args):
+    from . import grid
     sc = _load(args)
     chart = sc.grid_chart()
-    gc = grid.assemble(chart, sc.grid_n)
-    basis = grid.harmonic_kernel(gc)
+    cx = grid.assemble(chart, sc.grid_n)
+    basis = grid.harmonic_kernel(cx)
     rep = grid.definiteness_report(basis)
     report = {**_scenario_meta(sc), "command": f"grid {args.mode}", "n": sc.grid_n,
-              "h": gc.h, **rep, "sign_conventions": verify.SIGN_CONVENTIONS}
+              "h": cx.h, **rep, "sign_conventions": verify.SIGN_CONVENTIONS}
     if args.mode == "harmonic":
         report["face_ordering"] = ("axis-pair lexicographic (12,13,14,23,24,34), "
                                    "then lattice index row-major")
@@ -278,10 +277,11 @@ def _cmd_grid(args):
 def _cmd_integral(args):
     sc = _load(args)
     if sc.grid is not None:
+        from . import grid
         chart = sc.grid_chart()
-        gc = grid.assemble(chart, sc.grid_n)
-        phi, delta_res, cg = grid.harmonic_representative(gc, (0, 1))
-        fieldd = grid.discrete_field_export(gc, phi)
+        cx = grid.assemble(chart, sc.grid_n)
+        phi, delta_res, cg = grid.harmonic_representative(cx, (0, 1))
+        fieldd = grid.discrete_field_export(cx, phi)
         rep = grid.discrete_eq23_report(fieldd)
         rep["representative_delta_residual"] = delta_res
         rep.update(cg)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets
+from . import Curv4Error, jets
 from .jets import Jet3
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -28,7 +28,7 @@ CONSTANTS = {"pi": math.pi}
 VARIABLES = {"x1": 0, "x2": 1, "x3": 2, "x4": 3}
 
 
-class ExprError(Exception):
+class ExprError(Curv4Error):
     pass
 
 

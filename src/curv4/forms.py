@@ -14,8 +14,8 @@ import itertools as it
 
 import numpy as np
 
+from . import Curv4Error, jets
 from . import expr as ex
-from . import jets
 from .charts import PAIRS, Geometry, MetricChart
 from .jets import Jet3
 
@@ -51,7 +51,7 @@ EPS4 = _levi_civita()
 STAR6 = np.array([[EPS4[i, j, k, l] for (i, j) in PAIRS] for (k, l) in PAIRS])
 
 
-class FormError(Exception):
+class FormError(Curv4Error):
     pass
 
 

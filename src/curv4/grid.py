@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import canonical, forms
+from . import Curv4Error, canonical, forms
 from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, metric_values,
                      orthonormal_frame, sqrt_det_values)
 from .forms import PAIRS, TRIPLES
@@ -35,7 +35,7 @@ AXSETS = (
 )
 
 
-class GridError(Exception):
+class GridError(Curv4Error):
     pass
 
 
@@ -188,8 +188,10 @@ def _first_indefinite(g):
 # -- matrix-free symmetric operator and solvers ----------------------------------
 
 
-class SolverError(Exception):
+class SolverError(Curv4Error):
     """A solve stopped above its tolerance (exit 1, unlike GridError's bad input)."""
+
+    exit_code = 1
 
 
 class _Sym2:

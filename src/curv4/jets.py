@@ -4,8 +4,9 @@ A jet stores the 15 raw Taylor coefficients c_alpha = (d^alpha f)(p) / alpha!
 of a function at a point, indexed by multi-indices |alpha| <= 2.  Every
 identity the lab checks needs at most second derivatives of g and phi
 (curvature is dGamma + Gamma Gamma, every Laplacian the trace of a Hessian),
-so order 2 is the order in use.  Products are truncated polynomial
-convolutions, exact for polynomial inputs of total degree <= 2; elementary
+so order 2 is the order in use.  Products are graded: the value, linear and
+quadratic slots each collect the few terms of their degree (the truncated
+product, exact for polynomial inputs of total degree <= 2); elementary
 functions compose through their univariate Taylor expansion in the nilpotent
 part.  All coefficient arrays carry an arbitrary leading batch shape, so one
 evaluation differentiates a whole sample of points at once.
@@ -20,6 +21,8 @@ import itertools
 import math
 
 import numpy as np
+
+from . import Curv4Error
 
 NVARS = 4
 ORDER = 2
@@ -41,25 +44,6 @@ FACTORIAL = np.array(
      for a in MULTI_INDICES],
     dtype=float,
 )
-
-
-def _build_mul_table():
-    pairs = []
-    for i, a in enumerate(MULTI_INDICES):
-        for j, b in enumerate(MULTI_INDICES):
-            s = tuple(x + y for x, y in zip(a, b))
-            if sum(s) <= ORDER:
-                pairs.append((INDEX_OF[s], i, j))
-    pairs.sort()
-    k = np.array([p[0] for p in pairs])
-    i = np.array([p[1] for p in pairs])
-    j = np.array([p[2] for p in pairs])
-    # group start offsets for np.add.reduceat; every output slot has >= 1 term
-    offsets = np.searchsorted(k, np.arange(NCOEFF))
-    return i, j, offsets
-
-
-_MUL_I, _MUL_J, _MUL_OFFSETS = _build_mul_table()
 
 
 def _build_partial_tables():
@@ -86,9 +70,14 @@ _QUAD_SLOTS = [INDEX_OF[tuple(_UNITS[a] + _UNITS[b])] for a, b in zip(_QUAD_A, _
 _HESS_SLOTS = np.array([[INDEX_OF[tuple(_UNITS[a] + _UNITS[b])] for b in range(NVARS)]
                         for a in range(NVARS)])
 _HESS_FAC = 1.0 + np.eye(NVARS)
+# the lower and the higher linear slot of each quadratic slot 5..14; _QOFF marks
+# the off-diagonal ones, which take both cross terms
+_QLO, _QHI = np.array([sorted(_LINEAR_SLOTS[a] for a in np.repeat(np.arange(NVARS), alpha))
+                       for alpha in MULTI_INDICES[1 + NVARS:]]).T
+_QOFF = np.flatnonzero(_QLO != _QHI)
 
 
-class JetError(Exception):
+class JetError(Curv4Error):
     """Domain failure (division by zero, log/sqrt of nonpositive, NaN)."""
 
     def __init__(self, message, where=None):
@@ -205,9 +194,17 @@ class Jet3:
         if not isinstance(other, Jet3):
             return Jet3(self.c * np.asarray(other)[..., None]
                         if np.ndim(other) else self.c * other)
-        a, b = np.broadcast_arrays(self.c, other.c)
-        prod = a[..., _MUL_I] * b[..., _MUL_J]
-        return Jet3(np.add.reduceat(prod, _MUL_OFFSETS, axis=-1))
+        # slots 5..14 sum as a0 b_q + ((a_lo b_hi [+ a_hi b_lo]) + a_q b0), the
+        # order of the plain convolution sum, so the two agree bit for bit
+        a, b = self.c, other.c
+        b0 = b[..., :1]
+        out = a[..., :1] * b
+        out[..., 1:5] += a[..., 1:5] * b0
+        s = a[..., _QLO] * b[..., _QHI]
+        s[..., _QOFF] += a[..., _QHI[_QOFF]] * b[..., _QLO[_QOFF]]
+        s += a[..., 5:] * b0
+        out[..., 5:] += s
+        return Jet3(out)
 
     __rmul__ = __mul__
 

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import Curv4Error
 from . import expr as ex
 from .charts import MetricChart, chart_from_strings, conformal_chart
 from .forms import PAIR_KEYS
@@ -23,7 +24,7 @@ from .forms import PAIR_KEYS
 TWO_PI = 2.0 * math.pi
 
 
-class PresetError(Exception):
+class PresetError(Curv4Error):
     pass
 
 

@@ -77,11 +77,7 @@ class Scenario:
         seed = int(spec.get("seed", self.seed))
         if name == "zero":
             return TwoFormField(chart, {})
-        try:
-            comps = presets.form_preset(name, chart, seed=seed)
-        except presets.PresetError as e:
-            raise InputError(str(e)) from None
-        return TwoFormField(chart, comps)
+        return TwoFormField(chart, presets.form_preset(name, chart, seed=seed))
 
     def points(self, chart: MetricChart, count=None):
         return sample_box(chart.domain, count or self.count, self.margin, self.seed)
@@ -117,10 +113,7 @@ def _build_manifold(spec) -> MetricChart:
         spec = {"preset": spec}
     if "preset" in spec:
         _check_keys(spec, _MANIFOLD_PRESET_KEYS, "manifold")
-        try:
-            return presets.chart_preset(spec)
-        except presets.PresetError as e:
-            raise InputError(str(e)) from None
+        return presets.chart_preset(spec)
     _check_keys(spec, _MANIFOLD_INLINE_KEYS, "manifold")
     if "metric" not in spec:
         raise InputError("manifold needs either 'preset' or 'metric'")

@@ -9,12 +9,11 @@ dictionary in use is embedded in every report.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import canonical, forms, jets
+from . import Curv4Error, canonical, forms, jets
 from .charts import (CurvatureSlate, Geometry, MetricChart, chart_is_periodic,
                      curvature_at, normal_chart, normal_chart_map, pullback_two_form,
                      sample_box, sqrt_det_values)
@@ -55,7 +54,7 @@ DEFAULT_TOLERANCES = {
 }
 
 
-class InputError(Exception):
+class InputError(Curv4Error):
     """Scenario-level rejection (maps to CLI exit code 2)."""
 
 
@@ -104,6 +103,8 @@ def map_chunks(fn, pts, chunk=2048):
     cap = thread_cap()
     if cap <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=cap) as pool:
         return list(pool.map(fn, chunks))
 
@@ -521,7 +522,7 @@ def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
         result["samples"] = []
         return result
     rv = rho[valid]
-    hist, edges = np.histogram(rv, bins=_kato_bin_edges(float(np.percentile(rv, 99))))
+    hist, edges = np.histogram(rv, bins=_kato_bin_edges(_percentile99(rv)))
     result.update({
         "min_rho": float(np.min(rv)),
         "classical_kato_ok": bool(np.min(rv) >= 1.0 - DEFAULT_TOLERANCES["kato_classical"]),
@@ -536,6 +537,16 @@ def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
         for n in range(len(pts))
     ]
     return result
+
+
+def _percentile99(x):
+    """float(np.percentile(x, 99)) for a nonempty finite 1-d x, by numpy's
+    linear rule, without the numpy.ma import that np.percentile pays for."""
+    v = (len(x) - 1) * 0.99
+    i, k = int(v), min(int(v) + 1, len(x) - 1)
+    lo, hi = np.partition(x, [i, k])[[i, k]]
+    t = v - i
+    return float(hi - (hi - lo) * (1.0 - t) if t >= 0.5 else lo + (hi - lo) * t)
 
 
 def _kato_bin_edges(p99, bins=24):

@@ -91,6 +91,22 @@ def random_expression(rng, depth=3, allow_div=True):
     return ex.Call(fn, random_expression(rng, depth - 1, allow_div))
 
 
+def convolution_mul(a, b):
+    """Jet product of coefficient arrays a and b (batch + (NCOEFF,)) as the
+    plain truncated convolution: all pairs of slots whose multi-indices add to
+    degree <= ORDER, grouped by output slot in (i, j) order and summed with
+    np.add.reduceat."""
+    from curv4 import jets
+
+    pairs = sorted((jets.INDEX_OF[tuple(x + y for x, y in zip(p, q))], i, j)
+                   for i, p in enumerate(jets.MULTI_INDICES)
+                   for j, q in enumerate(jets.MULTI_INDICES) if sum(p) + sum(q) <= jets.ORDER)
+    k, i, j = np.array(pairs).T
+    a, b = np.broadcast_arrays(a, b)
+    return np.add.reduceat(a[..., i] * b[..., j], np.searchsorted(k, np.arange(jets.NCOEFF)),
+                           axis=-1)
+
+
 def constant_curvature_R(c):
     """R_ijkl = c (d_ik d_jl - d_il d_jk) in an orthonormal frame."""
     d = np.eye(4)

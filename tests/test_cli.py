@@ -154,6 +154,28 @@ def test_indefinite_metric_exit2(tmp_path, capsys):
     assert "not positive definite" in err and "inline_metric" in err
 
 
+@pytest.mark.parametrize("command,where", [(["verify", "weitzenboeck"], "form"),
+                                           (["kato", "scan"], "form"),
+                                           (["verify", "weitzenboeck"], "metric"),
+                                           (["kato", "scan"], "metric")])
+def test_overflowing_expression_exit2(tmp_path, capsys, command, where):
+    """A jet that overflows is bad input: exit 2 with the expression and the
+    point named, and no traceback."""
+    sc = {"schema_version": 1, "id": "overflow", "manifold": {"preset": "flat_t4"},
+          "sampling": {"count": 4, "margin": 0.05, "seed": 1}}
+    if where == "form":
+        sc["form"] = {"components": {"12": "exp(5000*x1)"}}
+    else:
+        sc["manifold"] = {"metric": [["exp(5000*x1)" if i == j == 0 else str(int(i == j))
+                                      for j in range(4)] for i in range(4)]}
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps(sc))
+    assert run(command + ["--scenario", sfile, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "non-finite jet coefficients in expression 'exp(5000.0 * x1)' at point (" in err
+    assert "Traceback" not in err
+
+
 def test_identity_violation_exit1(tmp_path):
     """An impossible tolerance forces exit code 1 without an input error."""
     sc = {
@@ -294,22 +316,28 @@ def test_grid_chart_skips_scipy_stats():
                                      ["grid", "definiteness"], ["integral"]])
 def test_commands_skip_scipy_optimize(tmp_path, command):
     """The curvature extremes, the verifiers, the Kato scan and the grid (whose
-    coboundaries are lattice-shift stencils) run without importing any scipy module."""
+    coboundaries are lattice-shift stencils) run without importing any scipy
+    module, numpy.ma, or concurrent.futures (single-threaded); only the grid
+    commands import curv4.grid."""
     import subprocess
     import sys
 
     sfile = SCENARIOS / "cp2_kaehler.json"
-    if command in (["grid", "definiteness"], ["integral"]):
+    grid_command = command in (["grid", "definiteness"], ["integral"])
+    if grid_command:
         raw = json.loads((SCENARIOS / "perturbed_t4_n8.json").read_text())
         raw["grid"]["n"] = 4
         sfile = tmp_path / "perturbed_t4_n4.json"
         sfile.write_text(json.dumps(raw))
     argv = command + ["--scenario", str(sfile), "--out", str(tmp_path)]
+    watched = ("curv4.grid", "numpy.ma", "concurrent.futures")
     code = ("import sys; from curv4 import cli; "
             f"assert cli.main({argv!r}) == 0; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == 'scipy' or m in {watched!r}))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("CURV4_THREADS", None)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == ("['curv4.grid']" if grid_command else "[]")

@@ -10,7 +10,7 @@ from curv4 import expr as ex
 from curv4 import jets
 from curv4.jets import Jet3
 
-from oracles import random_expression, taylor_coefficient
+from oracles import convolution_mul, random_expression, taylor_coefficient
 
 
 def test_variable_lift():
@@ -147,6 +147,20 @@ def test_product_matches_dense_truncated_convolution():
     got = (Jet3(a) * Jet3(b)).c
     assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
     assert np.allclose((Jet3(b) * Jet3(a)).c, want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [((), ()), ((1,), (1,)), ((12,), (12,)),
+                                             ((1024,), (1024,)), ((5, 4, 4), (1, 4, 1))])
+def test_product_bitwise_equals_convolution_sum(shape_a, shape_b):
+    """The graded product sums every slot in the order of the plain convolution
+    sum, so the two agree bit for bit, for any batch shape and argument order."""
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal(shape_a + (jets.NCOEFF,)) * 10.0 ** rng.integers(-6, 7, jets.NCOEFF)
+    b = rng.standard_normal(shape_b + (jets.NCOEFF,)) * 10.0 ** rng.integers(-6, 7, jets.NCOEFF)
+    for x, y in ((a, b), (b, a)):
+        got = (Jet3(x) * Jet3(y)).c
+        want = convolution_mul(x, y)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_division_by_zero_reports_point():

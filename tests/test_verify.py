@@ -223,6 +223,16 @@ def test_map_chunks_threaded_deterministic(conformal_scenario, monkeypatch):
     assert scan1["histogram"] == scan2["histogram"]
 
 
+def test_percentile99_matches_numpy():
+    """The Kato histogram's p99 is np.percentile's linear rule, bit for bit,
+    on both sides of its t >= 0.5 branch."""
+    rng = np.random.default_rng(29)
+    for n in list(range(1, 301)) + [1024, 1025]:
+        for _ in range(4):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            assert verify._percentile99(x) == float(np.percentile(x, 99))
+
+
 def test_eq43_parallel_kaehler_passes():
     """On a parallel form every Eq 4.3 term is round-off; the pre-cancellation
     scale keeps that round-off from reading as a violation."""
