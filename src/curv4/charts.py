@@ -394,14 +394,34 @@ def _jacobian(xjets):
 # -- value-level checks -----------------------------------------------------------
 
 
-def metric_values(chart: MetricChart, pts):
-    """g at pts (shape (N, 4)) as plain values, shape (N, 4, 4)."""
-    g = np.empty((len(pts), 4, 4))
+def metric_entries(chart: MetricChart, pts):
+    """g at pts (shape (N, 4)) as a symmetric 4x4 nested list of contiguous (N,)
+    arrays; an entry that overflows or is undefined at a point is a ChartError."""
+    g = [[None] * 4 for _ in range(4)]
     for i in range(4):
         for j in range(i, 4):
-            g[:, i, j] = ex.eval_values(chart.g[i][j], pts)
-            g[:, j, i] = g[:, i, j]
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = np.array(np.broadcast_to(ex.eval_values(chart.g[i][j], pts), len(pts)))
+            try:
+                jets.assert_finite(v, lambda: f"expression '{ex.to_string(chart.g[i][j])}'", pts)
+            except jets.JetError as e:
+                raise ChartError(f"metric entry g{i + 1}{j + 1}: {e}") from None
+            g[i][j] = g[j][i] = v
     return g
+
+
+def metric_values(chart: MetricChart, pts):
+    """g at pts (shape (N, 4)) as plain values, shape (N, 4, 4)."""
+    return np.stack([np.stack(row, axis=-1) for row in metric_entries(chart, pts)], axis=-2)
+
+
+def require_positive_definite(g, det, pts, where, error=ChartError):
+    """Sylvester's criterion on metric entries g[i][j] (N,) with det = det g:
+    g11, the leading 2x2 and 3x3 minors and det g are all > 0, or `error` names
+    the first point of pts that fails."""
+    ok = (g[0][0] > 0) & (jets.minor(g, (0, 1)) > 0) & (jets.minor(g, (0, 1, 2)) > 0) & (det > 0)
+    if not np.all(ok):
+        raise error(f"metric not positive definite {where} {jets._first_bad(~ok, pts)}")
 
 
 def sqrt_det_values(g_values):
@@ -422,13 +442,8 @@ def chart_is_periodic(chart: MetricChart, tol=1e-12):
 
 
 def validate_chart(chart: MetricChart, count=32, margin=0.05, seed=7):
-    """Positive-definiteness spot check (Cholesky at random interior points)."""
+    """Finiteness and positive-definiteness spot check at random interior points."""
     pts = _scale_to_box(chart.domain, margin, np.random.default_rng(seed).random((count, 4)))
-    g = metric_values(chart, pts)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as e:
-        raise ChartError(f"metric not positive definite on {chart.name}: {e}") from None
-    if np.any(np.linalg.det(g) <= 0.0):
-        raise ChartError(f"metric determinant not positive on {chart.name}")
+    g = metric_entries(chart, pts)
+    require_positive_definite(g, jets.det4(g), pts, f"on {chart.name} at point")
     return True

@@ -276,11 +276,11 @@ def hodge_laplacian_values(geom: Geometry, c6, T=None):
     return d_delta + delta_d
 
 
-def rough_laplacian_values(geom: Geometry, c6):
+def rough_laplacian_values(geom: Geometry, c6, T=None):
     """g^{ab} (nabla^2_{ab} phi)_{ij} values (..., 6); note Delta_rough = -this
     in the positive-spectrum convention."""
     gam_v = geom.gamma_values
-    T, dT = nabla_two_form_jets(geom, c6)  # T[b, i, j], dT[a, b, i, j]
+    T, dT = T if T is not None else nabla_two_form_jets(geom, c6)  # T[b,i,j], dT[a,b,i,j]
     nab2 = (dT
             - np.einsum("...cab,...cij->...abij", gam_v, T, optimize=True)
             - np.einsum("...lai,...blj->...abij", gam_v, T, optimize=True)

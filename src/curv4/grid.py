@@ -4,7 +4,10 @@ Cochains live on k-cells (site, axis subset); incidence maps d0..d3 are signed
 forward differences along the lattice axes, applied by periodic shifts
 (`Coboundary`); mass matrices are diagonal (lumped) with the pointwise
 Lambda^k inner-product weight sqrt(det g) det([g^{ab}]_{a,b in S}) h^4 at the
-cell barycenter.  delta_k = M_{k-1}^{-1} d_{k-1}^T M_k makes <d a, b> = <a, d b>
+cell barycenter.  By Jacobi's complementary-minor identity
+det((g^-1)_SS) = det(g_{S^c S^c}) / det g, that weight is the closed form
+det(g_{S^c S^c}) h^4 / sqrt(det g), a principal minor of the metric's entries
+(no inverse).  delta_k = M_{k-1}^{-1} d_{k-1}^T M_k makes <d a, b> = <a, d b>
 hold to roundoff by construction; Delta_2 = delta d + d delta on 2-cochains is
 extracted matrix-free.  Cochain values are point samples of coordinate
 components; face ordering is axis-pair lexicographic, then lattice row-major.
@@ -21,9 +24,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import Curv4Error, canonical, forms
-from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, metric_values,
-                     orthonormal_frame, sqrt_det_values)
+from . import Curv4Error, canonical, forms, jets
+from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, metric_entries,
+                     metric_values, orthonormal_frame, require_positive_definite,
+                     sqrt_det_values)
 from .forms import PAIRS, TRIPLES
 
 AXSETS = (
@@ -155,34 +159,15 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
         weights = []
         for S in AXSETS[k]:
             pts = _barycenters(n, h, S)
-            g = metric_values(chart, pts)
-            try:
-                np.linalg.cholesky(g)
-            except np.linalg.LinAlgError:
-                bad = _first_indefinite(g)
-                raise GridError(
-                    f"metric not positive definite at cell barycenter {tuple(pts[bad])}"
-                ) from None
-            if len(S) == 0:
-                minor = np.ones(len(pts))
-            else:
-                ginv = np.linalg.inv(g)
-                sub = ginv[:, list(S)][:, :, list(S)]
-                minor = np.linalg.det(sub) if len(S) > 1 else sub[:, 0, 0]
-            weights.append(sqrt_det_values(g) * minor * h**4)
+            g = metric_entries(chart, pts)
+            det = jets.det4(g)
+            require_positive_definite(g, det, pts, "at cell barycenter", GridError)
+            rest = tuple(a for a in range(4) if a not in S)
+            weights.append(jets.minor(g, rest) * h**4 / np.sqrt(det))
         M.append(np.concatenate(weights))
         if np.any(M[-1] <= 0.0):
             raise GridError(f"nonpositive mass entry in degree {k}")
     return GridComplex(n=n, h=h, chart=chart, d=d, M=tuple(M))
-
-
-def _first_indefinite(g):
-    for idx in range(len(g)):
-        try:
-            np.linalg.cholesky(g[idx])
-        except np.linalg.LinAlgError:
-            return idx
-    return 0
 
 
 # -- matrix-free symmetric operator and solvers ----------------------------------
@@ -380,22 +365,24 @@ def _cell_centers(complex: GridComplex):
     return _barycenters(n, h, (0, 1, 2, 3))
 
 
-def _star_counts(basis: HarmonicBasis, tol=0.1):
+def _star_gram(basis: HarmonicBasis):
+    """S[a, b] = sum <*z_a, z_b> vol and G[a, b] = sum <z_a, z_b> vol over the cell
+    centers for the co-located basis cochains z: Q z_b and the cellwise pairings
+    are one contraction each, and the sums over the cells run last."""
     gc = basis.complex
     g = metric_values(gc.chart, _cell_centers(gc))
     sqrt_det = sqrt_det_values(g)
     vol = sqrt_det * gc.h**4
     gi = np.moveaxis(np.linalg.inv(g), 0, -1)  # component axes first
     Q = forms.lambda2_metric(gi)
-    k = basis.vectors.shape[1]
-    coloc = [_colocate(gc, basis.vectors[:, m]) for m in range(k)]
-    stars = [forms.star_coord(gi, sqrt_det, c, Q) for c in coloc]
-    S = np.empty((k, k))
-    G = np.empty((k, k))
-    for a in range(k):
-        for b in range(k):
-            S[a, b] = np.sum(forms.inner_lambda2(Q, stars[a], coloc[b]) * vol)
-            G[a, b] = np.sum(forms.inner_lambda2(Q, coloc[a], coloc[b]) * vol)
+    C = np.stack([_colocate(gc, z) for z in basis.vectors.T], axis=1)  # (6, k, cells)
+    star = np.array(forms.star_coord(gi, sqrt_det, C, Q))
+    QC = np.einsum("pqn,qbn->pbn", np.array(Q), C)
+    return tuple(np.sum(np.einsum("pan,pbn->abn", Z, QC) * vol, axis=-1) for Z in (star, C))
+
+
+def _star_counts(basis: HarmonicBasis, tol=0.1):
+    S, G = _star_gram(basis)
     S = 0.5 * (S + S.T)
     L = np.linalg.cholesky(G)
     C = np.linalg.solve(L, np.linalg.solve(L, S).T)  # L^-1 S L^-T: S mu = mu G

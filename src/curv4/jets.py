@@ -298,13 +298,14 @@ def powr(u: Jet3, r, points=None) -> Jet3:
     return u._compose(np.stack([p, c1, c2], axis=-1))
 
 
-def assert_finite(u: Jet3, context, points=None):
-    """NaN poisoning gate: abort the enclosing computation on any bad coefficient.
+def assert_finite(u, context, points=None):
+    """NaN poisoning gate: abort the enclosing computation on any bad coefficient
+    of a Jet3, or of a value array (its order-0 coefficients).
 
     `context` is a string or a callable returning one; a callable is only
     called when the gate fires, so callers can defer costly formatting.
     """
-    bad = ~np.isfinite(u.c)
+    bad = ~np.isfinite(u.c if isinstance(u, Jet3) else np.asarray(u)[..., None])
     if np.any(bad):
         mask = np.any(bad, axis=-1)
         what = context() if callable(context) else context
@@ -400,24 +401,21 @@ def mat_inverse(m, points=None):
     return entries(inverse_coeffs(stack(m), points))
 
 
+def minor(m, rows, cols=None):
+    """Determinant of m[rows][cols] (cols defaults to rows) for a matrix m[i][j]
+    of jets or value arrays, by cofactor expansion along the first row; 1.0
+    for no rows."""
+    cols = rows if cols is None else cols
+    if len(rows) <= 1:
+        return m[rows[0]][cols[0]] if rows else 1.0
+    out = None
+    for k, c in enumerate(cols):
+        term = m[rows[0]][c] * minor(m, rows[1:], cols[:k] + cols[k + 1:])
+        out = term if out is None else out - term if k % 2 else out + term
+    return out
+
+
 def det4(m):
     """Determinant of a 4x4 matrix m[i][j] of jets or value arrays (cofactor
     expansion)."""
-
-    def det3(r, c):
-        rows = [i for i in range(4) if i != r]
-        cols = [j for j in range(4) if j != c]
-        (i0, i1, i2), (j0, j1, j2) = rows, cols
-        return (
-            m[i0][j0] * (m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1])
-            - m[i0][j1] * (m[i1][j0] * m[i2][j2] - m[i1][j2] * m[i2][j0])
-            + m[i0][j2] * (m[i1][j0] * m[i2][j1] - m[i1][j1] * m[i2][j0])
-        )
-
-    out = None
-    for j in range(4):
-        term = m[0][j] * det3(0, j)
-        if j % 2 == 1:
-            term = -term
-        out = term if out is None else out + term
-    return out
+    return minor(m, (0, 1, 2, 3))

@@ -204,7 +204,7 @@ def verify_weitzenboeck(chart, fld, pts, tol=None, scenario="inline"):
     tol = DEFAULT_TOLERANCES["weitzenboeck"] if tol is None else tol
     b = PointBundle(chart, fld, pts)
     hv_f = forms.frame_components(b.slate.frame, b.hodge_values)
-    rough = forms.rough_laplacian_values(b.geom, b.c6)
+    rough = forms.rough_laplacian_values(b.geom, b.c6, T=b.nabla)
     rough_f = forms.frame_components(b.slate.frame, rough)
     qR = forms.curvature_action_frame(b.slate.R, b.frame_values)
     # Delta_Hodge phi = -trace(nabla^2 phi) + q(R) phi
@@ -436,8 +436,8 @@ def verify_theorem21(chart, fld, pts, tol=None, scenario="inline", harmonicity_t
     dG_sq = forms.grad_inner_values(b.geom, Gj, Gj)
     combo = Gv * np_sq + Fv * nm_sq + 2.0 * cross
     floor = 2.0 * np.sqrt(np.maximum(dF_sq * dG_sq, 0.0)) + 2.0 * cross
-    rho_p = _kato_ratio(b, cplus)
-    rho_m = _kato_ratio(b, cminus)
+    rho_p = _kato_ratio(b, cplus, np_sq)
+    rho_m = _kato_ratio(b, cminus, nm_sq)
     premise = np.where(np.isnan(rho_p), np.inf, rho_p) >= 2.0
     premise &= np.where(np.isnan(rho_m), np.inf, rho_m) >= 2.0
     comb_scale = Gv * np_sq + Fv * nm_sq + 2.0 * np.abs(cross) + RESIDUAL_FLOOR
@@ -454,10 +454,9 @@ def verify_theorem21(chart, fld, pts, tol=None, scenario="inline", harmonicity_t
                    samples=samples)
 
 
-def _kato_ratio(b: PointBundle, c6):
-    """|nabla psi|^2 / |d|psi||^2 for a derived component list; NaN if degenerate."""
-    T = forms.nabla_two_form_jets(b.geom, c6)
-    gsq = forms.nabla_norm_sq_values(b.geom.ginv, T[0], b.lambda2)
+def _kato_ratio(b: PointBundle, c6, gsq):
+    """|nabla psi|^2 / |d|psi||^2 for a derived component list, given gsq =
+    |nabla psi|^2 (from sd_nabla_norms); NaN if degenerate."""
     nsq = forms.norm_sq_jet(b.geom, c6, b.lambda2)
     out = np.full(gsq.shape, np.nan)
     ok = nsq.value > 1e-20

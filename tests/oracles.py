@@ -146,3 +146,43 @@ def sparse_coboundary(n, k):
             c = in_pos[sub]
             blocks[r][c] = blk if blocks[r][c] is None else blocks[r][c] + blk
     return sp.bmat(blocks, format="csr")
+
+
+def lumped_masses(chart, n):
+    """The lattice masses sqrt(det g) det((g^-1)_SS) h^4 per degree, from LAPACK's
+    inverse and determinant at each axis set's barycenters (no Jacobi identity)."""
+    from curv4 import charts, grid
+
+    h = 2.0 * np.pi / n
+    M = []
+    for k in range(5):
+        weights = []
+        for S in grid.AXSETS[k]:
+            g = charts.metric_values(chart, grid._barycenters(n, h, S))
+            sub = np.linalg.inv(g)[:, list(S)][:, :, list(S)]
+            minor = np.linalg.det(sub) if len(S) > 1 else (sub[:, 0, 0] if S else 1.0)
+            weights.append(charts.sqrt_det_values(g) * minor * h**4)
+        M.append(np.concatenate(weights))
+    return M
+
+
+def star_gram_loops(basis):
+    """S[a, b] = sum <*z_a, z_b> vol and G[a, b] = sum <z_a, z_b> vol over the cell
+    centers, one inner_lambda2 call per pair of co-located basis cochains."""
+    from curv4 import charts, forms, grid
+
+    gc = basis.complex
+    g = charts.metric_values(gc.chart, grid._cell_centers(gc))
+    sqrt_det = charts.sqrt_det_values(g)
+    vol = sqrt_det * gc.h**4
+    gi = np.moveaxis(np.linalg.inv(g), 0, -1)
+    Q = forms.lambda2_metric(gi)
+    k = basis.vectors.shape[1]
+    coloc = [grid._colocate(gc, basis.vectors[:, m]) for m in range(k)]
+    stars = [forms.star_coord(gi, sqrt_det, c, Q) for c in coloc]
+    S, G = np.empty((k, k)), np.empty((k, k))
+    for a in range(k):
+        for b in range(k):
+            S[a, b] = np.sum(forms.inner_lambda2(Q, stars[a], coloc[b]) * vol)
+            G[a, b] = np.sum(forms.inner_lambda2(Q, coloc[a], coloc[b]) * vol)
+    return S, G

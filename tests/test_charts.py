@@ -323,6 +323,19 @@ def test_validate_chart():
         validate_chart(bad)
 
 
+def test_validate_chart_names_point():
+    """The Sylvester check names a spot-check point where g11 = x1 - 0.5 < 0."""
+    bad = charts.chart_from_strings(
+        [["x1 - 0.5", "0", "0", "0"], ["0", "1", "0", "0"],
+         ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        [(0.0, 1.0)] * 4, 1, "half_indefinite")
+    with pytest.raises(ChartError, match="not positive definite on half_indefinite at point") \
+            as err:
+        validate_chart(bad)
+    point = [float(v) for v in str(err.value).split("(")[1].rstrip(")").split(",")]
+    assert len(point) == 4 and point[0] < 0.5
+
+
 def test_preset_conformal_zero_is_identity():
     base = presets.flat_t4()
     conf = conformal_chart(base, "0")

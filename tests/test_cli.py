@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,23 @@ def test_overflowing_expression_exit2(tmp_path, capsys, command, where):
     err = capsys.readouterr().err
     assert "non-finite jet coefficients in expression 'exp(5000.0 * x1)' at point (" in err
     assert "Traceback" not in err
+
+
+def test_overflowing_grid_metric_exit2(tmp_path, capsys):
+    """A grid metric entry that overflows is bad input named by its expression and
+    a point, not a periodicity failure, and numpy warns of nothing."""
+    sc = json.loads((SCENARIOS / "perturbed_t4_n8.json").read_text())
+    sc["grid"]["metric"][0][0] = "1 + exp(800*sin(x1))"
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps(sc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["grid", "definiteness", "--scenario", sfile, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "metric entry g11: non-finite jet coefficients in expression " \
+        "'1.0 + exp(800.0 * sin(x1))' at point (" in err
+    assert "periodic" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_identity_violation_exit1(tmp_path):

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curv4 import charts, grid, presets
 from curv4.grid import GridError, SolverError
 
-from oracles import sparse_coboundary
+from oracles import lumped_masses, sparse_coboundary, star_gram_loops
 
 PERTURBED = [
     ["1 + 0.1*sin(x1)*cos(x2)", "0.03*sin(x3)*sin(x4)", "0", "0"],
@@ -111,6 +115,61 @@ def test_indefinite_metric_rejected():
         [(0.0, 2 * np.pi)] * 4, 1, "indefinite_t4")
     with pytest.raises(GridError, match="positive definite"):
         grid.assemble(bad, 4)
+
+
+def test_indefinite_barycenter_named():
+    """g11 < 0 only at the (1,)-cell barycenter (pi/4, pi/2, pi, 0) of the n=4
+    lattice: assemble passes the sites and names that barycenter."""
+    bad = charts.chart_from_strings(
+        [["3.9 - cos(x1 - pi/4) - cos(x2 - pi/2) - cos(x3 - pi) - cos(x4)", "0", "0", "0"],
+         ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        [(0.0, 2 * np.pi)] * 4, 1, "one_bad_cell")
+    where = (np.pi / 4, np.pi / 2, np.pi, 0.0)
+    message = f"metric not positive definite at cell barycenter {where}"
+    with pytest.raises(GridError, match=re.escape(message)):
+        grid.assemble(bad, 4)
+
+
+def _assert_masses_within_ulps(chart, n, ulps=8):
+    """The closed-form masses det(g_{S^c S^c}) h^4 / sqrt(det g) (Jacobi's
+    complementary minor) equal sqrt(det g) det((g^-1)_SS) h^4 from LAPACK."""
+    gc = grid.assemble(chart, n)
+    for got, ref in zip(gc.M, lumped_masses(chart, n)):
+        assert np.all(np.abs(got - ref) <= ulps * np.spacing(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_masses_match_inverse_determinant(n):
+    _assert_masses_within_ulps(presets.flat_t4(), n)
+    _assert_masses_within_ulps(perturbed_chart(), n)
+
+
+_TRIG = st.tuples(st.floats(-0.1, 0.1), st.sampled_from(("sin", "cos")),
+                  st.integers(1, 2), st.integers(1, 4))
+
+
+@given(st.lists(_TRIG, min_size=10, max_size=10), st.sampled_from((3, 4, 5)))
+@settings(max_examples=25, deadline=None)
+def test_masses_match_inverse_determinant_random(terms, n):
+    """Random near-flat periodic trig metrics g = I + (a sin|cos(f x_v)), |a| <= 0.1
+    per entry, so positive definite by Gershgorin."""
+    entries = [[None] * 4 for _ in range(4)]
+    upper = iter(terms)
+    for i in range(4):
+        for j in range(i, 4):
+            a, fn, f, v = next(upper)
+            entries[i][j] = entries[j][i] = f"{int(i == j)} + ({a:.6f})*{fn}({f}*x{v})"
+    chart = charts.chart_from_strings(entries, [(0.0, 2 * np.pi)] * 4, 1, "near_flat")
+    _assert_masses_within_ulps(chart, n)
+
+
+def test_star_gram_matches_loops(pert4):
+    """The contracted S and G equal one inner_lambda2 per basis pair."""
+    basis = grid.harmonic_kernel(pert4)
+    S, G = grid._star_gram(basis)
+    S_ref, G_ref = star_gram_loops(basis)
+    assert np.allclose(S, S_ref, rtol=0, atol=1e-15 * np.max(np.abs(S_ref)))
+    assert np.allclose(G, G_ref, rtol=0, atol=1e-15 * np.max(np.abs(G_ref)))
 
 
 def test_flat_kernel_is_constants(flat4):
