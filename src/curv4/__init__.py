@@ -8,3 +8,7 @@ class Curv4Error(Exception):
     """Base of curv4's errors; the CLI exits with `exit_code` (2: bad input)."""
 
     exit_code = 2
+
+
+class InputError(Curv4Error):
+    """Scenario-level rejection (maps to CLI exit code 2)."""

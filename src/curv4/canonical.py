@@ -16,21 +16,19 @@ bisection over t in Thorpe's max_t lambda_min(R + t *) for sec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import forms
 from .charts import PAIRS, CurvatureSlate, curvature_at, sample_box
 
 
-@dataclass
 class AdaptedFrame:
-    basis: np.ndarray  # (N,4,4) columns, expressed in the slate frame
-    lam1: np.ndarray
-    lam2: np.ndarray
-    degenerate: np.ndarray  # bool mask
-    block_residual: np.ndarray  # max |off-block component| in the adapted basis
+    def __init__(self, basis, lam1, lam2, degenerate, block_residual):
+        self.basis = basis  # (N,4,4) columns, expressed in the slate frame
+        self.lam1 = lam1
+        self.lam2 = lam2
+        self.degenerate = degenerate  # bool mask
+        self.block_residual = block_residual  # max |off-block component| in the adapted basis
 
 
 def canonicalize(f6, flag_tol=1e-8):

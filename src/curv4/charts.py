@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,21 +31,19 @@ class ChartError(Curv4Error):
     pass
 
 
-@dataclass(frozen=True)
 class MetricChart:
-    g: tuple  # 4x4 nested tuple of expression trees, symmetric
-    domain: tuple  # 4 pairs (lo, hi)
-    orientation: int = 1
-    name: str = "chart"
-    product_radii: tuple | None = None  # (r1, r2) of a product_s2s2 chart
-
-    def __post_init__(self):
-        if len(self.g) != 4 or any(len(row) != 4 for row in self.g):
+    def __init__(self, g, domain, orientation=1, name="chart", product_radii=None):
+        if len(g) != 4 or any(len(row) != 4 for row in g):
             raise ChartError("metric must be a 4x4 matrix of expressions")
-        if len(self.domain) != 4 or any(hi <= lo for lo, hi in self.domain):
+        if len(domain) != 4 or any(hi <= lo for lo, hi in domain):
             raise ChartError("domain must be 4 nonempty open intervals")
-        if self.orientation not in (1, -1):
+        if orientation not in (1, -1):
             raise ChartError("orientation must be +1 or -1")
+        self.g = g  # 4x4 nested tuple of expression trees, symmetric
+        self.domain = domain  # 4 pairs (lo, hi)
+        self.orientation = orientation
+        self.name = name
+        self.product_radii = product_radii  # (r1, r2) of a product_s2s2 chart
 
 
 def chart_from_strings(entries, domain, orientation=1, name="chart"):
@@ -267,14 +264,14 @@ def orthonormal_frame(g_values):
 # -- curvature slate ------------------------------------------------------------
 
 
-@dataclass
 class CurvatureSlate:
-    points: np.ndarray  # (N, 4)
-    frame: np.ndarray  # (N, 4, 4), columns are frame vectors in coordinates
-    R: np.ndarray  # (N, 4, 4, 4, 4) in the orthonormal frame
-    Ric: np.ndarray  # (N, 4, 4)
-    scal: np.ndarray  # (N,)
-    geometry: Geometry = field(default=None, repr=False)
+    def __init__(self, points, frame, R, Ric, scal, geometry: Geometry = None):
+        self.points = points  # (N, 4)
+        self.frame = frame  # (N, 4, 4), columns are frame vectors in coordinates
+        self.R = R  # (N, 4, 4, 4, 4) in the orthonormal frame
+        self.Ric = Ric  # (N, 4, 4)
+        self.scal = scal  # (N,)
+        self.geometry = geometry
 
 
 def curvature_at(chart_or_geom, pts=None, frame=None, orientation=1):

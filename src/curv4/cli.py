@@ -9,7 +9,6 @@ reports are byte-deterministic for a fixed scenario + seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import sys
@@ -17,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import Curv4Error, canonical, presets, scenario, verify
-from .verify import InputError
+from . import Curv4Error, InputError, scenario
+from .forms import EMPTY_SCAN, SIGN_CONVENTIONS
 
 CSV_COLUMNS = ["x1", "x2", "x3", "x4", "residual", "residual_eq28", "residual_eq29",
                "residual_eq42", "residual_eq43", "residual_eq46", "residual_eq49",
@@ -91,6 +90,8 @@ def _build_parser():
 
 
 def _cmd_presets_list(args):
+    from . import presets
+
     print("manifold presets:")
     for name in presets.PRESET_NAMES:
         print(f"  {name}")
@@ -117,6 +118,8 @@ def _write_report(args, report, samples=None):
 
 
 def _write_csv(path, samples):
+    import csv
+
     present = set().union(*samples)
     cols = [c for c in CSV_COLUMNS if c in present]
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -140,10 +143,11 @@ def _scenario_meta(sc):
 
 
 def _cmd_curvature(args):
-    sc = _load(args)
-    chart = sc.build_chart()
+    from . import canonical
     from .charts import curvature_at
 
+    sc = _load(args)
+    chart = sc.build_chart()
     pts = sc.points(chart)
     slate = curvature_at(chart, pts)
     rng = np.random.default_rng(sc.seed)
@@ -162,7 +166,7 @@ def _cmd_curvature(args):
         "scal_range": [float(np.min(slate.scal)), float(np.max(slate.scal))],
         "sampled_sec_range": [float(np.min(secs)), float(np.max(secs))],
         "global_stats": stats,
-        "sign_conventions": verify.SIGN_CONVENTIONS,
+        "sign_conventions": SIGN_CONVENTIONS,
     }
     samples = [{"x1": float(p[0]), "x2": float(p[1]), "x3": float(p[2]),
                 "x4": float(p[3]), "scal": float(slate.scal[n])}
@@ -172,6 +176,8 @@ def _cmd_curvature(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     sc = _load(args)
     chart = sc.build_chart()
     fld = sc.build_field(chart)
@@ -201,6 +207,10 @@ def _cmd_verify(args):
 
 
 def _cmd_kato(args):
+    import csv
+
+    from . import verify
+
     sc = _load(args)
     chart = sc.build_chart()
     fld = sc.build_field(chart)
@@ -241,9 +251,9 @@ def _cmd_kato(args):
                   all(rows[i]["min_lhs49_over_dnorm"] <= rows[i + 1]["min_lhs49_over_dnorm"]
                       for i in range(len(rows) - 1)
                       if rows[i]["k"] >= 1.0)),
-              "sign_conventions": verify.SIGN_CONVENTIONS}
+              "sign_conventions": SIGN_CONVENTIONS}
     if empty:
-        report["empty_scan"] = verify.EMPTY_SCAN
+        report["empty_scan"] = EMPTY_SCAN
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "ksweep.csv", "w", newline="", encoding="utf-8") as fh:
@@ -264,7 +274,7 @@ def _cmd_grid(args):
     basis = grid.harmonic_kernel(cx)
     rep = grid.definiteness_report(basis)
     report = {**_scenario_meta(sc), "command": f"grid {args.mode}", "n": sc.grid_n,
-              "h": cx.h, **rep, "sign_conventions": verify.SIGN_CONVENTIONS}
+              "h": cx.h, **rep, "sign_conventions": SIGN_CONVENTIONS}
     if args.mode == "harmonic":
         report["face_ordering"] = ("axis-pair lexicographic (12,13,14,23,24,34), "
                                    "then lattice index row-major")
@@ -286,8 +296,10 @@ def _cmd_integral(args):
         rep["representative_delta_residual"] = delta_res
         rep.update(cg)
         report = {**_scenario_meta(sc), "command": "integral (grid)", **rep,
-                  "sign_conventions": verify.SIGN_CONVENTIONS}
+                  "sign_conventions": SIGN_CONVENTIONS}
     else:
+        from . import verify
+
         chart = sc.build_chart()
         fld = sc.build_field(chart)
         rep = verify.integral_identity_analytic(

@@ -16,7 +16,6 @@ exponent requires a positive base (keeps jet lifting single-valued).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,44 +52,91 @@ class DomainError(ExprError):
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    offset: int = field(default=0, compare=False)
+class _Node:
+    """Immutable node. Each subclass lists its fields in __slots__, `offset`
+    last; equality and hash take the class and the fields, never the source
+    offset, so equal subtrees compare equal wherever they were parsed."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, f) for f in self.__slots__[:-1])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.__class__, self._fields()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
-    offset: int = field(default=0, compare=False)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
-    offset: int = field(default=0, compare=False)
+class Num(_Node):
+    __slots__ = ("value", "offset")
+
+    def __init__(self, value, offset=0):
+        _set(self, "value", value)
+        _set(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    arg: object
-    offset: int = field(default=0, compare=False)
+class Var(_Node):
+    __slots__ = ("index", "offset")
+
+    def __init__(self, index, offset=0):
+        _set(self, "index", index)
+        _set(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-    offset: int = field(default=0, compare=False)
+class Const(_Node):
+    __slots__ = ("name", "offset")
+
+    def __init__(self, name, offset=0):
+        _set(self, "name", name)
+        _set(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
-    offset: int = field(default=0, compare=False)
+class Unary(_Node):
+    __slots__ = ("op", "arg", "offset")
+
+    def __init__(self, op, arg, offset=0):
+        _set(self, "op", op)
+        _set(self, "arg", arg)
+        _set(self, "offset", offset)
+
+
+class Bin(_Node):
+    __slots__ = ("op", "left", "right", "offset")
+
+    def __init__(self, op, left, right, offset=0):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "offset", offset)
+
+
+class Call(_Node):
+    __slots__ = ("fn", "arg", "offset")
+
+    def __init__(self, fn, arg, offset=0):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        _set(self, "offset", offset)
 
 
 # -- tokenizer ---------------------------------------------------------------

@@ -22,6 +22,21 @@ from .jets import Jet3
 PAIR_KEYS = ("12", "13", "14", "23", "24", "34")
 TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
+# The sign dictionary embedded in every report.
+SIGN_CONVENTIONS = {
+    "version": 1,
+    "curvature": "R(X,Y) = -DxDy + DyDx + D[x,y]; R_ijkl = <R(e_i,e_j)e_k,e_l>; sec = R_ijij >= 0 on spheres",
+    "ricci": "Ric_ij = sum_k R_kikj",
+    "delta_fun": "trace of covariant Hessian (Delta(h^2) = 2h Delta h + 2|dh|^2)",
+    "delta_hodge": "d delta + delta d = -delta_fun on functions; nonnegative spectrum",
+    "hodge_star": "*(w1^w2) = w3^w4, *(w1^w3) = -w2^w4, *(w1^w4) = w2^w3 (volume pairing)",
+    "sd_split": "phi+- = phi +- *phi; F = |phi+|^2/2; G = |phi-|^2/2",
+    "lambda2": "{w^i^w^j} i<j orthonormal; full-sum coefficients are half these",
+    "jet_tolerance": 1e-12,
+}
+
+EMPTY_SCAN = "all points parallel-degenerate (|d|phi|| below threshold)"
+
 
 def _perm_sign(perm):
     """Sign of a permutation of distinct integers (the Levi-Civita symbol)."""
@@ -68,9 +83,12 @@ class TwoFormField:
         self.components = tuple(comps)
 
     def component_jets(self, pts):
+        """Jets of the six components; an overflow is reported by the finiteness
+        gate of eval_jet_env, naming the point, not by a numpy warning."""
         pts = np.asarray(pts, dtype=float)
         env = [Jet3.variable(i, pts[..., i]) for i in range(4)]
-        return [ex.eval_jet_env(c, env, pts) for c in self.components]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [ex.eval_jet_env(c, env, pts) for c in self.components]
 
 
 # -- value-level frame operations ---------------------------------------------

@@ -19,12 +19,11 @@ gives all six, M2-orthonormalised by Cholesky in PAIRS order as ker Delta_2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from . import Curv4Error, canonical, forms, jets
+from . import Curv4Error, forms, jets
 from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, metric_entries,
                      metric_values, orthonormal_frame, require_positive_definite,
                      sqrt_det_values)
@@ -43,17 +42,14 @@ class GridError(Curv4Error):
     pass
 
 
-@dataclass
 class GridComplex:
-    n: int
-    h: float
-    chart: MetricChart
-    d: tuple  # d[k]: C^k -> C^{k+1}, a Coboundary stencil (entries +-1)
-    M: tuple  # M[k]: 1-D positive arrays (diagonal mass matrices)
-    sites: int = field(init=False)
-
-    def __post_init__(self):
-        self.sites = self.n**4
+    def __init__(self, n, h, chart: MetricChart, d, M):
+        self.n = n
+        self.h = h
+        self.chart = chart
+        self.d = d  # d[k]: C^k -> C^{k+1}, a Coboundary stencil (entries +-1)
+        self.M = M  # M[k]: 1-D positive arrays (diagonal mass matrices)
+        self.sites = n**4
 
     def dim(self, k):
         return len(AXSETS[k]) * self.sites
@@ -277,16 +273,17 @@ def _class_representatives(complex: GridComplex, pairs, tol=1e-12, maxit=None):
     return (phi0 + d1 @ (Y / rt1)).T, cg
 
 
-@dataclass
 class HarmonicBasis:
-    complex: GridComplex
-    vectors: np.ndarray  # (dim, k) cochains, M2-orthonormal
-    kernel_residual: float = None  # max |Delta_2 z|_M / (lambda_max |z|_M)
-    cg: dict = field(default_factory=dict)  # cg_iterations, cg_relative_residual
-    b2_plus: int = 0
-    b2_minus: int = 0
-    signature: int = 0
-    star_eigenvalues: np.ndarray = None
+    def __init__(self, complex: GridComplex, vectors, kernel_residual=None, cg=None,
+                 b2_plus=0, b2_minus=0, signature=0, star_eigenvalues=None):
+        self.complex = complex
+        self.vectors = vectors  # (dim, k) cochains, M2-orthonormal
+        self.kernel_residual = kernel_residual  # max |Delta_2 z|_M / (lambda_max |z|_M)
+        self.cg = {} if cg is None else cg  # cg_iterations, cg_relative_residual
+        self.b2_plus = b2_plus
+        self.b2_minus = b2_minus
+        self.signature = signature
+        self.star_eigenvalues = star_eigenvalues
 
 
 def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60):
@@ -431,12 +428,11 @@ def _cg_single(apply_A, b, tol, maxit):
 # -- discrete field export and verification ----------------------------------------
 
 
-@dataclass
 class DiscreteField:
-    complex: GridComplex
-    coloc6: np.ndarray  # (6, n^4) cell-center co-located coordinate components
-    h: float
-    accuracy_order: int = 2
+    def __init__(self, complex: GridComplex, coloc6, h):
+        self.complex = complex
+        self.coloc6 = coloc6  # (6, n^4) cell-center co-located coordinate components
+        self.h = h
 
 
 def discrete_field_export(complex: GridComplex, z) -> DiscreteField:
@@ -489,6 +485,8 @@ class _CellGeometry:
 def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None):
     """Pointwise residual of the Delta(FG) identity with discrete derivatives,
     the three integrals, and the conservative Green-Stokes check."""
+    from . import canonical
+
     gc = fieldd.complex
     n, h = gc.n, gc.h
     cg = cell_geom if cell_geom is not None else _CellGeometry(gc)
@@ -552,7 +550,6 @@ def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None)
         "balance_residual": float(abs(I_dFG - I_kfg - I_rem)),
         "green_stokes_conservative": green_stokes,
         "C_h2_estimate": float(abs(I_dFG) / h**2),
-        "accuracy_order": fieldd.accuracy_order,
         "degenerate_points": int(adapted.degenerate.sum()),
     }
 
@@ -581,30 +578,4 @@ def _discrete_scalar_laplacian(gc: GridComplex, cg: _CellGeometry, u_grid):
             coef = ginv[..., i, j] * (1.0 if i == j else 2.0)
             out += coef * d2
         out += drift[..., i] * _roll_diff(u_grid, i, h)
-    return out
-
-
-def discrete_kato_scan(fieldd: DiscreteField, cell_geom: _CellGeometry = None):
-    gc = fieldd.complex
-    n, h = gc.n, gc.h
-    cg = cell_geom if cell_geom is not None else _CellGeometry(gc)
-    c6 = fieldd.coloc6
-    ginv = cg.ginv
-    grad_sq = forms.nabla_norm_sq_values(cg.gi, _covariant_nabla_discrete(gc, cg, c6),
-                                         cg.lambda2)
-    norm = np.sqrt(np.maximum(forms.inner_lambda2(cg.lambda2, c6, c6), 0.0))
-    ngrid = norm.reshape(n, n, n, n)
-    dn = np.stack([_roll_diff(ngrid, a, h) for a in range(4)], axis=-1).reshape(-1, 4)
-    dn_sq = np.einsum("...ij,...i,...j->...", ginv, dn, dn, optimize=True)
-    floor = (1e-6 * float(np.max(norm)))**2
-    valid = (norm > 1e-6 * np.max(norm)) & (dn_sq > floor)
-    out = {"n": n, "h": h, "valid_points": int(valid.sum()),
-           "accuracy_order": fieldd.accuracy_order}
-    if not np.any(valid):
-        out["empty_scan"] = "all points parallel-degenerate"
-        out["min_rho"] = None
-        return out
-    rho = grad_sq[valid] / dn_sq[valid]
-    out["min_rho"] = float(np.min(rho))
-    out["fraction_rho_below_2"] = float(np.mean(rho < 2.0))
     return out

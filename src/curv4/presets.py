@@ -12,7 +12,6 @@ Coordinate ranges:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -57,7 +56,8 @@ def product_s2s2(r1=1.0, r2=1.0):
     ]
     domain = [(0.0, math.pi), (0.0, TWO_PI), (0.0, math.pi), (0.0, TWO_PI)]
     chart = _diag(entries, domain, f"product_s2s2({r1},{r2})")
-    return replace(chart, product_radii=(float(r1), float(r2)))
+    return MetricChart(chart.g, chart.domain, chart.orientation, chart.name,
+                       (float(r1), float(r2)))
 
 
 # Fubini-Study metric in the affine chart, from the potential log(1+|z|^2):

@@ -7,18 +7,33 @@ change a run.  A fixed (scenario, seed) pair reproduces identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import InputError
 from . import expr as ex
-from . import presets
 from .charts import (MetricChart, chart_from_strings, conformal_chart, sample_box,
                      validate_chart)
 from .forms import PAIR_KEYS, TwoFormField
-from .verify import DEFAULT_TOLERANCES, InputError
 
 SCHEMA_VERSION = 1
+
+DEFAULT_TOLERANCES = {
+    "weitzenboeck": 1e-7,
+    "eq22": 1e-7,
+    "lemma22": 1e-6,
+    "prop23": 1e-6,
+    "thm21": 1e-6,
+    "conformal": 1e-5,
+    "eq42": 1e-6,
+    "eq43": 1e-6,
+    "eq46": 1e-6,
+    "harmonicity": 1e-7,
+    "kato_classical": 1e-9,
+    "kato_lemma41": 1e-6,
+    "normal_gamma": 1e-9,
+    "degeneracy_frac": 1e-8,
+}
 
 _TOP_KEYS = {"schema_version", "id", "manifold", "form", "form_components",
              "conformal_factor", "sampling", "tolerances", "grid"}
@@ -29,15 +44,16 @@ _SAMPLING_KEYS = {"count", "margin", "seed"}
 _GRID_KEYS = {"n", "metric"}
 
 
-@dataclass
 class Scenario:
-    id: str
-    manifold: dict
-    form: dict = None
-    conformal_factor: str = None
-    sampling: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    grid: dict = None
+    def __init__(self, id, manifold, form=None, conformal_factor=None, sampling=None,
+                 tolerances=None, grid=None):
+        self.id = id
+        self.manifold = manifold
+        self.form = form
+        self.conformal_factor = conformal_factor
+        self.sampling = {} if sampling is None else sampling
+        self.tolerances = {} if tolerances is None else tolerances
+        self.grid = grid
 
     @property
     def count(self):
@@ -77,6 +93,8 @@ class Scenario:
         seed = int(spec.get("seed", self.seed))
         if name == "zero":
             return TwoFormField(chart, {})
+        from . import presets
+
         return TwoFormField(chart, presets.form_preset(name, chart, seed=seed))
 
     def points(self, chart: MetricChart, count=None):
@@ -113,6 +131,8 @@ def _build_manifold(spec) -> MetricChart:
         spec = {"preset": spec}
     if "preset" in spec:
         _check_keys(spec, _MANIFOLD_PRESET_KEYS, "manifold")
+        from . import presets
+
         return presets.chart_preset(spec)
     _check_keys(spec, _MANIFOLD_INLINE_KEYS, "manifold")
     if "metric" not in spec:

@@ -9,69 +9,37 @@ dictionary in use is embedded in every report.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import Curv4Error, canonical, forms, jets
+from . import InputError, forms, jets
 from .charts import (CurvatureSlate, Geometry, MetricChart, chart_is_periodic,
                      curvature_at, normal_chart, normal_chart_map, pullback_two_form,
                      sample_box, sqrt_det_values)
-from .forms import PAIRS, TwoFormField
+from .forms import EMPTY_SCAN, PAIRS, SIGN_CONVENTIONS, TwoFormField
 from .jets import Jet3
-
-SIGN_CONVENTIONS = {
-    "version": 1,
-    "curvature": "R(X,Y) = -DxDy + DyDx + D[x,y]; R_ijkl = <R(e_i,e_j)e_k,e_l>; sec = R_ijij >= 0 on spheres",
-    "ricci": "Ric_ij = sum_k R_kikj",
-    "delta_fun": "trace of covariant Hessian (Delta(h^2) = 2h Delta h + 2|dh|^2)",
-    "delta_hodge": "d delta + delta d = -delta_fun on functions; nonnegative spectrum",
-    "hodge_star": "*(w1^w2) = w3^w4, *(w1^w3) = -w2^w4, *(w1^w4) = w2^w3 (volume pairing)",
-    "sd_split": "phi+- = phi +- *phi; F = |phi+|^2/2; G = |phi-|^2/2",
-    "lambda2": "{w^i^w^j} i<j orthonormal; full-sum coefficients are half these",
-    "jet_tolerance": 1e-12,
-}
+from .scenario import DEFAULT_TOLERANCES
 
 RESIDUAL_FLOOR = 1e-12
 
-EMPTY_SCAN = "all points parallel-degenerate (|d|phi|| below threshold)"
 
-DEFAULT_TOLERANCES = {
-    "weitzenboeck": 1e-7,
-    "eq22": 1e-7,
-    "lemma22": 1e-6,
-    "prop23": 1e-6,
-    "thm21": 1e-6,
-    "conformal": 1e-5,
-    "eq42": 1e-6,
-    "eq43": 1e-6,
-    "eq46": 1e-6,
-    "harmonicity": 1e-7,
-    "kato_classical": 1e-9,
-    "kato_lemma41": 1e-6,
-    "normal_gamma": 1e-9,
-    "degeneracy_frac": 1e-8,
-}
-
-
-class InputError(Curv4Error):
-    """Scenario-level rejection (maps to CLI exit code 2)."""
-
-
-@dataclass
 class VerificationReport:
-    identity: str
-    scenario: str
-    points_sampled: int
-    included: int
-    excluded: list
-    max_abs_residual: float
-    max_rel_residual: float
-    tolerance: float
-    passed: bool
-    sign_conventions: dict = field(default_factory=lambda: dict(SIGN_CONVENTIONS))
-    extra: dict = field(default_factory=dict)
-    samples: list = field(default_factory=list)
+    def __init__(self, identity, scenario, points_sampled, included, excluded,
+                 max_abs_residual, max_rel_residual, tolerance, passed,
+                 sign_conventions=None, extra=None, samples=None):
+        self.identity = identity
+        self.scenario = scenario
+        self.points_sampled = points_sampled
+        self.included = included
+        self.excluded = excluded
+        self.max_abs_residual = max_abs_residual
+        self.max_rel_residual = max_rel_residual
+        self.tolerance = tolerance
+        self.passed = passed
+        self.sign_conventions = dict(SIGN_CONVENTIONS) if sign_conventions is None \
+            else sign_conventions
+        self.extra = {} if extra is None else extra
+        self.samples = [] if samples is None else samples
 
     def to_dict(self):
         return {
@@ -315,6 +283,8 @@ def verify_lemma22(chart, fld, pts, tol=None, scenario="inline",
                    harmonicity_tol=None, gamma_tol=None):
     """Delta f1 = 2(K f1 - R1234 f2), Delta f2 = 2(K f2 - R1234 f1) in the
     adapted, radially parallel normal frame."""
+    from . import canonical
+
     tol = DEFAULT_TOLERANCES["lemma22"] if tol is None else tol
     harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
         else harmonicity_tol
@@ -356,6 +326,8 @@ def verify_prop23(chart, fld, pts, tol=None, scenario="inline", harmonicity_tol=
     vanishing scalar stays fully determined; the other side enters the report
     only at non-degenerate points (it is still recorded per point).
     """
+    from . import canonical
+
     tol = DEFAULT_TOLERANCES["prop23"] if tol is None else tol
     harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
         else harmonicity_tol
@@ -404,6 +376,8 @@ def verify_prop23(chart, fld, pts, tol=None, scenario="inline", harmonicity_tol=
 def verify_theorem21(chart, fld, pts, tol=None, scenario="inline", harmonicity_tol=None):
     """Delta(FG) = 8 K F G + G|nabla phi+|^2 + F|nabla phi-|^2 + 2<dF, dG>,
     plus the Schwarz combination check at points where the Kato premise holds."""
+    from . import canonical
+
     tol = DEFAULT_TOLERANCES["thm21"] if tol is None else tol
     harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
         else harmonicity_tol
@@ -675,6 +649,8 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
     For periodic charts on (0, 2pi)^4 the trapezoid rule makes this the closed-
     manifold integral; otherwise the result is a box integral and flagged so.
     """
+    from . import canonical
+
     harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
         else harmonicity_tol
     periodic = chart_is_periodic(chart)

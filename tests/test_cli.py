@@ -161,7 +161,7 @@ def test_indefinite_metric_exit2(tmp_path, capsys):
                                            (["kato", "scan"], "metric")])
 def test_overflowing_expression_exit2(tmp_path, capsys, command, where):
     """A jet that overflows is bad input: exit 2 with the expression and the
-    point named, and no traceback."""
+    point named, no traceback, and numpy warns of nothing."""
     sc = {"schema_version": 1, "id": "overflow", "manifold": {"preset": "flat_t4"},
           "sampling": {"count": 4, "margin": 0.05, "seed": 1}}
     if where == "form":
@@ -171,10 +171,13 @@ def test_overflowing_expression_exit2(tmp_path, capsys, command, where):
                                       for j in range(4)] for i in range(4)]}
     sfile = tmp_path / "s.json"
     sfile.write_text(json.dumps(sc))
-    assert run(command + ["--scenario", sfile, "--out", tmp_path]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(command + ["--scenario", sfile, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert "non-finite jet coefficients in expression 'exp(5000.0 * x1)' at point (" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_overflowing_grid_metric_exit2(tmp_path, capsys):
@@ -330,25 +333,35 @@ def test_grid_chart_skips_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command", [["curvature"], ["verify", "eq22"], ["kato", "scan"],
-                                     ["grid", "definiteness"], ["integral"]])
+# The watched modules each command loads: the grid only for grid commands, the
+# verifiers, canonical frames, presets and csv only where the command runs them.
+COMMAND_LOADS = {
+    ("curvature",): ["csv", "curv4.canonical", "curv4.presets"],
+    ("verify", "eq22"): ["csv", "curv4.presets", "curv4.verify"],
+    ("kato", "scan"): ["csv", "curv4.presets", "curv4.verify"],
+    ("grid", "definiteness"): ["curv4.grid"],
+    ("integral",): ["curv4.canonical", "curv4.grid"],
+}
+
+
+@pytest.mark.parametrize("command", [list(c) for c in COMMAND_LOADS])
 def test_commands_skip_scipy_optimize(tmp_path, command):
     """The curvature extremes, the verifiers, the Kato scan and the grid (whose
     coboundaries are lattice-shift stencils) run without importing any scipy
-    module, numpy.ma, or concurrent.futures (single-threaded); only the grid
-    commands import curv4.grid."""
+    module, numpy.ma, concurrent.futures (single-threaded) or dataclasses, and
+    import only the curv4 modules and csv that they call (COMMAND_LOADS)."""
     import subprocess
     import sys
 
     sfile = SCENARIOS / "cp2_kaehler.json"
-    grid_command = command in (["grid", "definiteness"], ["integral"])
-    if grid_command:
+    if command in (["grid", "definiteness"], ["integral"]):
         raw = json.loads((SCENARIOS / "perturbed_t4_n8.json").read_text())
         raw["grid"]["n"] = 4
         sfile = tmp_path / "perturbed_t4_n4.json"
         sfile.write_text(json.dumps(raw))
     argv = command + ["--scenario", str(sfile), "--out", str(tmp_path)]
-    watched = ("curv4.grid", "numpy.ma", "concurrent.futures")
+    watched = ("curv4.grid", "curv4.verify", "curv4.canonical", "curv4.presets", "numpy.ma",
+               "concurrent.futures", "csv", "dataclasses")
     code = ("import sys; from curv4 import cli; "
             f"assert cli.main({argv!r}) == 0; "
             "print(sorted(m for m in sys.modules "
@@ -358,4 +371,23 @@ def test_commands_skip_scipy_optimize(tmp_path, command):
     env.pop("CURV4_THREADS", None)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == ("['curv4.grid']" if grid_command else "[]")
+    assert out.stdout.strip() == str(COMMAND_LOADS[tuple(command)])
+
+
+def test_each_module_imports_alone():
+    """Every curv4 module imports first in a fresh interpreter: no import cycle
+    through the names that several modules share."""
+    import pkgutil
+    import subprocess
+    import sys
+
+    import curv4
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    names = [m.name for m in pkgutil.iter_modules(curv4.__path__)]
+    assert "verify" in names and "scenario" in names
+    for name in names:
+        out = subprocess.run([sys.executable, "-c", f"import curv4.{name}"], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, (name, out.stderr)

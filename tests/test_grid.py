@@ -329,11 +329,3 @@ def test_discrete_eq23_convergence_small():
     assert 2.0 < ratio < 8.0  # second-order trend on a coarse pair
     assert abs(reports[8]["green_stokes_conservative"]) < 1e-12
 
-
-def test_discrete_kato_scan_reports(pert8):
-    phi, _, _ = grid.harmonic_representative(pert8, (0, 1))
-    scan = grid.discrete_kato_scan(grid.discrete_field_export(pert8, phi))
-    assert scan["h"] == pert8.h and scan["accuracy_order"] == 2
-    assert scan["valid_points"] > 0
-    # O(h) discretization floor under Lemma 4.1's 3/2 (measured 2.17 at n=8)
-    assert scan["min_rho"] > 1.0
