@@ -173,12 +173,20 @@ def _random_admissible(f6, rng):
 
 def _k_r(R, Q=None):
     """K = (R1313 + R1414 + R2323 + R2424)/2 and R1234 of R read in the basis Q
-    (columns), or of R as given when Q is None."""
-    Rq = R if Q is None else np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd",
-                                       R, Q, Q, Q, Q, optimize=True)
-    K = 0.5 * (Rq[..., 0, 2, 0, 2] + Rq[..., 0, 3, 0, 3]
-               + Rq[..., 1, 2, 1, 2] + Rq[..., 1, 3, 1, 3])
-    return K, Rq[..., 0, 1, 2, 3]
+    (columns), or of R as given when Q is None.  Only these five components
+    are formed, in a fixed order: R(Q_a, Q_b, Q_c, Q_d) = w_ab . M w_cd with
+    M = _op6(R) and the bivectors w_ab = Q_a ^ Q_b in PAIRS coordinates."""
+    a, b, c, d = np.array([(0, 2, 0, 2), (0, 3, 0, 3), (1, 2, 1, 2), (1, 3, 1, 3), (0, 1, 2, 3)]).T
+    if Q is None:
+        Rq = R[..., a, b, c, d]
+    else:
+        i, j = np.array(PAIRS).T
+        Qi, Qj = Q[..., i, :], Q[..., j, :]
+        wab = Qi[..., a] * Qj[..., b] - Qj[..., a] * Qi[..., b]
+        wcd = Qi[..., c] * Qj[..., d] - Qj[..., c] * Qi[..., d]
+        Rq = np.sum(wab * (_op6(R) @ wcd), axis=-2)
+    K = 0.5 * (Rq[..., 0] + Rq[..., 1] + Rq[..., 2] + Rq[..., 3])
+    return K, Rq[..., 4]
 
 
 # -- biorthogonal curvature ------------------------------------------------------

@@ -25,6 +25,8 @@ from .jets import Jet3
 
 # Coordinate index pairs (i < j) labelling 2-form components, in storage order.
 PAIRS = tuple(itertools.combinations(range(4), 2))
+# The upper entries (i <= j) of the metric, in evaluation order.
+UPPER = tuple(itertools.combinations_with_replacement(range(4), 2))
 
 
 class ChartError(Curv4Error):
@@ -44,6 +46,7 @@ class MetricChart:
         self.orientation = orientation
         self.name = name
         self.product_radii = product_radii  # (r1, r2) of a product_s2s2 chart
+        self.plan = ex.Plan([g[i][j] for i, j in UPPER])  # the UPPER entries of g
 
 
 def chart_from_strings(entries, domain, orientation=1, name="chart"):
@@ -125,18 +128,15 @@ def metric_jets(chart: MetricChart, pts):
 
 def metric_jets_env(chart: MetricChart, env, pts=None):
     g = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i, 4):
-            g[i][j] = ex.eval_jet_env(chart.g[i][j], env, pts)
-            if j != i:
-                g[j][i] = g[i][j]
+    for (i, j), u in zip(UPPER, chart.plan.jets(env, pts)):
+        g[i][j] = g[j][i] = u
     return g
 
 
 class Geometry:
     """Per-point metric pipeline shared by curvature and form operators.
 
-    Accepts the metric's stacked jets (shape batch + (4, 4, NCOEFF)) directly
+    Accepts the metric's stacked jets (shape (NCOEFF,) + batch + (4, 4)) directly
     so conformal metrics built from field data (not expressible in the DSL)
     run through the same code paths.  g^-1, Gamma, d Gamma and R come in
     closed form from V = g(p)^-1, dg and d2g (d_a g^-1 = -V d_a g V, and the
@@ -170,7 +170,7 @@ class Geometry:
 
     @property
     def g_values(self):
-        return self._get("gv", lambda: np.ascontiguousarray(self.gc[..., 0]))
+        return self._get("gv", lambda: np.ascontiguousarray(self.gc[0]))
 
     @property
     def ginv_values(self):
@@ -179,7 +179,7 @@ class Geometry:
     @property
     def dg_values(self):
         """d_a g_ij, shape batch + (4, 4, 4) indexed [a, i, j]."""
-        return self._get("dg", lambda: np.moveaxis(Jet3(self.gc).grad(), -1, -3))
+        return self._get("dg", lambda: np.moveaxis(self.gc[1:5], 0, -3))
 
     @property
     def dginv_values(self):
@@ -362,7 +362,7 @@ def normal_chart(chart: MetricChart, xj):
     pts = _map_points(xj)
     gp = jets.congruence(_jacobian(xj), jets.stack(metric_jets_env(chart, xj, pts)))
     upper, lower = np.triu_indices(4, 1)
-    gp[..., lower, upper, :] = gp[..., upper, lower, :]
+    gp[..., lower, upper] = gp[..., upper, lower]
     return Geometry(gp, np.zeros_like(pts))
 
 
@@ -373,9 +373,9 @@ def pullback_two_form(components, xjets):
     order, phi'_ab = sum_ij J_ia phi_ij(x(y)) J_jb.
     """
     pts = _map_points(xjets)
-    phi = [ex.eval_jet_env(node, xjets, pts) for node in components]
+    phi = list(ex.Plan(components).jets(xjets, pts))
     pulled = jets.congruence(_jacobian(xjets), jets.antisymmetric([u.c for u in phi], PAIRS))
-    return [Jet3(pulled[..., a, b, :]) for a, b in PAIRS]
+    return [Jet3(pulled[..., a, b]) for a, b in PAIRS]
 
 
 def _map_points(xjets):
@@ -383,9 +383,9 @@ def _map_points(xjets):
 
 
 def _jacobian(xjets):
-    """J[..., i, a, :] = dx_i/dy_a as stacked jets."""
-    return np.stack([np.stack([x.partial(a).c for a in range(4)], axis=-2) for x in xjets],
-                    axis=-3)
+    """J[..., i, a] = dx_i/dy_a as stacked jets."""
+    return np.stack([np.stack([x.partial(a).c for a in range(4)], axis=-1) for x in xjets],
+                    axis=-2)
 
 
 # -- value-level checks -----------------------------------------------------------
@@ -395,10 +395,8 @@ def metric_entries(chart: MetricChart, pts):
     """g at pts (shape (N, 4)) as a symmetric 4x4 nested list of contiguous (N,)
     arrays; an entry that overflows or is undefined at a point is a ChartError."""
     g = [[None] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i, 4):
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = np.array(np.broadcast_to(ex.eval_values(chart.g[i][j], pts), len(pts)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), v in zip(UPPER, chart.plan.values(pts)):
             try:
                 jets.assert_finite(v, lambda: f"expression '{ex.to_string(chart.g[i][j])}'", pts)
             except jets.JetError as e:

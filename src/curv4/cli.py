@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Exit codes: 0 all residuals within tolerance, 1 identity violation or a
-solver that stopped above its tolerance, 2 input error.  Each run writes
-report.json (full result) and samples.csv (per-point table) into --out;
-reports are byte-deterministic for a fixed scenario + seed.
+Exit codes: 0 all residuals within tolerance, 1 identity violation, a
+solver that stopped above its tolerance or a non-finite report value, 2 input
+error.  Each run writes report.json (full result, strict JSON) and
+samples.csv (per-point table) into --out; reports are byte-deterministic for
+a fixed scenario + seed.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import numpy as np
 from . import Curv4Error, InputError, scenario
 from .forms import EMPTY_SCAN, SIGN_CONVENTIONS
 
-CSV_COLUMNS = ["x1", "x2", "x3", "x4", "residual", "residual_eq28", "residual_eq29",
-               "residual_eq42", "residual_eq43", "residual_eq46", "residual_eq49",
-               "rho", "grad_sq", "dnorm_sq", "norm", "scal", "K", "R1234", "F", "G",
+# the column order of samples.csv and ksweep.csv
+CSV_COLUMNS = ["k", "min_lhs49_over_dnorm", "x1", "x2", "x3", "x4", "residual",
+               "residual_eq28", "residual_eq29", "residual_eq42", "residual_eq43",
+               "residual_eq46", "residual_eq49", "rho", "grad_sq", "dnorm_sq", "norm", "scal", "K", "R1234", "F", "G",
                "lhs49_over_dnorm", "schwarz_combo", "schwarz_floor",
                "premise_rho_ge_2", "degenerate"]
 
@@ -105,37 +107,64 @@ def _load(args):
     return scenario.load(args.scenario)
 
 
-def _write_report(args, report, samples=None):
+class ReportError(Curv4Error):
+    """A report value that strict JSON cannot hold (NaN or infinity)."""
+
+    exit_code = 1
+
+
+def _write_report(args, report, samples=None, csv_name="samples.csv"):
+    """Write report.json, then the per-point columns `samples` to csv_name; a
+    non-finite report value raises ReportError before any file is opened."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        path, value = _non_finite(report)
+        raise ReportError(f"report value {path} is {value!r}, not a finite number") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "report.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, allow_nan=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     if samples is not None:
-        _write_csv(out / "samples.csv", samples)
+        _write_csv(out / csv_name, samples)
     return path
 
 
-def _write_csv(path, samples):
+def _non_finite(obj, path=""):
+    """Key path and value of the first non-finite float of a report, in
+    sort_keys order, or None."""
+    if isinstance(obj, float):
+        return None if np.isfinite(obj) else (path, obj)
+    items = sorted(obj.items()) if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, (list, tuple)) else ()
+    for key, value in items:
+        found = _non_finite(value, f"{path}[{key}]" if isinstance(key, int) else
+                            f"{path}.{key}" if path else key)
+        if found:
+            return found
+    return None
+
+
+def _write_csv(path, columns):
+    """Write the columns (name -> per-row values) in CSV_COLUMNS order: floats
+    as their repr, NaN and None as empty cells, flags as 0/1."""
     import csv
 
-    present = set().union(*samples)
-    cols = [c for c in CSV_COLUMNS if c in present]
+    names = [c for c in CSV_COLUMNS if c in columns]
+    cells = []
+    for name in names:
+        a = np.asarray(columns[name])
+        if a.dtype == bool:
+            cells.append(a.astype(int).tolist())
+            continue
+        # the repr of the list is the repr of each float, in one call
+        text = repr(a.tolist())[1:-1].split(", ") if a.size else []
+        cells.append(["" if v in ("nan", "None") else v for v in text])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
-        writer.writerows([_csv_value(row.get(c)) for c in cols] for row in samples)
-
-
-def _csv_value(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return int(v)
-    if isinstance(v, float) and v != v:  # NaN
-        return ""
-    return repr(v) if isinstance(v, float) else v
+        writer.writerow(names)
+        writer.writerows(zip(*cells))
 
 
 def _scenario_meta(sc):
@@ -168,9 +197,8 @@ def _cmd_curvature(args):
         "global_stats": stats,
         "sign_conventions": SIGN_CONVENTIONS,
     }
-    samples = [{"x1": float(p[0]), "x2": float(p[1]), "x3": float(p[2]),
-                "x4": float(p[3]), "scal": float(slate.scal[n])}
-               for n, p in enumerate(pts)]
+    samples = {"x1": pts[:, 0], "x2": pts[:, 1], "x3": pts[:, 2], "x4": pts[:, 3],
+               "scal": slate.scal}
     _write_report(args, report, samples)
     return 0
 
@@ -207,8 +235,6 @@ def _cmd_verify(args):
 
 
 def _cmd_kato(args):
-    import csv
-
     from . import verify
 
     sc = _load(args)
@@ -218,7 +244,7 @@ def _cmd_kato(args):
     if args.mode == "scan":
         scan = verify.kato_scan(chart, fld, pts, scenario=sc.id,
                                 harmonicity_tol=sc.tolerance("harmonicity"))
-        samples = scan.pop("samples", [])
+        samples = scan.pop("samples")
         report = {**_scenario_meta(sc), "command": "kato scan", **scan}
         _write_report(args, report, samples)
         if scan.get("min_rho") is not None and not (
@@ -254,15 +280,9 @@ def _cmd_kato(args):
               "sign_conventions": SIGN_CONVENTIONS}
     if empty:
         report["empty_scan"] = EMPTY_SCAN
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "ksweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "min_lhs49_over_dnorm", "residual_eq49"])
-        for row in rows:
-            writer.writerow([_csv_value(row["k"]), _csv_value(row["min_lhs49_over_dnorm"]),
-                             _csv_value(row["residual_eq49"])])
-    _write_report(args, report)
+    _write_report(args, report, {c: [row[c] for row in rows]
+                                 for c in ("k", "min_lhs49_over_dnorm", "residual_eq49")},
+                  "ksweep.csv")
     return 0 if report["passed"] else 1
 
 

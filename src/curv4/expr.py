@@ -9,13 +9,17 @@ Grammar (loosest to tightest binding):
     atom    := NUMBER | IDENT | IDENT '(' sum ')' | '(' sum ')'
 
 Identifiers: variables x1..x4, the constant pi, functions sin cos exp log sqrt.
-Evaluation is generic over floats/arrays and jets; '^' with a non-constant
-exponent requires a positive base (keeps jet lifting single-valued).
+Trees are evaluated through a `Plan`, which compiles one or more of them into a
+DAG of distinct subtrees and runs it on value arrays or on jets; '^' with a
+non-constant exponent requires a positive base (keeps jet lifting
+single-valued).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 
 import numpy as np
 
@@ -380,60 +384,145 @@ def _fold(node):
     return Num(v) if v is not None else node
 
 
-# -- evaluation ----------------------------------------------------------------
+# -- evaluation: one compiled plan for values and jets ----------------------------
 
-_REAL_FNS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
-_JET_FNS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "log": jets.log,
-            "sqrt": jets.sqrt}
+_ARITH = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+def _nonpositive(x):
+    return np.any(~(np.asarray(x.value if isinstance(x, Jet3) else x) > 0.0))
+
+
+class Plan:
+    """Expression trees compiled once into one evaluation order (a DAG).
+
+    Equal subtrees of all the trees become one step, by value numbering: a step
+    is keyed by its operation, its literal and the step numbers of its
+    operands, a float literal by its bit pattern (0.0 and -0.0 compare equal
+    but are different constants).  Steps run in the order of a left-to-right
+    post-order walk of the trees, one tree after the other, so the first step
+    to fail is the node a tree walker fails at first, and a shared step cites
+    the first of its equal nodes.  Each step's value is dropped after its last
+    reader unless it is a tree's result.  One interpreter runs the plan on
+    value arrays (`values`) or on jets (`jets`); both yield the trees' results
+    in order, each as soon as its steps have run.
+    """
+
+    def __init__(self, roots):
+        self.roots = tuple(roots)
+        self.steps = []  # (op, operand step numbers, literal, node)
+        self.results = []  # (steps emitted through this tree, step of its result)
+        self._ids = {}
+        for root in self.roots:
+            out = self._emit(root)
+            self.results.append((len(self.steps), out))
+        last = {i: k for k, (_, args, _, _) in enumerate(self.steps) for i in args}
+        kept = {out for _, out in self.results}
+        self.frees = [[] for _ in self.steps]
+        for i, k in last.items():
+            if i not in kept:
+                self.frees[k].append(i)
+
+    def _step(self, op, args, literal, node):
+        key = (op, args, type(literal),
+               struct.pack("<d", literal) if isinstance(literal, float) else literal)
+        if key not in self._ids:
+            self._ids[key] = len(self.steps)
+            self.steps.append((op, args, literal, node))
+        return self._ids[key]
+
+    def _emit(self, n):
+        if isinstance(n, Num):
+            return self._step("num", (), n.value, n)
+        if isinstance(n, Const):
+            return self._step("num", (), CONSTANTS[n.name], n)
+        if isinstance(n, Var):
+            return self._step("var", (), n.index, n)
+        if isinstance(n, (Unary, Call)):
+            return self._step("call" if isinstance(n, Call) else "neg", (self._emit(n.arg),),
+                              getattr(n, "fn", None), n)
+        if not isinstance(n, Bin):
+            raise TypeError(f"not an expression node: {n!r}")
+        left = self._emit(n.left)
+        const_exp = constant_value(n.right) if n.op == "^" else None
+        if const_exp is not None:
+            return self._step("^c", (left,), const_exp, n)
+        if n.op == "^":  # the base is checked before the exponent is evaluated
+            self.steps.append(("base>0", (left,), None, n))
+        return self._step(n.op, (left, self._emit(n.right)), None, n)
+
+    def _run(self, apply):
+        vals = [None] * len(self.steps)
+        k = 0
+        for end, out in self.results:
+            while k < end:
+                op, args, literal, node = self.steps[k]
+                a = [vals[i] for i in args]
+                if op == "base>0" and _nonpositive(a[0]):
+                    raise DomainError("nonpositive base for variable exponent", node)
+                vals[k] = None if op == "base>0" else apply(op, a, literal, node)
+                for i in self.frees[k]:
+                    vals[i] = None
+                k += 1
+            yield vals[out]
+
+    def values(self, points):
+        """Each tree over plain reals at points (shape (..., 4)), as an array of
+        the batch shape."""
+        points = np.asarray(points, dtype=float)
+
+        def apply(op, a, literal, node):
+            if op == "num":
+                return literal
+            if op == "var":
+                return points[..., literal]
+            if op == "call" and literal in ("log", "sqrt") and _nonpositive(a[0]):
+                raise DomainError(f"{literal} of nonpositive value", node)
+            if op == "/" and np.any(np.asarray(a[1]) == 0.0):
+                raise DomainError("division by zero", node)
+            if op == "^c" and literal != round(literal) and _nonpositive(a[0]):
+                raise DomainError("negative base for non-integer power", node)
+            if op == "call":  # the FUNCTIONS are named as in numpy and in jets
+                return getattr(np, literal)(a[0])
+            if op == "^c":
+                n = int(round(literal))
+                return np.power(a[0], n if n == literal else literal)
+            return np.power(*a) if op == "^" else _ARITH[op](*a)
+
+        for v in self._run(apply):
+            yield np.broadcast_to(np.asarray(v, dtype=float), points.shape[:-1]).copy()
+
+    def jets(self, env, points=None):
+        """Each tree as a Jet3, with the jets env bound to x1..x4; a result with
+        a non-finite coefficient raises JetError naming its tree and point."""
+        batch = env[0].value.shape
+
+        def apply(op, a, literal, node):
+            if op == "num":
+                return Jet3.constant(literal, batch)
+            if op == "var":
+                return env[literal]
+            try:
+                if op == "call":
+                    fn = getattr(jets, literal)
+                    return fn(a[0], points) if literal in ("log", "sqrt") else fn(a[0])
+                if op == "^c":
+                    return jets.powr(a[0], literal, points)
+                if op == "^":
+                    return jets.exp(a[1] * jets.log(a[0], points))
+                return _ARITH[op](*a)
+            except jets.JetError as e:
+                raise DomainError(str(e), node) from None
+
+        for root, out in zip(self.roots, self._run(apply)):
+            jets.assert_finite(out, lambda: f"expression '{to_string(root)}'", points)
+            yield out
 
 
 def eval_values(node, points):
     """Evaluate over plain reals; points has shape (..., 4)."""
-    points = np.asarray(points, dtype=float)
-
-    def go(n):
-        if isinstance(n, Num):
-            return n.value
-        if isinstance(n, Const):
-            return CONSTANTS[n.name]
-        if isinstance(n, Var):
-            return points[..., n.index]
-        if isinstance(n, Unary):
-            return -go(n.arg)
-        if isinstance(n, Call):
-            arg = go(n.arg)
-            if n.fn in ("log", "sqrt") and np.any(~(np.asarray(arg) > 0.0)):
-                raise DomainError(f"{n.fn} of nonpositive value", n)
-            return _REAL_FNS[n.fn](arg)
-        if isinstance(n, Bin):
-            if n.op == "^":
-                return _eval_pow_real(n)
-            l, r = go(n.left), go(n.right)
-            if n.op == "+":
-                return l + r
-            if n.op == "-":
-                return l - r
-            if n.op == "*":
-                return l * r
-            if np.any(np.asarray(r) == 0.0):
-                raise DomainError("division by zero", n)
-            return l / r
-        raise TypeError(f"not an expression node: {n!r}")
-
-    def _eval_pow_real(n):
-        base = go(n.left)
-        const_exp = constant_value(n.right)
-        if const_exp is not None:
-            if const_exp == round(const_exp):
-                return np.power(base, int(round(const_exp)))
-            if np.any(~(np.asarray(base) > 0.0)):
-                raise DomainError("negative base for non-integer power", n)
-            return np.power(base, const_exp)
-        if np.any(~(np.asarray(base) > 0.0)):
-            raise DomainError("nonpositive base for variable exponent", n)
-        return np.power(base, go(n.right))
-
-    return np.broadcast_to(np.asarray(go(node), dtype=float), points.shape[:-1]).copy()
+    return next(Plan([node]).values(points))
 
 
 def eval_jet(node, points):
@@ -445,46 +534,4 @@ def eval_jet(node, points):
 
 def eval_jet_env(node, env, points=None):
     """Evaluate with explicit jets bound to x1..x4 (used for chart composition)."""
-    batch = env[0].value.shape
-
-    def go(n):
-        if isinstance(n, Num):
-            return Jet3.constant(n.value, batch)
-        if isinstance(n, Const):
-            return Jet3.constant(CONSTANTS[n.name], batch)
-        if isinstance(n, Var):
-            return env[n.index]
-        if isinstance(n, Unary):
-            return -go(n.arg)
-        if isinstance(n, Call):
-            arg = go(n.arg)
-            try:
-                return _JET_FNS[n.fn](arg) if n.fn in ("sin", "cos", "exp") \
-                    else _JET_FNS[n.fn](arg, points)
-            except jets.JetError as e:
-                raise DomainError(str(e), n) from None
-        if isinstance(n, Bin):
-            try:
-                if n.op == "^":
-                    const_exp = constant_value(n.right)
-                    base = go(n.left)
-                    if const_exp is not None:
-                        return jets.powr(base, const_exp, points)
-                    if np.any(~(base.value > 0.0)):
-                        raise DomainError("nonpositive base for variable exponent", n)
-                    return jets.exp(go(n.right) * jets.log(base, points))
-                l, r = go(n.left), go(n.right)
-                if n.op == "+":
-                    return l + r
-                if n.op == "-":
-                    return l - r
-                if n.op == "*":
-                    return l * r
-                return l / r
-            except jets.JetError as e:
-                raise DomainError(str(e), n) from None
-        raise TypeError(f"not an expression node: {n!r}")
-
-    out = go(node)
-    jets.assert_finite(out, lambda: f"expression '{to_string(node)}'", points)
-    return out
+    return next(Plan([node]).jets(env, points))

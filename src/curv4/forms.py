@@ -10,8 +10,6 @@ in phi, so the verifier works directly with the ordered-pair components.
 
 from __future__ import annotations
 
-import itertools as it
-
 import numpy as np
 
 from . import Curv4Error, jets
@@ -38,26 +36,8 @@ SIGN_CONVENTIONS = {
 EMPTY_SCAN = "all points parallel-degenerate (|d|phi|| below threshold)"
 
 
-def _perm_sign(perm):
-    """Sign of a permutation of distinct integers (the Levi-Civita symbol)."""
-    sign = 1
-    p = list(perm)
-    for a in range(len(p)):
-        for b in range(a + 1, len(p)):
-            if p[a] > p[b]:
-                sign = -sign
-    return sign
-
-
-def _levi_civita():
-    """eps_ijkl as a (4, 4, 4, 4) array."""
-    eps = np.zeros((4, 4, 4, 4))
-    for perm in it.permutations(range(4)):
-        eps[perm] = _perm_sign(perm)
-    return eps
-
-
-EPS4 = _levi_civita()
+# The Levi-Civita symbol eps_ijkl, a (4, 4, 4, 4) array.
+EPS4 = jets.antisymmetric([np.ones(())], [(0, 1, 2, 3)])
 
 # Hodge star on ordered-pair components, (*phi)_kl = eps_ijkl phi^ij, in an
 # orthonormal frame and (star_coord) in coordinates: (12)<->(34),
@@ -81,14 +61,16 @@ class TwoFormField:
                 else components[PAIR_KEYS.index(key)]
             comps.append(ex.parse(node) if isinstance(node, str) else node)
         self.components = tuple(comps)
+        self.plan = ex.Plan(self.components)
 
     def component_jets(self, pts):
-        """Jets of the six components; an overflow is reported by the finiteness
-        gate of eval_jet_env, naming the point, not by a numpy warning."""
+        """Jets of the six components, from one compiled plan; an overflow is
+        reported by the plan's finiteness gate, naming the point, not by a numpy
+        warning."""
         pts = np.asarray(pts, dtype=float)
         env = [Jet3.variable(i, pts[..., i]) for i in range(4)]
         with np.errstate(over="ignore", invalid="ignore"):
-            return [ex.eval_jet_env(c, env, pts) for c in self.components]
+            return list(self.plan.jets(env, pts))
 
 
 # -- value-level frame operations ---------------------------------------------
@@ -275,8 +257,8 @@ def codiff_three_form_values(geom: Geometry, w_triples):
     """(delta w)_{jk} values for a 3-form of jets keyed by TRIPLES."""
     gam = geom.gamma_values
     ws = [w_triples[t] for t in TRIPLES]
-    W = jets.antisymmetric([w.value[..., None] for w in ws], TRIPLES)[..., 0]  # [i, j, k]
-    dW = np.moveaxis(jets.antisymmetric([w.grad() for w in ws], TRIPLES), -1, -4)  # [a, i, j, k]
+    W = jets.antisymmetric([w.value for w in ws], TRIPLES)  # [i, j, k]
+    dW = jets.antisymmetric([w.grad() for w in ws], TRIPLES)  # [a, i, j, k]
     # (nabla_a w)_{ijk} = d_a w_ijk - G^l_ai w_ljk - G^l_aj w_ilk - G^l_ak w_ijl
     nab = dW \
         - np.einsum("...lai,...ljk->...aijk", gam, W, optimize=True) \
@@ -363,8 +345,8 @@ def covariant_invariants(geom: Geometry, c6, degeneracy_floor=0.0, Q=None, T=Non
         dnorm_sq = grad_inner_values(geom, nj, nj)
     elif np.any(valid):
         sub_pts = geom.pts[valid]
-        sub_geom = Geometry(geom.gc[valid], sub_pts)
-        sub_c6 = [Jet3(c.c[valid]) for c in c6]
+        sub_geom = Geometry(geom.gc[:, valid], sub_pts)
+        sub_c6 = [Jet3(c.c[:, valid]) for c in c6]
         sub_nsq = norm_sq_jet(sub_geom, sub_c6)
         nj = jets.sqrt(sub_nsq, sub_pts)
         dnorm_sq[valid] = grad_inner_values(sub_geom, nj, nj)

@@ -476,8 +476,8 @@ class _CellGeometry:
         self.R = np.concatenate(R)
         self.sqrt_det = sqrt_det_values(self.g)
         # drift of the scalar Laplacian: (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab
-        self.lap_drift = -np.einsum("...ab,...jab->...j", self.ginv, self.gamma,
-                                    optimize=True)
+        N = len(pts)
+        self.lap_drift = -(self.gamma.reshape(N, 4, 16) @ self.ginv.reshape(N, 16, 1))[..., 0]
         self.gi = np.moveaxis(self.ginv, 0, -1)
         self.lambda2 = forms.entry_values(forms.lambda2_metric(self.gi))
 
@@ -513,7 +513,7 @@ def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None)
     lap_FG = _discrete_scalar_laplacian(gc, cg, FG)
     dF = np.stack([_roll_diff(F, a, h) for a in range(4)], axis=-1).reshape(-1, 4)
     dG = np.stack([_roll_diff(G, a, h) for a in range(4)], axis=-1).reshape(-1, 4)
-    cross = np.einsum("...ij,...i,...j->...", ginv, dF, dG, optimize=True).reshape(n, n, n, n)
+    cross = ((dF[:, None, :] @ ginv) @ dG[:, :, None]).reshape(n, n, n, n)
 
     rhs = 8.0 * K * FG + G * np_sq + F * nm_sq + 2.0 * cross
     resid = lap_FG - rhs
@@ -559,9 +559,10 @@ def _covariant_nabla_discrete(gc: GridComplex, cg: _CellGeometry, c6):
     shape (N, 4, 4, 4) indexed [a, i, j]."""
     n, h = gc.n, gc.h
     full = forms.full_matrix_values(np.moveaxis(c6, 0, -1))  # (N,4,4)
-    gam = cg.gamma
-    corr = (np.einsum("...lai,...lj->...aij", gam, full, optimize=True)
-            + np.einsum("...laj,...il->...aij", gam, full, optimize=True))
+    gam = cg.gamma.reshape(-1, 4, 16)  # [l, (a, i)]
+    # Gamma^l_ai phi_lj + Gamma^l_aj phi_il, each one batched matmul
+    corr = ((np.swapaxes(gam, -1, -2) @ full).reshape(-1, 4, 4, 4)
+            + np.swapaxes((full @ gam).reshape(-1, 4, 4, 4), -3, -2))
     d = np.stack([[_roll_diff(c6[p].reshape(n, n, n, n), a, h).ravel() for p in range(6)]
                   for a in range(4)], axis=-1)  # (6, N, 4)
     return forms.full_matrix_values(np.moveaxis(d, 0, -1)) - corr

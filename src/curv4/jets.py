@@ -8,17 +8,21 @@ so order 2 is the order in use.  Products are graded: the value, linear and
 quadratic slots each collect the few terms of their degree (the truncated
 product, exact for polynomial inputs of total degree <= 2); elementary
 functions compose through their univariate Taylor expansion in the nilpotent
-part.  All coefficient arrays carry an arbitrary leading batch shape, so one
-evaluation differentiates a whole sample of points at once.
+part.
 
-Tensors of jets are stacked (see below), so the metric's derived tensors are
+Jets are stored coefficient-major: `Jet3.c` has shape (NCOEFF,) + batch, one
+row of the whole batch of points per coefficient, so every slot operation of
+a product or a composition is a numpy operation over contiguous rows of N
+points, not over rows of 4-15 coefficients.  Tensors of jets are stacked the
+same way, (NCOEFF,) + batch + components, so the metric's derived tensors are
 closed forms of a few contractions each, not loops of scalar jet products.
+`grad` and `hessian` return values with the batch axes first, as every other
+value array.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -26,55 +30,19 @@ from . import Curv4Error
 
 NVARS = 4
 ORDER = 2
+NCOEFF = 15
 
-MULTI_INDICES: tuple[tuple[int, int, int, int], ...] = tuple(
-    sorted(
-        (
-            alpha
-            for alpha in itertools.product(range(ORDER + 1), repeat=NVARS)
-            if sum(alpha) <= ORDER
-        ),
-        key=lambda a: (sum(a), a),
-    )
-)
-NCOEFF = len(MULTI_INDICES)  # 15
-INDEX_OF = {alpha: k for k, alpha in enumerate(MULTI_INDICES)}
-FACTORIAL = np.array(
-    [math.factorial(a[0]) * math.factorial(a[1]) * math.factorial(a[2]) * math.factorial(a[3])
-     for a in MULTI_INDICES],
-    dtype=float,
-)
-
-
-def _build_partial_tables():
-    tables = []
-    for axis in range(NVARS):
-        src, dst, fac = [], [], []
-        for t, beta in enumerate(MULTI_INDICES):
-            if sum(beta) <= ORDER - 1:
-                shifted = list(beta)
-                shifted[axis] += 1
-                src.append(INDEX_OF[tuple(shifted)])
-                dst.append(t)
-                fac.append(beta[axis] + 1)
-        tables.append((np.array(dst), np.array(src), np.array(fac, dtype=float)))
-    return tables
-
-
-_PARTIAL_TABLES = _build_partial_tables()
-
-_UNITS = np.eye(NVARS, dtype=int)
-_LINEAR_SLOTS = [INDEX_OF[tuple(_UNITS[a])] for a in range(NVARS)]
+# Slot layout of the coefficient axis: 0 the value, 1 + a the linear slot of
+# y_a, 5 + q the quadratic slot of y_a y_b for (a, b) = (_QUAD_A[q], _QUAD_B[q]),
+# a <= b in row-major order, so the slots of one a are contiguous.
 _QUAD_A, _QUAD_B = np.triu_indices(NVARS)
-_QUAD_SLOTS = [INDEX_OF[tuple(_UNITS[a] + _UNITS[b])] for a, b in zip(_QUAD_A, _QUAD_B)]
-_HESS_SLOTS = np.array([[INDEX_OF[tuple(_UNITS[a] + _UNITS[b])] for b in range(NVARS)]
-                        for a in range(NVARS)])
+# the linear slots of the two factors of each quadratic slot; _QOFF marks the
+# off-diagonal ones, which take both cross terms
+_QLO, _QHI = 1 + _QUAD_A, 1 + _QUAD_B
+_QOFF = np.flatnonzero(_QUAD_A != _QUAD_B)
+_HESS_SLOTS = np.zeros((NVARS, NVARS), dtype=int)
+_HESS_SLOTS[_QUAD_A, _QUAD_B] = _HESS_SLOTS[_QUAD_B, _QUAD_A] = 5 + np.arange(len(_QUAD_A))
 _HESS_FAC = 1.0 + np.eye(NVARS)
-# the lower and the higher linear slot of each quadratic slot 5..14; _QOFF marks
-# the off-diagonal ones, which take both cross terms
-_QLO, _QHI = np.array([sorted(_LINEAR_SLOTS[a] for a in np.repeat(np.arange(NVARS), alpha))
-                       for alpha in MULTI_INDICES[1 + NVARS:]]).T
-_QOFF = np.flatnonzero(_QLO != _QHI)
 
 
 class JetError(Curv4Error):
@@ -108,8 +76,8 @@ class Jet3:
 
     @staticmethod
     def constant(value, batch_shape=()):
-        c = np.zeros(tuple(batch_shape) + (NCOEFF,))
-        c[..., 0] = value
+        c = np.zeros((NCOEFF,) + tuple(batch_shape))
+        c[0] = value
         return Jet3(c)
 
     @staticmethod
@@ -118,11 +86,9 @@ class Jet3:
         if not 0 <= axis < NVARS:
             raise ValueError(f"axis must be in 0..3, got {axis}")
         x0 = np.asarray(x0, dtype=float)
-        c = np.zeros(x0.shape + (NCOEFF,))
-        c[..., 0] = x0
-        unit = [0, 0, 0, 0]
-        unit[axis] = 1
-        c[..., INDEX_OF[tuple(unit)]] = 1.0
+        c = np.zeros((NCOEFF,) + x0.shape)
+        c[0] = x0
+        c[1 + axis] = 1.0
         return Jet3(c)
 
     @staticmethod
@@ -134,36 +100,34 @@ class Jet3:
         """
         value = np.asarray(value, dtype=float)
         sym = quad + np.swapaxes(quad, -1, -2)
-        c = np.zeros(value.shape + (NCOEFF,))
-        c[..., 0] = value
-        c[..., _LINEAR_SLOTS] = linear
-        c[..., _QUAD_SLOTS] = np.where(_QUAD_A == _QUAD_B, 0.5, 1.0) * sym[..., _QUAD_A, _QUAD_B]
+        c = np.zeros((NCOEFF,) + value.shape)
+        c[0] = value
+        c[1:5] = np.moveaxis(linear, -1, 0)
+        c[5:] = np.moveaxis(np.where(_QUAD_A == _QUAD_B, 0.5, 1.0)
+                            * sym[..., _QUAD_A, _QUAD_B], -1, 0)
         return Jet3(c)
 
     # -- views -------------------------------------------------------------
 
     @property
     def value(self):
-        return self.c[..., 0]
+        return self.c[0]
 
     def grad(self):
         """First derivatives, shape batch + (4,)."""
-        return self.c[..., _LINEAR_SLOTS]
+        return np.moveaxis(self.c[1:5], 0, -1)
 
     def hessian(self):
         """Second derivatives, shape batch + (4, 4)."""
-        return self.c[..., _HESS_SLOTS] * _HESS_FAC
-
-    def derivative(self, alpha):
-        """d^alpha value (raw coefficient times alpha!)."""
-        k = INDEX_OF[tuple(alpha)]
-        return self.c[..., k] * FACTORIAL[k]
+        fac = _HESS_FAC.reshape(_HESS_FAC.shape + (1,) * (self.c.ndim - 1))
+        return np.moveaxis(self.c[_HESS_SLOTS] * fac, (0, 1), (-2, -1))
 
     def partial(self, axis):
         """Jet of d/dx_axis; its degree-ORDER coefficients are unknown (zeroed)."""
-        dst, src, fac = _PARTIAL_TABLES[axis]
         out = np.zeros_like(self.c)
-        out[..., dst] = self.c[..., src] * fac
+        out[0] = self.c[1 + axis]
+        out[1:5] = self.c[_HESS_SLOTS[axis]]
+        out[1 + axis] *= 2.0
         return Jet3(out)
 
     # -- ring operations ---------------------------------------------------
@@ -172,7 +136,7 @@ class Jet3:
         if isinstance(other, Jet3):
             return Jet3(self.c + other.c)
         out = self.c.copy()
-        out[..., 0] += other
+        out[0] += other
         return Jet3(out)
 
     __radd__ = __add__
@@ -184,7 +148,7 @@ class Jet3:
         if isinstance(other, Jet3):
             return Jet3(self.c - other.c)
         out = self.c.copy()
-        out[..., 0] -= other
+        out[0] -= other
         return Jet3(out)
 
     def __rsub__(self, other):
@@ -192,18 +156,18 @@ class Jet3:
 
     def __mul__(self, other):
         if not isinstance(other, Jet3):
-            return Jet3(self.c * np.asarray(other)[..., None]
-                        if np.ndim(other) else self.c * other)
-        # slots 5..14 sum as a0 b_q + ((a_lo b_hi [+ a_hi b_lo]) + a_q b0), the
-        # order of the plain convolution sum, so the two agree bit for bit
+            return Jet3(self.c * other)
+        # quadratic slot (a, b) sums as a0 b_ab + ((a_a b_b [+ a_b b_a]) + a_ab b0),
+        # the order of the plain convolution sum, so the two agree bit for bit;
+        # every operation runs over whole coefficient rows of the batch
         a, b = self.c, other.c
-        b0 = b[..., :1]
-        out = a[..., :1] * b
-        out[..., 1:5] += a[..., 1:5] * b0
-        s = a[..., _QLO] * b[..., _QHI]
-        s[..., _QOFF] += a[..., _QHI[_QOFF]] * b[..., _QLO[_QOFF]]
-        s += a[..., 5:] * b0
-        out[..., 5:] += s
+        b0 = b[0]
+        out = a[:1] * b
+        out[1:5] += a[1:5] * b0
+        s = a[_QLO] * b[_QHI]
+        s[_QOFF] += a[_QHI[_QOFF]] * b[_QLO[_QOFF]]
+        s += a[5:] * b0
+        out[5:] += s
         return Jet3(out)
 
     __rmul__ = __mul__
@@ -222,20 +186,15 @@ class Jet3:
         if np.any(bad):
             raise JetError("division by zero", _first_bad(bad, points))
         inv = 1.0 / u0
-        return self._compose(np.stack([inv, -inv**2, inv**3], axis=-1))
+        return self._compose(inv, -inv**2, inv**3)
 
-    def __pow__(self, exponent):
-        if isinstance(exponent, Jet3):
-            raise TypeError("jet exponents are handled at the expression level")
-        return powr(self, exponent)
-
-    def _compose(self, coeffs):
-        """Evaluate sum_k coeffs[...,k] * w^k where w = self - value(self)."""
+    def _compose(self, c0, c1, c2):
+        """Evaluate c0 + c1 w + c2 w^2 where w = self - value(self)."""
         w = Jet3(self.c.copy())
-        w.c[..., 0] = 0.0
+        w.c[0] = 0.0
         w2 = w * w
-        out = w.c * coeffs[..., 1, None] + w2.c * coeffs[..., 2, None]
-        out[..., 0] += coeffs[..., 0]
+        out = w.c * c1 + w2.c * c2
+        out[0] += c0
         return Jet3(out)
 
 
@@ -244,7 +203,7 @@ class Jet3:
 
 def exp(u: Jet3) -> Jet3:
     e = np.exp(u.value)
-    return u._compose(np.stack([e, e, e / 2.0], axis=-1))
+    return u._compose(e, e, e / 2.0)
 
 
 def log(u: Jet3, points=None) -> Jet3:
@@ -253,17 +212,17 @@ def log(u: Jet3, points=None) -> Jet3:
     if np.any(bad):
         raise JetError("log of nonpositive value", _first_bad(bad, points))
     inv = 1.0 / u0
-    return u._compose(np.stack([np.log(u0), inv, -inv**2 / 2.0], axis=-1))
+    return u._compose(np.log(u0), inv, -inv**2 / 2.0)
 
 
 def sin(u: Jet3) -> Jet3:
     s, c = np.sin(u.value), np.cos(u.value)
-    return u._compose(np.stack([s, c, -s / 2.0], axis=-1))
+    return u._compose(s, c, -s / 2.0)
 
 
 def cos(u: Jet3) -> Jet3:
     s, c = np.sin(u.value), np.cos(u.value)
-    return u._compose(np.stack([c, -s, -c / 2.0], axis=-1))
+    return u._compose(c, -s, -c / 2.0)
 
 
 def sqrt(u: Jet3, points=None) -> Jet3:
@@ -272,7 +231,7 @@ def sqrt(u: Jet3, points=None) -> Jet3:
     if np.any(bad):
         raise JetError("sqrt of nonpositive value", _first_bad(bad, points))
     r = np.sqrt(u0)
-    return u._compose(np.stack([r, 0.5 / r, -1.0 / (8.0 * u0 * r)], axis=-1))
+    return u._compose(r, 0.5 / r, -1.0 / (8.0 * u0 * r))
 
 
 def powr(u: Jet3, r, points=None) -> Jet3:
@@ -295,7 +254,7 @@ def powr(u: Jet3, r, points=None) -> Jet3:
     p = np.power(u0, r)
     c1 = r * p / u0
     c2 = r * (r - 1.0) / 2.0 * p / u0**2
-    return u._compose(np.stack([p, c1, c2], axis=-1))
+    return u._compose(p, c1, c2)
 
 
 def assert_finite(u, context, points=None):
@@ -305,46 +264,48 @@ def assert_finite(u, context, points=None):
     `context` is a string or a callable returning one; a callable is only
     called when the gate fires, so callers can defer costly formatting.
     """
-    bad = ~np.isfinite(u.c if isinstance(u, Jet3) else np.asarray(u)[..., None])
-    if np.any(bad):
-        mask = np.any(bad, axis=-1)
+    ok = np.isfinite(u.c if isinstance(u, Jet3) else np.asarray(u)[None])
+    if not np.all(ok):
         what = context() if callable(context) else context
-        raise JetError(f"non-finite jet coefficients in {what}", _first_bad(mask, points))
+        raise JetError(f"non-finite jet coefficients in {what}",
+                       _first_bad(~np.all(ok, axis=0), points))
 
 
-# -- stacked jets: a tensor of jets is one array batch + components + (NCOEFF,);
+# -- stacked jets: a tensor of jets is one array (NCOEFF,) + batch + components;
 # a first-order jet of a tensor is the pair (value, grad), grad of shape
 # batch + (4,) + components (derivative axis first).
 
 
 def stack(m):
-    """Coefficients batch + (4, 4, NCOEFF) of a 4x4 nested list of jets."""
-    return np.stack([np.stack([e.c for e in row], axis=-2) for row in m], axis=-3)
+    """Coefficients (NCOEFF,) + batch + (4, 4) of a 4x4 nested list of jets."""
+    return np.stack([np.stack([e.c for e in row], axis=-1) for row in m], axis=-2)
 
 
 def entries(c):
-    """4x4 nested list of jets viewing the stacked coefficients c."""
-    return [[Jet3(c[..., i, j, :]) for j in range(NVARS)] for i in range(NVARS)]
+    """4x4 nested list of jets holding contiguous copies of the entries of the
+    stacked coefficients c (products of strided views cost 3x more)."""
+    return [[Jet3(np.ascontiguousarray(c[..., i, j])) for j in range(NVARS)]
+            for i in range(NVARS)]
 
 
 def antisymmetric(comps, index_sets):
-    """The antisymmetric tensor, shape batch + (4,) * rank + (K,), whose
-    components on the increasing index tuples index_sets are the arrays comps
-    (each batch + (K,): jet coefficients, or values and gradients)."""
-    c = np.stack(comps, axis=-2)
+    """The antisymmetric tensor, shape X + (4,) * rank, whose components on the
+    increasing index tuples index_sets are the arrays comps (each of shape X:
+    stacked jet coefficients, values or gradients)."""
+    c = np.stack(comps, axis=-1)
     idx = np.array(index_sets)
-    full = np.zeros(c.shape[:-2] + (NVARS,) * idx.shape[1] + c.shape[-1:])
+    full = np.zeros(c.shape[:-1] + (NVARS,) * idx.shape[1])
     for perm in itertools.permutations(range(idx.shape[1])):
         sign = (-1) ** sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
-        full[(Ellipsis,) + tuple(idx[:, perm].T) + (slice(None),)] = sign * c
+        full[(Ellipsis,) + tuple(idx[:, perm].T)] = sign * c
     return full
 
 
 def congruence(a, m):
     """Stacked jets of (a^T m a)_cd = sum_ij a_ic m_ij a_jd, for stacked 4x4
     jet matrices a and m."""
-    ma = (Jet3(m[..., :, :, None, :]) * Jet3(a[..., None, :, :, :])).c.sum(axis=-3)
-    return (Jet3(a[..., :, :, None, :]) * Jet3(ma[..., :, None, :, :])).c.sum(axis=-4)
+    ma = (Jet3(m[..., :, :, None]) * Jet3(a[..., None, :, :])).c.sum(axis=-2)
+    return (Jet3(a[..., :, :, None]) * Jet3(ma[..., :, None, :])).c.sum(axis=-3)
 
 
 def leibniz(spec, *ops):
@@ -376,7 +337,8 @@ def inverse_values(m0, points=None):
 
 
 def inverse_coeffs(c, points=None):
-    """Stacked jets of the inverse of the stacked jet matrix c (batch + (4, 4, NCOEFF)).
+    """Stacked jets of the inverse of the stacked jet matrix c ((NCOEFF,) + batch
+    + (4, 4)).
 
     With V = m(p)^-1 and N = m - m(p), which has no constant term,
     m^-1 = V - V N V + V N V N V, exact at order 2.  Per coefficient, with
@@ -384,15 +346,15 @@ def inverse_coeffs(c, points=None):
     (-V N_ab + W_a W_b + W_b W_a) V for a < b and (-V N_aa + W_a W_a) V on the
     diagonal.
     """
-    V = inverse_values(c[..., 0], points)
-    W = np.einsum("...ik,...kja->...aij", V, c[..., _LINEAR_SLOTS], optimize=True)
-    W2 = np.einsum("...ik,...kjq->...qij", V, c[..., _QUAD_SLOTS], optimize=True)
-    Wa, Wb = W[..., _QUAD_A, :, :], W[..., _QUAD_B, :, :]
-    cross = (Wa @ Wb + Wb @ Wa) * np.where(_QUAD_A == _QUAD_B, 0.5, 1.0)[:, None, None]
+    V = inverse_values(c[0], points)
+    W = np.einsum("...ik,a...kj->a...ij", V, c[1:5], optimize=True)
+    W2 = np.einsum("...ik,q...kj->q...ij", V, c[5:], optimize=True)
+    Wa, Wb = W[_QUAD_A], W[_QUAD_B]
+    half = np.where(_QUAD_A == _QUAD_B, 0.5, 1.0).reshape((-1,) + (1,) * (c.ndim - 1))
     out = np.empty_like(c)
-    out[..., 0] = V
-    out[..., _LINEAR_SLOTS] = np.moveaxis(-W @ V[..., None, :, :], -3, -1)
-    out[..., _QUAD_SLOTS] = np.moveaxis((cross - W2) @ V[..., None, :, :], -3, -1)
+    out[0] = V
+    out[1:5] = -W @ V
+    out[5:] = ((Wa @ Wb + Wb @ Wa) * half - W2) @ V
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import InputError, forms, jets
 from .charts import (CurvatureSlate, Geometry, MetricChart, chart_is_periodic,
                      curvature_at, normal_chart, normal_chart_map, pullback_two_form,
-                     sample_box, sqrt_det_values)
+                     sqrt_det_values)
 from .forms import EMPTY_SCAN, PAIRS, SIGN_CONVENTIONS, TwoFormField
 from .jets import Jet3
 from .scenario import DEFAULT_TOLERANCES
@@ -39,7 +39,7 @@ class VerificationReport:
         self.sign_conventions = dict(SIGN_CONVENTIONS) if sign_conventions is None \
             else sign_conventions
         self.extra = {} if extra is None else extra
-        self.samples = [] if samples is None else samples
+        self.samples = {} if samples is None else samples  # CSV column -> per-point array
 
     def to_dict(self):
         return {
@@ -160,11 +160,6 @@ class PointBundle:
         return hmax, scale
 
 
-def make_bundle(chart, fld, count, margin=0.05, seed=0):
-    pts = sample_box(chart.domain, count, margin, seed)
-    return PointBundle(chart, fld, pts)
-
-
 # -- Weitzenboeck (the curvature-action identity) --------------------------------
 
 
@@ -184,10 +179,9 @@ def verify_weitzenboeck(chart, fld, pts, tol=None, scenario="inline"):
              + (1.0 + rmax) * np.max(np.abs(b.frame_values), axis=-1))
     abs_res = np.max(np.abs(lhs - rhs), axis=-1)
     rel = abs_res / np.maximum(scale, RESIDUAL_FLOOR)
-    samples = [_row(b.pts[n], {"residual": rel[n]}) for n in range(len(b.pts))]
     return _report("weitzenboeck_eq21", scenario, b.pts, [], abs_res, rel, tol,
                    extra={"delta_used": "hodge (= -trace nabla^2 + q(R))"},
-                   samples=samples)
+                   samples=_columns(b.pts, residual=rel))
 
 
 # -- component Bochner in a radially parallel normal frame -----------------------
@@ -195,7 +189,7 @@ def verify_weitzenboeck(chart, fld, pts, tol=None, scenario="inline"):
 
 def parallel_frame_jets(geom_nc: Geometry):
     """Radially parallel orthonormal frame at a normal chart's origin, as
-    stacked jets [..., i, k, :] of e_k^i.
+    stacked jets [..., i, k] of e_k^i.
 
     e_k^i(y) = delta_ik - 1/2 dGamma'^i_{ck}/dy_d |_0 y_d y_c + O(y^3); the
     O(y^3) terms cannot influence second derivatives at the origin.
@@ -210,7 +204,7 @@ def parallel_frame_jets(geom_nc: Geometry):
 def _parallel_frame_fields(b: PointBundle, basis, gamma_tol):
     """Normal-chart geometry and parallel-frame components at every point.
 
-    Returns (geom_nc, fj, gmax): fj[..., k, l, :] are the stacked jets of
+    Returns (geom_nc, fj, gmax): fj[..., k, l] are the stacked jets of
     f_kl = phi(e_k, e_l) along the radially parallel frame e, and gmax the
     per-point max |Gamma'(0)|, gated by gamma_tol.
     """
@@ -238,8 +232,8 @@ def verify_component_bochner(chart, fld, pts, tol=None, scenario="inline",
     fmat = np.zeros(b.pts.shape[:-1] + (4, 4))
     lapm = np.zeros_like(fmat)
     for a, c in PAIRS:
-        fmat[..., a, c] = fj[..., a, c, 0]
-        lapm[..., a, c] = forms.scalar_laplacian_values(geom_nc, Jet3(fj[..., a, c, :]))
+        fmat[..., a, c] = fj[0, ..., a, c]
+        lapm[..., a, c] = forms.scalar_laplacian_values(geom_nc, Jet3(fj[..., a, c]))
     fmat -= np.swapaxes(fmat, -1, -2)
     lapm -= np.swapaxes(lapm, -1, -2)
     Ric, R = b.slate.Ric, b.slate.R
@@ -252,12 +246,11 @@ def verify_component_bochner(chart, fld, pts, tol=None, scenario="inline",
         np.full(len(b.pts), RESIDUAL_FLOOR)])
     abss = np.max(np.abs(lapm - rhs), axis=(-1, -2))
     rels = abss / scale
-    samples = [_row(b.pts[n], {"residual": rels[n]}) for n in range(len(b.pts))]
     return _report("component_bochner_eq22", scenario, b.pts, [], abss, rels, tol,
                    extra={"delta_used": "function laplacian of parallel-frame components",
                           "harmonicity_measured": hmax, "harmonicity_scale": hscale,
                           "normal_gamma_max": float(np.max(gmax))},
-                   samples=samples)
+                   samples=_columns(b.pts, residual=rels))
 
 
 # -- Lemma 2.2 and Proposition 2.3 ------------------------------------------------
@@ -297,7 +290,7 @@ def verify_lemma22(chart, fld, pts, tol=None, scenario="inline",
     geom_nc, fj, _ = _parallel_frame_fields(b, basis, gamma_tol)
     Rn = curvature_at(geom_nc, orientation=chart.orientation).R
     K, R1234 = canonical._k_r(Rn)
-    f1, f2 = Jet3(fj[..., 0, 1, :]), Jet3(fj[..., 2, 3, :])
+    f1, f2 = Jet3(fj[..., 0, 1]), Jet3(fj[..., 2, 3])
     v1, v2 = f1.value, f2.value
     r1 = forms.scalar_laplacian_values(geom_nc, f1) - 2.0 * (K * v1 - R1234 * v2)
     r2 = forms.scalar_laplacian_values(geom_nc, f2) - 2.0 * (K * v2 - R1234 * v1)
@@ -309,9 +302,7 @@ def verify_lemma22(chart, fld, pts, tol=None, scenario="inline",
         np.full(len(b.pts), RESIDUAL_FLOOR)])
     abss = np.maximum(np.abs(r1), np.abs(r2))
     rels = abss / scale
-    samples = [_row(b.pts[n], {"residual": rels[n], "K": K[n], "R1234": R1234[n],
-                               "degenerate": bool(adapted.degenerate[n])})
-               for n in range(len(b.pts))]
+    samples = _columns(b.pts, residual=rels, K=K, R1234=R1234, degenerate=adapted.degenerate)
     return _report("lemma22", scenario, b.pts, [], abss, rels, tol,
                    extra={"delta_used": "function laplacian in adapted parallel frame",
                           "harmonicity_measured": hmax, "harmonicity_scale": hscale,
@@ -360,10 +351,8 @@ def verify_prop23(chart, fld, pts, tol=None, scenario="inline", harmonicity_tol=
     # so the ambiguous part of K never touches a nonzero factor.
     counted = np.maximum(res28, res29)
     abs_res = np.abs(dF - np_sq - curvF) + np.abs(dG - nm_sq - curvG)
-    samples = [_row(b.pts[n], {"residual_eq28": res28[n], "residual_eq29": res29[n],
-                               "K": K[n], "R1234": R1234[n], "F": Fv[n], "G": Gv[n],
-                               "degenerate": bool(adapted.degenerate[n])})
-               for n in range(len(b.pts))]
+    samples = _columns(b.pts, residual_eq28=res28, residual_eq29=res29, K=K, R1234=R1234,
+                       F=Fv, G=Gv, degenerate=adapted.degenerate)
     return _report("prop23_eq28_eq29", scenario, b.pts, [], abs_res, counted, tol,
                    extra={"delta_used": "function laplacian (trace Hessian)",
                           "harmonicity_measured": hmax, "harmonicity_scale": hscale,
@@ -417,10 +406,8 @@ def verify_theorem21(chart, fld, pts, tol=None, scenario="inline", harmonicity_t
     comb_scale = Gv * np_sq + Fv * nm_sq + 2.0 * np.abs(cross) + RESIDUAL_FLOOR
     schwarz_ok = bool(np.all(combo[premise] >= floor[premise] - 1e-9 * comb_scale[premise])) \
         and bool(np.all(floor[premise] >= -1e-9 * comb_scale[premise]))
-    samples = [_row(b.pts[n], {"residual": rel[n], "K": K[n], "F": Fv[n], "G": Gv[n],
-                               "schwarz_combo": combo[n], "schwarz_floor": floor[n],
-                               "premise_rho_ge_2": bool(premise[n])})
-               for n in range(len(b.pts))]
+    samples = _columns(b.pts, residual=rel, K=K, F=Fv, G=Gv, schwarz_combo=combo,
+                       schwarz_floor=floor, premise_rho_ge_2=premise)
     return _report("theorem21_eq23", scenario, b.pts, [], abs_res, rel, tol,
                    extra={"harmonicity_measured": hmax, "harmonicity_scale": hscale,
                           "schwarz_ok_under_premise": schwarz_ok,
@@ -436,7 +423,7 @@ def _kato_ratio(b: PointBundle, c6, gsq):
     ok = nsq.value > 1e-20
     if np.any(ok):
         nj_c = Jet3(nsq.c.copy())
-        nj_c.c[~ok] = 1.0
+        nj_c.c[:, ~ok] = 1.0
         nj = jets.sqrt(Jet3(nj_c.c), b.pts)
         dn_sq = forms.grad_inner_values(b.geom, nj, nj)
         valid = ok & (dn_sq > 1e-14 * np.maximum(gsq, 1.0))
@@ -492,7 +479,7 @@ def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
     if n_valid == 0:
         result["empty_scan"] = EMPTY_SCAN
         result["min_rho"] = None
-        result["samples"] = []
+        result["samples"] = {}
         return result
     rv = rho[valid]
     hist, edges = np.histogram(rv, bins=_kato_bin_edges(_percentile99(rv)))
@@ -504,11 +491,7 @@ def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
         "open_question_rho_ge_2": bool(np.min(rv) >= 2.0),
         "histogram": {"counts": hist.tolist(), "edges": edges.tolist()},
     })
-    result["samples"] = [
-        _row(pts[n], {"grad_sq": grad_sq[n], "dnorm_sq": dnorm_sq[n],
-                      "rho": rho[n], "norm": norm[n]})
-        for n in range(len(pts))
-    ]
+    result["samples"] = _columns(pts, grad_sq=grad_sq, dnorm_sq=dnorm_sq, rho=rho, norm=norm)
     return result
 
 
@@ -592,7 +575,7 @@ def verify_conformal_chain(chart, fld, pts, k, tol=None, scenario="inline",
 
     # primed metric g' = |phi|^k g through the full geometry pipeline
     scale_jet = jets.exp(2.0 * fj)
-    geomp = Geometry((Jet3(scale_jet.c[..., None, None, :]) * Jet3(b.geom.gc)).c, b.pts)
+    geomp = Geometry((Jet3(scale_jet.c[..., None, None]) * Jet3(b.geom.gc)).c, b.pts)
     Tp = forms.nabla_two_form_jets(geomp, b.c6)
     hodge_p = forms.hodge_laplacian_values(geomp, b.c6, T=Tp)
     hp = float(np.max(np.abs(hodge_p)))
@@ -617,10 +600,8 @@ def verify_conformal_chain(chart, fld, pts, k, tol=None, scenario="inline",
     ratio = np.full(norm.shape, np.nan)
     ok = dphi_sq > 1e-14 * np.maximum(grad_sq, 1.0)
     ratio[ok] = (lhs49_a + lhs49_b)[ok] / dphi_sq[ok]
-    samples = [_row(b.pts[n], {"residual_eq42": res42[n], "residual_eq43": res43[n],
-                               "residual_eq46": res46[n], "residual_eq49": res49[n],
-                               "lhs49_over_dnorm": ratio[n]})
-               for n in range(len(b.pts))]
+    samples = _columns(b.pts, residual_eq42=res42, residual_eq43=res43, residual_eq46=res46,
+                       residual_eq49=res49, lhs49_over_dnorm=ratio)
     extra = {
         "k": k,
         "conformal_factor": "exp(2f) = |phi|^k",
@@ -700,12 +681,10 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
 # -- shared report plumbing ---------------------------------------------------------
 
 
-def _row(point, fields):
-    row = {"x1": float(point[0]), "x2": float(point[1]),
-           "x3": float(point[2]), "x4": float(point[3])}
-    for k, v in fields.items():
-        row[k] = (float(v) if isinstance(v, (int, float, np.floating)) else v)
-    return row
+def _columns(pts, **fields):
+    """Per-point CSV columns: the coordinates x1..x4 of pts (N, 4), then fields
+    (each an (N,) array; a bool array is a flag column)."""
+    return {**{f"x{i + 1}": pts[:, i] for i in range(4)}, **fields}
 
 
 def _report(identity, scenario, pts, excluded, abs_res, rel_res, tol, extra=None,
@@ -723,5 +702,5 @@ def _report(identity, scenario, pts, excluded, abs_res, rel_res, tol, extra=None
         tolerance=float(tol),
         passed=bool(np.all(rel <= tol)) if rel.size else True,
         extra=extra or {},
-        samples=samples or [],
+        samples=samples,
     )

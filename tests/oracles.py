@@ -5,9 +5,26 @@ jet code, so jet coefficients can be checked against a genuinely separate
 path.  Curvature oracles are the classical closed forms.
 """
 
+import math
+
 import numpy as np
 
 from curv4 import expr as ex
+from curv4 import jets
+from curv4.jets import Jet3
+
+# The multi-index of each slot of a jet's coefficient axis: the value, the
+# linear slots of x1..x4, then the quadratic slots (a, b), a <= b, row-major.
+MULTI_INDICES = ((0, 0, 0, 0),) + tuple(
+    tuple(int(k == a) for k in range(4)) for a in range(4)) + tuple(
+    tuple(int(k == a) + int(k == b) for k in range(4))
+    for a in range(4) for b in range(a, 4))
+INDEX_OF = {alpha: k for k, alpha in enumerate(MULTI_INDICES)}
+
+
+def derivative(jet, alpha):
+    """d^alpha of a jet: its raw coefficient times alpha!."""
+    return jet.c[INDEX_OF[tuple(alpha)]] * math.prod(math.factorial(a) for a in alpha)
 
 
 def differentiate(node, axis):
@@ -56,8 +73,6 @@ def taylor_coefficient(node, alpha, point):
     May return NaN when the derivative tree hits 0^negative at the point
     (e.g. differentiating through ^0 at a zero base); callers skip those.
     """
-    import math
-
     tree = node
     fact = 1.0
     for axis, k in enumerate(alpha):
@@ -92,19 +107,122 @@ def random_expression(rng, depth=3, allow_div=True):
 
 
 def convolution_mul(a, b):
-    """Jet product of coefficient arrays a and b (batch + (NCOEFF,)) as the
+    """Jet product of coefficient arrays a and b ((NCOEFF,) + batch) as the
     plain truncated convolution: all pairs of slots whose multi-indices add to
     degree <= ORDER, grouped by output slot in (i, j) order and summed with
-    np.add.reduceat."""
-    from curv4 import jets
-
-    pairs = sorted((jets.INDEX_OF[tuple(x + y for x, y in zip(p, q))], i, j)
-                   for i, p in enumerate(jets.MULTI_INDICES)
-                   for j, q in enumerate(jets.MULTI_INDICES) if sum(p) + sum(q) <= jets.ORDER)
+    np.add.reduceat over a coefficient-last copy."""
+    pairs = sorted((INDEX_OF[tuple(x + y for x, y in zip(p, q))], i, j)
+                   for i, p in enumerate(MULTI_INDICES)
+                   for j, q in enumerate(MULTI_INDICES) if sum(p) + sum(q) <= jets.ORDER)
     k, i, j = np.array(pairs).T
-    a, b = np.broadcast_arrays(a, b)
-    return np.add.reduceat(a[..., i] * b[..., j], np.searchsorted(k, np.arange(jets.NCOEFF)),
-                           axis=-1)
+    a, b = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in np.broadcast_arrays(a, b))
+    return np.moveaxis(np.add.reduceat(a[..., i] * b[..., j],
+                                       np.searchsorted(k, np.arange(jets.NCOEFF)), axis=-1),
+                       -1, 0)
+
+
+# -- tree walkers: the evaluators expr.Plan replaced, one recursion per node
+# occurrence; the plan must match them bit for bit.
+
+_REAL_FNS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
+_JET_FNS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "log": jets.log,
+            "sqrt": jets.sqrt}
+
+
+def tree_values(node, points):
+    """Evaluate over plain reals; points has shape (..., 4)."""
+    points = np.asarray(points, dtype=float)
+
+    def go(n):
+        if isinstance(n, ex.Num):
+            return n.value
+        if isinstance(n, ex.Const):
+            return ex.CONSTANTS[n.name]
+        if isinstance(n, ex.Var):
+            return points[..., n.index]
+        if isinstance(n, ex.Unary):
+            return -go(n.arg)
+        if isinstance(n, ex.Call):
+            arg = go(n.arg)
+            if n.fn in ("log", "sqrt") and np.any(~(np.asarray(arg) > 0.0)):
+                raise ex.DomainError(f"{n.fn} of nonpositive value", n)
+            return _REAL_FNS[n.fn](arg)
+        if isinstance(n, ex.Bin):
+            if n.op == "^":
+                return pow_real(n)
+            l, r = go(n.left), go(n.right)
+            if n.op == "+":
+                return l + r
+            if n.op == "-":
+                return l - r
+            if n.op == "*":
+                return l * r
+            if np.any(np.asarray(r) == 0.0):
+                raise ex.DomainError("division by zero", n)
+            return l / r
+        raise TypeError(f"not an expression node: {n!r}")
+
+    def pow_real(n):
+        base = go(n.left)
+        const_exp = ex.constant_value(n.right)
+        if const_exp is not None:
+            if const_exp == round(const_exp):
+                return np.power(base, int(round(const_exp)))
+            if np.any(~(np.asarray(base) > 0.0)):
+                raise ex.DomainError("negative base for non-integer power", n)
+            return np.power(base, const_exp)
+        if np.any(~(np.asarray(base) > 0.0)):
+            raise ex.DomainError("nonpositive base for variable exponent", n)
+        return np.power(base, go(n.right))
+
+    return np.broadcast_to(np.asarray(go(node), dtype=float), points.shape[:-1]).copy()
+
+
+def tree_jet_env(node, env, points=None):
+    """Evaluate to a Jet3 with the jets env bound to x1..x4."""
+    batch = env[0].value.shape
+
+    def go(n):
+        if isinstance(n, ex.Num):
+            return Jet3.constant(n.value, batch)
+        if isinstance(n, ex.Const):
+            return Jet3.constant(ex.CONSTANTS[n.name], batch)
+        if isinstance(n, ex.Var):
+            return env[n.index]
+        if isinstance(n, ex.Unary):
+            return -go(n.arg)
+        if isinstance(n, ex.Call):
+            arg = go(n.arg)
+            try:
+                return _JET_FNS[n.fn](arg) if n.fn in ("sin", "cos", "exp") \
+                    else _JET_FNS[n.fn](arg, points)
+            except jets.JetError as e:
+                raise ex.DomainError(str(e), n) from None
+        if isinstance(n, ex.Bin):
+            try:
+                if n.op == "^":
+                    const_exp = ex.constant_value(n.right)
+                    base = go(n.left)
+                    if const_exp is not None:
+                        return jets.powr(base, const_exp, points)
+                    if np.any(~(base.value > 0.0)):
+                        raise ex.DomainError("nonpositive base for variable exponent", n)
+                    return jets.exp(go(n.right) * jets.log(base, points))
+                l, r = go(n.left), go(n.right)
+                if n.op == "+":
+                    return l + r
+                if n.op == "-":
+                    return l - r
+                if n.op == "*":
+                    return l * r
+                return l / r
+            except jets.JetError as e:
+                raise ex.DomainError(str(e), n) from None
+        raise TypeError(f"not an expression node: {n!r}")
+
+    out = go(node)
+    jets.assert_finite(out, lambda: f"expression '{ex.to_string(node)}'", points)
+    return out
 
 
 def constant_curvature_R(c):

@@ -11,7 +11,7 @@ from curv4.charts import (ChartError, Geometry, conformal_chart, curvature_at,
                           sectional, validate_chart)
 from curv4.forms import TwoFormField
 
-from oracles import complex_space_form_R, constant_curvature_R
+from oracles import complex_space_form_R, constant_curvature_R, derivative
 
 RNG = np.random.default_rng(42)
 
@@ -262,7 +262,7 @@ def test_normal_chart_properties():
                     a = [0, 0, 0, 0]
                     a[k] += 1
                     a[l] += 1
-                    d2g[i, j, k, l] = geom.g[i][j].derivative(tuple(a))[0]
+                    d2g[i, j, k, l] = derivative(geom.g[i][j], a)[0]
     rec = 0.5 * (np.einsum("iljk->ijkl", d2g) + np.einsum("jkil->ijkl", d2g)
                  - np.einsum("jlik->ijkl", d2g) - np.einsum("ikjl->ijkl", d2g))
     assert np.max(np.abs(rec - slate.R[0])) < 1e-7
@@ -294,8 +294,8 @@ def _normal_chart_arrays(chart, fld, P, B):
     xj = normal_chart_map(Geometry.of_chart(chart, np.atleast_2d(P)), B)
     geom = normal_chart(chart, xj)
     pulled = pullback_two_form(fld.components, xj)
-    return [np.stack([geom.g[i][j].c for i in range(4) for j in range(4)], axis=-2),
-            np.stack([c.c for c in pulled], axis=-2),
+    return [np.stack([geom.g[i][j].c.T for i in range(4) for j in range(4)], axis=-2),
+            np.stack([c.c.T for c in pulled], axis=-2),
             geom.dgamma_values]
 
 

@@ -213,6 +213,61 @@ def test_identity_violation_exit1(tmp_path):
     assert rep["passed"] is False
 
 
+@pytest.mark.parametrize("identity,flag", [("lemma22", "degenerate"),
+                                           ("thm21", "premise_rho_ge_2")])
+def test_flag_columns_hold_0_1(tmp_path, identity, flag):
+    """A flag column holds 0 and 1, not the floats 0.0 and 1.0 (on the Kaehler
+    form every point is degenerate and meets the Kato premise)."""
+    raw = json.loads((SCENARIOS / "cp2_kaehler.json").read_text())
+    raw["sampling"]["count"] = 4
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps(raw))
+    assert run(["verify", identity, "--scenario", sfile, "--out", tmp_path]) == 0
+    lines = (tmp_path / "samples.csv").read_text().splitlines()
+    col = lines[0].split(",").index(flag)
+    assert [line.split(",")[col] for line in lines[1:]] == ["1"] * 4
+
+
+def test_non_finite_report_exit1_without_file(tmp_path, capsys, monkeypatch):
+    """report.json is strict JSON: a NaN in the report exits 1 naming its key
+    path, and leaves no report.json or samples.csv behind."""
+    from curv4 import verify
+
+    real = verify.verify_weitzenboeck
+
+    def nan_extra(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        rep.extra["probe"] = [0.5, float("nan")]
+        return rep
+
+    monkeypatch.setattr(verify, "verify_weitzenboeck", nan_extra)
+    raw = json.loads((SCENARIOS / "flat_constant.json").read_text())
+    raw["sampling"]["count"] = 3
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run(["verify", "weitzenboeck", "--scenario", sfile, "--out", out]) == 1
+    assert "report value extra.probe[1] is nan" in capsys.readouterr().err
+    assert not (out / "report.json").exists() and not (out / "samples.csv").exists()
+
+
+def test_tracer_pins_resolve():
+    """perfbench/child.py wraps curv4 functions and methods by name
+    (install(Tracer())); each name it pins must still resolve, or every traced
+    benchmark job fails."""
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, 'perfbench'); import child; "
+            "child.install(child.Tracer()); print('installed')")
+    env = dict(os.environ, PYTHONPATH=str(root / "src") + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "installed", out.stderr
+
+
 def test_kato_scan_cli(tmp_path):
     assert run(["kato", "scan", "--scenario", SCENARIOS / "conformal_product.json",
                 "--out", tmp_path]) == 0
