@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import forms
+from . import forms, jets
 from .charts import PAIRS, CurvatureSlate, curvature_at, sample_box
 
 
@@ -109,8 +109,12 @@ def _pair(A, e1, lam1):
 
 
 def _euclid_cross(a, b, c):
-    """Vector completing (a, b, c) to a positively oriented basis."""
-    return np.einsum("ijkl,...i,...j,...k->...l", forms.EPS4, a, b, c, optimize=True)
+    """Vector completing (a, b, c) to a positively oriented basis: entry l is
+    the cofactor of x_l in det [a; b; c; x], so det [a; b; c; x] = <cross, x>."""
+    m = [[v[..., k] for k in range(4)] for v in (a, b, c)]
+    cols = [tuple(k for k in range(4) if k != l) for l in range(4)]
+    return np.stack([(-1) ** (l + 1) * jets.minor(m, (0, 1, 2), cols[l]) for l in range(4)],
+                    axis=-1)
 
 
 def curvature_term_K(slate: CurvatureSlate, adapted: AdaptedFrame,
@@ -165,7 +169,7 @@ def _random_admissible(f6, rng):
     Ae3 = np.einsum("...ij,...j->...i", A, e3, optimize=True)
     mu2 = np.linalg.norm(Ae3, axis=-1)
     e4 = -Ae3 / np.maximum(mu2, 1e-300)[..., None]
-    # fix orientation-consistent sign via the pairing used in canonicalize
+    # flip e4 where needed so that the basis is positive, as in canonicalize
     det = np.linalg.det(np.stack([e1, e2, e3, e4], axis=-1))
     e4 = np.where(det[..., None] < 0, -e4, e4)
     return np.stack([e1, e2, e3, e4], axis=-1)

@@ -34,22 +34,24 @@ class ChartError(Curv4Error):
 
 
 class MetricChart:
-    def __init__(self, g, domain, orientation=1, name="chart", product_radii=None):
+    """An analytic metric on a coordinate box, oriented by its coordinates
+    (dx1^dx2^dx3^dx4 > 0); reflecting x4 in the metric, a form and the domain
+    reverses it.  `preset` is (name, parameters) of the preset that built the
+    chart, or None."""
+
+    def __init__(self, g, domain, name="chart", *, preset=None):
         if len(g) != 4 or any(len(row) != 4 for row in g):
             raise ChartError("metric must be a 4x4 matrix of expressions")
         if len(domain) != 4 or any(hi <= lo for lo, hi in domain):
             raise ChartError("domain must be 4 nonempty open intervals")
-        if orientation not in (1, -1):
-            raise ChartError("orientation must be +1 or -1")
         self.g = g  # 4x4 nested tuple of expression trees, symmetric
         self.domain = domain  # 4 pairs (lo, hi)
-        self.orientation = orientation
         self.name = name
-        self.product_radii = product_radii  # (r1, r2) of a product_s2s2 chart
+        self.preset = preset
         self.plan = ex.Plan([g[i][j] for i, j in UPPER])  # the UPPER entries of g
 
 
-def chart_from_strings(entries, domain, orientation=1, name="chart"):
+def chart_from_strings(entries, domain, name="chart", *, preset=None):
     """Build a chart from a 4x4 (or upper-triangular dict) of source strings."""
     g = [[None] * 4 for _ in range(4)]
     for i in range(4):
@@ -57,7 +59,7 @@ def chart_from_strings(entries, domain, orientation=1, name="chart"):
             src = entries[i][j]
             g[i][j] = ex.parse(src) if isinstance(src, str) else src
     return MetricChart(tuple(tuple(row) for row in g), tuple(tuple(d) for d in domain),
-                       orientation, name)
+                       name, preset=preset)
 
 
 def conformal_chart(base: MetricChart, factor, name=None):
@@ -65,8 +67,7 @@ def conformal_chart(base: MetricChart, factor, name=None):
     f = ex.parse(factor) if isinstance(factor, str) else factor
     scale = ex.Call("exp", ex.Bin("*", ex.num(2.0), f))
     g = tuple(tuple(ex.mul(scale, base.g[i][j]) for j in range(4)) for i in range(4))
-    return MetricChart(g, base.domain, base.orientation,
-                       name or f"conformal({base.name})", base.product_radii)
+    return MetricChart(g, base.domain, name or f"conformal({base.name})", preset=base.preset)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -248,8 +249,7 @@ class Geometry:
 
     @property
     def frame(self):
-        """Orthonormal frame values (see orthonormal_frame); the orientation
-        flag is handled by curvature_at."""
+        """Orthonormal frame values (see orthonormal_frame)."""
         return self._get("frame", lambda: orthonormal_frame(self.g_values))
 
 
@@ -274,7 +274,7 @@ class CurvatureSlate:
         self.geometry = geometry
 
 
-def curvature_at(chart_or_geom, pts=None, frame=None, orientation=1):
+def curvature_at(chart_or_geom, pts=None, frame=None):
     """Curvature tensor in an orthonormal frame (Gram-Schmidt or supplied).
 
     `frame`, if given, must hold orthonormal tangent vectors as columns.
@@ -284,20 +284,10 @@ def curvature_at(chart_or_geom, pts=None, frame=None, orientation=1):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         _check_interior(chart, pts)
         geom = Geometry.of_chart(chart, pts)
-        orientation = chart.orientation
     else:
         geom = chart_or_geom
         pts = geom.pts
-    if frame is None:
-        E = geom.frame.copy()
-        if orientation < 0:
-            E[..., :, 3] *= -1.0
-    else:
-        E = np.broadcast_to(np.asarray(frame, dtype=float), pts.shape[:-1] + (4, 4)).copy()
-        gram = np.einsum("...ia,...ij,...jb->...ab", E, geom.g_values, E, optimize=True)
-        dev = np.max(np.abs(gram - np.eye(4)))
-        if dev > 1e-8:
-            raise ChartError(f"supplied basis is not orthonormal (Gram deviation {dev:.2e})")
+    E = geom.frame if frame is None else require_orthonormal(geom, frame)
     R = geom.riemann_coord
     batch = R.shape[:-4]
     for _ in range(4):  # contract the leading index with E; its frame index goes last
@@ -332,6 +322,17 @@ def sectional(slate: CurvatureSlate, u, v):
 # -- normal charts --------------------------------------------------------------
 
 
+def require_orthonormal(geom: Geometry, B):
+    """B (..., 4, 4) broadcast to geom's points, its columns checked orthonormal
+    under g there to 1e-8 in the Gram matrix."""
+    B = np.broadcast_to(np.asarray(B, dtype=float), geom.pts.shape[:-1] + (4, 4))
+    gram = np.einsum("...ia,...ij,...jb->...ab", B, geom.g_values, B, optimize=True)
+    dev = np.max(np.abs(gram - np.eye(4)))
+    if dev > 1e-8:
+        raise ChartError(f"basis is not orthonormal (Gram deviation {dev:.2e})")
+    return B
+
+
 def normal_chart_map(geom: Geometry, B):
     """Jets at y = 0 of the normal-chart maps x(y) = p + B y - 1/2 C(y, y).
 
@@ -342,11 +343,7 @@ def normal_chart_map(geom: Geometry, B):
     so its four jets are exact.
     """
     P = geom.pts
-    B = np.broadcast_to(np.asarray(B, dtype=float), P.shape[:-1] + (4, 4))
-    gram = np.einsum("...ia,...ij,...jb->...ab", B, geom.g_values, B, optimize=True)
-    dev = np.max(np.abs(gram - np.eye(4)))
-    if dev > 1e-8:
-        raise ChartError(f"basis is not orthonormal at p (Gram deviation {dev:.2e})")
+    B = require_orthonormal(geom, B)
     C = np.einsum("...ijk,...ja,...kb->...iab", geom.gamma_values, B, B, optimize=True)
     return [Jet3.quadratic(P[..., i], B[..., i, :], -0.5 * C[..., i, :, :])
             for i in range(4)]

@@ -27,6 +27,12 @@ CSV_COLUMNS = ["k", "min_lhs49_over_dnorm", "x1", "x2", "x3", "x4", "residual",
                "lhs49_over_dnorm", "schwarz_combo", "schwarz_floor",
                "premise_rho_ge_2", "degenerate"]
 
+# `verify IDENTITY` -> the verify function that checks it, called as
+# fn(chart, fld, pts[, k], scenario=..., tols=...)
+VERIFIERS = {"weitzenboeck": "verify_weitzenboeck", "eq22": "verify_component_bochner",
+             "lemma22": "verify_lemma22", "prop23": "verify_prop23",
+             "thm21": "verify_theorem21", "conformal": "verify_conformal_chain"}
+
 
 def main(argv=None):
     gc.freeze()  # import-time objects live to exit: no collection or teardown scans them
@@ -64,8 +70,7 @@ def _build_parser():
     curv.set_defaults(run=_cmd_curvature)
 
     ver = sub.add_parser("verify", help="verify one identity on a scenario")
-    ver.add_argument("identity", choices=["weitzenboeck", "eq22", "lemma22",
-                                          "prop23", "thm21", "conformal"])
+    ver.add_argument("identity", choices=list(VERIFIERS))
     ver.add_argument("--scenario", required=True)
     ver.add_argument("--out", default=".")
     ver.add_argument("--k", type=float, default=1.0,
@@ -210,24 +215,9 @@ def _cmd_verify(args):
     chart = sc.build_chart()
     fld = sc.build_field(chart)
     pts = sc.points(chart)
-    common = dict(scenario=sc.id, harmonicity_tol=sc.tolerance("harmonicity"))
-    if args.identity == "weitzenboeck":
-        rep = verify.verify_weitzenboeck(chart, fld, pts, tol=sc.tolerance("weitzenboeck"),
-                                         scenario=sc.id)
-    elif args.identity == "eq22":
-        rep = verify.verify_component_bochner(chart, fld, pts, tol=sc.tolerance("eq22"),
-                                              gamma_tol=sc.tolerance("normal_gamma"),
-                                              **common)
-    elif args.identity == "lemma22":
-        rep = verify.verify_lemma22(chart, fld, pts, tol=sc.tolerance("lemma22"),
-                                    gamma_tol=sc.tolerance("normal_gamma"), **common)
-    elif args.identity == "prop23":
-        rep = verify.verify_prop23(chart, fld, pts, tol=sc.tolerance("prop23"), **common)
-    elif args.identity == "thm21":
-        rep = verify.verify_theorem21(chart, fld, pts, tol=sc.tolerance("thm21"), **common)
-    else:
-        rep = verify.verify_conformal_chain(chart, fld, pts, args.k,
-                                            tol=sc.tolerance("conformal"), **common)
+    k = (args.k,) if args.identity == "conformal" else ()
+    rep = getattr(verify, VERIFIERS[args.identity])(chart, fld, pts, *k, scenario=sc.id,
+                                                    tols=sc.tols)
     report = {**_scenario_meta(sc), "command": f"verify {args.identity}",
               **rep.to_dict()}
     _write_report(args, report, rep.samples)
@@ -242,8 +232,7 @@ def _cmd_kato(args):
     fld = sc.build_field(chart)
     pts = sc.points(chart)
     if args.mode == "scan":
-        scan = verify.kato_scan(chart, fld, pts, scenario=sc.id,
-                                harmonicity_tol=sc.tolerance("harmonicity"))
+        scan = verify.kato_scan(chart, fld, pts, scenario=sc.id, tols=sc.tols)
         samples = scan.pop("samples")
         report = {**_scenario_meta(sc), "command": "kato scan", **scan}
         _write_report(args, report, samples)
@@ -260,9 +249,7 @@ def _cmd_kato(args):
     rows = []
     worst = 0.0
     for k in ks:
-        rep = verify.verify_conformal_chain(chart, fld, pts, k, scenario=sc.id,
-                                            tol=sc.tolerance("conformal"),
-                                            harmonicity_tol=sc.tolerance("harmonicity"))
+        rep = verify.verify_conformal_chain(chart, fld, pts, k, scenario=sc.id, tols=sc.tols)
         rows.append({"k": k, "min_lhs49_over_dnorm": rep.extra["min_lhs49_over_dnorm"],
                      "residual_eq49": rep.extra["max_residual_eq49"]})
         worst = max(worst, rep.extra["max_residual_eq49"])
@@ -271,8 +258,8 @@ def _cmd_kato(args):
     empty = any(row["min_lhs49_over_dnorm"] is None for row in rows)
     report = {**_scenario_meta(sc), "command": "kato ksweep", "rows": rows,
               "max_residual_eq49": worst,
-              "tolerance": sc.tolerance("conformal"),
-              "passed": bool(worst <= sc.tolerance("conformal")),
+              "tolerance": sc.tols["conformal"],
+              "passed": bool(worst <= sc.tols["conformal"]),
               "monotone_growth_from_k1": None if empty else bool(
                   all(rows[i]["min_lhs49_over_dnorm"] <= rows[i + 1]["min_lhs49_over_dnorm"]
                       for i in range(len(rows) - 1)
@@ -312,7 +299,7 @@ def _cmd_integral(args):
         cx = grid.assemble(chart, sc.grid_n)
         phi, delta_res, cg = grid.harmonic_representative(cx, (0, 1))
         fieldd = grid.discrete_field_export(cx, phi)
-        rep = grid.discrete_eq23_report(fieldd)
+        rep = grid.discrete_eq23_report(fieldd, tols=sc.tols)
         rep["representative_delta_residual"] = delta_res
         rep.update(cg)
         report = {**_scenario_meta(sc), "command": "integral (grid)", **rep,
@@ -324,8 +311,7 @@ def _cmd_integral(args):
         fld = sc.build_field(chart)
         rep = verify.integral_identity_analytic(
             chart, fld, n_per_axis=max(6, int(round(sc.count ** 0.25)) + 6),
-            scenario=sc.id, margin=sc.margin,
-            harmonicity_tol=sc.tolerance("harmonicity"))
+            scenario=sc.id, margin=sc.margin, tols=sc.tols)
         report = {**_scenario_meta(sc), "command": "integral (analytic)", **rep}
     _write_report(args, report)
     return 0

@@ -28,6 +28,7 @@ from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, met
                      metric_values, orthonormal_frame, require_positive_definite,
                      sqrt_det_values)
 from .forms import PAIRS, TRIPLES
+from .scenario import DEFAULT_TOLERANCES
 
 AXSETS = (
     ((),),
@@ -469,7 +470,7 @@ class _CellGeometry:
             gv.append(geom.g_values)
             giv.append(geom.ginv_values)
             gam.append(geom.gamma_values)
-            R.append(curvature_at(geom, orientation=complex.chart.orientation).R)
+            R.append(curvature_at(geom).R)
         self.g = np.concatenate(gv)
         self.ginv = np.concatenate(giv)
         self.gamma = np.concatenate(gam)
@@ -482,9 +483,11 @@ class _CellGeometry:
         self.lambda2 = forms.entry_values(forms.lambda2_metric(self.gi))
 
 
-def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None):
+def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None,
+                         tols=DEFAULT_TOLERANCES):
     """Pointwise residual of the Delta(FG) identity with discrete derivatives,
-    the three integrals, and the conservative Green-Stokes check."""
+    the three integrals, and the conservative Green-Stokes check; a cell is
+    degenerate as in verify.PointBundle.adapted."""
     from . import canonical
 
     gc = fieldd.complex
@@ -499,7 +502,7 @@ def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None)
     F = split["F"].reshape(n, n, n, n)
     G = split["G"].reshape(n, n, n, n)
 
-    adapted = canonical.canonicalize(f6_frame)
+    adapted = canonical.canonicalize(f6_frame, flag_tol=tols["degeneracy_frac"])
     K = canonical._k_r(cg.R, adapted.basis)[0].reshape(n, n, n, n)
 
     # covariant derivative of the discrete field (coordinate components)

@@ -27,22 +27,22 @@ class PresetError(Curv4Error):
     pass
 
 
-def _diag(entries, domain, name):
+def _diag(entries, domain, name, preset):
     g = [["0"] * 4 for _ in range(4)]
     for i in range(4):
         g[i][i] = entries[i]
-    return chart_from_strings(g, domain, 1, name)
+    return chart_from_strings(g, domain, name, preset=preset)
 
 
 def flat_t4():
-    return _diag(["1", "1", "1", "1"], [(0.0, TWO_PI)] * 4, "flat_t4")
+    return _diag(["1", "1", "1", "1"], [(0.0, TWO_PI)] * 4, "flat_t4", ("flat_t4", ()))
 
 
 def round_s4(r=1.0):
     if r <= 0:
         raise PresetError("round_s4 radius must be positive")
     conf = f"4*{r}^4 / ({r}^2 + x1^2 + x2^2 + x3^2 + x4^2)^2"
-    return _diag([conf] * 4, [(-1.0, 1.0)] * 4, f"round_s4({r})")
+    return _diag([conf] * 4, [(-1.0, 1.0)] * 4, f"round_s4({r})", ("round_s4", (r,)))
 
 
 def product_s2s2(r1=1.0, r2=1.0):
@@ -55,9 +55,8 @@ def product_s2s2(r1=1.0, r2=1.0):
         f"{r2}^2 * sin(x3)^2",
     ]
     domain = [(0.0, math.pi), (0.0, TWO_PI), (0.0, math.pi), (0.0, TWO_PI)]
-    chart = _diag(entries, domain, f"product_s2s2({r1},{r2})")
-    return MetricChart(chart.g, chart.domain, chart.orientation, chart.name,
-                       (float(r1), float(r2)))
+    return _diag(entries, domain, f"product_s2s2({r1},{r2})",
+                 ("product_s2s2", (float(r1), float(r2))))
 
 
 # Fubini-Study metric in the affine chart, from the potential log(1+|z|^2):
@@ -83,7 +82,8 @@ def cp2_fubini_study():
     for (i, j), src in _CP2_ENTRIES.items():
         g[i][j] = src
         g[j][i] = src
-    return chart_from_strings(g, [(-1.0, 1.0)] * 4, 1, "cp2_fubini_study")
+    return chart_from_strings(g, [(-1.0, 1.0)] * 4, "cp2_fubini_study",
+                              preset=("cp2_fubini_study", ()))
 
 
 def cp2_complex_structure():
@@ -127,17 +127,18 @@ def form_preset(name, chart: MetricChart, seed=0):
         comps = dict(zeros)
         comps["12"] = ex.num(1.0)
         return comps
+    kind, params = chart.preset or (None, ())
     if name in ("factor_volumes", "factor_volume_1"):
-        if chart.product_radii is None:
+        if kind != "product_s2s2":
             raise PresetError(f"form preset {name!r} needs a product_s2s2 chart")
-        r1, r2 = chart.product_radii
+        r1, r2 = params
         comps = dict(zeros)
         comps["12"] = ex.parse(f"{r1 * r1} * sin(x1)")
         if name == "factor_volumes":
             comps["34"] = ex.parse(f"{r2 * r2} * sin(x3)")
         return comps
     if name == "kaehler":
-        if "cp2" not in chart.name:
+        if kind != "cp2_fubini_study":
             raise PresetError("form preset 'kaehler' needs the cp2_fubini_study chart")
         # omega(X, Y) = g(JX, Y) with the constant J of the affine chart
         e = _CP2_ENTRIES

@@ -7,6 +7,8 @@ change a run.  A fixed (scenario, seed) pair reproduces identical reports.
 from __future__ import annotations
 
 import json
+import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -18,27 +20,26 @@ from .forms import PAIR_KEYS, TwoFormField
 
 SCHEMA_VERSION = 1
 
-DEFAULT_TOLERANCES = {
+# Every tolerance a command reads; a scenario's "tolerances" overlays it (the
+# README's table names the command and report field each key gates).
+DEFAULT_TOLERANCES = MappingProxyType({
     "weitzenboeck": 1e-7,
     "eq22": 1e-7,
     "lemma22": 1e-6,
     "prop23": 1e-6,
     "thm21": 1e-6,
     "conformal": 1e-5,
-    "eq42": 1e-6,
-    "eq43": 1e-6,
-    "eq46": 1e-6,
     "harmonicity": 1e-7,
     "kato_classical": 1e-9,
     "kato_lemma41": 1e-6,
     "normal_gamma": 1e-9,
     "degeneracy_frac": 1e-8,
-}
+})
 
 _TOP_KEYS = {"schema_version", "id", "manifold", "form", "form_components",
              "conformal_factor", "sampling", "tolerances", "grid"}
 _MANIFOLD_PRESET_KEYS = {"preset", "r", "r1", "r2", "base", "f"}
-_MANIFOLD_INLINE_KEYS = {"metric", "domain", "orientation"}
+_MANIFOLD_INLINE_KEYS = {"metric", "domain"}
 _FORM_KEYS = {"preset", "components", "seed"}
 _SAMPLING_KEYS = {"count", "margin", "seed"}
 _GRID_KEYS = {"n", "metric"}
@@ -46,13 +47,13 @@ _GRID_KEYS = {"n", "metric"}
 
 class Scenario:
     def __init__(self, id, manifold, form=None, conformal_factor=None, sampling=None,
-                 tolerances=None, grid=None):
+                 tols=DEFAULT_TOLERANCES, grid=None):
         self.id = id
         self.manifold = manifold
         self.form = form
         self.conformal_factor = conformal_factor
         self.sampling = {} if sampling is None else sampling
-        self.tolerances = {} if tolerances is None else tolerances
+        self.tols = tols  # DEFAULT_TOLERANCES overlaid with the scenario's overrides
         self.grid = grid
 
     @property
@@ -66,11 +67,6 @@ class Scenario:
     @property
     def seed(self):
         return int(self.sampling.get("seed", 0))
-
-    def tolerance(self, key):
-        if key in self.tolerances:
-            return float(self.tolerances[key])
-        return DEFAULT_TOLERANCES[key]
 
     def build_chart(self) -> MetricChart:
         chart = _build_manifold(self.manifold)
@@ -105,7 +101,7 @@ class Scenario:
             raise InputError("scenario has no 'grid' section")
         if "metric" not in self.grid:
             return self.build_chart()
-        chart = chart_from_strings(self.grid["metric"], [(0.0, 2.0 * np.pi)] * 4, 1,
+        chart = chart_from_strings(self.grid["metric"], [(0.0, 2.0 * np.pi)] * 4,
                                    f"{self.id}_grid_metric")
         validate_chart(chart)
         return chart
@@ -139,10 +135,24 @@ def _build_manifold(spec) -> MetricChart:
         raise InputError("manifold needs either 'preset' or 'metric'")
     domain = spec.get("domain", [[0.0, 2.0 * np.pi]] * 4)
     try:
-        return chart_from_strings(spec["metric"], domain,
-                                  int(spec.get("orientation", 1)), "inline_metric")
+        return chart_from_strings(spec["metric"], domain, "inline_metric")
     except ex.ExprError as e:
         raise InputError(f"bad metric expression: {e}") from None
+
+
+def _resolve_tolerances(overrides):
+    """DEFAULT_TOLERANCES overlaid with a scenario's overrides, each a finite
+    number (a negative one only makes its check stricter)."""
+    _check_keys(overrides, set(DEFAULT_TOLERANCES), "tolerances")
+    for key, value in overrides.items():
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past the float range
+            finite = False
+        if not finite:
+            raise InputError(f"tolerance {key!r} must be a finite number, not {value!r}")
+    return MappingProxyType({**DEFAULT_TOLERANCES,
+                             **{key: float(value) for key, value in overrides.items()}})
 
 
 def load(path) -> Scenario:
@@ -179,16 +189,12 @@ def from_dict(raw) -> Scenario:
         form = {"components": dict(raw["form_components"])}
     if "grid" in raw and raw["grid"] is not None:
         _check_keys(raw["grid"], _GRID_KEYS, "grid")
-    if "tolerances" in raw:
-        unknown = set(raw["tolerances"]) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise InputError(f"unknown tolerance keys {sorted(unknown)}")
     return Scenario(
         id=raw["id"],
         manifold=raw["manifold"],
         form=form,
         conformal_factor=raw.get("conformal_factor"),
         sampling=dict(raw.get("sampling", {})),
-        tolerances=dict(raw.get("tolerances", {})),
+        tols=_resolve_tolerances(raw.get("tolerances", {})),
         grid=raw.get("grid"),
     )

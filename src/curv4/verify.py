@@ -8,8 +8,6 @@ dictionary in use is embedded in every report.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import InputError, forms, jets
@@ -57,24 +55,10 @@ class VerificationReport:
         }
 
 
-def thread_cap():
-    try:
-        return max(1, int(os.environ.get("CURV4_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def map_chunks(fn, pts, chunk=2048):
-    """Apply fn to point chunks, optionally threaded, merged in order."""
+    """fn applied to the point chunks of pts, in order."""
     pts = np.asarray(pts)
-    chunks = [pts[i:i + chunk] for i in range(0, len(pts), chunk)]
-    cap = thread_cap()
-    if cap <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, chunks))
+    return [fn(pts[i:i + chunk]) for i in range(0, len(pts), chunk)]
 
 
 def rel_residual(lhs, rhs, *terms):
@@ -90,13 +74,16 @@ def rel_residual(lhs, rhs, *terms):
 
 
 class PointBundle:
-    """Everything the verifiers need at a batch of points."""
+    """Everything the verifiers need at a batch of points, and the resolved
+    tolerance table (scenario.DEFAULT_TOLERANCES and its overrides) that gates
+    them."""
 
-    def __init__(self, chart: MetricChart, fld: TwoFormField, pts, geom=None):
+    def __init__(self, chart: MetricChart, fld: TwoFormField, pts, tols=DEFAULT_TOLERANCES):
         self.chart = chart
         self.field = fld
+        self.tols = tols
         self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        self.geom = geom if geom is not None else Geometry.of_chart(chart, self.pts)
+        self.geom = Geometry.of_chart(chart, self.pts)
         self.c6 = fld.component_jets(self.pts)
         self._cache = {}
 
@@ -107,8 +94,7 @@ class PointBundle:
 
     @property
     def slate(self) -> CurvatureSlate:
-        return self._get("slate", lambda: curvature_at(self.geom,
-                                                       orientation=self.chart.orientation))
+        return self._get("slate", lambda: curvature_at(self.geom))
 
     @property
     def lambda2(self):
@@ -149,7 +135,27 @@ class PointBundle:
                              + np.sqrt(np.maximum(self.norm_sq_jet.value, 0.0))))
         return hmax, scale
 
-    def require_harmonic(self, tol):
+    @property
+    def adapted(self):
+        """The adapted frame of phi in the slate frame, degenerate where |phi+|
+        or |phi-| is below tols["degeneracy_frac"] |phi|."""
+        from . import canonical
+
+        return self._get("adapted", lambda: canonical.canonicalize(
+            self.frame_values, flag_tol=self.tols["degeneracy_frac"]))
+
+    @property
+    def curvature_K(self):
+        """K and R1234 in the adapted frame (canonical.curvature_term_K)."""
+        from . import canonical
+
+        return self._get("K", lambda: canonical.curvature_term_K(
+            self.slate, self.adapted, degenerate_samples=0))
+
+    def require_harmonic(self):
+        """harmonicity(), or InputError if max |Delta_Hodge phi| reaches
+        tols["harmonicity"] times its scale."""
+        tol = self.tols["harmonicity"]
         hmax, scale = self.harmonicity()
         if scale == 0.0:
             return hmax, scale  # the zero field is harmonic
@@ -163,9 +169,8 @@ class PointBundle:
 # -- Weitzenboeck (the curvature-action identity) --------------------------------
 
 
-def verify_weitzenboeck(chart, fld, pts, tol=None, scenario="inline"):
-    tol = DEFAULT_TOLERANCES["weitzenboeck"] if tol is None else tol
-    b = PointBundle(chart, fld, pts)
+def verify_weitzenboeck(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
+    b = PointBundle(chart, fld, pts, tols)
     hv_f = forms.frame_components(b.slate.frame, b.hodge_values)
     rough = forms.rough_laplacian_values(b.geom, b.c6, T=b.nabla)
     rough_f = forms.frame_components(b.slate.frame, rough)
@@ -179,7 +184,8 @@ def verify_weitzenboeck(chart, fld, pts, tol=None, scenario="inline"):
              + (1.0 + rmax) * np.max(np.abs(b.frame_values), axis=-1))
     abs_res = np.max(np.abs(lhs - rhs), axis=-1)
     rel = abs_res / np.maximum(scale, RESIDUAL_FLOOR)
-    return _report("weitzenboeck_eq21", scenario, b.pts, [], abs_res, rel, tol,
+    return _report("weitzenboeck_eq21", scenario, b.pts, [], abs_res, rel,
+                   tols["weitzenboeck"],
                    extra={"delta_used": "hodge (= -trace nabla^2 + q(R))"},
                    samples=_columns(b.pts, residual=rel))
 
@@ -201,13 +207,14 @@ def parallel_frame_jets(geom_nc: Geometry):
                           -0.5 * np.einsum("...dick->...ikdc", dG)).c
 
 
-def _parallel_frame_fields(b: PointBundle, basis, gamma_tol):
+def _parallel_frame_fields(b: PointBundle, basis):
     """Normal-chart geometry and parallel-frame components at every point.
 
     Returns (geom_nc, fj, gmax): fj[..., k, l] are the stacked jets of
     f_kl = phi(e_k, e_l) along the radially parallel frame e, and gmax the
-    per-point max |Gamma'(0)|, gated by gamma_tol.
+    per-point max |Gamma'(0)|, gated by tols["normal_gamma"].
     """
+    gamma_tol = b.tols["normal_gamma"]
     xj = normal_chart_map(b.geom, basis)
     geom_nc = normal_chart(b.chart, xj)
     gmax = np.max(np.abs(geom_nc.gamma_values), axis=(-1, -2, -3))
@@ -220,15 +227,10 @@ def _parallel_frame_fields(b: PointBundle, basis, gamma_tol):
     return geom_nc, fj, gmax
 
 
-def verify_component_bochner(chart, fld, pts, tol=None, scenario="inline",
-                             harmonicity_tol=None, gamma_tol=None):
-    tol = DEFAULT_TOLERANCES["eq22"] if tol is None else tol
-    harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
-        else harmonicity_tol
-    gamma_tol = DEFAULT_TOLERANCES["normal_gamma"] if gamma_tol is None else gamma_tol
-    b = PointBundle(chart, fld, pts)
-    hmax, hscale = b.require_harmonic(harmonicity_tol)
-    geom_nc, fj, gmax = _parallel_frame_fields(b, b.slate.frame, gamma_tol)
+def verify_component_bochner(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
+    b = PointBundle(chart, fld, pts, tols)
+    hmax, hscale = b.require_harmonic()
+    geom_nc, fj, gmax = _parallel_frame_fields(b, b.slate.frame)
     fmat = np.zeros(b.pts.shape[:-1] + (4, 4))
     lapm = np.zeros_like(fmat)
     for a, c in PAIRS:
@@ -246,7 +248,7 @@ def verify_component_bochner(chart, fld, pts, tol=None, scenario="inline",
         np.full(len(b.pts), RESIDUAL_FLOOR)])
     abss = np.max(np.abs(lapm - rhs), axis=(-1, -2))
     rels = abss / scale
-    return _report("component_bochner_eq22", scenario, b.pts, [], abss, rels, tol,
+    return _report("component_bochner_eq22", scenario, b.pts, [], abss, rels, tols["eq22"],
                    extra={"delta_used": "function laplacian of parallel-frame components",
                           "harmonicity_measured": hmax, "harmonicity_scale": hscale,
                           "normal_gamma_max": float(np.max(gmax))},
@@ -272,23 +274,16 @@ def sd_nabla_norms(b: PointBundle):
             cplus, cminus)
 
 
-def verify_lemma22(chart, fld, pts, tol=None, scenario="inline",
-                   harmonicity_tol=None, gamma_tol=None):
+def verify_lemma22(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     """Delta f1 = 2(K f1 - R1234 f2), Delta f2 = 2(K f2 - R1234 f1) in the
     adapted, radially parallel normal frame."""
     from . import canonical
 
-    tol = DEFAULT_TOLERANCES["lemma22"] if tol is None else tol
-    harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
-        else harmonicity_tol
-    gamma_tol = DEFAULT_TOLERANCES["normal_gamma"] if gamma_tol is None else gamma_tol
-    b = PointBundle(chart, fld, pts)
-    hmax, hscale = b.require_harmonic(harmonicity_tol)
-    adapted = canonical.canonicalize(b.frame_values,
-                                     flag_tol=DEFAULT_TOLERANCES["degeneracy_frac"])
-    basis = b.slate.frame @ adapted.basis
-    geom_nc, fj, _ = _parallel_frame_fields(b, basis, gamma_tol)
-    Rn = curvature_at(geom_nc, orientation=chart.orientation).R
+    b = PointBundle(chart, fld, pts, tols)
+    hmax, hscale = b.require_harmonic()
+    adapted = b.adapted
+    geom_nc, fj, _ = _parallel_frame_fields(b, b.slate.frame @ adapted.basis)
+    Rn = curvature_at(geom_nc).R
     K, R1234 = canonical._k_r(Rn)
     f1, f2 = Jet3(fj[..., 0, 1]), Jet3(fj[..., 2, 3])
     v1, v2 = f1.value, f2.value
@@ -303,35 +298,28 @@ def verify_lemma22(chart, fld, pts, tol=None, scenario="inline",
     abss = np.maximum(np.abs(r1), np.abs(r2))
     rels = abss / scale
     samples = _columns(b.pts, residual=rels, K=K, R1234=R1234, degenerate=adapted.degenerate)
-    return _report("lemma22", scenario, b.pts, [], abss, rels, tol,
+    return _report("lemma22", scenario, b.pts, [], abss, rels, tols["lemma22"],
                    extra={"delta_used": "function laplacian in adapted parallel frame",
                           "harmonicity_measured": hmax, "harmonicity_scale": hscale,
                           "degenerate_points": int(adapted.degenerate.sum())},
                    samples=samples)
 
 
-def verify_prop23(chart, fld, pts, tol=None, scenario="inline", harmonicity_tol=None):
+def verify_prop23(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     """Delta F = |nabla phi+|^2 + 4(K - R1234) F and the G-side analogue.
 
     At SD/ASD-degenerate points the side whose curvature factor multiplies the
     vanishing scalar stays fully determined; the other side enters the report
     only at non-degenerate points (it is still recorded per point).
     """
-    from . import canonical
-
-    tol = DEFAULT_TOLERANCES["prop23"] if tol is None else tol
-    harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
-        else harmonicity_tol
-    b = PointBundle(chart, fld, pts)
-    hmax, hscale = b.require_harmonic(harmonicity_tol)
+    b = PointBundle(chart, fld, pts, tols)
+    hmax, hscale = b.require_harmonic()
     Fj, Gj = fg_jets(b)
     dF = forms.scalar_laplacian_values(b.geom, Fj)
     dG = forms.scalar_laplacian_values(b.geom, Gj)
     np_sq, nm_sq, _, _ = sd_nabla_norms(b)
-    adapted = canonical.canonicalize(b.frame_values,
-                                     flag_tol=DEFAULT_TOLERANCES["degeneracy_frac"])
-    kk = canonical.curvature_term_K(b.slate, adapted, degenerate_samples=0)
-    K, R1234 = kk["K"], kk["R1234"]
+    adapted = b.adapted
+    K, R1234 = b.curvature_K["K"], b.curvature_K["R1234"]
     Fv, Gv = Fj.value, Gj.value
     curvF = 4.0 * (K - R1234) * Fv
     curvG = 4.0 * (K + R1234) * Gv
@@ -353,7 +341,7 @@ def verify_prop23(chart, fld, pts, tol=None, scenario="inline", harmonicity_tol=
     abs_res = np.abs(dF - np_sq - curvF) + np.abs(dG - nm_sq - curvG)
     samples = _columns(b.pts, residual_eq28=res28, residual_eq29=res29, K=K, R1234=R1234,
                        F=Fv, G=Gv, degenerate=adapted.degenerate)
-    return _report("prop23_eq28_eq29", scenario, b.pts, [], abs_res, counted, tol,
+    return _report("prop23_eq28_eq29", scenario, b.pts, [], abs_res, counted, tols["prop23"],
                    extra={"delta_used": "function laplacian (trace Hessian)",
                           "harmonicity_measured": hmax, "harmonicity_scale": hscale,
                           "degenerate_points": int(adapted.degenerate.sum()),
@@ -362,25 +350,17 @@ def verify_prop23(chart, fld, pts, tol=None, scenario="inline", harmonicity_tol=
                    samples=samples)
 
 
-def verify_theorem21(chart, fld, pts, tol=None, scenario="inline", harmonicity_tol=None):
+def verify_theorem21(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     """Delta(FG) = 8 K F G + G|nabla phi+|^2 + F|nabla phi-|^2 + 2<dF, dG>,
     plus the Schwarz combination check at points where the Kato premise holds."""
-    from . import canonical
-
-    tol = DEFAULT_TOLERANCES["thm21"] if tol is None else tol
-    harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
-        else harmonicity_tol
-    b = PointBundle(chart, fld, pts)
-    hmax, hscale = b.require_harmonic(harmonicity_tol)
+    b = PointBundle(chart, fld, pts, tols)
+    hmax, hscale = b.require_harmonic()
     Fj, Gj = fg_jets(b)
     Fv, Gv = Fj.value, Gj.value
     dFG = forms.scalar_laplacian_values(b.geom, Fj * Gj)
     cross = forms.grad_inner_values(b.geom, Fj, Gj)
     np_sq, nm_sq, cplus, cminus = sd_nabla_norms(b)
-    adapted = canonical.canonicalize(b.frame_values,
-                                     flag_tol=DEFAULT_TOLERANCES["degeneracy_frac"])
-    kk = canonical.curvature_term_K(b.slate, adapted, degenerate_samples=0)
-    K = kk["K"]
+    K = b.curvature_K["K"]
     terms = [8.0 * K * Fv * Gv, Gv * np_sq, Fv * nm_sq, 2.0 * cross]
     rhs = sum(terms)
     rmax = np.max(np.abs(b.slate.R), axis=(-1, -2, -3, -4))
@@ -408,7 +388,7 @@ def verify_theorem21(chart, fld, pts, tol=None, scenario="inline", harmonicity_t
         and bool(np.all(floor[premise] >= -1e-9 * comb_scale[premise]))
     samples = _columns(b.pts, residual=rel, K=K, F=Fv, G=Gv, schwarz_combo=combo,
                        schwarz_floor=floor, premise_rho_ge_2=premise)
-    return _report("theorem21_eq23", scenario, b.pts, [], abs_res, rel, tol,
+    return _report("theorem21_eq23", scenario, b.pts, [], abs_res, rel, tols["thm21"],
                    extra={"harmonicity_measured": hmax, "harmonicity_scale": hscale,
                           "schwarz_ok_under_premise": schwarz_ok,
                           "premise_points": int(np.sum(premise))},
@@ -434,16 +414,11 @@ def _kato_ratio(b: PointBundle, c6, gsq):
 # -- Kato scan --------------------------------------------------------------------
 
 
-def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
-              degeneracy_frac=None, chunk=2048):
-    harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
-        else harmonicity_tol
-    degeneracy_frac = DEFAULT_TOLERANCES["degeneracy_frac"] if degeneracy_frac is None \
-        else degeneracy_frac
+def kato_scan(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES, chunk=2048):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
 
     def work(chunk_pts):
-        b = PointBundle(chart, fld, chunk_pts)
+        b = PointBundle(chart, fld, chunk_pts, tols)
         inv = forms.covariant_invariants(b.geom, b.c6, Q=b.lambda2, T=b.nabla,
                                          nsq=b.norm_sq_jet, grad_sq=b.grad_sq)
         hmax, hscale = b.harmonicity()
@@ -456,11 +431,11 @@ def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
     dnorm_sq = np.concatenate([p["dnorm_sq"] for p in parts])
     hmax = max(p["hmax"] for p in parts)
     hscale = max(p["hscale"] for p in parts)
-    if hscale > 0 and hmax >= harmonicity_tol * hscale:
+    if hscale > 0 and hmax >= tols["harmonicity"] * hscale:
         raise InputError(f"field is not harmonic: |Delta phi| = {hmax:.3e} "
                          f"vs scale {hscale:.3e}")
 
-    norm_floor = degeneracy_frac * float(np.max(norm)) if norm.size else 0.0
+    norm_floor = tols["degeneracy_frac"] * float(np.max(norm)) if norm.size else 0.0
     # parallel-degenerate points: |d|phi|| below a scale-aware absolute floor
     d_floor = (1e-9 * float(np.max(norm)))**2 if norm.size else 0.0
     valid = (norm > norm_floor) & np.isfinite(dnorm_sq) & (dnorm_sq > d_floor)
@@ -485,8 +460,8 @@ def kato_scan(chart, fld, pts, scenario="inline", harmonicity_tol=None,
     hist, edges = np.histogram(rv, bins=_kato_bin_edges(_percentile99(rv)))
     result.update({
         "min_rho": float(np.min(rv)),
-        "classical_kato_ok": bool(np.min(rv) >= 1.0 - DEFAULT_TOLERANCES["kato_classical"]),
-        "lemma41_floor_ok": bool(np.min(rv) >= 1.5 - DEFAULT_TOLERANCES["kato_lemma41"]),
+        "classical_kato_ok": bool(np.min(rv) >= 1.0 - tols["kato_classical"]),
+        "lemma41_floor_ok": bool(np.min(rv) >= 1.5 - tols["kato_lemma41"]),
         "fraction_rho_below_2": float(np.mean(rv < 2.0)),
         "open_question_rho_ge_2": bool(np.min(rv) >= 2.0),
         "histogram": {"counts": hist.tolist(), "edges": edges.tolist()},
@@ -521,19 +496,13 @@ def _kato_bin_edges(p99, bins=24):
 # -- conformal chain (Eqs. 4.2, 4.3, 4.6, 4.9) -------------------------------------
 
 
-def verify_conformal_chain(chart, fld, pts, k, tol=None, scenario="inline",
-                           harmonicity_tol=None, degeneracy_frac=None):
-    tol = DEFAULT_TOLERANCES["conformal"] if tol is None else tol
-    harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
-        else harmonicity_tol
-    degeneracy_frac = DEFAULT_TOLERANCES["degeneracy_frac"] if degeneracy_frac is None \
-        else degeneracy_frac
+def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_TOLERANCES):
     k = float(k)
-    b = PointBundle(chart, fld, pts)
-    hmax, hscale = b.require_harmonic(harmonicity_tol)
+    b = PointBundle(chart, fld, pts, tols)
+    hmax, hscale = b.require_harmonic()
     nsq = b.norm_sq_jet
     norm = np.sqrt(np.maximum(nsq.value, 0.0))
-    floor = degeneracy_frac * float(np.max(norm))
+    floor = tols["degeneracy_frac"] * float(np.max(norm))
     if np.any(norm <= floor):
         bad = np.argmax(norm <= floor)
         raise InputError(f"|phi| below degeneracy floor at point {tuple(b.pts[bad])}")
@@ -617,23 +586,19 @@ def verify_conformal_chain(chart, fld, pts, k, tol=None, scenario="inline",
     }
     abs_res = np.abs((lhs49_a + lhs49_b) - rhs49)
     return _report("conformal_chain_eq42_43_46_49", scenario, b.pts, [], abs_res,
-                   rel, tol, extra=extra, samples=samples)
+                   rel, tols["conformal"], extra=extra, samples=samples)
 
 
 # -- analytic integral mechanism ---------------------------------------------------
 
 
 def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
-                               margin=0.05, harmonicity_tol=None):
+                               margin=0.05, tols=DEFAULT_TOLERANCES):
     """Quadrature of Delta(FG), 8KFG and the remainder over the chart box.
 
     For periodic charts on (0, 2pi)^4 the trapezoid rule makes this the closed-
     manifold integral; otherwise the result is a box integral and flagged so.
     """
-    from . import canonical
-
-    harmonicity_tol = DEFAULT_TOLERANCES["harmonicity"] if harmonicity_tol is None \
-        else harmonicity_tol
     periodic = chart_is_periodic(chart)
     axes, weights = [], 1.0
     for (lo, hi) in chart.domain:
@@ -647,18 +612,16 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
     def work(chunk_pts):
-        b = PointBundle(chart, fld, chunk_pts)
-        b.require_harmonic(harmonicity_tol)
+        b = PointBundle(chart, fld, chunk_pts, tols)
+        b.require_harmonic()
         Fj, Gj = fg_jets(b)
         dFG = forms.scalar_laplacian_values(b.geom, Fj * Gj)
         cross = forms.grad_inner_values(b.geom, Fj, Gj)
         np_sq, nm_sq, _, _ = sd_nabla_norms(b)
-        adapted = canonical.canonicalize(b.frame_values)
-        kk = canonical.curvature_term_K(b.slate, adapted, degenerate_samples=0)
         vol = sqrt_det_values(b.geom.g_values)
-        Fv, Gv = Fj.value, Gj.value
+        Fv, Gv, K = Fj.value, Gj.value, b.curvature_K["K"]
         rem = Gv * np_sq + Fv * nm_sq + 2.0 * cross
-        return {"dFG": np.sum(dFG * vol), "kfg": np.sum(8.0 * kk["K"] * Fv * Gv * vol),
+        return {"dFG": np.sum(dFG * vol), "kfg": np.sum(8.0 * K * Fv * Gv * vol),
                 "rem": np.sum(rem * vol), "neg": np.sum((rem < -1e-12) * 1.0)}
 
     parts = map_chunks(work, grid, 4096)

@@ -304,3 +304,11 @@ def star_gram_loops(basis):
             S[a, b] = np.sum(forms.inner_lambda2(Q, stars[a], coloc[b]) * vol)
             G[a, b] = np.sum(forms.inner_lambda2(Q, coloc[a], coloc[b]) * vol)
     return S, G
+
+
+def euclid_cross_eps(a, b, c):
+    """The vector completing (a, b, c) to a positive basis as the full
+    contraction eps_ijkl a_i b_j c_k with the Levi-Civita symbol."""
+    from curv4 import forms
+
+    return np.einsum("ijkl,...i,...j,...k->...l", forms.EPS4, a, b, c, optimize=True)

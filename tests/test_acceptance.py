@@ -42,7 +42,7 @@ def conformal_scenario():
 
 @pytest.fixture(scope="module")
 def perturbed_reports():
-    chart = charts.chart_from_strings(PERTURBED, [(0.0, 2 * np.pi)] * 4, 1,
+    chart = charts.chart_from_strings(PERTURBED, [(0.0, 2 * np.pi)] * 4,
                                       "perturbed_t4")
     out = {}
     for n in (8, 16):
@@ -221,7 +221,7 @@ def test_criterion_7_discrete_hodge():
                    and rep["definite"] is False)
         details.append(f"flat n={n} dim={rep['kernel_dim']} "
                        f"b2=({rep['b2_plus']},{rep['b2_minus']})")
-    pert = charts.chart_from_strings(PERTURBED, [(0.0, 2 * np.pi)] * 4, 1,
+    pert = charts.chart_from_strings(PERTURBED, [(0.0, 2 * np.pi)] * 4,
                                      "perturbed_t4")
     gc8 = grid.assemble(pert, 8)
     rep8 = grid.definiteness_report(grid.harmonic_kernel(gc8))

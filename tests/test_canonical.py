@@ -7,6 +7,7 @@ from scipy.stats import special_ortho_group
 from curv4 import canonical, charts, forms, presets, scenario
 from curv4.charts import curvature_at, sample_box
 from curv4.forms import TwoFormField
+from oracles import euclid_cross_eps
 
 RNG = np.random.default_rng(17)
 
@@ -245,3 +246,16 @@ def test_K_equals_sum_of_biorthogonal():
         s13 = canonical.biorthogonal(single, e[0], e[2])
         s14 = canonical.biorthogonal(single, e[0], e[3])
         assert abs(kk["K"][n] - (s13 + s14)) < 1e-10
+
+
+def test_euclid_cross_matches_levi_civita_contraction():
+    """The cofactor cross product equals the eps_ijkl contraction to round-off,
+    is orthogonal to its inputs and completes them to a positive basis."""
+    a, b, c = np.random.default_rng(41).standard_normal((3, 500, 4))
+    got, want = canonical._euclid_cross(a, b, c), euclid_cross_eps(a, b, c)
+    # |a| |b| |c| bounds every entry and every term that enters it
+    scale = np.prod([np.linalg.norm(v, axis=-1) for v in (a, b, c)], axis=0)
+    assert np.max(np.abs(got - want) / scale[:, None]) <= 2e-15
+    for v in (a, b, c):
+        assert np.max(np.abs(np.sum(got * v, axis=-1)) / scale) <= 2e-15
+    assert np.all(np.linalg.det(np.stack([a, b, c, got], axis=-2)) > 0)

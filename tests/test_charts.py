@@ -231,7 +231,7 @@ def test_chart_independence_sphere():
                     acc = t if acc is None else ex.add(acc, t)
             gp[a][b] = acc
     inv_chart = charts.MetricChart(tuple(tuple(row) for row in gp),
-                                   ((0.01, 5.0),) * 4, 1, "s4_inverted")
+                                   ((0.01, 5.0),) * 4, "s4_inverted")
     q = pts[0]
     q2 = q / np.dot(q, q)
     s2 = curvature_at(inv_chart, q2[None, :])
@@ -318,7 +318,7 @@ def test_validate_chart():
     bad = charts.chart_from_strings(
         [["x1 - 3", "0", "0", "0"], ["0", "1", "0", "0"],
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        [(0.0, 1.0)] * 4, 1, "indefinite")
+        [(0.0, 1.0)] * 4, "indefinite")
     with pytest.raises(ChartError):
         validate_chart(bad)
 
@@ -328,7 +328,7 @@ def test_validate_chart_names_point():
     bad = charts.chart_from_strings(
         [["x1 - 0.5", "0", "0", "0"], ["0", "1", "0", "0"],
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        [(0.0, 1.0)] * 4, 1, "half_indefinite")
+        [(0.0, 1.0)] * 4, "half_indefinite")
     with pytest.raises(ChartError, match="not positive definite on half_indefinite at point") \
             as err:
         validate_chart(bad)
@@ -357,6 +357,17 @@ def test_factor_volumes_read_radii_of_wrapped_product():
     assert np.allclose(ex.eval_values(comps["12"], pts), 4.0 * np.sin(pts[:, 0]), rtol=1e-15)
     with pytest.raises(presets.PresetError):
         presets.form_preset("factor_volumes", conformal_chart(presets.flat_t4(), "0"))
+
+
+def test_kaehler_reads_the_chart_preset_not_its_name():
+    """The kaehler form needs a chart built by cp2_fubini_study (conformal
+    charts keep the tag); a flat chart named like it is refused."""
+    comps = presets.form_preset("kaehler", conformal_chart(presets.cp2_fubini_study(), "0",
+                                                            name="renamed"))
+    assert len(comps) == 6
+    fake = charts.chart_from_strings(presets.flat_t4().g, [(-1.0, 1.0)] * 4, "my_cp2")
+    with pytest.raises(presets.PresetError, match="kaehler"):
+        presets.form_preset("kaehler", fake)
 
 
 def test_sample_box_margins_and_count():

@@ -423,7 +423,6 @@ def test_commands_skip_scipy_optimize(tmp_path, command):
             f"if m.split('.')[0] == 'scipy' or m in {watched!r}))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    env.pop("CURV4_THREADS", None)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == str(COMMAND_LOADS[tuple(command)])

@@ -19,7 +19,7 @@ PERTURBED = [
 
 
 def perturbed_chart():
-    return charts.chart_from_strings(PERTURBED, [(0.0, 2 * np.pi)] * 4, 1,
+    return charts.chart_from_strings(PERTURBED, [(0.0, 2 * np.pi)] * 4,
                                      "perturbed_t4")
 
 
@@ -103,7 +103,7 @@ def test_nonperiodic_metric_rejected():
     bad = charts.chart_from_strings(
         [["1 + 0.1*x1", "0", "0", "0"], ["0", "1", "0", "0"],
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        [(0.0, 2 * np.pi)] * 4, 1, "aperiodic")
+        [(0.0, 2 * np.pi)] * 4, "aperiodic")
     with pytest.raises(GridError, match="periodic"):
         grid.assemble(bad, 4)
 
@@ -112,7 +112,7 @@ def test_indefinite_metric_rejected():
     bad = charts.chart_from_strings(
         [["sin(x1)", "0", "0", "0"], ["0", "1", "0", "0"],
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        [(0.0, 2 * np.pi)] * 4, 1, "indefinite_t4")
+        [(0.0, 2 * np.pi)] * 4, "indefinite_t4")
     with pytest.raises(GridError, match="positive definite"):
         grid.assemble(bad, 4)
 
@@ -123,7 +123,7 @@ def test_indefinite_barycenter_named():
     bad = charts.chart_from_strings(
         [["3.9 - cos(x1 - pi/4) - cos(x2 - pi/2) - cos(x3 - pi) - cos(x4)", "0", "0", "0"],
          ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        [(0.0, 2 * np.pi)] * 4, 1, "one_bad_cell")
+        [(0.0, 2 * np.pi)] * 4, "one_bad_cell")
     where = (np.pi / 4, np.pi / 2, np.pi, 0.0)
     message = f"metric not positive definite at cell barycenter {where}"
     with pytest.raises(GridError, match=re.escape(message)):
@@ -159,7 +159,7 @@ def test_masses_match_inverse_determinant_random(terms, n):
         for j in range(i, 4):
             a, fn, f, v = next(upper)
             entries[i][j] = entries[j][i] = f"{int(i == j)} + ({a:.6f})*{fn}({f}*x{v})"
-    chart = charts.chart_from_strings(entries, [(0.0, 2 * np.pi)] * 4, 1, "near_flat")
+    chart = charts.chart_from_strings(entries, [(0.0, 2 * np.pi)] * 4, "near_flat")
     _assert_masses_within_ulps(chart, n)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curv4 import charts, forms, presets, verify
+from curv4 import expr as ex
 from curv4.charts import conformal_chart, sample_box
 from curv4.forms import TwoFormField
 from curv4.verify import InputError
@@ -190,7 +191,7 @@ def test_integral_analytic_nonperiodic_torus_box_not_closed():
     chart = charts.chart_from_strings(
         [["1 + 0.1*x1", "0", "0", "0"], ["0", "1", "0", "0"],
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
-        [(0.0, 2.0 * np.pi)] * 4, 1, "x1_ramp")
+        [(0.0, 2.0 * np.pi)] * 4, "x1_ramp")
     assert not charts.chart_is_periodic(chart)
     fld = TwoFormField(chart, {"34": "1"})  # harmonic: g depends on x1 only
     rep = verify.integral_identity_analytic(chart, fld, n_per_axis=4)
@@ -206,21 +207,52 @@ def test_report_serialization_roundtrip(conformal_scenario):
     assert json.loads(blob)["identity"] == "prop23_eq28_eq29"
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("CURV4_THREADS", "3")
-    assert verify.thread_cap() == 3
-    monkeypatch.setenv("CURV4_THREADS", "bogus")
-    assert verify.thread_cap() == 1
-
-
-def test_map_chunks_threaded_deterministic(conformal_scenario, monkeypatch):
+def test_kato_scan_chunk_invariant(conformal_scenario):
+    """Point chunks only bound the working set: the scan at chunk=64 is the
+    scan in one chunk, bit for bit."""
     chart, fld = conformal_scenario
     pts = sample_box(chart.domain, 300, seed=23)
-    scan1 = verify.kato_scan(chart, fld, pts, chunk=64)
-    monkeypatch.setenv("CURV4_THREADS", "4")
+    scan1 = verify.kato_scan(chart, fld, pts)
     scan2 = verify.kato_scan(chart, fld, pts, chunk=64)
-    assert scan1["min_rho"] == scan2["min_rho"]
-    assert scan1["histogram"] == scan2["histogram"]
+    samples1, samples2 = scan1.pop("samples"), scan2.pop("samples")
+    assert scan1 == scan2
+    for name, col in samples1.items():
+        assert np.array_equal(col, samples2[name], equal_nan=True), name
+
+
+def _reflect_x4(src):
+    """The source string of an expression with x4 replaced by -x4."""
+    return src.replace("x4", "(-x4)")
+
+
+def test_reflected_cp2_reverses_the_frame():
+    """A chart is oriented by its coordinates; reflecting x4 -> -x4 in the
+    metric, the form and the domain is how a scenario reverses that.  On CP^2
+    with its Kaehler form every verifier still passes, F and G trade places and
+    R1234 changes sign at the same points of the manifold."""
+    s = np.array([1.0, 1.0, 1.0, -1.0])
+    g, comps = [["0"] * 4 for _ in range(4)], {}
+    for (i, j), src in presets._CP2_ENTRIES.items():
+        g[i][j] = g[j][i] = f"{s[i] * s[j]} * ({_reflect_x4(src)})"
+    cp2 = presets.cp2_fubini_study()
+    kaehler = presets.form_preset("kaehler", cp2)
+    for key, expr in kaehler.items():
+        i, j = int(key[0]) - 1, int(key[1]) - 1
+        comps[key] = f"{s[i] * s[j]} * ({_reflect_x4(ex.to_string(expr))})"
+    refl = charts.chart_from_strings(g, cp2.domain, "cp2_reflected")
+    pts = sample_box(cp2.domain, 10, seed=31)
+    fld, fld_r = TwoFormField(cp2, kaehler), TwoFormField(refl, comps)
+    for fn in (verify.verify_component_bochner, verify.verify_lemma22,
+               verify.verify_theorem21):
+        assert fn(refl, fld_r, pts * s).passed, fn.__name__
+    rep, rep_r = verify.verify_prop23(cp2, fld, pts), verify.verify_prop23(refl, fld_r, pts * s)
+    assert rep.passed and rep_r.passed
+    scale = np.max(np.abs(rep.samples["F"]) + np.abs(rep.samples["G"]))
+    assert scale > 0.1
+    assert np.max(np.abs(rep_r.samples["F"] - rep.samples["G"])) <= 1e-12 * scale
+    assert np.max(np.abs(rep_r.samples["G"] - rep.samples["F"])) <= 1e-12 * scale
+    assert np.max(np.abs(rep.samples["R1234"])) > 0.1
+    assert np.max(np.abs(rep_r.samples["R1234"] + rep.samples["R1234"])) <= 1e-12
 
 
 def test_percentile99_matches_numpy():
