@@ -329,25 +329,3 @@ def scalar_laplacian_scale(geom: Geometry, u: Jet3):
                                           np.abs(u.grad()), optimize=True)
     return np.einsum("...ab,...ab->...", np.abs(geom.ginv_values), cov, optimize=True)
 
-
-def covariant_invariants(geom: Geometry, c6, degeneracy_floor=0.0, Q=None, T=None,
-                          nsq=None, grad_sq=None):
-    """|nabla phi|^2, |phi|, |d|phi||^2 (masked where |phi| <= floor)."""
-    Q = Q if Q is not None else lambda2_metric(geom.ginv)
-    T = T if T is not None else nabla_two_form_jets(geom, c6)
-    nsq = nsq if nsq is not None else norm_sq_jet(geom, c6, Q)
-    grad_sq = grad_sq if grad_sq is not None else nabla_norm_sq_values(geom.ginv, T[0], Q)
-    norm = np.sqrt(np.maximum(nsq.value, 0.0))
-    valid = norm > degeneracy_floor
-    dnorm_sq = np.full(norm.shape, np.nan)
-    if np.all(valid):
-        nj = jets.sqrt(nsq, geom.pts)
-        dnorm_sq = grad_inner_values(geom, nj, nj)
-    elif np.any(valid):
-        sub_pts = geom.pts[valid]
-        sub_geom = Geometry(geom.gc[:, valid], sub_pts)
-        sub_c6 = [Jet3(c.c[:, valid]) for c in c6]
-        sub_nsq = norm_sq_jet(sub_geom, sub_c6)
-        nj = jets.sqrt(sub_nsq, sub_pts)
-        dnorm_sq[valid] = grad_inner_values(sub_geom, nj, nj)
-    return {"grad_sq": grad_sq, "norm": norm, "dnorm_sq": dnorm_sq, "valid": valid}

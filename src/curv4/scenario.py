@@ -43,6 +43,15 @@ _MANIFOLD_INLINE_KEYS = {"metric", "domain"}
 _FORM_KEYS = {"preset", "components", "seed"}
 _SAMPLING_KEYS = {"count", "margin", "seed"}
 _GRID_KEYS = {"n", "metric"}
+# Every number or expression a scenario may set: section -> key -> (kind,
+# minimum); "" is the top level, and the manifold's keys also apply inside a
+# conformal preset's "base".
+_VALUES = {"": {"conformal_factor": (str, None)},
+           "sampling": {"count": (int, 1), "margin": (float, None), "seed": (int, 0)},
+           "grid": {"n": (int, None)}, "form": {"seed": (int, 0)},
+           "manifold": {"r": (float, None), "r1": (float, None), "r2": (float, None),
+                        "f": (str, None)}}
+_KINDS = {int: "an integer", float: "a finite number", str: "an expression string"}
 
 
 class Scenario:
@@ -140,19 +149,44 @@ def _build_manifold(spec) -> MetricChart:
         raise InputError(f"bad metric expression: {e}") from None
 
 
+def _check_value(where, value, kind=float, minimum=None):
+    """InputError naming `where` unless value is of the kind, int (an integer),
+    float (a finite number) or str, and at least minimum; JSON strings and
+    booleans are not numbers."""
+    try:
+        ok = isinstance(value, str) if kind is str else not isinstance(value, bool) and (
+            isinstance(value, int) if kind is int else math.isfinite(value))
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        ok = False
+    if not ok:
+        raise InputError(f"{where} must be {_KINDS[kind]}, not {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{where} must be >= {minimum}")
+
+
 def _resolve_tolerances(overrides):
     """DEFAULT_TOLERANCES overlaid with a scenario's overrides, each a finite
     number (a negative one only makes its check stricter)."""
     _check_keys(overrides, set(DEFAULT_TOLERANCES), "tolerances")
     for key, value in overrides.items():
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):  # not a number, or an int past the float range
-            finite = False
-        if not finite:
-            raise InputError(f"tolerance {key!r} must be a finite number, not {value!r}")
+        _check_value(f"tolerance {key!r}", value)
     return MappingProxyType({**DEFAULT_TOLERANCES,
                              **{key: float(value) for key, value in overrides.items()}})
+
+
+def _check_values(raw):
+    """_check_value for every key of _VALUES that the scenario sets (a null
+    conformal_factor is none)."""
+    specs = [("", "", {} if raw.get("conformal_factor") is None else raw)]
+    specs += [(name, name + ".", raw.get(name)) for name in ("sampling", "grid", "form")]
+    manifold, path = raw["manifold"], "manifold."
+    while isinstance(manifold, dict):  # a conformal preset nests its base
+        specs.append(("manifold", path, manifold))
+        manifold, path = manifold.get("base"), path + "base."
+    for section, path, spec in specs:
+        for key, (kind, minimum) in _VALUES[section].items():
+            if isinstance(spec, dict) and key in spec:
+                _check_value(path + key, spec[key], kind, minimum)
 
 
 def load(path) -> Scenario:
@@ -178,8 +212,6 @@ def from_dict(raw) -> Scenario:
         raise InputError("scenario needs a 'manifold'")
     if "sampling" in raw:
         _check_keys(raw["sampling"], _SAMPLING_KEYS, "sampling")
-        if int(raw["sampling"].get("count", 1)) < 1:
-            raise InputError("sampling.count must be >= 1")
     form = raw.get("form")
     if form is not None and not isinstance(form, str):
         _check_keys(form, _FORM_KEYS, "form")
@@ -189,6 +221,7 @@ def from_dict(raw) -> Scenario:
         form = {"components": dict(raw["form_components"])}
     if "grid" in raw and raw["grid"] is not None:
         _check_keys(raw["grid"], _GRID_KEYS, "grid")
+    _check_values(raw)
     return Scenario(
         id=raw["id"],
         manifold=raw["manifold"],

@@ -8,6 +8,8 @@ dictionary in use is embedded in every report.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import InputError, forms, jets
@@ -22,35 +24,35 @@ RESIDUAL_FLOOR = 1e-12
 
 
 class VerificationReport:
-    def __init__(self, identity, scenario, points_sampled, included, excluded,
-                 max_abs_residual, max_rel_residual, tolerance, passed,
-                 sign_conventions=None, extra=None, samples=None):
+    """One verifier's verdict over its points: the worst absolute and relative
+    residual, the tolerance that gates the relative one, the extra report
+    fields and the per-point CSV columns (samples)."""
+
+    def __init__(self, identity, scenario, pts, abs_res, rel_res, tol, extra, samples):
+        rel = np.asarray(rel_res, dtype=float)
+        ab = np.asarray(abs_res, dtype=float)
         self.identity = identity
         self.scenario = scenario
-        self.points_sampled = points_sampled
-        self.included = included
-        self.excluded = excluded
-        self.max_abs_residual = max_abs_residual
-        self.max_rel_residual = max_rel_residual
-        self.tolerance = tolerance
-        self.passed = passed
-        self.sign_conventions = dict(SIGN_CONVENTIONS) if sign_conventions is None \
-            else sign_conventions
-        self.extra = {} if extra is None else extra
-        self.samples = {} if samples is None else samples  # CSV column -> per-point array
+        self.points_sampled = int(len(pts))
+        self.max_abs_residual = float(np.max(ab)) if ab.size else 0.0
+        self.max_rel_residual = float(np.max(rel)) if rel.size else 0.0
+        self.tolerance = float(tol)
+        self.passed = bool(np.all(rel <= tol)) if rel.size else True
+        self.extra = extra
+        self.samples = samples
 
     def to_dict(self):
         return {
             "identity": self.identity,
             "scenario": self.scenario,
             "points_sampled": self.points_sampled,
-            "included": self.included,
-            "excluded": self.excluded,
+            "included": self.points_sampled,
+            "excluded": [],
             "max_abs_residual": self.max_abs_residual,
             "max_rel_residual": self.max_rel_residual,
             "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-            "sign_conventions": self.sign_conventions,
+            "passed": self.passed,
+            "sign_conventions": dict(SIGN_CONVENTIONS),
             "extra": self.extra,
         }
 
@@ -61,22 +63,60 @@ def map_chunks(fn, pts, chunk=2048):
     return [fn(pts[i:i + chunk]) for i in range(0, len(pts), chunk)]
 
 
-def rel_residual(lhs, rhs, *terms):
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    if terms:
-        scale = np.maximum(scale, sum(np.abs(np.asarray(t, dtype=float)) for t in terms))
-    return np.abs(lhs - rhs) / np.maximum(scale, RESIDUAL_FLOOR)
+def _rel(diff, *scales):
+    """|diff| relative to the largest of the scales and RESIDUAL_FLOOR."""
+    scale = RESIDUAL_FLOOR
+    for s in scales:
+        scale = np.maximum(scale, s)
+    return np.abs(diff) / scale
+
+
+def _require_harmonic(measured, tol):
+    """The harmonicity gate over all of a run's (max |Delta_Hodge phi|, scale)
+    pairs, one per chunk: their maxima, or InputError if the first reaches tol
+    times the second."""
+    hmax = max(h for h, _ in measured)
+    scale = max(s for _, s in measured)
+    if scale > 0.0 and hmax >= tol * scale:  # the zero field is harmonic
+        raise InputError(
+            f"field is not harmonic: max |Delta_Hodge phi| = {hmax:.3e} "
+            f">= {tol:g} * scale ({tol * scale:.3e})")
+    return hmax, scale
+
+
+def abs_jets(geom: Geometry, nsq: Jet3):
+    """|psi|, the jet of |psi| and |d|psi||^2 from the jet nsq of |psi|^2: the
+    one place |d|psi||^2 is formed.  Where |psi| = 0 the jet is that of 1 and
+    |d|psi||^2 is NaN."""
+    norm = np.sqrt(np.maximum(nsq.value, 0.0))
+    zero = ~(norm > 0.0)
+    c = nsq.c.copy()
+    c[:, zero] = 1.0
+    nj = jets.sqrt(Jet3(c), geom.pts)
+    dnorm_sq = forms.grad_inner_values(geom, nj, nj)
+    dnorm_sq[zero] = np.nan
+    return norm, nj, dnorm_sq
+
+
+def kato_ratio(num, norm, dnorm_sq, norm_max, frac):
+    """(num / |d|psi||^2, admitted) under the one degeneracy rule: a point is
+    admitted where |psi| > frac max|phi| and |d|psi||^2 > (1e-9 max|phi|)^2,
+    with max|phi| over all of the run's points, so scaling the field changes no
+    verdict; the ratio is NaN elsewhere."""
+    admitted = (norm > frac * norm_max) & np.isfinite(dnorm_sq) \
+        & (dnorm_sq > (1e-9 * norm_max)**2)
+    rho = np.full(norm.shape, np.nan)
+    rho[admitted] = num[admitted] / dnorm_sq[admitted]
+    return rho, admitted
 
 
 # -- shared scenario pipeline ---------------------------------------------------
 
 
 class PointBundle:
-    """Everything the verifiers need at a batch of points, and the resolved
-    tolerance table (scenario.DEFAULT_TOLERANCES and its overrides) that gates
-    them."""
+    """Everything the verifiers need at a batch of points, each computed once,
+    and the resolved tolerance table (scenario.DEFAULT_TOLERANCES and its
+    overrides) that gates them."""
 
     def __init__(self, chart: MetricChart, fld: TwoFormField, pts, tols=DEFAULT_TOLERANCES):
         self.chart = chart
@@ -85,47 +125,91 @@ class PointBundle:
         self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
         self.geom = Geometry.of_chart(chart, self.pts)
         self.c6 = fld.component_jets(self.pts)
-        self._cache = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def slate(self) -> CurvatureSlate:
-        return self._get("slate", lambda: curvature_at(self.geom))
+        return curvature_at(self.geom)
 
-    @property
+    @cached_property
+    def rmax(self):
+        """max |R_abcd| in the slate frame, per point."""
+        return np.max(np.abs(self.slate.R), axis=(-1, -2, -3, -4))
+
+    @cached_property
     def lambda2(self):
-        return self._get("q", lambda: forms.lambda2_metric(self.geom.ginv))
+        return forms.lambda2_metric(self.geom.ginv)
 
-    @property
+    @cached_property
     def coord_values(self):
-        return self._get("cv", lambda: np.stack([c.value for c in self.c6], axis=-1))
+        return np.stack([c.value for c in self.c6], axis=-1)
 
-    @property
+    @cached_property
     def frame_values(self):
-        return self._get("fv", lambda: forms.frame_components(self.slate.frame,
-                                                              self.coord_values))
+        return forms.frame_components(self.slate.frame, self.coord_values)
 
-    @property
+    @cached_property
     def hodge_values(self):
-        return self._get("hodge", lambda: forms.hodge_laplacian_values(
-            self.geom, self.c6, T=self.nabla))
+        return forms.hodge_laplacian_values(self.geom, self.c6, T=self.nabla)
 
-    @property
+    @cached_property
     def norm_sq_jet(self):
-        return self._get("nsq", lambda: forms.norm_sq_jet(self.geom, self.c6, self.lambda2))
+        return forms.norm_sq_jet(self.geom, self.c6, self.lambda2)
 
-    @property
+    @cached_property
     def nabla(self):
-        return self._get("nabla", lambda: forms.nabla_two_form_jets(self.geom, self.c6))
+        return forms.nabla_two_form_jets(self.geom, self.c6)
 
-    @property
+    @cached_property
     def grad_sq(self):
-        return self._get("gradsq", lambda: forms.nabla_norm_sq_values(
-            self.geom.ginv, self.nabla[0], self.lambda2))
+        return forms.nabla_norm_sq_values(self.geom.ginv, self.nabla[0], self.lambda2)
+
+    @cached_property
+    def abs_phi(self):
+        """|phi|, the jet of |phi| and |d|phi||^2 (abs_jets)."""
+        return abs_jets(self.geom, self.norm_sq_jet)
+
+    @cached_property
+    def fg(self):
+        """The jets of F = |phi+|^2/2 = |phi|^2 + *(phi^phi) and G = |phi-|^2/2."""
+        wedge = forms.wedge_self_jet(self.geom, self.c6)
+        return self.norm_sq_jet + wedge, self.norm_sq_jet - wedge
+
+    @cached_property
+    def fg_scale(self):
+        """|phi|^2 + |*(phi^phi)|, the size of F and G before cancellation."""
+        return np.abs(self.norm_sq_jet.value) + np.abs((self.fg[0] - self.norm_sq_jet).value)
+
+    @cached_property
+    def phi_pm(self):
+        """Coordinate components of phi+ = phi + *phi and phi- = phi - *phi."""
+        star6 = forms.star_coord(self.geom.ginv, self.geom.sqrt_det_jet, self.c6, self.lambda2)
+        return ([c + s for c, s in zip(self.c6, star6)],
+                [c - s for c, s in zip(self.c6, star6)])
+
+    @cached_property
+    def nabla_pm_sq(self):
+        """|nabla phi+|^2 and |nabla phi-|^2, each from its own nabla."""
+        return tuple(forms.nabla_norm_sq_values(
+            self.geom.ginv, forms.nabla_two_form_jets(self.geom, c)[0], self.lambda2)
+            for c in self.phi_pm)
+
+    @cached_property
+    def abs_phi_pm(self):
+        """abs_jets of phi+ and of phi-."""
+        return tuple(abs_jets(self.geom, forms.norm_sq_jet(self.geom, c, self.lambda2))
+                     for c in self.phi_pm)
+
+    @cached_property
+    def thm21_terms(self):
+        """Delta(FG) and the four terms of Theorem 2.1's right side: 8KFG,
+        G|nabla phi+|^2, F|nabla phi-|^2 and 2<dF, dG> (the last three are the
+        remainder)."""
+        Fj, Gj = self.fg
+        Fv, Gv = Fj.value, Gj.value
+        np_sq, nm_sq = self.nabla_pm_sq
+        return (forms.scalar_laplacian_values(self.geom, Fj * Gj),
+                (8.0 * self.curvature_K["K"] * Fv * Gv, Gv * np_sq, Fv * nm_sq,
+                 2.0 * forms.grad_inner_values(self.geom, Fj, Gj)))
 
     def harmonicity(self):
         """max |Delta_Hodge phi| and the scale |grad phi| + |phi| it is gated on."""
@@ -135,35 +219,24 @@ class PointBundle:
                              + np.sqrt(np.maximum(self.norm_sq_jet.value, 0.0))))
         return hmax, scale
 
-    @property
+    @cached_property
     def adapted(self):
         """The adapted frame of phi in the slate frame, degenerate where |phi+|
         or |phi-| is below tols["degeneracy_frac"] |phi|."""
         from . import canonical
 
-        return self._get("adapted", lambda: canonical.canonicalize(
-            self.frame_values, flag_tol=self.tols["degeneracy_frac"]))
+        return canonical.canonicalize(self.frame_values, flag_tol=self.tols["degeneracy_frac"])
 
-    @property
+    @cached_property
     def curvature_K(self):
         """K and R1234 in the adapted frame (canonical.curvature_term_K)."""
         from . import canonical
 
-        return self._get("K", lambda: canonical.curvature_term_K(
-            self.slate, self.adapted, degenerate_samples=0))
+        return canonical.curvature_term_K(self.slate, self.adapted, degenerate_samples=0)
 
     def require_harmonic(self):
-        """harmonicity(), or InputError if max |Delta_Hodge phi| reaches
-        tols["harmonicity"] times its scale."""
-        tol = self.tols["harmonicity"]
-        hmax, scale = self.harmonicity()
-        if scale == 0.0:
-            return hmax, scale  # the zero field is harmonic
-        if hmax >= tol * scale:
-            raise InputError(
-                f"field is not harmonic: max |Delta_Hodge phi| = {hmax:.3e} "
-                f">= {tol:g} * scale ({tol * scale:.3e})")
-        return hmax, scale
+        """harmonicity() through the harmonicity gate (_require_harmonic)."""
+        return _require_harmonic([self.harmonicity()], self.tols["harmonicity"])
 
 
 # -- Weitzenboeck (the curvature-action identity) --------------------------------
@@ -178,16 +251,15 @@ def verify_weitzenboeck(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERAN
     # Delta_Hodge phi = -trace(nabla^2 phi) + q(R) phi
     lhs = hv_f
     rhs = -rough_f + qR
-    rmax = np.max(np.abs(b.slate.R), axis=(-1, -2, -3, -4))
     scale = (np.max(np.abs(hv_f), axis=-1) + np.max(np.abs(rough_f), axis=-1)
              + np.max(np.abs(qR), axis=-1)
-             + (1.0 + rmax) * np.max(np.abs(b.frame_values), axis=-1))
+             + (1.0 + b.rmax) * np.max(np.abs(b.frame_values), axis=-1))
     abs_res = np.max(np.abs(lhs - rhs), axis=-1)
-    rel = abs_res / np.maximum(scale, RESIDUAL_FLOOR)
-    return _report("weitzenboeck_eq21", scenario, b.pts, [], abs_res, rel,
-                   tols["weitzenboeck"],
-                   extra={"delta_used": "hodge (= -trace nabla^2 + q(R))"},
-                   samples=_columns(b.pts, residual=rel))
+    rel = _rel(abs_res, scale)
+    return VerificationReport("weitzenboeck_eq21", scenario, b.pts, abs_res, rel,
+                              tols["weitzenboeck"],
+                              {"delta_used": "hodge (= -trace nabla^2 + q(R))"},
+                              _columns(b.pts, residual=rel))
 
 
 # -- component Bochner in a radially parallel normal frame -----------------------
@@ -242,36 +314,18 @@ def verify_component_bochner(chart, fld, pts, scenario="inline", tols=DEFAULT_TO
     rhs = (np.einsum("...kp,...pl->...kl", Ric, fmat, optimize=True)
            + np.einsum("...lp,...kp->...kl", Ric, fmat, optimize=True)
            - 2.0 * np.einsum("...kplq,...pq->...kl", R, fmat, optimize=True))
-    scale = np.maximum.reduce([
-        np.max(np.abs(lapm), axis=(-1, -2)), np.max(np.abs(rhs), axis=(-1, -2)),
-        np.max(np.abs(Ric), axis=(-1, -2)) * np.max(np.abs(fmat), axis=(-1, -2)),
-        np.full(len(b.pts), RESIDUAL_FLOOR)])
     abss = np.max(np.abs(lapm - rhs), axis=(-1, -2))
-    rels = abss / scale
-    return _report("component_bochner_eq22", scenario, b.pts, [], abss, rels, tols["eq22"],
-                   extra={"delta_used": "function laplacian of parallel-frame components",
-                          "harmonicity_measured": hmax, "harmonicity_scale": hscale,
-                          "normal_gamma_max": float(np.max(gmax))},
-                   samples=_columns(b.pts, residual=rels))
+    rels = _rel(abss, np.max(np.abs(lapm), axis=(-1, -2)), np.max(np.abs(rhs), axis=(-1, -2)),
+                np.max(np.abs(Ric), axis=(-1, -2)) * np.max(np.abs(fmat), axis=(-1, -2)))
+    return VerificationReport(
+        "component_bochner_eq22", scenario, b.pts, abss, rels, tols["eq22"],
+        {"delta_used": "function laplacian of parallel-frame components",
+         "harmonicity_measured": hmax, "harmonicity_scale": hscale,
+         "normal_gamma_max": float(np.max(gmax))},
+        _columns(b.pts, residual=rels))
 
 
 # -- Lemma 2.2 and Proposition 2.3 ------------------------------------------------
-
-
-def fg_jets(b: PointBundle):
-    wedge = forms.wedge_self_jet(b.geom, b.c6)
-    return b.norm_sq_jet + wedge, b.norm_sq_jet - wedge
-
-
-def sd_nabla_norms(b: PointBundle):
-    star6 = forms.star_coord(b.geom.ginv, b.geom.sqrt_det_jet, b.c6, b.lambda2)
-    cplus = [b.c6[k] + star6[k] for k in range(6)]
-    cminus = [b.c6[k] - star6[k] for k in range(6)]
-    Tp = forms.nabla_two_form_jets(b.geom, cplus)
-    Tm = forms.nabla_two_form_jets(b.geom, cminus)
-    return (forms.nabla_norm_sq_values(b.geom.ginv, Tp[0], b.lambda2),
-            forms.nabla_norm_sq_values(b.geom.ginv, Tm[0], b.lambda2),
-            cplus, cminus)
 
 
 def verify_lemma22(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
@@ -292,17 +346,15 @@ def verify_lemma22(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     lap_scale = (forms.scalar_laplacian_scale(geom_nc, f1)
                  + forms.scalar_laplacian_scale(geom_nc, f2))
     rmax = np.max(np.abs(Rn), axis=(-1, -2, -3, -4))
-    scale = np.maximum.reduce([
-        lap_scale, (2 * np.abs(K) + 2 * np.abs(R1234) + rmax) * (np.abs(v1) + np.abs(v2)),
-        np.full(len(b.pts), RESIDUAL_FLOOR)])
     abss = np.maximum(np.abs(r1), np.abs(r2))
-    rels = abss / scale
-    samples = _columns(b.pts, residual=rels, K=K, R1234=R1234, degenerate=adapted.degenerate)
-    return _report("lemma22", scenario, b.pts, [], abss, rels, tols["lemma22"],
-                   extra={"delta_used": "function laplacian in adapted parallel frame",
-                          "harmonicity_measured": hmax, "harmonicity_scale": hscale,
-                          "degenerate_points": int(adapted.degenerate.sum())},
-                   samples=samples)
+    rels = _rel(abss, lap_scale,
+                (2 * np.abs(K) + 2 * np.abs(R1234) + rmax) * (np.abs(v1) + np.abs(v2)))
+    return VerificationReport(
+        "lemma22", scenario, b.pts, abss, rels, tols["lemma22"],
+        {"delta_used": "function laplacian in adapted parallel frame",
+         "harmonicity_measured": hmax, "harmonicity_scale": hscale,
+         "degenerate_points": int(adapted.degenerate.sum())},
+        _columns(b.pts, residual=rels, K=K, R1234=R1234, degenerate=adapted.degenerate))
 
 
 def verify_prop23(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
@@ -314,40 +366,33 @@ def verify_prop23(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     """
     b = PointBundle(chart, fld, pts, tols)
     hmax, hscale = b.require_harmonic()
-    Fj, Gj = fg_jets(b)
+    Fj, Gj = b.fg
     dF = forms.scalar_laplacian_values(b.geom, Fj)
     dG = forms.scalar_laplacian_values(b.geom, Gj)
-    np_sq, nm_sq, _, _ = sd_nabla_norms(b)
+    np_sq, nm_sq = b.nabla_pm_sq
     adapted = b.adapted
     K, R1234 = b.curvature_K["K"], b.curvature_K["R1234"]
     Fv, Gv = Fj.value, Gj.value
     curvF = 4.0 * (K - R1234) * Fv
     curvG = 4.0 * (K + R1234) * Gv
-    rmax = np.max(np.abs(b.slate.R), axis=(-1, -2, -3, -4))
-    wedge_scale = np.abs(b.norm_sq_jet.value) + np.abs((Fj - b.norm_sq_jet).value)
-    curv_scale = (4.0 * (np.abs(K) + np.abs(R1234)) + rmax) * wedge_scale
-    scale28 = np.maximum.reduce([np.abs(dF), forms.scalar_laplacian_scale(b.geom, Fj),
-                                 np.abs(np_sq), curv_scale,
-                                 np.full_like(dF, RESIDUAL_FLOOR)])
-    scale29 = np.maximum.reduce([np.abs(dG), forms.scalar_laplacian_scale(b.geom, Gj),
-                                 np.abs(nm_sq), curv_scale,
-                                 np.full_like(dG, RESIDUAL_FLOOR)])
-    res28 = np.abs(dF - np_sq - curvF) / scale28
-    res29 = np.abs(dG - nm_sq - curvG) / scale29
+    curv_scale = (4.0 * (np.abs(K) + np.abs(R1234)) + b.rmax) * b.fg_scale
+    res28 = _rel(dF - np_sq - curvF, np.abs(dF), forms.scalar_laplacian_scale(b.geom, Fj),
+                 np.abs(np_sq), curv_scale)
+    res29 = _rel(dG - nm_sq - curvG, np.abs(dG), forms.scalar_laplacian_scale(b.geom, Gj),
+                 np.abs(nm_sq), curv_scale)
     # Both sides stay determined at degenerate points: (K - R1234) is frame
     # invariant when phi- = 0 and multiplies F = 0 when phi+ = 0 (and dually),
     # so the ambiguous part of K never touches a nonzero factor.
     counted = np.maximum(res28, res29)
     abs_res = np.abs(dF - np_sq - curvF) + np.abs(dG - nm_sq - curvG)
-    samples = _columns(b.pts, residual_eq28=res28, residual_eq29=res29, K=K, R1234=R1234,
-                       F=Fv, G=Gv, degenerate=adapted.degenerate)
-    return _report("prop23_eq28_eq29", scenario, b.pts, [], abs_res, counted, tols["prop23"],
-                   extra={"delta_used": "function laplacian (trace Hessian)",
-                          "harmonicity_measured": hmax, "harmonicity_scale": hscale,
-                          "degenerate_points": int(adapted.degenerate.sum()),
-                          "max_residual_eq28": float(np.max(res28)),
-                          "max_residual_eq29": float(np.max(res29))},
-                   samples=samples)
+    return VerificationReport(
+        "prop23_eq28_eq29", scenario, b.pts, abs_res, counted, tols["prop23"],
+        {"delta_used": "function laplacian (trace Hessian)",
+         "harmonicity_measured": hmax, "harmonicity_scale": hscale,
+         "degenerate_points": int(adapted.degenerate.sum()),
+         "max_residual_eq28": float(np.max(res28)), "max_residual_eq29": float(np.max(res29))},
+        _columns(b.pts, residual_eq28=res28, residual_eq29=res29, K=K, R1234=R1234,
+                 F=Fv, G=Gv, degenerate=adapted.degenerate))
 
 
 def verify_theorem21(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
@@ -355,60 +400,38 @@ def verify_theorem21(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES
     plus the Schwarz combination check at points where the Kato premise holds."""
     b = PointBundle(chart, fld, pts, tols)
     hmax, hscale = b.require_harmonic()
-    Fj, Gj = fg_jets(b)
-    Fv, Gv = Fj.value, Gj.value
-    dFG = forms.scalar_laplacian_values(b.geom, Fj * Gj)
-    cross = forms.grad_inner_values(b.geom, Fj, Gj)
-    np_sq, nm_sq, cplus, cminus = sd_nabla_norms(b)
-    K = b.curvature_K["K"]
-    terms = [8.0 * K * Fv * Gv, Gv * np_sq, Fv * nm_sq, 2.0 * cross]
+    Fj, Gj = b.fg
+    dFG, terms = b.thm21_terms
+    _, g_np, f_nm, cross2 = terms
     rhs = sum(terms)
-    rmax = np.max(np.abs(b.slate.R), axis=(-1, -2, -3, -4))
-    fg_scale = np.abs(b.norm_sq_jet.value) + np.abs((Fj - b.norm_sq_jet).value)
-    scale = np.maximum.reduce(
-        [np.abs(dFG), forms.scalar_laplacian_scale(b.geom, Fj * Gj),
-         (8.0 * np.abs(K) + rmax) * fg_scale**2,
-         np.abs(Gv * np_sq), np.abs(Fv * nm_sq), 2.0 * np.abs(cross),
-         np.full_like(dFG, RESIDUAL_FLOOR)])
-    rel = np.abs(dFG - rhs) / scale
+    K = b.curvature_K["K"]
+    rel = _rel(dFG - rhs, np.abs(dFG), forms.scalar_laplacian_scale(b.geom, Fj * Gj),
+               (8.0 * np.abs(K) + b.rmax) * b.fg_scale**2,
+               np.abs(g_np), np.abs(f_nm), np.abs(cross2))
     abs_res = np.abs(dFG - rhs)
 
     # Schwarz combination: at points where the measured Kato ratios of phi+-
     # reach 2, G|nph+|^2 + F|nph-|^2 + 2<dF,dG> >= 2|dF||dG| + 2<dF,dG> >= 0.
+    # A point the degeneracy rule does not admit for phi+ (or phi-) leaves
+    # that side of the premise vacuous.
     dF_sq = forms.grad_inner_values(b.geom, Fj, Fj)
     dG_sq = forms.grad_inner_values(b.geom, Gj, Gj)
-    combo = Gv * np_sq + Fv * nm_sq + 2.0 * cross
-    floor = 2.0 * np.sqrt(np.maximum(dF_sq * dG_sq, 0.0)) + 2.0 * cross
-    rho_p = _kato_ratio(b, cplus, np_sq)
-    rho_m = _kato_ratio(b, cminus, nm_sq)
-    premise = np.where(np.isnan(rho_p), np.inf, rho_p) >= 2.0
-    premise &= np.where(np.isnan(rho_m), np.inf, rho_m) >= 2.0
-    comb_scale = Gv * np_sq + Fv * nm_sq + 2.0 * np.abs(cross) + RESIDUAL_FLOOR
+    combo = g_np + f_nm + cross2
+    floor = 2.0 * np.sqrt(np.maximum(dF_sq * dG_sq, 0.0)) + cross2
+    norm_max = float(np.max(b.abs_phi[0]))
+    premise = np.ones(len(b.pts), dtype=bool)
+    for (norm, _, dnorm_sq), gsq in zip(b.abs_phi_pm, b.nabla_pm_sq):
+        rho, admitted = kato_ratio(gsq, norm, dnorm_sq, norm_max, tols["degeneracy_frac"])
+        premise &= ~admitted | (rho >= 2.0)
+    comb_scale = g_np + f_nm + np.abs(cross2) + RESIDUAL_FLOOR
     schwarz_ok = bool(np.all(combo[premise] >= floor[premise] - 1e-9 * comb_scale[premise])) \
         and bool(np.all(floor[premise] >= -1e-9 * comb_scale[premise]))
-    samples = _columns(b.pts, residual=rel, K=K, F=Fv, G=Gv, schwarz_combo=combo,
-                       schwarz_floor=floor, premise_rho_ge_2=premise)
-    return _report("theorem21_eq23", scenario, b.pts, [], abs_res, rel, tols["thm21"],
-                   extra={"harmonicity_measured": hmax, "harmonicity_scale": hscale,
-                          "schwarz_ok_under_premise": schwarz_ok,
-                          "premise_points": int(np.sum(premise))},
-                   samples=samples)
-
-
-def _kato_ratio(b: PointBundle, c6, gsq):
-    """|nabla psi|^2 / |d|psi||^2 for a derived component list, given gsq =
-    |nabla psi|^2 (from sd_nabla_norms); NaN if degenerate."""
-    nsq = forms.norm_sq_jet(b.geom, c6, b.lambda2)
-    out = np.full(gsq.shape, np.nan)
-    ok = nsq.value > 1e-20
-    if np.any(ok):
-        nj_c = Jet3(nsq.c.copy())
-        nj_c.c[:, ~ok] = 1.0
-        nj = jets.sqrt(Jet3(nj_c.c), b.pts)
-        dn_sq = forms.grad_inner_values(b.geom, nj, nj)
-        valid = ok & (dn_sq > 1e-14 * np.maximum(gsq, 1.0))
-        out[valid] = gsq[valid] / dn_sq[valid]
-    return out
+    return VerificationReport(
+        "theorem21_eq23", scenario, b.pts, abs_res, rel, tols["thm21"],
+        {"harmonicity_measured": hmax, "harmonicity_scale": hscale,
+         "schwarz_ok_under_premise": schwarz_ok, "premise_points": int(np.sum(premise))},
+        _columns(b.pts, residual=rel, K=K, F=Fj.value, G=Gj.value, schwarz_combo=combo,
+                 schwarz_floor=floor, premise_rho_ge_2=premise))
 
 
 # -- Kato scan --------------------------------------------------------------------
@@ -419,55 +442,39 @@ def kato_scan(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES, chunk
 
     def work(chunk_pts):
         b = PointBundle(chart, fld, chunk_pts, tols)
-        inv = forms.covariant_invariants(b.geom, b.c6, Q=b.lambda2, T=b.nabla,
-                                         nsq=b.norm_sq_jet, grad_sq=b.grad_sq)
-        hmax, hscale = b.harmonicity()
-        return {"grad_sq": inv["grad_sq"], "norm": inv["norm"],
-                "dnorm_sq": inv["dnorm_sq"], "hmax": hmax, "hscale": hscale}
+        norm, _, dnorm_sq = b.abs_phi
+        return b.grad_sq, norm, dnorm_sq, b.harmonicity()
 
-    parts = map_chunks(work, pts, chunk)
-    grad_sq = np.concatenate([p["grad_sq"] for p in parts])
-    norm = np.concatenate([p["norm"] for p in parts])
-    dnorm_sq = np.concatenate([p["dnorm_sq"] for p in parts])
-    hmax = max(p["hmax"] for p in parts)
-    hscale = max(p["hscale"] for p in parts)
-    if hscale > 0 and hmax >= tols["harmonicity"] * hscale:
-        raise InputError(f"field is not harmonic: |Delta phi| = {hmax:.3e} "
-                         f"vs scale {hscale:.3e}")
+    grad_sq, norm, dnorm_sq, measured = zip(*map_chunks(work, pts, chunk))
+    grad_sq, norm, dnorm_sq = (np.concatenate(x) for x in (grad_sq, norm, dnorm_sq))
+    hmax, _ = _require_harmonic(measured, tols["harmonicity"])
 
-    norm_floor = tols["degeneracy_frac"] * float(np.max(norm)) if norm.size else 0.0
-    # parallel-degenerate points: |d|phi|| below a scale-aware absolute floor
-    d_floor = (1e-9 * float(np.max(norm)))**2 if norm.size else 0.0
-    valid = (norm > norm_floor) & np.isfinite(dnorm_sq) & (dnorm_sq > d_floor)
-    rho = np.full(norm.shape, np.nan)
-    rho[valid] = grad_sq[valid] / dnorm_sq[valid]
+    norm_max = float(np.max(norm))
+    rho, valid = kato_ratio(grad_sq, norm, dnorm_sq, norm_max, tols["degeneracy_frac"])
     n_valid = int(valid.sum())
     result = {
         "scenario": scenario,
         "points_sampled": int(len(pts)),
         "valid_points": n_valid,
         "excluded_points": int(len(pts) - n_valid),
-        "norm_floor": norm_floor,
+        "norm_floor": tols["degeneracy_frac"] * norm_max,
         "harmonicity_measured": hmax,
         "sign_conventions": dict(SIGN_CONVENTIONS),
     }
     if n_valid == 0:
-        result["empty_scan"] = EMPTY_SCAN
-        result["min_rho"] = None
-        result["samples"] = {}
-        return result
+        return {**result, "empty_scan": EMPTY_SCAN, "min_rho": None, "samples": {}}
     rv = rho[valid]
     hist, edges = np.histogram(rv, bins=_kato_bin_edges(_percentile99(rv)))
-    result.update({
+    return {
+        **result,
         "min_rho": float(np.min(rv)),
         "classical_kato_ok": bool(np.min(rv) >= 1.0 - tols["kato_classical"]),
         "lemma41_floor_ok": bool(np.min(rv) >= 1.5 - tols["kato_lemma41"]),
         "fraction_rho_below_2": float(np.mean(rv < 2.0)),
         "open_question_rho_ge_2": bool(np.min(rv) >= 2.0),
         "histogram": {"counts": hist.tolist(), "edges": edges.tolist()},
-    })
-    result["samples"] = _columns(pts, grad_sq=grad_sq, dnorm_sq=dnorm_sq, rho=rho, norm=norm)
-    return result
+        "samples": _columns(pts, grad_sq=grad_sq, dnorm_sq=dnorm_sq, rho=rho, norm=norm),
+    }
 
 
 def _percentile99(x):
@@ -501,8 +508,9 @@ def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_T
     b = PointBundle(chart, fld, pts, tols)
     hmax, hscale = b.require_harmonic()
     nsq = b.norm_sq_jet
-    norm = np.sqrt(np.maximum(nsq.value, 0.0))
-    floor = tols["degeneracy_frac"] * float(np.max(norm))
+    norm, phin, dphi_sq = b.abs_phi
+    norm_max = float(np.max(norm))
+    floor = tols["degeneracy_frac"] * norm_max
     if np.any(norm <= floor):
         bad = np.argmax(norm <= floor)
         raise InputError(f"|phi| below degeneracy floor at point {tuple(b.pts[bad])}")
@@ -514,8 +522,6 @@ def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_T
     if np.any(pw < 1e-280) or np.any(pw > 1e280):
         raise InputError(f"|phi|^{3 * k:g} leaves the representable range")
 
-    phin = jets.sqrt(nsq, b.pts)
-    dphi_sq = forms.grad_inner_values(b.geom, phin, phin)
     grad_sq = b.grad_sq
 
     # Eq 4.2 (pure chain rule in the unprimed metric)
@@ -525,7 +531,8 @@ def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_T
     lhs42 = 2.0 * (-lap_f - df_sq) * nsq.value
     t42a = -k * norm * forms.scalar_laplacian_values(b.geom, phin)
     t42b = (k - k * k / 2.0) * dphi_sq
-    res42 = rel_residual(lhs42, t42a + t42b, t42a, t42b)
+    rhs42 = t42a + t42b
+    res42 = _rel(lhs42 - rhs42, np.abs(lhs42), np.abs(rhs42), np.abs(t42a) + np.abs(t42b))
 
     # Eq 4.3 (Bochner formula defining the curvature term, unprimed)
     # <phi, Delta_Hodge phi> uses the Hodge sign.  On a parallel form every term
@@ -538,9 +545,9 @@ def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_T
     Fphi = np.sum(qR * b.frame_values, axis=-1)
     lhs43 = 0.5 * lap_nsq + hodge_inner
     rhs43 = grad_sq + Fphi
-    rmax = np.max(np.abs(b.slate.R), axis=(-1, -2, -3, -4))
-    res43 = rel_residual(lhs43, rhs43, grad_sq, Fphi, (1.0 + rmax) * nsq.value,
-                         forms.scalar_laplacian_scale(b.geom, nsq))
+    res43 = _rel(lhs43 - rhs43, np.abs(lhs43), np.abs(rhs43),
+                 np.abs(grad_sq) + np.abs(Fphi) + np.abs((1.0 + b.rmax) * nsq.value)
+                 + np.abs(forms.scalar_laplacian_scale(b.geom, nsq)))
 
     # primed metric g' = |phi|^k g through the full geometry pipeline
     scale_jet = jets.exp(2.0 * fj)
@@ -555,22 +562,21 @@ def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_T
     lhs46 = forms.scalar_laplacian_values(geomp, u)
     t46a = np.power(norm, -k) * forms.scalar_laplacian_values(b.geom, u)
     t46b = 2.0 * (k - k * k) * np.power(norm, -3.0 * k) * dphi_sq
-    res46 = rel_residual(lhs46, t46a + t46b, t46a, t46b)
+    rhs46 = t46a + t46b
+    res46 = _rel(lhs46 - rhs46, np.abs(lhs46), np.abs(rhs46), np.abs(t46a) + np.abs(t46b))
 
     # Eq 4.9 (the end identity)
     grad_sq_p = forms.nabla_norm_sq_values(np.moveaxis(geomp.ginv_values, (-2, -1), (0, 1)),
                                            Tp[0])
     lhs49_a = grad_sq
     lhs49_b = (1.5 * k * k - 3.0 * k) * dphi_sq
+    lhs49 = lhs49_a + lhs49_b
     rhs49 = pw * grad_sq_p
-    res49 = rel_residual(lhs49_a + lhs49_b, rhs49, lhs49_a, lhs49_b, rhs49)
+    res49 = _rel(lhs49 - rhs49, np.abs(lhs49), np.abs(rhs49),
+                 np.abs(lhs49_a) + np.abs(lhs49_b) + np.abs(rhs49))
 
     rel = np.maximum.reduce([res42, res43, res46, res49])
-    ratio = np.full(norm.shape, np.nan)
-    ok = dphi_sq > 1e-14 * np.maximum(grad_sq, 1.0)
-    ratio[ok] = (lhs49_a + lhs49_b)[ok] / dphi_sq[ok]
-    samples = _columns(b.pts, residual_eq42=res42, residual_eq43=res43, residual_eq46=res46,
-                       residual_eq49=res49, lhs49_over_dnorm=ratio)
+    ratio, ok = kato_ratio(lhs49, norm, dphi_sq, norm_max, tols["degeneracy_frac"])
     extra = {
         "k": k,
         "conformal_factor": "exp(2f) = |phi|^k",
@@ -584,9 +590,11 @@ def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_T
         "min_lhs49_over_dnorm": float(np.nanmin(ratio)) if np.any(ok) else None,
         "delta_used": "function laplacian; <phi, Delta phi> uses the Hodge sign",
     }
-    abs_res = np.abs((lhs49_a + lhs49_b) - rhs49)
-    return _report("conformal_chain_eq42_43_46_49", scenario, b.pts, [], abs_res,
-                   rel, tols["conformal"], extra=extra, samples=samples)
+    return VerificationReport(
+        "conformal_chain_eq42_43_46_49", scenario, b.pts, np.abs(lhs49 - rhs49), rel,
+        tols["conformal"], extra,
+        _columns(b.pts, residual_eq42=res42, residual_eq43=res43, residual_eq46=res46,
+                 residual_eq49=res49, lhs49_over_dnorm=ratio))
 
 
 # -- analytic integral mechanism ---------------------------------------------------
@@ -613,18 +621,15 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
 
     def work(chunk_pts):
         b = PointBundle(chart, fld, chunk_pts, tols)
-        b.require_harmonic()
-        Fj, Gj = fg_jets(b)
-        dFG = forms.scalar_laplacian_values(b.geom, Fj * Gj)
-        cross = forms.grad_inner_values(b.geom, Fj, Gj)
-        np_sq, nm_sq, _, _ = sd_nabla_norms(b)
+        dFG, (kfg, g_np, f_nm, cross2) = b.thm21_terms
         vol = sqrt_det_values(b.geom.g_values)
-        Fv, Gv, K = Fj.value, Gj.value, b.curvature_K["K"]
-        rem = Gv * np_sq + Fv * nm_sq + 2.0 * cross
-        return {"dFG": np.sum(dFG * vol), "kfg": np.sum(8.0 * K * Fv * Gv * vol),
-                "rem": np.sum(rem * vol), "neg": np.sum((rem < -1e-12) * 1.0)}
+        rem = g_np + f_nm + cross2
+        return {"dFG": np.sum(dFG * vol), "kfg": np.sum(kfg * vol),
+                "rem": np.sum(rem * vol), "neg": np.sum((rem < -1e-12) * 1.0),
+                "harmonicity": b.harmonicity()}
 
     parts = map_chunks(work, grid, 4096)
+    _require_harmonic([p["harmonicity"] for p in parts], tols["harmonicity"])
     I_dFG = weights * sum(p["dFG"] for p in parts)
     I_kfg = weights * sum(p["kfg"] for p in parts)
     I_rem = weights * sum(p["rem"] for p in parts)
@@ -649,21 +654,3 @@ def _columns(pts, **fields):
     (each an (N,) array; a bool array is a flag column)."""
     return {**{f"x{i + 1}": pts[:, i] for i in range(4)}, **fields}
 
-
-def _report(identity, scenario, pts, excluded, abs_res, rel_res, tol, extra=None,
-            samples=None):
-    rel = np.asarray(rel_res, dtype=float)
-    ab = np.asarray(abs_res, dtype=float)
-    return VerificationReport(
-        identity=identity,
-        scenario=scenario,
-        points_sampled=int(len(pts)),
-        included=int(len(pts) - len(excluded)),
-        excluded=list(excluded),
-        max_abs_residual=float(np.max(ab)) if ab.size else 0.0,
-        max_rel_residual=float(np.max(rel)) if rel.size else 0.0,
-        tolerance=float(tol),
-        passed=bool(np.all(rel <= tol)) if rel.size else True,
-        extra=extra or {},
-        samples=samples,
-    )

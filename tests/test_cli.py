@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import warnings
@@ -124,6 +125,59 @@ def test_unknown_key_rejected_exit2(tmp_path, capsys):
                                "bogus": 1}))
     assert run(["verify", "thm21", "--scenario", bad, "--out", tmp_path]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+# (shipped scenario, path of the key, bad value, command, message)
+BAD_NUMBERS = [
+    ("conformal_product", ("sampling", "count"), "abc", "kato scan",
+     "sampling.count must be an integer"),
+    ("conformal_product", ("sampling", "count"), 2.5, "kato scan",
+     "sampling.count must be an integer"),
+    ("conformal_product", ("sampling", "count"), True, "kato scan",
+     "sampling.count must be an integer"),
+    ("conformal_product", ("sampling", "count"), 0, "kato scan", "sampling.count must be >= 1"),
+    ("conformal_product", ("sampling", "margin"), "0.05", "kato scan",
+     "sampling.margin must be a finite number"),
+    ("conformal_product", ("sampling", "seed"), "7", "kato scan",
+     "sampling.seed must be an integer"),
+    ("conformal_product", ("sampling", "seed"), -1, "kato scan", "sampling.seed must be >= 0"),
+    ("flat_t4_n6", ("grid", "n"), "x", "grid definiteness", "grid.n must be an integer"),
+    ("flat_t4_n6", ("grid", "n"), 6.7, "grid definiteness", "grid.n must be an integer"),
+    ("round_s4_random", ("form", "seed"), "17", "verify weitzenboeck",
+     "form.seed must be an integer"),
+    ("round_s4_random", ("manifold", "r"), "2", "verify weitzenboeck",
+     "manifold.r must be a finite number"),
+    ("conformal_product", ("manifold", "r1"), "abc", "curvature",
+     "manifold.r1 must be a finite number"),
+    ("conformal_product", ("manifold", "r2"), None, "curvature",
+     "manifold.r2 must be a finite number"),
+    ("conformal_product", ("manifold",),
+     {"preset": "conformal", "base": {"preset": "round_s4", "r": "abc"}, "f": "0.1*sin(x1)"},
+     "curvature", "manifold.base.r must be a finite number"),
+    ("conformal_product", ("manifold",),
+     {"preset": "conformal", "base": {"preset": "flat_t4"}, "f": 0.1},
+     "curvature", "manifold.f must be an expression string"),
+    ("conformal_product", ("conformal_factor",), 0.1, "curvature",
+     "conformal_factor must be an expression string"),
+]
+
+
+@pytest.mark.parametrize("name,path,value,command,message", BAD_NUMBERS,
+                         ids=[f"{m.split()[0]}-{type(v).__name__}" for *_, v, _, m in BAD_NUMBERS])
+def test_bad_scenario_number_exit2(tmp_path, capsys, name, path, value, command, message):
+    """A scenario number of the wrong kind exits 2 naming its key, before any
+    report is written."""
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    spec = raw
+    for key in path[:-1]:
+        spec = spec[key]
+    spec[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run([*command.split(), "--scenario", bad, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_malformed_json_located(tmp_path, capsys):
@@ -445,3 +499,53 @@ def test_each_module_imports_alone():
         out = subprocess.run([sys.executable, "-c", f"import curv4.{name}"], env=env,
                              capture_output=True, text=True)
         assert out.returncode == 0, (name, out.stderr)
+
+
+def _csv_column(path, name):
+    with open(path, newline="") as fh:
+        return [float(row[name]) if row[name] else None for row in csv.DictReader(fh)]
+
+
+def test_kato_verdicts_do_not_depend_on_the_field_scale(tmp_path):
+    """thm21's premise, the conformal chain's lhs49/|d|phi||^2, ksweep and
+    kato scan admit the same points and read the same ratios for the
+    conformal_product field and for 1e-11 times it: the degeneracy rule is
+    relative to max|phi| over the run."""
+    raw = json.loads((SCENARIOS / "conformal_product.json").read_text())
+    del raw["form"]
+    commands = {"thm21": ["verify", "thm21"], "conformal": ["verify", "conformal", "--k", "2"],
+                # k = 8 is left out: at 1e-11 the jet of |phi|^(2 - 2k) overflows there
+                "ksweep": ["kato", "ksweep", "--k", "0,0.5,1,2,4"], "scan": ["kato", "scan"]}
+    runs = []
+    for amp in ("1", "1e-11"):
+        sfile = tmp_path / f"{amp}.json"
+        sfile.write_text(json.dumps({**raw, "form_components": {"12": f"{amp}*sin(x1)"}}))
+        rep = {}
+        for name, cmd in commands.items():
+            out = tmp_path / amp / name
+            assert run([*cmd, "--scenario", sfile, "--out", out]) == 0
+            rep[name] = json.loads(read_report(out))
+        rep["premise"] = _csv_column(tmp_path / amp / "thm21" / "samples.csv", "premise_rho_ge_2")
+        rep["lhs49"] = _csv_column(tmp_path / amp / "conformal" / "samples.csv",
+                                   "lhs49_over_dnorm")
+        rep["rho"] = _csv_column(tmp_path / amp / "scan" / "samples.csv", "rho")
+        runs.append(rep)
+    one, small = runs
+
+    def same_ratios(a, b):
+        # abs=1e-12 covers ksweep's k = 1 row, rho - 3/2, which cancels to round-off
+        assert [x is None for x in a] == [x is None for x in b]
+        assert [x for x in b if x is not None] == pytest.approx(
+            [x for x in a if x is not None], rel=1e-12, abs=1e-12)
+
+    assert small["thm21"]["extra"]["premise_points"] == one["thm21"]["extra"]["premise_points"]
+    assert small["premise"] == one["premise"]
+    assert small["scan"]["valid_points"] == one["scan"]["valid_points"] == 30
+    same_ratios(one["rho"], small["rho"])
+    same_ratios([one["scan"]["min_rho"]], [small["scan"]["min_rho"]])
+    same_ratios(one["lhs49"], small["lhs49"])
+    same_ratios([one["conformal"]["extra"]["min_lhs49_over_dnorm"]],
+                [small["conformal"]["extra"]["min_lhs49_over_dnorm"]])
+    same_ratios([r["min_lhs49_over_dnorm"] for r in one["ksweep"]["rows"]],
+                [r["min_lhs49_over_dnorm"] for r in small["ksweep"]["rows"]])
+    assert "empty_scan" not in small["ksweep"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curv4 import charts, forms, jets, presets
+from curv4 import charts, forms, jets, presets, verify
 from curv4 import expr as ex
 from curv4.charts import Geometry, conformal_chart, curvature_at, sample_box
 from curv4.forms import TwoFormField
@@ -168,24 +168,12 @@ def test_classical_kato_everywhere():
     base = presets.product_s2s2(1.0, 1.0)
     conf = conformal_chart(base, "0.15*sin(x1)*cos(x3)")
     pts = sample_box(conf.domain, 300, seed=8)
-    geom = Geometry.of_chart(conf, pts)
-    fld = TwoFormField(conf, presets.form_preset("factor_volume_1", conf))
-    inv = forms.covariant_invariants(geom, fld.component_jets(pts),
-                                     degeneracy_floor=0.0)
-    ok = np.isfinite(inv["dnorm_sq"])
-    ratio = inv["grad_sq"][ok] / np.maximum(inv["dnorm_sq"][ok], 1e-300)
-    assert np.min(ratio) >= 1.0 - 1e-9
-
-
-def test_degenerate_norm_gradient_reported():
-    chart = presets.flat_t4()
-    pts = sample_box(chart.domain, 20, seed=9)
-    geom = Geometry.of_chart(chart, pts)
-    # phi vanishing on a hypersurface: |phi| has no gradient there
-    c6 = [ex.eval_jet(ex.parse("sin(x1)"), pts)] + \
-         [Jet3.constant(0.0, (20,)) for _ in range(5)]
-    inv = forms.covariant_invariants(geom, c6, degeneracy_floor=1e-8)
-    assert inv["valid"].all() or np.all(np.isnan(inv["dnorm_sq"][~inv["valid"]]))
+    b = verify.PointBundle(conf, TwoFormField(conf, presets.form_preset("factor_volume_1", conf)),
+                           pts)
+    norm, _, dnorm_sq = b.abs_phi
+    rho, admitted = verify.kato_ratio(b.grad_sq, norm, dnorm_sq, float(np.max(norm)), 1e-8)
+    assert admitted.all()
+    assert np.min(rho) >= 1.0 - 1e-9
 
 
 def test_scalar_laplacian_flat():

@@ -81,6 +81,19 @@ def test_tolerance_key_is_read(tmp_path, key, command, name, field):
         assert report_o["tolerance"] == -1.0
 
 
+def test_degeneracy_frac_decides_the_thm21_premise(tmp_path):
+    """thm21's Kato premise admits points by the one degeneracy rule: with
+    degeneracy_frac 2 no point is admitted for phi+ or phi- (on this field
+    |phi+-| = sqrt(2)|phi|), so the premise holds vacuously everywhere."""
+    raw = json.loads((SCENARIOS / "conformal_product.json").read_text())
+    counts = []
+    for overrides in ({}, {"degeneracy_frac": 2}):
+        code, report = _outcome(tmp_path, ["verify", "thm21"], {**raw, "tolerances": overrides})
+        assert code == 0
+        counts.append(report["extra"]["premise_points"])
+    assert counts == [0, 30]
+
+
 @pytest.mark.parametrize("value", ["abc", None, float("nan"), float("inf"), True, [1e-6],
                                    10**400],
                          ids=["string", "null", "nan", "inf", "bool", "list", "int_past_float"])

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,29 @@ def test_kato_scan_parallel_empty():
     scan = verify.kato_scan(chart, fld, sample_box(chart.domain, 50, seed=16))
     assert scan["min_rho"] is None
     assert "parallel-degenerate" in scan["empty_scan"]
+
+
+def test_kato_scan_excludes_a_zero_of_phi(tmp_path):
+    """A point on an exact zero of phi is excluded with an empty rho cell, and
+    the other points read as in a scan without it."""
+    from curv4 import cli
+
+    chart = presets.flat_t4()
+    # closed and coclosed on the flat chart, vanishing where x1 = x4 = 3
+    fld = TwoFormField(chart, {"12": "3 - x4", "24": "x1 - 3"})
+    pts = np.array([[1.0, 2.0, 2.5, 1.5], [3.0, 1.0, 2.0, 3.0],
+                    [4.5, 0.5, 3.0, 2.0], [2.0, 5.0, 1.0, 3.5]])
+    scan = verify.kato_scan(chart, fld, pts)
+    rest = verify.kato_scan(chart, fld, pts[[0, 2, 3]])
+    assert (scan["valid_points"], scan["excluded_points"]) == (3, 1)
+    assert scan["min_rho"] == rest["min_rho"] == pytest.approx(2.0, rel=1e-14)
+    assert np.isnan(scan["samples"]["rho"][1])
+    for col in ("rho", "grad_sq", "dnorm_sq", "norm"):
+        np.testing.assert_array_equal(scan["samples"][col][[0, 2, 3]], rest["samples"][col])
+    cli._write_csv(tmp_path / "samples.csv", scan["samples"])
+    with open(tmp_path / "samples.csv", newline="") as fh:
+        rho_cells = [row["rho"] for row in csv.DictReader(fh)]
+    assert rho_cells[1] == "" and all(rho_cells[i] for i in (0, 2, 3))
 
 
 def test_conformal_chain_k0_identity(conformal_scenario):
