@@ -27,6 +27,11 @@ from .jets import Jet3
 PAIRS = tuple(itertools.combinations(range(4), 2))
 # The upper entries (i <= j) of the metric, in evaluation order.
 UPPER = tuple(itertools.combinations_with_replacement(range(4), 2))
+# Points per batch of a batched path (map_chunks).  A batch of order-2 jets
+# holds 30-42 KB per point, so a run holds at most CHUNK points of them; per
+# point the arithmetic is the same at any chunk size, and past 256 points a
+# chunk's fixed cost is paid back.
+CHUNK = 512
 
 
 class ChartError(Curv4Error):
@@ -108,6 +113,12 @@ def scrambled_halton(count, seed):
             weight /= base
         cols.append(col)
     return np.stack(cols, axis=-1)
+
+
+def map_chunks(fn, pts):
+    """fn applied to the CHUNK-point chunks of pts, in order."""
+    pts = np.asarray(pts)
+    return [fn(pts[i:i + CHUNK]) for i in range(0, len(pts), CHUNK)]
 
 
 def _scale_to_box(domain, margin, u):

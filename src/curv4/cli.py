@@ -215,13 +215,20 @@ def _cmd_verify(args):
     chart = sc.build_chart()
     fld = sc.build_field(chart)
     pts = sc.points(chart)
-    k = (args.k,) if args.identity == "conformal" else ()
+    k = (_finite_k(args.k),) if args.identity == "conformal" else ()
     rep = getattr(verify, VERIFIERS[args.identity])(chart, fld, pts, *k, scenario=sc.id,
                                                     tols=sc.tols)
     report = {**_scenario_meta(sc), "command": f"verify {args.identity}",
               **rep.to_dict()}
     _write_report(args, report, rep.samples)
     return 0 if rep.passed else 1
+
+
+def _finite_k(k):
+    """k, or InputError naming --k unless it is a finite number."""
+    if not np.isfinite(k):
+        raise InputError(f"--k must be a finite number, not {k!r}")
+    return k
 
 
 def _cmd_kato(args):
@@ -246,6 +253,7 @@ def _cmd_kato(args):
         raise InputError(f"bad k list {args.k!r}") from None
     if not ks:
         raise InputError("empty k list")
+    ks = [_finite_k(k) for k in ks]
     rows = []
     worst = 0.0
     for k in ks:

@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from . import Curv4Error, forms, jets
-from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, metric_entries,
-                     metric_values, orthonormal_frame, require_positive_definite,
+from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, map_chunks,
+                     metric_entries, metric_values, require_positive_definite,
                      sqrt_det_values)
 from .forms import PAIRS, TRIPLES
 from .scenario import DEFAULT_TOLERANCES
@@ -455,62 +455,63 @@ def _roll_diff2(u_grid, a, b, h):
 
 
 class _CellGeometry:
-    """Analytic metric/curvature data at all cell centers (jets, chunked).
+    """A discrete field's data at every cell center, from one pass over the
+    cells in chunks (map_chunks): what the lattice stencils read of the
+    analytic metric (g^-1, sqrt(det g), the Christoffel symbols and the drift
+    of the scalar Laplacian) and the field's pointwise algebra (*phi, F, G,
+    K and the degenerate flags, as in verify.PointBundle.adapted).  The
+    curvature, the frames and the jets live for one chunk only."""
 
-    gi and lambda2 are g^-1 and the Lambda^2 metric with the component axes
-    first, as the forms functions take them."""
+    def __init__(self, fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
+        from . import canonical
 
-    def __init__(self, complex: GridComplex, chunk=2048):
-        self.gc = complex
-        pts = _cell_centers(complex)
-        self.pts = pts
-        gv, giv, gam, R = [], [], [], []
-        for i0 in range(0, len(pts), chunk):
-            geom = Geometry.of_chart(complex.chart, pts[i0:i0 + chunk])
-            gv.append(geom.g_values)
-            giv.append(geom.ginv_values)
-            gam.append(geom.gamma_values)
-            R.append(curvature_at(geom).R)
-        self.g = np.concatenate(gv)
-        self.ginv = np.concatenate(giv)
-        self.gamma = np.concatenate(gam)
-        self.R = np.concatenate(R)
-        self.sqrt_det = sqrt_det_values(self.g)
-        # drift of the scalar Laplacian: (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab
-        N = len(pts)
-        self.lap_drift = -(self.gamma.reshape(N, 4, 16) @ self.ginv.reshape(N, 16, 1))[..., 0]
-        self.gi = np.moveaxis(self.ginv, 0, -1)
-        self.lambda2 = forms.entry_values(forms.lambda2_metric(self.gi))
+        gc, c6 = fieldd.complex, fieldd.coloc6
+        pts = _cell_centers(gc)
+
+        def pointwise(idx):
+            geom = Geometry.of_chart(gc.chart, pts[idx])
+            ginv, gamma = geom.ginv_values, geom.gamma_values
+            sqrt_det = sqrt_det_values(geom.g_values)
+            # (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab
+            drift = -(gamma.reshape(-1, 4, 16) @ ginv.reshape(-1, 16, 1))[..., 0]
+            star = forms.star_coord(np.moveaxis(ginv, 0, -1), sqrt_det, c6[:, idx])
+            f6 = forms.frame_components(geom.frame, c6[:, idx].T)
+            split = forms.sd_split_frame(f6)
+            adapted = canonical.canonicalize(f6, flag_tol=tols["degeneracy_frac"])
+            K = canonical._k_r(curvature_at(geom).R, adapted.basis)[0]
+            return (ginv, sqrt_det, gamma, drift, np.array(star).T, split["F"], split["G"], K,
+                    adapted.degenerate)
+
+        (self.ginv, self.sqrt_det, self.gamma, self.lap_drift, self.star, self.F, self.G,
+         self.K, self.degenerate) = (np.concatenate(x) for x in
+                                     zip(*map_chunks(pointwise, np.arange(gc.sites))))
 
 
-def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None,
-                         tols=DEFAULT_TOLERANCES):
+def discrete_eq23_report(fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
     """Pointwise residual of the Delta(FG) identity with discrete derivatives,
-    the three integrals, and the conservative Green-Stokes check; a cell is
-    degenerate as in verify.PointBundle.adapted."""
-    from . import canonical
-
+    the three integrals, and the conservative Green-Stokes check.  The
+    pointwise work runs one chunk of cells at a time (_CellGeometry, then
+    |nabla phi+-|^2); the stencils difference arrays held at every cell."""
     gc = fieldd.complex
     n, h = gc.n, gc.h
-    cg = cell_geom if cell_geom is not None else _CellGeometry(gc)
-    c6 = fieldd.coloc6
-    g = cg.g
+    cg = _CellGeometry(fieldd, tols)
+    c6, star6 = fieldd.coloc6, cg.star.T
+    F, G, K = (x.reshape(n, n, n, n) for x in (cg.F, cg.G, cg.K))
 
-    star6 = np.array(forms.star_coord(cg.gi, cg.sqrt_det, c6, cg.lambda2))
-    f6_frame = forms.frame_components(orthonormal_frame(g), np.moveaxis(c6, 0, -1))
-    split = forms.sd_split_frame(f6_frame)
-    F = split["F"].reshape(n, n, n, n)
-    G = split["G"].reshape(n, n, n, n)
+    # covariant derivatives of the discrete field and of its star (coordinate components)
+    dc6, dstar6 = _centered_differences(gc, c6), _centered_differences(gc, star6)
 
-    adapted = canonical.canonicalize(f6_frame, flag_tol=tols["degeneracy_frac"])
-    K = canonical._k_r(cg.R, adapted.basis)[0].reshape(n, n, n, n)
+    def nabla_pm_sq(idx):
+        gi = np.moveaxis(cg.ginv[idx], 0, -1)  # component axes first, as forms takes it
+        Q = forms.entry_values(forms.lambda2_metric(gi))
+        T = _covariant_nabla_discrete(cg, c6, dc6, idx)
+        T_star = _covariant_nabla_discrete(cg, star6, dstar6, idx)
+        return (forms.nabla_norm_sq_values(gi, T + T_star, Q),
+                forms.nabla_norm_sq_values(gi, T - T_star, Q))
 
-    # covariant derivative of the discrete field (coordinate components)
-    grads = _covariant_nabla_discrete(gc, cg, c6)
-    grads_star = _covariant_nabla_discrete(gc, cg, star6)
+    np_sq, nm_sq = (np.concatenate(x).reshape(n, n, n, n)
+                    for x in zip(*map_chunks(nabla_pm_sq, np.arange(gc.sites))))
     ginv = cg.ginv
-    np_sq = forms.nabla_norm_sq_values(cg.gi, grads + grads_star, cg.lambda2).reshape(n, n, n, n)
-    nm_sq = forms.nabla_norm_sq_values(cg.gi, grads - grads_star, cg.lambda2).reshape(n, n, n, n)
 
     FG = F * G
     lap_FG = _discrete_scalar_laplacian(gc, cg, FG)
@@ -553,22 +554,27 @@ def discrete_eq23_report(fieldd: DiscreteField, cell_geom: _CellGeometry = None,
         "balance_residual": float(abs(I_dFG - I_kfg - I_rem)),
         "green_stokes_conservative": green_stokes,
         "C_h2_estimate": float(abs(I_dFG) / h**2),
-        "degenerate_points": int(adapted.degenerate.sum()),
+        "degenerate_points": int(cg.degenerate.sum()),
     }
 
 
-def _covariant_nabla_discrete(gc: GridComplex, cg: _CellGeometry, c6):
-    """(nabla_a phi)_ij by centered differences + analytic Christoffels,
-    shape (N, 4, 4, 4) indexed [a, i, j]."""
+def _centered_differences(gc: GridComplex, c6):
+    """d_a of the six cochains c6 (6, N) by centered differences, shape (6, N, 4)."""
     n, h = gc.n, gc.h
-    full = forms.full_matrix_values(np.moveaxis(c6, 0, -1))  # (N,4,4)
-    gam = cg.gamma.reshape(-1, 4, 16)  # [l, (a, i)]
+    return np.stack([[_roll_diff(c6[p].reshape(n, n, n, n), a, h).ravel() for p in range(6)]
+                     for a in range(4)], axis=-1)
+
+
+def _covariant_nabla_discrete(cg: _CellGeometry, c6, dc6, idx):
+    """(nabla_a phi)_ij at the cells idx from the components c6 (6, N), their
+    centered differences dc6 (_centered_differences) and the analytic
+    Christoffels, shape (len(idx), 4, 4, 4) indexed [a, i, j]."""
+    full = forms.full_matrix_values(c6[:, idx].T)  # (len(idx), 4, 4)
+    gam = cg.gamma[idx].reshape(-1, 4, 16)  # [l, (a, i)]
     # Gamma^l_ai phi_lj + Gamma^l_aj phi_il, each one batched matmul
     corr = ((np.swapaxes(gam, -1, -2) @ full).reshape(-1, 4, 4, 4)
             + np.swapaxes((full @ gam).reshape(-1, 4, 4, 4), -3, -2))
-    d = np.stack([[_roll_diff(c6[p].reshape(n, n, n, n), a, h).ravel() for p in range(6)]
-                  for a in range(4)], axis=-1)  # (6, N, 4)
-    return forms.full_matrix_values(np.moveaxis(d, 0, -1)) - corr
+    return forms.full_matrix_values(np.moveaxis(dc6[:, idx], 0, -1)) - corr
 
 
 def _discrete_scalar_laplacian(gc: GridComplex, cg: _CellGeometry, u_grid):

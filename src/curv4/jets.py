@@ -241,11 +241,11 @@ def powr(u: Jet3, r, points=None) -> Jet3:
         n = int(round(r))
         if n == 0:
             return Jet3.constant(1.0, u.value.shape)
-        acc = u
+        # u^-n as (1/u)^n: 1/u^n overflows where u^n underflows
+        base = u._reciprocal(points) if n < 0 else u
+        acc = base
         for _ in range(abs(n) - 1):
-            acc = acc * u
-        if n < 0:
-            acc = acc._reciprocal(points)
+            acc = acc * base
         return acc
     u0 = u.value
     bad = ~(u0 > 0.0)

@@ -164,6 +164,20 @@ def _check_value(where, value, kind=float, minimum=None):
         raise InputError(f"{where} must be >= {minimum}")
 
 
+def _check_metric(where, metric):
+    """InputError naming `where` and the entry unless metric is a 4x4 list of
+    expression strings."""
+    if not isinstance(metric, list) or len(metric) != 4:
+        raise InputError(f"{where} must be a list of 4 rows, not {metric!r}")
+    for i, row in enumerate(metric):
+        if not isinstance(row, list) or len(row) != 4:
+            raise InputError(f"{where}[{i}] must be a list of 4 expression strings, not {row!r}")
+        for j, entry in enumerate(row):
+            if not isinstance(entry, str):
+                raise InputError(f"{where}[{i}][{j}] must be an expression string, "
+                                 f"not {entry!r}")
+
+
 def _resolve_tolerances(overrides):
     """DEFAULT_TOLERANCES overlaid with a scenario's overrides, each a finite
     number (a negative one only makes its check stricter)."""
@@ -222,6 +236,9 @@ def from_dict(raw) -> Scenario:
     if "grid" in raw and raw["grid"] is not None:
         _check_keys(raw["grid"], _GRID_KEYS, "grid")
     _check_values(raw)
+    for section in ("manifold", "grid"):
+        if isinstance(raw.get(section), dict) and "metric" in raw[section]:
+            _check_metric(f"{section}.metric", raw[section]["metric"])
     return Scenario(
         id=raw["id"],
         manifold=raw["manifold"],

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import InputError, forms, jets
 from .charts import (CurvatureSlate, Geometry, MetricChart, chart_is_periodic,
-                     curvature_at, normal_chart, normal_chart_map, pullback_two_form,
-                     sqrt_det_values)
+                     curvature_at, map_chunks, normal_chart, normal_chart_map,
+                     pullback_two_form, sqrt_det_values)
 from .forms import EMPTY_SCAN, PAIRS, SIGN_CONVENTIONS, TwoFormField
 from .jets import Jet3
 from .scenario import DEFAULT_TOLERANCES
@@ -55,12 +55,6 @@ class VerificationReport:
             "sign_conventions": dict(SIGN_CONVENTIONS),
             "extra": self.extra,
         }
-
-
-def map_chunks(fn, pts, chunk=2048):
-    """fn applied to the point chunks of pts, in order."""
-    pts = np.asarray(pts)
-    return [fn(pts[i:i + chunk]) for i in range(0, len(pts), chunk)]
 
 
 def _rel(diff, *scales):
@@ -437,15 +431,15 @@ def verify_theorem21(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES
 # -- Kato scan --------------------------------------------------------------------
 
 
-def kato_scan(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES, chunk=2048):
+def kato_scan(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
 
-    def work(chunk_pts):
-        b = PointBundle(chart, fld, chunk_pts, tols)
+    def work(batch):
+        b = PointBundle(chart, fld, batch, tols)
         norm, _, dnorm_sq = b.abs_phi
         return b.grad_sq, norm, dnorm_sq, b.harmonicity()
 
-    grad_sq, norm, dnorm_sq, measured = zip(*map_chunks(work, pts, chunk))
+    grad_sq, norm, dnorm_sq, measured = zip(*map_chunks(work, pts))
     grad_sq, norm, dnorm_sq = (np.concatenate(x) for x in (grad_sq, norm, dnorm_sq))
     hmax, _ = _require_harmonic(measured, tols["harmonicity"])
 
@@ -619,20 +613,20 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
         weights *= (x[1] - x[0])
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
-    def work(chunk_pts):
-        b = PointBundle(chart, fld, chunk_pts, tols)
+    def work(batch):
+        b = PointBundle(chart, fld, batch, tols)
         dFG, (kfg, g_np, f_nm, cross2) = b.thm21_terms
         vol = sqrt_det_values(b.geom.g_values)
         rem = g_np + f_nm + cross2
-        return {"dFG": np.sum(dFG * vol), "kfg": np.sum(kfg * vol),
-                "rem": np.sum(rem * vol), "neg": np.sum((rem < -1e-12) * 1.0),
-                "harmonicity": b.harmonicity()}
+        return dFG * vol, kfg * vol, rem * vol, rem < -1e-12, b.harmonicity()
 
-    parts = map_chunks(work, grid, 4096)
-    _require_harmonic([p["harmonicity"] for p in parts], tols["harmonicity"])
-    I_dFG = weights * sum(p["dFG"] for p in parts)
-    I_kfg = weights * sum(p["kfg"] for p in parts)
-    I_rem = weights * sum(p["rem"] for p in parts)
+    # each point's contributions, summed once over all points
+    dFG, kfg, rem, neg, measured = zip(*map_chunks(work, grid))
+    dFG, kfg, rem, neg = (np.concatenate(x) for x in (dFG, kfg, rem, neg))
+    _require_harmonic(measured, tols["harmonicity"])
+    I_dFG = weights * np.sum(dFG)
+    I_kfg = weights * np.sum(kfg)
+    I_rem = weights * np.sum(rem)
     return {
         "scenario": scenario,
         "closed_manifold": bool(periodic),
@@ -641,7 +635,7 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
         "integral_8KFG": float(I_kfg),
         "integral_remainder": float(I_rem),
         "balance_residual": float(abs(I_dFG - I_kfg - I_rem)),
-        "negative_remainder_points": int(sum(p["neg"] for p in parts)),
+        "negative_remainder_points": int(np.sum(neg)),
         "sign_conventions": dict(SIGN_CONVENTIONS),
     }
 

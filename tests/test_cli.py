@@ -159,6 +159,16 @@ BAD_NUMBERS = [
      "curvature", "manifold.f must be an expression string"),
     ("conformal_product", ("conformal_factor",), 0.1, "curvature",
      "conformal_factor must be an expression string"),
+    ("cp2_kaehler", ("manifold",), {"metric": [[str(int(i == j)) for j in range(3)]
+                                               for i in range(3)]},
+     "curvature", "manifold.metric must be a list of 4 rows"),
+    ("cp2_kaehler", ("manifold",), {"metric": [["1", "0", "0", "0"], ["0", 1, "0", "0"],
+                                               ["0", "0", "1", "0"], ["0", "0", "0", "1"]]},
+     "curvature", "manifold.metric[1][1] must be an expression string, not 1"),
+    ("perturbed_t4_n8", ("grid", "metric", 2), ["0", "0", "1"], "grid definiteness",
+     "grid.metric[2] must be a list of 4 expression strings"),
+    ("perturbed_t4_n8", ("grid", "metric", 0, 0), 1, "grid definiteness",
+     "grid.metric[0][0] must be an expression string, not 1"),
 ]
 
 
@@ -359,6 +369,37 @@ def test_ksweep_parallel_form_empty_scan(tmp_path):
     assert [line.split(",")[:2] for line in lines[1:]] == [["0.0", ""], ["1.0", ""],
                                                            ["2.0", ""]]
     assert all(float(line.split(",")[2]) <= rep["tolerance"] for line in lines[1:])
+
+
+@pytest.mark.parametrize("command", [["verify", "conformal", "--k", "nan"],
+                                     ["kato", "ksweep", "--k", "1,nan"],
+                                     ["verify", "conformal", "--k", "inf"]],
+                         ids=["verify-nan", "ksweep-nan", "verify-inf"])
+def test_non_finite_k_exit2(tmp_path, capsys, command):
+    """A --k that is not a finite number is bad input named by the flag and its
+    value, before any report is written."""
+    out = tmp_path / "out"
+    assert run(command + ["--scenario", SCENARIOS / "conformal_product.json",
+                          "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"--k must be a finite number, not {float(command[-1].split(',')[-1])!r}" in err
+    assert "Traceback" not in err and not (out / "report.json").exists()
+
+
+def test_conformal_chain_small_field_large_k(tmp_path):
+    """u^(1-k) is formed as (1/u)^(k-1): on a field of size 1e-11, where
+    |phi|^2 ~ 1e-22 and 1/|phi|^(2(k-1)) would overflow its reciprocal jet, Eq 4.6
+    stays finite at k = 8 and the default ksweep warns of nothing."""
+    raw = json.loads((SCENARIOS / "conformal_product.json").read_text())
+    raw["form"] = {"components": {"12": "1e-11*sin(x1)"}}
+    sfile = tmp_path / "small.json"
+    sfile.write_text(json.dumps(raw))
+    assert run(["verify", "conformal", "--k", "8", "--scenario", sfile,
+                "--out", tmp_path / "k8"]) == 0
+    assert json.loads(read_report(tmp_path / "k8"))["extra"]["max_residual_eq46"] < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["kato", "ksweep", "--scenario", sfile, "--out", tmp_path / "sweep"]) == 0
 
 
 def test_curvature_command(tmp_path):

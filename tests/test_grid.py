@@ -288,9 +288,21 @@ def test_discrete_export_flat_constant(flat4):
     z = np.zeros(flat4.dim(2))
     z[:N] = 1.0
     fieldd = grid.discrete_field_export(flat4, z)
-    cg = grid._CellGeometry(flat4)
-    T = grid._covariant_nabla_discrete(flat4, cg, fieldd.coloc6)
+    cg = grid._CellGeometry(fieldd)
+    c6 = fieldd.coloc6
+    T = grid._covariant_nabla_discrete(cg, c6, grid._centered_differences(flat4, c6),
+                                       np.arange(N))
     assert np.max(np.abs(T)) == 0.0  # constant form, flat metric: exactly parallel
+
+
+def test_discrete_eq23_chunk_invariant(pert4, monkeypatch):
+    """Cell chunks only bound the working set: the report in chunks of 64
+    cells is the report in one chunk, bit for bit."""
+    phi, _, _ = grid.harmonic_representative(pert4, (0, 1))
+    fieldd = grid.discrete_field_export(pert4, phi)
+    rep1 = grid.discrete_eq23_report(fieldd)
+    monkeypatch.setattr(charts, "CHUNK", 64)
+    assert grid.discrete_eq23_report(fieldd) == rep1
 
 
 def test_mass_consistency_order():

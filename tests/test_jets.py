@@ -44,6 +44,17 @@ def test_cube_of_variable():
         assert derivative(c, alpha) == want, alpha
 
 
+def test_negative_power_of_small_variable():
+    """x^-7 at x = 1e-22 is formed as (1/x)^7, whose jet is finite; 1/x^7 would
+    overflow in the second-order coefficient of the reciprocal of 1e-154."""
+    x0 = 1e-22
+    c = jets.powr(Jet3.variable(2, x0), -7)
+    for alpha in MULTI_INDICES:
+        k = _pure_power(alpha, 2)
+        want = 0.0 if k is None else (-1) ** k * math.perm(6 + k, k) * x0 ** (-7 - k)
+        assert derivative(c, alpha) == pytest.approx(want, rel=1e-14), alpha
+
+
 def test_exp_pure_coefficients():
     e = jets.exp(Jet3.variable(0, 0.0))
     for alpha in MULTI_INDICES:

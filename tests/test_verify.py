@@ -232,17 +232,48 @@ def test_report_serialization_roundtrip(conformal_scenario):
     assert json.loads(blob)["identity"] == "prop23_eq28_eq29"
 
 
-def test_kato_scan_chunk_invariant(conformal_scenario):
-    """Point chunks only bound the working set: the scan at chunk=64 is the
-    scan in one chunk, bit for bit."""
+def test_kato_scan_chunk_invariant(conformal_scenario, monkeypatch):
+    """Point chunks only bound the working set: the scan in chunks of 64
+    points is the scan in one chunk, bit for bit."""
     chart, fld = conformal_scenario
     pts = sample_box(chart.domain, 300, seed=23)
     scan1 = verify.kato_scan(chart, fld, pts)
-    scan2 = verify.kato_scan(chart, fld, pts, chunk=64)
+    monkeypatch.setattr(charts, "CHUNK", 64)
+    scan2 = verify.kato_scan(chart, fld, pts)
     samples1, samples2 = scan1.pop("samples"), scan2.pop("samples")
     assert scan1 == scan2
     for name, col in samples1.items():
         assert np.array_equal(col, samples2[name], equal_nan=True), name
+
+
+def test_integral_chunk_invariant(conformal_scenario, monkeypatch):
+    """The analytic integrals sum every point's contribution once, so chunks
+    of 64 points give the report of one chunk, bit for bit."""
+    chart, fld = conformal_scenario
+    rep1 = verify.integral_identity_analytic(chart, fld, n_per_axis=4)
+    monkeypatch.setattr(charts, "CHUNK", 64)
+    assert verify.integral_identity_analytic(chart, fld, n_per_axis=4) == rep1
+
+
+def test_kato_scan_memory_bounded_by_chunk(conformal_scenario):
+    """Peak memory stops growing with the sample: the tracemalloc peak of a
+    scan of 4 CHUNK points is at most 1.5 times that of CHUNK points."""
+    import tracemalloc
+
+    chart, fld = conformal_scenario
+    verify.kato_scan(chart, fld, sample_box(chart.domain, 8, seed=24))  # warm caches
+
+    def peak(count):
+        pts = sample_box(chart.domain, count, seed=24)
+        tracemalloc.start()
+        try:
+            verify.kato_scan(chart, fld, pts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(charts.CHUNK), peak(4 * charts.CHUNK)
+    assert four <= 1.5 * one, (one, four)
 
 
 def _reflect_x4(src):
