@@ -5,8 +5,8 @@ phi = lambda1 w^1^w^2 + lambda2 w^3^w^4 with lambda1 + lambda2 >= 0 and
 lambda1 >= lambda2.  K = (R1313 + R1414 + R2323 + R2424)/2 and
 R1234 = <R(e1,e2)e3,e4> are read off after transforming the curvature slate
 into that basis.  When |phi+| or |phi-| falls under the threshold the basis is
-only partially determined; callers get a flag and, on request, a sampled range
-of K over admissible frames.
+only partially determined and the point is flagged degenerate; there K - R1234
+(phi- = 0) or K + R1234 (phi+ = 0) is still frame invariant.
 
 The extremes of sec and of the biorthogonal curvature sec-perp over all planes
 at a point come in closed form from the curvature operator on Lambda^2 =
@@ -117,62 +117,10 @@ def _euclid_cross(a, b, c):
                     axis=-1)
 
 
-def curvature_term_K(slate: CurvatureSlate, adapted: AdaptedFrame,
-                     degenerate_samples=8, seed=0):
-    """K and R1234 in the adapted basis; degenerate points also get the sampled
-    range of (K, R1234) over admissible frames."""
+def curvature_term_K(slate: CurvatureSlate, adapted: AdaptedFrame):
+    """K and R1234 of the slate read in the adapted basis."""
     K, R1234 = _k_r(slate.R, adapted.basis)
-    out = {"K": K, "R1234": R1234}
-    if np.any(adapted.degenerate) and degenerate_samples > 0:
-        rng = np.random.default_rng(seed)
-        Ks, Rs = [K], [R1234]
-        f6 = _frame_f6(adapted)
-        for _ in range(degenerate_samples):
-            Q = _random_admissible(f6, rng)
-            k2, r2 = _k_r(slate.R, Q)
-            Ks.append(k2)
-            Rs.append(r2)
-        Ks = np.stack(Ks)
-        Rs = np.stack(Rs)
-        mask = adapted.degenerate
-        out["K_range"] = np.where(mask, Ks.max(0) - Ks.min(0), 0.0)
-        out["R1234_range"] = np.where(mask, Rs.max(0) - Rs.min(0), 0.0)
-    return out
-
-
-def _frame_f6(adapted: AdaptedFrame):
-    lam1, lam2 = adapted.lam1, adapted.lam2
-    Q = adapted.basis
-    B = np.zeros(Q.shape)
-    B[..., 0, 1] = lam1
-    B[..., 1, 0] = -lam1
-    B[..., 2, 3] = lam2
-    B[..., 3, 2] = -lam2
-    A = np.einsum("...ia,...ab,...jb->...ij", Q, B, Q, optimize=True)
-    return forms.pair_components_values(A)
-
-
-def _random_admissible(f6, rng):
-    """Adapted basis built from a random starting vector (for degenerate sampling)."""
-    A = forms.full_matrix_values(f6)
-    n = A.shape[0]
-    e1 = rng.normal(size=(n, 4))
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
-    # at degenerate points every unit vector lies in an invariant plane
-    Ae = np.einsum("...ij,...j->...i", A, e1, optimize=True)
-    mu = np.linalg.norm(Ae, axis=-1)
-    e2 = -Ae / np.maximum(mu, 1e-300)[..., None]
-    P = np.eye(4) - e1[..., :, None] * e1[..., None, :] - e2[..., :, None] * e2[..., None, :]
-    v = rng.normal(size=(n, 4))
-    v = np.einsum("...ij,...j->...i", P, v, optimize=True)
-    e3 = v / np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-300)
-    Ae3 = np.einsum("...ij,...j->...i", A, e3, optimize=True)
-    mu2 = np.linalg.norm(Ae3, axis=-1)
-    e4 = -Ae3 / np.maximum(mu2, 1e-300)[..., None]
-    # flip e4 where needed so that the basis is positive, as in canonicalize
-    det = np.linalg.det(np.stack([e1, e2, e3, e4], axis=-1))
-    e4 = np.where(det[..., None] < 0, -e4, e4)
-    return np.stack([e1, e2, e3, e4], axis=-1)
+    return {"K": K, "R1234": R1234}
 
 
 def _k_r(R, Q=None):

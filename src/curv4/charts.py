@@ -27,9 +27,10 @@ from .jets import Jet3
 PAIRS = tuple(itertools.combinations(range(4), 2))
 # The upper entries (i <= j) of the metric, in evaluation order.
 UPPER = tuple(itertools.combinations_with_replacement(range(4), 2))
-# Points per batch of a batched path (map_chunks).  A batch of order-2 jets
-# holds 30-42 KB per point, so a run holds at most CHUNK points of them; per
-# point the arithmetic is the same at any chunk size, and past 256 points a
+# Points (or grid cells) per chunk of every pointwise path (map_chunks): the
+# verifiers, kato scan and the integrals.  A batch of order-2 jets holds
+# 30-42 KB per point, so a run holds at most CHUNK points of them; per point
+# the arithmetic is the same at any chunk size, and past 256 points a
 # chunk's fixed cost is paid back.
 CHUNK = 512
 
@@ -311,9 +312,9 @@ def curvature_at(chart_or_geom, pts=None, frame=None):
 def _check_interior(chart, pts):
     lo = np.array([d[0] for d in chart.domain])
     hi = np.array([d[1] for d in chart.domain])
-    if np.any(pts <= lo) or np.any(pts >= hi):
-        bad = np.argmax(np.any((pts <= lo) | (pts >= hi), axis=-1))
-        raise ChartError(f"point {tuple(pts.reshape(-1,4)[bad])} not interior to {chart.name}")
+    outside = np.any((pts <= lo) | (pts >= hi), axis=-1)
+    if np.any(outside):
+        raise ChartError(f"point {jets._first_bad(outside, pts)} not interior to {chart.name}")
 
 
 def sectional(slate: CurvatureSlate, u, v):

@@ -365,18 +365,25 @@ def _cell_centers(complex: GridComplex):
 
 def _star_gram(basis: HarmonicBasis):
     """S[a, b] = sum <*z_a, z_b> vol and G[a, b] = sum <z_a, z_b> vol over the cell
-    centers for the co-located basis cochains z: Q z_b and the cellwise pairings
-    are one contraction each, and the sums over the cells run last."""
+    centers for the co-located basis cochains z.  The cells run in chunks
+    (map_chunks): in each, Q z_b and the cellwise pairings are one contraction
+    each, summed over the chunk's cells; the chunks' partial sums add up last."""
     gc = basis.complex
-    g = metric_values(gc.chart, _cell_centers(gc))
-    sqrt_det = sqrt_det_values(g)
-    vol = sqrt_det * gc.h**4
-    gi = np.moveaxis(np.linalg.inv(g), 0, -1)  # component axes first
-    Q = forms.lambda2_metric(gi)
+    pts = _cell_centers(gc)
     C = np.stack([_colocate(gc, z) for z in basis.vectors.T], axis=1)  # (6, k, cells)
-    star = np.array(forms.star_coord(gi, sqrt_det, C, Q))
-    QC = np.einsum("pqn,qbn->pbn", np.array(Q), C)
-    return tuple(np.sum(np.einsum("pan,pbn->abn", Z, QC) * vol, axis=-1) for Z in (star, C))
+
+    def partial(idx):
+        g = metric_values(gc.chart, pts[idx])
+        sqrt_det = sqrt_det_values(g)
+        vol = sqrt_det * gc.h**4
+        gi = np.moveaxis(np.linalg.inv(g), 0, -1)  # component axes first
+        Q = forms.lambda2_metric(gi)
+        Ci = np.ascontiguousarray(C[:, :, idx])  # C's layout, so each sum runs as in one pass
+        star = np.array(forms.star_coord(gi, sqrt_det, Ci, Q))
+        QC = np.einsum("pqn,qbn->pbn", np.array(Q), Ci)
+        return [np.sum(np.einsum("pan,pbn->abn", Z, QC) * vol, axis=-1) for Z in (star, Ci)]
+
+    return tuple(sum(x) for x in zip(*map_chunks(partial, np.arange(gc.sites))))
 
 
 def _star_counts(basis: HarmonicBasis, tol=0.1):

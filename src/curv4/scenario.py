@@ -44,10 +44,10 @@ _FORM_KEYS = {"preset", "components", "seed"}
 _SAMPLING_KEYS = {"count", "margin", "seed"}
 _GRID_KEYS = {"n", "metric"}
 # Every number or expression a scenario may set: section -> key -> (kind,
-# minimum); "" is the top level, and the manifold's keys also apply inside a
-# conformal preset's "base".
+# minimum[, bound it stays below]); "" is the top level, and the manifold's
+# keys also apply inside a conformal preset's "base".
 _VALUES = {"": {"conformal_factor": (str, None)},
-           "sampling": {"count": (int, 1), "margin": (float, None), "seed": (int, 0)},
+           "sampling": {"count": (int, 1), "margin": (float, 0, 0.5), "seed": (int, 0)},
            "grid": {"n": (int, None)}, "form": {"seed": (int, 0)},
            "manifold": {"r": (float, None), "r1": (float, None), "r2": (float, None),
                         "f": (str, None)}}
@@ -149,10 +149,10 @@ def _build_manifold(spec) -> MetricChart:
         raise InputError(f"bad metric expression: {e}") from None
 
 
-def _check_value(where, value, kind=float, minimum=None):
+def _check_value(where, value, kind=float, minimum=None, below=None):
     """InputError naming `where` unless value is of the kind, int (an integer),
-    float (a finite number) or str, and at least minimum; JSON strings and
-    booleans are not numbers."""
+    float (a finite number) or str, at least minimum and less than below; JSON
+    strings and booleans are not numbers."""
     try:
         ok = isinstance(value, str) if kind is str else not isinstance(value, bool) and (
             isinstance(value, int) if kind is int else math.isfinite(value))
@@ -162,6 +162,8 @@ def _check_value(where, value, kind=float, minimum=None):
         raise InputError(f"{where} must be {_KINDS[kind]}, not {value!r}")
     if minimum is not None and value < minimum:
         raise InputError(f"{where} must be >= {minimum}")
+    if below is not None and value >= below:
+        raise InputError(f"{where} must be < {below}")
 
 
 def _check_metric(where, metric):
@@ -198,9 +200,9 @@ def _check_values(raw):
         specs.append(("manifold", path, manifold))
         manifold, path = manifold.get("base"), path + "base."
     for section, path, spec in specs:
-        for key, (kind, minimum) in _VALUES[section].items():
+        for key, rule in _VALUES[section].items():
             if isinstance(spec, dict) and key in spec:
-                _check_value(path + key, spec[key], kind, minimum)
+                _check_value(path + key, spec[key], *rule)
 
 
 def load(path) -> Scenario:

@@ -312,3 +312,41 @@ def euclid_cross_eps(a, b, c):
     from curv4 import forms
 
     return np.einsum("ijkl,...i,...j,...k->...l", forms.EPS4, a, b, c, optimize=True)
+
+
+def admissible_K_range(R, adapted, samples=8, seed=0):
+    """max - min of K over the adapted basis and `samples` random admissible
+    bases of phi = lam1 e1^e2 + lam2 e3^e4, per point.  An admissible basis
+    is one canonicalize could return at a degenerate point, where every unit
+    vector lies in an invariant plane of phi; there its K is measured."""
+    from curv4 import canonical
+
+    Q = adapted.basis
+    B = np.zeros(Q.shape)
+    B[..., 0, 1], B[..., 2, 3] = adapted.lam1, adapted.lam2
+    B -= np.swapaxes(B, -1, -2)
+    A = Q @ B @ np.swapaxes(Q, -1, -2)  # phi as a matrix in the slate frame
+    rng = np.random.default_rng(seed)
+    Ks = [canonical._k_r(R, Q)[0]]
+    for _ in range(samples):
+        Ks.append(canonical._k_r(R, _random_admissible(A, rng))[0])
+    return np.ptp(np.stack(Ks), axis=0)
+
+
+def _random_admissible(A, rng):
+    """An adapted basis of the 2-form matrix A (N, 4, 4) from random starting
+    vectors: e2 = -A e1 / |A e1|, e3 random in the complement, e4 = -A e3 /
+    |A e3|, e4 flipped where needed so the basis is positive."""
+    n = A.shape[0]
+    e1 = rng.normal(size=(n, 4))
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    Ae = np.einsum("nij,nj->ni", A, e1)
+    e2 = -Ae / np.maximum(np.linalg.norm(Ae, axis=-1), 1e-300)[:, None]
+    P = np.eye(4) - e1[:, :, None] * e1[:, None, :] - e2[:, :, None] * e2[:, None, :]
+    v = np.einsum("nij,nj->ni", P, rng.normal(size=(n, 4)))
+    e3 = v / np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-300)
+    Ae3 = np.einsum("nij,nj->ni", A, e3)
+    e4 = -Ae3 / np.maximum(np.linalg.norm(Ae3, axis=-1), 1e-300)[:, None]
+    det = np.linalg.det(np.stack([e1, e2, e3, e4], axis=-1))
+    e4 = np.where(det[:, None] < 0, -e4, e4)
+    return np.stack([e1, e2, e3, e4], axis=-1)

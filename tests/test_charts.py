@@ -102,6 +102,13 @@ def test_sectional_degenerate_plane_rejected(cp2_slate):
         sectional(slate, u, 2.0 * u)
 
 
+def test_exterior_point_named_in_plain_floats():
+    chart = presets.round_s4(1.0)
+    pts = np.array([[0.5, 0.5, 0.5, 0.5], [1.25, 0.5, 0.5, 0.5]])
+    with pytest.raises(ChartError, match=r"point \(1\.25, 0\.5, 0\.5, 0\.5\) not interior"):
+        curvature_at(chart, pts)
+
+
 def test_christoffel_polar_oracle():
     chart = presets.product_s2s2(1.0, 1.0)
     pts = sample_box(chart.domain, 8, seed=5)

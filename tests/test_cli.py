@@ -138,6 +138,10 @@ BAD_NUMBERS = [
     ("conformal_product", ("sampling", "count"), 0, "kato scan", "sampling.count must be >= 1"),
     ("conformal_product", ("sampling", "margin"), "0.05", "kato scan",
      "sampling.margin must be a finite number"),
+    ("round_s4_random", ("sampling", "margin"), -1, "verify weitzenboeck",
+     "sampling.margin must be >= 0"),
+    ("round_s4_random", ("sampling", "margin"), 0.5, "curvature",
+     "sampling.margin must be < 0.5"),
     ("conformal_product", ("sampling", "seed"), "7", "kato scan",
      "sampling.seed must be an integer"),
     ("conformal_product", ("sampling", "seed"), -1, "kato scan", "sampling.seed must be >= 0"),

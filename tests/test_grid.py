@@ -305,6 +305,17 @@ def test_discrete_eq23_chunk_invariant(pert4, monkeypatch):
     assert grid.discrete_eq23_report(fieldd) == rep1
 
 
+def test_star_gram_chunk_sums(pert4, monkeypatch):
+    """_star_gram adds per-chunk partial sums: chunks of 64 cells agree with
+    one chunk of every cell to round-off."""
+    basis = grid.harmonic_kernel(pert4)
+    monkeypatch.setattr(charts, "CHUNK", pert4.sites)
+    S1, G1 = grid._star_gram(basis)
+    monkeypatch.setattr(charts, "CHUNK", 64)
+    S2, G2 = grid._star_gram(basis)
+    assert np.max(np.abs(S2 - S1)) <= 1e-13 and np.max(np.abs(G2 - G1)) <= 1e-13
+
+
 def test_mass_consistency_order():
     """Lumped mass inner products converge to smooth L2 pairings at O(h^2)."""
     chart = perturbed_chart()

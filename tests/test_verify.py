@@ -276,6 +276,86 @@ def test_kato_scan_memory_bounded_by_chunk(conformal_scenario):
     assert four <= 1.5 * one, (one, four)
 
 
+# the six verifiers as fn(chart, fld, pts)
+VERIFIERS = {"weitzenboeck": verify.verify_weitzenboeck, "eq22": verify.verify_component_bochner,
+             "lemma22": verify.verify_lemma22, "prop23": verify.verify_prop23,
+             "thm21": verify.verify_theorem21,
+             "conformal": lambda c, f, p: verify.verify_conformal_chain(c, f, p, 2.0)}
+
+
+@pytest.mark.parametrize("name", list(VERIFIERS))
+def test_verifier_chunk_invariant(conformal_scenario, monkeypatch, name):
+    """Every verifier runs its points in chunks: chunks of 64 points give the
+    report and the sample columns of one chunk, bit for bit."""
+    chart, fld = conformal_scenario
+    pts = sample_box(chart.domain, 300, seed=23)
+    rep1 = VERIFIERS[name](chart, fld, pts)
+    monkeypatch.setattr(charts, "CHUNK", 64)
+    rep2 = VERIFIERS[name](chart, fld, pts)
+    assert rep1.to_dict() == rep2.to_dict()
+    assert list(rep1.samples) == list(rep2.samples)
+    for col, values in rep1.samples.items():
+        assert np.array_equal(values, rep2.samples[col], equal_nan=True), col
+
+
+@pytest.mark.parametrize("name", ["thm21", "lemma22", "conformal"])
+def test_verifier_memory_bounded_by_chunk(conformal_scenario, name):
+    """A verifier's tracemalloc peak over 4 CHUNK points is at most 1.5 times
+    that over CHUNK points."""
+    import tracemalloc
+
+    chart, fld = conformal_scenario
+    VERIFIERS[name](chart, fld, sample_box(chart.domain, 8, seed=24))  # warm caches
+
+    def peak(count):
+        pts = sample_box(chart.domain, count, seed=24)
+        tracemalloc.start()
+        try:
+            VERIFIERS[name](chart, fld, pts)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = peak(charts.CHUNK), peak(4 * charts.CHUNK)
+    assert four <= 1.5 * one, (one, four)
+
+
+@pytest.mark.parametrize("run", [
+    lambda c, f, p: verify.verify_conformal_chain(c, f, p, 2.0),
+    verify.verify_theorem21, verify.kato_scan], ids=["conformal", "thm21", "kato_scan"])
+def test_harmonicity_gate_runs_first(run):
+    """The harmonicity gate stops a non-harmonic field before any other gate
+    or kernel sees its data, here an exact zero of phi at a sample point,
+    where log |phi|^2 would raise a JetError."""
+    chart = presets.flat_t4()
+    fld = TwoFormField(chart, {"12": "(x1 - 1) * x1"})  # closed, not coclosed
+    pts = np.array([[1.0, 2.0, 2.5, 1.5], [3.0, 1.0, 2.0, 3.0], [4.5, 0.5, 3.0, 2.0]])
+    with pytest.raises(InputError, match="field is not harmonic"):
+        run(chart, fld, pts)
+
+
+def test_conformal_floor_names_the_point_in_plain_floats():
+    chart = presets.flat_t4()
+    fld = TwoFormField(chart, {"12": "3 - x4", "24": "x1 - 3"})  # harmonic, zero at x1 = x4 = 3
+    pts = np.array([[1.0, 2.0, 2.5, 1.5], [3.0, 1.0, 2.0, 3.0]])
+    with pytest.raises(InputError, match=r"degeneracy floor at point \(3\.0, 1\.0, 2\.0, 3\.0\)"):
+        verify.verify_conformal_chain(chart, fld, pts, 2.0)
+
+
+def test_primed_harmonicity_ok_is_scale_free(conformal_scenario):
+    """Delta' phi = 0 is gated on the field's own scale carried into g' =
+    |phi|^k g, so scaling phi by s changes no primed_harmonicity_ok, though
+    Delta' grows like |phi|^-k."""
+    chart, _ = conformal_scenario
+    comps = presets.form_preset("factor_volume_1", chart)
+    pts = sample_box(chart.domain, 8, seed=3)
+    for s in (1e-11, 1.0, 1e6):
+        fld = TwoFormField(chart, {key: f"{s} * ({ex.to_string(e)})" for key, e in comps.items()})
+        for k in (1.0, 2.0):
+            rep = verify.verify_conformal_chain(chart, fld, pts, k)
+            assert rep.extra["primed_harmonicity_ok"], (s, k, rep.extra["primed_harmonicity"])
+
+
 def _reflect_x4(src):
     """The source string of an expression with x4 replaced by -x4."""
     return src.replace("x4", "(-x4)")
