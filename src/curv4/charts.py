@@ -79,36 +79,86 @@ def conformal_chart(base: MetricChart, factor, name=None):
 # -- sampling -----------------------------------------------------------------
 
 
+# The streams of `uniforms`, one per use, so no two uses of one seed draw the
+# same numbers.
+HALTON, SPOT, PERIODIC, PLANES, POWER, FORM = range(6)
+HALTON_BASES = (2, 3, 5, 7)
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment, 2^64 / golden ratio
+
+
+def _mix64(z):
+    """SplitMix64's output function on a uint64 array (wraps mod 2^64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def splitmix64(state, count):
+    """The first `count` outputs of SplitMix64 (Steele, Lea & Flood, "Fast
+    splittable pseudorandom number generators", OOPSLA 2014) from the 64-bit
+    `state`: output i is mix(state + (i + 1) gamma), a fixed function of
+    (state, i).  Array arithmetic only: numpy warns when a scalar wraps."""
+    z = np.full(count, int(state) % 2**64, dtype=np.uint64)
+    return _mix64(z + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA)
+
+
+def uniforms(seed, stream, shape):
+    """Uniforms in [0, 1) of the given shape (filled in C order): the top 53
+    bits of the SplitMix64 outputs from the state mix(mix(seed + gamma) ^
+    stream).  They depend on (seed, stream, index) alone, on any numpy."""
+    key = splitmix64(seed, 1) ^ np.uint64(stream)  # mix(seed + gamma) ^ stream
+    bits = splitmix64(int(_mix64(key)[0]), int(np.prod(shape)))
+    return ((bits >> np.uint64(11)) * 2.0**-53).reshape(shape)
+
+
+def normals(seed, stream, shape):
+    """Standard normals of the given shape: Box-Muller's cosine branch on
+    consecutive pairs of `uniforms(seed, stream, ...)`."""
+    u = uniforms(seed, stream, 2 * int(np.prod(shape)))
+    return (np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])).reshape(shape)
+
+
 def sample_box(domain, count, margin=0.05, seed=0):
     """Low-discrepancy points in the box shrunk by `margin` per side."""
     if count < 1:
         raise ChartError("sample count must be >= 1")
-    return _scale_to_box(domain, margin, scrambled_halton(count, seed))
+    return _scale_to_box(domain, margin, scrambled_halton(count, digit_permutations(seed)))
 
 
-def scrambled_halton(count, seed):
+def digit_permutations(seed):
+    """Owen's random digit permutations for `scrambled_halton`: per base b,
+    ceil(54 / log2 b) - 1 permutations of 0..b-1 (enough digits to fill a
+    double), each the argsort of b uniforms of the HALTON stream, drawn in
+    turn."""
+    sizes = [(math.ceil(54 / math.log2(base)) - 1, base) for base in HALTON_BASES]
+    u = uniforms(seed, HALTON, sum(n * base for n, base in sizes))
+    perms, start = [], 0
+    for n, base in sizes:
+        perms.append(np.argsort(u[start:start + n * base].reshape(n, base), axis=-1,
+                                kind="stable"))
+        start += n * base
+    return perms
+
+
+def scrambled_halton(count, perms):
     """First `count` points of the 4-D Halton sequence (bases 2, 3, 5, 7) with
     Owen's random digit permutations (Owen, "A randomized Halton algorithm in
     R", arXiv:1706.02808), shape (count, 4) in [0, 1).
 
-    Each base b gets ceil(54 / log2 b) - 1 digit permutations, enough to fill
-    a double, each a shuffle of 0..b-1 drawn in turn from
-    np.random.default_rng(seed); digits are summed from the most significant
-    one down.  This is the draw and the summation order of
-    scipy.stats.qmc.Halton(d=4, scramble=True, seed=seed), so the points are
-    the same bit for bit, without importing scipy.stats.
+    perms[d][k] permutes the digit of weight b^-(k+1) in base b =
+    HALTON_BASES[d] (`digit_permutations`); digits are summed from the most
+    significant one down.  That is the summation of
+    scipy.stats.qmc.Halton(d=4, scramble=True), so given scipy's permutations
+    the points are scipy's bit for bit.
     """
-    rng = np.random.default_rng(int(seed))
     index = np.arange(count)
     cols = []
-    for base in (2, 3, 5, 7):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+    for base, perms_b in zip(HALTON_BASES, perms):
         quotient = index.copy()
         col = np.zeros(count)
         weight = 1.0 / base
-        for perm in perms:
+        for perm in perms_b:
             col += perm[quotient % base] * weight
             quotient //= base
             weight /= base
@@ -179,7 +229,7 @@ class Geometry:
     @property
     def ginv(self):
         """g^-1 as a 4x4 nested list of jets, exact at order 2."""
-        return self._get("ginv", lambda: jets.mat_inverse(self.g, self.pts))
+        return self._get("ginv", lambda: jets.mat_inverse(self.gc, self.pts))
 
     @property
     def g_values(self):
@@ -439,7 +489,7 @@ def chart_is_periodic(chart: MetricChart, tol=1e-12):
     """True if the chart is (0, 2pi)^4 and g is 2pi-periodic along every axis."""
     if any(abs(lo) > 1e-15 or abs(hi - 2.0 * np.pi) > 1e-12 for lo, hi in chart.domain):
         return False
-    base = np.random.default_rng(97).uniform(0.1, 1.0, size=(8, 4))
+    base = 0.1 + 0.9 * uniforms(97, PERIODIC, (8, 4))
     shifted = np.concatenate([base + 2.0 * np.pi * e for e in np.eye(4)])
     g_base = np.tile(metric_values(chart, base), (4, 1, 1))
     return bool(np.max(np.abs(metric_values(chart, shifted) - g_base)) <= tol)
@@ -447,7 +497,7 @@ def chart_is_periodic(chart: MetricChart, tol=1e-12):
 
 def validate_chart(chart: MetricChart, count=32, margin=0.05, seed=7):
     """Finiteness and positive-definiteness spot check at random interior points."""
-    pts = _scale_to_box(chart.domain, margin, np.random.default_rng(seed).random((count, 4)))
+    pts = _scale_to_box(chart.domain, margin, uniforms(seed, SPOT, (count, 4)))
     g = metric_entries(chart, pts)
     require_positive_definite(g, jets.det4(g), pts, f"on {chart.name} at point")
     return True

@@ -178,15 +178,13 @@ def _scenario_meta(sc):
 
 def _cmd_curvature(args):
     from . import canonical
-    from .charts import curvature_at
+    from .charts import PLANES, curvature_at, normals
 
     sc = _load(args)
     chart = sc.build_chart()
     pts = sc.points(chart)
     slate = curvature_at(chart, pts)
-    rng = np.random.default_rng(sc.seed)
-    u = rng.standard_normal((64, 4))
-    v = rng.standard_normal((64, 4))
+    u, v = normals(sc.seed, PLANES, (2, 64, 4))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v -= np.einsum("mi,mi->m", u, v)[:, None] * u
     v /= np.linalg.norm(v, axis=1, keepdims=True)

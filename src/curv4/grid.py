@@ -24,9 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from . import Curv4Error, forms, jets
-from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, map_chunks,
-                     metric_entries, metric_values, require_positive_definite,
-                     sqrt_det_values)
+from .charts import (POWER, Geometry, MetricChart, chart_is_periodic, curvature_at,
+                     map_chunks, metric_entries, metric_values, normals,
+                     require_positive_definite, sqrt_det_values)
 from .forms import PAIRS, TRIPLES
 from .scenario import DEFAULT_TOLERANCES
 
@@ -202,10 +202,9 @@ class _Sym2:
         return up.ravel() / gc.M[2] + down.ravel() * gc.M[2]
 
 
-def _power_estimate(apply_A, dim, seed, iters=30):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.sqrt(np.sum(v * v))  # not norm(): its BLAS dot rounds by thread count
+def _power_estimate(apply_A, v, iters=30):
+    """The largest eigenvalue of the SPD apply_A, by `iters` power steps from v."""
+    v = v / np.sqrt(np.sum(v * v))  # not norm(): its BLAS dot rounds by thread count
     lam = 1.0
     for _ in range(iters):
         w = apply_A(v)
@@ -292,7 +291,7 @@ def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60
     command calls it, tests cross-check harmonic_kernel with it, perfbench wraps it."""
     A = _Sym2(complex)
     dim = complex.dim(2)
-    lam_max = _power_estimate(A, dim, seed + 1)
+    lam_max = _power_estimate(A, np.random.default_rng(seed + 1).standard_normal(dim))
     sigma = 1e-3 * lam_max
     precond = 1.0 / np.maximum(A.diag() + sigma, 1e-300)
 
@@ -333,7 +332,7 @@ def harmonic_kernel(complex: GridComplex, tol=1e-10, maxit=None) -> HarmonicBasi
         raise SolverError(f"the six class representatives span only {rank} dimensions")
     Z = np.linalg.solve(np.linalg.cholesky(gram), phi).T  # (L^-1 phi)^T, M2-orthonormal
     A = _Sym2(complex)
-    lam_max = _power_estimate(A, complex.dim(2), seed=1)
+    lam_max = _power_estimate(A, normals(1, POWER, complex.dim(2)))
     Y = A.rt[:, None] * Z
     resid = float(np.max(np.linalg.norm(A(Y), axis=0)
                          / (lam_max * np.linalg.norm(Y, axis=0))))

@@ -358,9 +358,10 @@ def inverse_coeffs(c, points=None):
     return out
 
 
-def mat_inverse(m, points=None):
-    """Inverse of a 4x4 nested list of jets (see inverse_coeffs)."""
-    return entries(inverse_coeffs(stack(m), points))
+def mat_inverse(c, points=None):
+    """Inverse of the stacked jet matrix c as a 4x4 nested list of jets (see
+    inverse_coeffs)."""
+    return entries(inverse_coeffs(c, points))
 
 
 def minor(m, rows, cols=None):

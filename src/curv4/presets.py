@@ -17,7 +17,7 @@ import numpy as np
 
 from . import Curv4Error
 from . import expr as ex
-from .charts import MetricChart, chart_from_strings, conformal_chart
+from .charts import FORM, MetricChart, chart_from_strings, conformal_chart, uniforms
 from .forms import PAIR_KEYS
 
 TWO_PI = 2.0 * math.pi
@@ -151,11 +151,10 @@ def form_preset(name, chart: MetricChart, seed=0):
             "34": ex.parse(e[(3, 3)]),
         }
     if name == "random_analytic":
-        rng = np.random.default_rng(seed)
-        comps = {}
-        for key in PAIR_KEYS:
-            a, b, c = rng.uniform(-0.5, 0.5, 3).round(6)
-            i, j = rng.integers(1, 5), rng.integers(1, 5)
-            comps[key] = ex.parse(f"{a} + {b}*sin(x{i}) * cos(x{j}) + {c}*x{rng.integers(1, 5)}")
-        return comps
+        # per component: a, b, c uniform on [-0.5, 0.5) to 6 places, i, j, l in 1..4
+        u = uniforms(seed, FORM, (len(PAIR_KEYS), 6))
+        coef = (u[:, :3] - 0.5).round(6).tolist()
+        axis = (1 + np.floor(4.0 * u[:, 3:])).astype(int).tolist()
+        return {key: ex.parse(f"{a} + {b}*sin(x{i}) * cos(x{j}) + {c}*x{l}")
+                for key, (a, b, c), (i, j, l) in zip(PAIR_KEYS, coef, axis)}
     raise PresetError(f"unknown form preset {name!r}")

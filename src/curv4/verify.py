@@ -124,7 +124,7 @@ class PointBundle:
 
     @cached_property
     def frame_values(self):
-        return forms.frame_components(self.slate.frame, self.coord_values)
+        return forms.frame_components(self.geom.frame, self.coord_values)
 
     @cached_property
     def hodge_values(self):
@@ -192,7 +192,7 @@ class PointBundle:
 
     def harmonicity(self):
         """max |Delta_Hodge phi| and the scale |grad phi| + |phi| it is gated on."""
-        hf = forms.frame_components(self.slate.frame, self.hodge_values)
+        hf = forms.frame_components(self.geom.frame, self.hodge_values)
         hmax = float(np.max(np.sqrt(np.sum(hf**2, axis=-1))))
         scale = float(np.max(np.sqrt(np.maximum(self.grad_sq, 0.0))
                              + np.sqrt(np.maximum(self.norm_sq_jet.value, 0.0))))

@@ -350,3 +350,29 @@ def _random_admissible(A, rng):
     det = np.linalg.det(np.stack([e1, e2, e3, e4], axis=-1))
     e4 = np.where(det[:, None] < 0, -e4, e4)
     return np.stack([e1, e2, e3, e4], axis=-1)
+
+
+def scipy_halton_permutations(seed):
+    """The digit permutations of scipy.stats.qmc.Halton(d=4, scramble=True,
+    seed=seed), in the layout of charts.scrambled_halton: per base b,
+    ceil(54 / log2 b) - 1 shuffles of 0..b-1 drawn in turn from
+    np.random.default_rng(seed)."""
+    rng = np.random.default_rng(int(seed))
+    out = []
+    for base in (2, 3, 5, 7):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        out.append(perms)
+    return out
+
+
+def splitmix64(state, count):
+    """SplitMix64 in Python integers: state += gamma, then the output mix."""
+    mask, out = 2**64 - 1, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out

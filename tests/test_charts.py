@@ -11,7 +11,8 @@ from curv4.charts import (ChartError, Geometry, conformal_chart, curvature_at,
                           sectional, validate_chart)
 from curv4.forms import TwoFormField
 
-from oracles import complex_space_form_R, constant_curvature_R, derivative
+from oracles import (complex_space_form_R, constant_curvature_R, derivative,
+                     scipy_halton_permutations, splitmix64)
 
 RNG = np.random.default_rng(42)
 
@@ -390,15 +391,76 @@ def test_sample_box_margins_and_count():
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 11, 2**31 - 1])
 def test_sample_box_equals_scipy_halton(seed):
-    """The in-house scrambled Halton draws scipy's points bit for bit."""
+    """Given scipy's digit permutations, the in-house digit summation draws
+    scipy's scrambled Halton points bit for bit; sample_box scales that
+    summation of its own permutations."""
     from scipy.stats import qmc
 
     dom = ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.0), (3.0, 4.0))
+    perms = scipy_halton_permutations(seed)
     for count in (1, 2, 7, 64, 100, 1024, 5000):
         want = qmc.Halton(d=4, scramble=True, seed=seed).random(count)
-        assert np.array_equal(charts.scrambled_halton(count, seed), want)
+        assert np.array_equal(charts.scrambled_halton(count, perms), want)
         assert np.array_equal(sample_box(dom, count, margin=0.1, seed=seed),
-                              charts._scale_to_box(dom, 0.1, want))
+                              charts._scale_to_box(dom, 0.1, charts.scrambled_halton(
+                                  count, charts.digit_permutations(seed))))
+
+
+def test_splitmix64_matches_reference():
+    """The uint64-array SplitMix64 equals the Python-integer recurrence, and
+    the reference outputs from state 1234567."""
+    assert charts.splitmix64(1234567, 5).tolist() == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821]
+    for state in (0, 1, 2**63 + 5, 2**64 - 1):
+        assert charts.splitmix64(state, 300).tolist() == splitmix64(state, 300)
+
+
+def test_uniforms_and_normals():
+    """Uniforms lie in [0, 1), fill a shape in index order, and differ by seed
+    and stream; the normals have mean 0 and variance 1 to sampling error."""
+    u = charts.uniforms(5, charts.SPOT, 4000)
+    assert u.dtype == float and np.all((u >= 0.0) & (u < 1.0))
+    assert np.array_equal(charts.uniforms(5, charts.SPOT, (1000, 4)).ravel(), u)
+    assert abs(u.mean() - 0.5) < 0.02
+    for other in (charts.uniforms(6, charts.SPOT, 4000), charts.uniforms(5, charts.PLANES, 4000)):
+        assert not np.any(other == u)
+    z = charts.normals(5, charts.PLANES, (2, 20000))
+    assert z.shape == (2, 20000)
+    assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.03
+
+
+def test_sample_points_are_frozen():
+    """The points are a fixed function of (seed, count): the first five of
+    seed 7, exactly."""
+    want = [
+        ["0x1.d12487b2d5740p-1", "0x1.8a7ff80abac4ep-1", "0x1.80e3f6a0526f0p-1",
+         "0x1.21646c112e0a7p-1"],
+        ["0x1.a2490f65aae80p-2", "0x1.bfaa9ac020344p-2", "0x1.1a7d9039ec089p-1",
+         "0x1.1e368efdc9cc1p-2"],
+        ["0x1.512487b2d5740p-1", "0x1.a95515ab2b7c6p-4", "0x1.36c30db47cef0p-3",
+         "0x1.b07fb39012f0bp-2"],
+        ["0x1.44921ecb55d00p-3", "0x1.fc47147c81e15p-1", "0x1.e74a5d06b8d56p-1",
+         "0x1.6a88fe5a529ccp-1"],
+        ["0x1.912487b2d5740p-1", "0x1.519c69d1d736bp-1", "0x1.682e53a70b445p-2",
+         "0x1.b3ad90a3772f0p-1"],
+    ]
+    got = charts.scrambled_halton(5, charts.digit_permutations(7))
+    assert [[x.hex() for x in row] for row in got.tolist()] == want
+    assert np.array_equal(sample_box(((0.0, 1.0),) * 4, 5, margin=0.0, seed=7), got)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+def test_sample_points_stratify(seed):
+    """In the axis of base b, the first b^k points fall one in each interval
+    [j b^-k, (j + 1) b^-k): every digit permutation is a bijection."""
+    u = charts.scrambled_halton(1024, charts.digit_permutations(seed))
+    for axis, base in enumerate(charts.HALTON_BASES):
+        k = 1
+        while base**k <= len(u):
+            strata = np.floor(u[:base**k, axis] * base**k).astype(int)
+            assert np.array_equal(np.sort(strata), np.arange(base**k)), (base, k)
+            k += 1
 
 
 def test_interior_check():

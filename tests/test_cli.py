@@ -487,6 +487,9 @@ def test_grid_chart_skips_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+# numpy.random and what it imports: OpenSSL through hashlib, secrets.
+RANDOM_MODULES = ("numpy.random", "secrets", "hashlib")
+
 # The watched modules each command loads: the grid only for grid commands, the
 # verifiers, canonical frames, presets and csv only where the command runs them.
 COMMAND_LOADS = {
@@ -502,8 +505,9 @@ COMMAND_LOADS = {
 def test_commands_skip_scipy_optimize(tmp_path, command):
     """The curvature extremes, the verifiers, the Kato scan and the grid (whose
     coboundaries are lattice-shift stencils) run without importing any scipy
-    module, numpy.ma, concurrent.futures (single-threaded) or dataclasses, and
-    import only the curv4 modules and csv that they call (COMMAND_LOADS)."""
+    module, numpy.ma, numpy.random (and the secrets and hashlib it pulls in),
+    concurrent.futures (single-threaded) or dataclasses, and import only the
+    curv4 modules and csv that they call (COMMAND_LOADS)."""
     import subprocess
     import sys
 
@@ -515,7 +519,7 @@ def test_commands_skip_scipy_optimize(tmp_path, command):
         sfile.write_text(json.dumps(raw))
     argv = command + ["--scenario", str(sfile), "--out", str(tmp_path)]
     watched = ("curv4.grid", "curv4.verify", "curv4.canonical", "curv4.presets", "numpy.ma",
-               "concurrent.futures", "csv", "dataclasses")
+               "concurrent.futures", "csv", "dataclasses") + RANDOM_MODULES
     code = ("import sys; from curv4 import cli; "
             f"assert cli.main({argv!r}) == 0; "
             "print(sorted(m for m in sys.modules "
@@ -529,7 +533,7 @@ def test_commands_skip_scipy_optimize(tmp_path, command):
 
 def test_each_module_imports_alone():
     """Every curv4 module imports first in a fresh interpreter: no import cycle
-    through the names that several modules share."""
+    through the names that several modules share, and none loads numpy.random."""
     import pkgutil
     import subprocess
     import sys
@@ -541,9 +545,12 @@ def test_each_module_imports_alone():
     names = [m.name for m in pkgutil.iter_modules(curv4.__path__)]
     assert "verify" in names and "scenario" in names
     for name in names:
-        out = subprocess.run([sys.executable, "-c", f"import curv4.{name}"], env=env,
-                             capture_output=True, text=True)
+        code = (f"import sys, curv4.{name}; "
+                f"print(sorted(m for m in {RANDOM_MODULES!r} if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True)
         assert out.returncode == 0, (name, out.stderr)
+        assert out.stdout.strip() == "[]", (name, out.stdout)
 
 
 def _csv_column(path, name):

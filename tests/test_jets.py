@@ -250,7 +250,7 @@ def test_mat_inverse_and_det():
             base = 3.0 if i == j else 0.0
             m[i][j] = Jet3.constant(base, (5,)) + 0.2 * env[i] * env[j]
             m[j][i] = m[i][j]
-    inv = jets.mat_inverse(m)
+    inv = jets.mat_inverse(jets.stack(m))
     eye = [[sum((m[i][k] * inv[k][j] for k in range(1, 4)), m[i][0] * inv[0][j])
             for j in range(4)] for i in range(4)]
     for i in range(4):
@@ -275,5 +275,5 @@ def test_mat_inverse_singular_names_point():
     m[0][0] = m[1][1] = 1.0 + env[0]
     m[0][1] = m[1][0] = Jet3.constant(np.array([0.0, 0.0, 1.0]), (3,)) + env[0]
     with pytest.raises(jets.JetError, match="singular metric matrix") as err:
-        jets.mat_inverse(m, pts)
+        jets.mat_inverse(jets.stack(m), pts)
     assert err.value.where == tuple(pts[2])

@@ -434,3 +434,22 @@ def test_kato_histogram_keeps_three_halves_in_one_bin(conformal_scenario):
     width = edges[1] - edges[0]
     for rho in (1.0, 1.5, 2.0):
         assert np.min(np.abs(edges - rho)) >= 0.25 * width
+
+
+def test_kato_scan_builds_no_curvature(tmp_path, monkeypatch):
+    """kato scan needs the frame, never the curvature tensor: with
+    curvature_at made to raise it writes the same report and CSV."""
+    from pathlib import Path
+
+    from curv4 import cli
+
+    sfile = str(Path(__file__).resolve().parents[1] / "scenarios" / "conformal_product.json")
+    assert cli.main(["kato", "scan", "--scenario", sfile, "--out", str(tmp_path / "a")]) == 0
+
+    def no_curvature(*args, **kwargs):
+        raise AssertionError("kato scan built the curvature tensor")
+
+    monkeypatch.setattr(verify, "curvature_at", no_curvature)
+    assert cli.main(["kato", "scan", "--scenario", sfile, "--out", str(tmp_path / "b")]) == 0
+    for name in ("report.json", "samples.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
