@@ -3,9 +3,9 @@
 At each point an oriented orthonormal basis is chosen in which
 phi = lambda1 w^1^w^2 + lambda2 w^3^w^4 with lambda1 + lambda2 >= 0 and
 lambda1 >= lambda2.  K = (R1313 + R1414 + R2323 + R2424)/2 and
-R1234 = <R(e1,e2)e3,e4> are read off after transforming the curvature slate
-into that basis.  When |phi+| or |phi-| falls under the threshold the basis is
-only partially determined and the point is flagged degenerate; there K - R1234
+R1234 = <R(e1,e2)e3,e4> are read off the curvature operator in that basis.
+When |phi+| or |phi-| falls under the threshold the basis is only partially
+determined and the point is flagged degenerate; there K - R1234
 (phi- = 0) or K + R1234 (phi+ = 0) is still frame invariant.
 
 The extremes of sec and of the biorthogonal curvature sec-perp over all planes
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import forms, jets
-from .charts import PAIRS, CurvatureSlate, curvature_at, sample_box
+from .charts import CurvatureSlate, curvature_at, lambda2_matrix, sample_box
 
 
 class AdaptedFrame:
@@ -119,66 +119,28 @@ def _euclid_cross(a, b, c):
 
 def curvature_term_K(slate: CurvatureSlate, adapted: AdaptedFrame):
     """K and R1234 of the slate read in the adapted basis."""
-    K, R1234 = _k_r(slate.R, adapted.basis)
+    K, R1234 = _k_r(slate.M, adapted.basis)
     return {"K": K, "R1234": R1234}
 
 
-def _k_r(R, Q=None):
-    """K = (R1313 + R1414 + R2323 + R2424)/2 and R1234 of R read in the basis Q
-    (columns), or of R as given when Q is None.  Only these five components
-    are formed, in a fixed order: R(Q_a, Q_b, Q_c, Q_d) = w_ab . M w_cd with
-    M = _op6(R) and the bivectors w_ab = Q_a ^ Q_b in PAIRS coordinates."""
-    a, b, c, d = np.array([(0, 2, 0, 2), (0, 3, 0, 3), (1, 2, 1, 2), (1, 3, 1, 3), (0, 1, 2, 3)]).T
+# PAIRS indices of (13), (14), (23), (24), (12) and of (13), (14), (23), (24),
+# (34): R1313, R1414, R2323, R2424 and R1234 are M[_AB, _CD].
+_AB, _CD = np.array([1, 2, 3, 4, 0]), np.array([1, 2, 3, 4, 5])
+
+
+def _k_r(M, Q=None):
+    """K = (R1313 + R1414 + R2323 + R2424)/2 and R1234 of the curvature
+    operator M (..., 6, 6) read in the basis Q (columns), or of M as given
+    when Q is None.  Only these five components are formed, in a fixed order:
+    R(Q_a, Q_b, Q_c, Q_d) = w_ab . M w_cd with w_ab = Q_a ^ Q_b, the columns of
+    lambda2_matrix(Q)."""
     if Q is None:
-        Rq = R[..., a, b, c, d]
+        Rq = M[..., _AB, _CD]
     else:
-        i, j = np.array(PAIRS).T
-        Qi, Qj = Q[..., i, :], Q[..., j, :]
-        wab = Qi[..., a] * Qj[..., b] - Qj[..., a] * Qi[..., b]
-        wcd = Qi[..., c] * Qj[..., d] - Qj[..., c] * Qi[..., d]
-        Rq = np.sum(wab * (_op6(R) @ wcd), axis=-2)
+        W = lambda2_matrix(Q)
+        Rq = np.sum(W[..., _AB] * (M @ W[..., _CD]), axis=-2)
     K = 0.5 * (Rq[..., 0] + Rq[..., 1] + Rq[..., 2] + Rq[..., 3])
     return K, Rq[..., 4]
-
-
-# -- biorthogonal curvature ------------------------------------------------------
-
-
-def orthonormal_plane(u, v):
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
-    v = np.asarray(v, dtype=float)
-    v = v - np.dot(u, v) * u
-    nv = np.linalg.norm(v)
-    if nv < 1e-12:
-        raise ValueError("degenerate plane")
-    return u, v / nv
-
-
-def plane_complement(u, v):
-    P = np.eye(4) - np.outer(u, u) - np.outer(v, v)
-    w, V = np.linalg.eigh(P)
-    return V[:, -2], V[:, -1]
-
-
-def biorthogonal(slate: CurvatureSlate, u, v, index=0):
-    """sec-perp(span(u,v)) = (sec(sigma) + sec(sigma-perp))/2 at one slate point."""
-    u, v = orthonormal_plane(u, v)
-    w1, w2 = plane_complement(u, v)
-    R = slate.R[index]
-    s1 = float(np.einsum("ijkl,i,j,k,l->", R, u, v, u, v, optimize=True))
-    s2 = float(np.einsum("ijkl,i,j,k,l->", R, w1, w2, w1, w2, optimize=True))
-    return 0.5 * (s1 + s2)
-
-
-def _op6(R):
-    """Curvature operator M[(ij),(kl)] = R_ijkl in PAIRS order, shape (N,6,6).
-
-    For orthonormal u, v and w = u^v, sec(u, v) = w^T M w; a unit w in Lambda^2
-    is a plane iff w^T STAR6 w = 0.
-    """
-    i, j = np.array(PAIRS).T
-    return R[:, i[:, None], j[:, None], i[None, :], j[None, :]]
 
 
 # orthonormal bases of Lambda^- and Lambda^+ (STAR6 = -1 and +1)
@@ -186,9 +148,11 @@ _SD_BASES = np.split(np.linalg.eigh(forms.STAR6)[1], 2, axis=1)
 _BISECTIONS = 64
 
 
-def plane_minimum(R, biortho=False):
+def plane_minimum(M, biortho=False):
     """Minimum over planes of sec (or of sec-perp when biortho) at each point
-    of R (N,4,4,4,4), in closed form; returns an (N,) array.
+    of the curvature operators M (N, 6, 6), in closed form; returns an (N,)
+    array.  For orthonormal u, v and w = u ^ v, sec(u, v) = w^T M w; a unit w
+    in Lambda^2 is a plane iff w^T STAR6 w = 0.
 
     sec-perp(w) = (sec(w) + sec(*w))/2 = <M a, a> + <M b, b> for the halves
     a, b of w in Lambda^+ and Lambda^-, each of norm 1/sqrt(2), so its minimum
@@ -200,7 +164,7 @@ def plane_minimum(R, biortho=False):
     t >= 2|M| and positive for t <= -2|M|; _BISECTIONS steps on the sign of
     that slope locate the maximum to 4|M| 2^-64.  Every t gives a lower bound.
     """
-    M = _op6(np.asarray(R, dtype=float))
+    M = np.asarray(M, dtype=float)
     if biortho:
         return 0.5 * sum(np.linalg.eigvalsh(B.T @ M @ B)[:, 0] for B in _SD_BASES)
     hi = 2.0 * np.linalg.norm(M, axis=(-2, -1))
@@ -218,13 +182,13 @@ def plane_minimum(R, biortho=False):
 def global_curvature_stats(chart, samples=32, seed=0):
     """Minimal sectional curvature, sec range and min sec-perp over the planes
     at `samples` points of the chart, exact at each point."""
-    R = curvature_at(chart, sample_box(chart.domain, samples, seed=seed)).R
-    k_lower = float(np.min(plane_minimum(R)))
+    M = curvature_at(chart, sample_box(chart.domain, samples, seed=seed)).M
+    k_lower = float(np.min(plane_minimum(M)))
     return {
         "k_lower": k_lower,
         # 0.0 - x rather than -x, so that a flat chart reports 0.0, not -0.0
-        "sec_range": (k_lower, 0.0 - float(np.min(plane_minimum(-R)))),
-        "secperp_min": float(np.min(plane_minimum(R, biortho=True))),
+        "sec_range": (k_lower, 0.0 - float(np.min(plane_minimum(-M)))),
+        "secperp_min": float(np.min(plane_minimum(M, biortho=True))),
         "samples": int(samples),
     }
 

@@ -25,6 +25,19 @@ from .jets import Jet3
 
 # Coordinate index pairs (i < j) labelling 2-form components, in storage order.
 PAIRS = tuple(itertools.combinations(range(4), 2))
+_PI, _PJ = np.array(PAIRS).T
+# Index arrays of the curvature operator M[(ij), (kl)]: i, j over its rows,
+# k, l over its columns.
+_I, _J, _K, _L = _PI[:, None], _PJ[:, None], _PI, _PJ
+# Its four second-derivative terms d_i d_l g_jk, d_j d_k g_il, -d_i d_k g_jl
+# and -d_j d_l g_ik, summed in that order (Geometry.curvature_operator), each
+# (4, 6, 6) over [term, (ij), (kl)]: the jet slot of d_a d_b, the entry (r, s)
+# of g it differentiates, and the weight +-1/2 times the slot's factor.
+_D2A, _D2B, _D2R, _D2S = (np.stack([np.broadcast_to(x, (6, 6)) for x in axis]) for axis in zip(
+    (_I, _L, _J, _K), (_J, _K, _I, _L), (_I, _K, _J, _L), (_J, _L, _I, _K)))
+_D2G_SLOT = jets._HESS_SLOTS[_D2A, _D2B]
+_D2G_ENTRY = 4 * _D2R + _D2S
+_D2G_WEIGHT = 0.5 * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * jets._HESS_FAC[_D2A, _D2B]
 # The upper entries (i <= j) of the metric, in evaluation order.
 UPPER = tuple(itertools.combinations_with_replacement(range(4), 2))
 # Points (or grid cells) per chunk of every pointwise path (map_chunks): the
@@ -201,10 +214,10 @@ class Geometry:
 
     Accepts the metric's stacked jets (shape (NCOEFF,) + batch + (4, 4)) directly
     so conformal metrics built from field data (not expressible in the DSL)
-    run through the same code paths.  g^-1, Gamma, d Gamma and R come in
-    closed form from V = g(p)^-1, dg and d2g (d_a g^-1 = -V d_a g V, and the
-    lowered symbols Gamma_ljk and their derivatives); no Christoffel jets are
-    built.
+    run through the same code paths.  g^-1, Gamma, d Gamma and the curvature
+    operator come in closed form from V = g(p)^-1, dg and d2g (d_a g^-1 =
+    -V d_a g V, and the lowered symbols Gamma_ljk and their derivatives); no
+    Christoffel jets are built.
     """
 
     def __init__(self, gc, pts):
@@ -247,9 +260,8 @@ class Geometry:
     @property
     def dginv_values(self):
         """d_a g^ij = -(V d_a g V)^ij, shape batch + (4, 4, 4) indexed [a, i, j]."""
-        return self._get("dginv", lambda: -np.einsum(
-            "...ik,...akl,...lj->...aij", self.ginv_values, self.dg_values, self.ginv_values,
-            optimize=True))
+        return self._get("dginv", lambda: -(self.ginv_values[..., None, :, :] @ self.dg_values
+                                            @ self.ginv_values[..., None, :, :]))
 
     @property
     def det_jet(self):
@@ -258,11 +270,6 @@ class Geometry:
     @property
     def sqrt_det_jet(self):
         return self._get("sqdet", lambda: jets.sqrt(self.det_jet, self.pts))
-
-    @property
-    def d2g_values(self):
-        """d_a d_b g_ij, shape batch + (4, 4, 4, 4) indexed [a, b, i, j]."""
-        return self._get("d2g", lambda: np.moveaxis(Jet3(self.gc).hessian(), (-2, -1), (-4, -3)))
 
     @property
     def gamma_low_values(self):
@@ -274,8 +281,8 @@ class Geometry:
     @property
     def gamma_values(self):
         """Gamma^i_jk = V^il Gamma_ljk, shape batch + (4, 4, 4) indexed [i, j, k]."""
-        return self._get("gamma", lambda: np.einsum(
-            "...il,...ljk->...ijk", self.ginv_values, self.gamma_low_values, optimize=True))
+        return self._get("gamma", lambda: (self.ginv_values @ _flat_jk(self.gamma_low_values))
+                         .reshape(self.dg_values.shape))
 
     @property
     def dgamma_values(self):
@@ -283,36 +290,42 @@ class Geometry:
         batch + (4,4,4,4) indexed [a,i,j,k]."""
 
         def build():
-            d2g = self.d2g_values
+            d2g = np.moveaxis(Jet3(self.gc).hessian(), (-2, -1), (-4, -3))  # [a, b, i, j]
             dlow = 0.5 * (np.einsum("...ajlk->...aljk", d2g)
                           + np.einsum("...akjl->...aljk", d2g) - d2g)
-            return (np.einsum("...ail,...ljk->...aijk", self.dginv_values,
-                              self.gamma_low_values, optimize=True)
-                    + np.einsum("...il,...aljk->...aijk", self.ginv_values, dlow, optimize=True))
+            return ((self.dginv_values @ _flat_jk(self.gamma_low_values)[..., None, :, :]
+                     + self.ginv_values[..., None, :, :] @ _flat_jk(dlow)).reshape(dlow.shape))
 
         return self._get("dgamma", build)
 
     @property
-    def riemann_coord(self):
-        """R_ijkl in coordinates (all indices down), shape batch + (4,4,4,4):
+    def curvature_operator(self):
+        """The curvature operator M[(ij),(kl)] = R_ijkl on coordinate 2-vectors,
+        PAIRS by PAIRS, shape batch + (6, 6):
         (d_i d_l g_jk + d_j d_k g_il - d_i d_k g_jl - d_j d_l g_ik) / 2
-        + Gamma_mil Gamma^m_jk - Gamma_mjl Gamma^m_ik."""
+        + Gamma_mil Gamma^m_jk - Gamma_mjl Gamma^m_ik, the second derivatives
+        read straight from the quadratic jet coefficients of g."""
 
         def build():
-            d2g = self.d2g_values
-            GG = np.einsum("...mil,...mjk->...ijkl", self.gamma_low_values, self.gamma_values,
-                           optimize=True)
-            return (0.5 * (np.einsum("...iljk->...ijkl", d2g) + np.einsum("...jkil->...ijkl", d2g)
-                           - np.einsum("...ikjl->...ijkl", d2g)
-                           - np.einsum("...jlik->...ijkl", d2g))
-                    + GG - np.swapaxes(GG, -4, -3))
+            quad = self.gc.reshape((jets.NCOEFF, -1, 16))
+            d2 = sum(w[..., None] * quad[s, :, e] for w, s, e in zip(_D2G_WEIGHT, _D2G_SLOT,
+                                                                    _D2G_ENTRY))
+            low, up = self.gamma_low_values, self.gamma_values
+            return (np.moveaxis(d2, -1, 0).reshape(up.shape[:-3] + (6, 6))
+                    + sum(low[..., m, _I, _L] * up[..., m, _J, _K] for m in range(4))
+                    - sum(low[..., m, _J, _L] * up[..., m, _I, _K] for m in range(4)))
 
-        return self._get("riemann_coord", build)
+        return self._get("M", build)
 
     @property
     def frame(self):
         """Orthonormal frame values (see orthonormal_frame)."""
         return self._get("frame", lambda: orthonormal_frame(self.g_values))
+
+
+def _flat_jk(T):
+    """T (..., 4, 4) with its last two axes flattened: (..., 16)."""
+    return T.reshape(T.shape[:-2] + (16,))
 
 
 def orthonormal_frame(g_values):
@@ -327,17 +340,18 @@ def orthonormal_frame(g_values):
 
 
 class CurvatureSlate:
-    def __init__(self, points, frame, R, Ric, scal, geometry: Geometry = None):
+    def __init__(self, points, frame, M, Ric, scal, geometry: Geometry = None):
         self.points = points  # (N, 4)
         self.frame = frame  # (N, 4, 4), columns are frame vectors in coordinates
-        self.R = R  # (N, 4, 4, 4, 4) in the orthonormal frame
+        self.M = M  # (N, 6, 6) curvature operator in the orthonormal frame, PAIRS order
         self.Ric = Ric  # (N, 4, 4)
         self.scal = scal  # (N,)
         self.geometry = geometry
 
 
 def curvature_at(chart_or_geom, pts=None, frame=None):
-    """Curvature tensor in an orthonormal frame (Gram-Schmidt or supplied).
+    """Curvature operator, Ricci and scal in an orthonormal frame (Gram-Schmidt
+    or supplied): M = (L2 E)^T M_coord L2 E with L2 E = lambda2_matrix(E).
 
     `frame`, if given, must hold orthonormal tangent vectors as columns.
     """
@@ -350,13 +364,34 @@ def curvature_at(chart_or_geom, pts=None, frame=None):
         geom = chart_or_geom
         pts = geom.pts
     E = geom.frame if frame is None else require_orthonormal(geom, frame)
-    R = geom.riemann_coord
-    batch = R.shape[:-4]
-    for _ in range(4):  # contract the leading index with E; its frame index goes last
-        R = (np.moveaxis(R, -4, -1).reshape(batch + (64, 4)) @ E).reshape(batch + (4,) * 4)
-    Ric = np.einsum("...kikj->...ij", R)
-    scal = np.einsum("...ii->...", Ric)
-    return CurvatureSlate(points=pts, frame=E, R=R, Ric=Ric, scal=scal, geometry=geom)
+    L2E = lambda2_matrix(E)
+    M = np.swapaxes(L2E, -1, -2) @ geom.curvature_operator @ L2E
+    Ric = np.sum(_RIC_SIGN * M[..., _RIC_P, _RIC_Q], axis=-1)
+    return CurvatureSlate(points=pts, frame=E, M=M, Ric=Ric,
+                          scal=np.trace(Ric, axis1=-2, axis2=-1), geometry=geom)
+
+
+def wedge(u, v):
+    """The 2-vector u ^ v in PAIRS coordinates, (u ^ v)_(ij) = u_i v_j - u_j v_i,
+    over the last axis: shape (..., 6).  For orthonormal u, v in a frame,
+    sec(u, v) = w^T M w with w = u ^ v."""
+    return u[..., _PI] * v[..., _PJ] - u[..., _PJ] * v[..., _PI]
+
+
+def lambda2_matrix(E):
+    """The 2x2 minors of E (..., 4, 4), PAIRS by PAIRS: column (ab) is
+    E_a ^ E_b for the columns E_a, so R(E_a, E_b, E_c, E_d) is entry
+    ((ab), (cd)) of lambda2_matrix(E)^T M lambda2_matrix(E)."""
+    Et = np.swapaxes(E, -1, -2)
+    return np.swapaxes(wedge(Et[..., _PI, :], Et[..., _PJ, :]), -1, -2)
+
+
+# Ric_ij = sum_k R_kikj = sum_k s(k,i) s(k,j) M[p(k,i), p(k,j)] over [i, j, k]
+# (curvature_at), with p(a,b) the PAIRS index of {a, b} and s(a,b) = sign(b - a).
+_PAIR_OF = np.zeros((4, 4), dtype=int)
+_PAIR_OF[_PI, _PJ] = _PAIR_OF[_PJ, _PI] = np.arange(6)
+_SIGN = np.sign(np.subtract.outer(np.arange(4), np.arange(4)))
+_RIC_P, _RIC_Q, _RIC_SIGN = _PAIR_OF[:, None], _PAIR_OF[None], _SIGN[:, None] * _SIGN[None]
 
 
 def _check_interior(chart, pts):
@@ -371,10 +406,9 @@ def sectional(slate: CurvatureSlate, u, v):
     """Sectional curvature of span(u, v); u, v in frame components."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    num = np.einsum("...ijkl,...i,...j,...k,...l->...", slate.R, u, v, u, v, optimize=True)
-    uu = np.einsum("...i,...i->...", u, u, optimize=True)
-    vv = np.einsum("...i,...i->...", v, v, optimize=True)
-    uv = np.einsum("...i,...i->...", u, v, optimize=True)
+    w = wedge(u, v)
+    num = np.sum(w * (slate.M @ w[..., None])[..., 0], axis=-1)
+    uu, vv, uv = np.sum(u * u, axis=-1), np.sum(v * v, axis=-1), np.sum(u * v, axis=-1)
     den = uu * vv - uv**2
     if np.any(den <= 1e-14 * uu * vv):
         raise ChartError("degenerate plane in sectional curvature")
@@ -388,7 +422,7 @@ def require_orthonormal(geom: Geometry, B):
     """B (..., 4, 4) broadcast to geom's points, its columns checked orthonormal
     under g there to 1e-8 in the Gram matrix."""
     B = np.broadcast_to(np.asarray(B, dtype=float), geom.pts.shape[:-1] + (4, 4))
-    gram = np.einsum("...ia,...ij,...jb->...ab", B, geom.g_values, B, optimize=True)
+    gram = np.swapaxes(B, -1, -2) @ geom.g_values @ B
     dev = np.max(np.abs(gram - np.eye(4)))
     if dev > 1e-8:
         raise ChartError(f"basis is not orthonormal (Gram deviation {dev:.2e})")
@@ -406,7 +440,7 @@ def normal_chart_map(geom: Geometry, B):
     """
     P = geom.pts
     B = require_orthonormal(geom, B)
-    C = np.einsum("...ijk,...ja,...kb->...iab", geom.gamma_values, B, B, optimize=True)
+    C = np.swapaxes(B, -1, -2)[..., None, :, :] @ geom.gamma_values @ B[..., None, :, :]
     return [Jet3.quadratic(P[..., i], B[..., i, :], -0.5 * C[..., i, :, :])
             for i in range(4)]
 

@@ -178,7 +178,7 @@ def _scenario_meta(sc):
 
 def _cmd_curvature(args):
     from . import canonical
-    from .charts import PLANES, curvature_at, normals
+    from .charts import PLANES, curvature_at, normals, wedge
 
     sc = _load(args)
     chart = sc.build_chart()
@@ -188,7 +188,8 @@ def _cmd_curvature(args):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v -= np.einsum("mi,mi->m", u, v)[:, None] * u
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    secs = np.einsum("nijkl,mi,mj,mk,ml->nm", slate.R, u, v, u, v, optimize=True)
+    w = wedge(u, v).T  # (6, 64) 2-vectors of the orthonormal planes
+    secs = np.sum(w * (slate.M @ w), axis=-2)
     stats = canonical.global_curvature_stats(chart, samples=min(sc.count, 48),
                                              seed=sc.seed)
     report = {

@@ -289,19 +289,15 @@ def rough_laplacian_values(geom: Geometry, c6, T=None):
     return pair_components_values(tr)
 
 
-def curvature_action_frame(R, f6):
+def curvature_action_frame(M, Ric, f6):
     """q(R) phi = sum_{ij} w^i ^ i(e_j) R_{e_i e_j} phi, orthonormal frame.
 
-    R: (..., 4,4,4,4) frame curvature; f6: (..., 6) frame components.
+    M: (..., 6, 6) frame curvature operator, Ric (..., 4, 4); f6: (..., 6)
+    frame components.  q(R) phi = Ric^T phi + phi Ric - 2 M phi: by the first
+    Bianchi identity sum_{jp} R_ajpb phi_pj = (M phi)_(ab).
     """
-    Phi = full_matrix_values(f6)
-    Ric = np.einsum("...kikj->...ij", R)
-    term_ric = (np.einsum("...pa,...pb->...ab", Ric, Phi, optimize=True)
-                - np.einsum("...pb,...pa->...ab", Ric, Phi, optimize=True))
-    mixed = np.einsum("...ajpb,...pj->...ab", R, Phi, optimize=True)
-    term_mix = mixed - np.swapaxes(mixed, -1, -2)
-    Q = term_ric - term_mix
-    return pair_components_values(Q)
+    RP = np.swapaxes(Ric, -1, -2) @ full_matrix_values(f6)
+    return pair_components_values(RP - np.swapaxes(RP, -1, -2)) - 2.0 * (M @ f6[..., None])[..., 0]
 
 
 # -- scalar helpers -------------------------------------------------------------

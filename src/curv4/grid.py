@@ -24,9 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from . import Curv4Error, forms, jets
-from .charts import (POWER, Geometry, MetricChart, chart_is_periodic, curvature_at,
-                     map_chunks, metric_entries, metric_values, normals,
-                     require_positive_definite, sqrt_det_values)
+from .charts import (POWER, Geometry, MetricChart, chart_is_periodic, map_chunks,
+                     metric_entries, metric_values, normals, require_positive_definite,
+                     sqrt_det_values)
 from .forms import PAIRS, TRIPLES
 from .scenario import DEFAULT_TOLERANCES
 
@@ -484,7 +484,8 @@ class _CellGeometry:
             f6 = forms.frame_components(geom.frame, c6[:, idx].T)
             split = forms.sd_split_frame(f6)
             adapted = canonical.canonicalize(f6, flag_tol=tols["degeneracy_frac"])
-            K = canonical._k_r(curvature_at(geom).R, adapted.basis)[0]
+            # K from the coordinate operator read in the adapted basis E Q
+            K = canonical._k_r(geom.curvature_operator, geom.frame @ adapted.basis)[0]
             return (ginv, sqrt_det, gamma, drift, np.array(star).T, split["F"], split["G"], K,
                     adapted.degenerate)
 

@@ -111,8 +111,8 @@ class PointBundle:
 
     @cached_property
     def rmax(self):
-        """max |R_abcd| in the slate frame, per point."""
-        return np.max(np.abs(self.slate.R), axis=(-1, -2, -3, -4))
+        """max |R_abcd| in the slate frame, per point: max |M|."""
+        return np.max(np.abs(self.slate.M), axis=(-1, -2))
 
     @cached_property
     def lambda2(self):
@@ -249,7 +249,7 @@ def verify_weitzenboeck(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERAN
         hv_f = forms.frame_components(b.slate.frame, b.hodge_values)
         rough = forms.rough_laplacian_values(b.geom, b.c6, T=b.nabla)
         rough_f = forms.frame_components(b.slate.frame, rough)
-        qR = forms.curvature_action_frame(b.slate.R, b.frame_values)
+        qR = forms.curvature_action_frame(b.slate.M, b.slate.Ric, b.frame_values)
         # Delta_Hodge phi = -trace(nabla^2 phi) + q(R) phi
         lhs = hv_f
         rhs = -rough_f + qR
@@ -311,17 +311,15 @@ def _normal_gamma_gate(gmax, tols):
 def verify_component_bochner(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     def kernel(b):
         geom_nc, fj, gmax = _parallel_frame_fields(b, b.slate.frame)
-        fmat = np.zeros(b.pts.shape[:-1] + (4, 4))
-        lapm = np.zeros_like(fmat)
-        for a, c in PAIRS:
-            fmat[..., a, c] = fj[0, ..., a, c]
-            lapm[..., a, c] = forms.scalar_laplacian_values(geom_nc, Jet3(fj[..., a, c]))
-        fmat -= np.swapaxes(fmat, -1, -2)
-        lapm -= np.swapaxes(lapm, -1, -2)
-        Ric, R = b.slate.Ric, b.slate.R
-        rhs = (np.einsum("...kp,...pl->...kl", Ric, fmat, optimize=True)
-               + np.einsum("...lp,...kp->...kl", Ric, fmat, optimize=True)
-               - 2.0 * np.einsum("...kplq,...pq->...kl", R, fmat, optimize=True))
+        f6 = forms.pair_components_values(fj[0])
+        fmat = forms.full_matrix_values(f6)
+        lapm = forms.full_matrix_values(np.stack(
+            [forms.scalar_laplacian_values(geom_nc, Jet3(fj[..., a, c])) for a, c in PAIRS],
+            axis=-1))
+        # sum_pq R_kplq f_pq = (M f)_(kl) by the first Bianchi identity
+        Ric = b.slate.Ric
+        rhs = (Ric @ fmat + fmat @ np.swapaxes(Ric, -1, -2)
+               - 2.0 * forms.full_matrix_values((b.slate.M @ f6[..., None])[..., 0]))
         abss = np.max(np.abs(lapm - rhs), axis=(-1, -2))
         rels = _rel(abss, np.max(np.abs(lapm), axis=(-1, -2)),
                     np.max(np.abs(rhs), axis=(-1, -2)),
@@ -347,15 +345,15 @@ def verify_lemma22(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     def kernel(b):
         adapted = b.adapted
         geom_nc, fj, gmax = _parallel_frame_fields(b, b.slate.frame @ adapted.basis)
-        Rn = curvature_at(geom_nc).R
-        K, R1234 = canonical._k_r(Rn)
+        Mn = curvature_at(geom_nc).M
+        K, R1234 = canonical._k_r(Mn)
         f1, f2 = Jet3(fj[..., 0, 1]), Jet3(fj[..., 2, 3])
         v1, v2 = f1.value, f2.value
         r1 = forms.scalar_laplacian_values(geom_nc, f1) - 2.0 * (K * v1 - R1234 * v2)
         r2 = forms.scalar_laplacian_values(geom_nc, f2) - 2.0 * (K * v2 - R1234 * v1)
         lap_scale = (forms.scalar_laplacian_scale(geom_nc, f1)
                      + forms.scalar_laplacian_scale(geom_nc, f2))
-        rmax = np.max(np.abs(Rn), axis=(-1, -2, -3, -4))
+        rmax = np.max(np.abs(Mn), axis=(-1, -2))
         abss = np.maximum(np.abs(r1), np.abs(r2))
         rels = _rel(abss, lap_scale,
                     (2 * np.abs(K) + 2 * np.abs(R1234) + rmax) * (np.abs(v1) + np.abs(v2)))
@@ -548,7 +546,7 @@ def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_T
         lap_nsq = forms.scalar_laplacian_values(b.geom, nsq)
         hodge_inner = forms.inner_lambda2(forms.entry_values(b.lambda2), b.coord_values.T,
                                           b.hodge_values.T)
-        qR = forms.curvature_action_frame(b.slate.R, b.frame_values)
+        qR = forms.curvature_action_frame(b.slate.M, b.slate.Ric, b.frame_values)
         Fphi = np.sum(qR * b.frame_values, axis=-1)
         lhs43 = 0.5 * lap_nsq + hodge_inner
         rhs43 = grad_sq + Fphi

@@ -8,9 +8,11 @@ path.  Curvature oracles are the classical closed forms.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from curv4 import expr as ex
 from curv4 import jets
+from curv4.charts import PAIRS
 from curv4.jets import Jet3
 
 # The multi-index of each slot of a jet's coefficient axis: the value, the
@@ -242,6 +244,98 @@ def complex_space_form_R(J_frame, c=4.0):
     return (c / 4.0) * base
 
 
+# -- the 4-index curvature path that the curvature operator replaced ----------
+
+
+def riemann_coord(geom):
+    """R_ijkl in coordinates (all indices down), batch + (4, 4, 4, 4), from the
+    full d_a d_b g_ij array: (d_i d_l g_jk + d_j d_k g_il - d_i d_k g_jl
+    - d_j d_l g_ik) / 2 + Gamma_mil Gamma^m_jk - Gamma_mjl Gamma^m_ik."""
+    d2g = np.moveaxis(Jet3(geom.gc).hessian(), (-2, -1), (-4, -3))  # [a, b, i, j]
+    GG = np.einsum("...mil,...mjk->...ijkl", geom.gamma_low_values, geom.gamma_values,
+                   optimize=True)
+    return (0.5 * (np.einsum("...iljk->...ijkl", d2g) + np.einsum("...jkil->...ijkl", d2g)
+                   - np.einsum("...ikjl->...ijkl", d2g) - np.einsum("...jlik->...ijkl", d2g))
+            + GG - np.swapaxes(GG, -4, -3))
+
+
+def rotate_R(R, E):
+    """R read in the frame E (columns): four passes, each contracting the
+    leading index with E and moving its frame index last."""
+    batch = R.shape[:-4]
+    for _ in range(4):
+        R = (np.moveaxis(R, -4, -1).reshape(batch + (64, 4)) @ E).reshape(batch + (4,) * 4)
+    return R
+
+
+def ricci_R(R):
+    """Ric_ij = sum_k R_kikj and scal = trace Ric of a 4-index R."""
+    Ric = np.einsum("...kikj->...ij", R)
+    return Ric, np.einsum("...ii->...", Ric)
+
+
+def op6(R):
+    """The curvature operator M[(ij),(kl)] = R_ijkl of a 4-index R, PAIRS order."""
+    i, j = np.array(PAIRS).T
+    return R[..., i[:, None], j[:, None], i[None, :], j[None, :]]
+
+
+def unpack_R(M):
+    """The 4-index R_ijkl = s(i,j) s(k,l) M[(ij),(kl)] of a curvature operator M
+    (..., 6, 6), with s = +1 on pairs i < j, -1 on i > j and 0 on i = j."""
+    P, S = np.zeros((4, 4), dtype=int), np.zeros((4, 4))
+    for p, (i, j) in enumerate(PAIRS):
+        P[i, j] = P[j, i] = p
+        S[i, j], S[j, i] = 1.0, -1.0
+    return (S[:, :, None, None] * S[None, None]) * M[..., P[:, :, None, None], P[None, None]]
+
+
+def orthonormal_plane(u, v):
+    u = np.asarray(u, dtype=float)
+    u = u / np.linalg.norm(u)
+    v = np.asarray(v, dtype=float)
+    v = v - np.dot(u, v) * u
+    nv = np.linalg.norm(v)
+    if nv < 1e-12:
+        raise ValueError("degenerate plane")
+    return u, v / nv
+
+
+def plane_complement(u, v):
+    P = np.eye(4) - np.outer(u, u) - np.outer(v, v)
+    w, V = np.linalg.eigh(P)
+    return V[:, -2], V[:, -1]
+
+
+def biorthogonal(R, u, v):
+    """sec-perp(span(u,v)) = (sec(sigma) + sec(sigma-perp))/2 of one 4-index R."""
+    u, v = orthonormal_plane(u, v)
+    w1, w2 = plane_complement(u, v)
+    s1 = float(np.einsum("ijkl,i,j,k,l->", R, u, v, u, v, optimize=True))
+    s2 = float(np.einsum("ijkl,i,j,k,l->", R, w1, w2, w1, w2, optimize=True))
+    return 0.5 * (s1 + s2)
+
+
+# Random near-flat periodic metrics: an entry is 1 (on the diagonal) or 0 plus
+# a sin|cos(f x_v), |a| <= 0.1, so g is positive definite by Gershgorin.
+TRIG_TERM = st.tuples(st.floats(-0.1, 0.1), st.sampled_from(("sin", "cos")),
+                      st.integers(1, 2), st.integers(1, 4))
+NEAR_FLAT_TERMS = st.lists(TRIG_TERM, min_size=10, max_size=10)
+
+
+def near_flat_chart(terms):
+    """The periodic chart on (0, 2pi)^4 of ten TRIG_TERMs, one per upper entry."""
+    from curv4 import charts
+
+    entries = [[None] * 4 for _ in range(4)]
+    upper = iter(terms)
+    for i in range(4):
+        for j in range(i, 4):
+            a, fn, f, v = next(upper)
+            entries[i][j] = entries[j][i] = f"{int(i == j)} + ({a:.6f})*{fn}({f}*x{v})"
+    return charts.chart_from_strings(entries, [(0.0, 2 * np.pi)] * 4, "near_flat")
+
+
 def sparse_coboundary(n, k):
     """Reference incidence map C^k -> C^{k+1} of the periodic lattice as a signed
     integer CSR matrix, assembled from shift permutation matrices."""
@@ -314,7 +408,7 @@ def euclid_cross_eps(a, b, c):
     return np.einsum("ijkl,...i,...j,...k->...l", forms.EPS4, a, b, c, optimize=True)
 
 
-def admissible_K_range(R, adapted, samples=8, seed=0):
+def admissible_K_range(M, adapted, samples=8, seed=0):
     """max - min of K over the adapted basis and `samples` random admissible
     bases of phi = lam1 e1^e2 + lam2 e3^e4, per point.  An admissible basis
     is one canonicalize could return at a degenerate point, where every unit
@@ -327,9 +421,9 @@ def admissible_K_range(R, adapted, samples=8, seed=0):
     B -= np.swapaxes(B, -1, -2)
     A = Q @ B @ np.swapaxes(Q, -1, -2)  # phi as a matrix in the slate frame
     rng = np.random.default_rng(seed)
-    Ks = [canonical._k_r(R, Q)[0]]
+    Ks = [canonical._k_r(M, Q)[0]]
     for _ in range(samples):
-        Ks.append(canonical._k_r(R, _random_admissible(A, rng))[0])
+        Ks.append(canonical._k_r(M, _random_admissible(A, rng))[0])
     return np.ptp(np.stack(Ks), axis=0)
 
 

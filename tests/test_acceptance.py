@@ -14,7 +14,7 @@ from curv4 import canonical, charts, cli, forms, grid, presets, verify
 from curv4.charts import conformal_chart, curvature_at, sample_box
 from curv4.forms import TwoFormField
 
-from oracles import complex_space_form_R
+from oracles import complex_space_form_R, unpack_R
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -66,14 +66,14 @@ def test_criterion_1_curvature_ground_truth():
                 charts.sectional(slate, u, v) - 1.0 / r**2))))
     flat = presets.flat_t4()
     flat_max = float(np.max(np.abs(
-        curvature_at(flat, sample_box(flat.domain, 10, seed=2)).R)))
+        curvature_at(flat, sample_box(flat.domain, 10, seed=2)).M)))
     cp2 = presets.cp2_fubini_study()
     slate = curvature_at(cp2, sample_box(cp2.domain, 20, seed=3))
     J0 = presets.cp2_complex_structure()
     JE = np.einsum("ij,njb->nib", J0, slate.frame)
     Jab = np.einsum("nia,nij,njb->nab", JE, slate.geometry.g_values, slate.frame,
                     optimize=True)
-    cp2_err = float(np.max(np.abs(slate.R - complex_space_form_R(Jab, c=4.0))))
+    cp2_err = float(np.max(np.abs(unpack_R(slate.M) - complex_space_form_R(Jab, c=4.0))))
     ok = worst < 1e-8 and flat_max < 1e-12 and cp2_err < 1e-7
     _line(1, ok, f"sphere sec err {worst:.2e} (<1e-8), flat |R| {flat_max:.2e} "
                  f"(<1e-12), cp2 oracle err {cp2_err:.2e} (<1e-7)")

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
-from curv4 import canonical, charts, forms, presets, scenario
+from curv4 import canonical, forms, presets, scenario
 from curv4.charts import curvature_at, sample_box
 from curv4.forms import TwoFormField
-from oracles import admissible_K_range, euclid_cross_eps
+from oracles import (admissible_K_range, biorthogonal, euclid_cross_eps, orthonormal_plane,
+                     plane_complement, unpack_R)
 
 RNG = np.random.default_rng(17)
 
@@ -90,7 +91,7 @@ def test_inplane_rotation_invariance_of_K():
         R1[:2, :2] = [[np.cos(t1), -np.sin(t1)], [np.sin(t1), np.cos(t1)]]
         R1[2:, 2:] = [[np.cos(t2), -np.sin(t2)], [np.sin(t2), np.cos(t2)]]
         basis2 = np.einsum("nij,jk->nik", ad.basis, R1)
-        K2, R12 = canonical._k_r(slate.R, basis2)
+        K2, R12 = canonical._k_r(slate.M, basis2)
         assert np.max(np.abs(kk["K"] - K2)) < 1e-10
         assert np.max(np.abs(kk["R1234"] - R12)) < 1e-10
 
@@ -108,7 +109,7 @@ def test_cp2_kaehler_K_values():
     assert np.max(np.abs(kk["K"] - 2.0)) < 1e-8
     assert np.max(np.abs(kk["R1234"] - 2.0)) < 1e-8
     # for this form K is the same over all admissible frames
-    assert np.max(admissible_K_range(slate.R, ad, samples=8, seed=3)) < 1e-8
+    assert np.max(admissible_K_range(slate.M, ad, samples=8, seed=3)) < 1e-8
 
 
 def test_product_volumes_K_zero():
@@ -142,23 +143,24 @@ def test_biorthogonal_symmetry_and_values():
     pts = sample_box(chart.domain, 4, seed=17)
     slate = curvature_at(chart, pts)
     u, v = RNG.normal(size=4), RNG.normal(size=4)
-    uo, vo = canonical.orthonormal_plane(u, v)
-    w1, w2 = canonical.plane_complement(uo, vo)
-    s1 = canonical.biorthogonal(slate, uo, vo)
-    s2 = canonical.biorthogonal(slate, w1, w2)
+    uo, vo = orthonormal_plane(u, v)
+    w1, w2 = plane_complement(uo, vo)
+    R = unpack_R(slate.M[0])
+    s1 = biorthogonal(R, uo, vo)
+    s2 = biorthogonal(R, w1, w2)
     assert s1 == pytest.approx(s2, abs=1e-12)
 
 
 def test_plane_minimum_product_and_sphere():
     chart = presets.product_s2s2(1.0, 1.0)
     slate = curvature_at(chart, sample_box(chart.domain, 2, seed=18))
-    res = canonical.plane_minimum(slate.R, biortho=True)
+    res = canonical.plane_minimum(slate.M, biortho=True)
     assert res.shape == (2,)
     assert abs(res[0]) < 1e-6  # mixed planes and their complements are flat
 
     sphere = presets.round_s4(2.0)
     slate_s = curvature_at(sphere, sample_box(sphere.domain, 1, seed=19))
-    res_s = canonical.plane_minimum(slate_s.R, biortho=True)
+    res_s = canonical.plane_minimum(slate_s.M, biortho=True)
     assert res_s[0] == pytest.approx(0.25, abs=1e-6)
 
 
@@ -180,16 +182,16 @@ def test_closed_form_extremes_bound_dense_planes(make_chart):
     chart = make_chart()
     slate = curvature_at(chart, sample_box(chart.domain, 20, seed=31))
     u, v, w1, w2 = _random_frames(40_000, seed=32)
-    sec = np.einsum("nijkl,mi,mj,mk,ml->nm", slate.R, u, v, u, v, optimize=True)
-    sec_c = np.einsum("nijkl,mi,mj,mk,ml->nm", slate.R, w1, w2, w1, w2, optimize=True)
+    R = unpack_R(slate.M)
+    sec = np.einsum("nijkl,mi,mj,mk,ml->nm", R, u, v, u, v, optimize=True)
+    sec_c = np.einsum("nijkl,mi,mj,mk,ml->nm", R, w1, w2, w1, w2, optimize=True)
     secperp = 0.5 * (sec + sec_c)
     for m in range(3):
-        assert secperp[0, m] == pytest.approx(
-            canonical.biorthogonal(slate, u[m], v[m]), abs=1e-12)
+        assert secperp[0, m] == pytest.approx(biorthogonal(R[0], u[m], v[m]), abs=1e-12)
 
-    lo = canonical.plane_minimum(slate.R)
-    hi = -canonical.plane_minimum(-slate.R)
-    lo_perp = canonical.plane_minimum(slate.R, biortho=True)
+    lo = canonical.plane_minimum(slate.M)
+    hi = -canonical.plane_minimum(-slate.M)
+    lo_perp = canonical.plane_minimum(slate.M, biortho=True)
     assert np.all(lo[:, None] <= sec + 1e-12)
     assert np.all(hi[:, None] >= sec - 1e-12)
     assert np.all(lo_perp[:, None] <= secperp + 1e-12)
@@ -200,17 +202,17 @@ def test_closed_form_extremes_bound_dense_planes(make_chart):
 def test_closed_form_extremes_exact_values():
     for r in (0.5, 1.0, 2.0):
         sphere = presets.round_s4(r)
-        R = curvature_at(sphere, sample_box(sphere.domain, 5, seed=33)).R
-        for val in (canonical.plane_minimum(R), -canonical.plane_minimum(-R),
-                    canonical.plane_minimum(R, biortho=True)):
+        M = curvature_at(sphere, sample_box(sphere.domain, 5, seed=33)).M
+        for val in (canonical.plane_minimum(M), -canonical.plane_minimum(-M),
+                    canonical.plane_minimum(M, biortho=True)):
             assert np.allclose(val, 1.0 / r**2, atol=1e-9)
 
     for chart, sec_range, secperp_min in ((presets.product_s2s2(1.0, 1.0), (0.0, 1.0), 0.0),
                                           (presets.cp2_fubini_study(), (1.0, 4.0), 1.0)):
-        R = curvature_at(chart, sample_box(chart.domain, 8, seed=34)).R
-        assert np.allclose(canonical.plane_minimum(R), sec_range[0], atol=1e-9)
-        assert np.allclose(-canonical.plane_minimum(-R), sec_range[1], atol=1e-9)
-        assert np.allclose(canonical.plane_minimum(R, biortho=True), secperp_min, atol=1e-9)
+        M = curvature_at(chart, sample_box(chart.domain, 8, seed=34)).M
+        assert np.allclose(canonical.plane_minimum(M), sec_range[0], atol=1e-9)
+        assert np.allclose(-canonical.plane_minimum(-M), sec_range[1], atol=1e-9)
+        assert np.allclose(canonical.plane_minimum(M, biortho=True), secperp_min, atol=1e-9)
 
 
 def test_global_curvature_stats():
@@ -237,14 +239,13 @@ def test_K_equals_sum_of_biorthogonal():
     f6, _ = _random_block_inputs(5, seed=21)
     ad = canonical.canonicalize(f6)
     kk = canonical.curvature_term_K(slate, ad)
+    R = unpack_R(slate.M)
     for n in range(5):
         Q = ad.basis[n]
-        R = np.einsum("ijkl,ia,jb,kc,ld->abcd", slate.R[n], Q, Q, Q, Q, optimize=True)
-        single = charts.CurvatureSlate(slate.points[n:n+1], slate.frame[n:n+1],
-                                       R[None], slate.Ric[n:n+1], slate.scal[n:n+1])
+        Rq = np.einsum("ijkl,ia,jb,kc,ld->abcd", R[n], Q, Q, Q, Q, optimize=True)
         e = np.eye(4)
-        s13 = canonical.biorthogonal(single, e[0], e[2])
-        s14 = canonical.biorthogonal(single, e[0], e[3])
+        s13 = biorthogonal(Rq, e[0], e[2])
+        s14 = biorthogonal(Rq, e[0], e[3])
         assert abs(kk["K"][n] - (s13 + s14)) < 1e-10
 
 

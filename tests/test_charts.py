@@ -3,16 +3,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from curv4 import charts, presets
+from curv4 import charts, forms, presets
 from curv4 import expr as ex
 from curv4.charts import (ChartError, Geometry, conformal_chart, curvature_at,
                           normal_chart, normal_chart_map, pullback_two_form, sample_box,
                           sectional, validate_chart)
 from curv4.forms import TwoFormField
 
-from oracles import (complex_space_form_R, constant_curvature_R, derivative,
-                     scipy_halton_permutations, splitmix64)
+from oracles import (NEAR_FLAT_TERMS, complex_space_form_R, constant_curvature_R, derivative,
+                     near_flat_chart, op6, ricci_R, riemann_coord, rotate_R,
+                     scipy_halton_permutations, splitmix64, unpack_R)
 
 RNG = np.random.default_rng(42)
 
@@ -28,7 +30,7 @@ def test_flat_curvature_zero():
     chart = presets.flat_t4()
     pts = sample_box(chart.domain, 6, seed=1)
     slate = curvature_at(chart, pts)
-    assert np.max(np.abs(slate.R)) < 1e-12
+    assert np.max(np.abs(slate.M)) < 1e-12
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -40,12 +42,12 @@ def test_round_sphere_sectional(r):
         u, v = RNG.normal(size=4), RNG.normal(size=4)
         assert np.max(np.abs(sectional(slate, u, v) - 1.0 / r**2)) < 1e-8
     assert np.max(np.abs(slate.scal - 12.0 / r**2)) < 1e-8
-    assert np.max(np.abs(slate.R - constant_curvature_R(1.0 / r**2))) < 1e-9
+    assert np.max(np.abs(unpack_R(slate.M) - constant_curvature_R(1.0 / r**2))) < 1e-9
 
 
 def test_slate_symmetries_and_bianchi(cp2_slate):
     _, slate = cp2_slate
-    R = slate.R
+    R = unpack_R(slate.M)
     assert np.max(np.abs(R + np.swapaxes(R, 1, 2))) < 1e-9
     assert np.max(np.abs(R + np.einsum("nijkl->nijlk", R))) < 1e-9
     assert np.max(np.abs(R - np.einsum("nijkl->nklij", R))) < 1e-9
@@ -63,7 +65,7 @@ def test_cp2_matches_complex_space_form(cp2_slate):
     JE = np.einsum("ij,njb->nib", J0, slate.frame)
     Jab = np.einsum("nia,nij,njb->nab", JE, g, slate.frame, optimize=True)
     want = complex_space_form_R(Jab, c=4.0)
-    assert np.max(np.abs(slate.R - want)) < 1e-7
+    assert np.max(np.abs(unpack_R(slate.M) - want)) < 1e-7
 
 
 def test_cp2_sec_range(cp2_slate):
@@ -130,6 +132,45 @@ def test_conformal_christoffel_identity():
     want = (np.einsum("ij,nk->nijk", d, df) + np.einsum("ik,nj->nijk", d, df)
             - np.einsum("jk,ni->nijk", d, df, optimize=True))
     assert np.max(np.abs(G - want)) < 1e-12
+
+
+# The bound of the curvature operator against the 4-index oracle, relative to
+# max|M|: the two differ only in the order of their sums.
+OPERATOR_REL_TOL = 1e-14
+
+
+@given(NEAR_FLAT_TERMS)
+@settings(max_examples=25, deadline=None)
+def test_curvature_operator_matches_four_index_oracle(terms):
+    """On random near-flat periodic metrics (oracles.near_flat_chart) the
+    coordinate and frame curvature operators, Ric, scal and both Bianchi
+    contractions match the 4-index oracle: riemann_coord, then the four-pass
+    rotation into the frame.  Bianchi: for a 2-form f, sum_jp R_ajpb f_pj
+    (Weitzenboeck) and sum_pq R_kplq f_pq (Eq 2.2) both equal (M f)_(ab)."""
+    chart = near_flat_chart(terms)
+    geom = Geometry.of_chart(chart, sample_box(chart.domain, 16, seed=41))
+    slate = curvature_at(geom)
+    R_coord = riemann_coord(geom)
+    R = rotate_R(R_coord, slate.frame)
+    Ric, scal = ricci_R(R)
+    f6 = charts.normals(42, charts.FORM, (16, 6))
+    Phi = forms.full_matrix_values(f6)
+    Mf = (slate.M @ f6[..., None])[..., 0]
+    weitzenboeck = forms.pair_components_values(np.einsum("najpb,npj->nab", R, Phi))
+    eq22 = forms.pair_components_values(np.einsum("nkplq,npq->nkl", R, Phi))
+
+    def close(got, want, scale):
+        return np.max(np.abs(got - want)) <= OPERATOR_REL_TOL * scale
+
+    Mc = geom.curvature_operator
+    assert close(Mc, op6(R_coord), np.max(np.abs(Mc)))
+    scale = np.max(np.abs(slate.M))
+    assert close(slate.M, op6(R), scale)
+    assert close(slate.Ric, Ric, 3.0 * scale)
+    assert close(slate.scal, scal, 12.0 * scale)
+    f_max = np.max(np.abs(f6))
+    assert close(Mf, weitzenboeck, 6.0 * scale * f_max)
+    assert close(Mf, eq22, 6.0 * scale * f_max)
 
 
 def test_dgamma_matches_central_differences():
@@ -273,7 +314,7 @@ def test_normal_chart_properties():
                     d2g[i, j, k, l] = derivative(geom.g[i][j], a)[0]
     rec = 0.5 * (np.einsum("iljk->ijkl", d2g) + np.einsum("jkil->ijkl", d2g)
                  - np.einsum("jlik->ijkl", d2g) - np.einsum("ikjl->ijkl", d2g))
-    assert np.max(np.abs(rec - slate.R[0])) < 1e-7
+    assert np.max(np.abs(rec - unpack_R(slate.M[0]))) < 1e-7
 
 
 def test_normal_chart_flat_translation():

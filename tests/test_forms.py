@@ -129,7 +129,7 @@ def test_weitzenboeck_identity_independent_paths(cp2):
     f6 = forms.frame_components(slate.frame, np.stack([c.value for c in c6], -1))
     hodge = forms.frame_components(slate.frame, forms.hodge_laplacian_values(geom, c6))
     rough = forms.frame_components(slate.frame, forms.rough_laplacian_values(geom, c6))
-    qR = forms.curvature_action_frame(slate.R, f6)
+    qR = forms.curvature_action_frame(slate.M, slate.Ric, f6)
     assert np.max(np.abs(hodge + rough - qR)) < 1e-12
 
 

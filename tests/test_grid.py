@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from curv4 import charts, grid, presets
 from curv4.grid import GridError, SolverError
 
-from oracles import lumped_masses, sparse_coboundary, star_gram_loops
+from oracles import (NEAR_FLAT_TERMS, lumped_masses, near_flat_chart, sparse_coboundary,
+                     star_gram_loops)
 
 PERTURBED = [
     ["1 + 0.1*sin(x1)*cos(x2)", "0.03*sin(x3)*sin(x4)", "0", "0"],
@@ -144,22 +145,11 @@ def test_masses_match_inverse_determinant(n):
     _assert_masses_within_ulps(perturbed_chart(), n)
 
 
-_TRIG = st.tuples(st.floats(-0.1, 0.1), st.sampled_from(("sin", "cos")),
-                  st.integers(1, 2), st.integers(1, 4))
-
-
-@given(st.lists(_TRIG, min_size=10, max_size=10), st.sampled_from((3, 4, 5)))
+@given(NEAR_FLAT_TERMS, st.sampled_from((3, 4, 5)))
 @settings(max_examples=25, deadline=None)
 def test_masses_match_inverse_determinant_random(terms, n):
-    """Random near-flat periodic trig metrics g = I + (a sin|cos(f x_v)), |a| <= 0.1
-    per entry, so positive definite by Gershgorin."""
-    entries = [[None] * 4 for _ in range(4)]
-    upper = iter(terms)
-    for i in range(4):
-        for j in range(i, 4):
-            a, fn, f, v = next(upper)
-            entries[i][j] = entries[j][i] = f"{int(i == j)} + ({a:.6f})*{fn}({f}*x{v})"
-    chart = charts.chart_from_strings(entries, [(0.0, 2 * np.pi)] * 4, "near_flat")
+    """Random near-flat periodic trig metrics (oracles.near_flat_chart)."""
+    chart = near_flat_chart(terms)
     _assert_masses_within_ulps(chart, n)
 
 
@@ -303,6 +293,31 @@ def test_discrete_eq23_chunk_invariant(pert4, monkeypatch):
     rep1 = grid.discrete_eq23_report(fieldd)
     monkeypatch.setattr(charts, "CHUNK", 64)
     assert grid.discrete_eq23_report(fieldd) == rep1
+
+
+def test_integral_pipeline_memory():
+    """The tracemalloc peak of the grid integral pipeline (assemble, the
+    representative of dx1^dx2, its export and discrete_eq23_report) on the
+    perturbed T^4 at n=6 stays under 5 MB: _CellGeometry reads K from the
+    6x6 curvature operator of each chunk, 36 numbers per cell.  Built from a
+    256-entry Riemann tensor rotated into the frame, the peak was 6.8 MB."""
+    import tracemalloc
+
+    chart = perturbed_chart()
+
+    def pipeline():
+        gc = grid.assemble(chart, 6)
+        phi, _, _ = grid.harmonic_representative(gc, (0, 1))
+        grid.discrete_eq23_report(grid.discrete_field_export(gc, phi))
+
+    pipeline()  # warm caches
+    tracemalloc.start()
+    try:
+        pipeline()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 def test_star_gram_chunk_sums(pert4, monkeypatch):

@@ -416,7 +416,8 @@ def test_eq43_bound_can_fail(conformal_scenario, monkeypatch):
     pts = sample_box(chart.domain, 10, seed=24)
     assert verify.verify_conformal_chain(chart, fld, pts, k=1.0).passed
     action = forms.curvature_action_frame
-    monkeypatch.setattr(forms, "curvature_action_frame", lambda R, f6: -action(R, f6))
+    monkeypatch.setattr(forms, "curvature_action_frame",
+                        lambda M, Ric, f6: -action(M, Ric, f6))
     rep = verify.verify_conformal_chain(chart, fld, pts, k=1.0)
     assert rep.extra["max_residual_eq43"] > 1e-5
     assert not rep.passed
