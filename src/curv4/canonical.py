@@ -60,7 +60,7 @@ def canonicalize(f6, flag_tol=1e-8):
     P = np.eye(4) - e1[..., :, None] * e1[..., None, :] - e2[..., :, None] * e2[..., None, :]
     e3 = _pick_in_plane_projector(P)
     lam2_safe = np.where(np.abs(lam2) > 1e-13 * (lam1 + 1e-300), lam2, 1.0)
-    e4_paired = -np.einsum("...ij,...j->...i", A, e3, optimize=True) / lam2_safe[..., None]
+    e4_paired = -(A @ e3[..., None])[..., 0] / lam2_safe[..., None]
     e4_cross = _euclid_cross(e1, e2, e3)
     use_pair = (np.abs(lam2) > 1e-13 * (lam1 + 1e-300))[..., None]
     e4 = np.where(use_pair, e4_paired, e4_cross)
@@ -68,13 +68,10 @@ def canonicalize(f6, flag_tol=1e-8):
 
     Q = np.stack([e1, e2, e3, e4], axis=-1)
     # residual of the block-diagonal form
-    Aq = np.einsum("...ia,...ij,...jb->...ab", Q, A, Q, optimize=True)
-    resid = np.abs(Aq).copy()
-    resid[..., 0, 1] = np.abs(Aq[..., 0, 1] - lam1)
-    resid[..., 1, 0] = np.abs(Aq[..., 1, 0] + lam1)
-    resid[..., 2, 3] = np.abs(Aq[..., 2, 3] - lam2)
-    resid[..., 3, 2] = np.abs(Aq[..., 3, 2] + lam2)
-    block_residual = np.max(resid, axis=(-2, -1))
+    Aq = np.swapaxes(Q, -1, -2) @ A @ Q
+    block = np.zeros(Aq.shape)
+    block[..., 0, 1], block[..., 2, 3] = lam1, lam2
+    block_residual = np.max(np.abs(Aq - block + np.swapaxes(block, -1, -2)), axis=(-2, -1))
     return AdaptedFrame(basis=Q, lam1=lam1, lam2=lam2, degenerate=degenerate,
                         block_residual=block_residual)
 
@@ -101,7 +98,7 @@ def _pick_in_plane_projector(P):
 
 
 def _pair(A, e1, lam1):
-    Ae = np.einsum("...ij,...j->...i", A, e1, optimize=True)
+    Ae = (A @ e1[..., None])[..., 0]
     mu = np.linalg.norm(Ae, axis=-1)
     ok = mu > 1e-13 * (lam1 + 1.0)
     e2 = -Ae / np.maximum(mu, 1e-300)[..., None]

@@ -41,10 +41,10 @@ _D2G_WEIGHT = 0.5 * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * jets._HESS
 # The upper entries (i <= j) of the metric, in evaluation order.
 UPPER = tuple(itertools.combinations_with_replacement(range(4), 2))
 # Points (or grid cells) per chunk of every pointwise path (map_chunks): the
-# verifiers, kato scan and the integrals.  A batch of order-2 jets holds
-# 30-42 KB per point, so a run holds at most CHUNK points of them; per point
-# the arithmetic is the same at any chunk size, and past 256 points a
-# chunk's fixed cost is paid back.
+# verifiers, kato scan and the integrals.  A 512-point chunk peaks at 11-21 KB
+# per point (42 KB for eq22 and lemma22, whose normal charts hold the most);
+# per point the arithmetic is the same at any chunk size, and past 256 points
+# a chunk's fixed cost is paid back.
 CHUNK = 512
 
 
@@ -274,9 +274,7 @@ class Geometry:
     @property
     def gamma_low_values(self):
         """Gamma_ljk = (d_j g_lk + d_k g_jl - d_l g_jk) / 2, shape batch + (4, 4, 4)."""
-        dg = self.dg_values
-        return self._get("gamma_low", lambda: 0.5 * (
-            np.einsum("...jlk->...ljk", dg) + np.einsum("...kjl->...ljk", dg) - dg))
+        return self._get("gamma_low", lambda: _lower(self.dg_values))
 
     @property
     def gamma_values(self):
@@ -284,19 +282,13 @@ class Geometry:
         return self._get("gamma", lambda: (self.ginv_values @ _flat_jk(self.gamma_low_values))
                          .reshape(self.dg_values.shape))
 
-    @property
-    def dgamma_values(self):
+    def dgamma_slice(self, a):
         """d_a Gamma^i_jk = d_a g^il Gamma_ljk + V^il d_a Gamma_ljk, shape
-        batch + (4,4,4,4) indexed [a,i,j,k]."""
-
-        def build():
-            d2g = np.moveaxis(Jet3(self.gc).hessian(), (-2, -1), (-4, -3))  # [a, b, i, j]
-            dlow = 0.5 * (np.einsum("...ajlk->...aljk", d2g)
-                          + np.einsum("...akjl->...aljk", d2g) - d2g)
-            return ((self.dginv_values @ _flat_jk(self.gamma_low_values)[..., None, :, :]
-                     + self.ginv_values[..., None, :, :] @ _flat_jk(dlow)).reshape(dlow.shape))
-
-        return self._get("dgamma", build)
+        batch + (4, 4, 4) indexed [i, j, k]: d_a Gamma_ljk lowers the slice
+        [b, l, k] = d_a d_b g_lk, read from the quadratic jet slots of g."""
+        d2g = np.moveaxis(self.gc[jets._HESS_SLOTS[a]], 0, -3) * jets._HESS_FAC[a][:, None, None]
+        return (self.dginv_values[..., a, :, :] @ _flat_jk(self.gamma_low_values)
+                + self.ginv_values @ _flat_jk(_lower(d2g))).reshape(d2g.shape)
 
     @property
     def curvature_operator(self):
@@ -321,6 +313,13 @@ class Geometry:
     def frame(self):
         """Orthonormal frame values (see orthonormal_frame)."""
         return self._get("frame", lambda: orthonormal_frame(self.g_values))
+
+
+def _lower(d):
+    """(d[j, l, k] + d[k, j, l] - d[l, j, k]) / 2 over [l, j, k], for d
+    (..., 4, 4, 4) indexed [c, r, s] = d_c g_rs: the lowered Christoffel
+    symbols of a metric derivative."""
+    return 0.5 * (np.swapaxes(d, -3, -2) + np.swapaxes(d, -3, -1) - d)
 
 
 def _flat_jk(T):

@@ -253,13 +253,11 @@ def _cmd_kato(args):
     if not ks:
         raise InputError("empty k list")
     ks = [_finite_k(k) for k in ks]
-    rows = []
-    worst = 0.0
-    for k in ks:
-        rep = verify.verify_conformal_chain(chart, fld, pts, k, scenario=sc.id, tols=sc.tols)
-        rows.append({"k": k, "min_lhs49_over_dnorm": rep.extra["min_lhs49_over_dnorm"],
-                     "residual_eq49": rep.extra["max_residual_eq49"]})
-        worst = max(worst, rep.extra["max_residual_eq49"])
+    rows = [{"k": k, "min_lhs49_over_dnorm": rep.extra["min_lhs49_over_dnorm"],
+             "residual_eq49": rep.extra["max_residual_eq49"]}
+            for k, rep in zip(ks, verify.conformal_sweep(chart, fld, pts, ks, scenario=sc.id,
+                                                         tols=sc.tols))]
+    worst = max(0.0, *(row["residual_eq49"] for row in rows))
     # the ratio is None where |d|phi|| vanishes at every point (a parallel form),
     # as in `kato scan`'s empty_scan; the residuals still decide the exit code
     empty = any(row["min_lhs49_over_dnorm"] is None for row in rows)

@@ -18,6 +18,7 @@ from .charts import PAIRS, Geometry, MetricChart
 from .jets import Jet3
 
 PAIR_KEYS = ("12", "13", "14", "23", "24", "34")
+_PI, _PJ = np.array(PAIRS).T
 TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 # The sign dictionary embedded in every report.
@@ -86,25 +87,21 @@ def frame_components(E, coord6):
 
     E: (..., 4, 4) frame columns; coord6: (..., 6) coordinate coefficients.
     """
-    Phi = full_matrix_values(coord6)
-    Ff = np.einsum("...ij,...ia,...jb->...ab", Phi, E, E, optimize=True)
-    return pair_components_values(Ff)
+    return pair_components_values(np.swapaxes(E, -1, -2) @ full_matrix_values(coord6) @ E)
 
 
 def full_matrix_values(c6):
+    """The antisymmetric (..., 4, 4) matrices of ordered-pair components (..., 6)."""
     c6 = np.asarray(c6)
     out = np.zeros(c6.shape[:-1] + (4, 4))
-    for k, (i, j) in enumerate(PAIRS):
-        out[..., i, j] = c6[..., k]
-        out[..., j, i] = -c6[..., k]
+    out[..., _PI, _PJ] = c6
+    out[..., _PJ, _PI] = -c6
     return out
 
 
 def pair_components_values(mat):
-    out = np.empty(mat.shape[:-2] + (6,))
-    for k, (i, j) in enumerate(PAIRS):
-        out[..., k] = mat[..., i, j]
-    return out
+    """The ordered-pair components (..., 6) of matrices (..., 4, 4)."""
+    return mat[..., _PI, _PJ]
 
 
 def sd_split_frame(f6, tol=1e-10):
@@ -149,12 +146,8 @@ def lambda2_metric(gi):
 
 def inner_lambda2(Q, a6, b6):
     """<a, b> = a_p Q_pq b_q on coordinate components."""
-    acc = None
-    for p in range(6):
-        for q in range(6):
-            t = a6[p] * Q[p][q] * b6[q]
-            acc = t if acc is None else acc + t
-    return acc
+    terms = (a6[p] * Q[p][q] * b6[q] for p in range(6) for q in range(6))
+    return sum(terms, next(terms))
 
 
 def star_coord(gi, sqrt_det, c6, Q=None):
@@ -163,12 +156,8 @@ def star_coord(gi, sqrt_det, c6, Q=None):
     Q = Q if Q is not None else lambda2_metric(gi)
     out = []
     for q in range(6):
-        p = 5 - q
-        up = None
-        for m in range(6):
-            t = Q[p][m] * c6[m]
-            up = t if up is None else up + t
-        out.append(sqrt_det * up * STAR6[q, p])
+        terms = (Q[5 - q][m] * c6[m] for m in range(6))
+        out.append(sqrt_det * sum(terms, next(terms)) * STAR6[q, 5 - q])
     return out
 
 
@@ -187,8 +176,9 @@ def nabla_norm_sq_values(gi, T, Q=None):
     omitted)."""
     gi = entry_values(gi)
     Q = entry_values(Q if Q is not None else lambda2_metric(gi))
-    T = np.moveaxis(pair_components_values(T), (-2, -1), (0, 1))
-    return np.einsum("ab...,ap...,pq...,bq...->...", gi, T, Q, T, optimize=True)
+    gi, Q = (np.moveaxis(m, (0, 1), (-2, -1)) for m in (gi, Q))
+    T6 = pair_components_values(T)  # [a, p]
+    return _contract(gi, T6 @ Q @ np.swapaxes(T6, -1, -2))
 
 
 def norm_sq_jet(geom: Geometry, c6, Q=None):
@@ -206,66 +196,76 @@ def wedge_self_jet(geom: Geometry, c6):
 
 def exterior_d2_jets(c6):
     """3-form components of d(phi), keyed by TRIPLES, metric-free."""
-    out = {}
-    full = {}
-    for k, (i, j) in enumerate(PAIRS):
-        full[(i, j)] = c6[k]
-
-    def comp(i, j):
-        if i == j:
-            return None
-        if (i, j) in full:
-            return full[(i, j)]
-        return -full[(j, i)]
-
-    for (i, j, k) in TRIPLES:
-        out[(i, j, k)] = (comp(j, k).partial(i) - comp(i, k).partial(j)
-                          + comp(i, j).partial(k))
-    return out
+    phi = dict(zip(PAIRS, c6))
+    return {(i, j, k): phi[j, k].partial(i) - phi[i, k].partial(j) + phi[i, j].partial(k)
+            for (i, j, k) in TRIPLES}
 
 
-def exterior_d1_jets(a4):
-    """2-form components of d(alpha) for a 1-form given as 4 jets."""
-    return [a4[j].partial(i) - a4[i].partial(j) for (i, j) in PAIRS]
+def _minus_antisym(x, A):
+    """x - A + A^T in the last two axes: a connection term on both indices."""
+    return x - A + np.swapaxes(A, -1, -2)
+
+
+def nabla_two_form_values(geom: Geometry, c6):
+    """nabla phi at first order, with no d Gamma: T[a, i, j] = (nabla_a phi)_ij
+    = d_a phi_ij - A[a, i, j] + A[a, j, i], A[a, i, j] = Gamma^l_ai phi_lj."""
+    P = np.stack([u.c for u in c6], axis=-1)
+    gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, i, l] = Gamma^l_ai
+    return _minus_antisym(full_matrix_values(np.moveaxis(P[1:5], 0, -2)),
+                          gt @ full_matrix_values(P[0])[..., None, :, :])
 
 
 def nabla_two_form_jets(geom: Geometry, c6):
-    """nabla phi to first order: (T, dT) with T[a, i, j] = (nabla_a phi)_ij,
-    antisymmetric in i, j, and dT[b, a, i, j] = d_b T[a, i, j].
-
-    T = d phi - A + A^T (in i, j) with A[a, i, j] = Gamma^l_ai phi_lj, one
-    contraction for the value and the gradient together.
-    """
-    full = Jet3(jets.antisymmetric([u.c for u in c6], PAIRS))
-    phi = full.value
-    dphi = np.moveaxis(full.grad(), -1, -3)
-    hphi = np.moveaxis(full.hessian(), (-2, -1), (-4, -3))
-    A, dA = jets.leibniz("...lai,...lj->...aij", (geom.gamma_values, geom.dgamma_values),
-                         (phi, dphi))
-    return dphi - A + np.swapaxes(A, -1, -2), hphi - dA + np.swapaxes(dA, -1, -2)
+    """nabla phi to first order: (T, dT) with T = nabla_two_form_values and
+    dT[b, a, i, j] = d_b T[a, i, j], one derivative axis b at a time:
+    d_b A[a, i, j] = d_b Gamma^l_ai phi_lj + Gamma^l_ai d_b phi_lj."""
+    P = np.stack([u.c for u in c6], axis=-1)
+    phi = full_matrix_values(P[0])[..., None, :, :]
+    dphi = full_matrix_values(np.moveaxis(P[1:5], 0, -2))  # [b, l, j]
+    gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, i, l] = Gamma^l_ai
+    T = _minus_antisym(dphi, gt @ phi)
+    dT = np.empty(T.shape[:-3] + (4,) + T.shape[-3:])
+    for b in range(4):
+        hphi = (full_matrix_values(np.moveaxis(P[jets._HESS_SLOTS[b]], 0, -2))
+                * jets._HESS_FAC[b][:, None, None])  # d_b d_a phi_ij over [a, i, j]
+        dA = np.moveaxis(geom.dgamma_slice(b), -3, -1) @ phi + gt @ dphi[..., b, None, :, :]
+        dT[..., b, :, :, :] = _minus_antisym(hphi, dA)
+    return T, dT
 
 
 def codiff_two_form_jets(geom: Geometry, c6, T=None):
     """delta phi to first order: (delta phi)_j = -g^ab (nabla_a phi)_bj as the
-    pair (values [j], gradients [b, j]), one contraction with T."""
-    T = T if T is not None else nabla_two_form_jets(geom, c6)
-    delta, ddelta = jets.leibniz("...ab,...abj->...j", (geom.ginv_values, geom.dginv_values), T)
-    return -delta, -ddelta
+    pair (values [j], gradients [c, j]), from T = (T, dT) (nabla_two_form_jets),
+    each a product with (a, b) flattened."""
+    T, dT = T if T is not None else nabla_two_form_jets(geom, c6)
+    batch = T.shape[:-3]
+    gi, Tf = geom.ginv_values.reshape(batch + (1, 16)), T.reshape(batch + (16, 4))
+    ddelta = (geom.dginv_values.reshape(batch + (4, 1, 16)) @ Tf[..., None, :, :]
+              + gi[..., None, :, :] @ dT.reshape(batch + (4, 16, 4)))
+    return -(gi @ Tf)[..., 0, :], -ddelta[..., 0, :]
+
+
+def _trace_nabla(geom: Geometry, X, dX):
+    """sum_ab g^ab (nabla_a X)_bij (batch + (4, 4)) for X[b, i, j] antisymmetric
+    in i, j and the iterable dX of its partials d_a X, one axis a at a time:
+    (nabla_a X)_bij = d_a X_bij - Gamma^c_ab X_cij - Gamma^l_ai X_blj - Gamma^l_aj X_bil."""
+    gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, b, c] = Gamma^c_ab
+    gi = geom.ginv_values
+    flat = X.reshape(X.shape[:-3] + (4, 16))
+    acc = 0.0
+    for a, dX_a in enumerate(dX):
+        nab = _minus_antisym(dX_a - (gt[..., a, :, :] @ flat).reshape(X.shape),
+                             gt[..., a, None, :, :] @ X)
+        acc = acc + gi[..., a, None, :] @ nab.reshape(flat.shape)
+    return acc.reshape(X.shape[:-3] + (4, 4))
 
 
 def codiff_three_form_values(geom: Geometry, w_triples):
-    """(delta w)_{jk} values for a 3-form of jets keyed by TRIPLES."""
-    gam = geom.gamma_values
+    """(delta w)_jk = -g^ab (nabla_a w)_bjk values, w a 3-form of jets keyed by TRIPLES."""
     ws = [w_triples[t] for t in TRIPLES]
     W = jets.antisymmetric([w.value for w in ws], TRIPLES)  # [i, j, k]
-    dW = jets.antisymmetric([w.grad() for w in ws], TRIPLES)  # [a, i, j, k]
-    # (nabla_a w)_{ijk} = d_a w_ijk - G^l_ai w_ljk - G^l_aj w_ilk - G^l_ak w_ijl
-    nab = dW \
-        - np.einsum("...lai,...ljk->...aijk", gam, W, optimize=True) \
-        - np.einsum("...laj,...ilk->...aijk", gam, W, optimize=True) \
-        - np.einsum("...lak,...ijl->...aijk", gam, W, optimize=True)
-    dd = -np.einsum("...ab,...abjk->...jk", geom.ginv_values, nab, optimize=True)
-    return pair_components_values(dd)
+    dW = (jets.antisymmetric([w.c[1 + a] for w in ws], TRIPLES) for a in range(4))
+    return pair_components_values(-_trace_nabla(geom, W, dW))
 
 
 def hodge_laplacian_values(geom: Geometry, c6, T=None):
@@ -279,14 +279,8 @@ def hodge_laplacian_values(geom: Geometry, c6, T=None):
 def rough_laplacian_values(geom: Geometry, c6, T=None):
     """g^{ab} (nabla^2_{ab} phi)_{ij} values (..., 6); note Delta_rough = -this
     in the positive-spectrum convention."""
-    gam_v = geom.gamma_values
     T, dT = T if T is not None else nabla_two_form_jets(geom, c6)  # T[b,i,j], dT[a,b,i,j]
-    nab2 = (dT
-            - np.einsum("...cab,...cij->...abij", gam_v, T, optimize=True)
-            - np.einsum("...lai,...blj->...abij", gam_v, T, optimize=True)
-            - np.einsum("...laj,...bil->...abij", gam_v, T, optimize=True))
-    tr = np.einsum("...ab,...abij->...ij", geom.ginv_values, nab2, optimize=True)
-    return pair_components_values(tr)
+    return pair_components_values(_trace_nabla(geom, T, (dT[..., a, :, :, :] for a in range(4))))
 
 
 def curvature_action_frame(M, Ric, f6):
@@ -305,14 +299,12 @@ def curvature_action_frame(M, Ric, f6):
 
 def scalar_laplacian_values(geom: Geometry, u: Jet3):
     """Delta_fun u = g^{ab} (d2_{ab} u - Gamma^c_ab d_c u), trace-Hessian sign."""
-    cov = u.hessian() - np.einsum("...cab,...c->...ab", geom.gamma_values, u.grad(),
-                                  optimize=True)
-    return np.einsum("...ab,...ab->...", geom.ginv_values, cov, optimize=True)
+    return _contract(geom.ginv_values, u.hessian() - _gamma_grad(geom.gamma_values, u.grad()))
 
 
 def grad_inner_values(geom: Geometry, u: Jet3, v: Jet3):
     """<grad u, grad v> = g^{ab} d_a u d_b v."""
-    return np.einsum("...ab,...a,...b->...", geom.ginv_values, u.grad(), v.grad(), optimize=True)
+    return (u.grad()[..., None, :] @ geom.ginv_values @ v.grad()[..., None])[..., 0, 0]
 
 
 def scalar_laplacian_scale(geom: Geometry, u: Jet3):
@@ -321,7 +313,17 @@ def scalar_laplacian_scale(geom: Geometry, u: Jet3):
     Residuals of identities whose exact value vanishes are meaningful relative
     to this, not to the cancelled result.
     """
-    cov = np.abs(u.hessian()) + np.einsum("...cab,...c->...ab", np.abs(geom.gamma_values),
-                                          np.abs(u.grad()), optimize=True)
-    return np.einsum("...ab,...ab->...", np.abs(geom.ginv_values), cov, optimize=True)
+    cov = np.abs(u.hessian()) + _gamma_grad(np.abs(geom.gamma_values), np.abs(u.grad()))
+    return _contract(np.abs(geom.ginv_values), cov)
+
+
+def _gamma_grad(gamma, du):
+    """sum_c Gamma^c_ab d_c u, batch + (4, 4), for gamma [c, a, b] and du [c]."""
+    batch = gamma.shape[:-3]
+    return (du[..., None, :] @ gamma.reshape(batch + (4, 16))).reshape(batch + (4, 4))
+
+
+def _contract(a, b):
+    """sum_ab a_ab b_ab over the last two axes (4, 4), as one product."""
+    return (a.reshape(a.shape[:-2] + (1, 16)) @ b.reshape(b.shape[:-2] + (16, 1)))[..., 0, 0]
 

@@ -308,24 +308,6 @@ def congruence(a, m):
     return (Jet3(a[..., :, :, None]) * Jet3(ma[..., :, None, :])).c.sum(axis=-3)
 
 
-def leibniz(spec, *ops):
-    """np.einsum of first-order jets (value, grad) by the product rule.
-
-    spec is an einsum over the values, each term starting with '...'; the
-    gradient carries a derivative axis z after the batch axes.
-    """
-    terms, out = spec.split("->")
-    terms = terms.split(",")
-    value = np.einsum(spec, *(v for v, _ in ops), optimize=True)
-    grad = 0.0
-    for m in range(len(ops)):
-        spec_m = ",".join(t.replace("...", "...z") if k == m else t
-                          for k, t in enumerate(terms)) + "->" + out.replace("...", "...z")
-        grad = grad + np.einsum(spec_m, *(d if k == m else v for k, (v, d) in enumerate(ops)),
-                                optimize=True)
-    return value, grad
-
-
 def inverse_values(m0, points=None):
     """np.linalg.inv of matrices m0 (batch + (4, 4)); a singular one raises
     JetError at its point."""
@@ -343,18 +325,20 @@ def inverse_coeffs(c, points=None):
     With V = m(p)^-1 and N = m - m(p), which has no constant term,
     m^-1 = V - V N V + V N V N V, exact at order 2.  Per coefficient, with
     W_a = V N_a: the linear part is -W_a V and the quadratic part of y_a y_b is
-    (-V N_ab + W_a W_b + W_b W_a) V for a < b and (-V N_aa + W_a W_a) V on the
-    diagonal.
+    (W_a W_b + W_b W_a - V N_ab) V for a < b and (W_a W_a - V N_aa) V on the
+    diagonal, one slot at a time.
     """
     V = inverse_values(c[0], points)
-    W = np.einsum("...ik,a...kj->a...ij", V, c[1:5], optimize=True)
-    W2 = np.einsum("...ik,q...kj->q...ij", V, c[5:], optimize=True)
-    Wa, Wb = W[_QUAD_A], W[_QUAD_B]
-    half = np.where(_QUAD_A == _QUAD_B, 0.5, 1.0).reshape((-1,) + (1,) * (c.ndim - 1))
+    W = V @ c[1:5]
     out = np.empty_like(c)
     out[0] = V
     out[1:5] = -W @ V
-    out[5:] = ((Wa @ Wb + Wb @ Wa) * half - W2) @ V
+    for q, (a, b) in enumerate(zip(_QUAD_A, _QUAD_B)):
+        s = W[a] @ W[b]
+        if a != b:
+            s += W[b] @ W[a]
+        s -= V @ c[5 + q]
+        np.matmul(s, V, out=out[5 + q])
     return out
 
 

@@ -128,19 +128,17 @@ class PointBundle:
 
     @cached_property
     def hodge_values(self):
-        return forms.hodge_laplacian_values(self.geom, self.c6, T=self.nabla)
+        return forms.hodge_laplacian_values(self.geom, self.c6)
 
     @cached_property
     def norm_sq_jet(self):
         return forms.norm_sq_jet(self.geom, self.c6, self.lambda2)
 
     @cached_property
-    def nabla(self):
-        return forms.nabla_two_form_jets(self.geom, self.c6)
-
-    @cached_property
     def grad_sq(self):
-        return forms.nabla_norm_sq_values(self.geom.ginv, self.nabla[0], self.lambda2)
+        """|nabla phi|^2, from nabla phi at first order."""
+        return forms.nabla_norm_sq_values(
+            self.geom.ginv, forms.nabla_two_form_values(self.geom, self.c6), self.lambda2)
 
     @cached_property
     def abs_phi(self):
@@ -169,7 +167,7 @@ class PointBundle:
     def nabla_pm_sq(self):
         """|nabla phi+|^2 and |nabla phi-|^2, each from its own nabla."""
         return tuple(forms.nabla_norm_sq_values(
-            self.geom.ginv, forms.nabla_two_form_jets(self.geom, c)[0], self.lambda2)
+            self.geom.ginv, forms.nabla_two_form_values(self.geom, c), self.lambda2)
             for c in self.phi_pm)
 
     @cached_property
@@ -246,8 +244,10 @@ def _pointwise(chart, fld, pts, tols, kernel, harmonic=True):
 
 def verify_weitzenboeck(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     def kernel(b):
-        hv_f = forms.frame_components(b.slate.frame, b.hodge_values)
-        rough = forms.rough_laplacian_values(b.geom, b.c6, T=b.nabla)
+        nabla = forms.nabla_two_form_jets(b.geom, b.c6)
+        hv_f = forms.frame_components(b.slate.frame,
+                                      forms.hodge_laplacian_values(b.geom, b.c6, T=nabla))
+        rough = forms.rough_laplacian_values(b.geom, b.c6, T=nabla)
         rough_f = forms.frame_components(b.slate.frame, rough)
         qR = forms.curvature_action_frame(b.slate.M, b.slate.Ric, b.frame_values)
         # Delta_Hodge phi = -trace(nabla^2 phi) + q(R) phi
@@ -275,7 +275,7 @@ def parallel_frame_jets(geom_nc: Geometry):
     e_k^i(y) = delta_ik - 1/2 dGamma'^i_{ck}/dy_d |_0 y_d y_c + O(y^3); the
     O(y^3) terms cannot influence second derivatives at the origin.
     """
-    dG = geom_nc.dgamma_values  # [..., d, i, c, k]
+    dG = np.stack([geom_nc.dgamma_slice(d) for d in range(4)], axis=-4)  # [..., d, i, c, k]
     batch = dG.shape[:-4]
     return Jet3.quadratic(np.broadcast_to(np.eye(4), batch + (4, 4)),
                           np.zeros(batch + (4, 4, 4)),
@@ -514,75 +514,95 @@ def _kato_bin_edges(p99, bins=24):
 
 
 def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_TOLERANCES):
-    k = float(k)
+    return conformal_sweep(chart, fld, pts, [k], scenario, tols)[0]
+
+
+def conformal_sweep(chart, fld, pts, ks, scenario="inline", tols=DEFAULT_TOLERANCES):
+    """verify_conformal_chain at each k of ks from one PointBundle per chunk, whose
+    gate, |phi| and geometry do not depend on k; each report is the one-k run's."""
+    ks = [float(k) for k in ks]
 
     def kernel(b):
-        norm, phin, dphi_sq = b.abs_phi
-        with np.errstate(over="ignore", divide="ignore"):
-            pw = np.power(norm, 3.0 * k)
-        # a point that the degeneracy floor or the |phi|^3k range check will
-        # reject stands in as |phi| = 1, so neither a log of 0 nor an overflow
-        # comes before the harmonicity gate
-        live = (norm > 0.0) & (pw >= 1e-280) & (pw <= 1e280)
-        nsq = Jet3(np.where(live, b.norm_sq_jet.c, 1.0))
-        r, pw = np.where(live, norm, 1.0), np.where(live, pw, 1.0)
-        grad_sq = b.grad_sq
-
-        # Eq 4.2 (pure chain rule in the unprimed metric)
-        fj = (k / 4.0) * jets.log(nsq, b.pts)
-        lap_f = forms.scalar_laplacian_values(b.geom, fj)
-        df_sq = forms.grad_inner_values(b.geom, fj, fj)
-        lhs42 = 2.0 * (-lap_f - df_sq) * nsq.value
-        t42a = -k * r * forms.scalar_laplacian_values(b.geom, phin)
-        t42b = (k - k * k / 2.0) * dphi_sq
-        rhs42 = t42a + t42b
-        res42 = _rel(lhs42 - rhs42, np.abs(lhs42), np.abs(rhs42), np.abs(t42a) + np.abs(t42b))
-
-        # Eq 4.3 (Bochner formula defining the curvature term, unprimed)
-        # <phi, Delta_Hodge phi> uses the Hodge sign.  On a parallel form every
-        # term is round-off, so the residual is measured against the
-        # pre-cancellation scale (1 + max|R|)|phi|^2 + scale of Delta|phi|^2,
-        # as in Weitzenboeck.
-        lap_nsq = forms.scalar_laplacian_values(b.geom, nsq)
-        hodge_inner = forms.inner_lambda2(forms.entry_values(b.lambda2), b.coord_values.T,
-                                          b.hodge_values.T)
-        qR = forms.curvature_action_frame(b.slate.M, b.slate.Ric, b.frame_values)
-        Fphi = np.sum(qR * b.frame_values, axis=-1)
-        lhs43 = 0.5 * lap_nsq + hodge_inner
-        rhs43 = grad_sq + Fphi
-        res43 = _rel(lhs43 - rhs43, np.abs(lhs43), np.abs(rhs43),
-                     np.abs(grad_sq) + np.abs(Fphi) + np.abs((1.0 + b.rmax) * nsq.value)
-                     + np.abs(forms.scalar_laplacian_scale(b.geom, nsq)))
-
-        # primed metric g' = |phi|^k g through the full geometry pipeline
-        scale_jet = jets.exp(2.0 * fj)
-        geomp = Geometry((Jet3(scale_jet.c[..., None, None]) * Jet3(b.geom.gc)).c, b.pts)
-        Tp = forms.nabla_two_form_jets(geomp, b.c6)
-        hodge_p = forms.hodge_laplacian_values(geomp, b.c6, T=Tp)
-
-        # Eq 4.6 (conformal change of the function Laplacian)
-        u = jets.powr(nsq, 1.0 - k, b.pts)
-        lhs46 = forms.scalar_laplacian_values(geomp, u)
-        t46a = np.power(r, -k) * forms.scalar_laplacian_values(b.geom, u)
-        t46b = 2.0 * (k - k * k) * np.power(r, -3.0 * k) * dphi_sq
-        rhs46 = t46a + t46b
-        res46 = _rel(lhs46 - rhs46, np.abs(lhs46), np.abs(rhs46), np.abs(t46a) + np.abs(t46b))
-
-        # Eq 4.9 (the end identity)
-        grad_sq_p = forms.nabla_norm_sq_values(
-            np.moveaxis(geomp.ginv_values, (-2, -1), (0, 1)), Tp[0])
-        lhs49_a = grad_sq
-        lhs49_b = (1.5 * k * k - 3.0 * k) * dphi_sq
-        lhs49 = lhs49_a + lhs49_b
-        rhs49 = pw * grad_sq_p
-        res49 = _rel(lhs49 - rhs49, np.abs(lhs49), np.abs(rhs49),
-                     np.abs(lhs49_a) + np.abs(lhs49_b) + np.abs(rhs49))
-        return {"residual_eq42": res42, "residual_eq43": res43, "residual_eq46": res46,
-                "residual_eq49": res49, "abs_res": np.abs(lhs49 - rhs49), "lhs49": lhs49,
-                "norm": norm, "dnorm_sq": dphi_sq,
-                "primed_harmonicity": np.max(np.abs(hodge_p), axis=-1)}
+        return {(i, name): col for i, k in enumerate(ks)
+                for name, col in _conformal_kernel(b, k).items()}
 
     cols, harm = _pointwise(chart, fld, pts, tols, kernel)
+    xs = {name: cols.pop(name) for name in ("x1", "x2", "x3", "x4")}
+    return [_conformal_report({**xs, **{name: col for (j, name), col in cols.items() if j == i}},
+                              harm, k, pts, scenario, tols)
+            for i, k in enumerate(ks)]
+
+
+def _conformal_kernel(b, k):
+    """The per-point columns of Eqs 4.2, 4.3, 4.6 and 4.9 at k on bundle b."""
+    norm, phin, dphi_sq = b.abs_phi
+    with np.errstate(over="ignore", divide="ignore"):
+        pw = np.power(norm, 3.0 * k)
+    # a point that the degeneracy floor or the |phi|^3k range check will
+    # reject stands in as |phi| = 1, so neither a log of 0 nor an overflow
+    # comes before the harmonicity gate
+    live = (norm > 0.0) & (pw >= 1e-280) & (pw <= 1e280)
+    nsq = Jet3(np.where(live, b.norm_sq_jet.c, 1.0))
+    r, pw = np.where(live, norm, 1.0), np.where(live, pw, 1.0)
+    grad_sq = b.grad_sq
+
+    # Eq 4.2 (pure chain rule in the unprimed metric)
+    fj = (k / 4.0) * jets.log(nsq, b.pts)
+    lap_f = forms.scalar_laplacian_values(b.geom, fj)
+    df_sq = forms.grad_inner_values(b.geom, fj, fj)
+    lhs42 = 2.0 * (-lap_f - df_sq) * nsq.value
+    t42a = -k * r * forms.scalar_laplacian_values(b.geom, phin)
+    t42b = (k - k * k / 2.0) * dphi_sq
+    rhs42 = t42a + t42b
+    res42 = _rel(lhs42 - rhs42, np.abs(lhs42), np.abs(rhs42), np.abs(t42a) + np.abs(t42b))
+
+    # Eq 4.3 (Bochner formula defining the curvature term, unprimed)
+    # <phi, Delta_Hodge phi> uses the Hodge sign.  On a parallel form every
+    # term is round-off, so the residual is measured against the
+    # pre-cancellation scale (1 + max|R|)|phi|^2 + scale of Delta|phi|^2,
+    # as in Weitzenboeck.
+    lap_nsq = forms.scalar_laplacian_values(b.geom, nsq)
+    hodge_inner = forms.inner_lambda2(forms.entry_values(b.lambda2), b.coord_values.T,
+                                      b.hodge_values.T)
+    qR = forms.curvature_action_frame(b.slate.M, b.slate.Ric, b.frame_values)
+    Fphi = np.sum(qR * b.frame_values, axis=-1)
+    lhs43 = 0.5 * lap_nsq + hodge_inner
+    rhs43 = grad_sq + Fphi
+    res43 = _rel(lhs43 - rhs43, np.abs(lhs43), np.abs(rhs43),
+                 np.abs(grad_sq) + np.abs(Fphi) + np.abs((1.0 + b.rmax) * nsq.value)
+                 + np.abs(forms.scalar_laplacian_scale(b.geom, nsq)))
+
+    # primed metric g' = |phi|^k g through the full geometry pipeline
+    scale_jet = jets.exp(2.0 * fj)
+    geomp = Geometry((Jet3(scale_jet.c[..., None, None]) * Jet3(b.geom.gc)).c, b.pts)
+    hodge_p = forms.hodge_laplacian_values(geomp, b.c6)
+
+    # Eq 4.6 (conformal change of the function Laplacian)
+    u = jets.powr(nsq, 1.0 - k, b.pts)
+    lhs46 = forms.scalar_laplacian_values(geomp, u)
+    t46a = np.power(r, -k) * forms.scalar_laplacian_values(b.geom, u)
+    t46b = 2.0 * (k - k * k) * np.power(r, -3.0 * k) * dphi_sq
+    rhs46 = t46a + t46b
+    res46 = _rel(lhs46 - rhs46, np.abs(lhs46), np.abs(rhs46), np.abs(t46a) + np.abs(t46b))
+
+    # Eq 4.9 (the end identity)
+    grad_sq_p = forms.nabla_norm_sq_values(
+        np.moveaxis(geomp.ginv_values, (-2, -1), (0, 1)),
+        forms.nabla_two_form_values(geomp, b.c6))
+    lhs49_a = grad_sq
+    lhs49_b = (1.5 * k * k - 3.0 * k) * dphi_sq
+    lhs49 = lhs49_a + lhs49_b
+    rhs49 = pw * grad_sq_p
+    res49 = _rel(lhs49 - rhs49, np.abs(lhs49), np.abs(rhs49),
+                 np.abs(lhs49_a) + np.abs(lhs49_b) + np.abs(rhs49))
+    return {"residual_eq42": res42, "residual_eq43": res43, "residual_eq46": res46,
+            "residual_eq49": res49, "abs_res": np.abs(lhs49 - rhs49), "lhs49": lhs49,
+            "norm": norm, "dnorm_sq": dphi_sq,
+            "primed_harmonicity": np.max(np.abs(hodge_p), axis=-1)}
+
+
+def _conformal_report(cols, harm, k, pts, scenario, tols):
+    """The run-wide gates and the report at k, from the columns of every chunk."""
     norm, dphi_sq = cols.pop("norm"), cols.pop("dnorm_sq")
     norm_max = float(np.max(norm))
     floor = tols["degeneracy_frac"] * norm_max

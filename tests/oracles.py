@@ -5,6 +5,7 @@ jet code, so jet coefficients can be checked against a genuinely separate
 path.  Curvature oracles are the classical closed forms.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -470,3 +471,149 @@ def splitmix64(state, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+# -- the einsum kernels that the slice-wise second-order kernels replaced: each
+# builds whole 4-index arrays [a, b, i, j] and lets numpy's path search order
+# the contractions.
+
+
+def leibniz(spec, *ops):
+    """np.einsum of first-order jets (value, grad) by the product rule.
+
+    spec is an einsum over the values, each term starting with '...'; the
+    gradient carries a derivative axis z after the batch axes.
+    """
+    terms, out = spec.split("->")
+    terms = terms.split(",")
+    value = np.einsum(spec, *(v for v, _ in ops), optimize=True)
+    grad = 0.0
+    for m in range(len(ops)):
+        spec_m = ",".join(t.replace("...", "...z") if k == m else t
+                          for k, t in enumerate(terms)) + "->" + out.replace("...", "...z")
+        grad = grad + np.einsum(spec_m, *(d if k == m else v for k, (v, d) in enumerate(ops)),
+                                optimize=True)
+    return value, grad
+
+
+def einsum_inverse_coeffs(c):
+    """jets.inverse_coeffs from stacks of every W_a, V N_ab, W_a and W_b."""
+    V = np.linalg.inv(c[0])
+    W = np.einsum("...ik,a...kj->a...ij", V, c[1:5], optimize=True)
+    W2 = np.einsum("...ik,q...kj->q...ij", V, c[5:], optimize=True)
+    qa, qb = np.triu_indices(4)
+    Wa, Wb = W[qa], W[qb]
+    half = np.where(qa == qb, 0.5, 1.0).reshape((-1,) + (1,) * (c.ndim - 1))
+    out = np.empty_like(c)
+    out[0] = V
+    out[1:5] = -W @ V
+    out[5:] = ((Wa @ Wb + Wb @ Wa) * half - W2) @ V
+    return out
+
+
+def einsum_dgamma(geom):
+    """d_a Gamma^i_jk [a, i, j, k] from the full d_a d_b g_ij array."""
+    d2g = np.moveaxis(Jet3(geom.gc).hessian(), (-2, -1), (-4, -3))  # [a, b, i, j]
+    dlow = 0.5 * (np.einsum("...ajlk->...aljk", d2g) + np.einsum("...akjl->...aljk", d2g) - d2g)
+    low = geom.gamma_low_values.reshape(dlow.shape[:-4] + (1, 4, 16))
+    return (geom.dginv_values @ low + geom.ginv_values[..., None, :, :]
+            @ dlow.reshape(dlow.shape[:-2] + (16,))).reshape(dlow.shape)
+
+
+def einsum_nabla_two_form_jets(geom, c6):
+    """forms.nabla_two_form_jets as one leibniz contraction of (Gamma, d Gamma)
+    with (phi, d phi)."""
+    full = Jet3(jets.antisymmetric([u.c for u in c6], PAIRS))
+    phi = full.value
+    dphi = np.moveaxis(full.grad(), -1, -3)
+    hphi = np.moveaxis(full.hessian(), (-2, -1), (-4, -3))
+    A, dA = leibniz("...lai,...lj->...aij", (geom.gamma_values, einsum_dgamma(geom)),
+                    (phi, dphi))
+    return dphi - A + np.swapaxes(A, -1, -2), hphi - dA + np.swapaxes(dA, -1, -2)
+
+
+def einsum_codiff_two_form_jets(geom, T):
+    """forms.codiff_two_form_jets from T = (T, dT)."""
+    delta, ddelta = leibniz("...ab,...abj->...j", (geom.ginv_values, geom.dginv_values), T)
+    return -delta, -ddelta
+
+
+def einsum_codiff_three_form_values(geom, w_triples):
+    """forms.codiff_three_form_values through the whole nabla w, [a, i, j, k]."""
+    from curv4.forms import TRIPLES, pair_components_values
+
+    gam = geom.gamma_values
+    ws = [w_triples[t] for t in TRIPLES]
+    W = jets.antisymmetric([w.value for w in ws], TRIPLES)
+    dW = jets.antisymmetric([w.grad() for w in ws], TRIPLES)
+    nab = dW \
+        - np.einsum("...lai,...ljk->...aijk", gam, W, optimize=True) \
+        - np.einsum("...laj,...ilk->...aijk", gam, W, optimize=True) \
+        - np.einsum("...lak,...ijl->...aijk", gam, W, optimize=True)
+    return pair_components_values(
+        -np.einsum("...ab,...abjk->...jk", geom.ginv_values, nab, optimize=True))
+
+
+def einsum_rough_laplacian_values(geom, T):
+    """forms.rough_laplacian_values through the whole nabla^2 phi, [a, b, i, j]."""
+    from curv4.forms import pair_components_values
+
+    gam = geom.gamma_values
+    T, dT = T
+    nab2 = (dT
+            - np.einsum("...cab,...cij->...abij", gam, T, optimize=True)
+            - np.einsum("...lai,...blj->...abij", gam, T, optimize=True)
+            - np.einsum("...laj,...bil->...abij", gam, T, optimize=True))
+    return pair_components_values(
+        np.einsum("...ab,...abij->...ij", geom.ginv_values, nab2, optimize=True))
+
+
+# -- the Hodge Laplacian as d delta + delta d with delta = -*d*, on jets: no
+# Christoffel symbols and no nabla phi.  Every partial drops one order of the
+# jets, and the two partials of each term leave exact values.
+
+
+def _perm_sign(seq):
+    return (-1) ** sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+
+
+def exterior_d(form, k):
+    """d of a k-form of jets keyed by increasing k-tuples:
+    (d a)_J = sum_p (-1)^p d_{J_p} a_{J without J_p}."""
+    out = {}
+    for J in itertools.combinations(range(4), k + 1):
+        terms = [(-1) ** p * form[J[:p] + J[p + 1:]].partial(axis) for p, axis in enumerate(J)]
+        out[J] = sum(terms[1:], terms[0])
+    return out
+
+
+def hodge_star(ginv, vol, form, k):
+    """*a of a k-form a of jets: (*a)_J = sqrt(g) sign(I J) a^I, with I the
+    complement of J and a^I = sum_K det(g^-1[I, K]) a_K, the Lambda^k minors."""
+    out = {}
+    for J in itertools.combinations(range(4), 4 - k):
+        I = tuple(i for i in range(4) if i not in J)
+        terms = [jets.minor(ginv, I, K) * form[K] for K in itertools.combinations(range(4), k)]
+        out[J] = vol * sum(terms[1:], terms[0]) * _perm_sign(I + J)
+    return out
+
+
+def hodge_laplacian(g, c6):
+    """(d delta + delta d) phi, coordinate values (..., 6) in PAIRS order, for
+    the metric g (4x4 nested jets) and the 2-form of pair jets c6; g^-1 is
+    the adjugate over det g."""
+    det = jets.det4(g)
+    inv_det = 1.0 / det
+    rest = [tuple(r for r in range(4) if r != i) for i in range(4)]
+    ginv = [[(-1) ** (i + j) * jets.minor(g, rest[j], rest[i]) * inv_det for j in range(4)]
+            for i in range(4)]
+    vol = jets.sqrt(det)
+
+    def delta(form, k):
+        star = hodge_star(ginv, vol, exterior_d(hodge_star(ginv, vol, form, k), 4 - k), 5 - k)
+        return {J: -u for J, u in star.items()}
+
+    phi = dict(zip(PAIRS, c6))
+    d_delta = exterior_d(delta(phi, 2), 1)
+    delta_d = delta(exterior_d(phi, 2), 3)
+    return np.stack([(d_delta[J] + delta_d[J]).value for J in PAIRS], axis=-1)

@@ -358,6 +358,22 @@ def test_ksweep_rows(tmp_path):
     assert len(lines) == 4
 
 
+def test_ksweep_rows_equal_verify_conformal(tmp_path):
+    """ksweep shares one PointBundle per chunk across its k list; each row is
+    the verify conformal --k report at that k, bit for bit."""
+    assert run(["kato", "ksweep", "--scenario", SCENARIOS / "conformal_product.json",
+                "--out", tmp_path / "sweep"]) == 0
+    rows = json.loads(read_report(tmp_path / "sweep"))["rows"]
+    assert [row["k"] for row in rows] == [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
+    for row in rows:
+        out = tmp_path / f"k{row['k']}"
+        assert run(["verify", "conformal", "--k", row["k"], "--scenario",
+                    SCENARIOS / "conformal_product.json", "--out", out]) == 0
+        extra = json.loads(read_report(out))["extra"]
+        assert row == {"k": extra["k"], "min_lhs49_over_dnorm": extra["min_lhs49_over_dnorm"],
+                       "residual_eq49": extra["max_residual_eq49"]}
+
+
 def test_ksweep_parallel_form_empty_scan(tmp_path):
     """On a parallel form ksweep reports an empty scan, as `kato scan` does,
     and exits on the residuals."""
@@ -601,3 +617,32 @@ def test_kato_verdicts_do_not_depend_on_the_field_scale(tmp_path):
     same_ratios([r["min_lhs49_over_dnorm"] for r in one["ksweep"]["rows"]],
                 [r["min_lhs49_over_dnorm"] for r in small["ksweep"]["rows"]])
     assert "empty_scan" not in small["ksweep"]
+
+
+POINTWISE_COMMANDS = [["curvature"], ["verify", "weitzenboeck"], ["verify", "eq22"],
+                      ["verify", "lemma22"], ["verify", "prop23"], ["verify", "thm21"],
+                      ["verify", "conformal", "--k", "2"], ["kato", "scan"],
+                      ["kato", "ksweep", "--k", "0,2"], ["integral"]]
+
+
+@pytest.mark.parametrize("command", POINTWISE_COMMANDS, ids=" ".join)
+def test_pointwise_commands_skip_einsum_path(tmp_path, monkeypatch, command):
+    """No pointwise command runs numpy's einsum path search: every contraction
+    has a fixed order (a matmul, or an einsum without optimize), so the
+    arithmetic does not follow numpy's path heuristics, which change with the
+    operand shapes."""
+    calls = []
+    einsum_path = np.einsum_path
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return einsum_path(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", spy)
+    monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", spy)
+    sfile = SCENARIOS / "conformal_product.json"
+    raw = json.loads(sfile.read_text())
+    raw["sampling"]["count"] = 4
+    (tmp_path / "s.json").write_text(json.dumps(raw))
+    assert run(command + ["--scenario", tmp_path / "s.json", "--out", tmp_path]) == 0
+    assert calls == []

@@ -1,7 +1,12 @@
-import numpy as np
-import pytest
+from pathlib import Path
 
-from curv4 import charts, forms, jets, presets, verify
+import numpy as np
+import oracles
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curv4 import charts, forms, jets, presets, scenario, verify
 from curv4 import expr as ex
 from curv4.charts import Geometry, conformal_chart, curvature_at, sample_box
 from curv4.forms import TwoFormField
@@ -74,7 +79,8 @@ def test_d_squared_zero(cp2):
     chart, pts, _ = cp2
     alpha = [ex.eval_jet(ex.parse(s), pts) for s in
              ("sin(x1)*x2", "cos(x3) + x4^2", "x1*x4", "exp(0.3*x2)")]
-    dd = forms.exterior_d2_jets(forms.exterior_d1_jets(alpha))
+    d_alpha = oracles.exterior_d({(i,): a for i, a in enumerate(alpha)}, 1)
+    dd = forms.exterior_d2_jets([d_alpha[p] for p in forms.PAIRS])
     assert max(np.max(np.abs(v.value)) for v in dd.values()) < 1e-10
 
 
@@ -229,3 +235,70 @@ def test_pointwise_algebra_same_on_values_and_jets(cp2):
               for a in range(4) for b in range(4))
     got = forms.nabla_norm_sq_values(geom.ginv, T[0])
     assert np.allclose(got, ref, rtol=1e-13, atol=0)
+
+
+SCENARIO_FILES = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.json"))
+# six trig terms plus a constant: a nowhere-degenerate, not harmonic 2-form
+FORM_TERMS = st.lists(oracles.TRIG_TERM, min_size=6, max_size=6)
+
+
+def _trig_form(chart, terms):
+    return TwoFormField(chart, [f"{a:.6f}*{fn}({f}*x{v}) + 0.3" for a, fn, f, v in terms])
+
+
+def _assert_hodge_matches_star_d_star(geom, c6):
+    """forms.hodge_laplacian_values (through Gamma, d Gamma and nabla phi)
+    against oracles.hodge_laplacian (d delta + delta d, delta = -*d*, from the
+    Lambda^k minors of g^-1 and sqrt(g) alone) within 1e-12 of the largest jet
+    coefficient of phi; the worst seen on the shipped scenarios is 7.3e-14 of
+    it (round_s4_random), on near-flat metrics 1.8e-15."""
+    err = np.max(np.abs(forms.hodge_laplacian_values(geom, c6)
+                        - oracles.hodge_laplacian(geom.g, c6)))
+    assert err <= 1e-12 * max(np.max(np.abs(u.c)) for u in c6), err
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+def test_hodge_laplacian_matches_star_d_star_oracle(path):
+    sc = scenario.load(path)
+    chart = sc.build_chart()
+    pts = sc.points(chart)
+    _assert_hodge_matches_star_d_star(Geometry.of_chart(chart, pts),
+                                      sc.build_field(chart).component_jets(pts))
+
+
+@given(oracles.NEAR_FLAT_TERMS, FORM_TERMS)
+@settings(max_examples=20, deadline=None)
+def test_hodge_laplacian_matches_star_d_star_oracle_near_flat(terms, form_terms):
+    chart = oracles.near_flat_chart(terms)
+    pts = sample_box(chart.domain, 8, seed=43)
+    _assert_hodge_matches_star_d_star(Geometry.of_chart(chart, pts),
+                                      _trig_form(chart, form_terms).component_jets(pts))
+
+
+@given(oracles.NEAR_FLAT_TERMS, FORM_TERMS)
+@settings(max_examples=25, deadline=None)
+def test_second_order_kernels_match_einsum_oracles(terms, form_terms):
+    """The slice-wise kernels (d Gamma, nabla phi and its first-order part, both
+    codifferentials, the rough Laplacian, the jet inverse) against the einsum
+    kernels they replaced (oracles.einsum_*), within 8 ulps of the largest
+    entry of each result; the worst seen over 300 examples is 1.8 ulps
+    (d delta), and most results are bit-identical."""
+    chart = oracles.near_flat_chart(terms)
+    pts = sample_box(chart.domain, 8, seed=44)
+    geom = Geometry.of_chart(chart, pts)
+    c6 = _trig_form(chart, form_terms).component_jets(pts)
+    T = forms.nabla_two_form_jets(geom, c6)
+    w = forms.exterior_d2_jets(c6)
+    pairs = [(jets.inverse_coeffs(geom.gc), oracles.einsum_inverse_coeffs(geom.gc)),
+             (np.stack([geom.dgamma_slice(a) for a in range(4)], axis=-4),
+              oracles.einsum_dgamma(geom)),
+             *zip(T, oracles.einsum_nabla_two_form_jets(geom, c6)),
+             *zip(forms.codiff_two_form_jets(geom, c6, T),
+                  oracles.einsum_codiff_two_form_jets(geom, T)),
+             (forms.codiff_three_form_values(geom, w),
+              oracles.einsum_codiff_three_form_values(geom, w)),
+             (forms.rough_laplacian_values(geom, c6, T),
+              oracles.einsum_rough_laplacian_values(geom, T))]
+    for k, (new, old) in enumerate(pairs):
+        assert np.max(np.abs(new - old)) <= 8 * np.finfo(float).eps * np.max(np.abs(old)), k
+    assert np.array_equal(forms.nabla_two_form_values(geom, c6), T[0])

@@ -454,3 +454,29 @@ def test_kato_scan_builds_no_curvature(tmp_path, monkeypatch):
     assert cli.main(["kato", "scan", "--scenario", sfile, "--out", str(tmp_path / "b")]) == 0
     for name in ("report.json", "samples.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_kato_scan_memory():
+    """The tracemalloc peak of kato_scan on 512 points (one chunk) of the
+    conformal_product scenario stays at or under 6 MB (5.6 MB measured): the
+    second-order kernels hold at most a few derivative slices (N, 4, 4, 4) of
+    temporaries, and the bundle keeps nabla phi at first order.  With whole
+    (N, 4, 4, 4, 4) arrays and their copies the peak was 9.3 MB."""
+    import tracemalloc
+    from pathlib import Path
+
+    from curv4 import scenario
+
+    sc = scenario.load(Path(__file__).resolve().parents[1] / "scenarios" /
+                       "conformal_product.json")
+    chart = sc.build_chart()
+    fld = sc.build_field(chart)
+    pts = sample_box(chart.domain, 512, seed=7)
+    verify.kato_scan(chart, fld, pts)  # warm caches
+    tracemalloc.start()
+    try:
+        verify.kato_scan(chart, fld, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6, peak
