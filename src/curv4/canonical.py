@@ -108,7 +108,7 @@ def _pair(A, e1, lam1):
 def _euclid_cross(a, b, c):
     """Vector completing (a, b, c) to a positively oriented basis: entry l is
     the cofactor of x_l in det [a; b; c; x], so det [a; b; c; x] = <cross, x>."""
-    m = [[v[..., k] for k in range(4)] for v in (a, b, c)]
+    m = np.stack([a, b, c], axis=-2)
     cols = [tuple(k for k in range(4) if k != l) for l in range(4)]
     return np.stack([(-1) ** (l + 1) * jets.minor(m, (0, 1, 2), cols[l]) for l in range(4)],
                     axis=-1)

@@ -41,8 +41,8 @@ _D2G_WEIGHT = 0.5 * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * jets._HESS
 # The upper entries (i <= j) of the metric, in evaluation order.
 UPPER = tuple(itertools.combinations_with_replacement(range(4), 2))
 # Points (or grid cells) per chunk of every pointwise path (map_chunks): the
-# verifiers, kato scan and the integrals.  A 512-point chunk peaks at 11-21 KB
-# per point (42 KB for eq22 and lemma22, whose normal charts hold the most);
+# verifiers, kato scan and the integrals.  A 512-point chunk peaks at 11-16 KB
+# per point (21 KB for eq22 and lemma22, whose normal charts hold the most);
 # per point the arithmetic is the same at any chunk size, and past 256 points
 # a chunk's fixed cost is paid back.
 CHUNK = 512
@@ -196,16 +196,17 @@ def _scale_to_box(domain, margin, u):
 
 
 def metric_jets(chart: MetricChart, pts):
-    """4x4 nested list of Jet3 for g at pts (shape (..., 4))."""
+    """Stacked jets (NCOEFF,) + batch + (4, 4) of g at pts (shape batch + (4,))."""
     pts = np.asarray(pts, dtype=float)
     env = [Jet3.variable(i, pts[..., i]) for i in range(4)]
     return metric_jets_env(chart, env, pts)
 
 
 def metric_jets_env(chart: MetricChart, env, pts=None):
-    g = [[None] * 4 for _ in range(4)]
+    """Stacked jets of g with the jets env bound to x1..x4."""
+    g = np.empty(env[0].c.shape + (4, 4))
     for (i, j), u in zip(UPPER, chart.plan.jets(env, pts)):
-        g[i][j] = g[j][i] = u
+        g[..., i, j] = g[..., j, i] = u.c
     return g
 
 
@@ -227,7 +228,7 @@ class Geometry:
 
     @staticmethod
     def of_chart(chart: MetricChart, pts):
-        return Geometry(jets.stack(metric_jets(chart, pts)), pts)
+        return Geometry(metric_jets(chart, pts), pts)
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -235,13 +236,8 @@ class Geometry:
         return self._cache[key]
 
     @property
-    def g(self):
-        """g as a 4x4 nested list of jets."""
-        return self._get("g", lambda: jets.entries(self.gc))
-
-    @property
     def ginv(self):
-        """g^-1 as a 4x4 nested list of jets, exact at order 2."""
+        """Stacked jets of g^-1, exact at order 2."""
         return self._get("ginv", lambda: jets.mat_inverse(self.gc, self.pts))
 
     @property
@@ -265,7 +261,7 @@ class Geometry:
 
     @property
     def det_jet(self):
-        return self._get("det", lambda: jets.det4(self.g))
+        return self._get("det", lambda: jets.det4(Jet3(self.gc)))
 
     @property
     def sqrt_det_jet(self):
@@ -452,22 +448,22 @@ def normal_chart(chart: MetricChart, xj):
     g' = I and Gamma' = 0.
     """
     pts = _map_points(xj)
-    gp = jets.congruence(_jacobian(xj), jets.stack(metric_jets_env(chart, xj, pts)))
+    gp = jets.congruence(_jacobian(xj), metric_jets_env(chart, xj, pts))
     upper, lower = np.triu_indices(4, 1)
     gp[..., lower, upper] = gp[..., upper, lower]
     return Geometry(gp, np.zeros_like(pts))
 
 
 def pullback_two_form(components, xjets):
-    """Jets at y = 0 of a coordinate 2-form pulled back through x(y).
+    """Stacked jets at y = 0 of a coordinate 2-form pulled back through x(y).
 
-    components: six expressions in PAIRS order; returns six jets in PAIRS
-    order, phi'_ab = sum_ij J_ia phi_ij(x(y)) J_jb.
+    components: six expressions in PAIRS order; returns the antisymmetric
+    matrix jets phi'_ab = sum_ij J_ia phi_ij(x(y)) J_jb.
     """
     pts = _map_points(xjets)
-    phi = list(ex.Plan(components).jets(xjets, pts))
-    pulled = jets.congruence(_jacobian(xjets), jets.antisymmetric([u.c for u in phi], PAIRS))
-    return [Jet3(pulled[..., a, b]) for a, b in PAIRS]
+    phi = ex.Plan(components).jets(xjets, pts)
+    phi = np.stack([u.c for u in phi], axis=-1)
+    return jets.congruence(_jacobian(xjets), jets.antisymmetric(phi, PAIRS))
 
 
 def _map_points(xjets):
@@ -483,30 +479,26 @@ def _jacobian(xjets):
 # -- value-level checks -----------------------------------------------------------
 
 
-def metric_entries(chart: MetricChart, pts):
-    """g at pts (shape (N, 4)) as a symmetric 4x4 nested list of contiguous (N,)
-    arrays; an entry that overflows or is undefined at a point is a ChartError."""
-    g = [[None] * 4 for _ in range(4)]
+def metric_values(chart: MetricChart, pts):
+    """g at pts (shape (N, 4)) as plain values, shape (N, 4, 4); an entry that
+    overflows or is undefined at a point is a ChartError."""
+    g = np.empty(pts.shape[:-1] + (4, 4))
     with np.errstate(over="ignore", invalid="ignore"):
         for (i, j), v in zip(UPPER, chart.plan.values(pts)):
             try:
                 jets.assert_finite(v, lambda: f"expression '{ex.to_string(chart.g[i][j])}'", pts)
             except jets.JetError as e:
                 raise ChartError(f"metric entry g{i + 1}{j + 1}: {e}") from None
-            g[i][j] = g[j][i] = v
+            g[..., i, j] = g[..., j, i] = v
     return g
 
 
-def metric_values(chart: MetricChart, pts):
-    """g at pts (shape (N, 4)) as plain values, shape (N, 4, 4)."""
-    return np.stack([np.stack(row, axis=-1) for row in metric_entries(chart, pts)], axis=-2)
-
-
 def require_positive_definite(g, det, pts, where, error=ChartError):
-    """Sylvester's criterion on metric entries g[i][j] (N,) with det = det g:
+    """Sylvester's criterion on metric values g (N, 4, 4) with det = det g:
     g11, the leading 2x2 and 3x3 minors and det g are all > 0, or `error` names
     the first point of pts that fails."""
-    ok = (g[0][0] > 0) & (jets.minor(g, (0, 1)) > 0) & (jets.minor(g, (0, 1, 2)) > 0) & (det > 0)
+    ok = (g[..., 0, 0] > 0) & (jets.minor(g, (0, 1)) > 0) & (jets.minor(g, (0, 1, 2)) > 0) \
+        & (det > 0)
     if not np.all(ok):
         raise error(f"metric not positive definite {where} {jets._first_bad(~ok, pts)}")
 
@@ -515,22 +507,25 @@ def sqrt_det_values(g_values):
     """sqrt(det g) of metric values (N, 4, 4) by the cofactor expansion of
     jets.det4, so it equals Geometry.sqrt_det_jet.value bit for bit
     (np.linalg.det differs from it in the last bit)."""
-    return np.sqrt(jets.det4(np.moveaxis(g_values, 0, -1)))
+    return np.sqrt(jets.det4(g_values))
 
 
 def chart_is_periodic(chart: MetricChart, tol=1e-12):
-    """True if the chart is (0, 2pi)^4 and g is 2pi-periodic along every axis."""
+    """True if the chart is (0, 2pi)^4 and g is 2pi-periodic along every axis:
+    the entries of g move by at most tol max|g| under each period shift of
+    the sampled points, so the test does not depend on the metric's units."""
     if any(abs(lo) > 1e-15 or abs(hi - 2.0 * np.pi) > 1e-12 for lo, hi in chart.domain):
         return False
     base = 0.1 + 0.9 * uniforms(97, PERIODIC, (8, 4))
     shifted = np.concatenate([base + 2.0 * np.pi * e for e in np.eye(4)])
-    g_base = np.tile(metric_values(chart, base), (4, 1, 1))
-    return bool(np.max(np.abs(metric_values(chart, shifted) - g_base)) <= tol)
+    g_base = metric_values(chart, base)
+    dev = np.max(np.abs(metric_values(chart, shifted) - np.tile(g_base, (4, 1, 1))))
+    return bool(dev <= tol * np.max(np.abs(g_base)))
 
 
 def validate_chart(chart: MetricChart, count=32, margin=0.05, seed=7):
     """Finiteness and positive-definiteness spot check at random interior points."""
     pts = _scale_to_box(chart.domain, margin, uniforms(seed, SPOT, (count, 4)))
-    g = metric_entries(chart, pts)
+    g = metric_values(chart, pts)
     require_positive_definite(g, jets.det4(g), pts, f"on {chart.name} at point")
     return True

@@ -10,6 +10,8 @@ in phi, so the verifier works directly with the ordered-pair components.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import Curv4Error, jets
@@ -38,11 +40,11 @@ EMPTY_SCAN = "all points parallel-degenerate (|d|phi|| below threshold)"
 
 
 # The Levi-Civita symbol eps_ijkl, a (4, 4, 4, 4) array.
-EPS4 = jets.antisymmetric([np.ones(())], [(0, 1, 2, 3)])
+EPS4 = jets.antisymmetric(np.ones(1), [(0, 1, 2, 3)])
 
 # Hodge star on ordered-pair components, (*phi)_kl = eps_ijkl phi^ij, in an
-# orthonormal frame and (star_coord) in coordinates: (12)<->(34),
-# (13)<->-(24), (14)<->(23), the signs of the volume pairing
+# orthonormal frame and, times sqrt(det g), in coordinates (star_coord):
+# (12)<->(34), (13)<->-(24), (14)<->(23), the signs of the volume pairing
 # phi ^ *psi = <phi, psi> vol.  Row q has its one entry in column 5 - q.
 STAR6 = np.array([[EPS4[i, j, k, l] for (i, j) in PAIRS] for (k, l) in PAIRS])
 
@@ -65,13 +67,13 @@ class TwoFormField:
         self.plan = ex.Plan(self.components)
 
     def component_jets(self, pts):
-        """Jets of the six components, from one compiled plan; an overflow is
-        reported by the plan's finiteness gate, naming the point, not by a numpy
-        warning."""
+        """Stacked jets (NCOEFF,) + batch + (6,) of the six components, from one
+        compiled plan; an overflow is reported by the plan's finiteness gate,
+        naming the point, not by a numpy warning."""
         pts = np.asarray(pts, dtype=float)
         env = [Jet3.variable(i, pts[..., i]) for i in range(4)]
         with np.errstate(over="ignore", invalid="ignore"):
-            return list(self.plan.jets(env, pts))
+            return np.stack([u.c for u in self.plan.jets(env, pts)], axis=-1)
 
 
 # -- value-level frame operations ---------------------------------------------
@@ -127,106 +129,114 @@ def sd_split_frame(f6, tol=1e-10):
     return {"plus": fplus, "minus": fminus, "F": F, "G": G}
 
 
-# -- pointwise Lambda^2 algebra over the entries of g^-1 ------------------------
+# -- pointwise Lambda^2 algebra: phi with its indices raised by g^-1 ------------
 #
-# Each function below is written once over entries indexed [i][j] (component
-# axes first): nested lists of Jet3 where derivatives are needed, or arrays of
-# values such as np.moveaxis(ginv_values, (-2, -1), (0, 1)).
+# With Phi the antisymmetric matrix of the coordinate components, the raised
+# form phi^ij = (g^-1 Phi g^-1)_ij gives the Lambda^2 inner product
+# <phi, psi> = sum_{i<j} phi^ij psi_ij and the Hodge star; with A = g^-1 Phi,
+# |phi|^2 = -tr(A A) / 2.
 
 
-def lambda2_metric(gi):
-    """Q[(ij),(kl)] = g^ik g^jl - g^il g^jk, a 6x6 symmetric nested list."""
-    Q = [[None] * 6 for _ in range(6)]
-    for a, (i, j) in enumerate(PAIRS):
-        for b in range(a, 6):
-            k, l = PAIRS[b]
-            Q[a][b] = Q[b][a] = gi[i][k] * gi[j][l] - gi[i][l] * gi[j][k]
-    return Q
+def raised_jets(geom: Geometry, c6):
+    """Stacked jets of A = g^-1 Phi, (NCOEFF,) + batch + (4, 4), from the
+    stacked pair jets c6, solved for one jet slot at a time (no jets of g^-1
+    are formed)."""
+    return jets.solve(geom.gc, full_matrix_values(c6), geom.pts)
 
 
-def inner_lambda2(Q, a6, b6):
-    """<a, b> = a_p Q_pq b_q on coordinate components."""
-    terms = (a6[p] * Q[p][q] * b6[q] for p in range(6) for q in range(6))
-    return sum(terms, next(terms))
+def norm_sq_jet(A):
+    """The jet of |phi|^2 = -tr(A A) / 2 from the stacked jets A = g^-1 Phi: the
+    graded product of A with itself, each pair of slots traced."""
+    return Jet3(-0.5 * jets._graded(A, A, partial(np.einsum, "...ij,...ji->...")))
 
 
-def star_coord(gi, sqrt_det, c6, Q=None):
-    """Coordinate components of *phi: (*phi)_kl = sqrt(g) eps_ijkl phi^ij, with
-    phi^ij = (Q c)_(ij) and the signs of STAR6."""
-    Q = Q if Q is not None else lambda2_metric(gi)
-    out = []
-    for q in range(6):
-        terms = (Q[5 - q][m] * c6[m] for m in range(6))
-        out.append(sqrt_det * sum(terms, next(terms)) * STAR6[q, 5 - q])
-    return out
+def raised_pairs(ginv, c6):
+    """The pairs (..., 6) of phi^ij = (g^-1 Phi g^-1)_ij from values of g^-1
+    (..., 4, 4) and the coordinate components c6 (..., 6) of phi."""
+    return pair_components_values(ginv @ full_matrix_values(c6) @ ginv)
 
 
-def entry_values(m):
-    """Values of nested jets (or arrays) as one array, component axes first."""
-    if isinstance(m, np.ndarray):
-        return m
-    if isinstance(m, Jet3):
-        return m.value
-    return np.array([entry_values(x) for x in m])
+def inner_values(ginv, a6, b6):
+    """<a, b> = sum_{i<j} a^ij b_ij of coordinate components (..., 6)."""
+    return np.sum(raised_pairs(ginv, a6) * b6, axis=-1)
 
 
-def nabla_norm_sq_values(gi, T, Q=None):
-    """|nabla phi|^2 = g^ab Q_pq T_ap T_bq from the values of g^-1 ([a][b]),
-    T = nabla phi (batch + (4, 4, 4) indexed [a, i, j]) and Q (from gi when
-    omitted)."""
-    gi = entry_values(gi)
-    Q = entry_values(Q if Q is not None else lambda2_metric(gi))
-    gi, Q = (np.moveaxis(m, (0, 1), (-2, -1)) for m in (gi, Q))
-    T6 = pair_components_values(T)  # [a, p]
-    return _contract(gi, T6 @ Q @ np.swapaxes(T6, -1, -2))
+def star_jets(geom: Geometry, c6):
+    """Stacked jets (NCOEFF,) + batch + (6,) of the coordinate components of
+    *phi: sqrt(det g) times the pairs of A g^-1 = g^-1 Phi g^-1, with the signs
+    of STAR6 (star_coord on jets)."""
+    up6 = pair_components_values(jets.matmul(raised_jets(geom, c6), geom.ginv))
+    return (Jet3(geom.sqrt_det_jet.c[..., None]) * Jet3(hodge_star_frame(up6))).c
 
 
-def norm_sq_jet(geom: Geometry, c6, Q=None):
-    return inner_lambda2(Q if Q is not None else lambda2_metric(geom.ginv), c6, c6)
+def star_coord(up6, vol):
+    """Coordinate components (..., 6) of *phi, (*phi)_kl = sqrt(g) eps_ijkl
+    phi^ij with the signs of STAR6, from the raised pairs up6 (raised_pairs)
+    and vol = sqrt(det g) (..., 1)."""
+    return vol * hodge_star_frame(up6)
+
+
+def nabla_norm_sq_values(ginv, T):
+    """|nabla phi|^2 = g^ab <T_a, T_b> from values of g^-1 (batch + (4, 4)) and
+    T = nabla phi (batch + (4, 4, 4) indexed [a, i, j]), read from its pairs
+    i < j: half the sum of T times T with all three indices raised."""
+    batch = T.shape[:-3]
+    T = full_matrix_values(pair_components_values(T))
+    up = (ginv[..., None, :, :] @ T @ ginv[..., None, :, :]).reshape(batch + (4, 16))
+    return 0.5 * (T.reshape(batch + (1, 64)) @ (ginv @ up).reshape(batch + (64, 1)))[..., 0, 0]
 
 
 def wedge_self_jet(geom: Geometry, c6):
-    """*(phi ^ phi) = 2 (c12 c34 - c13 c24 + c14 c23) / sqrt(det g)."""
-    w = c6[0] * c6[5] - c6[1] * c6[4] + c6[2] * c6[3]
-    return (2.0 * w) / geom.sqrt_det_jet
+    """*(phi ^ phi) = 2 (c12 c34 - c13 c24 + c14 c23) / sqrt(det g): the graded
+    product of c6 with its frame star, summed over the pairs."""
+    return Jet3(jets._graded(c6, hodge_star_frame(c6), partial(np.einsum, "...p,...p->..."))) \
+        / geom.sqrt_det_jet
 
 
 # -- jet-level coordinate operations -------------------------------------------
 
 
 def exterior_d2_jets(c6):
-    """3-form components of d(phi), keyed by TRIPLES, metric-free."""
-    phi = dict(zip(PAIRS, c6))
-    return {(i, j, k): phi[j, k].partial(i) - phi[i, k].partial(j) + phi[i, j].partial(k)
-            for (i, j, k) in TRIPLES}
+    """Stacked jets (NCOEFF,) + batch + (4,) of the 3-form d(phi) on TRIPLES,
+    metric-free: (d phi)_ijk = d_i phi_jk - d_j phi_ik + d_k phi_ij, one
+    derivative axis a at a time (the term of a in place s has sign (-1)^s)."""
+    out = np.zeros(c6.shape[:-1] + (len(TRIPLES),))
+    for a in range(4):
+        d = Jet3(c6).partial(a).c
+        for t, triple in enumerate(TRIPLES):
+            if a in triple:
+                s = triple.index(a)
+                out[..., t] += (-1) ** s * d[..., PAIRS.index(triple[:s] + triple[s + 1:])]
+    return out
 
 
 def _minus_antisym(x, A):
-    """x - A + A^T in the last two axes: a connection term on both indices."""
-    return x - A + np.swapaxes(A, -1, -2)
+    """x - A + A^T in the last two axes, a connection term on both indices,
+    written into x."""
+    x -= A
+    x += np.swapaxes(A, -1, -2)
+    return x
 
 
 def nabla_two_form_values(geom: Geometry, c6):
     """nabla phi at first order, with no d Gamma: T[a, i, j] = (nabla_a phi)_ij
     = d_a phi_ij - A[a, i, j] + A[a, j, i], A[a, i, j] = Gamma^l_ai phi_lj."""
-    P = np.stack([u.c for u in c6], axis=-1)
     gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, i, l] = Gamma^l_ai
-    return _minus_antisym(full_matrix_values(np.moveaxis(P[1:5], 0, -2)),
-                          gt @ full_matrix_values(P[0])[..., None, :, :])
+    return _minus_antisym(full_matrix_values(np.moveaxis(c6[1:5], 0, -2)),
+                          gt @ full_matrix_values(c6[0])[..., None, :, :])
 
 
 def nabla_two_form_jets(geom: Geometry, c6):
     """nabla phi to first order: (T, dT) with T = nabla_two_form_values and
     dT[b, a, i, j] = d_b T[a, i, j], one derivative axis b at a time:
     d_b A[a, i, j] = d_b Gamma^l_ai phi_lj + Gamma^l_ai d_b phi_lj."""
-    P = np.stack([u.c for u in c6], axis=-1)
-    phi = full_matrix_values(P[0])[..., None, :, :]
-    dphi = full_matrix_values(np.moveaxis(P[1:5], 0, -2))  # [b, l, j]
+    phi = full_matrix_values(c6[0])[..., None, :, :]
+    dphi = full_matrix_values(np.moveaxis(c6[1:5], 0, -2))  # [b, l, j]
     gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, i, l] = Gamma^l_ai
-    T = _minus_antisym(dphi, gt @ phi)
+    T = _minus_antisym(dphi.copy(), gt @ phi)
     dT = np.empty(T.shape[:-3] + (4,) + T.shape[-3:])
     for b in range(4):
-        hphi = (full_matrix_values(np.moveaxis(P[jets._HESS_SLOTS[b]], 0, -2))
+        hphi = (full_matrix_values(np.moveaxis(c6[jets._HESS_SLOTS[b]], 0, -2))
                 * jets._HESS_FAC[b][:, None, None])  # d_b d_a phi_ij over [a, i, j]
         dA = np.moveaxis(geom.dgamma_slice(b), -3, -1) @ phi + gt @ dphi[..., b, None, :, :]
         dT[..., b, :, :, :] = _minus_antisym(hphi, dA)
@@ -260,11 +270,11 @@ def _trace_nabla(geom: Geometry, X, dX):
     return acc.reshape(X.shape[:-3] + (4, 4))
 
 
-def codiff_three_form_values(geom: Geometry, w_triples):
-    """(delta w)_jk = -g^ab (nabla_a w)_bjk values, w a 3-form of jets keyed by TRIPLES."""
-    ws = [w_triples[t] for t in TRIPLES]
-    W = jets.antisymmetric([w.value for w in ws], TRIPLES)  # [i, j, k]
-    dW = (jets.antisymmetric([w.c[1 + a] for w in ws], TRIPLES) for a in range(4))
+def codiff_three_form_values(geom: Geometry, w):
+    """(delta w)_jk = -g^ab (nabla_a w)_bjk values, w the stacked jets of a
+    3-form on TRIPLES."""
+    W = jets.antisymmetric(w[0], TRIPLES)  # [i, j, k]
+    dW = (jets.antisymmetric(w[1 + a], TRIPLES) for a in range(4))
     return pair_components_values(-_trace_nabla(geom, W, dW))
 
 
@@ -298,8 +308,10 @@ def curvature_action_frame(M, Ric, f6):
 
 
 def scalar_laplacian_values(geom: Geometry, u: Jet3):
-    """Delta_fun u = g^{ab} (d2_{ab} u - Gamma^c_ab d_c u), trace-Hessian sign."""
-    return _contract(geom.ginv_values, u.hessian() - _gamma_grad(geom.gamma_values, u.grad()))
+    """Delta_fun u = g^{ab} (d2_{ab} u - Gamma^c_ab d_c u), trace-Hessian sign,
+    for each component of u (stacked jets, component axes after the batch)."""
+    gi, gamma = _per_component(geom, u, geom.ginv_values, geom.gamma_values)
+    return _contract(gi, u.hessian() - _gamma_grad(gamma, u.grad()))
 
 
 def grad_inner_values(geom: Geometry, u: Jet3, v: Jet3):
@@ -313,14 +325,22 @@ def scalar_laplacian_scale(geom: Geometry, u: Jet3):
     Residuals of identities whose exact value vanishes are meaningful relative
     to this, not to the cancelled result.
     """
-    cov = np.abs(u.hessian()) + _gamma_grad(np.abs(geom.gamma_values), np.abs(u.grad()))
-    return _contract(np.abs(geom.ginv_values), cov)
+    gi, gamma = _per_component(geom, u, np.abs(geom.ginv_values), np.abs(geom.gamma_values))
+    return _contract(gi, np.abs(u.hessian()) + _gamma_grad(gamma, np.abs(u.grad())))
+
+
+def _per_component(geom: Geometry, u: Jet3, *arrays):
+    """The arrays (batch + X) of geom with a unit axis after the batch for each
+    component axis of u, so they broadcast over u's components."""
+    nb = geom.pts.ndim - 1
+    unit = (1,) * (u.c.ndim - 1 - nb)
+    return [x.reshape(x.shape[:nb] + unit + x.shape[nb:]) for x in arrays]
 
 
 def _gamma_grad(gamma, du):
-    """sum_c Gamma^c_ab d_c u, batch + (4, 4), for gamma [c, a, b] and du [c]."""
-    batch = gamma.shape[:-3]
-    return (du[..., None, :] @ gamma.reshape(batch + (4, 16))).reshape(batch + (4, 4))
+    """sum_c Gamma^c_ab d_c u, du's batch + (4, 4), for gamma [c, a, b] and du [c]."""
+    return (du[..., None, :] @ gamma.reshape(gamma.shape[:-3] + (4, 16))).reshape(
+        du.shape[:-1] + (4, 4))
 
 
 def _contract(a, b):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import Curv4Error, forms, jets
 from .charts import (POWER, Geometry, MetricChart, chart_is_periodic, map_chunks,
-                     metric_entries, metric_values, normals, require_positive_definite,
+                     metric_values, normals, require_positive_definite,
                      sqrt_det_values)
 from .forms import PAIRS, TRIPLES
 from .scenario import DEFAULT_TOLERANCES
@@ -156,7 +156,7 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
         weights = []
         for S in AXSETS[k]:
             pts = _barycenters(n, h, S)
-            g = metric_entries(chart, pts)
+            g = metric_values(chart, pts)
             det = jets.det4(g)
             require_positive_definite(g, det, pts, "at cell barycenter", GridError)
             rest = tuple(a for a in range(4) if a not in S)
@@ -365,22 +365,21 @@ def _cell_centers(complex: GridComplex):
 def _star_gram(basis: HarmonicBasis):
     """S[a, b] = sum <*z_a, z_b> vol and G[a, b] = sum <z_a, z_b> vol over the cell
     centers for the co-located basis cochains z.  The cells run in chunks
-    (map_chunks): in each, Q z_b and the cellwise pairings are one contraction
-    each, summed over the chunk's cells; the chunks' partial sums add up last."""
+    (map_chunks): in each, the raised pairs of every z_b and the cellwise
+    pairings are one contraction each, summed over the chunk's cells; the
+    chunks' partial sums add up last."""
     gc = basis.complex
     pts = _cell_centers(gc)
-    C = np.stack([_colocate(gc, z) for z in basis.vectors.T], axis=1)  # (6, k, cells)
+    C = np.stack([_colocate(gc, z).T for z in basis.vectors.T], axis=1)  # (cells, k, 6)
 
     def partial(idx):
         g = metric_values(gc.chart, pts[idx])
         sqrt_det = sqrt_det_values(g)
         vol = sqrt_det * gc.h**4
-        gi = np.moveaxis(np.linalg.inv(g), 0, -1)  # component axes first
-        Q = forms.lambda2_metric(gi)
-        Ci = np.ascontiguousarray(C[:, :, idx])  # C's layout, so each sum runs as in one pass
-        star = np.array(forms.star_coord(gi, sqrt_det, Ci, Q))
-        QC = np.einsum("pqn,qbn->pbn", np.array(Q), Ci)
-        return [np.sum(np.einsum("pan,pbn->abn", Z, QC) * vol, axis=-1) for Z in (star, Ci)]
+        Ci = C[idx]
+        up = forms.raised_pairs(np.linalg.inv(g)[:, None], Ci)
+        star = forms.star_coord(up, sqrt_det[:, None, None])
+        return [np.sum(np.einsum("nap,nbp->abn", Z, up) * vol, axis=-1) for Z in (star, Ci)]
 
     return tuple(sum(x) for x in zip(*map_chunks(partial, np.arange(gc.sites))))
 
@@ -480,13 +479,13 @@ class _CellGeometry:
             sqrt_det = sqrt_det_values(geom.g_values)
             # (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab
             drift = -(gamma.reshape(-1, 4, 16) @ ginv.reshape(-1, 16, 1))[..., 0]
-            star = forms.star_coord(np.moveaxis(ginv, 0, -1), sqrt_det, c6[:, idx])
+            star = forms.star_coord(forms.raised_pairs(ginv, c6[:, idx].T), sqrt_det[:, None])
             f6 = forms.frame_components(geom.frame, c6[:, idx].T)
             split = forms.sd_split_frame(f6)
             adapted = canonical.canonicalize(f6, flag_tol=tols["degeneracy_frac"])
             # K from the coordinate operator read in the adapted basis E Q
             K = canonical._k_r(geom.curvature_operator, geom.frame @ adapted.basis)[0]
-            return (ginv, sqrt_det, gamma, drift, np.array(star).T, split["F"], split["G"], K,
+            return (ginv, sqrt_det, gamma, drift, star, split["F"], split["G"], K,
                     adapted.degenerate)
 
         (self.ginv, self.sqrt_det, self.gamma, self.lap_drift, self.star, self.F, self.G,
@@ -509,12 +508,10 @@ def discrete_eq23_report(fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
     dc6, dstar6 = _centered_differences(gc, c6), _centered_differences(gc, star6)
 
     def nabla_pm_sq(idx):
-        gi = np.moveaxis(cg.ginv[idx], 0, -1)  # component axes first, as forms takes it
-        Q = forms.entry_values(forms.lambda2_metric(gi))
         T = _covariant_nabla_discrete(cg, c6, dc6, idx)
         T_star = _covariant_nabla_discrete(cg, star6, dstar6, idx)
-        return (forms.nabla_norm_sq_values(gi, T + T_star, Q),
-                forms.nabla_norm_sq_values(gi, T - T_star, Q))
+        return (forms.nabla_norm_sq_values(cg.ginv[idx], T + T_star),
+                forms.nabla_norm_sq_values(cg.ginv[idx], T - T_star))
 
     np_sq, nm_sq = (np.concatenate(x).reshape(n, n, n, n)
                     for x in zip(*map_chunks(nabla_pm_sq, np.arange(gc.sites))))

@@ -36,10 +36,9 @@ NCOEFF = 15
 # y_a, 5 + q the quadratic slot of y_a y_b for (a, b) = (_QUAD_A[q], _QUAD_B[q]),
 # a <= b in row-major order, so the slots of one a are contiguous.
 _QUAD_A, _QUAD_B = np.triu_indices(NVARS)
-# the linear slots of the two factors of each quadratic slot; _QOFF marks the
-# off-diagonal ones, which take both cross terms
-_QLO, _QHI = 1 + _QUAD_A, 1 + _QUAD_B
-_QOFF = np.flatnonzero(_QUAD_A != _QUAD_B)
+# _QROW[a]: the quadratic slots (a, b) for b = a..3, one contiguous slice
+_QROW = [slice(5 + q, 5 + q + NVARS - a)
+         for a, q in enumerate(np.flatnonzero(_QUAD_A == _QUAD_B).tolist())]
 _HESS_SLOTS = np.zeros((NVARS, NVARS), dtype=int)
 _HESS_SLOTS[_QUAD_A, _QUAD_B] = _HESS_SLOTS[_QUAD_B, _QUAD_A] = 5 + np.arange(len(_QUAD_A))
 _HESS_FAC = 1.0 + np.eye(NVARS)
@@ -53,6 +52,30 @@ class JetError(Curv4Error):
             message = f"{message} at point {where}"
         super().__init__(message)
         self.where = where
+
+
+def _graded(x, y, op):
+    """The truncated product of the stacked jets x and y ((NCOEFF,) + ...),
+    with op the product of one pair of coefficient slots (np.multiply for
+    scalar jets, np.matmul for matrix jets, or a contraction such as a trace).
+    Quadratic slot (a, b) sums as x0 y_ab + ((x_a y_b [+ x_b y_a]) + x_ab y0),
+    the order of the plain convolution sum; the slots of one a run together,
+    on views of x and y."""
+    y0 = y[:1]
+    out = op(x[:1], y)
+    out[1:5] += op(x[1:5], y0)
+    for a, row in enumerate(_QROW):
+        s = op(x[1 + a:2 + a], y[1 + a:5])
+        s[1:] += op(x[2 + a:5], y[1 + a:2 + a])
+        s += op(x[row], y0)
+        out[row] += s
+    return out
+
+
+def matmul(x, y):
+    """Stacked jets of the matrix product x y of stacked jet matrices
+    (NCOEFF,) + batch + (n, m) and (NCOEFF,) + batch + (m, k)."""
+    return _graded(x, y, np.matmul)
 
 
 def _first_bad(mask, points):
@@ -157,18 +180,7 @@ class Jet3:
     def __mul__(self, other):
         if not isinstance(other, Jet3):
             return Jet3(self.c * other)
-        # quadratic slot (a, b) sums as a0 b_ab + ((a_a b_b [+ a_b b_a]) + a_ab b0),
-        # the order of the plain convolution sum, so the two agree bit for bit;
-        # every operation runs over whole coefficient rows of the batch
-        a, b = self.c, other.c
-        b0 = b[0]
-        out = a[:1] * b
-        out[1:5] += a[1:5] * b0
-        s = a[_QLO] * b[_QHI]
-        s[_QOFF] += a[_QHI[_QOFF]] * b[_QLO[_QOFF]]
-        s += a[5:] * b0
-        out[5:] += s
-        return Jet3(out)
+        return Jet3(_graded(self.c, other.c, np.multiply))
 
     __rmul__ = __mul__
 
@@ -276,23 +288,10 @@ def assert_finite(u, context, points=None):
 # batch + (4,) + components (derivative axis first).
 
 
-def stack(m):
-    """Coefficients (NCOEFF,) + batch + (4, 4) of a 4x4 nested list of jets."""
-    return np.stack([np.stack([e.c for e in row], axis=-1) for row in m], axis=-2)
-
-
-def entries(c):
-    """4x4 nested list of jets holding contiguous copies of the entries of the
-    stacked coefficients c (products of strided views cost 3x more)."""
-    return [[Jet3(np.ascontiguousarray(c[..., i, j])) for j in range(NVARS)]
-            for i in range(NVARS)]
-
-
-def antisymmetric(comps, index_sets):
+def antisymmetric(c, index_sets):
     """The antisymmetric tensor, shape X + (4,) * rank, whose components on the
-    increasing index tuples index_sets are the arrays comps (each of shape X:
+    increasing index tuples index_sets are c[..., k] (c of shape X + (K,):
     stacked jet coefficients, values or gradients)."""
-    c = np.stack(comps, axis=-1)
     idx = np.array(index_sets)
     full = np.zeros(c.shape[:-1] + (NVARS,) * idx.shape[1])
     for perm in itertools.permutations(range(idx.shape[1])):
@@ -304,8 +303,7 @@ def antisymmetric(comps, index_sets):
 def congruence(a, m):
     """Stacked jets of (a^T m a)_cd = sum_ij a_ic m_ij a_jd, for stacked 4x4
     jet matrices a and m."""
-    ma = (Jet3(m[..., :, :, None]) * Jet3(a[..., None, :, :])).c.sum(axis=-2)
-    return (Jet3(a[..., :, :, None]) * Jet3(ma[..., :, None, :])).c.sum(axis=-3)
+    return matmul(np.swapaxes(a, -1, -2), matmul(m, a))
 
 
 def inverse_values(m0, points=None):
@@ -318,51 +316,50 @@ def inverse_values(m0, points=None):
         raise JetError("singular metric matrix", _first_bad(bad, points)) from None
 
 
-def inverse_coeffs(c, points=None):
-    """Stacked jets of the inverse of the stacked jet matrix c ((NCOEFF,) + batch
-    + (4, 4)).
-
-    With V = m(p)^-1 and N = m - m(p), which has no constant term,
-    m^-1 = V - V N V + V N V N V, exact at order 2.  Per coefficient, with
-    W_a = V N_a: the linear part is -W_a V and the quadratic part of y_a y_b is
-    (W_a W_b + W_b W_a - V N_ab) V for a < b and (W_a W_a - V N_aa) V on the
-    diagonal, one slot at a time.
-    """
-    V = inverse_values(c[0], points)
-    W = V @ c[1:5]
-    out = np.empty_like(c)
-    out[0] = V
-    out[1:5] = -W @ V
-    for q, (a, b) in enumerate(zip(_QUAD_A, _QUAD_B)):
-        s = W[a] @ W[b]
-        if a != b:
-            s += W[b] @ W[a]
-        s -= V @ c[5 + q]
-        np.matmul(s, V, out=out[5 + q])
-    return out
+def solve(m, b, points=None):
+    """Stacked jets of m^-1 b for a stacked 4x4 jet matrix m and stacked jets b
+    ((NCOEFF,) + batch + (4, k)), one slot at a time, so every temporary holds
+    one slot.  With V = m(p)^-1, each slot of x is V times that slot of b less
+    the terms of the graded product m x that hold lower slots of x:
+    x_ab = V (b_ab - m_a x_b - m_ab x_0 [- m_b x_a]), exact at order 2."""
+    V = inverse_values(m[0], points)
+    x = np.empty(b.shape)
+    x[0] = V @ b[0]
+    for a in range(NVARS):
+        x[1 + a] = V @ (b[1 + a] - m[1 + a] @ x[0])
+    for q, (a, c) in enumerate(zip(_QUAD_A.tolist(), _QUAD_B.tolist())):
+        s = b[5 + q] - m[1 + a] @ x[1 + c] - m[5 + q] @ x[0]
+        if a != c:
+            s -= m[1 + c] @ x[1 + a]
+        x[5 + q] = V @ s
+    return x
 
 
 def mat_inverse(c, points=None):
-    """Inverse of the stacked jet matrix c as a 4x4 nested list of jets (see
-    inverse_coeffs)."""
-    return entries(inverse_coeffs(c, points))
+    """Stacked jets of the inverse of the stacked jet matrix c: solve(c, I)."""
+    eye = np.zeros_like(c)
+    eye[0] = np.eye(NVARS)
+    return solve(c, eye, points)
 
 
 def minor(m, rows, cols=None):
-    """Determinant of m[rows][cols] (cols defaults to rows) for a matrix m[i][j]
-    of jets or value arrays, by cofactor expansion along the first row; 1.0
+    """Determinant of the submatrix m[rows, cols] (cols defaults to rows) of the
+    stacked matrices m, values batch + (r, c) or a Jet3 of stacked coefficients,
+    by cofactor expansion along the first row over views of its entries; 1.0
     for no rows."""
     cols = rows if cols is None else cols
-    if len(rows) <= 1:
-        return m[rows[0]][cols[0]] if rows else 1.0
+    if not rows:
+        return 1.0
+    if len(rows) == 1:
+        r, c = rows[0], cols[0]
+        return Jet3(m.c[..., r, c]) if isinstance(m, Jet3) else m[..., r, c]
     out = None
     for k, c in enumerate(cols):
-        term = m[rows[0]][c] * minor(m, rows[1:], cols[:k] + cols[k + 1:])
+        term = minor(m, rows[:1], (c,)) * minor(m, rows[1:], cols[:k] + cols[k + 1:])
         out = term if out is None else out - term if k % 2 else out + term
     return out
 
 
 def det4(m):
-    """Determinant of a 4x4 matrix m[i][j] of jets or value arrays (cofactor
-    expansion)."""
+    """Determinant of stacked 4x4 matrices m, values or a Jet3 (see minor)."""
     return minor(m, (0, 1, 2, 3))

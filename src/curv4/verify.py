@@ -16,7 +16,7 @@ from . import InputError, forms, jets
 from .charts import (CurvatureSlate, Geometry, MetricChart, chart_is_periodic,
                      curvature_at, map_chunks, normal_chart, normal_chart_map,
                      pullback_two_form, sqrt_det_values)
-from .forms import EMPTY_SCAN, PAIRS, SIGN_CONVENTIONS, TwoFormField
+from .forms import EMPTY_SCAN, SIGN_CONVENTIONS, TwoFormField
 from .jets import Jet3
 from .scenario import DEFAULT_TOLERANCES
 
@@ -115,16 +115,8 @@ class PointBundle:
         return np.max(np.abs(self.slate.M), axis=(-1, -2))
 
     @cached_property
-    def lambda2(self):
-        return forms.lambda2_metric(self.geom.ginv)
-
-    @cached_property
-    def coord_values(self):
-        return np.stack([c.value for c in self.c6], axis=-1)
-
-    @cached_property
     def frame_values(self):
-        return forms.frame_components(self.geom.frame, self.coord_values)
+        return forms.frame_components(self.geom.frame, self.c6[0])
 
     @cached_property
     def hodge_values(self):
@@ -132,13 +124,13 @@ class PointBundle:
 
     @cached_property
     def norm_sq_jet(self):
-        return forms.norm_sq_jet(self.geom, self.c6, self.lambda2)
+        return forms.norm_sq_jet(forms.raised_jets(self.geom, self.c6))
 
     @cached_property
     def grad_sq(self):
         """|nabla phi|^2, from nabla phi at first order."""
-        return forms.nabla_norm_sq_values(
-            self.geom.ginv, forms.nabla_two_form_values(self.geom, self.c6), self.lambda2)
+        return forms.nabla_norm_sq_values(self.geom.ginv_values,
+                                          forms.nabla_two_form_values(self.geom, self.c6))
 
     @cached_property
     def abs_phi(self):
@@ -159,21 +151,21 @@ class PointBundle:
     @cached_property
     def phi_pm(self):
         """Coordinate components of phi+ = phi + *phi and phi- = phi - *phi."""
-        star6 = forms.star_coord(self.geom.ginv, self.geom.sqrt_det_jet, self.c6, self.lambda2)
-        return ([c + s for c, s in zip(self.c6, star6)],
-                [c - s for c, s in zip(self.c6, star6)])
+        star6 = forms.star_jets(self.geom, self.c6)
+        return self.c6 + star6, self.c6 - star6
 
     @cached_property
     def nabla_pm_sq(self):
         """|nabla phi+|^2 and |nabla phi-|^2, each from its own nabla."""
         return tuple(forms.nabla_norm_sq_values(
-            self.geom.ginv, forms.nabla_two_form_values(self.geom, c), self.lambda2)
+            self.geom.ginv_values, forms.nabla_two_form_values(self.geom, c))
             for c in self.phi_pm)
 
     @cached_property
     def abs_phi_pm(self):
-        """abs_jets of phi+ and of phi-."""
-        return tuple(abs_jets(self.geom, forms.norm_sq_jet(self.geom, c, self.lambda2))
+        """abs_jets of phi+ and of phi-, each |phi+-|^2 from its own raised form:
+        2F and 2G cancel to round-off where phi is (anti-)self-dual."""
+        return tuple(abs_jets(self.geom, forms.norm_sq_jet(forms.raised_jets(self.geom, c)))
                      for c in self.phi_pm)
 
     @cached_property
@@ -292,9 +284,7 @@ def _parallel_frame_fields(b: PointBundle, basis):
     xj = normal_chart_map(b.geom, basis)
     geom_nc = normal_chart(b.chart, xj)
     gmax = np.max(np.abs(geom_nc.gamma_values), axis=(-1, -2, -3))
-    c6n = pullback_two_form(b.field.components, xj)
-    fj = jets.congruence(parallel_frame_jets(geom_nc),
-                         jets.antisymmetric([u.c for u in c6n], PAIRS))
+    fj = jets.congruence(parallel_frame_jets(geom_nc), pullback_two_form(b.field.components, xj))
     return geom_nc, fj, gmax
 
 
@@ -311,11 +301,10 @@ def _normal_gamma_gate(gmax, tols):
 def verify_component_bochner(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     def kernel(b):
         geom_nc, fj, gmax = _parallel_frame_fields(b, b.slate.frame)
-        f6 = forms.pair_components_values(fj[0])
+        pairs = forms.pair_components_values(fj)
+        lapm = forms.full_matrix_values(forms.scalar_laplacian_values(geom_nc, Jet3(pairs)))
+        f6 = pairs[0]
         fmat = forms.full_matrix_values(f6)
-        lapm = forms.full_matrix_values(np.stack(
-            [forms.scalar_laplacian_values(geom_nc, Jet3(fj[..., a, c])) for a, c in PAIRS],
-            axis=-1))
         # sum_pq R_kplq f_pq = (M f)_(kl) by the first Bianchi identity
         Ric = b.slate.Ric
         rhs = (Ric @ fmat + fmat @ np.swapaxes(Ric, -1, -2)
@@ -347,12 +336,11 @@ def verify_lemma22(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
         geom_nc, fj, gmax = _parallel_frame_fields(b, b.slate.frame @ adapted.basis)
         Mn = curvature_at(geom_nc).M
         K, R1234 = canonical._k_r(Mn)
-        f1, f2 = Jet3(fj[..., 0, 1]), Jet3(fj[..., 2, 3])
-        v1, v2 = f1.value, f2.value
-        r1 = forms.scalar_laplacian_values(geom_nc, f1) - 2.0 * (K * v1 - R1234 * v2)
-        r2 = forms.scalar_laplacian_values(geom_nc, f2) - 2.0 * (K * v2 - R1234 * v1)
-        lap_scale = (forms.scalar_laplacian_scale(geom_nc, f1)
-                     + forms.scalar_laplacian_scale(geom_nc, f2))
+        f = Jet3(forms.pair_components_values(fj)[..., [0, 5]])  # f1 = f_12, f2 = f_34
+        (v1, v2), (lap1, lap2) = f.value.T, forms.scalar_laplacian_values(geom_nc, f).T
+        r1 = lap1 - 2.0 * (K * v1 - R1234 * v2)
+        r2 = lap2 - 2.0 * (K * v2 - R1234 * v1)
+        lap_scale = np.sum(forms.scalar_laplacian_scale(geom_nc, f), axis=-1)
         rmax = np.max(np.abs(Mn), axis=(-1, -2))
         abss = np.maximum(np.abs(r1), np.abs(r2))
         rels = _rel(abss, lap_scale,
@@ -562,8 +550,7 @@ def _conformal_kernel(b, k):
     # pre-cancellation scale (1 + max|R|)|phi|^2 + scale of Delta|phi|^2,
     # as in Weitzenboeck.
     lap_nsq = forms.scalar_laplacian_values(b.geom, nsq)
-    hodge_inner = forms.inner_lambda2(forms.entry_values(b.lambda2), b.coord_values.T,
-                                      b.hodge_values.T)
+    hodge_inner = forms.inner_values(b.geom.ginv_values, b.c6[0], b.hodge_values)
     qR = forms.curvature_action_frame(b.slate.M, b.slate.Ric, b.frame_values)
     Fphi = np.sum(qR * b.frame_values, axis=-1)
     lhs43 = 0.5 * lap_nsq + hodge_inner
@@ -586,9 +573,8 @@ def _conformal_kernel(b, k):
     res46 = _rel(lhs46 - rhs46, np.abs(lhs46), np.abs(rhs46), np.abs(t46a) + np.abs(t46b))
 
     # Eq 4.9 (the end identity)
-    grad_sq_p = forms.nabla_norm_sq_values(
-        np.moveaxis(geomp.ginv_values, (-2, -1), (0, 1)),
-        forms.nabla_two_form_values(geomp, b.c6))
+    grad_sq_p = forms.nabla_norm_sq_values(geomp.ginv_values,
+                                           forms.nabla_two_form_values(geomp, b.c6))
     lhs49_a = grad_sq
     lhs49_b = (1.5 * k * k - 3.0 * k) * dphi_sq
     lhs49 = lhs49_a + lhs49_b

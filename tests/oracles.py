@@ -382,22 +382,22 @@ def lumped_masses(chart, n):
 def star_gram_loops(basis):
     """S[a, b] = sum <*z_a, z_b> vol and G[a, b] = sum <z_a, z_b> vol over the cell
     centers, one inner_lambda2 call per pair of co-located basis cochains."""
-    from curv4 import charts, forms, grid
+    from curv4 import charts, grid
 
     gc = basis.complex
     g = charts.metric_values(gc.chart, grid._cell_centers(gc))
     sqrt_det = charts.sqrt_det_values(g)
     vol = sqrt_det * gc.h**4
     gi = np.moveaxis(np.linalg.inv(g), 0, -1)
-    Q = forms.lambda2_metric(gi)
+    Q = lambda2_metric(gi)
     k = basis.vectors.shape[1]
     coloc = [grid._colocate(gc, basis.vectors[:, m]) for m in range(k)]
-    stars = [forms.star_coord(gi, sqrt_det, c, Q) for c in coloc]
+    stars = [star_coord(gi, sqrt_det, c, Q) for c in coloc]
     S, G = np.empty((k, k)), np.empty((k, k))
     for a in range(k):
         for b in range(k):
-            S[a, b] = np.sum(forms.inner_lambda2(Q, stars[a], coloc[b]) * vol)
-            G[a, b] = np.sum(forms.inner_lambda2(Q, coloc[a], coloc[b]) * vol)
+            S[a, b] = np.sum(inner_lambda2(Q, stars[a], coloc[b]) * vol)
+            G[a, b] = np.sum(inner_lambda2(Q, coloc[a], coloc[b]) * vol)
     return S, G
 
 
@@ -523,7 +523,7 @@ def einsum_dgamma(geom):
 def einsum_nabla_two_form_jets(geom, c6):
     """forms.nabla_two_form_jets as one leibniz contraction of (Gamma, d Gamma)
     with (phi, d phi)."""
-    full = Jet3(jets.antisymmetric([u.c for u in c6], PAIRS))
+    full = Jet3(jets.antisymmetric(c6, PAIRS))
     phi = full.value
     dphi = np.moveaxis(full.grad(), -1, -3)
     hphi = np.moveaxis(full.hessian(), (-2, -1), (-4, -3))
@@ -538,14 +538,13 @@ def einsum_codiff_two_form_jets(geom, T):
     return -delta, -ddelta
 
 
-def einsum_codiff_three_form_values(geom, w_triples):
+def einsum_codiff_three_form_values(geom, w):
     """forms.codiff_three_form_values through the whole nabla w, [a, i, j, k]."""
     from curv4.forms import TRIPLES, pair_components_values
 
     gam = geom.gamma_values
-    ws = [w_triples[t] for t in TRIPLES]
-    W = jets.antisymmetric([w.value for w in ws], TRIPLES)
-    dW = jets.antisymmetric([w.grad() for w in ws], TRIPLES)
+    W = jets.antisymmetric(w[0], TRIPLES)
+    dW = jets.antisymmetric(np.moveaxis(w[1:5], 0, -2), TRIPLES)
     nab = dW \
         - np.einsum("...lai,...ljk->...aijk", gam, W, optimize=True) \
         - np.einsum("...laj,...ilk->...aijk", gam, W, optimize=True) \
@@ -587,25 +586,39 @@ def exterior_d(form, k):
     return out
 
 
+def nested_minor(m, rows, cols=None):
+    """Determinant of m[rows][cols] (cols defaults to rows) for a nested matrix
+    m[i][j] of jets or value arrays, by cofactor expansion along the first
+    row; 1.0 for no rows."""
+    cols = rows if cols is None else cols
+    if len(rows) <= 1:
+        return m[rows[0]][cols[0]] if rows else 1.0
+    out = None
+    for k, c in enumerate(cols):
+        term = m[rows[0]][c] * nested_minor(m, rows[1:], cols[:k] + cols[k + 1:])
+        out = term if out is None else out - term if k % 2 else out + term
+    return out
+
+
 def hodge_star(ginv, vol, form, k):
     """*a of a k-form a of jets: (*a)_J = sqrt(g) sign(I J) a^I, with I the
     complement of J and a^I = sum_K det(g^-1[I, K]) a_K, the Lambda^k minors."""
     out = {}
     for J in itertools.combinations(range(4), 4 - k):
         I = tuple(i for i in range(4) if i not in J)
-        terms = [jets.minor(ginv, I, K) * form[K] for K in itertools.combinations(range(4), k)]
+        terms = [nested_minor(ginv, I, K) * form[K] for K in itertools.combinations(range(4), k)]
         out[J] = vol * sum(terms[1:], terms[0]) * _perm_sign(I + J)
     return out
 
 
 def hodge_laplacian(g, c6):
     """(d delta + delta d) phi, coordinate values (..., 6) in PAIRS order, for
-    the metric g (4x4 nested jets) and the 2-form of pair jets c6; g^-1 is
+    the metric g (4x4 nested jets) and the stacked 2-form c6; g^-1 is
     the adjugate over det g."""
-    det = jets.det4(g)
+    det = nested_minor(g, (0, 1, 2, 3))
     inv_det = 1.0 / det
     rest = [tuple(r for r in range(4) if r != i) for i in range(4)]
-    ginv = [[(-1) ** (i + j) * jets.minor(g, rest[j], rest[i]) * inv_det for j in range(4)]
+    ginv = [[(-1) ** (i + j) * nested_minor(g, rest[j], rest[i]) * inv_det for j in range(4)]
             for i in range(4)]
     vol = jets.sqrt(det)
 
@@ -613,7 +626,125 @@ def hodge_laplacian(g, c6):
         star = hodge_star(ginv, vol, exterior_d(hodge_star(ginv, vol, form, k), 4 - k), 5 - k)
         return {J: -u for J, u in star.items()}
 
-    phi = dict(zip(PAIRS, c6))
+    phi = dict(zip(PAIRS, pair_jets(c6)))
     d_delta = exterior_d(delta(phi, 2), 1)
     delta_d = delta(exterior_d(phi, 2), 3)
     return np.stack([(d_delta[J] + delta_d[J]).value for J in PAIRS], axis=-1)
+
+
+# -- the nested layout that the stacked coefficient arrays replaced: g and g^-1
+# as 4x4 lists of entry jets, and the Lambda^2 metric Q as a 6x6 list, with
+# every Lambda^2 quantity a sum over its entries.
+
+
+def pair_jets(c6):
+    """The six pair jets of the stacked 2-form c6 ((NCOEFF,) + batch + (6,))
+    as a list of contiguous Jet3."""
+    return [Jet3(np.ascontiguousarray(c6[..., q])) for q in range(6)]
+
+
+def entries(c):
+    """4x4 nested list of jets holding contiguous copies of the entries of the
+    stacked coefficients c ((NCOEFF,) + batch + (4, 4))."""
+    return [[Jet3(np.ascontiguousarray(c[..., i, j])) for j in range(4)] for i in range(4)]
+
+
+def stack(m):
+    """Coefficients (NCOEFF,) + batch + (4, 4) of a 4x4 nested list of jets."""
+    return np.stack([np.stack([e.c for e in row], axis=-1) for row in m], axis=-2)
+
+
+def lambda2_metric(gi):
+    """Q[(ij),(kl)] = g^ik g^jl - g^il g^jk, a 6x6 symmetric nested list, over
+    the entries gi[i][j] of g^-1 (jets or values, component axes first)."""
+    Q = [[None] * 6 for _ in range(6)]
+    for a, (i, j) in enumerate(PAIRS):
+        for b in range(a, 6):
+            k, l = PAIRS[b]
+            Q[a][b] = Q[b][a] = gi[i][k] * gi[j][l] - gi[i][l] * gi[j][k]
+    return Q
+
+
+def inner_lambda2(Q, a6, b6):
+    """<a, b> = a_p Q_pq b_q on coordinate components."""
+    terms = (a6[p] * Q[p][q] * b6[q] for p in range(6) for q in range(6))
+    return sum(terms, next(terms))
+
+
+def star_coord(gi, sqrt_det, c6, Q=None):
+    """Coordinate components of *phi: (*phi)_kl = sqrt(g) eps_ijkl phi^ij, with
+    phi^ij = (Q c)_(ij) and the signs of STAR6."""
+    from curv4.forms import STAR6
+
+    Q = Q if Q is not None else lambda2_metric(gi)
+    out = []
+    for q in range(6):
+        terms = (Q[5 - q][m] * c6[m] for m in range(6))
+        out.append(sqrt_det * sum(terms, next(terms)) * STAR6[q, 5 - q])
+    return out
+
+
+def entry_values(m):
+    """Values of nested jets (or arrays) as one array, component axes first."""
+    if isinstance(m, np.ndarray):
+        return m
+    if isinstance(m, Jet3):
+        return m.value
+    return np.array([entry_values(x) for x in m])
+
+
+def nabla_norm_sq_values(gi, T, Q=None):
+    """|nabla phi|^2 = g^ab Q_pq T_ap T_bq from the values of g^-1 ([a][b]),
+    T = nabla phi (batch + (4, 4, 4) indexed [a, i, j]) and Q (from gi when
+    omitted)."""
+    from curv4.forms import _contract, pair_components_values
+
+    gi = entry_values(gi)
+    Q = entry_values(Q if Q is not None else lambda2_metric(gi))
+    gi, Q = (np.moveaxis(m, (0, 1), (-2, -1)) for m in (gi, Q))
+    T6 = pair_components_values(T)  # [a, p]
+    return _contract(gi, T6 @ Q @ np.swapaxes(T6, -1, -2))
+
+
+def broadcast_congruence(a, m):
+    """Stacked jets of (a^T m a)_cd as two graded products broadcast out to
+    (NCOEFF,) + batch + (4, 4, 4), summed over the contracted axis."""
+    ma = (Jet3(m[..., :, :, None]) * Jet3(a[..., None, :, :])).c.sum(axis=-2)
+    return (Jet3(a[..., :, :, None]) * Jet3(ma[..., :, None, :])).c.sum(axis=-3)
+
+
+_QUAD_A, _QUAD_B = np.triu_indices(4)
+_QLO, _QHI = 1 + _QUAD_A, 1 + _QUAD_B
+_QOFF = np.flatnonzero(_QUAD_A != _QUAD_B)
+
+
+def fancy_index_mul(a, b):
+    """The graded jet product as it was written over fancy-indexed copies of
+    all quadratic slots at once: quadratic slot (a, b) sums as
+    a0 b_ab + ((a_a b_b [+ a_b b_a]) + a_ab b0)."""
+    b0 = b[0]
+    out = a[:1] * b
+    out[1:5] += a[1:5] * b0
+    s = a[_QLO] * b[_QHI]
+    s[_QOFF] += a[_QHI[_QOFF]] * b[_QLO[_QOFF]]
+    s += a[5:] * b0
+    out[5:] += s
+    return out
+
+
+def slot_loop_inverse(c):
+    """Stacked jets of m^-1 = V - V N V + V N V N V one quadratic slot at a
+    time: with W_a = V N_a, the linear part -W_a V and the quadratic part
+    (W_a W_b + W_b W_a - V N_ab) V (a < b), (W_a W_a - V N_aa) V."""
+    V = np.linalg.inv(c[0])
+    W = V @ c[1:5]
+    out = np.empty_like(c)
+    out[0] = V
+    out[1:5] = -W @ V
+    for q, (a, b) in enumerate(zip(_QUAD_A, _QUAD_B)):
+        s = W[a] @ W[b]
+        if a != b:
+            s += W[b] @ W[a]
+        s -= V @ c[5 + q]
+        np.matmul(s, V, out=out[5 + q])
+    return out

@@ -120,7 +120,7 @@ def test_criterion_4_canonical_frame():
     slate = curvature_at(cp2, pts)
     fld = TwoFormField(cp2, presets.form_preset("kaehler", cp2))
     f6 = forms.frame_components(slate.frame,
-                                np.stack([c.value for c in fld.component_jets(pts)], -1))
+                                fld.component_jets(pts)[0])
     kk = canonical.curvature_term_K(slate, canonical.canonicalize(f6))
     cp2_err = max(float(np.max(np.abs(kk["K"] - 2.0))),
                   float(np.max(np.abs(kk["R1234"] - 2.0))))
@@ -130,7 +130,7 @@ def test_criterion_4_canonical_frame():
     slp = curvature_at(prod, ptsp)
     fldp = TwoFormField(prod, presets.form_preset("factor_volumes", prod))
     f6p = forms.frame_components(slp.frame,
-                                 np.stack([c.value for c in fldp.component_jets(ptsp)], -1))
+                                 fldp.component_jets(ptsp)[0])
     kkp = canonical.curvature_term_K(slp, canonical.canonicalize(f6p))
     prod_err = max(float(np.max(np.abs(kkp["K"]))),
                    float(np.max(np.abs(kkp["R1234"]))))

@@ -102,7 +102,7 @@ def test_cp2_kaehler_K_values():
     slate = curvature_at(chart, pts)
     fld = TwoFormField(chart, presets.form_preset("kaehler", chart))
     c6 = fld.component_jets(pts)
-    f6 = forms.frame_components(slate.frame, np.stack([c.value for c in c6], -1))
+    f6 = forms.frame_components(slate.frame, c6[0])
     ad = canonical.canonicalize(f6)
     assert ad.degenerate.all()  # the Kaehler form is self-dual
     kk = canonical.curvature_term_K(slate, ad)
@@ -118,7 +118,7 @@ def test_product_volumes_K_zero():
     slate = curvature_at(chart, pts)
     fld = TwoFormField(chart, presets.form_preset("factor_volumes", chart))
     c6 = fld.component_jets(pts)
-    f6 = forms.frame_components(slate.frame, np.stack([c.value for c in c6], -1))
+    f6 = forms.frame_components(slate.frame, c6[0])
     ad = canonical.canonicalize(f6)
     kk = canonical.curvature_term_K(slate, ad)
     assert np.max(np.abs(kk["K"])) < 1e-8

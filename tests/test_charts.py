@@ -11,9 +11,10 @@ from curv4.charts import (ChartError, Geometry, conformal_chart, curvature_at,
                           normal_chart, normal_chart_map, pullback_two_form, sample_box,
                           sectional, validate_chart)
 from curv4.forms import TwoFormField
+from curv4.jets import Jet3
 
 from oracles import (NEAR_FLAT_TERMS, complex_space_form_R, constant_curvature_R, derivative,
-                     near_flat_chart, op6, ricci_R, riemann_coord, rotate_R,
+                     entries, near_flat_chart, op6, ricci_R, riemann_coord, rotate_R,
                      scipy_halton_permutations, splitmix64, unpack_R)
 
 RNG = np.random.default_rng(42)
@@ -198,12 +199,10 @@ def test_metric_compatibility():
     rng = np.random.default_rng(8)
     vc = rng.normal(size=4)
     wc = rng.normal(size=4)
-    from curv4.jets import Jet3
-
     env = [Jet3.variable(i, pts[:, i]) for i in range(4)]
     V = [vc[i] + 0.3 * env[(i + 1) % 4] for i in range(4)]
     W = [wc[i] - 0.2 * env[(i + 2) % 4] for i in range(4)]
-    g = geom.g
+    g = entries(geom.gc)
     gam = geom.gamma_values  # gam[n, i, a, k] = Gamma^i_{ak}
 
     def inner(A, B):
@@ -311,7 +310,7 @@ def test_normal_chart_properties():
                     a = [0, 0, 0, 0]
                     a[k] += 1
                     a[l] += 1
-                    d2g[i, j, k, l] = derivative(geom.g[i][j], a)[0]
+                    d2g[i, j, k, l] = derivative(Jet3(geom.gc[..., i, j]), a)[0]
     rec = 0.5 * (np.einsum("iljk->ijkl", d2g) + np.einsum("jkil->ijkl", d2g)
                  - np.einsum("jlik->ijkl", d2g) - np.einsum("ikjl->ijkl", d2g))
     assert np.max(np.abs(rec - unpack_R(slate.M[0]))) < 1e-7
@@ -343,8 +342,7 @@ def _normal_chart_arrays(chart, fld, P, B):
     xj = normal_chart_map(Geometry.of_chart(chart, np.atleast_2d(P)), B)
     geom = normal_chart(chart, xj)
     pulled = pullback_two_form(fld.components, xj)
-    return [np.stack([geom.g[i][j].c.T for i in range(4) for j in range(4)], axis=-2),
-            np.stack([c.c.T for c in pulled], axis=-2),
+    return [np.moveaxis(geom.gc, 0, -1), np.moveaxis(pulled, 0, -1),
             np.stack([geom.dgamma_slice(a) for a in range(4)], axis=1)]
 
 

@@ -248,6 +248,36 @@ def test_overflowing_expression_exit2(tmp_path, capsys, command, where):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_scaled_torus_metric_keeps_its_verdict(tmp_path):
+    """Periodicity is tested relative to max|g|, so the perturbed torus with
+    its metric scaled by 1e4 is still a torus: grid definiteness gives the
+    kernel and signature of the unscaled metric."""
+    keys = ("kernel_dim", "b2_plus", "b2_minus", "signature")
+    sc = json.loads((SCENARIOS / "perturbed_t4_n8.json").read_text())
+    sc["grid"]["n"] = 6
+    reports = []
+    for scale in ("1", "1e4"):
+        sc["grid"]["metric"] = [[f"{scale}*({e})" for e in row] for row in PERTURBED]
+        sfile, out = tmp_path / f"s{scale}.json", tmp_path / scale
+        sfile.write_text(json.dumps(sc))
+        assert run(["grid", "definiteness", "--scenario", sfile, "--out", out]) == 0
+        reports.append({k: json.loads(read_report(out))[k] for k in keys})
+    assert reports[0] == reports[1] == {"kernel_dim": 6, "b2_plus": 3, "b2_minus": 3,
+                                        "signature": 0}
+
+
+def test_scaled_aperiodic_metric_rejected(tmp_path, capsys):
+    """The relative periodicity test still fails a metric that is not
+    periodic, scaled by 1e-4 to the size of an absolute 1e-12 slack."""
+    sc = json.loads((SCENARIOS / "perturbed_t4_n8.json").read_text())
+    sc["grid"]["metric"] = [[f"1e-4*({e})" for e in row] for row in PERTURBED]
+    sc["grid"]["metric"][0][0] = "1e-4*(1 + 0.1*sin(x1/2))"
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps(sc))
+    assert run(["grid", "definiteness", "--scenario", sfile, "--out", tmp_path]) == 2
+    assert "not 2pi-periodic" in capsys.readouterr().err
+
+
 def test_overflowing_grid_metric_exit2(tmp_path, capsys):
     """A grid metric entry that overflows is bad input named by its expression and
     a point, not a periodicity failure, and numpy warns of nothing."""

@@ -480,3 +480,30 @@ def test_kato_scan_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 6e6, peak
+
+
+@pytest.mark.parametrize("name", ["eq22", "lemma22"])
+def test_normal_chart_memory(name):
+    """The tracemalloc peak of verify eq22 and lemma22 on 512 points (one
+    chunk) of the conformal_product scenario stays at or under 16 MB (10.3
+    and 10.5 MB measured): the three congruences of the normal chart are
+    graded matmuls of stacked (NCOEFF, N, 4, 4) jets.  Broadcast out to
+    (NCOEFF, N, 4, 4, 4) before summing, they peaked at 21.4 and 21.6 MB."""
+    import tracemalloc
+    from pathlib import Path
+
+    from curv4 import scenario
+
+    sc = scenario.load(Path(__file__).resolve().parents[1] / "scenarios" /
+                       "conformal_product.json")
+    chart = sc.build_chart()
+    fld = sc.build_field(chart)
+    pts = sample_box(chart.domain, 512, seed=7)
+    VERIFIERS[name](chart, fld, pts)  # warm caches
+    tracemalloc.start()
+    try:
+        VERIFIERS[name](chart, fld, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak
