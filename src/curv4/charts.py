@@ -41,7 +41,7 @@ _D2G_WEIGHT = 0.5 * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * jets._HESS
 # The upper entries (i <= j) of the metric, in evaluation order.
 UPPER = tuple(itertools.combinations_with_replacement(range(4), 2))
 # Points (or grid cells) per chunk of every pointwise path (map_chunks): the
-# verifiers, kato scan and the integrals.  A 512-point chunk peaks at 11-16 KB
+# verifiers, kato scan and the integrals.  A 512-point chunk peaks at 10-15 KB
 # per point (21 KB for eq22 and lemma22, whose normal charts hold the most);
 # per point the arithmetic is the same at any chunk size, and past 256 points
 # a chunk's fixed cost is paid back.
@@ -234,11 +234,6 @@ class Geometry:
         if key not in self._cache:
             self._cache[key] = builder()
         return self._cache[key]
-
-    @property
-    def ginv(self):
-        """Stacked jets of g^-1, exact at order 2."""
-        return self._get("ginv", lambda: jets.mat_inverse(self.gc, self.pts))
 
     @property
     def g_values(self):

@@ -141,7 +141,7 @@ def raised_jets(geom: Geometry, c6):
     """Stacked jets of A = g^-1 Phi, (NCOEFF,) + batch + (4, 4), from the
     stacked pair jets c6, solved for one jet slot at a time (no jets of g^-1
     are formed)."""
-    return jets.solve(geom.gc, full_matrix_values(c6), geom.pts)
+    return jets.solve(geom.gc, full_matrix_values(c6), V=geom.ginv_values)
 
 
 def norm_sq_jet(A):
@@ -163,9 +163,10 @@ def inner_values(ginv, a6, b6):
 
 def star_jets(geom: Geometry, c6):
     """Stacked jets (NCOEFF,) + batch + (6,) of the coordinate components of
-    *phi: sqrt(det g) times the pairs of A g^-1 = g^-1 Phi g^-1, with the signs
-    of STAR6 (star_coord on jets)."""
-    up6 = pair_components_values(jets.matmul(raised_jets(geom, c6), geom.ginv))
+    *phi: sqrt(det g) times the pairs of g^-1 Phi g^-1 = g^-1 (-A^T), solved as
+    A is, with the signs of STAR6 (star_coord on jets)."""
+    minus_At = -np.swapaxes(raised_jets(geom, c6), -1, -2)
+    up6 = pair_components_values(jets.solve(geom.gc, minus_At, V=geom.ginv_values))
     return (Jet3(geom.sqrt_det_jet.c[..., None]) * Jet3(hodge_star_frame(up6))).c
 
 
@@ -198,21 +199,15 @@ def wedge_self_jet(geom: Geometry, c6):
 
 def exterior_d2_jets(c6):
     """Stacked jets (NCOEFF,) + batch + (4,) of the 3-form d(phi) on TRIPLES,
-    metric-free: (d phi)_ijk = d_i phi_jk - d_j phi_ik + d_k phi_ij, one
-    derivative axis a at a time (the term of a in place s has sign (-1)^s)."""
-    out = np.zeros(c6.shape[:-1] + (len(TRIPLES),))
-    for a in range(4):
-        d = Jet3(c6).partial(a).c
-        for t, triple in enumerate(TRIPLES):
-            if a in triple:
-                s = triple.index(a)
-                out[..., t] += (-1) ** s * d[..., PAIRS.index(triple[:s] + triple[s + 1:])]
-    return out
+    metric-free: (d phi)_ijk = d_i phi_jk - d_j phi_ik + d_k phi_ij."""
+    def d(i, pair):
+        return Jet3(c6[..., PAIRS.index(pair)]).partial(i)
+    return np.stack([(d(i, (j, k)) - d(j, (i, k)) + d(k, (i, j))).c for i, j, k in TRIPLES], -1)
 
 
-def _minus_antisym(x, A):
+def _sub_antisym_inplace(x, A):
     """x - A + A^T in the last two axes, a connection term on both indices,
-    written into x."""
+    written into x: x must be a fresh array that nothing else reads."""
     x -= A
     x += np.swapaxes(A, -1, -2)
     return x
@@ -222,8 +217,8 @@ def nabla_two_form_values(geom: Geometry, c6):
     """nabla phi at first order, with no d Gamma: T[a, i, j] = (nabla_a phi)_ij
     = d_a phi_ij - A[a, i, j] + A[a, j, i], A[a, i, j] = Gamma^l_ai phi_lj."""
     gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, i, l] = Gamma^l_ai
-    return _minus_antisym(full_matrix_values(np.moveaxis(c6[1:5], 0, -2)),
-                          gt @ full_matrix_values(c6[0])[..., None, :, :])
+    return _sub_antisym_inplace(full_matrix_values(np.moveaxis(c6[1:5], 0, -2)),
+                                gt @ full_matrix_values(c6[0])[..., None, :, :])
 
 
 def nabla_two_form_jets(geom: Geometry, c6):
@@ -233,14 +228,13 @@ def nabla_two_form_jets(geom: Geometry, c6):
     phi = full_matrix_values(c6[0])[..., None, :, :]
     dphi = full_matrix_values(np.moveaxis(c6[1:5], 0, -2))  # [b, l, j]
     gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, i, l] = Gamma^l_ai
-    T = _minus_antisym(dphi.copy(), gt @ phi)
-    dT = np.empty(T.shape[:-3] + (4,) + T.shape[-3:])
+    dT = np.empty(dphi.shape[:-3] + (4,) + dphi.shape[-3:])
     for b in range(4):
         hphi = (full_matrix_values(np.moveaxis(c6[jets._HESS_SLOTS[b]], 0, -2))
                 * jets._HESS_FAC[b][:, None, None])  # d_b d_a phi_ij over [a, i, j]
         dA = np.moveaxis(geom.dgamma_slice(b), -3, -1) @ phi + gt @ dphi[..., b, None, :, :]
-        dT[..., b, :, :, :] = _minus_antisym(hphi, dA)
-    return T, dT
+        dT[..., b, :, :, :] = _sub_antisym_inplace(hphi, dA)
+    return _sub_antisym_inplace(dphi, gt @ phi), dT  # dphi is read above, so last
 
 
 def codiff_two_form_jets(geom: Geometry, c6, T=None):
@@ -264,8 +258,8 @@ def _trace_nabla(geom: Geometry, X, dX):
     flat = X.reshape(X.shape[:-3] + (4, 16))
     acc = 0.0
     for a, dX_a in enumerate(dX):
-        nab = _minus_antisym(dX_a - (gt[..., a, :, :] @ flat).reshape(X.shape),
-                             gt[..., a, None, :, :] @ X)
+        nab = _sub_antisym_inplace(dX_a - (gt[..., a, :, :] @ flat).reshape(X.shape),
+                                   gt[..., a, None, :, :] @ X)
         acc = acc + gi[..., a, None, :] @ nab.reshape(flat.shape)
     return acc.reshape(X.shape[:-3] + (4, 4))
 

@@ -366,8 +366,8 @@ def _star_gram(basis: HarmonicBasis):
     """S[a, b] = sum <*z_a, z_b> vol and G[a, b] = sum <z_a, z_b> vol over the cell
     centers for the co-located basis cochains z.  The cells run in chunks
     (map_chunks): in each, the raised pairs of every z_b and the cellwise
-    pairings are one contraction each, summed over the chunk's cells; the
-    chunks' partial sums add up last."""
+    pairings are one contraction each (cells last in C order, so each cell sum
+    runs pairwise in one pass); the chunks' partial sums add up last."""
     gc = basis.complex
     pts = _cell_centers(gc)
     C = np.stack([_colocate(gc, z).T for z in basis.vectors.T], axis=1)  # (cells, k, 6)
@@ -379,7 +379,7 @@ def _star_gram(basis: HarmonicBasis):
         Ci = C[idx]
         up = forms.raised_pairs(np.linalg.inv(g)[:, None], Ci)
         star = forms.star_coord(up, sqrt_det[:, None, None])
-        return [np.sum(np.einsum("nap,nbp->abn", Z, up) * vol, axis=-1) for Z in (star, Ci)]
+        return [np.sum(np.einsum("nap,nbp->abn", Z, up, order="C") * vol, -1) for Z in (star, Ci)]
 
     return tuple(sum(x) for x in zip(*map_chunks(partial, np.arange(gc.sites))))
 

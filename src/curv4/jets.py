@@ -316,13 +316,13 @@ def inverse_values(m0, points=None):
         raise JetError("singular metric matrix", _first_bad(bad, points)) from None
 
 
-def solve(m, b, points=None):
+def solve(m, b, points=None, V=None):
     """Stacked jets of m^-1 b for a stacked 4x4 jet matrix m and stacked jets b
     ((NCOEFF,) + batch + (4, k)), one slot at a time, so every temporary holds
-    one slot.  With V = m(p)^-1, each slot of x is V times that slot of b less
-    the terms of the graded product m x that hold lower slots of x:
-    x_ab = V (b_ab - m_a x_b - m_ab x_0 [- m_b x_a]), exact at order 2."""
-    V = inverse_values(m[0], points)
+    one slot.  With V = m(p)^-1 (given, or inverse_values(m[0])), each slot of x
+    is V times that slot of b less the terms of the graded product m x that hold
+    lower slots of x: x_ab = V (b_ab - m_a x_b - m_ab x_0 [- m_b x_a])."""
+    V = inverse_values(m[0], points) if V is None else V
     x = np.empty(b.shape)
     x[0] = V @ b[0]
     for a in range(NVARS):

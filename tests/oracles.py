@@ -497,7 +497,7 @@ def leibniz(spec, *ops):
 
 
 def einsum_inverse_coeffs(c):
-    """jets.inverse_coeffs from stacks of every W_a, V N_ab, W_a and W_b."""
+    """jets.mat_inverse (= solve(c, I)) from stacks of every W_a, V N_ab, W_a and W_b."""
     V = np.linalg.inv(c[0])
     W = np.einsum("...ik,a...kj->a...ij", V, c[1:5], optimize=True)
     W2 = np.einsum("...ik,q...kj->q...ij", V, c[5:], optimize=True)

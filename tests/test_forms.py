@@ -305,7 +305,7 @@ def _assert_lambda2_matches_nested_q(geom, c6, ulps):
     the jets of |phi|^2 and of *phi, *phi's values, <phi, Delta phi> and
     |nabla phi|^2.  Both sum the same products in different orders."""
     eps = np.finfo(float).eps
-    gi = oracles.entries(geom.ginv)
+    gi = oracles.entries(jets.mat_inverse(geom.gc, geom.pts))
     Q = oracles.lambda2_metric(gi)
     ginv, phi = geom.ginv_values, c6[0]
     pairs6 = oracles.pair_jets(c6)

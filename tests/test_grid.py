@@ -154,16 +154,12 @@ def test_masses_match_inverse_determinant_random(terms, n):
 
 
 def test_star_gram_matches_loops(pert4):
-    """The contracted S and G, from the raised pairs of each basis cochain,
-    equal one nested-Q inner_lambda2 per basis pair within 16 ulps of their
-    largest entry (8.5 ulps seen: the cellwise products are summed in another
-    order, then over 256 cells)."""
+    """The contracted S and G equal one inner_lambda2 per basis pair."""
     basis = grid.harmonic_kernel(pert4)
     S, G = grid._star_gram(basis)
     S_ref, G_ref = star_gram_loops(basis)
-    eps = np.finfo(float).eps
-    assert np.allclose(S, S_ref, rtol=0, atol=16 * eps * np.max(np.abs(S_ref)))
-    assert np.allclose(G, G_ref, rtol=0, atol=16 * eps * np.max(np.abs(G_ref)))
+    assert np.allclose(S, S_ref, rtol=0, atol=1e-15 * np.max(np.abs(S_ref)))
+    assert np.allclose(G, G_ref, rtol=0, atol=1e-15 * np.max(np.abs(G_ref)))
 
 
 def test_flat_kernel_is_constants(flat4):
