@@ -38,9 +38,9 @@ def canonicalize(f6, flag_tol=1e-8):
     """
     f6 = np.atleast_2d(np.asarray(f6, dtype=float))
     A = forms.full_matrix_values(f6)
-    split = forms.sd_split_frame(f6)
-    a = np.sqrt(split["F"] * 2.0) / np.sqrt(2.0)  # |phi+|/sqrt(2)
-    b = np.sqrt(split["G"] * 2.0) / np.sqrt(2.0)
+    star = forms.hodge_star_frame(f6)
+    # |phi+-|/sqrt(2) from phi+- = phi +- *phi: 2F, 2G cancel to round-off at (A)SD phi
+    a, b = (np.sqrt(np.sum((f6 + s * star)**2, axis=-1)) / np.sqrt(2.0) for s in (1.0, -1.0))
     lam1 = 0.5 * (a + b)
     lam2 = 0.5 * (a - b)
     norm = np.sqrt(np.sum(f6**2, axis=-1))

@@ -287,18 +287,15 @@ class Geometry:
         PAIRS by PAIRS, shape batch + (6, 6):
         (d_i d_l g_jk + d_j d_k g_il - d_i d_k g_jl - d_j d_l g_ik) / 2
         + Gamma_mil Gamma^m_jk - Gamma_mjl Gamma^m_ik, the second derivatives
-        read straight from the quadratic jet coefficients of g."""
-
-        def build():
-            quad = self.gc.reshape((jets.NCOEFF, -1, 16))
-            d2 = sum(w[..., None] * quad[s, :, e] for w, s, e in zip(_D2G_WEIGHT, _D2G_SLOT,
-                                                                    _D2G_ENTRY))
-            low, up = self.gamma_low_values, self.gamma_values
-            return (np.moveaxis(d2, -1, 0).reshape(up.shape[:-3] + (6, 6))
-                    + sum(low[..., m, _I, _L] * up[..., m, _J, _K] for m in range(4))
-                    - sum(low[..., m, _J, _L] * up[..., m, _I, _K] for m in range(4)))
-
-        return self._get("M", build)
+        read straight from the quadratic jet coefficients of g.  Not cached:
+        curvature_at reads it once and keeps only its frame rotation."""
+        quad = self.gc.reshape((jets.NCOEFF, -1, 16))
+        d2 = sum(w[..., None] * quad[s, :, e] for w, s, e in zip(_D2G_WEIGHT, _D2G_SLOT,
+                                                                _D2G_ENTRY))
+        low, up = self.gamma_low_values, self.gamma_values
+        return (np.moveaxis(d2, -1, 0).reshape(up.shape[:-3] + (6, 6))
+                + sum(low[..., m, _I, _L] * up[..., m, _J, _K] for m in range(4))
+                - sum(low[..., m, _J, _L] * up[..., m, _I, _K] for m in range(4)))
 
     @property
     def frame(self):

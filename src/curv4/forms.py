@@ -10,13 +10,14 @@ in phi, so the verifier works directly with the ordered-pair components.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from . import Curv4Error, jets
+from . import jets
 from . import expr as ex
-from .charts import PAIRS, Geometry, MetricChart
+from .charts import (PAIRS, CurvatureSlate, Geometry, MetricChart, curvature_at,
+                     sqrt_det_values)
 from .jets import Jet3
 
 PAIR_KEYS = ("12", "13", "14", "23", "24", "34")
@@ -47,10 +48,6 @@ EPS4 = jets.antisymmetric(np.ones(1), [(0, 1, 2, 3)])
 # (12)<->(34), (13)<->-(24), (14)<->(23), the signs of the volume pairing
 # phi ^ *psi = <phi, psi> vol.  Row q has its one entry in column 5 - q.
 STAR6 = np.array([[EPS4[i, j, k, l] for (i, j) in PAIRS] for (k, l) in PAIRS])
-
-
-class FormError(Curv4Error):
-    pass
 
 
 class TwoFormField:
@@ -106,35 +103,16 @@ def pair_components_values(mat):
     return mat[..., _PI, _PJ]
 
 
-def sd_split_frame(f6, tol=1e-10):
-    """phi+- = phi +- *phi, F = |phi+|^2/2, G = |phi-|^2/2, with the wedge
-    cross-check F = |phi|^2 + *(phi^phi), G = |phi|^2 - *(phi^phi)."""
-    f6 = np.asarray(f6)
-    star = hodge_star_frame(f6)
-    fplus = f6 + star
-    fminus = f6 - star
-    F = 0.5 * np.sum(fplus**2, axis=-1)
-    G = 0.5 * np.sum(fminus**2, axis=-1)
-    norm_sq = np.sum(f6**2, axis=-1)
-    wedge = 2.0 * (
-        f6[..., 0] * f6[..., 5] - f6[..., 1] * f6[..., 4] + f6[..., 2] * f6[..., 3]
-    )
-    scale = np.maximum(norm_sq, 1e-300)
-    dev = max(np.max(np.abs(F - (norm_sq + wedge)) / np.maximum(scale, 1.0)),
-              np.max(np.abs(G - (norm_sq - wedge)) / np.maximum(scale, 1.0))) \
-        if f6.size else 0.0
-    if dev > tol:
-        raise FormError(
-            f"self-dual split cross-check failed ({dev:.2e} > {tol:g}): star convention bug")
-    return {"plus": fplus, "minus": fminus, "F": F, "G": G}
-
-
 # -- pointwise Lambda^2 algebra: phi with its indices raised by g^-1 ------------
 #
 # With Phi the antisymmetric matrix of the coordinate components, the raised
 # form phi^ij = (g^-1 Phi g^-1)_ij gives the Lambda^2 inner product
 # <phi, psi> = sum_{i<j} phi^ij psi_ij and the Hodge star; with A = g^-1 Phi,
-# |phi|^2 = -tr(A A) / 2.
+# |phi|^2 = -tr(A A) / 2.  The jets and the values of |phi|^2 and *(phi^phi) take
+# the same products of their value slots.
+
+_TRACE_AB = partial(np.einsum, "...ij,...ji->...")
+_DOT6 = partial(np.einsum, "...p,...p->...")
 
 
 def raised_jets(geom: Geometry, c6):
@@ -147,7 +125,19 @@ def raised_jets(geom: Geometry, c6):
 def norm_sq_jet(A):
     """The jet of |phi|^2 = -tr(A A) / 2 from the stacked jets A = g^-1 Phi: the
     graded product of A with itself, each pair of slots traced."""
-    return Jet3(-0.5 * jets._graded(A, A, partial(np.einsum, "...ij,...ji->...")))
+    return Jet3(-0.5 * jets._graded(A, A, _TRACE_AB))
+
+
+def fg_values(ginv, c6, sqrt_det):
+    """F = |phi|^2 + *(phi^phi) = |phi+|^2/2, G = |phi|^2 - *(phi^phi) = |phi-|^2/2
+    and their size |phi|^2 + |*(phi^phi)| before cancellation, from the values
+    ginv of g^-1 (..., 4, 4; I in an orthonormal frame), c6 (..., 6) and sqrt_det
+    (1 there): the value slots of norm_sq_jet and wedge_self_jet, up to the
+    order in which einsum sums a broadcast trace."""
+    A = ginv @ full_matrix_values(c6)
+    norm_sq = -0.5 * _TRACE_AB(A, A)
+    wedge = _DOT6(c6, hodge_star_frame(c6)) * (1.0 / sqrt_det)
+    return norm_sq + wedge, norm_sq - wedge, np.abs(norm_sq) + np.abs(wedge)
 
 
 def raised_pairs(ginv, c6):
@@ -190,8 +180,7 @@ def nabla_norm_sq_values(ginv, T):
 def wedge_self_jet(geom: Geometry, c6):
     """*(phi ^ phi) = 2 (c12 c34 - c13 c24 + c14 c23) / sqrt(det g): the graded
     product of c6 with its frame star, summed over the pairs."""
-    return Jet3(jets._graded(c6, hodge_star_frame(c6), partial(np.einsum, "...p,...p->..."))) \
-        / geom.sqrt_det_jet
+    return Jet3(jets._graded(c6, hodge_star_frame(c6), _DOT6)) / geom.sqrt_det_jet
 
 
 # -- jet-level coordinate operations -------------------------------------------
@@ -341,3 +330,64 @@ def _contract(a, b):
     """sum_ab a_ab b_ab over the last two axes (4, 4), as one product."""
     return (a.reshape(a.shape[:-2] + (1, 16)) @ b.reshape(b.shape[:-2] + (16, 1)))[..., 0, 0]
 
+
+# -- the pointwise value layer ---------------------------------------------------
+
+
+class PointValues:
+    """What the verdicts read of g and of phi's values at a batch of points,
+    each computed once: the curvature slate, phi's frame components, its
+    adapted frame with K, R1234 and the degenerate flags, and F and G.  It
+    needs phi only at the points (c6 (N, 6), coordinate components), so the
+    grid builds it on cell centres (grid._CellGeometry) as verify.PointBundle
+    does on sampled points, with the same tolerance table tols."""
+
+    def __init__(self, geom: Geometry, c6, tols):
+        self.geom = geom
+        self.phi = c6
+        self.tols = tols
+
+    @cached_property
+    def slate(self) -> CurvatureSlate:
+        return curvature_at(self.geom)
+
+    @cached_property
+    def rmax(self):
+        """max |R_abcd| in the slate frame, per point: max |M|."""
+        return np.max(np.abs(self.slate.M), axis=(-1, -2))
+
+    @cached_property
+    def sqrt_det(self):
+        return sqrt_det_values(self.geom.g_values)
+
+    @cached_property
+    def frame_values(self):
+        return frame_components(self.geom.frame, self.phi)
+
+    @cached_property
+    def fg(self):
+        """F = |phi+|^2/2, G = |phi-|^2/2 and the size |phi|^2 + |*(phi^phi)|
+        of F and G before cancellation (fg_values)."""
+        return fg_values(self.geom.ginv_values, self.phi, self.sqrt_det)
+
+    @cached_property
+    def adapted(self):
+        """The adapted frame of phi in the slate frame, degenerate where |phi+|
+        or |phi-| is below tols["degeneracy_frac"] |phi|."""
+        from . import canonical
+
+        return canonical.canonicalize(self.frame_values, flag_tol=self.tols["degeneracy_frac"])
+
+    @cached_property
+    def curvature_K(self):
+        """K and R1234 in the adapted frame (canonical.curvature_term_K)."""
+        from . import canonical
+
+        return canonical.curvature_term_K(self.slate, self.adapted)
+
+
+def thm21_rhs(F, G, K, nabla_plus_sq, nabla_minus_sq, dF_dG):
+    """Theorem 2.1's right side (Eq 2.3), term by term: 8KFG, G|nabla phi+|^2,
+    F|nabla phi-|^2 and 2<dF, dG>; the last three are the remainder.  The
+    analytic and the grid paths differ only in how they take the derivatives."""
+    return 8.0 * K * F * G, G * nabla_plus_sq, F * nabla_minus_sq, 2.0 * dF_dG

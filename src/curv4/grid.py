@@ -461,43 +461,39 @@ def _roll_diff2(u_grid, a, b, h):
 
 class _CellGeometry:
     """A discrete field's data at every cell center, from one pass over the
-    cells in chunks (map_chunks): what the lattice stencils read of the
-    analytic metric (g^-1, sqrt(det g), the Christoffel symbols and the drift
-    of the scalar Laplacian) and the field's pointwise algebra (*phi, F, G,
-    K and the degenerate flags, as in verify.PointBundle.adapted).  The
-    curvature, the frames and the jets live for one chunk only."""
+    cells in chunks (map_chunks).  The field's pointwise algebra, F, G, K and
+    the degenerate flags, is computed as in verify.PointBundle.adapted: it is
+    each chunk's forms.PointValues, whose curvature, frames and jets live for
+    that chunk only.  Beside it are kept what the lattice stencils read: g^-1,
+    sqrt(det g), the Christoffel symbols, the drift of the scalar Laplacian
+    and *phi."""
 
     def __init__(self, fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
-        from . import canonical
-
         gc, c6 = fieldd.complex, fieldd.coloc6
         pts = _cell_centers(gc)
 
         def pointwise(idx):
-            geom = Geometry.of_chart(gc.chart, pts[idx])
-            ginv, gamma = geom.ginv_values, geom.gamma_values
-            sqrt_det = sqrt_det_values(geom.g_values)
+            v = forms.PointValues(Geometry.of_chart(gc.chart, pts[idx]), c6[:, idx].T, tols)
+            ginv, gamma = v.geom.ginv_values, v.geom.gamma_values
             # (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab
             drift = -(gamma.reshape(-1, 4, 16) @ ginv.reshape(-1, 16, 1))[..., 0]
-            star = forms.star_coord(forms.raised_pairs(ginv, c6[:, idx].T), sqrt_det[:, None])
-            f6 = forms.frame_components(geom.frame, c6[:, idx].T)
-            split = forms.sd_split_frame(f6)
-            adapted = canonical.canonicalize(f6, flag_tol=tols["degeneracy_frac"])
-            # K from the coordinate operator read in the adapted basis E Q
-            K = canonical._k_r(geom.curvature_operator, geom.frame @ adapted.basis)[0]
-            return (ginv, sqrt_det, gamma, drift, star, split["F"], split["G"], K,
-                    adapted.degenerate)
+            star = forms.star_coord(forms.raised_pairs(ginv, v.phi), v.sqrt_det[:, None])
+            return (ginv, v.sqrt_det, gamma, drift, star, *v.fg[:2], v.curvature_K["K"],
+                    v.adapted.degenerate)
 
+        # one field at a time, each field's chunks freed once it is joined
+        fields = [list(x) for x in zip(*map_chunks(pointwise, np.arange(gc.sites)))]
         (self.ginv, self.sqrt_det, self.gamma, self.lap_drift, self.star, self.F, self.G,
-         self.K, self.degenerate) = (np.concatenate(x) for x in
-                                     zip(*map_chunks(pointwise, np.arange(gc.sites))))
+         self.K, self.degenerate) = (np.concatenate(fields.pop(0)) for _ in range(9))
 
 
 def discrete_eq23_report(fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
-    """Pointwise residual of the Delta(FG) identity with discrete derivatives,
-    the three integrals, and the conservative Green-Stokes check.  The
-    pointwise work runs one chunk of cells at a time (_CellGeometry, then
-    |nabla phi+-|^2); the stencils difference arrays held at every cell."""
+    """Theorem 2.1 (Eq 2.3) with discrete derivatives: the pointwise residual
+    of Delta(FG) against forms.thm21_rhs, the three integrals and the
+    conservative Green-Stokes check.  F, G, K and the degenerate flags come
+    from _CellGeometry, one chunk of cells at a time, as do |nabla phi+-|^2;
+    the stencils difference F, G, FG, phi and *phi held at every cell.  The
+    residual is measured against |Delta(FG)| + sum |term|."""
     gc = fieldd.complex
     n, h = gc.n, gc.h
     cg = _CellGeometry(fieldd, tols)
@@ -523,19 +519,17 @@ def discrete_eq23_report(fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
     dG = np.stack([_roll_diff(G, a, h) for a in range(4)], axis=-1).reshape(-1, 4)
     cross = ((dF[:, None, :] @ ginv) @ dG[:, :, None]).reshape(n, n, n, n)
 
-    rhs = 8.0 * K * FG + G * np_sq + F * nm_sq + 2.0 * cross
-    resid = lap_FG - rhs
-    scale = (np.abs(lap_FG) + 8.0 * np.abs(K) * FG + G * np_sq + F * nm_sq
-             + 2.0 * np.abs(cross))
+    terms = forms.thm21_rhs(F, G, K, np_sq, nm_sq, cross)
+    resid = lap_FG - sum(terms)
+    scale = sum((np.abs(t) for t in terms), np.abs(lap_FG))
     scale_rms = float(np.sqrt(np.mean(scale**2)))
     resid_rms = float(np.sqrt(np.mean(resid**2)))
     rel = resid_rms / max(scale_rms, 1e-300)
 
     vol = (cg.sqrt_det * h**4).reshape(n, n, n, n)
     I_dFG = float(np.sum(lap_FG * vol))
-    I_kfg = float(np.sum(8.0 * K * FG * vol))
-    rem = G * np_sq + F * nm_sq + 2.0 * cross
-    I_rem = float(np.sum(rem * vol))
+    I_kfg = float(np.sum(terms[0] * vol))
+    I_rem = float(np.sum(sum(terms[1:]) * vol))
 
     # conservative flux form: integral vanishes to roundoff on the periodic grid
     sqg = cg.sqrt_det.reshape(n, n, n, n)

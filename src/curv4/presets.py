@@ -86,16 +86,6 @@ def cp2_fubini_study():
                               preset=("cp2_fubini_study", ()))
 
 
-def cp2_complex_structure():
-    """The (constant) complex structure matrix J in chart coordinates."""
-    J = np.zeros((4, 4))
-    J[1, 0] = 1.0
-    J[0, 1] = -1.0
-    J[3, 2] = 1.0
-    J[2, 3] = -1.0
-    return J  # column a holds J(d_a) components
-
-
 def chart_preset(spec) -> MetricChart:
     """Build a chart from a scenario 'manifold' preset description."""
     if isinstance(spec, str):

@@ -13,9 +13,8 @@ from functools import cached_property
 import numpy as np
 
 from . import InputError, forms, jets
-from .charts import (CurvatureSlate, Geometry, MetricChart, chart_is_periodic,
-                     curvature_at, map_chunks, normal_chart, normal_chart_map,
-                     pullback_two_form, sqrt_det_values)
+from .charts import (Geometry, MetricChart, chart_is_periodic, curvature_at, map_chunks,
+                     normal_chart, normal_chart_map, pullback_two_form)
 from .forms import EMPTY_SCAN, SIGN_CONVENTIONS, TwoFormField
 from .jets import Jet3
 from .scenario import DEFAULT_TOLERANCES
@@ -92,31 +91,19 @@ def kato_ratio(num, norm, dnorm_sq, norm_max, frac):
 # -- shared scenario pipeline ---------------------------------------------------
 
 
-class PointBundle:
-    """Everything the verifiers need at a batch of points, each computed once,
-    and the resolved tolerance table (scenario.DEFAULT_TOLERANCES and its
+class PointBundle(forms.PointValues):
+    """The values of forms.PointValues and the jets the verifiers need at a
+    batch of points, from the jets of g and of phi's components (c6) there, and
+    the resolved tolerance table (scenario.DEFAULT_TOLERANCES and its
     overrides) that gates them."""
 
     def __init__(self, chart: MetricChart, fld: TwoFormField, pts, tols=DEFAULT_TOLERANCES):
         self.chart = chart
         self.field = fld
-        self.tols = tols
         self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        self.geom = Geometry.of_chart(chart, self.pts)
+        geom = Geometry.of_chart(chart, self.pts)
         self.c6 = fld.component_jets(self.pts)
-
-    @cached_property
-    def slate(self) -> CurvatureSlate:
-        return curvature_at(self.geom)
-
-    @cached_property
-    def rmax(self):
-        """max |R_abcd| in the slate frame, per point: max |M|."""
-        return np.max(np.abs(self.slate.M), axis=(-1, -2))
-
-    @cached_property
-    def frame_values(self):
-        return forms.frame_components(self.geom.frame, self.c6[0])
+        super().__init__(geom, self.c6[0], tols)
 
     @cached_property
     def hodge_values(self):
@@ -138,15 +125,10 @@ class PointBundle:
         return abs_jets(self.geom, self.norm_sq_jet)
 
     @cached_property
-    def fg(self):
-        """The jets of F = |phi+|^2/2 = |phi|^2 + *(phi^phi) and G = |phi-|^2/2."""
+    def fg_jets(self):
+        """The jets of F = |phi|^2 + *(phi^phi) and G = |phi|^2 - *(phi^phi)."""
         wedge = forms.wedge_self_jet(self.geom, self.c6)
         return self.norm_sq_jet + wedge, self.norm_sq_jet - wedge
-
-    @cached_property
-    def fg_scale(self):
-        """|phi|^2 + |*(phi^phi)|, the size of F and G before cancellation."""
-        return np.abs(self.norm_sq_jet.value) + np.abs((self.fg[0] - self.norm_sq_jet).value)
 
     @cached_property
     def phi_pm(self):
@@ -170,15 +152,12 @@ class PointBundle:
 
     @cached_property
     def thm21_terms(self):
-        """Delta(FG) and the four terms of Theorem 2.1's right side: 8KFG,
-        G|nabla phi+|^2, F|nabla phi-|^2 and 2<dF, dG> (the last three are the
-        remainder)."""
-        Fj, Gj = self.fg
-        Fv, Gv = Fj.value, Gj.value
-        np_sq, nm_sq = self.nabla_pm_sq
+        """Delta(FG) and Theorem 2.1's right side term by term (forms.thm21_rhs)."""
+        Fj, Gj = self.fg_jets
+        F, G, _ = self.fg
         return (forms.scalar_laplacian_values(self.geom, Fj * Gj),
-                (8.0 * self.curvature_K["K"] * Fv * Gv, Gv * np_sq, Fv * nm_sq,
-                 2.0 * forms.grad_inner_values(self.geom, Fj, Gj)))
+                forms.thm21_rhs(F, G, self.curvature_K["K"], *self.nabla_pm_sq,
+                                forms.grad_inner_values(self.geom, Fj, Gj)))
 
     def harmonicity(self):
         """max |Delta_Hodge phi| and the scale |grad phi| + |phi| it is gated on."""
@@ -187,21 +166,6 @@ class PointBundle:
         scale = float(np.max(np.sqrt(np.maximum(self.grad_sq, 0.0))
                              + np.sqrt(np.maximum(self.norm_sq_jet.value, 0.0))))
         return hmax, scale
-
-    @cached_property
-    def adapted(self):
-        """The adapted frame of phi in the slate frame, degenerate where |phi+|
-        or |phi-| is below tols["degeneracy_frac"] |phi|."""
-        from . import canonical
-
-        return canonical.canonicalize(self.frame_values, flag_tol=self.tols["degeneracy_frac"])
-
-    @cached_property
-    def curvature_K(self):
-        """K and R1234 in the adapted frame (canonical.curvature_term_K)."""
-        from . import canonical
-
-        return canonical.curvature_term_K(self.slate, self.adapted)
 
 
 def _pointwise(chart, fld, pts, tols, kernel, harmonic=True):
@@ -364,15 +328,15 @@ def verify_prop23(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     only at non-degenerate points (it is still recorded per point).
     """
     def kernel(b):
-        Fj, Gj = b.fg
+        Fj, Gj = b.fg_jets
         dF = forms.scalar_laplacian_values(b.geom, Fj)
         dG = forms.scalar_laplacian_values(b.geom, Gj)
         np_sq, nm_sq = b.nabla_pm_sq
         K, R1234 = b.curvature_K["K"], b.curvature_K["R1234"]
-        Fv, Gv = Fj.value, Gj.value
+        Fv, Gv, fg_scale = b.fg
         curvF = 4.0 * (K - R1234) * Fv
         curvG = 4.0 * (K + R1234) * Gv
-        curv_scale = (4.0 * (np.abs(K) + np.abs(R1234)) + b.rmax) * b.fg_scale
+        curv_scale = (4.0 * (np.abs(K) + np.abs(R1234)) + b.rmax) * fg_scale
         res28 = _rel(dF - np_sq - curvF, np.abs(dF), forms.scalar_laplacian_scale(b.geom, Fj),
                      np.abs(np_sq), curv_scale)
         res29 = _rel(dG - nm_sq - curvG, np.abs(dG), forms.scalar_laplacian_scale(b.geom, Gj),
@@ -398,18 +362,19 @@ def verify_theorem21(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES
     """Delta(FG) = 8 K F G + G|nabla phi+|^2 + F|nabla phi-|^2 + 2<dF, dG>,
     plus the Schwarz combination check at points where the Kato premise holds."""
     def kernel(b):
-        Fj, Gj = b.fg
+        Fj, Gj = b.fg_jets
+        F, G, fg_scale = b.fg
         dFG, terms = b.thm21_terms
         _, g_np, f_nm, cross2 = terms
         rhs = sum(terms)
         K = b.curvature_K["K"]
         rel = _rel(dFG - rhs, np.abs(dFG), forms.scalar_laplacian_scale(b.geom, Fj * Gj),
-                   (8.0 * np.abs(K) + b.rmax) * b.fg_scale**2,
+                   (8.0 * np.abs(K) + b.rmax) * fg_scale**2,
                    np.abs(g_np), np.abs(f_nm), np.abs(cross2))
         dF_sq = forms.grad_inner_values(b.geom, Fj, Fj)
         dG_sq = forms.grad_inner_values(b.geom, Gj, Gj)
-        cols = {"abs_res": np.abs(dFG - rhs), "residual": rel, "K": K, "F": Fj.value,
-                "G": Gj.value, "schwarz_combo": g_np + f_nm + cross2,
+        cols = {"abs_res": np.abs(dFG - rhs), "residual": rel, "K": K, "F": F, "G": G,
+                "schwarz_combo": g_np + f_nm + cross2,
                 "schwarz_floor": 2.0 * np.sqrt(np.maximum(dF_sq * dG_sq, 0.0)) + cross2,
                 "comb_scale": g_np + f_nm + np.abs(cross2) + RESIDUAL_FLOOR,
                 "norm": b.abs_phi[0]}
@@ -647,10 +612,10 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
 
     def kernel(b):
-        dFG, (kfg, g_np, f_nm, cross2) = b.thm21_terms
-        vol = sqrt_det_values(b.geom.g_values)
-        rem = g_np + f_nm + cross2
-        return {"dFG": dFG * vol, "kfg": kfg * vol, "rem": rem * vol, "neg": rem < -1e-12}
+        dFG, (kfg, *terms) = b.thm21_terms
+        rem = sum(terms)
+        return {"dFG": dFG * b.sqrt_det, "kfg": kfg * b.sqrt_det, "rem": rem * b.sqrt_det,
+                "neg": rem < -1e-12}
 
     # each point's contributions, summed once over all points
     cols, _ = _pointwise(chart, fld, grid, tols, kernel)

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from curv4 import expr as ex
-from curv4 import jets
+from curv4 import forms, jets
 from curv4.charts import PAIRS
 from curv4.jets import Jet3
 
@@ -232,6 +232,28 @@ def constant_curvature_R(c):
     """R_ijkl = c (d_ik d_jl - d_il d_jk) in an orthonormal frame."""
     d = np.eye(4)
     return c * (np.einsum("ik,jl->ijkl", d, d) - np.einsum("il,jk->ijkl", d, d))
+
+
+def cp2_complex_structure():
+    """The (constant) complex structure matrix J of presets.cp2_fubini_study in
+    chart coordinates; column a holds the components of J(d_a)."""
+    J = np.zeros((4, 4))
+    J[1, 0] = 1.0
+    J[0, 1] = -1.0
+    J[3, 2] = 1.0
+    J[2, 3] = -1.0
+    return J
+
+
+def sd_split_frame(f6):
+    """phi+- = phi +- *phi, F = |phi+|^2/2 and G = |phi-|^2/2 from orthonormal
+    frame components (..., 6), with *(phi^phi) = 2 (f12 f34 - f13 f24 + f14 f23)
+    written out (the self-dual split that forms.fg_values replaced)."""
+    f6 = np.asarray(f6, dtype=float)
+    star = f6 @ forms.STAR6.T
+    wedge = 2.0 * (f6[..., 0] * f6[..., 5] - f6[..., 1] * f6[..., 4] + f6[..., 2] * f6[..., 3])
+    return {"plus": f6 + star, "minus": f6 - star, "F": 0.5 * np.sum((f6 + star)**2, axis=-1),
+            "G": 0.5 * np.sum((f6 - star)**2, axis=-1), "wedge": wedge}
 
 
 def complex_space_form_R(J_frame, c=4.0):

@@ -14,7 +14,7 @@ from curv4 import canonical, charts, cli, forms, grid, presets, verify
 from curv4.charts import conformal_chart, curvature_at, sample_box
 from curv4.forms import TwoFormField
 
-from oracles import complex_space_form_R, unpack_R
+from oracles import complex_space_form_R, cp2_complex_structure, unpack_R
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -69,7 +69,7 @@ def test_criterion_1_curvature_ground_truth():
         curvature_at(flat, sample_box(flat.domain, 10, seed=2)).M)))
     cp2 = presets.cp2_fubini_study()
     slate = curvature_at(cp2, sample_box(cp2.domain, 20, seed=3))
-    J0 = presets.cp2_complex_structure()
+    J0 = cp2_complex_structure()
     JE = np.einsum("ij,njb->nib", J0, slate.frame)
     Jab = np.einsum("nia,nij,njb->nab", JE, slate.geometry.g_values, slate.frame,
                     optimize=True)

@@ -72,9 +72,9 @@ def test_frame_equivariance():
 def test_lambda_fg_consistency_cross_module():
     f6, _ = _random_block_inputs(200, seed=6)
     ad = canonical.canonicalize(f6)
-    split = forms.sd_split_frame(f6)
-    assert np.max(np.abs((ad.lam1 + ad.lam2)**2 - split["F"])) < 1e-10
-    assert np.max(np.abs((ad.lam1 - ad.lam2)**2 - split["G"])) < 1e-10
+    F, G, _ = forms.fg_values(np.eye(4), f6, 1.0)
+    assert np.max(np.abs((ad.lam1 + ad.lam2)**2 - F)) < 1e-10
+    assert np.max(np.abs((ad.lam1 - ad.lam2)**2 - G)) < 1e-10
 
 
 def test_inplane_rotation_invariance_of_K():

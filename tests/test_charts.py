@@ -13,9 +13,9 @@ from curv4.charts import (ChartError, Geometry, conformal_chart, curvature_at,
 from curv4.forms import TwoFormField
 from curv4.jets import Jet3
 
-from oracles import (NEAR_FLAT_TERMS, complex_space_form_R, constant_curvature_R, derivative,
-                     entries, near_flat_chart, op6, ricci_R, riemann_coord, rotate_R,
-                     scipy_halton_permutations, splitmix64, unpack_R)
+from oracles import (NEAR_FLAT_TERMS, complex_space_form_R, constant_curvature_R,
+                     cp2_complex_structure, derivative, entries, near_flat_chart, op6, ricci_R,
+                     riemann_coord, rotate_R, scipy_halton_permutations, splitmix64, unpack_R)
 
 RNG = np.random.default_rng(42)
 
@@ -61,7 +61,7 @@ def test_slate_symmetries_and_bianchi(cp2_slate):
 
 def test_cp2_matches_complex_space_form(cp2_slate):
     chart, slate = cp2_slate
-    J0 = presets.cp2_complex_structure()
+    J0 = cp2_complex_structure()
     g = slate.geometry.g_values
     JE = np.einsum("ij,njb->nib", J0, slate.frame)
     Jab = np.einsum("nia,nij,njb->nab", JE, g, slate.frame, optimize=True)

@@ -45,31 +45,57 @@ def test_volume_pairing_oracle(cp2):
     assert np.max(np.abs(wedge - inner * vol)) < 1e-12
 
 
+def _frame_fg(f6):
+    """forms.fg_values on orthonormal-frame components: g^-1 = I, sqrt(det g) = 1."""
+    return forms.fg_values(np.eye(4), f6, 1.0)
+
+
 def test_sd_split_contract():
     lam = np.array([3.0, 1.0])
     f = np.zeros(6)
     f[0], f[5] = lam
-    out = forms.sd_split_frame(f)
-    assert out["F"] == pytest.approx((lam[0] + lam[1])**2)
-    assert out["G"] == pytest.approx((lam[0] - lam[1])**2)
+    F, G, size = _frame_fg(f)
+    assert F == pytest.approx((lam[0] + lam[1])**2)
+    assert G == pytest.approx((lam[0] - lam[1])**2)
+    assert size == pytest.approx(np.sum(lam**2) + 2.0 * lam[0] * lam[1])
     e12 = np.eye(6)[0]
-    out = forms.sd_split_frame(e12)
-    assert out["F"] == pytest.approx(1.0) and out["G"] == pytest.approx(1.0)
+    F, G, _ = _frame_fg(e12)
+    assert F == pytest.approx(1.0) and G == pytest.approx(1.0)
     # self-dual input: G = 0 and *phi+ = phi+
     sd = e12 + np.eye(6)[5]
-    out = forms.sd_split_frame(sd)
-    assert out["G"] == pytest.approx(0.0)
+    assert _frame_fg(sd)[1] == pytest.approx(0.0)
+    out = oracles.sd_split_frame(sd)
     assert np.allclose(forms.hodge_star_frame(out["plus"]), out["plus"], atol=1e-12)
     assert np.allclose(forms.hodge_star_frame(out["minus"]), -out["minus"], atol=1e-12)
+    # F = |phi+|^2/2 and G = |phi-|^2/2, and F - G is twice the written-out
+    # *(phi^phi) = 2 (f12 f34 - f13 f24 + f14 f23): the star's sign convention
+    f = RNG.normal(size=(200, 6))
+    F, G, size = _frame_fg(f)
+    out = oracles.sd_split_frame(f)
+    tol = 1e-14 * np.max(size)
+    assert np.max(np.abs(F - out["F"])) <= tol and np.max(np.abs(G - out["G"])) <= tol
+    assert np.max(np.abs(F - G - 2.0 * out["wedge"])) <= tol
+
+
+def test_fg_values_frame_invariant(cp2):
+    """F and G from coordinate components, g^-1 and sqrt(det g) are F and G of
+    the orthonormal-frame components."""
+    chart, pts, geom = cp2
+    c6 = RNG.normal(size=(len(pts), 6))
+    F, G, size = forms.fg_values(geom.ginv_values, c6,
+                                 charts.sqrt_det_values(geom.g_values))
+    Ff, Gf, sizef = _frame_fg(forms.frame_components(geom.frame, c6))
+    tol = 1e-13 * np.max(size)
+    assert np.max(np.abs(F - Ff)) <= tol and np.max(np.abs(G - Gf)) <= tol
+    assert np.max(np.abs(size - sizef)) <= tol
 
 
 def test_fg_nonnegative_and_product_zero_iff_sd():
     f = RNG.normal(size=(200, 6))
-    out = forms.sd_split_frame(f)
-    assert np.all(out["F"] >= 0) and np.all(out["G"] >= 0)
-    sd = f + forms.hodge_star_frame(f)
-    out2 = forms.sd_split_frame(sd)
-    assert np.max(out2["G"]) < 1e-12 * np.max(out2["F"])
+    F, G, _ = _frame_fg(f)
+    assert np.all(F >= 0) and np.all(G >= 0)
+    F2, G2, _ = _frame_fg(f + forms.hodge_star_frame(f))
+    assert np.max(np.abs(G2)) < 1e-12 * np.max(F2)
 
 
 def test_d_squared_zero(cp2):

@@ -1,12 +1,14 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curv4 import charts, grid, presets
+from curv4 import charts, cli, forms, grid, presets
 from curv4.grid import GridError, SolverError
+from curv4.scenario import DEFAULT_TOLERANCES
 
 from oracles import (NEAR_FLAT_TERMS, lumped_masses, near_flat_chart, sparse_coboundary,
                      star_gram_loops)
@@ -285,6 +287,45 @@ def test_discrete_export_flat_constant(flat4):
     assert np.max(np.abs(T)) == 0.0  # constant form, flat metric: exactly parallel
 
 
+def test_cell_geometry_is_the_value_layer(pert4):
+    """_CellGeometry's F, G, K and degenerate flags are forms.PointValues at the
+    cell centres, bit for bit: the grid and the verifiers share one F/G and one
+    adapted frame with K."""
+    z = np.zeros(pert4.dim(2))
+    z[:pert4.sites] = 1.0  # dx1^dx2
+    fieldd = grid.discrete_field_export(pert4, z)
+    cg = grid._CellGeometry(fieldd)
+    pts = grid._cell_centers(pert4)
+    v = forms.PointValues(charts.Geometry.of_chart(pert4.chart, pts), fieldd.coloc6.T,
+                          DEFAULT_TOLERANCES)
+    F, G, _ = v.fg
+    for got, want in ((cg.F, F), (cg.G, G), (cg.K, v.curvature_K["K"]),
+                      (cg.degenerate, v.adapted.degenerate)):
+        assert np.array_equal(got, want)
+
+
+def test_thm21_rhs_mutant_reaches_both_paths(pert4, monkeypatch, tmp_path):
+    """Theorem 2.1's right side has one definition, forms.thm21_rhs: with 7KFG
+    in place of 8KFG, `verify thm21` fails on the conformal product and the
+    grid report's 8KFG integral scales by 7/8 while its residual moves."""
+    phi, _, _ = grid.harmonic_representative(pert4, (0, 1))
+    fieldd = grid.discrete_field_export(pert4, phi)
+    rep8 = grid.discrete_eq23_report(fieldd)
+    rhs = forms.thm21_rhs
+
+    def mutant(F, G, K, *rest):
+        return (7.0 * K * F * G,) + rhs(F, G, K, *rest)[1:]
+
+    monkeypatch.setattr(forms, "thm21_rhs", mutant)
+    rep7 = grid.discrete_eq23_report(fieldd)
+    assert rep7["integral_8KFG"] == pytest.approx(7 / 8 * rep8["integral_8KFG"], rel=1e-14)
+    assert rep7["integral_delta_FG"] == rep8["integral_delta_FG"]
+    # at n=4 the residual reads 0.160 and the mutant's 0.138
+    assert abs(rep7["rms_relative_residual"] / rep8["rms_relative_residual"] - 1.0) > 0.05
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / "conformal_product.json"
+    assert cli.main(["verify", "thm21", "--scenario", str(scenario), "--out", str(tmp_path)]) == 1
+
+
 def test_discrete_eq23_chunk_invariant(pert4, monkeypatch):
     """Cell chunks only bound the working set: the report in chunks of 64
     cells is the report in one chunk, bit for bit."""
@@ -298,9 +339,11 @@ def test_discrete_eq23_chunk_invariant(pert4, monkeypatch):
 def test_integral_pipeline_memory():
     """The tracemalloc peak of the grid integral pipeline (assemble, the
     representative of dx1^dx2, its export and discrete_eq23_report) on the
-    perturbed T^4 at n=6 stays under 5 MB: _CellGeometry reads K from the
-    6x6 curvature operator of each chunk, 36 numbers per cell.  Built from a
-    256-entry Riemann tensor rotated into the frame, the peak was 6.8 MB."""
+    perturbed T^4 at n=6 stays under 4 MB (3.6 MB measured).  The peak is in
+    _CellGeometry, whose chunk of 512 cells holds the metric's jets and
+    forms.PointValues: the curvature operator rotated into the frame (6x6 per
+    cell, not cached in the Geometry) and the adapted frame with K.  With a
+    256-entry Riemann tensor per cell the peak was 6.8 MB."""
     import tracemalloc
 
     chart = perturbed_chart()
@@ -317,7 +360,7 @@ def test_integral_pipeline_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6, peak
+    assert peak < 4e6, peak
 
 
 def test_star_gram_chunk_sums(pert4, monkeypatch):

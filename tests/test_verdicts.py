@@ -2,9 +2,11 @@
 scenarios, run in-process, give the exit codes and the bool, int and string
 report fields recorded in verdicts.json.  Floats are not compared: a change
 of summation order may move them in the last bits.  On the two grid
-scenarios `integral` runs the analytic path on a copy without the grid.
-After a deliberate verdict change the record is rebuilt from `verdicts`:
-one entry per scenario, dumped with json (indent=1, sort_keys=True).
+scenarios `integral` runs the analytic path on a copy without the grid, and
+`grid definiteness` and the grid path of `integral` run on the scenario as
+shipped.  After a deliberate verdict change the record is rebuilt from
+`verdicts`: one entry per scenario, dumped with json (indent=1,
+sort_keys=True).
 """
 
 import json
@@ -30,6 +32,11 @@ COMMANDS = {
     "kato ksweep": ["kato", "ksweep"],
     "integral": ["integral"],
 }
+# Run on the shipped scenarios that carry a grid.
+GRID_COMMANDS = {
+    "grid definiteness": ["grid", "definiteness"],
+    "integral (grid)": ["integral"],
+}
 
 
 def discrete_fields(obj, path=""):
@@ -49,13 +56,14 @@ def discrete_fields(obj, path=""):
 def verdicts(name, tmp):
     """{command: {"exit": code, "fields": discrete_fields(report)}} for one
     shipped scenario; "fields" is null when the command writes no report."""
-    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
-    raw.pop("grid", None)
+    shipped = SCENARIOS / f"{name}.json"
+    raw = json.loads(shipped.read_text())
+    commands = {**COMMANDS, **(GRID_COMMANDS if raw.pop("grid", None) else {})}
     analytic = Path(tmp) / f"{name}.json"
     analytic.write_text(json.dumps(raw))
     out = {}
-    for command, words in COMMANDS.items():
-        scenario = analytic if command == "integral" else SCENARIOS / f"{name}.json"
+    for command, words in commands.items():
+        scenario = analytic if command == "integral" else shipped
         dest = Path(tmp) / command.replace(" ", "_")
         code = cli.main([*words, "--scenario", str(scenario), "--out", str(dest)])
         report = dest / "report.json"
