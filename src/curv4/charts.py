@@ -93,7 +93,8 @@ def conformal_chart(base: MetricChart, factor, name=None):
 
 
 # The streams of `uniforms`, one per use, so no two uses of one seed draw the
-# same numbers.
+# same numbers.  No command draws from POWER any more; it keeps its index so
+# that FORM's stream, and every random_analytic form, stays as it was.
 HALTON, SPOT, PERIODIC, PLANES, POWER, FORM = range(6)
 HALTON_BASES = (2, 3, 5, 7)
 

@@ -122,7 +122,7 @@ def _write_report(args, report, samples=None, csv_name="samples.csv"):
     """Write report.json, then the per-point columns `samples` to csv_name; a
     non-finite report value raises ReportError before any file is opened."""
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        text = _dumps(report)
     except ValueError:
         path, value = _non_finite(report)
         raise ReportError(f"report value {path} is {value!r}, not a finite number") from None
@@ -134,6 +134,39 @@ def _write_report(args, report, samples=None, csv_name="samples.csv"):
     if samples is not None:
         _write_csv(out / csv_name, samples)
     return path
+
+
+# stands in for a list of floats while _dumps encodes the rest of a report
+_MARK = "\x00float list"
+
+
+def _dumps(report):
+    """json.dumps(report, sort_keys=True, indent=2, allow_nan=False), with every
+    list of floats written by the C encoder: json's indent encoder is pure
+    Python, so each such list is swapped for a marker, encoded with the
+    indent's newline and padding as its item separator and spliced back."""
+    lists = []
+
+    def swap(obj, depth):
+        if isinstance(obj, dict):
+            return {k: swap(v, depth + 1) for k, v in sorted(obj.items())}
+        if isinstance(obj, (list, tuple)):
+            if set(map(type, obj)) == {float}:
+                lists.append((obj, depth))
+                return _MARK
+            return [swap(v, depth + 1) for v in obj]
+        return obj
+
+    text = json.dumps(swap(report, 0), sort_keys=True, indent=2, allow_nan=False)
+    parts = text.split(json.dumps(_MARK))
+    if len(parts) != len(lists) + 1:  # a report string equal to the marker
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    out = [parts[0]]
+    for (values, depth), part in zip(lists, parts[1:]):
+        pad = "  " * (depth + 1)
+        body = json.dumps(values, allow_nan=False, separators=(",\n" + pad, ": "))
+        out += ["[\n", pad, body[1:-1], "\n", "  " * depth, "]", part]
+    return "".join(out)
 
 
 def _non_finite(obj, path=""):
@@ -290,8 +323,7 @@ def _cmd_grid(args):
     if args.mode == "harmonic":
         report["face_ordering"] = ("axis-pair lexicographic (12,13,14,23,24,34), "
                                    "then lattice index row-major")
-        report["basis"] = [[float(x) for x in basis.vectors[:, m]]
-                           for m in range(basis.vectors.shape[1])]
+        report["basis"] = basis.vectors.T.tolist()
     _write_report(args, report)
     return 0
 

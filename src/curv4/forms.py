@@ -132,8 +132,7 @@ def fg_values(ginv, c6, sqrt_det):
     """F = |phi|^2 + *(phi^phi) = |phi+|^2/2, G = |phi|^2 - *(phi^phi) = |phi-|^2/2
     and their size |phi|^2 + |*(phi^phi)| before cancellation, from the values
     ginv of g^-1 (..., 4, 4; I in an orthonormal frame), c6 (..., 6) and sqrt_det
-    (1 there): the value slots of norm_sq_jet and wedge_self_jet, up to the
-    order in which einsum sums a broadcast trace."""
+    (1 there): the value slots of norm_sq_jet and wedge_self_jet."""
     A = ginv @ full_matrix_values(c6)
     norm_sq = -0.5 * _TRACE_AB(A, A)
     wedge = _DOT6(c6, hodge_star_frame(c6)) * (1.0 / sqrt_det)

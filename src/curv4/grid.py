@@ -24,9 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from . import Curv4Error, forms, jets
-from .charts import (POWER, Geometry, MetricChart, chart_is_periodic, map_chunks,
-                     metric_values, normals, require_positive_definite,
-                     sqrt_det_values)
+from .charts import (Geometry, MetricChart, chart_is_periodic, map_chunks, metric_values,
+                     require_positive_definite, sqrt_det_values)
 from .forms import PAIRS, TRIPLES
 from .scenario import DEFAULT_TOLERANCES
 
@@ -278,7 +277,7 @@ class HarmonicBasis:
                  b2_plus=0, b2_minus=0, signature=0, star_eigenvalues=None):
         self.complex = complex
         self.vectors = vectors  # (dim, k) cochains, M2-orthonormal
-        self.kernel_residual = kernel_residual  # max |Delta_2 z|_M / (lambda_max |z|_M)
+        self.kernel_residual = kernel_residual  # max |Delta_2 z|_M / (max diag(Delta_2) |z|_M)
         self.cg = {} if cg is None else cg  # cg_iterations, cg_relative_residual
         self.b2_plus = b2_plus
         self.b2_minus = b2_minus
@@ -324,37 +323,46 @@ def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60
 
 def harmonic_kernel(complex: GridComplex, tol=1e-10, maxit=None) -> HarmonicBasis:
     """M2-orthonormal basis of ker Delta_2, vector p in the class of PAIRS[p]; raises
-    SolverError if the Gram rank is below 6 or |Delta_2 z|_M > tol lambda_max |z|_M."""
+    SolverError if the Gram rank is below 6 or |Delta_2 z|_M > tol d_max |z|_M.
+
+    The scale d_max = max diag(Delta_2) is a closed form: Delta_2 is similar to
+    the symmetric B = M2^{1/2} Delta_2 M2^{-1/2} by a diagonal matrix, so they
+    share a diagonal, and a diagonal entry e_i^T B e_i of B is at most its
+    largest eigenvalue (the Rayleigh-quotient bound).  So the residual against
+    d_max is never below the one against lambda_max(B)."""
     phi, cg = _class_representatives(complex, PAIRS, maxit=maxit)
     gram = phi @ (complex.M[2] * phi).T
     rank = np.linalg.matrix_rank(gram, hermitian=True)
     if rank < len(PAIRS):
         raise SolverError(f"the six class representatives span only {rank} dimensions")
     Z = np.linalg.solve(np.linalg.cholesky(gram), phi).T  # (L^-1 phi)^T, M2-orthonormal
+    del phi  # the blocks of the residual and of the star counts set the memory peak
     A = _Sym2(complex)
-    lam_max = _power_estimate(A, normals(1, POWER, complex.dim(2)))
+    d_max = float(np.max(A.diag()))
     Y = A.rt[:, None] * Z
     resid = float(np.max(np.linalg.norm(A(Y), axis=0)
-                         / (lam_max * np.linalg.norm(Y, axis=0))))
+                         / (d_max * np.linalg.norm(Y, axis=0))))
+    del Y
     if resid > tol:
-        raise SolverError(f"harmonic basis residual |Delta_2 z|_M / (lambda_max |z|_M) "
-                          f"= {resid:.3e} above {tol:g}")
+        raise SolverError(f"harmonic basis residual |Delta_2 z|_M / (max diag(Delta_2) "
+                          f"|z|_M) = {resid:.3e} above {tol:g}")
     basis = HarmonicBasis(complex=complex, vectors=Z, kernel_residual=resid, cg=cg)
     _star_counts(basis)
     return basis
 
 
 def _colocate(complex: GridComplex, z):
-    """Average the four faces of each axis pair to the cell center: (6, n^4)."""
+    """Average the four faces of each axis pair to the cell center: (6, n^4) for
+    a cochain z, (6, n^4, m) for a (dim, m) block of them."""
     n = complex.n
-    comps = z.reshape(6, n, n, n, n)
+    comps = z.reshape((6, n, n, n, n) + z.shape[1:])
     out = np.empty_like(comps)
     for p, (i, j) in enumerate(PAIRS):
         k, l = (a for a in range(4) if a not in (i, j))
         f = comps[p]
         out[p] = 0.25 * (f + np.roll(f, -1, axis=k) + np.roll(f, -1, axis=l)
                          + np.roll(np.roll(f, -1, axis=k), -1, axis=l))
-    return out.reshape(6, -1)
+    return out.reshape((6, -1) + z.shape[1:])
 
 
 def _cell_centers(complex: GridComplex):
@@ -370,7 +378,7 @@ def _star_gram(basis: HarmonicBasis):
     runs pairwise in one pass); the chunks' partial sums add up last."""
     gc = basis.complex
     pts = _cell_centers(gc)
-    C = np.stack([_colocate(gc, z).T for z in basis.vectors.T], axis=1)  # (cells, k, 6)
+    C = np.ascontiguousarray(np.moveaxis(_colocate(gc, basis.vectors), 0, -1))  # (cells, k, 6)
 
     def partial(idx):
         g = metric_values(gc.chart, pts[idx])

@@ -60,9 +60,12 @@ def _graded(x, y, op):
     scalar jets, np.matmul for matrix jets, or a contraction such as a trace).
     Quadratic slot (a, b) sums as x0 y_ab + ((x_a y_b [+ x_b y_a]) + x_ab y0),
     the order of the plain convolution sum; the slots of one a run together,
-    on views of x and y."""
+    on views of x and y.  The value slot is op(x0, y0) on the value rows
+    alone, so that it is the op of the values bit for bit (einsum sums a
+    trace broadcast over all the slots in another order)."""
     y0 = y[:1]
     out = op(x[:1], y)
+    op(x[:1], y[:1], out=out[:1])
     out[1:5] += op(x[1:5], y0)
     for a, row in enumerate(_QROW):
         s = op(x[1 + a:2 + a], y[1 + a:5])

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curv4 import cli, grid, scenario
 from curv4.forms import PAIRS
@@ -347,6 +350,49 @@ def test_non_finite_report_exit1_without_file(tmp_path, capsys, monkeypatch):
     assert run(["verify", "weitzenboeck", "--scenario", sfile, "--out", out]) == 1
     assert "report value extra.probe[1] is nan" in capsys.readouterr().err
     assert not (out / "report.json").exists() and not (out / "samples.csv").exists()
+
+
+FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.0000000000000002]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+REPORTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6) | FLOATS
+    | st.lists(FLOATS, max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=24)
+
+
+@given(st.dictionaries(st.text(max_size=6), REPORTS, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_write_report_bytes_are_json_dumps(report):
+    """_write_report writes its float lists with the C encoder, and the bytes
+    are still those of json.dumps(indent=2) on the whole report."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as out:
+        path = cli._write_report(argparse.Namespace(out=out), report)
+        assert path.read_bytes() == (json.dumps(report, sort_keys=True, indent=2,
+                                                allow_nan=False) + "\n").encode()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_basis_exit1_without_file(tmp_path, capsys, monkeypatch, bad):
+    """A non-finite entry of the exported basis exits 1 naming basis[m][i]."""
+    real = grid.harmonic_kernel
+
+    def poisoned(*args, **kwargs):
+        basis = real(*args, **kwargs)
+        basis.vectors[7, 2] = bad
+        return basis
+
+    monkeypatch.setattr(grid, "harmonic_kernel", poisoned)
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps({"schema_version": 1, "id": "flat_small",
+                                 "manifold": {"preset": "flat_t4"}, "grid": {"n": 3}}))
+    out = tmp_path / "out"
+    assert run(["grid", "harmonic", "--scenario", sfile, "--out", out]) == 1
+    assert f"report value basis[2][7] is {bad!r}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_tracer_pins_resolve():

@@ -286,6 +286,20 @@ def test_hodge_laplacian_matches_star_d_star_oracle(path):
                                       sc.build_field(chart).component_jets(pts))
 
 
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+def test_fg_jets_value_slot_is_fg_values(path):
+    """The value slots of the jets of |phi|^2, F and G are forms.fg_values'
+    arithmetic on the values bit for bit: the graded product forms its value
+    slot as the op of the two values alone."""
+    sc = scenario.load(path)
+    chart = sc.build_chart()
+    b = verify.PointBundle(chart, sc.build_field(chart), sc.points(chart), sc.tols)
+    A = b.geom.ginv_values @ forms.full_matrix_values(b.phi)
+    assert np.array_equal(b.norm_sq_jet.value, -0.5 * forms._TRACE_AB(A, A))
+    F, G, _ = b.fg
+    assert np.array_equal(b.fg_jets[0].value, F) and np.array_equal(b.fg_jets[1].value, G)
+
+
 @given(oracles.NEAR_FLAT_TERMS, FORM_TERMS)
 @settings(max_examples=20, deadline=None)
 def test_hodge_laplacian_matches_star_d_star_oracle_near_flat(terms, form_terms):

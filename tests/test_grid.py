@@ -252,6 +252,21 @@ def test_solver_gates_fail(pert4):
         grid.harmonic_kernel(pert4, tol=1e-20)
 
 
+@pytest.mark.parametrize("name", ["flat4", "pert4", "pert8"])
+def test_kernel_scale_below_lambda_max(name, request):
+    """harmonic_kernel's scale max diag(Delta_2) is at most the largest
+    eigenvalue (here its power estimate), so kernel_residual is at least the
+    residual relative to lambda_max: the gate can only be tighter."""
+    gc = request.getfixturevalue(name)
+    A = grid._Sym2(gc)
+    lam = grid._power_estimate(A, charts.normals(1, charts.POWER, gc.dim(2)))
+    assert np.max(A.diag()) <= lam
+    basis = grid.harmonic_kernel(gc)
+    Y = A.rt[:, None] * basis.vectors
+    resid = np.max(np.linalg.norm(A(Y), axis=0) / (lam * np.linalg.norm(Y, axis=0)))
+    assert basis.kernel_residual >= resid
+
+
 def test_kernel_matches_eigensolver(pert4):
     """Independent path: the eigensolver's six smallest Ritz vectors span the
     kernel built from the cohomology classes."""
