@@ -27,6 +27,7 @@ from . import Curv4Error, forms, jets
 from .charts import (Geometry, MetricChart, chart_is_periodic, map_chunks, metric_values,
                      require_positive_definite, sqrt_det_values)
 from .forms import PAIRS, TRIPLES
+from .jets import Jet3
 from .scenario import DEFAULT_TOLERANCES
 
 AXSETS = (
@@ -36,6 +37,7 @@ AXSETS = (
     TRIPLES,
     ((0, 1, 2, 3),),
 )
+_PI, _PJ = np.array(PAIRS).T
 
 
 class GridError(Curv4Error):
@@ -159,7 +161,7 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
             det = jets.det4(g)
             require_positive_definite(g, det, pts, "at cell barycenter", GridError)
             rest = tuple(a for a in range(4) if a not in S)
-            weights.append(jets.minor(g, rest) * h**4 / np.sqrt(det))
+            weights.append((jets.minor(g, rest) if S else det) * h**4 / np.sqrt(det))
         M.append(np.concatenate(weights))
         if np.any(M[-1] <= 0.0):
             raise GridError(f"nonpositive mass entry in degree {k}")
@@ -370,6 +372,12 @@ def _cell_centers(complex: GridComplex):
     return _barycenters(n, h, (0, 1, 2, 3))
 
 
+def _cell_metric(gc: GridComplex, pts):
+    """g^-1 and sqrt(det g) from the metric's values at the points pts (N, 4)."""
+    g = metric_values(gc.chart, pts)
+    return np.linalg.inv(g), sqrt_det_values(g)
+
+
 def _star_gram(basis: HarmonicBasis):
     """S[a, b] = sum <*z_a, z_b> vol and G[a, b] = sum <z_a, z_b> vol over the cell
     centers for the co-located basis cochains z.  The cells run in chunks
@@ -381,11 +389,10 @@ def _star_gram(basis: HarmonicBasis):
     C = np.ascontiguousarray(np.moveaxis(_colocate(gc, basis.vectors), 0, -1))  # (cells, k, 6)
 
     def partial(idx):
-        g = metric_values(gc.chart, pts[idx])
-        sqrt_det = sqrt_det_values(g)
+        ginv, sqrt_det = _cell_metric(gc, pts[idx])
         vol = sqrt_det * gc.h**4
         Ci = C[idx]
-        up = forms.raised_pairs(np.linalg.inv(g)[:, None], Ci)
+        up = forms.raised_pairs(ginv[:, None], Ci)
         star = forms.star_coord(up, sqrt_det[:, None, None])
         return [np.sum(np.einsum("nap,nbp->abn", Z, up, order="C") * vol, -1) for Z in (star, Ci)]
 
@@ -453,103 +460,122 @@ def discrete_field_export(complex: GridComplex, z) -> DiscreteField:
     return DiscreteField(complex=complex, coloc6=_colocate(complex, z), h=complex.h)
 
 
-def _roll_diff(u_grid, axis, h):
-    return (np.roll(u_grid, -1, axis=axis) - np.roll(u_grid, 1, axis=axis)) / (2.0 * h)
+def _neighbours(n, cells):
+    """The flat indices (33, len(cells)) of the cells (row 0) and of their
+    periodic neighbours on the n^4 lattice: +e_a and -e_a (rows 1 + a, 5 + a),
+    then +e_a+e_b, +e_a-e_b, -e_a+e_b, -e_a-e_b of PAIRS[p] = (a, b) (rows
+    9 + 4p to 12 + 4p).  One table serves every field of a chunk."""
+    stride = n ** np.arange(3, -1, -1)
+    x = cells // stride[:, None] % n
+    step = np.stack([(x + 1) % n - x, (x - 1) % n - x], axis=1) * stride[:, None, None]
+    pair = step[_PI, :, None] + step[_PJ, None, :]  # [p, sign of a, sign of b, cell]
+    return cells + np.concatenate([np.zeros((1, len(cells)), dtype=cells.dtype),
+                                   np.swapaxes(step, 0, 1).reshape(8, -1), pair.reshape(24, -1)])
 
 
-def _roll_diff2(u_grid, a, b, h):
-    if a == b:
-        return (np.roll(u_grid, -1, axis=a) - 2.0 * u_grid + np.roll(u_grid, 1, axis=a)) / h**2
-    upp = np.roll(np.roll(u_grid, -1, axis=a), -1, axis=b)
-    upm = np.roll(np.roll(u_grid, -1, axis=a), 1, axis=b)
-    ump = np.roll(np.roll(u_grid, 1, axis=a), -1, axis=b)
-    umm = np.roll(np.roll(u_grid, 1, axis=a), 1, axis=b)
-    return (upp - upm - ump + umm) / (4.0 * h**2)
+def _difference_jets(u, idx, h, order):
+    """Stacked jets ((5,) at order 1, (NCOEFF,) at 2) of the cell field u
+    (n^4, ...) at the cells of the neighbour table idx (_neighbours), by
+    centred differences: the value, (u(+e_a) - u(-e_a)) / 2h, and the second
+    differences (u(+e_a) - 2u + u(-e_a)) / h^2, halved as jets store it
+    (jets._HESS_FAC), and for a < b
+    (u(+e_a+e_b) - u(+e_a-e_b) - u(-e_a+e_b) + u(-e_a-e_b)) / 4h^2."""
+    v = u[idx if order == 2 else idx[:9]]
+    out = np.empty((jets.NCOEFF if order == 2 else 5,) + v.shape[1:])
+    out[0] = v[0]
+    out[1:5] = (v[1:5] - v[5:9]) / (2.0 * h)
+    if order == 2:
+        out[jets._HESS_SLOTS.diagonal()] = 0.5 * ((v[1:5] - 2.0 * v[0] + v[5:9]) / h**2)
+        w = v[9:].reshape((len(PAIRS), 4) + v.shape[1:])
+        out[jets._HESS_SLOTS[_PI, _PJ]] = (w[:, 0] - w[:, 1] - w[:, 2] + w[:, 3]) / (4.0 * h**2)
+    return out
+
+
+def _joined(fn, cells):
+    """map_chunks(fn, cells) for a fn that returns a tuple of per-cell arrays,
+    joined into one array per entry, one entry at a time, so that each
+    entry's chunks are freed as soon as it is joined."""
+    fields = [list(x) for x in zip(*map_chunks(fn, cells))]
+    return [np.concatenate(fields.pop(0)) for _ in range(len(fields))]
 
 
 class _CellGeometry:
-    """A discrete field's data at every cell center, from one pass over the
-    cells in chunks (map_chunks).  The field's pointwise algebra, F, G, K and
-    the degenerate flags, is computed as in verify.PointBundle.adapted: it is
-    each chunk's forms.PointValues, whose curvature, frames and jets live for
-    that chunk only.  Beside it are kept what the lattice stencils read: g^-1,
-    sqrt(det g), the Christoffel symbols, the drift of the scalar Laplacian
-    and *phi."""
+    """What Theorem 2.1 (Eq 2.3) reads of a discrete field at every cell
+    centre: sqrt_det, F, G, K, degenerate, nabla_plus_sq, nabla_minus_sq,
+    lap_FG, dF_dG and flux_div.  The cells run in chunks (map_chunks).  A
+    first pass takes sqrt(det g), F, G (forms.fg_values) and *phi from g's
+    values (_cell_metric).  A second
+    builds each chunk's forms.PointValues for K and the degenerate flags, as
+    verify.PointBundle does, and feeds the verifiers' forms operators
+    difference jets (_difference_jets) for exact ones: |nabla phi+-|^2,
+    Delta(FG), <dF, dG> and the flux sqrt(g) g^-1 d(FG), whose divergence a
+    third pass takes.  g^-1 and Gamma live for their chunk only."""
 
     def __init__(self, fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
         gc, c6 = fieldd.complex, fieldd.coloc6
-        pts = _cell_centers(gc)
+        n, h = gc.n, gc.h
+        pts, cells = _cell_centers(gc), np.arange(gc.sites)
+
+        def values(idx):
+            ginv, sqrt_det = _cell_metric(gc, pts[idx])
+            phi = c6[:, idx].T
+            star = forms.star_coord(forms.raised_pairs(ginv, phi), sqrt_det[:, None])
+            return (sqrt_det, *forms.fg_values(ginv, phi, sqrt_det)[:2], star)
+
+        self.sqrt_det, self.F, self.G, star = _joined(values, cells)
+        FG = self.F * self.G
+
+        def derivatives(geom, sqrt_det, nb):
+            """|nabla phi+-|^2, Delta(FG), <dF, dG> and the flux on the cells of
+            the neighbour table nb."""
+            phi, star_j = (_difference_jets(u, nb, h, 1) for u in (c6.T, star))
+            F, G = (Jet3(_difference_jets(u, nb, h, 1)) for u in (self.F, self.G))
+            fg = Jet3(_difference_jets(FG, nb, h, 2))
+            nabla_pm = (forms.nabla_norm_sq_values(  # phi + *phi, then phi - *phi
+                geom.ginv_values, forms.nabla_two_form_values(geom, op(phi, star_j)))
+                for op in (np.add, np.subtract))
+            return (*nabla_pm, forms.scalar_laplacian_values(geom, fg),
+                    forms.grad_inner_values(geom, F, G),
+                    sqrt_det[:, None] * (geom.ginv_values @ fg.grad()[..., None])[..., 0])
 
         def pointwise(idx):
             v = forms.PointValues(Geometry.of_chart(gc.chart, pts[idx]), c6[:, idx].T, tols)
-            ginv, gamma = v.geom.ginv_values, v.geom.gamma_values
-            # (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab
-            drift = -(gamma.reshape(-1, 4, 16) @ ginv.reshape(-1, 16, 1))[..., 0]
-            star = forms.star_coord(forms.raised_pairs(ginv, v.phi), v.sqrt_det[:, None])
-            return (ginv, v.sqrt_det, gamma, drift, star, *v.fg[:2], v.curvature_K["K"],
+            # the curvature once the derivatives' temporaries are freed
+            return (*derivatives(v.geom, v.sqrt_det, _neighbours(n, idx)), v.curvature_K["K"],
                     v.adapted.degenerate)
 
-        # one field at a time, each field's chunks freed once it is joined
-        fields = [list(x) for x in zip(*map_chunks(pointwise, np.arange(gc.sites)))]
-        (self.ginv, self.sqrt_det, self.gamma, self.lap_drift, self.star, self.F, self.G,
-         self.K, self.degenerate) = (np.concatenate(fields.pop(0)) for _ in range(9))
+        (self.nabla_plus_sq, self.nabla_minus_sq, self.lap_FG, self.dF_dG, flux, self.K,
+         self.degenerate) = _joined(pointwise, cells)
+        del star, FG
+
+        def divergence(idx):
+            d = _difference_jets(flux, _neighbours(n, idx), h, 1)
+            return sum(d[1 + a, :, a] for a in range(4))
+
+        self.flux_div = np.concatenate(map_chunks(divergence, cells))
 
 
 def discrete_eq23_report(fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
-    """Theorem 2.1 (Eq 2.3) with discrete derivatives: the pointwise residual
-    of Delta(FG) against forms.thm21_rhs, the three integrals and the
-    conservative Green-Stokes check.  F, G, K and the degenerate flags come
-    from _CellGeometry, one chunk of cells at a time, as do |nabla phi+-|^2;
-    the stencils difference F, G, FG, phi and *phi held at every cell.  The
-    residual is measured against |Delta(FG)| + sum |term|."""
-    gc = fieldd.complex
-    n, h = gc.n, gc.h
+    """Theorem 2.1 (Eq 2.3) with discrete derivatives, as sums over the cells
+    of _CellGeometry: the pointwise residual of Delta(FG) against
+    forms.thm21_rhs, measured against |Delta(FG)| + sum |term|, the three
+    integrals and the conservative Green-Stokes check."""
+    h = fieldd.complex.h
     cg = _CellGeometry(fieldd, tols)
-    c6, star6 = fieldd.coloc6, cg.star.T
-    F, G, K = (x.reshape(n, n, n, n) for x in (cg.F, cg.G, cg.K))
-
-    # covariant derivatives of the discrete field and of its star (coordinate components)
-    dc6, dstar6 = _centered_differences(gc, c6), _centered_differences(gc, star6)
-
-    def nabla_pm_sq(idx):
-        T = _covariant_nabla_discrete(cg, c6, dc6, idx)
-        T_star = _covariant_nabla_discrete(cg, star6, dstar6, idx)
-        return (forms.nabla_norm_sq_values(cg.ginv[idx], T + T_star),
-                forms.nabla_norm_sq_values(cg.ginv[idx], T - T_star))
-
-    np_sq, nm_sq = (np.concatenate(x).reshape(n, n, n, n)
-                    for x in zip(*map_chunks(nabla_pm_sq, np.arange(gc.sites))))
-    ginv = cg.ginv
-
-    FG = F * G
-    lap_FG = _discrete_scalar_laplacian(gc, cg, FG)
-    dF = np.stack([_roll_diff(F, a, h) for a in range(4)], axis=-1).reshape(-1, 4)
-    dG = np.stack([_roll_diff(G, a, h) for a in range(4)], axis=-1).reshape(-1, 4)
-    cross = ((dF[:, None, :] @ ginv) @ dG[:, :, None]).reshape(n, n, n, n)
-
-    terms = forms.thm21_rhs(F, G, K, np_sq, nm_sq, cross)
-    resid = lap_FG - sum(terms)
-    scale = sum((np.abs(t) for t in terms), np.abs(lap_FG))
+    terms = forms.thm21_rhs(cg.F, cg.G, cg.K, cg.nabla_plus_sq, cg.nabla_minus_sq, cg.dF_dG)
+    resid = cg.lap_FG - sum(terms)
+    scale = sum((np.abs(t) for t in terms), np.abs(cg.lap_FG))
     scale_rms = float(np.sqrt(np.mean(scale**2)))
     resid_rms = float(np.sqrt(np.mean(resid**2)))
     rel = resid_rms / max(scale_rms, 1e-300)
 
-    vol = (cg.sqrt_det * h**4).reshape(n, n, n, n)
-    I_dFG = float(np.sum(lap_FG * vol))
+    vol = cg.sqrt_det * h**4
+    I_dFG = float(np.sum(cg.lap_FG * vol))
     I_kfg = float(np.sum(terms[0] * vol))
     I_rem = float(np.sum(sum(terms[1:]) * vol))
 
-    # conservative flux form: integral vanishes to roundoff on the periodic grid
-    sqg = cg.sqrt_det.reshape(n, n, n, n)
-    flux_div = np.zeros_like(FG)
-    for i in range(4):
-        Ki = sum(ginv.reshape(n, n, n, n, 4, 4)[..., i, j] * _roll_diff(FG, j, h)
-                 for j in range(4))
-        flux_div += _roll_diff(sqg * Ki, i, h)
-    green_stokes = float(np.sum(flux_div) * h**4)
-
     return {
-        "n": n,
+        "n": fieldd.complex.n,
         "h": h,
         "rms_relative_residual": rel,
         "rms_abs_residual": resid_rms,
@@ -558,40 +584,8 @@ def discrete_eq23_report(fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
         "integral_8KFG": I_kfg,
         "integral_remainder": I_rem,
         "balance_residual": float(abs(I_dFG - I_kfg - I_rem)),
-        "green_stokes_conservative": green_stokes,
+        # conservative flux form: its integral vanishes to round-off on the periodic grid
+        "green_stokes_conservative": float(np.sum(cg.flux_div) * h**4),
         "C_h2_estimate": float(abs(I_dFG) / h**2),
         "degenerate_points": int(cg.degenerate.sum()),
     }
-
-
-def _centered_differences(gc: GridComplex, c6):
-    """d_a of the six cochains c6 (6, N) by centered differences, shape (6, N, 4)."""
-    n, h = gc.n, gc.h
-    return np.stack([[_roll_diff(c6[p].reshape(n, n, n, n), a, h).ravel() for p in range(6)]
-                     for a in range(4)], axis=-1)
-
-
-def _covariant_nabla_discrete(cg: _CellGeometry, c6, dc6, idx):
-    """(nabla_a phi)_ij at the cells idx from the components c6 (6, N), their
-    centered differences dc6 (_centered_differences) and the analytic
-    Christoffels, shape (len(idx), 4, 4, 4) indexed [a, i, j]."""
-    full = forms.full_matrix_values(c6[:, idx].T)  # (len(idx), 4, 4)
-    gam = cg.gamma[idx].reshape(-1, 4, 16)  # [l, (a, i)]
-    # Gamma^l_ai phi_lj + Gamma^l_aj phi_il, each one batched matmul
-    corr = ((np.swapaxes(gam, -1, -2) @ full).reshape(-1, 4, 4, 4)
-            + np.swapaxes((full @ gam).reshape(-1, 4, 4, 4), -3, -2))
-    return forms.full_matrix_values(np.moveaxis(dc6[:, idx], 0, -1)) - corr
-
-
-def _discrete_scalar_laplacian(gc: GridComplex, cg: _CellGeometry, u_grid):
-    n, h = gc.n, gc.h
-    ginv = cg.ginv.reshape(n, n, n, n, 4, 4)
-    drift = cg.lap_drift.reshape(n, n, n, n, 4)
-    out = np.zeros_like(u_grid)
-    for i in range(4):
-        for j in range(i, 4):
-            d2 = _roll_diff2(u_grid, i, j, h)
-            coef = ginv[..., i, j] * (1.0 if i == j else 2.0)
-            out += coef * d2
-        out += drift[..., i] * _roll_diff(u_grid, i, h)
-    return out

@@ -349,18 +349,21 @@ def minor(m, rows, cols=None):
     """Determinant of the submatrix m[rows, cols] (cols defaults to rows) of the
     stacked matrices m, values batch + (r, c) or a Jet3 of stacked coefficients,
     by cofactor expansion along the first row over views of its entries; 1.0
-    for no rows."""
-    cols = rows if cols is None else cols
+    for no rows.  The expansion is formed from the last row up, so each of its
+    sub-minors (the last j rows on j of the columns) is formed once."""
     if not rows:
         return 1.0
-    if len(rows) == 1:
-        r, c = rows[0], cols[0]
-        return Jet3(m.c[..., r, c]) if isinstance(m, Jet3) else m[..., r, c]
-    out = None
-    for k, c in enumerate(cols):
-        term = minor(m, rows[:1], (c,)) * minor(m, rows[1:], cols[:k] + cols[k + 1:])
-        out = term if out is None else out - term if k % 2 else out + term
-    return out
+    cols = rows if cols is None else cols
+    wrap, a = (Jet3, m.c) if isinstance(m, Jet3) else (np.asarray, m)
+    below = {(c,): wrap(a[..., rows[-1], c]) for c in cols}
+    for j in range(2, len(rows) + 1):
+        level = {}
+        for sub in itertools.combinations(cols, j):
+            for k, c in enumerate(sub):
+                term = wrap(a[..., rows[-j], c]) * below[sub[:k] + sub[k + 1:]]
+                level[sub] = term if k == 0 else level[sub] - term if k % 2 else level[sub] + term
+        below = level
+    return below[tuple(cols)]
 
 
 def det4(m):

@@ -770,3 +770,96 @@ def slot_loop_inverse(c):
         s -= V @ c[5 + q]
         np.matmul(s, V, out=out[5 + q])
     return out
+
+
+def cofactor_minor(m, rows, cols=None):
+    """jets.minor's reference: the plain recursive cofactor expansion along the
+    first row, which forms every sub-minor again wherever it recurs."""
+    cols = rows if cols is None else cols
+    if not rows:
+        return 1.0
+    if len(rows) == 1:
+        r, c = rows[0], cols[0]
+        return Jet3(m.c[..., r, c]) if isinstance(m, Jet3) else m[..., r, c]
+    out = None
+    for k, c in enumerate(cols):
+        term = (cofactor_minor(m, rows[:1], (c,))
+                * cofactor_minor(m, rows[1:], cols[:k] + cols[k + 1:]))
+        out = term if out is None else out - term if k % 2 else out + term
+    return out
+
+
+# -- lattice stencils by periodic shifts of the whole (n, n, n, n) field: the
+# references for grid._difference_jets and for the forms operators that
+# grid._CellGeometry feeds with difference jets.
+
+
+def roll_diff(u_grid, axis, h):
+    """Centred first difference of a lattice field along axis."""
+    return (np.roll(u_grid, -1, axis=axis) - np.roll(u_grid, 1, axis=axis)) / (2.0 * h)
+
+
+def roll_diff2(u_grid, a, b, h):
+    """Centred second difference d_a d_b of a lattice field."""
+    if a == b:
+        return (np.roll(u_grid, -1, axis=a) - 2.0 * u_grid + np.roll(u_grid, 1, axis=a)) / h**2
+    upp = np.roll(np.roll(u_grid, -1, axis=a), -1, axis=b)
+    upm = np.roll(np.roll(u_grid, -1, axis=a), 1, axis=b)
+    ump = np.roll(np.roll(u_grid, 1, axis=a), -1, axis=b)
+    umm = np.roll(np.roll(u_grid, 1, axis=a), 1, axis=b)
+    return (upp - upm - ump + umm) / (4.0 * h**2)
+
+
+def centered_differences(n, h, c6):
+    """d_a of the six cell fields c6 (6, n^4) by centred differences, (6, n^4, 4)."""
+    return np.stack([[roll_diff(c6[p].reshape(n, n, n, n), a, h).ravel() for p in range(6)]
+                     for a in range(4)], axis=-1)
+
+
+def covariant_nabla_discrete(gamma, c6, dc6):
+    """(nabla_a phi)_ij at every cell, (n^4, 4, 4, 4) indexed [a, i, j], from the
+    components c6 (6, n^4), their centred differences dc6 and the Christoffel
+    symbols gamma (n^4, 4, 4, 4) indexed [l, a, i]."""
+    full = forms.full_matrix_values(c6.T)
+    gam = gamma.reshape(-1, 4, 16)  # [l, (a, i)]
+    # Gamma^l_ai phi_lj + Gamma^l_aj phi_il, each one batched matmul
+    corr = ((np.swapaxes(gam, -1, -2) @ full).reshape(-1, 4, 4, 4)
+            + np.swapaxes((full @ gam).reshape(-1, 4, 4, 4), -3, -2))
+    return forms.full_matrix_values(np.moveaxis(dc6, 0, -1)) - corr
+
+
+def discrete_scalar_laplacian(n, h, ginv, gamma, u_grid):
+    """g^ab d_a d_b u + drift^j d_j u by centred differences, the drift
+    (1/sqrt g) d_i (sqrt g g^ij) = -g^ab Gamma^j_ab from g^-1 and Gamma per cell."""
+    drift = -(gamma.reshape(-1, 4, 16) @ ginv.reshape(-1, 16, 1))[..., 0]
+    ginv, drift = ginv.reshape(n, n, n, n, 4, 4), drift.reshape(n, n, n, n, 4)
+    out = np.zeros_like(u_grid)
+    for i in range(4):
+        for j in range(i, 4):
+            coef = ginv[..., i, j] * (1.0 if i == j else 2.0)
+            out += coef * roll_diff2(u_grid, i, j, h)
+        out += drift[..., i] * roll_diff(u_grid, i, h)
+    return out
+
+
+def discrete_eq23_fields(fieldd):
+    """|nabla phi+|^2, |nabla phi-|^2, Delta(FG) and <dF, dG> of a discrete field
+    at every cell by the shift stencils above, with g^-1, Gamma, F, G and *phi
+    from the analytic metric at the cell centres."""
+    from curv4 import charts, grid
+
+    gc, c6 = fieldd.complex, fieldd.coloc6
+    n, h = gc.n, gc.h
+    geom = charts.Geometry.of_chart(gc.chart, grid._cell_centers(gc))
+    ginv, gamma = geom.ginv_values, geom.gamma_values
+    sqrt_det = charts.sqrt_det_values(geom.g_values)
+    F, G, _ = (x.reshape(n, n, n, n) for x in forms.fg_values(ginv, c6.T, sqrt_det))
+    star6 = forms.star_coord(forms.raised_pairs(ginv, c6.T), sqrt_det[:, None]).T
+    T, T_star = (covariant_nabla_discrete(gamma, c, centered_differences(n, h, c))
+                 for c in (c6, star6))
+    dF, dG = (np.stack([roll_diff(u, a, h) for a in range(4)], axis=-1).reshape(-1, 4)
+              for u in (F, G))
+    return (forms.nabla_norm_sq_values(ginv, T + T_star),
+            forms.nabla_norm_sq_values(ginv, T - T_star),
+            discrete_scalar_laplacian(n, h, ginv, gamma, F * G).ravel(),
+            ((dF[:, None, :] @ ginv) @ dG[:, :, None]).ravel())

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curv4 import charts, cli, forms, grid, presets
+from curv4 import charts, cli, forms, grid, jets, presets
 from curv4.grid import GridError, SolverError
 from curv4.scenario import DEFAULT_TOLERANCES
 
-from oracles import (NEAR_FLAT_TERMS, lumped_masses, near_flat_chart, sparse_coboundary,
-                     star_gram_loops)
+from oracles import (NEAR_FLAT_TERMS, discrete_eq23_fields, lumped_masses, near_flat_chart,
+                     roll_diff, roll_diff2, sparse_coboundary, star_gram_loops)
 
 PERTURBED = [
     ["1 + 0.1*sin(x1)*cos(x2)", "0.03*sin(x3)*sin(x4)", "0", "0"],
@@ -291,15 +291,65 @@ def test_harmonic_representative(pert8):
 
 
 def test_discrete_export_flat_constant(flat4):
+    """A constant form on the flat torus is exactly parallel: its difference
+    jets have zero first slots, Gamma is zero, so nabla phi+- and every
+    derivative _CellGeometry takes of F, G and FG are exactly 0."""
     N = flat4.sites
     z = np.zeros(flat4.dim(2))
     z[:N] = 1.0
     fieldd = grid.discrete_field_export(flat4, z)
     cg = grid._CellGeometry(fieldd)
-    c6 = fieldd.coloc6
-    T = grid._covariant_nabla_discrete(cg, c6, grid._centered_differences(flat4, c6),
-                                       np.arange(N))
-    assert np.max(np.abs(T)) == 0.0  # constant form, flat metric: exactly parallel
+    geom = charts.Geometry.of_chart(flat4.chart, grid._cell_centers(flat4))
+    jet = grid._difference_jets(fieldd.coloc6.T, grid._neighbours(4, np.arange(N)), flat4.h, 1)
+    assert np.max(np.abs(forms.nabla_two_form_values(geom, jet))) == 0.0
+    for field in (cg.nabla_plus_sq, cg.nabla_minus_sq, cg.lap_FG, cg.dF_dG, cg.flux_div):
+        assert np.max(np.abs(field)) == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_difference_jets_match_roll_stencils(n):
+    """_difference_jets gathers the same operands as the shifts of the whole
+    lattice (oracles.roll_diff, roll_diff2) and combines them in the same
+    order: slot for slot bit-identical, on a scalar field and on one with
+    components, over chunks of cells that do not start at a row.  At n=3 the
+    two neighbours along an axis are the other two cells of that line, and a
+    corner's diagonal steps wrap round on both axes at once."""
+    rng = np.random.default_rng(n)
+    N, h = n**4, 2.0 * np.pi / n
+    u = rng.standard_normal((N, 3)) * 10.0 ** rng.integers(-3, 4, size=(N, 3))
+    for cells in np.array_split(np.arange(N), 3):
+        idx = grid._neighbours(n, cells)
+        for order in (1, 2):
+            jet = grid._difference_jets(u, idx, h, order)
+            assert np.array_equal(jet[0], u[cells])
+            for p in range(3):
+                grid_u = u[:, p].reshape(n, n, n, n)
+                one = grid._difference_jets(u[:, p], idx, h, order)
+                assert np.array_equal(one, jet[..., p])
+                for a in range(4):
+                    assert np.array_equal(one[1 + a], roll_diff(grid_u, a, h).ravel()[cells])
+                if order == 2:
+                    hess = jets.Jet3(one).hessian()
+                    for a in range(4):
+                        for b in range(a, 4):
+                            want = roll_diff2(grid_u, a, b, h).ravel()[cells]
+                            assert np.array_equal(hess[:, a, b], want)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_cell_geometry_matches_stencils(n):
+    """|nabla phi+-|^2, Delta(FG) and <dF, dG> of _CellGeometry, the forms
+    operators on difference jets, against the shift stencils with their own
+    covariant derivative, Laplacian drift and contraction
+    (oracles.discrete_eq23_fields): within 1e-14 of the largest value (the
+    worst seen is 5.5e-16), the sums in another order."""
+    gc = grid.assemble(perturbed_chart(), n)
+    phi, _, _ = grid.harmonic_representative(gc, (0, 1))
+    fieldd = grid.discrete_field_export(gc, phi)
+    cg = grid._CellGeometry(fieldd)
+    got = (cg.nabla_plus_sq, cg.nabla_minus_sq, cg.lap_FG, cg.dF_dG)
+    for new, ref in zip(got, discrete_eq23_fields(fieldd)):
+        assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_cell_geometry_is_the_value_layer(pert4):
@@ -354,28 +404,31 @@ def test_discrete_eq23_chunk_invariant(pert4, monkeypatch):
 def test_integral_pipeline_memory():
     """The tracemalloc peak of the grid integral pipeline (assemble, the
     representative of dx1^dx2, its export and discrete_eq23_report) on the
-    perturbed T^4 at n=6 stays under 4 MB (3.6 MB measured).  The peak is in
-    _CellGeometry, whose chunk of 512 cells holds the metric's jets and
-    forms.PointValues: the curvature operator rotated into the frame (6x6 per
-    cell, not cached in the Geometry) and the adapted frame with K.  With a
-    256-entry Riemann tensor per cell the peak was 6.8 MB."""
+    perturbed T^4 stays under 4 MB at n=6 (3.41 MB measured) and 5.5 MB at
+    n=8 (4.61 MB measured).  The peak sits in a 512-cell chunk of
+    _CellGeometry, in |nabla phi+-|^2 on the chunk's difference jets, beside
+    the chunk's metric jets and forms.PointValues.  With g^-1, Gamma, the
+    Laplacian drift and the centred differences of phi and *phi held at every
+    cell, it was 3.60 MB at n=6 and 7.19 MB at n=8; with a 256-entry Riemann
+    tensor per cell, 6.8 MB at n=6."""
     import tracemalloc
 
     chart = perturbed_chart()
 
-    def pipeline():
-        gc = grid.assemble(chart, 6)
+    def pipeline(n):
+        gc = grid.assemble(chart, n)
         phi, _, _ = grid.harmonic_representative(gc, (0, 1))
         grid.discrete_eq23_report(grid.discrete_field_export(gc, phi))
 
-    pipeline()  # warm caches
-    tracemalloc.start()
-    try:
-        pipeline()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6, peak
+    for n, bound in ((6, 4e6), (8, 5.5e6)):
+        pipeline(n)  # warm caches
+        tracemalloc.start()
+        try:
+            pipeline(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n, peak)
 
 
 def test_star_gram_chunk_sums(pert4, monkeypatch):

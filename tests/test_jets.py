@@ -10,9 +10,9 @@ from curv4 import expr as ex
 from curv4 import jets
 from curv4.jets import Jet3
 
-from oracles import (INDEX_OF, MULTI_INDICES, broadcast_congruence, convolution_mul, derivative,
-                     entries, fancy_index_mul, random_expression, slot_loop_inverse, stack,
-                     taylor_coefficient)
+from oracles import (INDEX_OF, MULTI_INDICES, broadcast_congruence, cofactor_minor,
+                     convolution_mul, derivative, entries, fancy_index_mul, random_expression,
+                     slot_loop_inverse, stack, taylor_coefficient)
 
 
 def test_variable_lift():
@@ -332,3 +332,25 @@ def test_solve_and_inverse_match_slot_loop_oracle(c, b):
     assert np.max(np.abs(jets.mat_inverse(c) - ref)) <= 16 * eps * np.max(np.abs(ref))
     ref = jets.matmul(ref, b)
     assert np.max(np.abs(jets.solve(c, b) - ref)) <= 16 * eps * np.max(np.abs(ref))
+
+
+# The minors the program takes: det4 and every principal minor (grid.assemble's
+# complementary axis sets, charts.require_positive_definite's leading ones) and
+# canonical._euclid_cross's minors of three rows on each three of four columns.
+MINORS = ([(rows, None) for k in range(1, 5) for rows in itertools.combinations(range(4), k)]
+          + [((0, 1, 2), cols) for cols in itertools.combinations(range(4), 3)])
+
+
+@given(COEFFS)
+@settings(max_examples=30, deadline=None)
+def test_minor_matches_cofactor_recursion(c):
+    """jets.minor forms each sub-minor once, where the plain recursion
+    (oracles.cofactor_minor) forms it again wherever it recurs; the products
+    and sums are the same, so the two agree bit for bit on values and jets."""
+    for rows, cols in MINORS:
+        assert np.array_equal(jets.minor(c[0], rows, cols), cofactor_minor(c[0], rows, cols))
+        assert np.array_equal(jets.minor(Jet3(c), rows, cols).c,
+                              cofactor_minor(Jet3(c), rows, cols).c)
+    assert np.array_equal(jets.det4(c[0]), cofactor_minor(c[0], (0, 1, 2, 3)))
+    assert np.array_equal(jets.det4(Jet3(c)).c, cofactor_minor(Jet3(c), (0, 1, 2, 3)).c)
+    assert jets.minor(c[0], ()) == 1.0
