@@ -41,11 +41,15 @@ _D2G_WEIGHT = 0.5 * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * jets._HESS
 # The upper entries (i <= j) of the metric, in evaluation order.
 UPPER = tuple(itertools.combinations_with_replacement(range(4), 2))
 # Points (or grid cells) per chunk of every pointwise path (map_chunks): the
-# verifiers, kato scan and the integrals.  A 512-point chunk peaks at 10-15 KB
-# per point (21 KB for eq22 and lemma22, whose normal charts hold the most);
-# per point the arithmetic is the same at any chunk size, and past 256 points
-# a chunk's fixed cost is paid back.
-CHUNK = 512
+# verifiers, kato scan and the integrals.  A chunk's peak is linear in its
+# points: 10-15 KB per point of conformal_product (21 KB for eq22 and
+# lemma22, whose normal charts hold the most).  Warm, in-process and in one
+# chunk on a 2-core x86 box, the kernels' time is linear in points from 256
+# to 512 (kato scan 7.7 -> 15.0 ms, thm21 16.4 -> 32.8, verify conformal
+# 14.1 -> 27.0, weitzenboeck 7.5 -> 15.8), and a chunk's fixed cost, taken as
+# its time at 16 points, is 2-5 ms; so 256 points halve the peak of 512 at
+# about the same time per point.
+CHUNK = 256
 
 
 class ChartError(Curv4Error):

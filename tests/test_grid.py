@@ -404,13 +404,14 @@ def test_discrete_eq23_chunk_invariant(pert4, monkeypatch):
 def test_integral_pipeline_memory():
     """The tracemalloc peak of the grid integral pipeline (assemble, the
     representative of dx1^dx2, its export and discrete_eq23_report) on the
-    perturbed T^4 stays under 4 MB at n=6 (3.41 MB measured) and 5.5 MB at
-    n=8 (4.61 MB measured).  The peak sits in a 512-cell chunk of
-    _CellGeometry, in |nabla phi+-|^2 on the chunk's difference jets, beside
-    the chunk's metric jets and forms.PointValues.  With g^-1, Gamma, the
-    Laplacian drift and the centred differences of phi and *phi held at every
-    cell, it was 3.60 MB at n=6 and 7.19 MB at n=8; with a 256-entry Riemann
-    tensor per cell, 6.8 MB at n=6."""
+    perturbed T^4 stays under 2.5 MB at n=6 (2.01 MB measured) and 3.8 MB at
+    n=8 (3.20 MB measured).  The peak sits in the report, whose 256-cell
+    chunks of _CellGeometry hold difference jets beside the chunk's metric
+    jets and forms.PointValues (the report alone traces 1.70 and 2.27 MB);
+    in 512-cell chunks the pipeline traced 3.41 MB at n=6 and 4.61 MB at
+    n=8.  With g^-1, Gamma, the Laplacian drift and the centred differences
+    of phi and *phi held at every cell, it was 3.60 MB at n=6 and 7.19 MB at
+    n=8; with a 256-entry Riemann tensor per cell, 6.8 MB at n=6."""
     import tracemalloc
 
     chart = perturbed_chart()
@@ -420,7 +421,7 @@ def test_integral_pipeline_memory():
         phi, _, _ = grid.harmonic_representative(gc, (0, 1))
         grid.discrete_eq23_report(grid.discrete_field_export(gc, phi))
 
-    for n, bound in ((6, 4e6), (8, 5.5e6)):
+    for n, bound in ((6, 2.5e6), (8, 3.8e6)):
         pipeline(n)  # warm caches
         tracemalloc.start()
         try:

@@ -456,54 +456,83 @@ def test_kato_scan_builds_no_curvature(tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_kato_scan_memory():
-    """The tracemalloc peak of kato_scan on 512 points (one chunk) of the
-    conformal_product scenario stays at or under 6 MB (5.6 MB measured): the
-    second-order kernels hold at most a few derivative slices (N, 4, 4, 4) of
-    temporaries, and the bundle keeps nabla phi at first order.  With whole
-    (N, 4, 4, 4, 4) arrays and their copies the peak was 9.3 MB."""
-    import tracemalloc
+def _shipped(name):
+    """The chart and field of a shipped scenario."""
     from pathlib import Path
 
     from curv4 import scenario
 
-    sc = scenario.load(Path(__file__).resolve().parents[1] / "scenarios" /
-                       "conformal_product.json")
+    sc = scenario.load(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.json")
     chart = sc.build_chart()
-    fld = sc.build_field(chart)
-    pts = sample_box(chart.domain, 512, seed=7)
-    verify.kato_scan(chart, fld, pts)  # warm caches
+    return chart, sc.build_field(chart)
+
+
+def _warm_peak(fn):
+    """The tracemalloc peak of fn() after one warm call."""
+    import tracemalloc
+
+    fn()
     tracemalloc.start()
     try:
-        verify.kato_scan(chart, fld, pts)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6e6, peak
+
+
+def test_kato_scan_memory():
+    """The tracemalloc peak of kato_scan on 512 points (two chunks) of the
+    conformal_product scenario stays at or under 3 MB (2.53 MB measured): the
+    second-order kernels hold one derivative slice (N, 4, 4, 4) at a time, and
+    the bundle keeps nabla phi at first order.  In one 512-point chunk, with
+    the whole (N, 4, 4, 4, 4) d nabla phi of the harmonicity gate, it was
+    5.2 MB; with whole (N, 4, 4, 4, 4) arrays and their copies, 9.3 MB."""
+    chart, fld = _shipped("conformal_product")
+    pts = sample_box(chart.domain, 512, seed=7)
+    peak = _warm_peak(lambda: verify.kato_scan(chart, fld, pts))
+    assert peak <= 3e6, peak
+
+
+@pytest.mark.parametrize("name, shipped, bound", [
+    ("kato_scan", "conformal_product", 3.0e6), ("thm21", "conformal_product", 3.75e6),
+    ("conformal", "conformal_product", 4.6e6), ("weitzenboeck", "round_s4_random", 3.0e6)],
+    ids=["kato_scan", "thm21", "conformal", "weitzenboeck"])
+def test_pointwise_batch_memory(name, shipped, bound):
+    """The tracemalloc peak of the pointwise_batch benchmark's jobs on
+    2 CHUNK points of their scenario, each bound the peak measured with
+    256-point chunks plus about 20%: kato scan 2.53 MB, thm21 3.13 MB, verify
+    conformal --k 2 3.81 MB (its primed Hodge Laplacian runs while the
+    bundle's caches live) and weitzenboeck 2.52 MB.  In one 512-point chunk
+    that held the whole (N, 4, 4, 4, 4) d nabla phi they were 5.23, 6.15, 7.75
+    and 5.60 MB."""
+    chart, fld = _shipped(shipped)
+    run = verify.kato_scan if name == "kato_scan" else VERIFIERS[name]
+    pts = sample_box(chart.domain, 2 * charts.CHUNK, seed=7)
+    peak = _warm_peak(lambda: run(chart, fld, pts))
+    assert peak <= bound, peak
+
+
+def test_weitzenboeck_forms_each_dgamma_slice_once(monkeypatch):
+    """verify weitzenboeck feeds both Laplacians from one pass over the slices
+    of d nabla phi, so each chunk forms each d Gamma slice once."""
+    calls = []
+    dgamma_slice = charts.Geometry.dgamma_slice
+    monkeypatch.setattr(charts.Geometry, "dgamma_slice",
+                        lambda geom, a: calls.append(a) or dgamma_slice(geom, a))
+    chart, fld = _shipped("round_s4_random")
+    verify.verify_weitzenboeck(chart, fld, sample_box(chart.domain, charts.CHUNK + 1, seed=7))
+    assert calls == [0, 1, 2, 3] * 2
 
 
 @pytest.mark.parametrize("name", ["eq22", "lemma22"])
 def test_normal_chart_memory(name):
-    """The tracemalloc peak of verify eq22 and lemma22 on 512 points (one
-    chunk) of the conformal_product scenario stays at or under 16 MB (10.3
-    and 10.5 MB measured): the three congruences of the normal chart are
-    graded matmuls of stacked (NCOEFF, N, 4, 4) jets.  Broadcast out to
-    (NCOEFF, N, 4, 4, 4) before summing, they peaked at 21.4 and 21.6 MB."""
-    import tracemalloc
-    from pathlib import Path
-
-    from curv4 import scenario
-
-    sc = scenario.load(Path(__file__).resolve().parents[1] / "scenarios" /
-                       "conformal_product.json")
-    chart = sc.build_chart()
-    fld = sc.build_field(chart)
+    """The tracemalloc peak of verify eq22 and lemma22 on 512 points (two
+    chunks) of the conformal_product scenario stays at or under 6.5 MB (5.28
+    and 5.38 MB measured; 10.5 and 10.7 MB in one 512-point chunk): the
+    three congruences of the normal chart are graded matmuls of stacked
+    (NCOEFF, N, 4, 4) jets.  Broadcast out to (NCOEFF, N, 4, 4, 4) before
+    summing, they peaked at 21.4 and 21.6 MB in one 512-point chunk."""
+    chart, fld = _shipped("conformal_product")
     pts = sample_box(chart.domain, 512, seed=7)
-    VERIFIERS[name](chart, fld, pts)  # warm caches
-    tracemalloc.start()
-    try:
-        VERIFIERS[name](chart, fld, pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16e6, peak
+    peak = _warm_peak(lambda: VERIFIERS[name](chart, fld, pts))
+    assert peak <= 6.5e6, peak
