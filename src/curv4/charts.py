@@ -42,11 +42,11 @@ _D2G_WEIGHT = 0.5 * np.array([1.0, 1.0, -1.0, -1.0])[:, None, None] * jets._HESS
 UPPER = tuple(itertools.combinations_with_replacement(range(4), 2))
 # Points (or grid cells) per chunk of every pointwise path (map_chunks): the
 # verifiers, kato scan and the integrals.  A chunk's peak is linear in its
-# points: 10-15 KB per point of conformal_product (21 KB for eq22 and
+# points: 11-16 KB per point of conformal_product (21 KB for eq22 and
 # lemma22, whose normal charts hold the most).  Warm, in-process and in one
 # chunk on a 2-core x86 box, the kernels' time is linear in points from 256
-# to 512 (kato scan 7.7 -> 15.0 ms, thm21 16.4 -> 32.8, verify conformal
-# 14.1 -> 27.0, weitzenboeck 7.5 -> 15.8), and a chunk's fixed cost, taken as
+# to 512 (kato scan 8.0 -> 15.3 ms, thm21 17.7 -> 32.7, verify conformal
+# 14.3 -> 27.3, weitzenboeck 8.3 -> 15.9), and a chunk's fixed cost, taken as
 # its time at 16 points, is 2-5 ms; so 256 points halve the peak of 512 at
 # about the same time per point.
 CHUNK = 256

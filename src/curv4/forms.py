@@ -209,61 +209,46 @@ def nabla_two_form_values(geom: Geometry, c6):
                                 gt @ full_matrix_values(c6[0])[..., None, :, :])
 
 
-def nabla_two_form_jets(geom: Geometry, c6, T=None):
-    """nabla phi to first order: (T, dT) with T = nabla_two_form_values, or
-    the T given if it was formed already, and dT the stream of the slices
-    d_b T[a, i, j], one derivative axis b at a time, so no batch + (4, 4, 4, 4)
-    array is formed: d_b A[a, i, j] = d_b Gamma^l_ai phi_lj + Gamma^l_ai d_b phi_lj."""
-    return (nabla_two_form_values(geom, c6) if T is None else T), _nabla_slices(geom, c6)
-
-
-def _nabla_slices(geom: Geometry, c6):
-    """The slices d_b nabla phi [a, i, j] of nabla_two_form_jets, b = 0..3."""
+def nabla_two_form_jets(geom: Geometry, c6):
+    """nabla phi to first order: (T, dT) with T = nabla_two_form_values and
+    dT[b, a, i, j] = d_b T[a, i, j], one derivative axis b at a time:
+    d_b A[a, i, j] = d_b Gamma^l_ai phi_lj + Gamma^l_ai d_b phi_lj."""
     phi = full_matrix_values(c6[0])[..., None, :, :]
     dphi = full_matrix_values(np.moveaxis(c6[1:5], 0, -2))  # [b, l, j]
     gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, i, l] = Gamma^l_ai
+    dT = np.empty(dphi.shape[:-3] + (4,) + dphi.shape[-3:])
     for b in range(4):
         hphi = (full_matrix_values(np.moveaxis(c6[jets._HESS_SLOTS[b]], 0, -2))
                 * jets._HESS_FAC[b][:, None, None])  # d_b d_a phi_ij over [a, i, j]
         dA = np.moveaxis(geom.dgamma_slice(b), -3, -1) @ phi + gt @ dphi[..., b, None, :, :]
-        yield _sub_antisym_inplace(hphi, dA)
-
-
-def _codiff_slot(geom: Geometry, T, b, dT_b):
-    """Slot b of the gradient of delta phi, d_b (delta phi)_j = -(d_b g^ac T_acj
-    + g^ac d_b T_acj), batch + (1, 4), each a product with (a, c) flattened."""
-    batch = T.shape[:-3]
-    return -(geom.dginv_values[..., b, :, :].reshape(batch + (1, 16)) @ T.reshape(batch + (16, 4))
-             + geom.ginv_values.reshape(batch + (1, 16)) @ dT_b.reshape(batch + (16, 4)))
+        dT[..., b, :, :, :] = _sub_antisym_inplace(hphi, dA)
+    return _sub_antisym_inplace(dphi, gt @ phi), dT  # dphi is read above, so last
 
 
 def codiff_two_form_jets(geom: Geometry, c6, T=None):
     """delta phi to first order: (delta phi)_j = -g^ab (nabla_a phi)_bj as the
-    pair (values [j], gradients [c, j]), from nabla phi T (nabla_two_form_values,
-    formed here if not given) and the slices of nabla_two_form_jets."""
-    T, dT = nabla_two_form_jets(geom, c6, T)
+    pair (values [j], gradients [c, j]), from T = (T, dT) (nabla_two_form_jets),
+    each a product with (a, b) flattened."""
+    T, dT = T if T is not None else nabla_two_form_jets(geom, c6)
     batch = T.shape[:-3]
-    delta = -(geom.ginv_values.reshape(batch + (1, 16)) @ T.reshape(batch + (16, 4)))[..., 0, :]
-    return delta, np.concatenate([_codiff_slot(geom, T, b, s) for b, s in enumerate(dT)], axis=-2)
-
-
-def _trace_nabla_term(geom: Geometry, X, a, dX_a):
-    """g^ab (nabla_a X)_bij for one axis a, batch + (1, 16) over (i, j), X[b, i, j]
-    antisymmetric in i, j and dX_a = d_a X: (nabla_a X)_bij = d_a X_bij
-    - Gamma^c_ab X_cij - Gamma^l_ai X_blj - Gamma^l_aj X_bil."""
-    gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, b, c] = Gamma^c_ab
-    flat = X.reshape(X.shape[:-3] + (4, 16))
-    nab = _sub_antisym_inplace(dX_a - (gt[..., a, :, :] @ flat).reshape(X.shape),
-                               gt[..., a, None, :, :] @ X)
-    return geom.ginv_values[..., a, None, :] @ nab.reshape(flat.shape)
+    gi, Tf = geom.ginv_values.reshape(batch + (1, 16)), T.reshape(batch + (16, 4))
+    ddelta = (geom.dginv_values.reshape(batch + (4, 1, 16)) @ Tf[..., None, :, :]
+              + gi[..., None, :, :] @ dT.reshape(batch + (4, 16, 4)))
+    return -(gi @ Tf)[..., 0, :], -ddelta[..., 0, :]
 
 
 def _trace_nabla(geom: Geometry, X, dX):
-    """sum_ab g^ab (nabla_a X)_bij (batch + (4, 4)) for X[b, i, j] and the
-    iterable dX of its partials d_a X, one axis a at a time (_trace_nabla_term)."""
+    """sum_ab g^ab (nabla_a X)_bij (batch + (4, 4)) for X[b, i, j] antisymmetric
+    in i, j and the iterable dX of its partials d_a X, one axis a at a time:
+    (nabla_a X)_bij = d_a X_bij - Gamma^c_ab X_cij - Gamma^l_ai X_blj - Gamma^l_aj X_bil."""
+    gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, b, c] = Gamma^c_ab
+    gi = geom.ginv_values
+    flat = X.reshape(X.shape[:-3] + (4, 16))
     acc = 0.0
     for a, dX_a in enumerate(dX):
-        acc = acc + _trace_nabla_term(geom, X, a, dX_a)
+        nab = _sub_antisym_inplace(dX_a - (gt[..., a, :, :] @ flat).reshape(X.shape),
+                                   gt[..., a, None, :, :] @ X)
+        acc = acc + gi[..., a, None, :] @ nab.reshape(flat.shape)
     return acc.reshape(X.shape[:-3] + (4, 4))
 
 
@@ -275,37 +260,19 @@ def codiff_three_form_values(geom: Geometry, w):
     return pair_components_values(-_trace_nabla(geom, W, dW))
 
 
-def _hodge_from_codiff(geom: Geometry, c6, ddelta):
-    """(d delta + delta d) phi from the gradient ddelta [c, j] of delta phi."""
-    d_delta = pair_components_values(ddelta - np.swapaxes(ddelta, -1, -2))
-    return d_delta + codiff_three_form_values(geom, exterior_d2_jets(c6))
-
-
 def hodge_laplacian_values(geom: Geometry, c6, T=None):
-    """(d delta + delta d) phi, coordinate-component values (..., 6), from
-    nabla phi T (formed here if not given) as codiff_two_form_jets."""
-    return _hodge_from_codiff(geom, c6, codiff_two_form_jets(geom, c6, T)[1])
+    """(d delta + delta d) phi, coordinate-component values (..., 6)."""
+    _, ddelta = codiff_two_form_jets(geom, c6, T)
+    d_delta = pair_components_values(ddelta - np.swapaxes(ddelta, -1, -2))
+    delta_d = codiff_three_form_values(geom, exterior_d2_jets(c6))
+    return d_delta + delta_d
 
 
 def rough_laplacian_values(geom: Geometry, c6, T=None):
     """g^{ab} (nabla^2_{ab} phi)_{ij} values (..., 6); note Delta_rough = -this
-    in the positive-spectrum convention.  T as for codiff_two_form_jets."""
-    T, dT = nabla_two_form_jets(geom, c6, T)  # T[b, i, j], dT of slices [b, i, j]
-    return pair_components_values(_trace_nabla(geom, T, dT))
-
-
-def hodge_rough_laplacian_values(geom: Geometry, c6):
-    """hodge_laplacian_values and rough_laplacian_values of one nabla phi from
-    one pass over the slices of nabla_two_form_jets: each slice feeds slot b of
-    delta phi's gradient and term b of the rough trace, so each d Gamma slice
-    is formed once."""
-    T, dT = nabla_two_form_jets(geom, c6)
-    slots, acc = [], 0.0
-    for b, dT_b in enumerate(dT):
-        slots.append(_codiff_slot(geom, T, b, dT_b))
-        acc = acc + _trace_nabla_term(geom, T, b, dT_b)
-    return (_hodge_from_codiff(geom, c6, np.concatenate(slots, axis=-2)),
-            pair_components_values(acc.reshape(T.shape[:-3] + (4, 4))))
+    in the positive-spectrum convention."""
+    T, dT = T if T is not None else nabla_two_form_jets(geom, c6)  # T[b,i,j], dT[a,b,i,j]
+    return pair_components_values(_trace_nabla(geom, T, (dT[..., a, :, :, :] for a in range(4))))
 
 
 def curvature_action_frame(M, Ric, f6):

@@ -460,23 +460,21 @@ def discrete_field_export(complex: GridComplex, z) -> DiscreteField:
     return DiscreteField(complex=complex, coloc6=_colocate(complex, z), h=complex.h)
 
 
-def _axis_steps(n, cells):
-    """The steps (4, 2, len(cells)) of the flat index from the cells to their
-    periodic neighbours +e_a and -e_a on the n^4 lattice, [a, sign, cell]."""
-    stride = n ** np.arange(3, -1, -1)
-    x = cells // stride[:, None] % n
-    return np.stack([(x + 1) % n - x, (x - 1) % n - x], axis=1) * stride[:, None, None]
-
-
-def _neighbours(n, cells):
+def _neighbours(n, cells, order=2):
     """The flat indices (33, len(cells)) of the cells (row 0) and of their
     periodic neighbours on the n^4 lattice: +e_a and -e_a (rows 1 + a, 5 + a),
     then +e_a+e_b, +e_a-e_b, -e_a+e_b, -e_a-e_b of PAIRS[p] = (a, b) (rows
-    9 + 4p to 12 + 4p).  One table serves every field of a chunk."""
-    step = _axis_steps(n, cells)
-    pair = step[_PI, :, None] + step[_PJ, None, :]  # [p, sign of a, sign of b, cell]
-    return cells + np.concatenate([np.zeros((1, len(cells)), dtype=cells.dtype),
-                                   np.swapaxes(step, 0, 1).reshape(8, -1), pair.reshape(24, -1)])
+    9 + 4p to 12 + 4p).  At order 1 only the first 9 rows, all that a first
+    difference reads (_difference_jets).  One table serves every field of a
+    chunk."""
+    stride = n ** np.arange(3, -1, -1)
+    x = cells // stride[:, None] % n
+    step = np.stack([(x + 1) % n - x, (x - 1) % n - x], axis=1) * stride[:, None, None]
+    rows = [np.zeros((1, len(cells)), dtype=cells.dtype), np.swapaxes(step, 0, 1).reshape(8, -1)]
+    if order == 2:
+        pair = step[_PI, :, None] + step[_PJ, None, :]  # [p, sign of a, sign of b, cell]
+        rows.append(pair.reshape(24, -1))
+    return cells + np.concatenate(rows)
 
 
 def _difference_jets(u, idx, h, order):
@@ -555,9 +553,8 @@ class _CellGeometry:
         del star, FG
 
         def divergence(idx):
-            """sum_a (flux_a(+e_a) - flux_a(-e_a)) / 2h, from the 2 x 4 rows it reads."""
-            nb = idx + _axis_steps(n, idx)
-            return sum((flux[nb[a, 0], a] - flux[nb[a, 1], a]) / (2.0 * h) for a in range(4))
+            d = _difference_jets(flux, _neighbours(n, idx, 1), h, 1)
+            return sum(d[1 + a, :, a] for a in range(4))
 
         self.flux_div = np.concatenate(map_chunks(divergence, cells))
 

@@ -106,15 +106,8 @@ class PointBundle(forms.PointValues):
         super().__init__(geom, self.c6[0], tols)
 
     @cached_property
-    def nabla(self):
-        """nabla phi at first order (forms.nabla_two_form_values), formed once
-        for |nabla phi|^2 and the Hodge Laplacian of the harmonicity gate,
-        which drops it once both have read it."""
-        return forms.nabla_two_form_values(self.geom, self.c6)
-
-    @cached_property
     def hodge_values(self):
-        return forms.hodge_laplacian_values(self.geom, self.c6, T=self.nabla)
+        return forms.hodge_laplacian_values(self.geom, self.c6)
 
     @cached_property
     def norm_sq_jet(self):
@@ -123,7 +116,8 @@ class PointBundle(forms.PointValues):
     @cached_property
     def grad_sq(self):
         """|nabla phi|^2, from nabla phi at first order."""
-        return forms.nabla_norm_sq_values(self.geom.ginv_values, self.nabla)
+        return forms.nabla_norm_sq_values(self.geom.ginv_values,
+                                          forms.nabla_two_form_values(self.geom, self.c6))
 
     @cached_property
     def abs_phi(self):
@@ -171,7 +165,6 @@ class PointBundle(forms.PointValues):
         hmax = float(np.max(np.sqrt(np.sum(hf**2, axis=-1))))
         scale = float(np.max(np.sqrt(np.maximum(self.grad_sq, 0.0))
                              + np.sqrt(np.maximum(self.norm_sq_jet.value, 0.0))))
-        vars(self).pop("nabla", None)  # no kernel reads it after the gate
         return hmax, scale
 
 
@@ -207,8 +200,10 @@ def _pointwise(chart, fld, pts, tols, kernel, harmonic=True):
 
 def verify_weitzenboeck(chart, fld, pts, scenario="inline", tols=DEFAULT_TOLERANCES):
     def kernel(b):
-        hodge, rough = forms.hodge_rough_laplacian_values(b.geom, b.c6)
-        hv_f = forms.frame_components(b.slate.frame, hodge)
+        nabla = forms.nabla_two_form_jets(b.geom, b.c6)
+        hv_f = forms.frame_components(b.slate.frame,
+                                      forms.hodge_laplacian_values(b.geom, b.c6, T=nabla))
+        rough = forms.rough_laplacian_values(b.geom, b.c6, T=nabla)
         rough_f = forms.frame_components(b.slate.frame, rough)
         qR = forms.curvature_action_frame(b.slate.M, b.slate.Ric, b.frame_values)
         # Delta_Hodge phi = -trace(nabla^2 phi) + q(R) phi

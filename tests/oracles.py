@@ -589,75 +589,6 @@ def einsum_rough_laplacian_values(geom, T):
         np.einsum("...ab,...abij->...ij", geom.ginv_values, nab2, optimize=True))
 
 
-# -- the whole-dT kernels that the streamed second derivative replaced: d_b
-# nabla phi for every b in one (N, 4, 4, 4, 4) array, with the same per-slice
-# arithmetic, so the streamed Laplacians must equal them bit for bit.
-
-
-def whole_nabla_two_form_jets(geom, c6):
-    """(T, dT) with dT[b, a, i, j] = d_b T[a, i, j] stored whole."""
-    from curv4.forms import _sub_antisym_inplace, full_matrix_values
-
-    phi = full_matrix_values(c6[0])[..., None, :, :]
-    dphi = full_matrix_values(np.moveaxis(c6[1:5], 0, -2))  # [b, l, j]
-    gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, i, l] = Gamma^l_ai
-    dT = np.empty(dphi.shape[:-3] + (4,) + dphi.shape[-3:])
-    for b in range(4):
-        hphi = (full_matrix_values(np.moveaxis(c6[jets._HESS_SLOTS[b]], 0, -2))
-                * jets._HESS_FAC[b][:, None, None])
-        dA = np.moveaxis(geom.dgamma_slice(b), -3, -1) @ phi + gt @ dphi[..., b, None, :, :]
-        dT[..., b, :, :, :] = _sub_antisym_inplace(hphi, dA)
-    return _sub_antisym_inplace(dphi, gt @ phi), dT
-
-
-def whole_codiff_two_form_jets(geom, T):
-    """delta phi and its gradient [c, j] from T = (T, dT), one batched product."""
-    T, dT = T
-    batch = T.shape[:-3]
-    gi, Tf = geom.ginv_values.reshape(batch + (1, 16)), T.reshape(batch + (16, 4))
-    ddelta = (geom.dginv_values.reshape(batch + (4, 1, 16)) @ Tf[..., None, :, :]
-              + gi[..., None, :, :] @ dT.reshape(batch + (4, 16, 4)))
-    return -(gi @ Tf)[..., 0, :], -ddelta[..., 0, :]
-
-
-def whole_trace_nabla(geom, X, dX):
-    """sum_ab g^ab (nabla_a X)_bij for X[b, i, j] and the iterable dX of d_a X,
-    the terms of every axis a added in one loop."""
-    from curv4.forms import _sub_antisym_inplace
-
-    gt = np.moveaxis(geom.gamma_values, -3, -1)  # [a, b, c] = Gamma^c_ab
-    gi = geom.ginv_values
-    flat = X.reshape(X.shape[:-3] + (4, 16))
-    acc = 0.0
-    for a, dX_a in enumerate(dX):
-        nab = _sub_antisym_inplace(dX_a - (gt[..., a, :, :] @ flat).reshape(X.shape),
-                                   gt[..., a, None, :, :] @ X)
-        acc = acc + gi[..., a, None, :] @ nab.reshape(flat.shape)
-    return acc.reshape(X.shape[:-3] + (4, 4))
-
-
-def whole_hodge_laplacian_values(geom, c6, T):
-    """(d delta + delta d) phi through whole_codiff_two_form_jets and
-    whole_trace_nabla."""
-    from curv4.forms import TRIPLES, exterior_d2_jets, pair_components_values
-
-    _, ddelta = whole_codiff_two_form_jets(geom, T)
-    w = exterior_d2_jets(c6)
-    dW = (jets.antisymmetric(w[1 + a], TRIPLES) for a in range(4))
-    delta_d = pair_components_values(-whole_trace_nabla(
-        geom, jets.antisymmetric(w[0], TRIPLES), dW))
-    return pair_components_values(ddelta - np.swapaxes(ddelta, -1, -2)) + delta_d
-
-
-def whole_rough_laplacian_values(geom, T):
-    """g^ab (nabla^2_ab phi)_ij from T = (T, dT), the slices read out of dT."""
-    from curv4.forms import pair_components_values
-
-    T, dT = T
-    return pair_components_values(
-        whole_trace_nabla(geom, T, (dT[..., a, :, :, :] for a in range(4))))
-
-
 # -- the Hodge Laplacian as d delta + delta d with delta = -*d*, on jets: no
 # Christoffel symbols and no nabla phi.  Every partial drops one order of the
 # jets, and the two partials of each term leave exact values.

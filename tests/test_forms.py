@@ -10,7 +10,6 @@ from curv4 import charts, forms, jets, presets, scenario, verify
 from curv4 import expr as ex
 from curv4.charts import Geometry, conformal_chart, curvature_at, sample_box
 from curv4.forms import TwoFormField
-from curv4.jets import Jet3
 
 RNG = np.random.default_rng(31)
 
@@ -322,60 +321,21 @@ def test_second_order_kernels_match_einsum_oracles(terms, form_terms):
     pts = sample_box(chart.domain, 8, seed=44)
     geom = Geometry.of_chart(chart, pts)
     c6 = _trig_form(chart, form_terms).component_jets(pts)
-    T, dT = forms.nabla_two_form_jets(geom, c6)
-    T = (T, np.stack(list(dT), axis=-4))
+    T = forms.nabla_two_form_jets(geom, c6)
     w = forms.exterior_d2_jets(c6)
     pairs = [(jets.mat_inverse(geom.gc), oracles.einsum_inverse_coeffs(geom.gc)),
              (np.stack([geom.dgamma_slice(a) for a in range(4)], axis=-4),
               oracles.einsum_dgamma(geom)),
              *zip(T, oracles.einsum_nabla_two_form_jets(geom, c6)),
-             *zip(forms.codiff_two_form_jets(geom, c6, T[0]),
+             *zip(forms.codiff_two_form_jets(geom, c6, T),
                   oracles.einsum_codiff_two_form_jets(geom, T)),
              (forms.codiff_three_form_values(geom, w),
               oracles.einsum_codiff_three_form_values(geom, w)),
-             (forms.rough_laplacian_values(geom, c6, T[0]),
+             (forms.rough_laplacian_values(geom, c6, T),
               oracles.einsum_rough_laplacian_values(geom, T))]
     for k, (new, old) in enumerate(pairs):
         assert np.max(np.abs(new - old)) <= 8 * np.finfo(float).eps * np.max(np.abs(old)), k
     assert np.array_equal(forms.nabla_two_form_values(geom, c6), T[0])
-
-
-def _streamed_case(name):
-    """Geometry and c6 at 64 points of a shipped scenario, or for
-    "conformal_primed" the primed geometry g' = |phi|^k g that verify conformal
-    builds on conformal_product at k = 2."""
-    shipped = "conformal_product" if name == "conformal_primed" else name
-    sc = scenario.load(Path(__file__).resolve().parents[1] / "scenarios" / f"{shipped}.json")
-    chart = sc.build_chart()
-    b = verify.PointBundle(chart, sc.build_field(chart), sc.points(chart, 64), sc.tols)
-    if name != "conformal_primed":
-        return b.geom, b.c6
-    fj = 0.5 * jets.log(b.norm_sq_jet, b.pts)  # (k / 4) log |phi|^2 at k = 2
-    primed = Jet3(jets.exp(2.0 * fj).c[..., None, None]) * Jet3(b.geom.gc)
-    return Geometry(primed.c, b.pts), b.c6
-
-
-@pytest.mark.parametrize("name", ["conformal_product", "round_s4_random", "cp2_kaehler",
-                                  "conformal_primed"])
-def test_streamed_laplacians_match_whole_dT(name):
-    """The Laplacians that stream d_b nabla phi one axis b at a time equal, bit
-    for bit, the kernels that stored all of dT (oracles.whole_*): each slice
-    is the same arithmetic, and each product has the same operands.  The
-    one-pass pair of verify weitzenboeck equals them too."""
-    geom, c6 = _streamed_case(name)
-    T = oracles.whole_nabla_two_form_jets(geom, c6)
-    hodge = oracles.whole_hodge_laplacian_values(geom, c6, T)
-    rough = oracles.whole_rough_laplacian_values(geom, T)
-    nabla = forms.nabla_two_form_values(geom, c6)
-    assert np.array_equal(nabla, T[0])
-    assert np.array_equal(forms.codiff_two_form_jets(geom, c6)[1],
-                          oracles.whole_codiff_two_form_jets(geom, T)[1])
-    for got_hodge, got_rough in (
-            (forms.hodge_laplacian_values(geom, c6), forms.rough_laplacian_values(geom, c6)),
-            (forms.hodge_laplacian_values(geom, c6, T=nabla),
-             forms.rough_laplacian_values(geom, c6, T=nabla)),
-            forms.hodge_rough_laplacian_values(geom, c6)):
-        assert np.array_equal(got_hodge, hodge) and np.array_equal(got_rough, rough)
 
 
 def _assert_lambda2_matches_nested_q(geom, c6, ulps):

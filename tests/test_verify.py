@@ -482,29 +482,28 @@ def _warm_peak(fn):
 
 def test_kato_scan_memory():
     """The tracemalloc peak of kato_scan on 512 points (two chunks) of the
-    conformal_product scenario stays at or under 3 MB (2.53 MB measured): the
-    second-order kernels hold one derivative slice (N, 4, 4, 4) at a time, and
-    the bundle keeps nabla phi at first order.  In one 512-point chunk, with
-    the whole (N, 4, 4, 4, 4) d nabla phi of the harmonicity gate, it was
-    5.2 MB; with whole (N, 4, 4, 4, 4) arrays and their copies, 9.3 MB."""
+    conformal_product scenario stays at or under 3.3 MB (2.76 MB measured):
+    the second-order kernels hold d nabla phi (N, 4, 4, 4, 4) and a few
+    derivative slices (N, 4, 4, 4) of temporaries, and the bundle keeps
+    nabla phi at first order.  In one 512-point chunk it was 5.2 MB; with
+    whole (N, 4, 4, 4, 4) arrays and their copies, 9.3 MB."""
     chart, fld = _shipped("conformal_product")
     pts = sample_box(chart.domain, 512, seed=7)
     peak = _warm_peak(lambda: verify.kato_scan(chart, fld, pts))
-    assert peak <= 3e6, peak
+    assert peak <= 3.3e6, peak
 
 
 @pytest.mark.parametrize("name, shipped, bound", [
-    ("kato_scan", "conformal_product", 3.0e6), ("thm21", "conformal_product", 3.75e6),
-    ("conformal", "conformal_product", 4.6e6), ("weitzenboeck", "round_s4_random", 3.0e6)],
+    ("kato_scan", "conformal_product", 3.3e6), ("thm21", "conformal_product", 3.75e6),
+    ("conformal", "conformal_product", 4.85e6), ("weitzenboeck", "round_s4_random", 3.4e6)],
     ids=["kato_scan", "thm21", "conformal", "weitzenboeck"])
 def test_pointwise_batch_memory(name, shipped, bound):
     """The tracemalloc peak of the pointwise_batch benchmark's jobs on
     2 CHUNK points of their scenario, each bound the peak measured with
-    256-point chunks plus about 20%: kato scan 2.53 MB, thm21 3.13 MB, verify
-    conformal --k 2 3.81 MB (its primed Hodge Laplacian runs while the
-    bundle's caches live) and weitzenboeck 2.52 MB.  In one 512-point chunk
-    that held the whole (N, 4, 4, 4, 4) d nabla phi they were 5.23, 6.15, 7.75
-    and 5.60 MB."""
+    256-point chunks plus about 20%: kato scan 2.76 MB, thm21 3.12 MB, verify
+    conformal --k 2 4.04 MB (its primed Hodge Laplacian runs while the
+    bundle's caches live) and weitzenboeck 2.85 MB.  In one 512-point chunk
+    they were 5.23, 6.15, 7.75 and 5.60 MB."""
     chart, fld = _shipped(shipped)
     run = verify.kato_scan if name == "kato_scan" else VERIFIERS[name]
     pts = sample_box(chart.domain, 2 * charts.CHUNK, seed=7)
@@ -513,8 +512,8 @@ def test_pointwise_batch_memory(name, shipped, bound):
 
 
 def test_weitzenboeck_forms_each_dgamma_slice_once(monkeypatch):
-    """verify weitzenboeck feeds both Laplacians from one pass over the slices
-    of d nabla phi, so each chunk forms each d Gamma slice once."""
+    """verify weitzenboeck feeds both Laplacians one nabla phi at first order
+    (forms.nabla_two_form_jets), so each chunk forms each d Gamma slice once."""
     calls = []
     dgamma_slice = charts.Geometry.dgamma_slice
     monkeypatch.setattr(charts.Geometry, "dgamma_slice",
