@@ -286,6 +286,12 @@ class Geometry:
         return (self.dginv_values[..., a, :, :] @ _flat_jk(self.gamma_low_values)
                 + self.ginv_values @ _flat_jk(_lower(d2g))).reshape(d2g.shape)
 
+    def release_derivatives(self):
+        """Drop the cached derivative arrays d g^-1, Gamma and the lowered
+        Gamma (batch + (4, 4, 4) each); a later read builds them again."""
+        for key in ("dginv", "gamma_low", "gamma"):
+            self._cache.pop(key, None)
+
     @property
     def curvature_operator(self):
         """The curvature operator M[(ij),(kl)] = R_ijkl on coordinate 2-vectors,

@@ -351,7 +351,7 @@ def _cmd_integral(args):
             scenario=sc.id, margin=sc.margin, tols=sc.tols)
         report = {**_scenario_meta(sc), "command": "integral (analytic)", **rep}
     _write_report(args, report)
-    return 0
+    return 0 if report.get("passed", True) else 1  # the grid report has no verdict yet
 
 
 if __name__ == "__main__":

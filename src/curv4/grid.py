@@ -172,7 +172,8 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
 
 
 class SolverError(Curv4Error):
-    """A solve stopped above its tolerance (exit 1, unlike GridError's bad input)."""
+    """A solve stopped above its tolerance, or the grid's own algebra failed a
+    consistency check (exit 1, unlike GridError's bad input)."""
 
     exit_code = 1
 
@@ -256,7 +257,7 @@ def _class_representatives(complex: GridComplex, pairs, tol=1e-12, maxit=None):
         p = PAIRS.index(tuple(pair))
         phi0[p * N:(p + 1) * N, c] = 1.0
     if np.max(np.abs(complex.d[2] @ phi0)) != 0:
-        raise GridError("reference cochain is not closed")
+        raise SolverError("reference cochain is not closed")
     d1, M2 = complex.d[1], complex.M[2][:, None]
     rt1 = np.sqrt(complex.M[1])[:, None]
 
@@ -408,7 +409,7 @@ def _star_counts(basis: HarmonicBasis, tol=0.1):
     near_plus = np.abs(mu - 1.0) <= tol
     near_minus = np.abs(mu + 1.0) <= tol
     if not np.all(near_plus | near_minus):
-        raise GridError(f"star eigenvalue not near +-1: {mu} (convention bug signal)")
+        raise SolverError(f"star eigenvalue not near +-1: {mu} (convention bug signal)")
     basis.star_eigenvalues = mu
     basis.b2_plus = int(np.sum(near_plus))
     basis.b2_minus = int(np.sum(near_minus))

@@ -472,12 +472,17 @@ def verify_conformal_chain(chart, fld, pts, k, scenario="inline", tols=DEFAULT_T
 
 def conformal_sweep(chart, fld, pts, ks, scenario="inline", tols=DEFAULT_TOLERANCES):
     """verify_conformal_chain at each k of ks from one PointBundle per chunk, whose
-    gate, |phi| and geometry do not depend on k; each report is the one-k run's."""
+    gate, |phi| and geometry do not depend on k; each report is the one-k run's.
+    A chunk runs the unprimed phase of every k, then drops the bundle's
+    Christoffel caches and runs the primed phases, one primed Geometry at a
+    time."""
     ks = [float(k) for k in ks]
 
     def kernel(b):
-        return {(i, name): col for i, k in enumerate(ks)
-                for name, col in _conformal_kernel(b, k).items()}
+        unprimed = [_conformal_unprimed(b, k) for k in ks]
+        b.geom.release_derivatives()
+        return {(i, name): col for i, (k, part) in enumerate(zip(ks, unprimed))
+                for name, col in _conformal_primed(b, k, part).items()}
 
     cols, harm = _pointwise(chart, fld, pts, tols, kernel)
     xs = {name: cols.pop(name) for name in ("x1", "x2", "x3", "x4")}
@@ -486,21 +491,31 @@ def conformal_sweep(chart, fld, pts, ks, scenario="inline", tols=DEFAULT_TOLERAN
             for i, k in enumerate(ks)]
 
 
-def _conformal_kernel(b, k):
-    """The per-point columns of Eqs 4.2, 4.3, 4.6 and 4.9 at k on bundle b."""
-    norm, phin, dphi_sq = b.abs_phi
+def _conformal_jets(b, k):
+    """(nsq, r, pw, f, u) at k on bundle b: the jet nsq of |phi|^2, r = |phi|,
+    pw = |phi|^3k, and the jets of f = (k/4) log |phi|^2 (so exp(2f) = |phi|^k)
+    and u = |phi|^(2 - 2k).  A point that the degeneracy floor or the |phi|^3k
+    range check will reject stands in as |phi| = 1, so neither a log of 0 nor
+    an overflow comes before the harmonicity gate.  Each phase of the chain
+    forms them afresh, so no per-k jet waits through the other k's phases."""
+    norm = b.abs_phi[0]
     with np.errstate(over="ignore", divide="ignore"):
         pw = np.power(norm, 3.0 * k)
-    # a point that the degeneracy floor or the |phi|^3k range check will
-    # reject stands in as |phi| = 1, so neither a log of 0 nor an overflow
-    # comes before the harmonicity gate
     live = (norm > 0.0) & (pw >= 1e-280) & (pw <= 1e280)
     nsq = Jet3(np.where(live, b.norm_sq_jet.c, 1.0))
-    r, pw = np.where(live, norm, 1.0), np.where(live, pw, 1.0)
+    return (nsq, np.where(live, norm, 1.0), np.where(live, pw, 1.0),
+            (k / 4.0) * jets.log(nsq, b.pts), jets.powr(nsq, 1.0 - k, b.pts))
+
+
+def _conformal_unprimed(b, k):
+    """The residual columns of Eqs 4.2 and 4.3 and the terms t46a, t46b of Eq
+    4.6's right side at k on bundle b: all of the chain that needs the
+    unprimed Christoffel symbols."""
+    _, phin, dphi_sq = b.abs_phi
+    nsq, r, _, fj, u = _conformal_jets(b, k)
     grad_sq = b.grad_sq
 
     # Eq 4.2 (pure chain rule in the unprimed metric)
-    fj = (k / 4.0) * jets.log(nsq, b.pts)
     lap_f = forms.scalar_laplacian_values(b.geom, fj)
     df_sq = forms.grad_inner_values(b.geom, fj, fj)
     lhs42 = 2.0 * (-lap_f - df_sq) * nsq.value
@@ -524,31 +539,41 @@ def _conformal_kernel(b, k):
                  np.abs(grad_sq) + np.abs(Fphi) + np.abs((1.0 + b.rmax) * nsq.value)
                  + np.abs(forms.scalar_laplacian_scale(b.geom, nsq)))
 
-    # primed metric g' = |phi|^k g through the full geometry pipeline
-    scale_jet = jets.exp(2.0 * fj)
-    geomp = Geometry((Jet3(scale_jet.c[..., None, None]) * Jet3(b.geom.gc)).c, b.pts)
-    hodge_p = forms.hodge_laplacian_values(geomp, b.c6)
-
-    # Eq 4.6 (conformal change of the function Laplacian)
-    u = jets.powr(nsq, 1.0 - k, b.pts)
-    lhs46 = forms.scalar_laplacian_values(geomp, u)
+    # Eq 4.6's right side (the unprimed function Laplacian)
     t46a = np.power(r, -k) * forms.scalar_laplacian_values(b.geom, u)
     t46b = 2.0 * (k - k * k) * np.power(r, -3.0 * k) * dphi_sq
+    return {"residual_eq42": res42, "residual_eq43": res43, "t46a": t46a, "t46b": t46b}
+
+
+def _conformal_primed(b, k, unprimed):
+    """The per-point columns of Eqs 4.2, 4.3, 4.6 and 4.9 at k, from the
+    columns of _conformal_unprimed and the primed metric g' = |phi|^k g run
+    through the full geometry pipeline; of b's geometry it reads only the
+    metric jets."""
+    norm, _, dphi_sq = b.abs_phi
+    _, _, pw, fj, u = _conformal_jets(b, k)
+    scale_jet = jets.exp(2.0 * fj)
+    geomp = Geometry((Jet3(scale_jet.c[..., None, None]) * Jet3(b.geom.gc)).c, b.pts)
+    # nabla' phi once, for the primed Hodge Laplacian and |nabla' phi|^2
+    nabla_p = forms.nabla_two_form_jets(geomp, b.c6)
+    hodge_p = forms.hodge_laplacian_values(geomp, b.c6, T=nabla_p)
+
+    # Eq 4.6 (conformal change of the function Laplacian)
+    t46a, t46b = unprimed.pop("t46a"), unprimed.pop("t46b")
+    lhs46 = forms.scalar_laplacian_values(geomp, u)
     rhs46 = t46a + t46b
     res46 = _rel(lhs46 - rhs46, np.abs(lhs46), np.abs(rhs46), np.abs(t46a) + np.abs(t46b))
 
     # Eq 4.9 (the end identity)
-    grad_sq_p = forms.nabla_norm_sq_values(geomp.ginv_values,
-                                           forms.nabla_two_form_values(geomp, b.c6))
-    lhs49_a = grad_sq
+    grad_sq_p = forms.nabla_norm_sq_values(geomp.ginv_values, nabla_p[0])
+    lhs49_a = b.grad_sq
     lhs49_b = (1.5 * k * k - 3.0 * k) * dphi_sq
     lhs49 = lhs49_a + lhs49_b
     rhs49 = pw * grad_sq_p
     res49 = _rel(lhs49 - rhs49, np.abs(lhs49), np.abs(rhs49),
                  np.abs(lhs49_a) + np.abs(lhs49_b) + np.abs(rhs49))
-    return {"residual_eq42": res42, "residual_eq43": res43, "residual_eq46": res46,
-            "residual_eq49": res49, "abs_res": np.abs(lhs49 - rhs49), "lhs49": lhs49,
-            "norm": norm, "dnorm_sq": dphi_sq,
+    return {**unprimed, "residual_eq46": res46, "residual_eq49": res49,
+            "abs_res": np.abs(lhs49 - rhs49), "lhs49": lhs49, "norm": norm, "dnorm_sq": dphi_sq,
             "primed_harmonicity": np.max(np.abs(hodge_p), axis=-1)}
 
 
@@ -598,6 +623,9 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
 
     For periodic charts on (0, 2pi)^4 the trapezoid rule makes this the closed-
     manifold integral; otherwise the result is a box integral and flagged so.
+    The balance residual passes at most tols["thm21"] times the integral of
+    thm21's curvature scale (8|K| + max|R|) (|phi|^2 + |*(phi^phi)|)^2, taken
+    with the same weights (balance_scale).
     """
     periodic = chart_is_periodic(chart)
     axes, weights = [], 1.0
@@ -614,12 +642,15 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
     def kernel(b):
         dFG, (kfg, *terms) = b.thm21_terms
         rem = sum(terms)
+        scale = (8.0 * np.abs(b.curvature_K["K"]) + b.rmax) * b.fg[2]**2
         return {"dFG": dFG * b.sqrt_det, "kfg": kfg * b.sqrt_det, "rem": rem * b.sqrt_det,
-                "neg": rem < -1e-12}
+                "scale": scale * b.sqrt_det, "neg": rem < -1e-12}
 
     # each point's contributions, summed once over all points
     cols, _ = _pointwise(chart, fld, grid, tols, kernel)
-    I_dFG, I_kfg, I_rem = (weights * np.sum(cols[name]) for name in ("dFG", "kfg", "rem"))
+    I_dFG, I_kfg, I_rem, I_scale = (weights * np.sum(cols[name])
+                                    for name in ("dFG", "kfg", "rem", "scale"))
+    balance = abs(I_dFG - I_kfg - I_rem)
     return {
         "scenario": scenario,
         "closed_manifold": bool(periodic),
@@ -627,7 +658,10 @@ def integral_identity_analytic(chart, fld, n_per_axis=10, scenario="inline",
         "integral_delta_FG": float(I_dFG),
         "integral_8KFG": float(I_kfg),
         "integral_remainder": float(I_rem),
-        "balance_residual": float(abs(I_dFG - I_kfg - I_rem)),
+        "balance_residual": float(balance),
+        "balance_scale": float(I_scale),
+        "tolerance": float(tols["thm21"]),
+        "passed": bool(balance <= tols["thm21"] * I_scale),
         "negative_remainder_points": int(np.sum(cols["neg"])),
         "sign_conventions": dict(SIGN_CONVENTIONS),
     }

@@ -252,6 +252,36 @@ def test_solver_gates_fail(pert4):
         grid.harmonic_kernel(pert4, tol=1e-20)
 
 
+def test_open_reference_cochain_exits_1(flat4, monkeypatch):
+    """A reference cochain that d_2 does not close is the grid's own fault, not
+    the input's: SolverError, exit 1."""
+    d2 = flat4.d[2]
+
+    class Leaky:
+        def __matmul__(self, x):
+            return d2 @ x + 1.0
+
+    monkeypatch.setattr(flat4, "d", (*flat4.d[:2], Leaky(), *flat4.d[3:]))
+    with pytest.raises(SolverError, match="reference cochain is not closed") as err:
+        grid.harmonic_representative(flat4, (0, 1))
+    assert err.value.exit_code == 1
+
+
+def test_star_eigenvalue_off_unit_exits_1(flat4, monkeypatch):
+    """A star eigenvalue away from +-1 signals a convention bug in the grid:
+    SolverError, exit 1."""
+    star_gram = grid._star_gram
+
+    def halved(basis):
+        S, G = star_gram(basis)
+        return 0.5 * S, G
+
+    monkeypatch.setattr(grid, "_star_gram", halved)
+    with pytest.raises(SolverError, match="star eigenvalue not near") as err:
+        grid.harmonic_kernel(flat4)
+    assert err.value.exit_code == 1
+
+
 @pytest.mark.parametrize("name", ["flat4", "pert4", "pert8"])
 def test_kernel_scale_below_lambda_max(name, request):
     """harmonic_kernel's scale max diag(Delta_2) is at most the largest
@@ -371,8 +401,9 @@ def test_cell_geometry_is_the_value_layer(pert4):
 
 def test_thm21_rhs_mutant_reaches_both_paths(pert4, monkeypatch, tmp_path):
     """Theorem 2.1's right side has one definition, forms.thm21_rhs: with 7KFG
-    in place of 8KFG, `verify thm21` fails on the conformal product and the
-    grid report's 8KFG integral scales by 7/8 while its residual moves."""
+    in place of 8KFG, `verify thm21` and the analytic `integral` fail on the
+    conformal product (its balance residual reads 6.80 against 2.1e-13), and
+    the grid report's 8KFG integral scales by 7/8 while its residual moves."""
     phi, _, _ = grid.harmonic_representative(pert4, (0, 1))
     fieldd = grid.discrete_field_export(pert4, phi)
     rep8 = grid.discrete_eq23_report(fieldd)
@@ -389,6 +420,7 @@ def test_thm21_rhs_mutant_reaches_both_paths(pert4, monkeypatch, tmp_path):
     assert abs(rep7["rms_relative_residual"] / rep8["rms_relative_residual"] - 1.0) > 0.05
     scenario = Path(__file__).resolve().parents[1] / "scenarios" / "conformal_product.json"
     assert cli.main(["verify", "thm21", "--scenario", str(scenario), "--out", str(tmp_path)]) == 1
+    assert cli.main(["integral", "--scenario", str(scenario), "--out", str(tmp_path)]) == 1
 
 
 def test_discrete_eq23_chunk_invariant(pert4, monkeypatch):

@@ -495,14 +495,15 @@ def test_kato_scan_memory():
 
 @pytest.mark.parametrize("name, shipped, bound", [
     ("kato_scan", "conformal_product", 3.3e6), ("thm21", "conformal_product", 3.75e6),
-    ("conformal", "conformal_product", 4.85e6), ("weitzenboeck", "round_s4_random", 3.4e6)],
+    ("conformal", "conformal_product", 3.9e6), ("weitzenboeck", "round_s4_random", 3.4e6)],
     ids=["kato_scan", "thm21", "conformal", "weitzenboeck"])
 def test_pointwise_batch_memory(name, shipped, bound):
     """The tracemalloc peak of the pointwise_batch benchmark's jobs on
     2 CHUNK points of their scenario, each bound the peak measured with
-    256-point chunks plus about 20%: kato scan 2.76 MB, thm21 3.12 MB, verify
-    conformal --k 2 4.04 MB (its primed Hodge Laplacian runs while the
-    bundle's caches live) and weitzenboeck 2.85 MB.  In one 512-point chunk
+    256-point chunks plus about 20%: kato scan 2.76 MB, thm21 3.12 MB and
+    weitzenboeck 2.85 MB.  verify conformal --k 2 traces 3.61 MB and is bound
+    at 3.9 MB: built while the unprimed Geometry still held its Christoffel
+    caches, its primed Geometry traced 4.04 MB.  In one 512-point chunk
     they were 5.23, 6.15, 7.75 and 5.60 MB."""
     chart, fld = _shipped(shipped)
     run = verify.kato_scan if name == "kato_scan" else VERIFIERS[name]
@@ -521,6 +522,25 @@ def test_weitzenboeck_forms_each_dgamma_slice_once(monkeypatch):
     chart, fld = _shipped("round_s4_random")
     verify.verify_weitzenboeck(chart, fld, sample_box(chart.domain, charts.CHUNK + 1, seed=7))
     assert calls == [0, 1, 2, 3] * 2
+
+
+def test_conformal_forms_each_primed_nabla_once(monkeypatch):
+    """verify conformal feeds the primed Hodge Laplacian and |nabla' phi|^2 one
+    nabla' phi (forms.nabla_two_form_jets), so each chunk forms it once per k,
+    on a primed Geometry of its own."""
+    class Primed(charts.Geometry):
+        pass
+
+    calls = []
+    for name in ("nabla_two_form_jets", "nabla_two_form_values"):
+        monkeypatch.setattr(forms, name, lambda geom, c6, fn=getattr(forms, name):
+                            calls.append(geom) or fn(geom, c6))
+    monkeypatch.setattr(verify, "Geometry", Primed)
+    chart, fld = _shipped("conformal_product")
+    verify.conformal_sweep(chart, fld, sample_box(chart.domain, 2 * charts.CHUNK + 1, seed=7),
+                           [0.0, 1.0, 2.0])
+    primed = [geom for geom in calls if isinstance(geom, Primed)]
+    assert len(primed) == 3 * 3 and len({id(geom) for geom in primed}) == 3 * 3
 
 
 @pytest.mark.parametrize("name", ["eq22", "lemma22"])
