@@ -63,10 +63,6 @@ class MetricChart:
     chart, or None."""
 
     def __init__(self, g, domain, name="chart", *, preset=None):
-        if len(g) != 4 or any(len(row) != 4 for row in g):
-            raise ChartError("metric must be a 4x4 matrix of expressions")
-        if len(domain) != 4 or any(hi <= lo for lo, hi in domain):
-            raise ChartError("domain must be 4 nonempty open intervals")
         self.g = g  # 4x4 nested tuple of expression trees, symmetric
         self.domain = domain  # 4 pairs (lo, hi)
         self.name = name
@@ -139,8 +135,6 @@ def normals(seed, stream, shape):
 
 def sample_box(domain, count, margin=0.05, seed=0):
     """Low-discrepancy points in the box shrunk by `margin` per side."""
-    if count < 1:
-        raise ChartError("sample count must be >= 1")
     return _scale_to_box(domain, margin, scrambled_halton(count, digit_permutations(seed)))
 
 

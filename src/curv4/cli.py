@@ -97,14 +97,10 @@ def _build_parser():
 
 
 def _cmd_presets_list(args):
-    from . import presets
-
-    print("manifold presets:")
-    for name in presets.PRESET_NAMES:
-        print(f"  {name}")
-    print("form presets:")
-    for name in presets.FORM_PRESET_NAMES + ("zero",):
-        print(f"  {name}")
+    for what, names in (("manifold", scenario.MANIFOLD_PRESETS), ("form", scenario.FORM_PRESETS)):
+        print(f"{what} presets:")
+        for name in filter(None, names):
+            print(f"  {name}")
     return 0
 
 

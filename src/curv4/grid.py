@@ -146,8 +146,6 @@ def _barycenters(n, h, S):
 
 def assemble(chart: MetricChart, n: int) -> GridComplex:
     """Periodic cochain complex for an analytic metric on (0, 2pi)^4."""
-    if n < 3:
-        raise GridError("grid size must be at least 3")
     if not chart_is_periodic(chart):
         raise GridError(f"metric on chart {chart.name!r} is not 2pi-periodic")
     h = 2.0 * np.pi / n

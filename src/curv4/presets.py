@@ -17,7 +17,7 @@ import numpy as np
 
 from . import Curv4Error
 from . import expr as ex
-from .charts import FORM, MetricChart, chart_from_strings, conformal_chart, uniforms
+from .charts import FORM, MetricChart, chart_from_strings, uniforms
 from .forms import PAIR_KEYS
 
 TWO_PI = 2.0 * math.pi
@@ -39,15 +39,11 @@ def flat_t4():
 
 
 def round_s4(r=1.0):
-    if r <= 0:
-        raise PresetError("round_s4 radius must be positive")
     conf = f"4*{r}^4 / ({r}^2 + x1^2 + x2^2 + x3^2 + x4^2)^2"
     return _diag([conf] * 4, [(-1.0, 1.0)] * 4, f"round_s4({r})", ("round_s4", (r,)))
 
 
 def product_s2s2(r1=1.0, r2=1.0):
-    if r1 <= 0 or r2 <= 0:
-        raise PresetError("product_s2s2 radii must be positive")
     entries = [
         f"{r1}^2",
         f"{r1}^2 * sin(x1)^2",
@@ -86,32 +82,10 @@ def cp2_fubini_study():
                               preset=("cp2_fubini_study", ()))
 
 
-def chart_preset(spec) -> MetricChart:
-    """Build a chart from a scenario 'manifold' preset description."""
-    if isinstance(spec, str):
-        spec = {"preset": spec}
-    kind = spec.get("preset")
-    if kind == "flat_t4":
-        return flat_t4()
-    if kind == "round_s4":
-        return round_s4(float(spec.get("r", 1.0)))
-    if kind == "product_s2s2":
-        return product_s2s2(float(spec.get("r1", 1.0)), float(spec.get("r2", 1.0)))
-    if kind == "cp2_fubini_study":
-        return cp2_fubini_study()
-    if kind == "conformal":
-        base = chart_preset(spec["base"])
-        return conformal_chart(base, spec["f"])
-    raise PresetError(f"unknown manifold preset {kind!r}")
-
-
-PRESET_NAMES = ("flat_t4", "round_s4", "product_s2s2", "cp2_fubini_study", "conformal")
-FORM_PRESET_NAMES = ("constant", "factor_volumes", "factor_volume_1", "kaehler",
-                     "random_analytic")
-
-
 def form_preset(name, chart: MetricChart, seed=0):
     """Coordinate components (dict pair-key -> expr tree) of a named 2-form field."""
+    if name == "zero":
+        return {}
     zeros = {k: ex.num(0.0) for k in PAIR_KEYS}
     if name == "constant":
         comps = dict(zeros)

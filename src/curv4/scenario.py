@@ -1,5 +1,7 @@
-"""Scenario files: strict JSON schema, chart/field construction, determinism.
+"""Scenario files: one schema table, chart/field construction, determinism.
 
+`_SCENARIO` is the whole schema.  One walk of it checks a parsed file and
+returns its typed values, or names the JSON path of the first violation.
 Unknown keys are rejected everywhere so misspelled options never silently
 change a run.  A fixed (scenario, seed) pair reproduces identical reports.
 """
@@ -10,12 +12,9 @@ import json
 import math
 from types import MappingProxyType
 
-import numpy as np
-
 from . import InputError
 from . import expr as ex
-from .charts import (MetricChart, chart_from_strings, conformal_chart, sample_box,
-                     validate_chart)
+from .charts import MetricChart, chart_from_strings, conformal_chart, sample_box, validate_chart
 from .forms import PAIR_KEYS, TwoFormField
 
 SCHEMA_VERSION = 1
@@ -36,46 +35,62 @@ DEFAULT_TOLERANCES = MappingProxyType({
     "degeneracy_frac": 1e-8,
 })
 
-_TOP_KEYS = {"schema_version", "id", "manifold", "form", "form_components",
-             "conformal_factor", "sampling", "tolerances", "grid"}
-_MANIFOLD_PRESET_KEYS = {"preset", "r", "r1", "r2", "base", "f"}
-_MANIFOLD_INLINE_KEYS = {"metric", "domain"}
-_FORM_KEYS = {"preset", "components", "seed"}
-_SAMPLING_KEYS = {"count", "margin", "seed"}
-_GRID_KEYS = {"n", "metric"}
-# Every number or expression a scenario may set: section -> key -> (kind,
-# minimum[, bound it stays below]); "" is the top level, and the manifold's
-# keys also apply inside a conformal preset's "base".
-_VALUES = {"": {"conformal_factor": (str, None)},
-           "sampling": {"count": (int, 1), "margin": (float, 0, 0.5), "seed": (int, 0)},
-           "grid": {"n": (int, None)}, "form": {"seed": (int, 0)},
-           "manifold": {"r": (float, None), "r1": (float, None), "r2": (float, None),
-                        "f": (str, None)}}
-_KINDS = {int: "an integer", float: "a finite number", str: "an expression string"}
+# The largest sample and lattice, so no run traces more than about 1 GiB
+# (README, Memory): `curvature` holds its whole sample, 9.7 KB a point, and
+# `grid harmonic` 4.8 KB a cell, n^4 cells.
+COUNT_MAX = 100_000
+N_MAX = 21
+
+# A spec is (kind, default, *rest).  Kind int, float, str or ex.parse (an
+# expression string, parsed): rest are bounds such as ">= 1".  list: rest are
+# the specs of its items.  dict: rest is {key: spec} of the keys allowed.
+# _PRESET: a preset name, or an object whose "preset" (None if absent) picks
+# its {key: spec} from rest.  The default is _REQ (required), _OPT (none),
+# None (none, and null means absent) or the value of an absent key.
+_REQ, _OPT, _PRESET = object(), object(), "preset"
+_EXPR, _NUM = (ex.parse, _REQ), (float, _REQ)
+_ROW, _INTERVAL = (list, _REQ, *[_EXPR] * 4), (list, _REQ, _NUM, _NUM)
+_PAIRS = {key: (ex.parse, _OPT) for key in PAIR_KEYS}
+_RADIUS = (float, 1.0, "> 0")
+# each preset name but conformal is the presets function that builds it
+MANIFOLD_PRESETS = {"flat_t4": {}, "round_s4": {"r": _RADIUS},
+                    "product_s2s2": {"r1": _RADIUS, "r2": _RADIUS}, "cp2_fubini_study": {},
+                    "conformal": {"base": None, "f": _EXPR},
+                    None: {"metric": (list, _REQ, *[_ROW] * 4),
+                           "domain": (list, [[0.0, 2.0 * math.pi]] * 4, *[_INTERVAL] * 4)}}
+MANIFOLD_PRESETS["conformal"]["base"] = _MANIFOLD = (_PRESET, _REQ, MANIFOLD_PRESETS)
+FORM_PRESETS = {"constant": {}, "factor_volumes": {}, "factor_volume_1": {}, "kaehler": {},
+                "random_analytic": {"seed": (int, _OPT, ">= 0")}, "zero": {},
+                None: {"components": (dict, _REQ, _PAIRS)}}
+_SCENARIO = (dict, _REQ, {
+    "schema_version": (int, SCHEMA_VERSION, f"== {SCHEMA_VERSION}"),
+    "id": (str, _REQ),
+    "manifold": _MANIFOLD,
+    "form": (_PRESET, None, FORM_PRESETS),
+    "form_components": (dict, None, _PAIRS),
+    "conformal_factor": (ex.parse, None),
+    "sampling": (dict, {}, {"count": (int, 30, ">= 1", f"<= {COUNT_MAX}"),
+                            "margin": (float, 0.05, ">= 0", "< 0.5"),
+                            "seed": (int, 0, ">= 0")}),
+    "tolerances": (dict, {}, {key: (float, value) for key, value in DEFAULT_TOLERANCES.items()}),
+    "grid": (dict, None, {"n": (int, 6, ">= 3", f"<= {N_MAX}"),
+                          "metric": (list, _OPT, *[_ROW] * 4)}),
+})
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          ex.parse: "an expression string"}
 
 
 class Scenario:
-    def __init__(self, id, manifold, form=None, conformal_factor=None, sampling=None,
-                 tols=DEFAULT_TOLERANCES, grid=None):
-        self.id = id
-        self.manifold = manifold
-        self.form = form
-        self.conformal_factor = conformal_factor
-        self.sampling = {} if sampling is None else sampling
-        self.tols = tols  # DEFAULT_TOLERANCES overlaid with the scenario's overrides
-        self.grid = grid
+    """The typed values of one scenario file (from_dict)."""
 
-    @property
-    def count(self):
-        return int(self.sampling.get("count", 30))
-
-    @property
-    def margin(self):
-        return float(self.sampling.get("margin", 0.05))
-
-    @property
-    def seed(self):
-        return int(self.sampling.get("seed", 0))
+    def __init__(self, sc):
+        self.id, self.manifold, self.grid = sc["id"], sc["manifold"], sc.get("grid")
+        self.form = sc.get("form", {"preset": "constant"})
+        self.conformal_factor = sc.get("conformal_factor")
+        self.count, self.margin, self.seed = (sc["sampling"][key]
+                                              for key in ("count", "margin", "seed"))
+        self.tols = MappingProxyType(sc["tolerances"])  # DEFAULT_TOLERANCES, overlaid
+        self.grid_n = self.grid and self.grid["n"]
 
     def build_chart(self) -> MetricChart:
         chart = _build_manifold(self.manifold)
@@ -85,22 +100,12 @@ class Scenario:
         return chart
 
     def build_field(self, chart: MetricChart) -> TwoFormField:
-        spec = self.form if self.form is not None else {"preset": "constant"}
-        if isinstance(spec, str):
-            spec = {"preset": spec}
-        if "components" in spec:
-            comps = dict(spec["components"])
-            unknown = set(comps) - set(PAIR_KEYS)
-            if unknown:
-                raise InputError(f"unknown form component keys {sorted(unknown)}")
-            return TwoFormField(chart, comps)
-        name = spec.get("preset", "constant")
-        seed = int(spec.get("seed", self.seed))
-        if name == "zero":
-            return TwoFormField(chart, {})
+        if "components" in self.form:
+            return TwoFormField(chart, self.form["components"])
         from . import presets
 
-        return TwoFormField(chart, presets.form_preset(name, chart, seed=seed))
+        return TwoFormField(chart, presets.form_preset(self.form["preset"], chart,
+                                                       seed=self.form.get("seed", self.seed)))
 
     def points(self, chart: MetricChart, count=None):
         return sample_box(chart.domain, count or self.count, self.margin, self.seed)
@@ -110,143 +115,109 @@ class Scenario:
             raise InputError("scenario has no 'grid' section")
         if "metric" not in self.grid:
             return self.build_chart()
-        chart = chart_from_strings(self.grid["metric"], [(0.0, 2.0 * np.pi)] * 4,
+        chart = chart_from_strings(self.grid["metric"], [(0.0, 2.0 * math.pi)] * 4,
                                    f"{self.id}_grid_metric")
         validate_chart(chart)
         return chart
 
-    @property
-    def grid_n(self):
-        if self.grid is None:
-            raise InputError("scenario has no 'grid' section")
-        return int(self.grid.get("n", 6))
-
-
-def _check_keys(obj, allowed, where):
-    if not isinstance(obj, dict):
-        raise InputError(f"{where} must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise InputError(f"unknown keys {sorted(unknown)} in {where} "
-                         f"(allowed: {sorted(allowed)})")
-
 
 def _build_manifold(spec) -> MetricChart:
-    if isinstance(spec, str):
-        spec = {"preset": spec}
-    if "preset" in spec:
-        _check_keys(spec, _MANIFOLD_PRESET_KEYS, "manifold")
-        from . import presets
+    name = spec.get("preset")
+    if name is None:
+        return chart_from_strings(spec["metric"], spec["domain"], "inline_metric")
+    if name == "conformal":
+        return conformal_chart(_build_manifold(spec["base"]), spec["f"])
+    from . import presets
 
-        return presets.chart_preset(spec)
-    _check_keys(spec, _MANIFOLD_INLINE_KEYS, "manifold")
-    if "metric" not in spec:
-        raise InputError("manifold needs either 'preset' or 'metric'")
-    domain = spec.get("domain", [[0.0, 2.0 * np.pi]] * 4)
+    return getattr(presets, name)(*(spec[key] for key in MANIFOLD_PRESETS[name]))
+
+
+def _name(spec):
+    """The kind of a leaf or list spec, as an error names it."""
+    kind, _, *items = spec
+    if kind is not list:
+        return _KINDS[kind]
+    noun = "rows" if items[0][0] is list else _KINDS[items[0][0]].split(" ", 1)[1] + "s"
+    return f"a list of {len(items)} {noun}"
+
+
+def _walk(value, spec, path):
+    """value typed by spec, or InputError naming the JSON path of the first part
+    of it that breaks the spec; JSON strings and booleans are not numbers."""
+    kind, _, *rest = spec
+    if kind is _PRESET:
+        name = value if isinstance(value, str) else (
+            value.get("preset") if isinstance(value, dict) else None)
+        if name not in tuple(rest[0]):
+            raise InputError(f"{path if isinstance(value, str) else path + '.preset'} must be "
+                             f"one of {sorted(filter(None, rest[0]))}, not {name!r}")
+        value = {"preset": value} if isinstance(value, str) else value
+        kind, rest = dict, [{"preset": (str, None), **rest[0][name]}]
+    if kind is dict:
+        keys = rest[0]
+        if not isinstance(value, dict):
+            raise InputError(f"{path or 'scenario'} must be a JSON object, not {value!r}")
+        if set(value) - set(keys):
+            raise InputError(f"unknown keys {sorted(set(value) - set(keys))} in "
+                             f"{path or 'scenario'} (allowed: {sorted(keys)})")
+        out = {}
+        for key, sub in keys.items():
+            got, child = value.get(key, sub[1]), f"{path}.{key}" if path else key
+            if got is _REQ:
+                raise InputError(f"{child} is missing")
+            if got is not _OPT and not (got is None and sub[1] is None):
+                out[key] = _walk(got, sub, child)
+        return out
+    if kind is list:
+        if not isinstance(value, list) or len(value) != len(rest):
+            raise InputError(f"{path} must be {_name(spec)}, not {value!r}")
+        out = [_walk(item, sub, f"{path}[{i}]") for i, (item, sub) in enumerate(zip(value, rest))]
+        if spec is _INTERVAL and not out[0] < out[1]:
+            raise InputError(f"{path} must have lo < hi, not {value!r}")
+        return out
     try:
-        return chart_from_strings(spec["metric"], domain, "inline_metric")
-    except ex.ExprError as e:
-        raise InputError(f"bad metric expression: {e}") from None
-
-
-def _check_value(where, value, kind=float, minimum=None, below=None):
-    """InputError naming `where` unless value is of the kind, int (an integer),
-    float (a finite number) or str, at least minimum and less than below; JSON
-    strings and booleans are not numbers."""
-    try:
-        ok = isinstance(value, str) if kind is str else not isinstance(value, bool) and (
-            isinstance(value, int) if kind is int else math.isfinite(value))
+        ok = isinstance(value, str) if kind in (str, ex.parse) else not isinstance(value, bool) \
+            and (isinstance(value, int) if kind is int else math.isfinite(value))
     except (TypeError, OverflowError):  # not a number, or an int past the float range
         ok = False
     if not ok:
-        raise InputError(f"{where} must be {_KINDS[kind]}, not {value!r}")
-    if minimum is not None and value < minimum:
-        raise InputError(f"{where} must be >= {minimum}")
-    if below is not None and value >= below:
-        raise InputError(f"{where} must be < {below}")
+        raise InputError(f"{path} must be {_name(spec)}, not {value!r}")
+    for rule in rest:
+        op, bound = rule.split()
+        b = float(bound)
+        if not {">=": value >= b, ">": value > b, "<": value < b, "<=": value <= b,
+                "==": value == b}[op]:
+            raise InputError(f"{path} must be {rule}")
+    try:
+        return kind(value)
+    except ex.ExprError as e:
+        raise InputError(f"{path}: {e}") from None
 
 
-def _check_metric(where, metric):
-    """InputError naming `where` and the entry unless metric is a 4x4 list of
-    expression strings."""
-    if not isinstance(metric, list) or len(metric) != 4:
-        raise InputError(f"{where} must be a list of 4 rows, not {metric!r}")
-    for i, row in enumerate(metric):
-        if not isinstance(row, list) or len(row) != 4:
-            raise InputError(f"{where}[{i}] must be a list of 4 expression strings, not {row!r}")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, str):
-                raise InputError(f"{where}[{i}][{j}] must be an expression string, "
-                                 f"not {entry!r}")
-
-
-def _resolve_tolerances(overrides):
-    """DEFAULT_TOLERANCES overlaid with a scenario's overrides, each a finite
-    number (a negative one only makes its check stricter)."""
-    _check_keys(overrides, set(DEFAULT_TOLERANCES), "tolerances")
-    for key, value in overrides.items():
-        _check_value(f"tolerance {key!r}", value)
-    return MappingProxyType({**DEFAULT_TOLERANCES,
-                             **{key: float(value) for key, value in overrides.items()}})
-
-
-def _check_values(raw):
-    """_check_value for every key of _VALUES that the scenario sets (a null
-    conformal_factor is none)."""
-    specs = [("", "", {} if raw.get("conformal_factor") is None else raw)]
-    specs += [(name, name + ".", raw.get(name)) for name in ("sampling", "grid", "form")]
-    manifold, path = raw["manifold"], "manifold."
-    while isinstance(manifold, dict):  # a conformal preset nests its base
-        specs.append(("manifold", path, manifold))
-        manifold, path = manifold.get("base"), path + "base."
-    for section, path, spec in specs:
-        for key, rule in _VALUES[section].items():
-            if isinstance(spec, dict) and key in spec:
-                _check_value(path + key, spec[key], *rule)
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def load(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            # strict JSON: json.load would read NaN, Infinity and -Infinity
+            return from_dict(json.load(fh, parse_constant=_no_constant))
     except FileNotFoundError:
         raise InputError(f"scenario file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: line {e.lineno} col {e.colno}: "
                          f"{e.msg}") from None
-    return from_dict(raw)
+    except ValueError as e:  # a non-standard constant, or a file that is not UTF-8
+        raise InputError(f"malformed JSON in {path}: {e}") from None
+    except RecursionError:
+        raise InputError(f"scenario {path} is nested too deeply") from None
 
 
 def from_dict(raw) -> Scenario:
-    _check_keys(raw, _TOP_KEYS, "scenario")
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise InputError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
-    if "id" not in raw or not isinstance(raw["id"], str):
-        raise InputError("scenario needs a string 'id'")
-    if "manifold" not in raw:
-        raise InputError("scenario needs a 'manifold'")
-    if "sampling" in raw:
-        _check_keys(raw["sampling"], _SAMPLING_KEYS, "sampling")
-    form = raw.get("form")
-    if form is not None and not isinstance(form, str):
-        _check_keys(form, _FORM_KEYS, "form")
-    if raw.get("form_components") is not None:
-        if form is not None:
+    sc = _walk(raw, _SCENARIO, "")
+    if "form_components" in sc:
+        if "form" in sc:
             raise InputError("give either 'form' or 'form_components', not both")
-        form = {"components": dict(raw["form_components"])}
-    if "grid" in raw and raw["grid"] is not None:
-        _check_keys(raw["grid"], _GRID_KEYS, "grid")
-    _check_values(raw)
-    for section in ("manifold", "grid"):
-        if isinstance(raw.get(section), dict) and "metric" in raw[section]:
-            _check_metric(f"{section}.metric", raw[section]["metric"])
-    return Scenario(
-        id=raw["id"],
-        manifold=raw["manifold"],
-        form=form,
-        conformal_factor=raw.get("conformal_factor"),
-        sampling=dict(raw.get("sampling", {})),
-        tols=_resolve_tolerances(raw.get("tolerances", {})),
-        grid=raw.get("grid"),
-    )
+        sc["form"] = {"components": sc.pop("form_components")}
+    return Scenario(sc)

@@ -1,7 +1,11 @@
 import argparse
+import contextlib
 import csv
+import importlib.util
+import io
 import json
 import os
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -179,11 +183,79 @@ BAD_NUMBERS = [
 ]
 
 
-@pytest.mark.parametrize("name,path,value,command,message", BAD_NUMBERS,
-                         ids=[f"{m.split()[0]}-{type(v).__name__}" for *_, v, _, m in BAD_NUMBERS])
+IDENTITY = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+
+
+# (id, shipped scenario, path of the key, bad value, command, message): before
+# the schema walk each raised an uncaught exception, was accepted, or exited 2
+# without naming its path
+BAD_SCENARIOS = [
+    ("manifold-float", "conformal_product", ("manifold",), 3.0, "curvature",
+     "manifold must be a JSON object, not 3.0"),
+    ("manifold-null", "conformal_product", ("manifold",), None, "curvature",
+     "manifold must be a JSON object, not None"),
+    ("manifold-bool", "conformal_product", ("manifold",), True, "curvature",
+     "manifold must be a JSON object, not True"),
+    ("component-null", "nonharmonic", ("form", "components", "12"), None, "verify thm21",
+     "form.components.12 must be an expression string, not None"),
+    ("component-int", "nonharmonic", ("form", "components", "34"), -1, "verify thm21",
+     "form.components.34 must be an expression string, not -1"),
+    ("form_components-int", "perturbed_t4_n8", ("form_components",), {"12": 1}, "verify thm21",
+     "form_components.12 must be an expression string, not 1"),
+    ("components-list", "nonharmonic", ("form", "components"), [["12", "1"]], "verify thm21",
+     "form.components must be a JSON object, not [['12', '1']]"),
+    ("form_components-list", "perturbed_t4_n8", ("form_components",), [["12", "1"]], "kato scan",
+     "form_components must be a JSON object"),
+    ("count-huge", "conformal_product", ("sampling", "count"), 2**70, "kato scan",
+     f"sampling.count must be <= {scenario.COUNT_MAX}"),
+    ("n-huge", "flat_t4_n6", ("grid", "n"), 2**70, "grid definiteness",
+     f"grid.n must be <= {scenario.N_MAX}"),
+    ("n-small", "flat_t4_n6", ("grid", "n"), 2, "grid definiteness", "grid.n must be >= 3"),
+    ("conformal-without-f", "conformal_product", ("manifold",),
+     {"preset": "conformal", "base": "flat_t4"}, "curvature", "manifold.f is missing"),
+    ("domain-int", "cp2_kaehler", ("manifold",), {"metric": IDENTITY, "domain": 3}, "curvature",
+     "manifold.domain must be a list of 4 rows, not 3"),
+    ("domain-string", "cp2_kaehler", ("manifold",),
+     {"metric": IDENTITY, "domain": [[0, 1], ["a", 1], [0, 1], [0, 1]]}, "curvature",
+     "manifold.domain[1][0] must be a finite number, not 'a'"),
+    ("domain-triple", "cp2_kaehler", ("manifold",),
+     {"metric": IDENTITY, "domain": [[0, 1], [0, 1], [0, 1, 2], [0, 1]]}, "curvature",
+     "manifold.domain[2] must be a list of 2 finite numbers"),
+    ("domain-empty", "cp2_kaehler", ("manifold",),
+     {"metric": IDENTITY, "domain": [[0, 1], [0, 1], [0, 1], [1, 1]]}, "curvature",
+     "manifold.domain[3] must have lo < hi"),
+    ("domain-infinite", "cp2_kaehler", ("manifold",),
+     {"metric": IDENTITY, "domain": [[0, float("inf")]] * 4}, "verify thm21",
+     "bad.json: Infinity is not a JSON number"),
+    ("margin-nan", "cp2_kaehler", ("sampling", "margin"), float("nan"), "verify thm21",
+     "bad.json: NaN is not a JSON number"),
+    ("schema_version-bool", "flat_constant", ("schema_version",), True, "verify thm21",
+     "schema_version must be an integer, not True"),
+    ("schema_version-2", "flat_constant", ("schema_version",), 2, "verify thm21",
+     "schema_version must be == 1"),
+    ("flat_t4-r", "flat_constant", ("manifold", "r"), 2.0, "verify thm21",
+     "unknown keys ['r'] in manifold (allowed: ['preset'])"),
+    ("product_s2s2-base", "conformal_product", ("manifold", "base"), "flat_t4", "verify thm21",
+     "unknown keys ['base'] in manifold"),
+    ("constant-seed", "flat_constant", ("form", "seed"), 3, "verify thm21",
+     "unknown keys ['seed'] in form (allowed: ['preset'])"),
+    ("radius-zero", "round_s4_random", ("manifold", "r"), 0, "verify weitzenboeck",
+     "manifold.r must be > 0"),
+    ("preset-unknown", "cp2_kaehler", ("manifold", "preset"), "cp3", "curvature",
+     "manifold.preset must be one of ['conformal', 'cp2_fubini_study', 'flat_t4', "
+     "'product_s2s2', 'round_s4'], not 'cp3'"),
+    ("expression-unparsed", "conformal_product", ("conformal_factor",), "sin(", "curvature",
+     "conformal_factor: "),
+]
+
+
+@pytest.mark.parametrize("name,path,value,command,message",
+                         BAD_NUMBERS + [row[1:] for row in BAD_SCENARIOS],
+                         ids=[f"{m.split()[0]}-{type(v).__name__}" for *_, v, _, m in BAD_NUMBERS]
+                         + [row[0] for row in BAD_SCENARIOS])
 def test_bad_scenario_number_exit2(tmp_path, capsys, name, path, value, command, message):
-    """A scenario number of the wrong kind exits 2 naming its key, before any
-    report is written."""
+    """A bad value anywhere in a scenario exits 2 naming its JSON path (or the
+    file, for JSON that is not strict), before any report is written."""
     raw = json.loads((SCENARIOS / f"{name}.json").read_text())
     spec = raw
     for key in path[:-1]:
@@ -193,9 +265,102 @@ def test_bad_scenario_number_exit2(tmp_path, capsys, name, path, value, command,
     bad.write_text(json.dumps(raw))
     assert run([*command.split(), "--scenario", bad, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
 
+
+def test_deep_nesting_exit2(tmp_path, capsys):
+    """2,000 nested conformal bases pass the json module's recursion limit: exit 2
+    naming the file, not a RecursionError."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"id": "deep", "manifold": ' + '{"preset": "conformal", "f": "0", "base": '
+                   * 2000 + '"flat_t4"' + "}" * 2001)
+    assert run(["curvature", "--scenario", bad, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.json is nested too deeply" in err
+    assert "Traceback" not in err and not (tmp_path / "out" / "report.json").exists()
+
+
+def test_size_caps_admit_every_shipped_and_benchmark_size(tmp_path):
+    """The caps on sampling.count and grid.n are tested on the walk alone, never
+    by running a command at the cap; every shipped scenario and every
+    benchmark job's scenario (perfbench/workloads.py, full size) loads."""
+    raw = {"id": "caps", "manifold": "flat_t4",
+           "sampling": {"count": scenario.COUNT_MAX}, "grid": {"n": scenario.N_MAX}}
+    sc = scenario.from_dict(raw)
+    assert (sc.count, sc.grid_n) == (scenario.COUNT_MAX, scenario.N_MAX)
+    for section, key, cap in (("sampling", "count", scenario.COUNT_MAX),
+                              ("grid", "n", scenario.N_MAX)):
+        with pytest.raises(scenario.InputError, match=f"^{section}.{key} must be <= {cap}$"):
+            scenario.from_dict({**raw, section: {key: cap + 1}})
+    for path in SCENARIOS.glob("*.json"):
+        scenario.load(path)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for job in workloads.make_jobs(name, 0, tmp_path / name):
+            scenario.load(job.scenario_path)
+
+
+def test_console_entry_point_exit2(tmp_path):
+    """Outside cli.main, as the installed console script runs it, a bad scenario
+    still exits 2 with an error line and no traceback."""
+    import subprocess
+    import sys
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"id": "x", "manifold": 3.0}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", "import sys; from curv4.cli import main; "
+                          "sys.exit(main())", "curvature", "--scenario", str(bad),
+                          "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert out.stderr == "error: manifold must be a JSON object, not 3.0\n"
+
+
+def _fields(obj, path=()):
+    """The JSON path of every value inside obj, containers included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) \
+        else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))}
+FIELDS = [(name, path) for name, raw in SHIPPED.items() for path in _fields(raw)]
+# wrong types, out-of-bound numbers and the shapes that once raised; no value
+# in it is a count or lattice size that would make a run allocate much
+POOL = [None, True, False, [], [1.0, 2.0], {}, "1", "abc", "sin(x1)", 1, 0, -1, 2.5, 3.0,
+        2**70, 1e308, {"preset": "flat_t4"}, {"preset": "conformal", "base": "flat_t4"},
+        [["12", "1"]], {"12": 1}, {"metric": [["1"] * 4] * 4, "domain": 3}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS), st.sampled_from(POOL))
+def test_one_field_fuzz_exits_0_1_or_2(field, value):
+    """One field of a shipped scenario replaced by a value of the pool, under a
+    command that reads it: the exit is 0, 1 or 2, and exit 2 is one error line
+    with no traceback and no report."""
+    name, path = field
+    raw = json.loads(json.dumps(SHIPPED[name]))
+    spec = raw
+    for key in path[:-1]:
+        spec = spec[key]
+    spec[path[-1]] = value
+    command = ["grid", "definiteness"] if path[0] == "grid" else ["verify", "thm21"]
+    with tempfile.TemporaryDirectory() as tmp:
+        sfile, out, err = Path(tmp) / "s.json", Path(tmp) / "out", io.StringIO()
+        sfile.write_text(json.dumps(raw))
+        with contextlib.redirect_stderr(err):
+            code = run([*command, "--scenario", sfile, "--out", out])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+            assert not (out / "report.json").exists()
 
 def test_malformed_json_located(tmp_path, capsys):
     bad = tmp_path / "bad.json"

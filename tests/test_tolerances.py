@@ -3,6 +3,7 @@ removed keys exit 2, and the README documents exactly the keys and defaults."""
 
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
@@ -99,13 +100,17 @@ def test_degeneracy_frac_decides_the_thm21_premise(tmp_path):
                          ids=["string", "null", "nan", "inf", "bool", "list", "int_past_float"])
 def test_malformed_tolerance_exit2(tmp_path, capsys, value):
     """A tolerance that is not a finite number exits 2 naming the key, before
-    any verification runs."""
+    any verification runs; json.dumps writes NaN and inf as the non-standard
+    literals NaN and Infinity, which the reader refuses, naming the file."""
     raw = json.loads((SCENARIOS / "conformal_product.json").read_text())
     code, report = _outcome(tmp_path, ["verify", "thm21"],
                             {**raw, "tolerances": {"thm21": value}})
     assert code == 2 and report is None
     err = capsys.readouterr().err
-    assert "tolerance 'thm21' must be a finite number" in err and "Traceback" not in err
+    literal = isinstance(value, float) and not math.isfinite(value)
+    message = (f".json: {json.dumps(value)} is not a JSON number" if literal else
+               "tolerances.thm21 must be a finite number")
+    assert message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("where,key", [("manifold", "orientation"), ("tolerances", "eq42"),
