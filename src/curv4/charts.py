@@ -197,15 +197,19 @@ def _scale_to_box(domain, margin, u):
 def metric_jets(chart: MetricChart, pts):
     """Stacked jets (NCOEFF,) + batch + (4, 4) of g at pts (shape batch + (4,))."""
     pts = np.asarray(pts, dtype=float)
-    env = [Jet3.variable(i, pts[..., i]) for i in range(4)]
-    return metric_jets_env(chart, env, pts)
+    return metric_jets_env(chart, [Jet3.variable(i, pts[..., i]) for i in range(4)], pts)
 
 
 def metric_jets_env(chart: MetricChart, env, pts=None):
-    """Stacked jets of g with the jets env bound to x1..x4."""
+    """Stacked jets of g with the jets env bound to x1..x4; a non-finite entry
+    is a ChartError."""
     g = np.empty(env[0].c.shape + (4, 4))
-    for (i, j), u in zip(UPPER, chart.plan.jets(env, pts)):
-        g[..., i, j] = g[..., j, i] = u.c
+    entries = chart.plan.jets(env, pts)
+    for i, j in UPPER:
+        try:
+            g[..., i, j] = g[..., j, i] = next(entries).c
+        except jets.JetError as e:
+            raise ChartError(f"metric entry g{i + 1}{j + 1}: {e}") from None
     return g
 
 
@@ -228,6 +232,11 @@ class Geometry:
     @staticmethod
     def of_chart(chart: MetricChart, pts):
         return Geometry(metric_jets(chart, pts), pts)
+
+    @staticmethod
+    def of_values(chart: MetricChart, pts):
+        """The Geometry of g's value row (metric_values) alone: no derivatives."""
+        return Geometry(metric_values(chart, pts)[None], pts)
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -477,17 +486,10 @@ def _jacobian(xjets):
 
 
 def metric_values(chart: MetricChart, pts):
-    """g at pts (shape (N, 4)) as plain values, shape (N, 4, 4); an entry that
-    overflows or is undefined at a point is a ChartError."""
-    g = np.empty(pts.shape[:-1] + (4, 4))
+    """g at pts (batch + (4,)) as values, batch + (4, 4): metric_jets_env on
+    jets of one row, so metric_jets(chart, pts)[0] bit for bit."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for (i, j), v in zip(UPPER, chart.plan.values(pts)):
-            try:
-                jets.assert_finite(v, lambda: f"expression '{ex.to_string(chart.g[i][j])}'", pts)
-            except jets.JetError as e:
-                raise ChartError(f"metric entry g{i + 1}{j + 1}: {e}") from None
-            g[..., i, j] = g[..., j, i] = v
-    return g
+        return metric_jets_env(chart, [Jet3(pts[None, ..., i]) for i in range(4)], pts)[0]
 
 
 def require_positive_definite(g, det, pts, where, error=ChartError):

@@ -207,31 +207,37 @@ def _scenario_meta(sc):
 
 def _cmd_curvature(args):
     from . import canonical
-    from .charts import PLANES, curvature_at, normals, wedge
+    from .charts import PLANES, curvature_at, map_chunks, normals, wedge
 
     sc = _load(args)
     chart = sc.build_chart()
     pts = sc.points(chart)
-    slate = curvature_at(chart, pts)
     u, v = normals(sc.seed, PLANES, (2, 64, 4))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v -= np.einsum("mi,mi->m", u, v)[:, None] * u
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     w = wedge(u, v).T  # (6, 64) 2-vectors of the orthonormal planes
-    secs = np.sum(w * (slate.M @ w), axis=-2)
+
+    def chunk(p):  # scal and the extreme sampled sectional curvatures
+        slate = curvature_at(chart, p)
+        secs = np.sum(w * (slate.M @ w), axis=-2)
+        return slate.scal, np.min(secs), np.max(secs)
+
+    scal, lo, hi = zip(*map_chunks(chunk, pts))
+    scal = np.concatenate(scal)
     stats = canonical.global_curvature_stats(chart, samples=min(sc.count, 48),
                                              seed=sc.seed)
     report = {
         **_scenario_meta(sc),
         "command": "curvature",
         "chart": chart.name,
-        "scal_range": [float(np.min(slate.scal)), float(np.max(slate.scal))],
-        "sampled_sec_range": [float(np.min(secs)), float(np.max(secs))],
+        "scal_range": [float(np.min(scal)), float(np.max(scal))],
+        "sampled_sec_range": [float(np.min(lo)), float(np.max(hi))],
         "global_stats": stats,
         "sign_conventions": SIGN_CONVENTIONS,
     }
     samples = {"x1": pts[:, 0], "x2": pts[:, 1], "x3": pts[:, 2], "x4": pts[:, 3],
-               "scal": slate.scal}
+               "scal": scal}
     _write_report(args, report, samples)
     return 0
 

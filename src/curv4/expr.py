@@ -10,9 +10,9 @@ Grammar (loosest to tightest binding):
 
 Identifiers: variables x1..x4, the constant pi, functions sin cos exp log sqrt.
 Trees are evaluated through a `Plan`, which compiles one or more of them into a
-DAG of distinct subtrees and runs it on value arrays or on jets; '^' with a
-non-constant exponent requires a positive base (keeps jet lifting
-single-valued).
+DAG of distinct subtrees and runs it on jets; plain values are the jets'
+value row.  '^' with a non-constant exponent requires a positive base (keeps
+jet lifting single-valued).
 """
 
 from __future__ import annotations
@@ -384,14 +384,9 @@ def _fold(node):
     return Num(v) if v is not None else node
 
 
-# -- evaluation: one compiled plan for values and jets ----------------------------
+# -- evaluation: one compiled plan, one jet interpreter ----------------------------
 
-_ARITH = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": operator.truediv}
-
-
-def _nonpositive(x):
-    return np.any(~(np.asarray(x.value if isinstance(x, Jet3) else x) > 0.0))
+_ARITH = {"neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class Plan:
@@ -404,9 +399,9 @@ class Plan:
     post-order walk of the trees, one tree after the other, so the first step
     to fail is the node a tree walker fails at first, and a shared step cites
     the first of its equal nodes.  Each step's value is dropped after its last
-    reader unless it is a tree's result.  One interpreter runs the plan on
-    value arrays (`values`) or on jets (`jets`); both yield the trees' results
-    in order, each as soon as its steps have run.
+    reader unless it is a tree's result.  One interpreter runs the plan, on
+    jets (`jets`); `values` is its value row, run on jets of one row.  Both
+    yield the trees' results in order, each as soon as its steps have run.
     """
 
     def __init__(self, roots):
@@ -452,72 +447,53 @@ class Plan:
             self.steps.append(("base>0", (left,), None, n))
         return self._step(n.op, (left, self._emit(n.right)), None, n)
 
-    def _run(self, apply):
+    def jets(self, env, points=None):
+        """Each tree as a Jet3, with the jets env bound to x1..x4 (constants take
+        its rows); a domain failure raises DomainError naming its node and
+        point, a non-finite coefficient of a result JetError naming its tree."""
+        shape = env[0].c.shape  # (rows,) + batch
+
+        def apply(op, a, literal):
+            if op == "num":
+                return Jet3.constant(literal, shape[1:], shape[0])
+            if op == "var":
+                return env[literal]
+            if op == "base>0":
+                return jets.require_positive(a[0], "nonpositive base for variable exponent",
+                                             points)
+            if op == "call":  # the FUNCTIONS are named as in jets
+                fn = getattr(jets, literal)
+                return fn(a[0], points) if literal in ("log", "sqrt") else fn(a[0])
+            if op == "^c":
+                return jets.powr(a[0], literal, points)
+            if op == "^":
+                return jets.exp(a[1] * jets.log(a[0], points))
+            if op == "/":  # a (1/b), as every jet quotient
+                return a[0] * jets.powr(a[1], -1, points)
+            return _ARITH[op](*a)
+
         vals = [None] * len(self.steps)
         k = 0
-        for end, out in self.results:
+        for root, (end, out) in zip(self.roots, self.results):
             while k < end:
                 op, args, literal, node = self.steps[k]
-                a = [vals[i] for i in args]
-                if op == "base>0" and _nonpositive(a[0]):
-                    raise DomainError("nonpositive base for variable exponent", node)
-                vals[k] = None if op == "base>0" else apply(op, a, literal, node)
+                try:
+                    vals[k] = apply(op, [vals[i] for i in args], literal)
+                except jets.JetError as e:
+                    raise DomainError(str(e), node) from None
                 for i in self.frees[k]:
                     vals[i] = None
                 k += 1
+            jets.assert_finite(vals[out], lambda: f"expression '{to_string(root)}'", points)
             yield vals[out]
 
     def values(self, points):
         """Each tree over plain reals at points (shape (..., 4)), as an array of
-        the batch shape."""
+        the batch shape: `jets` on jets of one row, the coordinates, so values
+        are the jets' value slot bit for bit, with the same errors."""
         points = np.asarray(points, dtype=float)
-
-        def apply(op, a, literal, node):
-            if op == "num":
-                return literal
-            if op == "var":
-                return points[..., literal]
-            if op == "call" and literal in ("log", "sqrt") and _nonpositive(a[0]):
-                raise DomainError(f"{literal} of nonpositive value", node)
-            if op == "/" and np.any(np.asarray(a[1]) == 0.0):
-                raise DomainError("division by zero", node)
-            if op == "^c" and literal != round(literal) and _nonpositive(a[0]):
-                raise DomainError("negative base for non-integer power", node)
-            if op == "call":  # the FUNCTIONS are named as in numpy and in jets
-                return getattr(np, literal)(a[0])
-            if op == "^c":
-                n = int(round(literal))
-                return np.power(a[0], n if n == literal else literal)
-            return np.power(*a) if op == "^" else _ARITH[op](*a)
-
-        for v in self._run(apply):
-            yield np.broadcast_to(np.asarray(v, dtype=float), points.shape[:-1]).copy()
-
-    def jets(self, env, points=None):
-        """Each tree as a Jet3, with the jets env bound to x1..x4; a result with
-        a non-finite coefficient raises JetError naming its tree and point."""
-        batch = env[0].value.shape
-
-        def apply(op, a, literal, node):
-            if op == "num":
-                return Jet3.constant(literal, batch)
-            if op == "var":
-                return env[literal]
-            try:
-                if op == "call":
-                    fn = getattr(jets, literal)
-                    return fn(a[0], points) if literal in ("log", "sqrt") else fn(a[0])
-                if op == "^c":
-                    return jets.powr(a[0], literal, points)
-                if op == "^":
-                    return jets.exp(a[1] * jets.log(a[0], points))
-                return _ARITH[op](*a)
-            except jets.JetError as e:
-                raise DomainError(str(e), node) from None
-
-        for root, out in zip(self.roots, self._run(apply)):
-            jets.assert_finite(out, lambda: f"expression '{to_string(root)}'", points)
-            yield out
+        for u in self.jets([Jet3(points[None, ..., i]) for i in range(4)], points):
+            yield u.value.copy()
 
 
 def eval_values(node, points):

@@ -301,6 +301,12 @@ def grad_inner_values(geom: Geometry, u: Jet3, v: Jet3):
     return (u.grad()[..., None, :] @ geom.ginv_values @ v.grad()[..., None])[..., 0, 0]
 
 
+def green_stokes_flux(geom: Geometry, u: Jet3, sqrt_det):
+    """The Green-Stokes flux sqrt(det g) g^ab d_b u (batch + (4,)), whose
+    divergence is sqrt(det g) Delta_fun u."""
+    return sqrt_det[..., None] * (geom.ginv_values @ u.grad()[..., None])[..., 0]
+
+
 def scalar_laplacian_scale(geom: Geometry, u: Jet3):
     """Pre-cancellation magnitude of Delta_fun u: sum |g^ab|(|hess| + |Gamma d u|).
 

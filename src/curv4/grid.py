@@ -367,14 +367,7 @@ def _colocate(complex: GridComplex, z):
 
 
 def _cell_centers(complex: GridComplex):
-    n, h = complex.n, complex.h
-    return _barycenters(n, h, (0, 1, 2, 3))
-
-
-def _cell_metric(gc: GridComplex, pts):
-    """g^-1 and sqrt(det g) from the metric's values at the points pts (N, 4)."""
-    g = metric_values(gc.chart, pts)
-    return np.linalg.inv(g), sqrt_det_values(g)
+    return _barycenters(complex.n, complex.h, (0, 1, 2, 3))
 
 
 def _star_gram(basis: HarmonicBasis):
@@ -388,10 +381,11 @@ def _star_gram(basis: HarmonicBasis):
     C = np.ascontiguousarray(np.moveaxis(_colocate(gc, basis.vectors), 0, -1))  # (cells, k, 6)
 
     def partial(idx):
-        ginv, sqrt_det = _cell_metric(gc, pts[idx])
+        geom = Geometry.of_values(gc.chart, pts[idx])
+        sqrt_det = sqrt_det_values(geom.g_values)
         vol = sqrt_det * gc.h**4
         Ci = C[idx]
-        up = forms.raised_pairs(ginv[:, None], Ci)
+        up = forms.raised_pairs(geom.ginv_values[:, None], Ci)
         star = forms.star_coord(up, sqrt_det[:, None, None])
         return [np.sum(np.einsum("nap,nbp->abn", Z, up, order="C") * vol, -1) for Z in (star, Ci)]
 
@@ -506,13 +500,14 @@ class _CellGeometry:
     """What Theorem 2.1 (Eq 2.3) reads of a discrete field at every cell
     centre: sqrt_det, F, G, K, degenerate, nabla_plus_sq, nabla_minus_sq,
     lap_FG, dF_dG and flux_div.  The cells run in chunks (map_chunks).  A
-    first pass takes sqrt(det g), F, G (forms.fg_values) and *phi from g's
-    values (_cell_metric).  A second
-    builds each chunk's forms.PointValues for K and the degenerate flags, as
+    first pass takes sqrt(det g), F, G and *phi at every cell, from the
+    forms.PointValues of g's value row (Geometry.of_values), since the
+    second differences them.  The second builds each chunk's
+    forms.PointValues of g's jets for K and the degenerate flags, as
     verify.PointBundle does, and feeds the verifiers' forms operators
     difference jets (_difference_jets) for exact ones: |nabla phi+-|^2,
-    Delta(FG), <dF, dG> and the flux sqrt(g) g^-1 d(FG), whose divergence a
-    third pass takes.  g^-1 and Gamma live for their chunk only."""
+    Delta(FG), <dF, dG> and the Green-Stokes flux, whose divergence a third
+    pass takes.  g^-1 and Gamma live for their chunk only."""
 
     def __init__(self, fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
         gc, c6 = fieldd.complex, fieldd.coloc6
@@ -520,10 +515,10 @@ class _CellGeometry:
         pts, cells = _cell_centers(gc), np.arange(gc.sites)
 
         def values(idx):
-            ginv, sqrt_det = _cell_metric(gc, pts[idx])
-            phi = c6[:, idx].T
-            star = forms.star_coord(forms.raised_pairs(ginv, phi), sqrt_det[:, None])
-            return (sqrt_det, *forms.fg_values(ginv, phi, sqrt_det)[:2], star)
+            v = forms.PointValues(Geometry.of_values(gc.chart, pts[idx]), c6[:, idx].T, tols)
+            star = forms.star_coord(forms.raised_pairs(v.geom.ginv_values, v.phi),
+                                    v.sqrt_det[:, None])
+            return (v.sqrt_det, *v.fg[:2], star)
 
         self.sqrt_det, self.F, self.G, star = _joined(values, cells)
         FG = self.F * self.G
@@ -539,7 +534,7 @@ class _CellGeometry:
                 for op in (np.add, np.subtract))
             return (*nabla_pm, forms.scalar_laplacian_values(geom, fg),
                     forms.grad_inner_values(geom, F, G),
-                    sqrt_det[:, None] * (geom.ginv_values @ fg.grad()[..., None])[..., 0])
+                    forms.green_stokes_flux(geom, fg, sqrt_det))
 
         def pointwise(idx):
             v = forms.PointValues(Geometry.of_chart(gc.chart, pts[idx]), c6[:, idx].T, tols)

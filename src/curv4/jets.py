@@ -63,6 +63,8 @@ def _graded(x, y, op):
     on views of x and y.  The value slot is op(x0, y0) on the value rows
     alone, so that it is the op of the values bit for bit (einsum sums a
     trace broadcast over all the slots in another order)."""
+    if len(x) == 1:  # the value row alone (expr.Plan.values)
+        return op(x, y)
     y0 = y[:1]
     out = op(x[:1], y)
     op(x[:1], y[:1], out=out[:1])
@@ -101,8 +103,8 @@ class Jet3:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(value, batch_shape=()):
-        c = np.zeros((NCOEFF,) + tuple(batch_shape))
+    def constant(value, batch_shape=(), rows=NCOEFF):
+        c = np.zeros((rows,) + tuple(batch_shape))
         c[0] = value
         return Jet3(c)
 
@@ -221,11 +223,16 @@ def exp(u: Jet3) -> Jet3:
     return u._compose(e, e, e / 2.0)
 
 
-def log(u: Jet3, points=None) -> Jet3:
-    u0 = u.value
-    bad = ~(u0 > 0.0)
+def require_positive(u: Jet3, what, points=None):
+    """JetError `what`, naming the first point where u's value is not > 0."""
+    bad = ~(u.value > 0.0)
     if np.any(bad):
-        raise JetError("log of nonpositive value", _first_bad(bad, points))
+        raise JetError(what, _first_bad(bad, points))
+
+
+def log(u: Jet3, points=None) -> Jet3:
+    require_positive(u, "log of nonpositive value", points)
+    u0 = u.value
     inv = 1.0 / u0
     return u._compose(np.log(u0), inv, -inv**2 / 2.0)
 
@@ -241,10 +248,8 @@ def cos(u: Jet3) -> Jet3:
 
 
 def sqrt(u: Jet3, points=None) -> Jet3:
+    require_positive(u, "sqrt of nonpositive value", points)
     u0 = u.value
-    bad = ~(u0 > 0.0)
-    if np.any(bad):
-        raise JetError("sqrt of nonpositive value", _first_bad(bad, points))
     r = np.sqrt(u0)
     return u._compose(r, 0.5 / r, -1.0 / (8.0 * u0 * r))
 
@@ -255,31 +260,29 @@ def powr(u: Jet3, r, points=None) -> Jet3:
     if r == round(r) and abs(r) <= 64:
         n = int(round(r))
         if n == 0:
-            return Jet3.constant(1.0, u.value.shape)
+            return Jet3.constant(1.0, u.value.shape, len(u.c))
         # u^-n as (1/u)^n: 1/u^n overflows where u^n underflows
         base = u._reciprocal(points) if n < 0 else u
         acc = base
         for _ in range(abs(n) - 1):
             acc = acc * base
         return acc
+    require_positive(u, f"negative base for non-integer power {r}", points)
     u0 = u.value
-    bad = ~(u0 > 0.0)
-    if np.any(bad):
-        raise JetError(f"negative base for non-integer power {r}", _first_bad(bad, points))
     p = np.power(u0, r)
     c1 = r * p / u0
     c2 = r * (r - 1.0) / 2.0 * p / u0**2
     return u._compose(p, c1, c2)
 
 
-def assert_finite(u, context, points=None):
+def assert_finite(u: Jet3, context, points=None):
     """NaN poisoning gate: abort the enclosing computation on any bad coefficient
-    of a Jet3, or of a value array (its order-0 coefficients).
+    of the Jet3 u.
 
     `context` is a string or a callable returning one; a callable is only
     called when the gate fires, so callers can defer costly formatting.
     """
-    ok = np.isfinite(u.c if isinstance(u, Jet3) else np.asarray(u)[None])
+    ok = np.isfinite(u.c)
     if not np.all(ok):
         what = context() if callable(context) else context
         raise JetError(f"non-finite jet coefficients in {what}",

@@ -36,10 +36,10 @@ DEFAULT_TOLERANCES = MappingProxyType({
 })
 
 # The largest sample and lattice, so no run traces more than about 1 GiB
-# (README, Memory): `curvature` holds its whole sample, 9.7 KB a point, and
-# `grid harmonic` 4.8 KB a cell, n^4 cells.
+# (README, Memory), and the deepest chain of conformal bases (README, Schema).
 COUNT_MAX = 100_000
 N_MAX = 21
+CONFORMAL_DEPTH_MAX = 8
 
 # A spec is (kind, default, *rest).  Kind int, float, str or ex.parse (an
 # expression string, parsed): rest are bounds such as ">= 1".  list: rest are
@@ -151,6 +151,8 @@ def _walk(value, spec, path):
         if name not in tuple(rest[0]):
             raise InputError(f"{path if isinstance(value, str) else path + '.preset'} must be "
                              f"one of {sorted(filter(None, rest[0]))}, not {name!r}")
+        if name == "conformal" and path.count(".base") >= CONFORMAL_DEPTH_MAX:
+            raise InputError(f"{path} nests conformal more than {CONFORMAL_DEPTH_MAX} deep")
         value = {"preset": value} if isinstance(value, str) else value
         kind, rest = dict, [{"preset": (str, None), **rest[0][name]}]
     if kind is dict:

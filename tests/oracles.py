@@ -73,8 +73,9 @@ def differentiate(node, axis):
 def taylor_coefficient(node, alpha, point):
     """Raw Taylor coefficient (derivative / alpha!) by repeated symbolic d/dx.
 
-    May return NaN when the derivative tree hits 0^negative at the point
-    (e.g. differentiating through ^0 at a zero base); callers skip those.
+    The derivative trees are evaluated by their values (the jets' value row
+    alone, no derivative slot).  Returns NaN where a value is not finite;
+    callers skip those.
     """
     tree = node
     fact = 1.0
@@ -82,8 +83,11 @@ def taylor_coefficient(node, alpha, point):
         for _ in range(k):
             tree = differentiate(tree, axis)
         fact *= math.factorial(k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return ex.eval_values(tree, np.asarray(point, dtype=float)[None, :])[0] / fact
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ex.eval_values(tree, np.asarray(point, dtype=float)[None, :])[0] / fact
+    except jets.JetError:
+        return math.nan
 
 
 def random_expression(rng, depth=3, allow_div=True):
@@ -124,72 +128,23 @@ def convolution_mul(a, b):
                        -1, 0)
 
 
-# -- tree walkers: the evaluators expr.Plan replaced, one recursion per node
-# occurrence; the plan must match them bit for bit.
+# -- the tree walker: the evaluator expr.Plan replaced, one recursion per node
+# occurrence; the plan's jets, and its values on one-row jets, must match it
+# bit for bit.
 
-_REAL_FNS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
 _JET_FNS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "log": jets.log,
             "sqrt": jets.sqrt}
 
 
-def tree_values(node, points):
-    """Evaluate over plain reals; points has shape (..., 4)."""
-    points = np.asarray(points, dtype=float)
-
-    def go(n):
-        if isinstance(n, ex.Num):
-            return n.value
-        if isinstance(n, ex.Const):
-            return ex.CONSTANTS[n.name]
-        if isinstance(n, ex.Var):
-            return points[..., n.index]
-        if isinstance(n, ex.Unary):
-            return -go(n.arg)
-        if isinstance(n, ex.Call):
-            arg = go(n.arg)
-            if n.fn in ("log", "sqrt") and np.any(~(np.asarray(arg) > 0.0)):
-                raise ex.DomainError(f"{n.fn} of nonpositive value", n)
-            return _REAL_FNS[n.fn](arg)
-        if isinstance(n, ex.Bin):
-            if n.op == "^":
-                return pow_real(n)
-            l, r = go(n.left), go(n.right)
-            if n.op == "+":
-                return l + r
-            if n.op == "-":
-                return l - r
-            if n.op == "*":
-                return l * r
-            if np.any(np.asarray(r) == 0.0):
-                raise ex.DomainError("division by zero", n)
-            return l / r
-        raise TypeError(f"not an expression node: {n!r}")
-
-    def pow_real(n):
-        base = go(n.left)
-        const_exp = ex.constant_value(n.right)
-        if const_exp is not None:
-            if const_exp == round(const_exp):
-                return np.power(base, int(round(const_exp)))
-            if np.any(~(np.asarray(base) > 0.0)):
-                raise ex.DomainError("negative base for non-integer power", n)
-            return np.power(base, const_exp)
-        if np.any(~(np.asarray(base) > 0.0)):
-            raise ex.DomainError("nonpositive base for variable exponent", n)
-        return np.power(base, go(n.right))
-
-    return np.broadcast_to(np.asarray(go(node), dtype=float), points.shape[:-1]).copy()
-
-
 def tree_jet_env(node, env, points=None):
     """Evaluate to a Jet3 with the jets env bound to x1..x4."""
-    batch = env[0].value.shape
+    rows, *batch = env[0].c.shape
 
     def go(n):
         if isinstance(n, ex.Num):
-            return Jet3.constant(n.value, batch)
+            return Jet3.constant(n.value, batch, rows)
         if isinstance(n, ex.Const):
-            return Jet3.constant(ex.CONSTANTS[n.name], batch)
+            return Jet3.constant(ex.CONSTANTS[n.name], batch, rows)
         if isinstance(n, ex.Var):
             return env[n.index]
         if isinstance(n, ex.Unary):
@@ -208,8 +163,8 @@ def tree_jet_env(node, env, points=None):
                     base = go(n.left)
                     if const_exp is not None:
                         return jets.powr(base, const_exp, points)
-                    if np.any(~(base.value > 0.0)):
-                        raise ex.DomainError("nonpositive base for variable exponent", n)
+                    jets.require_positive(base, "nonpositive base for variable exponent",
+                                          points)
                     return jets.exp(go(n.right) * jets.log(base, points))
                 l, r = go(n.left), go(n.right)
                 if n.op == "+":
@@ -218,7 +173,7 @@ def tree_jet_env(node, env, points=None):
                     return l - r
                 if n.op == "*":
                     return l * r
-                return l / r
+                return l * r._reciprocal(points)
             except jets.JetError as e:
                 raise ex.DomainError(str(e), n) from None
         raise TypeError(f"not an expression node: {n!r}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from curv4 import charts, forms, presets
+from curv4 import charts, forms, presets, scenario
 from curv4 import expr as ex
 from curv4.charts import (ChartError, Geometry, conformal_chart, curvature_at,
                           normal_chart, normal_chart_map, pullback_two_form, sample_box,
@@ -18,6 +18,7 @@ from oracles import (NEAR_FLAT_TERMS, complex_space_form_R, constant_curvature_R
                      riemann_coord, rotate_R, scipy_halton_permutations, splitmix64, unpack_R)
 
 RNG = np.random.default_rng(42)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +359,16 @@ def test_normal_chart_batch_equals_single_points():
         for many, one in zip(batch, single):
             scale = max(float(np.max(np.abs(one))), 1.0)
             assert np.max(np.abs(many[n] - one[0])) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_metric_values_are_the_jets_value_row(name):
+    """metric_values is row 0 of metric_jets on every shipped chart, bit for
+    bit: g has one definition for values and jets."""
+    sc = scenario.load(SCENARIOS / f"{name}.json")
+    for chart in [sc.build_chart()] + ([sc.grid_chart()] if sc.grid else []):
+        pts = sample_box(chart.domain, 512, seed=3)
+        assert np.array_equal(charts.metric_values(chart, pts), charts.metric_jets(chart, pts)[0])
 
 
 def test_validate_chart():

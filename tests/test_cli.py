@@ -186,6 +186,14 @@ BAD_NUMBERS = [
 IDENTITY = [[str(int(i == j)) for j in range(4)] for i in range(4)]
 
 
+def nested_conformal(depth):
+    """A manifold of `depth` conformal presets, each the base of the last."""
+    spec = "flat_t4"
+    for _ in range(depth):
+        spec = {"preset": "conformal", "f": "0.01*sin(x1)", "base": spec}
+    return spec
+
+
 # (id, shipped scenario, path of the key, bad value, command, message): before
 # the schema walk each raised an uncaught exception, was accepted, or exited 2
 # without naming its path
@@ -246,6 +254,10 @@ BAD_SCENARIOS = [
      "'product_s2s2', 'round_s4'], not 'cp3'"),
     ("expression-unparsed", "conformal_product", ("conformal_factor",), "sin(", "curvature",
      "conformal_factor: "),
+    ("conformal-too-deep", "conformal_product", ("manifold",),
+     nested_conformal(scenario.CONFORMAL_DEPTH_MAX + 1), "curvature",
+     "manifold" + ".base" * scenario.CONFORMAL_DEPTH_MAX
+     + f" nests conformal more than {scenario.CONFORMAL_DEPTH_MAX} deep"),
 ]
 
 
@@ -283,8 +295,9 @@ def test_deep_nesting_exit2(tmp_path, capsys):
 
 def test_size_caps_admit_every_shipped_and_benchmark_size(tmp_path):
     """The caps on sampling.count and grid.n are tested on the walk alone, never
-    by running a command at the cap; every shipped scenario and every
-    benchmark job's scenario (perfbench/workloads.py, full size) loads."""
+    by running a command at the cap; every shipped scenario, every benchmark
+    job's scenario (perfbench/workloads.py, full size) and conformal bases
+    nested to the depth cap load."""
     raw = {"id": "caps", "manifold": "flat_t4",
            "sampling": {"count": scenario.COUNT_MAX}, "grid": {"n": scenario.N_MAX}}
     sc = scenario.from_dict(raw)
@@ -295,6 +308,7 @@ def test_size_caps_admit_every_shipped_and_benchmark_size(tmp_path):
             scenario.from_dict({**raw, section: {key: cap + 1}})
     for path in SCENARIOS.glob("*.json"):
         scenario.load(path)
+    scenario.from_dict({**raw, "manifold": nested_conformal(scenario.CONFORMAL_DEPTH_MAX)})
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -680,6 +694,32 @@ def test_curvature_command(tmp_path):
     assert len(lines) == 9
     assert all(float(line.split(",")[4]) == pytest.approx(12.0, abs=1e-8)
                for line in lines[1:])
+
+
+def test_curvature_memory_bounded_by_chunk(tmp_path):
+    """`curvature` runs its sample in chunks (map_chunks): its traced peak at
+    4 CHUNK points of conformal_product is at most 1.2 times that at CHUNK
+    points (a slate of the whole sample traces 10.2 MB at 1,024 points)."""
+    import tracemalloc
+
+    from curv4 import charts
+
+    raw = json.loads((SCENARIOS / "conformal_product.json").read_text())
+
+    def peak(count):
+        raw["sampling"]["count"] = count
+        sfile = tmp_path / f"s{count}.json"
+        sfile.write_text(json.dumps(raw))
+        tracemalloc.start()
+        try:
+            assert run(["curvature", "--scenario", sfile, "--out", tmp_path / str(count)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(8)  # warm caches
+    one, four = peak(charts.CHUNK), peak(4 * charts.CHUNK)
+    assert four <= 1.2 * one, (one, four)
 
 
 def test_integral_grid_command(tmp_path):

@@ -382,21 +382,35 @@ def test_cell_geometry_matches_stencils(n):
         assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_cell_geometry_is_the_value_layer(pert4):
-    """_CellGeometry's F, G, K and degenerate flags are forms.PointValues at the
-    cell centres, bit for bit: the grid and the verifiers share one F/G and one
-    adapted frame with K."""
-    z = np.zeros(pert4.dim(2))
-    z[:pert4.sites] = 1.0  # dx1^dx2
-    fieldd = grid.discrete_field_export(pert4, z)
-    cg = grid._CellGeometry(fieldd)
-    pts = grid._cell_centers(pert4)
-    v = forms.PointValues(charts.Geometry.of_chart(pert4.chart, pts), fieldd.coloc6.T,
-                          DEFAULT_TOLERANCES)
-    F, G, _ = v.fg
-    for got, want in ((cg.F, F), (cg.G, G), (cg.K, v.curvature_K["K"]),
-                      (cg.degenerate, v.adapted.degenerate)):
-        assert np.array_equal(got, want)
+# an inline periodic metric with a quotient entry: a/b and a (1/b) differ in the
+# last bit at about a quarter of the points
+QUOTIENT = [["(3 + sin(x1))/(2 + cos(x2))" if i == j == 0 else str(int(i == j))
+             for j in range(4)] for i in range(4)]
+
+
+def test_cell_geometry_is_the_value_layer(monkeypatch):
+    """_CellGeometry's sqrt(det g), F, G, *phi, K and degenerate flags are
+    forms.PointValues at the cell centres, bit for bit, on the perturbed torus
+    and on a quotient metric: the grid and the verifiers share one g, one F/G
+    and one adapted frame with K."""
+    stars, star_coord = [], forms.star_coord
+    monkeypatch.setattr(forms, "star_coord", lambda *a: stars.append(star_coord(*a)) or stars[-1])
+    for metric in (PERTURBED, QUOTIENT):
+        cx = grid.assemble(charts.chart_from_strings(metric, [(0.0, 2 * np.pi)] * 4), 4)
+        z = np.zeros(cx.dim(2))
+        z[:cx.sites] = 1.0  # dx1^dx2
+        fieldd = grid.discrete_field_export(cx, z)
+        stars.clear()
+        cg = grid._CellGeometry(fieldd)
+        got_star = np.concatenate(stars)
+        pts = grid._cell_centers(cx)
+        v = forms.PointValues(charts.Geometry.of_chart(cx.chart, pts), fieldd.coloc6.T,
+                              DEFAULT_TOLERANCES)
+        F, G, _ = v.fg
+        star = star_coord(forms.raised_pairs(v.geom.ginv_values, v.phi), v.sqrt_det[:, None])
+        for got, want in ((cg.sqrt_det, v.sqrt_det), (cg.F, F), (cg.G, G), (got_star, star),
+                          (cg.K, v.curvature_K["K"]), (cg.degenerate, v.adapted.degenerate)):
+            assert np.array_equal(got, want)
 
 
 def test_thm21_rhs_mutant_reaches_both_paths(pert4, monkeypatch, tmp_path):
