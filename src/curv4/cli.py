@@ -117,52 +117,42 @@ class ReportError(Curv4Error):
 def _write_report(args, report, samples=None, csv_name="samples.csv"):
     """Write report.json, then the per-point columns `samples` to csv_name; a
     non-finite report value raises ReportError before any file is opened."""
-    try:
-        text = _dumps(report)
-    except ValueError:
-        path, value = _non_finite(report)
-        raise ReportError(f"report value {path} is {value!r}, not a finite number") from None
+    bad = _non_finite(report)
+    if bad:
+        raise ReportError(f"report value {bad[0]} is {bad[1]!r}, not a finite number")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "report.json"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.writelines(_encode(report, 0))
+        fh.write("\n")
     if samples is not None:
         _write_csv(out / csv_name, samples)
     return path
 
 
-# stands in for a list of floats while _dumps encodes the rest of a report
-_MARK = "\x00float list"
-
-
-def _dumps(report):
-    """json.dumps(report, sort_keys=True, indent=2, allow_nan=False), with every
-    list of floats written by the C encoder: json's indent encoder is pure
-    Python, so each such list is swapped for a marker, encoded with the
-    indent's newline and padding as its item separator and spliced back."""
-    lists = []
-
-    def swap(obj, depth):
-        if isinstance(obj, dict):
-            return {k: swap(v, depth + 1) for k, v in sorted(obj.items())}
-        if isinstance(obj, (list, tuple)):
-            if set(map(type, obj)) == {float}:
-                lists.append((obj, depth))
-                return _MARK
-            return [swap(v, depth + 1) for v in obj]
-        return obj
-
-    text = json.dumps(swap(report, 0), sort_keys=True, indent=2, allow_nan=False)
-    parts = text.split(json.dumps(_MARK))
-    if len(parts) != len(lists) + 1:  # a report string equal to the marker
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    out = [parts[0]]
-    for (values, depth), part in zip(lists, parts[1:]):
-        pad = "  " * (depth + 1)
-        body = json.dumps(values, allow_nan=False, separators=(",\n" + pad, ": "))
-        out += ["[\n", pad, body[1:-1], "\n", "  " * depth, "]", part]
-    return "".join(out)
+def _encode(obj, depth):
+    """json.dumps(obj, sort_keys=True, indent=2) at nesting `depth`, in pieces.
+    json's indent encoder is pure Python, so each list of floats goes whole to
+    its C encoder, with the indent's newline and padding as item separator; an
+    array is written as its .tolist(), one row at a time."""
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist() if obj.ndim < 2 else list(obj)
+    if isinstance(obj, dict) and obj:
+        brackets, items = "{}", [(pad + json.dumps(k) + ": ", v) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {float}:
+            yield "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + pad[:-2] + "]"
+            return
+        brackets, items = "[]", [(pad, v) for v in obj]
+    else:
+        yield json.dumps(obj)
+        return
+    for i, (key, value) in enumerate(items):
+        yield ("," if i else brackets[0]) + key
+        yield from _encode(value, depth + 1)
+    yield pad[:-2] + brackets[1]
 
 
 def _non_finite(obj, path=""):
@@ -170,6 +160,11 @@ def _non_finite(obj, path=""):
     sort_keys order, or None."""
     if isinstance(obj, float):
         return None if np.isfinite(obj) else (path, obj)
+    if isinstance(obj, np.ndarray):
+        bad = np.argwhere(~np.isfinite(obj))
+        if len(bad) == 0:
+            return None
+        return path + "".join(f"[{i}]" for i in bad[0]), float(obj[tuple(bad[0])])
     items = sorted(obj.items()) if isinstance(obj, dict) else \
         enumerate(obj) if isinstance(obj, (list, tuple)) else ()
     for key, value in items:
@@ -325,7 +320,7 @@ def _cmd_grid(args):
     if args.mode == "harmonic":
         report["face_ordering"] = ("axis-pair lexicographic (12,13,14,23,24,34), "
                                    "then lattice index row-major")
-        report["basis"] = basis.vectors.T.tolist()
+        report["basis"] = basis.vectors.T
     _write_report(args, report)
     return 0
 

@@ -2,13 +2,12 @@
 
 Cochains live on k-cells (site, axis subset); incidence maps d0..d3 are signed
 forward differences along the lattice axes, applied by periodic shifts
-(`Coboundary`); mass matrices are diagonal (lumped) with the pointwise
-Lambda^k inner-product weight sqrt(det g) det([g^{ab}]_{a,b in S}) h^4 at the
-cell barycenter.  By Jacobi's complementary-minor identity
-det((g^-1)_SS) = det(g_{S^c S^c}) / det g, that weight is the closed form
-det(g_{S^c S^c}) h^4 / sqrt(det g), a principal minor of the metric's entries
-(no inverse).  delta_k = M_{k-1}^{-1} d_{k-1}^T M_k makes <d a, b> = <a, d b>
-hold to roundoff by construction; Delta_2 = delta d + d delta on 2-cochains is
+(`Coboundary`); mass matrices are diagonal (lumped): the Lambda^k weight
+sqrt(det g) det((g^-1)_SS) h^4 at the cell barycenter is, by Jacobi's
+complementary-minor identity det((g^-1)_SS) = det(g_{S^c S^c}) / det g, the
+closed form det(g_{S^c S^c}) h^4 / sqrt(det g) (no inverse).
+delta_k = M_{k-1}^{-1} d_{k-1}^T M_k makes <d a, b> = <a, d b> hold to
+roundoff by construction; Delta_2 = delta d + d delta on 2-cochains is
 extracted matrix-free.  Cochain values are point samples of coordinate
 components; face ordering is axis-pair lexicographic, then lattice row-major.
 
@@ -30,13 +29,7 @@ from .forms import PAIRS, TRIPLES
 from .jets import Jet3
 from .scenario import DEFAULT_TOLERANCES
 
-AXSETS = (
-    ((),),
-    ((0,), (1,), (2,), (3,)),
-    PAIRS,
-    TRIPLES,
-    ((0, 1, 2, 3),),
-)
+AXSETS = (((),), ((0,), (1,), (2,), (3,)), PAIRS, TRIPLES, ((0, 1, 2, 3),))
 _PI, _PJ = np.array(PAIRS).T
 
 
@@ -90,9 +83,9 @@ class Coboundary:
                                  for S in AXSETS[k + 1]], dtype=np.intp)
         self.data = np.tile(np.array([1, -1, 1, -1], dtype=np.int8)[:k + 1],
                             (len(self.indices), 1))
-        # Per face, s (x(i +- e_a) - x(i)) (+ for d, - for d^T) is `out[to] = x[hi] -
-        # x[lo]`: one flat shift by the axis' stride over the (site, column) rows; then
-        # the sites whose neighbour wraps round get `out[edge] = x[edge_hi] - x[edge_lo]`.
+        # Per face, s (x(i +- e_a) - x(i)) (+ for d, - for d^T) is one flat shift by
+        # the axis' stride over the (site, column) rows, `out[to] = x[hi] - x[lo]`, then
+        # `out[edge] = x[edge_hi] - x[edge_lo]` on the sites whose neighbour wraps round.
         self._plan = []
         N = n**4
         for r, (faces, signs) in enumerate(zip(self.indices.tolist(), self.data.tolist())):
@@ -137,11 +130,7 @@ class Coboundary:
 
 
 def _barycenters(n, h, S):
-    coords = np.indices((n, n, n, n)).reshape(4, -1).T * h
-    off = np.zeros(4)
-    for a in S:
-        off[a] = h / 2.0
-    return coords + off
+    return np.indices((n,) * 4).reshape(4, -1).T * h + np.isin(np.arange(4), S) * (h / 2.0)
 
 
 def assemble(chart: MetricChart, n: int) -> GridComplex:
@@ -149,7 +138,6 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
     if not chart_is_periodic(chart):
         raise GridError(f"metric on chart {chart.name!r} is not 2pi-periodic")
     h = 2.0 * np.pi / n
-    d = tuple(Coboundary(n, k) for k in range(4))
     M = []
     for k in range(5):
         weights = []
@@ -163,7 +151,7 @@ def assemble(chart: MetricChart, n: int) -> GridComplex:
         M.append(np.concatenate(weights))
         if np.any(M[-1] <= 0.0):
             raise GridError(f"nonpositive mass entry in degree {k}")
-    return GridComplex(n=n, h=h, chart=chart, d=d, M=tuple(M))
+    return GridComplex(n, h, chart, tuple(Coboundary(n, k) for k in range(4)), tuple(M))
 
 
 # -- matrix-free symmetric operator and solvers ----------------------------------
@@ -216,16 +204,17 @@ def _power_estimate(apply_A, v, iters=30):
 
 
 def block_cg(apply_A, B, X0, tol, maxit, precond=None):
-    """Solve A X = B column-wise (A SPD), vectorized over columns.
+    """Solve A X = B column-wise (A SPD), vectorized over columns, with X, R and P
+    updated in place and A P as scratch.  X0=None starts from 0 and B is the
+    residual R = B - A 0, overwritten.
 
     Returns X, the iterations taken and each column's relative (recurrence)
     residual |R| / |B|; a column above tol after maxit iterations stalled."""
-    X = X0.copy()
-    R = B - apply_A(X)
+    bnorm = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
+    X, R = (np.zeros_like(B), B) if X0 is None else (X0.copy(), B - apply_A(X0))
     Z = R * precond[:, None] if precond is not None else R
     P = Z.copy()
     rz = np.einsum("ij,ij->j", R, Z)
-    bnorm = np.maximum(np.linalg.norm(B, axis=0), 1e-300)
     rel = np.linalg.norm(R, axis=0) / bnorm
     its = 0
     while its < maxit and np.any(rel > tol):
@@ -233,12 +222,14 @@ def block_cg(apply_A, B, X0, tol, maxit, precond=None):
         pap = np.einsum("ij,ij->j", P, AP)
         alpha = np.where(pap > 0, rz / np.maximum(pap, 1e-300), 0.0)
         alpha = np.where(rel <= tol, 0.0, alpha)
-        X += alpha * P
-        R -= alpha * AP
-        Z = R * precond[:, None] if precond is not None else R
+        R -= np.multiply(AP, alpha, out=AP)
+        X += np.multiply(P, alpha, out=AP)
+        Z = np.multiply(R, precond[:, None], out=AP) if precond is not None else R
         rz_new = np.einsum("ij,ij->j", R, Z)
         beta = np.where(rz > 0, rz_new / np.maximum(rz, 1e-300), 0.0)
-        P = Z + beta * P
+        P *= beta
+        P += Z
+        del AP, Z
         rz = rz_new
         its += 1
         rel = np.linalg.norm(R, axis=0) / bnorm
@@ -246,44 +237,49 @@ def block_cg(apply_A, B, X0, tol, maxit, precond=None):
 
 
 def _class_representatives(complex: GridComplex, pairs, tol=1e-12, maxit=None):
-    """Harmonic representatives phi0 + d alpha (one row per axis pair) of the
-    constant 2-cochains phi0, by one block CG solve of delta d alpha = -delta phi0
-    on 1-cochains, and the solve's CG fields."""
-    N = complex.sites
-    phi0 = np.zeros((complex.dim(2), len(pairs)))
-    for c, pair in enumerate(pairs):
-        p = PAIRS.index(tuple(pair))
-        phi0[p * N:(p + 1) * N, c] = 1.0
-    if np.max(np.abs(complex.d[2] @ phi0)) != 0:
-        raise SolverError("reference cochain is not closed")
-    d1, M2 = complex.d[1], complex.M[2][:, None]
+    """The representatives phi0 + d alpha, one row per axis pair, and the CG
+    fields.  The right side is formed one class at a time, and phi0 + d alpha
+    is d alpha plus 1 on the pair's rows."""
+    N, d1, M2 = complex.sites, complex.d[1], complex.M[2][:, None]
     rt1 = np.sqrt(complex.M[1])[:, None]
+    rows = [slice(p * N, p * N + N) for p in map(PAIRS.index, map(tuple, pairs))]
+    rhs = np.empty((complex.dim(1), len(pairs)))
+    for c, r in enumerate(rows):
+        phi0 = np.zeros((complex.dim(2), 1))
+        phi0[r] = 1.0
+        if np.max(np.abs(complex.d[2] @ phi0)) != 0:
+            raise SolverError("reference cochain is not closed")
+        phi0[r] = M2[r]  # M2 phi0
+        rhs[:, c:c + 1] = -(d1.T @ phi0) / rt1
+    del phi0
 
     def B1(Y):
-        return (d1.T @ (M2 * (d1 @ (Y / rt1)))) / rt1
+        V = d1 @ (Y / rt1)
+        V = d1.T @ np.multiply(V, M2, out=V)
+        return np.divide(V, rt1, out=V)
 
     maxit = 20 * complex.n**2 + 2000 if maxit is None else maxit
-    rhs = -(d1.T @ (M2 * phi0)) / rt1
-    Y, its, rel = block_cg(B1, rhs, np.zeros_like(rhs), tol, maxit)
+    Y, its, rel = block_cg(B1, rhs, None, tol, maxit)
+    del rhs  # the residual
     for c in np.flatnonzero(rel > tol):
         i, j = pairs[c]
         raise SolverError(f"CG for the class of dx{i + 1}^dx{j + 1} stopped at its cap of "
                           f"{its} iterations with relative residual {rel[c]:.3e} above {tol:g}")
     cg = {"cg_iterations": its, "cg_relative_residual": float(np.max(rel))}
-    return (phi0 + d1 @ (Y / rt1)).T, cg
+    phi = d1 @ np.divide(Y, rt1, out=Y)
+    del Y
+    for c, r in enumerate(rows):
+        phi[r, c] += 1.0
+    return phi.T, cg
 
 
 class HarmonicBasis:
-    def __init__(self, complex: GridComplex, vectors, kernel_residual=None, cg=None,
-                 b2_plus=0, b2_minus=0, signature=0, star_eigenvalues=None):
+    def __init__(self, complex: GridComplex, vectors, kernel_residual=None, cg=None):
         self.complex = complex
         self.vectors = vectors  # (dim, k) cochains, M2-orthonormal
         self.kernel_residual = kernel_residual  # max |Delta_2 z|_M / (max diag(Delta_2) |z|_M)
         self.cg = {} if cg is None else cg  # cg_iterations, cg_relative_residual
-        self.b2_plus = b2_plus
-        self.b2_minus = b2_minus
-        self.signature = signature
-        self.star_eigenvalues = star_eigenvalues
+        self.star_eigenvalues = None  # with b2_plus, b2_minus, signature
 
 
 def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60):
@@ -298,15 +294,12 @@ def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60
     def shifted(Y):
         return A(Y) + sigma * Y
 
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((dim, m))
-    X, _ = np.linalg.qr(X)
+    X, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, m)))
     theta = np.full(m, sigma)
     wanted = max(m - 2, 1)  # kernel candidates plus the first positive eigenvalue
     inner_tol = 1e-2
     for _ in range(max_outer):
-        X0 = X / (theta + sigma)[None, :]
-        Y, _, _ = block_cg(shifted, X, X0, tol=inner_tol, maxit=2000, precond=precond)
+        Y, _, _ = block_cg(shifted, X, X / (theta + sigma), inner_tol, 2000, precond)
         X, _ = np.linalg.qr(Y)
         AX = A(X)
         T = X.T @ AX
@@ -314,7 +307,7 @@ def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60
         theta, U = np.linalg.eigh(T)
         X = X @ U
         AX = AX @ U
-        resid = np.linalg.norm(AX - X * theta[None, :], axis=0)
+        resid = np.linalg.norm(AX - X * theta, axis=0)
         worst = float(np.max(resid[:wanted])) / max(lam_max, 1e-300)
         if worst <= tol:
             break
@@ -326,44 +319,56 @@ def harmonic_kernel(complex: GridComplex, tol=1e-10, maxit=None) -> HarmonicBasi
     """M2-orthonormal basis of ker Delta_2, vector p in the class of PAIRS[p]; raises
     SolverError if the Gram rank is below 6 or |Delta_2 z|_M > tol d_max |z|_M.
 
-    The scale d_max = max diag(Delta_2) is a closed form: Delta_2 is similar to
-    the symmetric B = M2^{1/2} Delta_2 M2^{-1/2} by a diagonal matrix, so they
-    share a diagonal, and a diagonal entry e_i^T B e_i of B is at most its
-    largest eigenvalue (the Rayleigh-quotient bound).  So the residual against
-    d_max is never below the one against lambda_max(B)."""
+    The scale d_max = max diag(Delta_2) is a closed form.  Delta_2 and the
+    symmetric B = M2^{1/2} Delta_2 M2^{-1/2} are diagonally similar, so they
+    share a diagonal, and e_i^T B e_i <= lambda_max(B) (the Rayleigh-quotient
+    bound): the residual against d_max is never below that against lambda_max."""
     phi, cg = _class_representatives(complex, PAIRS, maxit=maxit)
     gram = phi @ (complex.M[2] * phi).T
     rank = np.linalg.matrix_rank(gram, hermitian=True)
     if rank < len(PAIRS):
         raise SolverError(f"the six class representatives span only {rank} dimensions")
-    Z = np.linalg.solve(np.linalg.cholesky(gram), phi).T  # (L^-1 phi)^T, M2-orthonormal
-    del phi  # the blocks of the residual and of the star counts set the memory peak
+    Z, L = phi.T, np.linalg.cholesky(gram)  # Z = (L^-1 phi)^T in place: M2-orthonormal
+    for i in range(0, len(Z), 1024):
+        Z[i:i + 1024] = np.linalg.solve(L, Z[i:i + 1024].T).T
     A = _Sym2(complex)
     d_max = float(np.max(A.diag()))
-    Y = A.rt[:, None] * Z
-    resid = float(np.max(np.linalg.norm(A(Y), axis=0)
-                         / (d_max * np.linalg.norm(Y, axis=0))))
-    del Y
+    # |A y| / |y| for y = M2^{1/2} z by columns, summed as norm(axis=0) sums
+    # A Y (C order: by rows) and Y (F order: pairwise by columns)
+    W, y_sq = np.empty(Z.shape), []
+    for m, z in enumerate(Z.T):
+        y = A.rt * z
+        y_sq.append(np.sum(y * y))
+        W[:, m] = A(y)
+    W = np.sqrt(np.add.reduce(np.square(W, out=W), axis=0))
+    resid = float(np.max(W / (d_max * np.sqrt(y_sq))))
+    del y
     if resid > tol:
         raise SolverError(f"harmonic basis residual |Delta_2 z|_M / (max diag(Delta_2) "
                           f"|z|_M) = {resid:.3e} above {tol:g}")
-    basis = HarmonicBasis(complex=complex, vectors=Z, kernel_residual=resid, cg=cg)
+    basis = HarmonicBasis(complex, Z, resid, cg)
     _star_counts(basis)
     return basis
 
 
-def _colocate(complex: GridComplex, z):
-    """Average the four faces of each axis pair to the cell center: (6, n^4) for
-    a cochain z, (6, n^4, m) for a (dim, m) block of them."""
+def _colocate(complex: GridComplex, z, cells=None):
+    """The four faces of each axis pair averaged to the centres of `cells` (all
+    by default): (6, len(cells)) for a cochain z, (6, len(cells), m) for a
+    (dim, m) block."""
     n = complex.n
-    comps = z.reshape((6, n, n, n, n) + z.shape[1:])
-    out = np.empty_like(comps)
+    cells = np.arange(complex.sites) if cells is None else cells
+
+    def up(a):  # cells + e_a
+        s = n ** (3 - a)
+        return cells + np.where(cells // s % n == n - 1, s - n * s, s)
+
+    comps = z.reshape((6, -1) + z.shape[1:])
+    out = np.empty((6, len(cells)) + z.shape[1:])
     for p, (i, j) in enumerate(PAIRS):
-        k, l = (a for a in range(4) if a not in (i, j))
+        k, l = (up(a) for a in range(4) if a not in (i, j))
         f = comps[p]
-        out[p] = 0.25 * (f + np.roll(f, -1, axis=k) + np.roll(f, -1, axis=l)
-                         + np.roll(np.roll(f, -1, axis=k), -1, axis=l))
-    return out.reshape((6, -1) + z.shape[1:])
+        out[p] = 0.25 * (f[cells] + f[k] + f[l] + f[k + l - cells])
+    return out
 
 
 def _cell_centers(complex: GridComplex):
@@ -373,18 +378,18 @@ def _cell_centers(complex: GridComplex):
 def _star_gram(basis: HarmonicBasis):
     """S[a, b] = sum <*z_a, z_b> vol and G[a, b] = sum <z_a, z_b> vol over the cell
     centers for the co-located basis cochains z.  The cells run in chunks
-    (map_chunks): in each, the raised pairs of every z_b and the cellwise
-    pairings are one contraction each (cells last in C order, so each cell sum
-    runs pairwise in one pass); the chunks' partial sums add up last."""
+    (map_chunks): in each, z is co-located there, and the raised pairs of
+    every z_b and the cellwise pairings are one contraction each (cells last
+    in C order, so each cell sum runs pairwise in one pass); the chunks'
+    partial sums add up last."""
     gc = basis.complex
     pts = _cell_centers(gc)
-    C = np.ascontiguousarray(np.moveaxis(_colocate(gc, basis.vectors), 0, -1))  # (cells, k, 6)
 
     def partial(idx):
         geom = Geometry.of_values(gc.chart, pts[idx])
         sqrt_det = sqrt_det_values(geom.g_values)
         vol = sqrt_det * gc.h**4
-        Ci = C[idx]
+        Ci = np.ascontiguousarray(np.moveaxis(_colocate(gc, basis.vectors, idx), 0, -1))
         up = forms.raised_pairs(geom.ginv_values[:, None], Ci)
         star = forms.star_coord(up, sqrt_det[:, None, None])
         return [np.sum(np.einsum("nap,nbp->abn", Z, up, order="C") * vol, -1) for Z in (star, Ci)]
@@ -406,7 +411,6 @@ def _star_counts(basis: HarmonicBasis, tol=0.1):
     basis.b2_plus = int(np.sum(near_plus))
     basis.b2_minus = int(np.sum(near_minus))
     basis.signature = basis.b2_plus - basis.b2_minus
-    return basis
 
 
 def definiteness_report(basis: HarmonicBasis):
@@ -420,7 +424,7 @@ def definiteness_report(basis: HarmonicBasis):
         "signature": basis.signature,
         "definite": bool(basis.b2_plus == 0 or basis.b2_minus == 0),
         "b2_equals_abs_signature": bool(b2 == abs(basis.signature)),
-        "star_eigenvalues": [float(x) for x in np.sort(basis.star_eigenvalues)],
+        "star_eigenvalues": np.sort(basis.star_eigenvalues).tolist(),
         "kernel_residual": basis.kernel_residual,
         **basis.cg,
     }
@@ -443,14 +447,13 @@ def _cg_single(apply_A, b, tol, maxit):
 
 
 class DiscreteField:
-    def __init__(self, complex: GridComplex, coloc6, h):
+    def __init__(self, complex: GridComplex, coloc6):
         self.complex = complex
         self.coloc6 = coloc6  # (6, n^4) cell-center co-located coordinate components
-        self.h = h
 
 
 def discrete_field_export(complex: GridComplex, z) -> DiscreteField:
-    return DiscreteField(complex=complex, coloc6=_colocate(complex, z), h=complex.h)
+    return DiscreteField(complex, _colocate(complex, z))
 
 
 def _neighbours(n, cells, order=2):
@@ -458,8 +461,7 @@ def _neighbours(n, cells, order=2):
     periodic neighbours on the n^4 lattice: +e_a and -e_a (rows 1 + a, 5 + a),
     then +e_a+e_b, +e_a-e_b, -e_a+e_b, -e_a-e_b of PAIRS[p] = (a, b) (rows
     9 + 4p to 12 + 4p).  At order 1 only the first 9 rows, all that a first
-    difference reads (_difference_jets).  One table serves every field of a
-    chunk."""
+    difference reads (_difference_jets)."""
     stride = n ** np.arange(3, -1, -1)
     x = cells // stride[:, None] % n
     step = np.stack([(x + 1) % n - x, (x - 1) % n - x], axis=1) * stride[:, None, None]
@@ -489,9 +491,8 @@ def _difference_jets(u, idx, h, order):
 
 
 def _joined(fn, cells):
-    """map_chunks(fn, cells) for a fn that returns a tuple of per-cell arrays,
-    joined into one array per entry, one entry at a time, so that each
-    entry's chunks are freed as soon as it is joined."""
+    """map_chunks(fn, cells) for a fn returning a tuple of per-cell arrays,
+    joined one entry at a time, so each entry's chunks are freed once joined."""
     fields = [list(x) for x in zip(*map_chunks(fn, cells))]
     return [np.concatenate(fields.pop(0)) for _ in range(len(fields))]
 
@@ -499,15 +500,12 @@ def _joined(fn, cells):
 class _CellGeometry:
     """What Theorem 2.1 (Eq 2.3) reads of a discrete field at every cell
     centre: sqrt_det, F, G, K, degenerate, nabla_plus_sq, nabla_minus_sq,
-    lap_FG, dF_dG and flux_div.  The cells run in chunks (map_chunks).  A
-    first pass takes sqrt(det g), F, G and *phi at every cell, from the
-    forms.PointValues of g's value row (Geometry.of_values), since the
-    second differences them.  The second builds each chunk's
-    forms.PointValues of g's jets for K and the degenerate flags, as
-    verify.PointBundle does, and feeds the verifiers' forms operators
-    difference jets (_difference_jets) for exact ones: |nabla phi+-|^2,
-    Delta(FG), <dF, dG> and the Green-Stokes flux, whose divergence a third
-    pass takes.  g^-1 and Gamma live for their chunk only."""
+    lap_FG, dF_dG and flux_div, in cell chunks (map_chunks; README, Memory).
+    A first pass takes sqrt(det g), F, G and *phi at every cell from g's
+    values, since the second differences them: it builds each chunk's
+    forms.PointValues of g's jets for K and the flags, and feeds the forms
+    operators difference jets (_difference_jets).  A third pass takes the
+    flux's divergence."""
 
     def __init__(self, fieldd: DiscreteField, tols=DEFAULT_TOLERANCES):
         gc, c6 = fieldd.complex, fieldd.coloc6
@@ -524,8 +522,7 @@ class _CellGeometry:
         FG = self.F * self.G
 
         def derivatives(geom, sqrt_det, nb):
-            """|nabla phi+-|^2, Delta(FG), <dF, dG> and the flux on the cells of
-            the neighbour table nb."""
+            """|nabla phi+-|^2, Delta(FG), <dF, dG> and the flux at the cells of nb."""
             phi, star_j = (_difference_jets(u, nb, h, 1) for u in (c6.T, star))
             F, G = (Jet3(_difference_jets(u, nb, h, 1)) for u in (self.F, self.G))
             fg = Jet3(_difference_jets(FG, nb, h, 2))

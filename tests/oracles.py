@@ -338,21 +338,57 @@ def sparse_coboundary(n, k):
     return sp.bmat(blocks, format="csr")
 
 
+def _dyadic(g):
+    """Python integers G (an object array) and an exponent K with g = G / 2**K
+    exactly, for a float array g: each float is its 53-bit significand times a
+    power of two, put over the common denominator 2**K."""
+    m, e = np.frexp(g)
+    K = 53 - min(int(e.min()), 0)
+    return (m * 2.0**53).astype(np.int64).astype(object) << (e - 53 + K).astype(object), K
+
+
+def _exact_det(m):
+    """det of the (..., r, r) object array m by Laplace expansion along row 0:
+    exact on Python integers or fractions."""
+    if m.shape[-1] == 1:
+        return m[..., 0, 0]
+    return sum((-1) ** j * m[..., 0, j] * _exact_det(np.delete(m[..., 1:, :], j, axis=-1))
+               for j in range(m.shape[-1]))
+
+
 def lumped_masses(chart, n):
-    """The lattice masses sqrt(det g) det((g^-1)_SS) h^4 per degree, from LAPACK's
-    inverse and determinant at each axis set's barycenters (no Jacobi identity)."""
+    """The lattice masses sqrt(det g) det((g^-1)_SS) h^4 per degree on the
+    float64 g at each axis set's barycenters and the float h^4, exact up to one
+    rounding each: (g^-1)_SS is adj(g)_SS / det g (no Jacobi identity), with
+    det g and the cofactors of adj(g) in exact rational arithmetic (g's floats
+    are fractions over one power of two, so integers suffice), and the square
+    root and the quotient in 50-digit decimal."""
+    import decimal
+    from fractions import Fraction
+
     from curv4 import charts, grid
 
+    D = decimal.Decimal
     h = 2.0 * np.pi / n
+    h4 = Fraction(h**4)
     M = []
-    for k in range(5):
-        weights = []
-        for S in grid.AXSETS[k]:
-            g = charts.metric_values(chart, grid._barycenters(n, h, S))
-            sub = np.linalg.inv(g)[:, list(S)][:, :, list(S)]
-            minor = np.linalg.det(sub) if len(S) > 1 else (sub[:, 0, 0] if S else 1.0)
-            weights.append(charts.sqrt_det_values(g) * minor * h**4)
-        M.append(np.concatenate(weights))
+    with decimal.localcontext(prec=50):
+        for k in range(5):
+            weights = []
+            for S in grid.AXSETS[k]:
+                G, K = _dyadic(charts.metric_values(chart, grid._barycenters(n, h, S)))
+                det = _exact_det(G)  # det g 2^(4K)
+                adj = np.empty((len(G), k, k), dtype=object)  # adj(g)_SS 2^(3K)
+                for i, a in enumerate(S):
+                    for j, b in enumerate(S):
+                        cof = np.delete(np.delete(G, b, axis=1), a, axis=2)
+                        adj[:, i, j] = (-1) ** (a + b) * _exact_det(cof)
+                adet = _exact_det(adj) if k else np.ones(len(G), dtype=object)
+                # det((g^-1)_SS) = adet 2^(-3Kk) / (det 2^(-4K))^k, sqrt(det g) = sqrt(det) 2^(-2K)
+                scale = D(2) ** (K * (k - 2)) * D(h4.numerator) / D(h4.denominator)
+                weights.append(np.array([float(D(a) * scale / D(d) ** k * D(d).sqrt())
+                                         for d, a in zip(det, adet)]))
+            M.append(np.concatenate(weights))
     return M
 
 

@@ -533,9 +533,12 @@ def test_non_finite_report_exit1_without_file(tmp_path, capsys, monkeypatch):
 
 FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.0000000000000002]) | st.floats(
     allow_nan=False, allow_infinity=False)
+ARRAYS = st.lists(st.integers(0, 4), min_size=1, max_size=2).flatmap(
+    lambda shape: st.lists(FLOATS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))
+    .map(lambda values: np.array(values, dtype=float).reshape(shape)))
 REPORTS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6) | FLOATS
-    | st.lists(FLOATS, max_size=6),
+    | st.lists(FLOATS, max_size=6) | ARRAYS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=4),
     max_leaves=24)
@@ -544,14 +547,36 @@ REPORTS = st.recursive(
 @given(st.dictionaries(st.text(max_size=6), REPORTS, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_write_report_bytes_are_json_dumps(report):
-    """_write_report writes its float lists with the C encoder, and the bytes
-    are still those of json.dumps(indent=2) on the whole report."""
+    """_write_report writes its float lists with the C encoder, and arrays (1-D
+    and 2-D) one row at a time, and the bytes are still those of
+    json.dumps(indent=2) on the whole report, its arrays as .tolist()."""
     import tempfile
+
+    def listed(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        if isinstance(obj, dict):
+            return {k: listed(v) for k, v in obj.items()}
+        return [listed(v) for v in obj] if isinstance(obj, list) else obj
 
     with tempfile.TemporaryDirectory() as out:
         path = cli._write_report(argparse.Namespace(out=out), report)
-        assert path.read_bytes() == (json.dumps(report, sort_keys=True, indent=2,
+        assert path.read_bytes() == (json.dumps(listed(report), sort_keys=True, indent=2,
                                                 allow_nan=False) + "\n").encode()
+
+
+def test_grid_harmonic_marker_id_is_json_dumps(tmp_path):
+    """A scenario id equal to the marker string the writer once spliced its
+    float lists at ("\\u0000float list") is written like any other string: the
+    report, basis array included, is json.dumps(indent=2) of itself."""
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps({"schema_version": 1, "id": "\u0000float list",
+                                 "manifold": {"preset": "flat_t4"}, "grid": {"n": 3}}))
+    assert run(["grid", "harmonic", "--scenario", sfile, "--out", tmp_path]) == 0
+    raw = read_report(tmp_path)
+    rep = json.loads(raw)
+    assert rep["scenario_id"] == "\x00float list" and len(rep["basis"]) == 6
+    assert raw == (json.dumps(rep, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -720,6 +745,25 @@ def test_curvature_memory_bounded_by_chunk(tmp_path):
     peak(8)  # warm caches
     one, four = peak(charts.CHUNK), peak(4 * charts.CHUNK)
     assert four <= 1.2 * one, (one, four)
+
+
+def test_grid_harmonic_memory_per_cell(tmp_path):
+    """`grid harmonic` on the perturbed T^4 at n=8 traces at most 2.0 KB a
+    cell in-process (1.33 KB measured; 4.8 KB when the basis went into the
+    report as nested lists and the report into one string)."""
+    import tracemalloc
+
+    sfile = SCENARIOS / "perturbed_t4_n8.json"
+    assert json.loads(sfile.read_text())["grid"]["n"] == 8
+    args = ["grid", "harmonic", "--scenario", sfile, "--out", tmp_path]
+    assert run(args) == 0  # warm caches
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2000 * 8**4, peak / 8**4
 
 
 def test_integral_grid_command(tmp_path):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curv4 import charts, cli, forms, grid, jets, presets
@@ -135,7 +135,9 @@ def test_indefinite_barycenter_named():
 
 def _assert_masses_within_ulps(chart, n, ulps=8):
     """The closed-form masses det(g_{S^c S^c}) h^4 / sqrt(det g) (Jacobi's
-    complementary minor) equal sqrt(det g) det((g^-1)_SS) h^4 from LAPACK."""
+    complementary minor) are within `ulps` of sqrt(det g) det((g^-1)_SS) h^4
+    computed exactly on the same float g (oracles.lumped_masses).  A LAPACK
+    reference is itself up to 6 ulps off, so it left the bound no margin."""
     gc = grid.assemble(chart, n)
     for got, ref in zip(gc.M, lumped_masses(chart, n)):
         assert np.all(np.abs(got - ref) <= ulps * np.spacing(np.abs(ref)))
@@ -148,9 +150,16 @@ def test_masses_match_inverse_determinant(n):
 
 
 @given(NEAR_FLAT_TERMS, st.sampled_from((3, 4, 5)))
+@example([(0.016328195418681107, "cos", 1, 1), (0.030186166512291987, "sin", 1, 2),
+          (0.0, "sin", 1, 1), (0.08408306076810587, "sin", 1, 2), (0.0, "sin", 1, 1),
+          (0.0, "sin", 1, 1), (0.02840570198655605, "cos", 1, 1),
+          (-0.01388375765175949, "cos", 1, 1), (0.021419728404329624, "cos", 1, 1),
+          (0.02840570198655605, "sin", 2, 2)], 4)
 @settings(max_examples=25, deadline=None)
 def test_masses_match_inverse_determinant_random(terms, n):
-    """Random near-flat periodic trig metrics (oracles.near_flat_chart)."""
+    """Random near-flat periodic trig metrics (oracles.near_flat_chart).  The
+    example put a LAPACK reference 9 ulps from the closed form (the closed form
+    is 3 ulps from the exact masses, LAPACK 6)."""
     chart = near_flat_chart(terms)
     _assert_masses_within_ulps(chart, n)
 
@@ -476,6 +485,27 @@ def test_integral_pipeline_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound, (n, peak)
+
+
+def test_harmonic_kernel_memory():
+    """harmonic_kernel traces at most 4.5 cochain blocks U = (dim_2, 6) floats
+    on the perturbed T^4 at n=6 and 8 (4.05 and 4.01 U measured; 7.3 U with
+    the dense phi0, a fresh block per CG update and A(Y) on all six columns).
+    The peak is the CG solve: X, R, P and A P on 1-cochains (2/3 U each) with
+    the 2-cochain block inside A."""
+    import tracemalloc
+
+    chart = perturbed_chart()
+    grid.harmonic_kernel(grid.assemble(chart, 3))  # warm caches
+    for n in (6, 8):
+        gc = grid.assemble(chart, n)
+        tracemalloc.start()
+        try:
+            grid.harmonic_kernel(gc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * gc.dim(2) * 6 * 8, (n, peak / (gc.dim(2) * 6 * 8))
 
 
 def test_star_gram_chunk_sums(pert4, monkeypatch):
