@@ -2,7 +2,12 @@
 
 At each point an oriented orthonormal basis is chosen in which
 phi = lambda1 w^1^w^2 + lambda2 w^3^w^4 with lambda1 + lambda2 >= 0 and
-lambda1 >= lambda2.  K = (R1313 + R1414 + R2323 + R2424)/2 and
+lambda1 >= lambda2, in closed form: A^2 (A the matrix of phi) is -lambda1^2
+on the lambda1-plane and -lambda2^2 on the other, so
+P = -(A^2 + lambda2^2)/(lambda1^2 - lambda2^2) projects onto the first, and
+P = I where lambda1^2 - lambda2^2 is round-off (phi SD, ASD or 0).  e1 is
+P's column of largest diagonal, e2 = -A e1/|A e1|, e3 the same pick from the
+rest and e4 = e1 x e2 x e3.  K = (R1313 + R1414 + R2323 + R2424)/2 and
 R1234 = <R(e1,e2)e3,e4> are read off the curvature operator in that basis.
 When |phi+| or |phi-| falls under the threshold the basis is only partially
 determined and the point is flagged degenerate; there K - R1234
@@ -35,6 +40,7 @@ def canonicalize(f6, flag_tol=1e-8):
     """Adapted basis and (lambda1, lambda2) from orthonormal-frame components.
 
     f6: (..., 6).  flag_tol is relative to |phi| (plus a tiny absolute floor).
+    Its tests scale with phi: phi -> 2^k phi keeps the basis and the mask.
     """
     f6 = np.atleast_2d(np.asarray(f6, dtype=float))
     A = forms.full_matrix_values(f6)
@@ -45,25 +51,19 @@ def canonicalize(f6, flag_tol=1e-8):
     lam2 = 0.5 * (a - b)
     norm = np.sqrt(np.sum(f6**2, axis=-1))
     floor = flag_tol * norm + 1e-300
-    degenerate = (a < floor) | (b < floor) | (norm < 1e-14)
+    degenerate = (a < floor) | (b < floor) | ~(norm > 0)
 
-    A2 = A @ A  # symmetric negative semidefinite
-    w, V = np.linalg.eigh(A2)  # ascending: -mu1^2 first
-    plane1 = V[..., :, :2]
-
-    e1 = _pick_in_plane(plane1)
-    e2, mu1_ok = _pair(A, e1, lam1)
-    # fallback when phi ~ 0: identity-ish frame
-    e1 = np.where(mu1_ok[..., None], e1, _axis(A, 0))
-    e2 = np.where(mu1_ok[..., None], e2, _axis(A, 1))
-
-    P = np.eye(4) - e1[..., :, None] * e1[..., None, :] - e2[..., :, None] * e2[..., None, :]
-    e3 = _pick_in_plane_projector(P)
-    lam2_safe = np.where(np.abs(lam2) > 1e-13 * (lam1 + 1e-300), lam2, 1.0)
-    e4_paired = -(A @ e3[..., None])[..., 0] / lam2_safe[..., None]
-    e4_cross = _euclid_cross(e1, e2, e3)
-    use_pair = (np.abs(lam2) > 1e-13 * (lam1 + 1e-300))[..., None]
-    e4 = np.where(use_pair, e4_paired, e4_cross)
+    gap = (a * b)[..., None, None]  # lambda1^2 - lambda2^2
+    split = gap > np.finfo(float).eps * (a * a + b * b)[..., None, None]
+    P = -(A @ A + lam2[..., None, None]**2 * np.eye(4)) / np.where(split, gap, 1.0)
+    e1 = _pick_in_plane(np.where(split, P, np.eye(4)))
+    Ae = (A @ e1[..., None])[..., 0]
+    mu = np.linalg.norm(Ae, axis=-1, keepdims=True)
+    # |A e1| = lambda1, 0 only at phi = 0, where P = I: e1, e2 are the first two axes
+    e2 = np.where(mu > 1e-13 * lam1[..., None], -Ae / np.maximum(mu, 1e-300), np.eye(4)[1])
+    e3 = _pick_in_plane(np.eye(4) - e1[..., :, None] * e1[..., None, :]
+                        - e2[..., :, None] * e2[..., None, :])
+    e4 = _euclid_cross(e1, e2, e3)
     e4 = e4 / np.linalg.norm(e4, axis=-1, keepdims=True)
 
     Q = np.stack([e1, e2, e3, e4], axis=-1)
@@ -76,33 +76,14 @@ def canonicalize(f6, flag_tol=1e-8):
                         block_residual=block_residual)
 
 
-def _axis(A, k):
-    out = np.zeros(A.shape[:-1])
-    out[..., k] = 1.0
-    return out
-
-
-def _pick_in_plane(plane):
-    """Deterministic unit vector in the span of two columns: the projection of
-    the largest-weight standard axis (ties break to the lower index)."""
-    P = plane @ np.swapaxes(plane, -1, -2)
-    return _pick_in_plane_projector(P)
-
-
-def _pick_in_plane_projector(P):
+def _pick_in_plane(P):
+    """Deterministic unit vector in the range of the projector P (rank 2, or
+    I): its column of largest diagonal (ties go to the lower index), of
+    norm at least 1/sqrt(2)."""
     diag = np.einsum("...ii->...i", P)
     best = np.argmax(np.round(diag, 12), axis=-1)
     v = np.take_along_axis(P, best[..., None, None], axis=-1)[..., 0]
-    nrm = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / np.maximum(nrm, 1e-300)
-
-
-def _pair(A, e1, lam1):
-    Ae = (A @ e1[..., None])[..., 0]
-    mu = np.linalg.norm(Ae, axis=-1)
-    ok = mu > 1e-13 * (lam1 + 1.0)
-    e2 = -Ae / np.maximum(mu, 1e-300)[..., None]
-    return e2, ok
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _euclid_cross(a, b, c):
@@ -140,8 +121,9 @@ def _k_r(M, Q=None):
     return K, Rq[..., 4]
 
 
-# orthonormal bases of Lambda^- and Lambda^+ (STAR6 = -1 and +1)
-_SD_BASES = np.split(np.linalg.eigh(forms.STAR6)[1], 2, axis=1)
+# orthonormal bases of Lambda^- and Lambda^+ (STAR6 = -1 and +1): columns
+# 0-2 of (I -+ STAR6)/sqrt(2)
+_SD_BASES = [(np.eye(6) - s * forms.STAR6)[:, :3] / np.sqrt(2.0) for s in (1.0, -1.0)]
 _BISECTIONS = 64
 
 

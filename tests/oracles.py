@@ -422,6 +422,17 @@ def euclid_cross_eps(a, b, c):
     return np.einsum("ijkl,...i,...j,...k->...l", forms.EPS4, a, b, c, optimize=True)
 
 
+def eigh_plane_projector(f6):
+    """The projector onto the lambda1-plane of the 2-forms f6 (..., 6) from
+    LAPACK: the span of the eigenvectors of A^2's two smallest eigenvalues,
+    -lambda1^2 (eigh sorts them ascending), as canonicalize once took it."""
+    from curv4 import forms
+
+    A = forms.full_matrix_values(f6)
+    V = np.linalg.eigh(A @ A)[1][..., :, :2]
+    return V @ np.swapaxes(V, -1, -2)
+
+
 def admissible_K_range(M, adapted, samples=8, seed=0):
     """max - min of K over the adapted basis and `samples` random admissible
     bases of phi = lam1 e1^e2 + lam2 e3^e4, per point.  An admissible basis

@@ -1,16 +1,33 @@
+import importlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
-from curv4 import canonical, forms, presets, scenario
+from curv4 import canonical, cli, forms, presets, scenario
 from curv4.charts import curvature_at, sample_box
 from curv4.forms import TwoFormField
-from oracles import (admissible_K_range, biorthogonal, euclid_cross_eps, orthonormal_plane,
-                     plane_complement, unpack_R)
+from oracles import (admissible_K_range, biorthogonal, eigh_plane_projector, euclid_cross_eps,
+                     orthonormal_plane, plane_complement, unpack_R)
 
 RNG = np.random.default_rng(17)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _block_forms(lam, seed):
+    """Frame components of lam1 e1^e2 + lam2 e3^e4 (lam (n, 2)) in random
+    oriented orthonormal bases."""
+    n = len(lam)
+    B = np.zeros((n, 4, 4))
+    B[:, 0, 1] = lam[:, 0]
+    B[:, 1, 0] = -lam[:, 0]
+    B[:, 2, 3] = lam[:, 1]
+    B[:, 3, 2] = -lam[:, 1]
+    Q = special_ortho_group.rvs(4, size=n, random_state=seed).reshape(n, 4, 4)
+    A = np.einsum("nai,nab,nbj->nij", Q, B, Q, optimize=True)
+    return forms.pair_components_values(A)
 
 
 def _random_block_inputs(n, seed):
@@ -20,23 +37,24 @@ def _random_block_inputs(n, seed):
     a = np.abs(raw1 + raw2)
     b = np.abs(raw1 - raw2)
     lam = np.stack([(a + b) / 2.0, (a - b) / 2.0], -1)
-    B = np.zeros((n, 4, 4))
-    B[:, 0, 1] = lam[:, 0]
-    B[:, 1, 0] = -lam[:, 0]
-    B[:, 2, 3] = lam[:, 1]
-    B[:, 3, 2] = -lam[:, 1]
-    Q = special_ortho_group.rvs(4, size=n, random_state=seed + 1).reshape(n, 4, 4)
-    A = np.einsum("nai,nab,nbj->nij", Q, B, Q, optimize=True)
-    return forms.pair_components_values(A), lam
+    return _block_forms(lam, seed + 1), lam
+
+
+def _sd_asd_zero_forms(n, seed):
+    """n exactly self-dual, n exactly anti-self-dual and one zero form: STAR6
+    permutes components and flips signs, so phi +- *phi is (A)SD bit for bit."""
+    f = np.random.default_rng(seed).standard_normal((n, 6))
+    star = forms.hodge_star_frame(f)
+    return np.concatenate([f + star, f - star, np.zeros((1, 6))])
 
 
 def test_lambda_round_trip_1000():
     f6, lam = _random_block_inputs(1000, seed=3)
     ad = canonical.canonicalize(f6)
-    assert np.max(np.abs(ad.lam1 - lam[:, 0])) < 1e-10
-    assert np.max(np.abs(ad.lam2 - lam[:, 1])) < 1e-10
-    assert np.max(ad.block_residual) < 1e-10
-    assert np.max(np.abs(np.linalg.det(ad.basis) - 1.0)) < 1e-10
+    assert np.max(np.abs(ad.lam1 - lam[:, 0])) < 1e-13
+    assert np.max(np.abs(ad.lam2 - lam[:, 1])) < 1e-13
+    assert np.max(ad.block_residual) < 1e-13
+    assert np.max(np.abs(np.linalg.det(ad.basis) - 1.0)) < 1e-13
     assert np.all(ad.lam1 + ad.lam2 >= -1e-12)
     assert np.all(ad.lam1 - ad.lam2 >= -1e-12)
 
@@ -260,3 +278,95 @@ def test_euclid_cross_matches_levi_civita_contraction():
     for v in (a, b, c):
         assert np.max(np.abs(np.sum(got * v, axis=-1)) / scale) <= 2e-15
     assert np.all(np.linalg.det(np.stack([a, b, c, got], axis=-2)) > 0)
+
+
+@pytest.mark.parametrize("k", [-60, -45, 20])
+def test_canonicalize_is_homogeneous(k):
+    """phi -> 2^k phi scales lambda1 and lambda2 exactly and keeps the
+    degenerate mask and the basis bit for bit, on random forms and on exact
+    SD, ASD and zero forms: no test in canonicalize is absolute."""
+    f6 = np.concatenate([_random_block_inputs(200, seed=22)[0], _sd_asd_zero_forms(20, seed=23)])
+    ad, scaled = canonical.canonicalize(f6), canonical.canonicalize(np.ldexp(f6, k))
+    assert np.array_equal(scaled.degenerate, ad.degenerate)
+    assert np.array_equal(scaled.basis, ad.basis)
+    assert np.array_equal(scaled.lam1, np.ldexp(ad.lam1, k))
+    assert np.array_equal(scaled.lam2, np.ldexp(ad.lam2, k))
+
+
+def test_sd_asd_and_zero_forms_take_the_axis_frame():
+    """Where lambda1^2 - lambda2^2 = 0 the projector is I, so e1 is the first
+    frame axis whatever the form; the zero form gets the frame itself."""
+    f6 = _sd_asd_zero_forms(50, seed=27)
+    ad = canonical.canonicalize(f6)
+    assert ad.degenerate.all()
+    assert np.array_equal(ad.basis[:, :, 0], np.tile(np.eye(4)[0], (len(f6), 1)))
+    assert np.array_equal(ad.basis[-1], np.eye(4))
+    assert np.all(ad.block_residual <= 1e-14 * np.max(np.abs(f6), axis=-1))
+    assert np.max(np.abs(np.linalg.det(ad.basis) - 1.0)) < 1e-14
+
+
+def test_block_residual_at_small_lambda2():
+    """e4 is the cross product of e1, e2, e3, not -A e3 / lambda2, so the
+    block form holds to round-off of lambda1 as lambda2 -> 0 (the quotient
+    left 6.3e-8 lambda1 here)."""
+    rng = np.random.default_rng(24)
+    lam1 = rng.uniform(0.5, 2.0, 2000)
+    ratio = 10 ** rng.uniform(-8.0, -3.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+    ad = canonical.canonicalize(_block_forms(np.stack([lam1, ratio * lam1], -1), seed=25))
+    assert not ad.degenerate.any()
+    assert np.all(ad.block_residual <= 1e-14 * ad.lam1)
+
+
+def test_closed_form_plane_matches_eigensolver():
+    """span(e1, e2) is the lambda1-plane that LAPACK's eigh of A^2 spans, to
+    16 eps over the relative gap (lambda1^2 - lambda2^2)/(lambda1^2 + lambda2^2),
+    on random forms and on forms within 1e-12 of self-dual."""
+    f6, lam = _random_block_inputs(1000, seed=28)
+    rng = np.random.default_rng(29)
+    lam1 = rng.uniform(0.5, 2.0, 1000)
+    near = np.stack([lam1, lam1 * (1.0 - 10 ** rng.uniform(-12.0, -1.0, 1000))], -1)
+    f6, lam = np.concatenate([f6, _block_forms(near, seed=30)]), np.concatenate([lam, near])
+    E = canonical.canonicalize(f6).basis[..., :2]
+    err = np.max(np.abs(E @ np.swapaxes(E, -1, -2) - eigh_plane_projector(f6)), axis=(-2, -1))
+    gap = (lam[:, 0]**2 - lam[:, 1]**2) / (lam[:, 0]**2 + lam[:, 1]**2)
+    assert np.all(err * gap <= 16 * np.finfo(float).eps)
+
+
+def test_sd_bases_are_the_star_eigenspaces():
+    """_SD_BASES are orthonormal bases of Lambda^- and Lambda^+."""
+    for B, sign in zip(canonical._SD_BASES, (-1.0, 1.0)):
+        assert B.shape == (6, 3)
+        assert np.max(np.abs(B.T @ B - np.eye(3))) <= 4e-16
+        assert np.array_equal(forms.STAR6 @ B, sign * B)
+
+
+@pytest.fixture
+def no_eigensolver(monkeypatch):
+    """np.linalg's eigensolvers and SVD raise, and canonical is imported again
+    under that patch; the import afterwards restores it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolver ran")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    importlib.reload(canonical)
+    yield
+    monkeypatch.undo()
+    importlib.reload(canonical)
+
+
+@pytest.mark.parametrize("command,name", [
+    *[(["verify", identity], name) for identity in ("lemma22", "thm21", "prop23")
+      for name in ("conformal_product", "cp2_kaehler")],
+    (["integral"], "conformal_product"), (["integral"], "cp2_kaehler"),
+    (["integral"], "perturbed_t4_n8")])
+def test_frame_paths_run_no_eigensolver(tmp_path, no_eigensolver, command, name):
+    """The adapted frame is closed form: Lemma 2.2, Prop 2.3, Theorem 2.1 and
+    both integral paths (the grid one at n=4) exit 0 with np.linalg's
+    eigh, eigvalsh and svd refusing to run."""
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    if raw.get("grid"):
+        raw["grid"]["n"] = 4
+    sfile = tmp_path / "s.json"
+    sfile.write_text(json.dumps(raw))
+    assert cli.main([*command, "--scenario", str(sfile), "--out", str(tmp_path / "out")]) == 0
