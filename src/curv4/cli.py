@@ -311,8 +311,9 @@ def _cmd_kato(args):
 def _cmd_grid(args):
     from . import grid
     sc = _load(args)
-    cx = grid.assemble(sc.grid_chart(), sc.grid_n)
-    basis = grid.harmonic_kernel(cx, tols=sc.tols)
+    chart = sc.grid_chart()
+    cx = grid.assemble(chart, sc.grid_n)
+    basis = grid.harmonic_kernel(cx)
     rep = grid.definiteness_report(basis)
     report = {**_scenario_meta(sc), "command": f"grid {args.mode}", "n": sc.grid_n,
               "h": cx.h, **rep, "sign_conventions": SIGN_CONVENTIONS}
@@ -328,7 +329,8 @@ def _cmd_integral(args):
     sc = _load(args)
     if sc.grid is not None:
         from . import grid
-        cx = grid.assemble(sc.grid_chart(), sc.grid_n)
+        chart = sc.grid_chart()
+        cx = grid.assemble(chart, sc.grid_n)
         phi, delta_res, cg = grid.harmonic_representative(cx, (0, 1))
         fieldd = grid.discrete_field_export(cx, phi)
         rep = grid.discrete_eq23_report(fieldd, tols=sc.tols)

@@ -31,6 +31,7 @@ from .scenario import DEFAULT_TOLERANCES
 
 AXSETS = (((),), ((0,), (1,), (2,), (3,)), PAIRS, TRIPLES, ((0, 1, 2, 3),))
 _PI, _PJ = np.array(PAIRS).T
+STAR_TOL = 0.1  # how far a star eigenvalue of the harmonic basis may lie from +-1
 
 
 class GridError(Curv4Error):
@@ -315,11 +316,10 @@ def smallest_eigenpairs(complex: GridComplex, m, seed=0, tol=1e-10, max_outer=60
     return theta, X, lam_max, resid
 
 
-def harmonic_kernel(complex: GridComplex, tol=1e-10, maxit=None,
-                    tols=DEFAULT_TOLERANCES) -> HarmonicBasis:
+def harmonic_kernel(complex: GridComplex, tol=1e-10, maxit=None) -> HarmonicBasis:
     """M2-orthonormal basis of ker Delta_2, vector p in the class of PAIRS[p]; raises
     SolverError if the Gram rank is below 6, |Delta_2 z|_M > tol d_max |z|_M or
-    _star_counts fails at tols["star"].
+    a star eigenvalue is farther than STAR_TOL from +-1.
 
     The scale d_max = max diag(Delta_2) is a closed form.  Delta_2 and the
     symmetric B = M2^{1/2} Delta_2 M2^{-1/2} are diagonally similar, so they
@@ -349,7 +349,7 @@ def harmonic_kernel(complex: GridComplex, tol=1e-10, maxit=None,
         raise SolverError(f"harmonic basis residual |Delta_2 z|_M / (max diag(Delta_2) "
                           f"|z|_M) = {resid:.3e} above {tol:g}")
     basis = HarmonicBasis(complex, Z, resid, cg)
-    _star_counts(basis, tols["star"])
+    _star_counts(basis)
     return basis
 
 
@@ -399,7 +399,7 @@ def _star_gram(basis: HarmonicBasis):
     return tuple(sum(x) for x in zip(*map_chunks(partial, np.arange(gc.sites))))
 
 
-def _star_counts(basis: HarmonicBasis, tol=DEFAULT_TOLERANCES["star"]):
+def _star_counts(basis: HarmonicBasis, tol=STAR_TOL):
     S, G = _star_gram(basis)
     S = 0.5 * (S + S.T)
     L = np.linalg.cholesky(G)
@@ -409,7 +409,7 @@ def _star_counts(basis: HarmonicBasis, tol=DEFAULT_TOLERANCES["star"]):
     near_minus = np.abs(mu + 1.0) <= tol
     if not np.all(near_plus | near_minus):
         raise SolverError(f"star eigenvalue not near +-1: {mu} (convention bug signal)")
-    basis.star_eigenvalues, basis.star_tolerance = mu, tol
+    basis.star_eigenvalues = mu
     basis.b2_plus = int(np.sum(near_plus))
     basis.b2_minus = int(np.sum(near_minus))
     basis.signature = basis.b2_plus - basis.b2_minus
@@ -427,7 +427,7 @@ def definiteness_report(basis: HarmonicBasis):
         "definite": bool(basis.b2_plus == 0 or basis.b2_minus == 0),
         "b2_equals_abs_signature": bool(b2 == abs(basis.signature)),
         "star_eigenvalues": np.sort(basis.star_eigenvalues).tolist(),
-        "star_tolerance": basis.star_tolerance,
+        "star_tolerance": STAR_TOL,
         "kernel_residual": basis.kernel_residual,
         **basis.cg,
     }

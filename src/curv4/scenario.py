@@ -33,7 +33,6 @@ DEFAULT_TOLERANCES = MappingProxyType({
     "kato_lemma41": 1e-6,
     "normal_gamma": 1e-9,
     "degeneracy_frac": 1e-8,
-    "star": 0.1,
 })
 
 # The largest sample and lattice, so no run traces more than about 1 GiB

@@ -197,13 +197,19 @@ def test_kernel_orthonormal_in_M(flat4):
 
 
 def test_flat_definiteness(flat4):
-    rep = grid.definiteness_report(grid.harmonic_kernel(flat4))
+    """The report states the star test's bound, and that test fails on the
+    same basis when no eigenvalue may be near +-1."""
+    basis = grid.harmonic_kernel(flat4)
+    rep = grid.definiteness_report(basis)
     assert rep["kernel_dim"] == 6
     assert rep["b2_plus"] == 3 and rep["b2_minus"] == 3
     assert rep["signature"] == 0 and rep["definite"] is False
     assert not rep["b2_equals_abs_signature"]
     mus = np.array(rep["star_eigenvalues"])
     assert np.all(np.minimum(np.abs(mus - 1), np.abs(mus + 1)) < 0.1)
+    assert rep["star_tolerance"] == grid.STAR_TOL == 0.1
+    with pytest.raises(SolverError, match="star eigenvalue not near"):
+        grid._star_counts(basis, tol=-1)
 
 
 def test_perturbed_counts_invariant(pert8):

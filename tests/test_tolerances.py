@@ -36,7 +36,6 @@ GATES = [
     ("degeneracy_frac", ["kato", "scan"], "conformal_product", "norm_floor"),
     ("degeneracy_frac", ["verify", "prop23"], "product_volumes", "degenerate_points"),
     ("degeneracy_frac", ["verify", "lemma22"], "product_volumes", "degenerate_points"),
-    ("star", ["grid", "definiteness"], "flat_t4_n6", None),
 ]
 
 _baseline = {}
@@ -94,16 +93,6 @@ def test_degeneracy_frac_decides_the_thm21_premise(tmp_path):
         assert code == 0
         counts.append(report["extra"]["premise_points"])
     assert counts == [0, 30]
-
-
-@pytest.mark.parametrize("command", [["grid", "definiteness"], ["grid", "harmonic"]])
-def test_star_tolerance_is_reported(tmp_path, command):
-    """The grid reports state the star test's bound, the default or the
-    scenario's override."""
-    raw = json.loads((SCENARIOS / "flat_t4_n6.json").read_text())
-    for overrides, want in (({}, DEFAULT_TOLERANCES["star"]), ({"star": 0.25}, 0.25)):
-        code, report = _outcome(tmp_path, command, {**raw, "tolerances": overrides})
-        assert code == 0 and report["star_tolerance"] == want
 
 
 @pytest.mark.parametrize("value", ["abc", None, float("nan"), float("inf"), True, [1e-6],
